@@ -21,12 +21,15 @@ from .errors import ConfigError, NonConvergenceError, QptError
 from .mesh import ellipsoid_mesh, mesh_metadata, write_obj
 from .metrics import process_distance_report
 from .process_tomography import run_process_tomography
-from .projection import project_to_physical, projection_report
+from .projection import MAX_ITERATIONS, project_to_physical, projection_report
 from .simulator import PRESETS, ExperimentConfig, preset_config, run_experiment
 
 log = logging.getLogger("qpt")
 
 PAPER_REPRO = "paper-repro"
+# Each level quadruples the mesh; level 9 takes minutes and writes ~590 MB
+# of OBJ per block.
+MAX_SUBDIVISIONS = 7
 
 
 def _shots_argument(text: str):
@@ -41,6 +44,24 @@ def _shots_argument(text: str):
     if value < 1:
         raise argparse.ArgumentTypeError(f"shots must be positive, got {value}")
     return value
+
+
+def _bounded_int(name: str, low: int, high: int | None = None):
+    """argparse type for an integer flag in ``[low, high]`` (usage error else)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer, got {text!r}"
+            ) from None
+        if value < low or (high is not None and value > high):
+            bounds = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"{name} must be {bounds}, got {value}")
+        return value
+
+    return parse
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -99,13 +120,11 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _project_into_document(doc: dict, restarts: int, max_evaluations: int) -> int:
+def _project_into_document(doc: dict, max_iterations: int) -> int:
     chi = qio.document_chi(doc, prefer_projected=False)
     code = 0
     try:
-        result = project_to_physical(
-            chi, restarts=restarts, max_evaluations=max_evaluations
-        )
+        result = project_to_physical(chi, max_iterations=max_iterations)
     except NonConvergenceError as exc:
         log.error("projection did not converge: %s", exc)
         result = exc.best_result
@@ -120,7 +139,7 @@ def _project_into_document(doc: dict, restarts: int, max_evaluations: int) -> in
 
 def cmd_project(args) -> int:
     doc = qio.read_json(args.result)
-    code = _project_into_document(doc, args.restarts, args.max_evals)
+    code = _project_into_document(doc, args.max_iterations)
     qio.write_json_atomic(args.out, doc)
     log.info("projected result written to %s", args.out)
     return code
@@ -212,7 +231,7 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
     )
     estimate = run_process_tomography(records)
     doc = qio.result_document(estimate, config)
-    code = _project_into_document(doc, args.restarts, args.max_evals)
+    code = _project_into_document(doc, args.max_iterations)
     result_path = os.path.join(out_dir, "result.json")
     qio.write_json_atomic(result_path, doc)
 
@@ -276,13 +295,19 @@ def _add_config_arguments(parser, include_repro: bool = False) -> None:
 
 def _add_projection_arguments(parser) -> None:
     parser.add_argument(
-        "--restarts", type=int, default=8, help="projection restarts (default 8)"
+        "--max-iterations",
+        type=_bounded_int("max-iterations", 1),
+        default=MAX_ITERATIONS,
+        help=f"projection iteration budget (default {MAX_ITERATIONS})",
     )
+
+
+def _add_subdivisions_argument(parser) -> None:
     parser.add_argument(
-        "--max-evals",
-        type=int,
-        default=50000,
-        help="objective-evaluation budget per restart (default 50000)",
+        "--subdivisions",
+        type=_bounded_int("subdivisions", 1, MAX_SUBDIVISIONS),
+        default=3,
+        help=f"icosphere refinement level, 1 to {MAX_SUBDIVISIONS} (default 3)",
     )
 
 
@@ -326,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="write Bloch-ellipsoid meshes for a result")
     p.add_argument("--result", required=True, help="input result path")
     p.add_argument("--out", required=True, help="output file prefix")
-    p.add_argument(
-        "--subdivisions", type=int, default=3, help="icosphere refinement level"
-    )
+    _add_subdivisions_argument(p)
     p.set_defaults(handler=cmd_render)
 
     p = sub.add_parser(
@@ -336,9 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_arguments(p, include_repro=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--subdivisions", type=int, default=3, help="icosphere refinement level"
-    )
+    _add_subdivisions_argument(p)
     _add_projection_arguments(p)
     p.set_defaults(handler=cmd_pipeline)
     return parser

@@ -221,9 +221,8 @@ def attach_projection(
         "distance": result.distance,
         "iterations": result.iterations,
         "converged": result.converged,
-        "restart_distances": [
-            d if math.isfinite(d) else None for d in result.restart_distances
-        ],
+        "tp_residual": result.tp_residual,
+        "min_eigenvalue": result.min_eigenvalue,
     }
     doc["discrepancy"] = report.as_dict()
     if comparison.state_metrics is None:
@@ -256,10 +255,15 @@ def document_config(doc) -> ExperimentConfig | None:
 
 
 def read_json(path: str) -> dict:
+    """Parse a strict JSON file; ``NaN`` and ``Infinity`` raise ``ConfigError``."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
+
+    def reject_constant(name: str):
+        raise ConfigError(f"{path}: non-finite number {name} is not valid JSON")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -1,23 +1,31 @@
 """Projection of a reconstructed process onto the physical (CPTP) set.
 
-The search space is parametrized so that physicality is automatic rather
-than constrained: any lower-triangular ``T`` with real diagonal gives a PSD
-coefficient matrix ``chi = T^dag T`` (complete positivity), and trace
-preservation is imposed exactly at every evaluation by renormalizing the
-implied Kraus set, ``K_k -> K_k S^(-1/2)`` with
-``S = sum_mn chi[m, n] A_n^dag A_m``.  In coefficient form that
-renormalization is a congruence ``chi -> W chi W^dag`` with
-``W[p, m] = tr(A_p^dag A_m S^(-1/2)) / 2``, which avoids factoring chi at
-all.  The remaining problem, minimize the Frobenius distance to the target
-over the 16 real parameters of ``T``, is solved by a derivative-free
-compass search (best of the 32 single-coordinate moves per sweep, step
-halved when no move helps) from several deterministic starting points.
+The nearest physical process in Frobenius distance is the projection of the
+Hermitian part ``H`` of the estimate onto the intersection of two convex
+sets: the PSD cone (complete positivity) and the affine subspace of
+coefficient matrices whose completeness sum
+``S = sum_mn chi[m, n] A_n^dag A_m`` equals the identity (trace
+preservation).  Each set has a closed-form projection:
 
-``T`` has 16 parameters while the TP-normalized channels form a 12
-dimensional family, so the parametrization is redundant (for instance,
-``chi(T)`` is invariant under rescaling ``T``).  Flat directions are
-harmless for a compass search; they only mean several parameter vectors
-describe the optimum.
+* ``P_PSD`` clamps the eigenvalues of a Hermitian matrix at zero;
+* ``P_TP`` subtracts the minimum-norm correction that cancels ``S - I``,
+  a fixed pseudoinverse of the linear map ``chi -> S``, computed once at
+  import.
+
+Dykstra's alternating projections (Higham's form for the nearest
+correlation matrix; Knee et al., PRA 98, 062336, 2018, for CPTP maps)
+converge to the projection onto the intersection.  Because the TP set is
+affine, only the PSD step carries a correction term::
+
+    y <- P_TP(H)
+    repeat:  r = y - dS;  x = P_PSD(r);  dS = x - r;  y = P_TP(x)
+
+The iteration stops when ``y`` is certified feasible (TP residual and
+negative eigenvalue both within ``1e-12``) and the last step moved it by
+at most ``1e-13``.  An input that is already CPTP passes in one iteration.
+
+``tp_normalize`` is the Kraus-set counterpart of trace preservation: it
+rescales a Kraus set to exact completeness.
 """
 
 from __future__ import annotations
@@ -31,52 +39,30 @@ from .errors import DegenerateParametrizationError, NonConvergenceError
 from .metrics import DiscrepancyReport
 from .states import OPERATION_ELEMENTS
 
-PARAMETER_COUNT = 16
-
 _OPS = np.stack(OPERATION_ELEMENTS)
-# _ADJ[p, m] = A_p^dag A_m; contracting with chi gives the completeness sum,
-# contracting with S^(-1/2) gives the renormalization matrix W.
+# _ADJ[p, m] = A_p^dag A_m; contracting with chi gives the completeness sum.
 _ADJ = np.einsum("pki,mkj->pmij", _OPS.conj(), _OPS)
-# Flattened views for the hot path: chi -> completeness sum and
-# S^(-1/2) -> W as plain matrix products.
-_ADJ_SUM = np.ascontiguousarray(_ADJ.transpose(1, 0, 2, 3).reshape(16, 4))
-_ADJ_W = np.ascontiguousarray(_ADJ.reshape(16, 4).T)
+# vec(S) = _COMPLETENESS @ vec(chi), with row-major vec on both sides.
+_COMPLETENESS = np.ascontiguousarray(_ADJ.transpose(2, 3, 1, 0).reshape(4, 16))
+_IDENTITY_VEC = np.eye(2, dtype=complex).reshape(4)
+# For this basis the rows of _COMPLETENESS are orthogonal with squared norm
+# 8, so its pseudoinverse is its adjoint over 8.  The closed form avoids an
+# SVD at import, which adds ~1 MB to the peak RSS of every CLI process.
+_TP_PINV = _COMPLETENESS.conj().T / 8.0
+# P_TP(chi) = _TP_LINEAR @ vec(chi) + _TP_OFFSET, the minimum-norm fix of S.
+_TP_LINEAR = np.eye(16) - _TP_PINV @ _COMPLETENESS
+_TP_OFFSET = (_TP_PINV @ _IDENTITY_VEC).reshape(4, 4)
+# The fully depolarizing channel: CPTP with every eigenvalue at 1/4.
+_DEPOLARIZING = np.eye(4, dtype=complex) / 4.0
 
-_DIAG = np.arange(4)
-_LOWER_ROWS = np.array([1, 2, 2, 3, 3, 3])
-_LOWER_COLS = np.array([0, 0, 1, 0, 1, 2])
-
-# Smallest admissible eigenvalue of the completeness sum; below this the
-# implied Kraus set cannot be renormalized and the point is infeasible.
+_FEASIBILITY_TOL = 1e-12
+_STEP_TOL = 1e-13
+# Noisy estimates need a few dozen iterations and random Hermitian targets
+# of unit scale a few hundred; targets far outside the CPTP set need more.
+MAX_ITERATIONS = 10000
+# Smallest admissible eigenvalue of a Kraus set's completeness sum; below
+# this the set cannot be renormalized.
 _FEASIBLE_EIGENVALUE = 1e-10
-
-
-def triangular_from_params(p: Sequence[float]) -> np.ndarray:
-    """Lower-triangular T from 16 reals: 4 diagonal entries, then the six
-    subdiagonal entries in row order as (real, imag) pairs."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (PARAMETER_COUNT,):
-        raise ValueError(f"expected {PARAMETER_COUNT} parameters, got {p.shape}")
-    t = np.zeros((4, 4), dtype=complex)
-    t[_DIAG, _DIAG] = p[:4]
-    t[_LOWER_ROWS, _LOWER_COLS] = p[4::2] + 1j * p[5::2]
-    return t
-
-
-def params_from_triangular(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {t.shape}")
-    if np.abs(np.triu(t, k=1)).max() > 1e-12:
-        raise ValueError("matrix is not lower triangular")
-    if np.abs(t[_DIAG, _DIAG].imag).max() > 1e-12:
-        raise ValueError("diagonal must be real")
-    p = np.empty(PARAMETER_COUNT)
-    p[:4] = t[_DIAG, _DIAG].real
-    lower = t[_LOWER_ROWS, _LOWER_COLS]
-    p[4::2] = lower.real
-    p[5::2] = lower.imag
-    return p
 
 
 def tp_normalize(ops: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -91,335 +77,111 @@ def tp_normalize(ops: Sequence[np.ndarray]) -> list[np.ndarray]:
     if stack.shape[1:] != (2, 2):
         raise ValueError("Kraus operators must be 2x2")
     total = np.einsum("kji,kjl->il", stack.conj(), stack)
-    inv_root = _inverse_sqrt_2x2(total[None])[0]
-    if not np.all(np.isfinite(inv_root)):
+    values, vectors = np.linalg.eigh(total)
+    # Written so NaN in the eigenvalues (overflowed input) is also rejected.
+    if not values[0] > _FEASIBLE_EIGENVALUE:
         raise DegenerateParametrizationError(
             "completeness sum is singular; the Kraus set cannot be renormalized"
         )
+    inv_root = (vectors / np.sqrt(values)) @ vectors.conj().T
     return [k @ inv_root for k in stack]
 
 
-def _inverse_sqrt_2x2(s: np.ndarray) -> np.ndarray:
-    """Batched principal inverse square root of Hermitian 2x2 matrices.
-
-    Closed form from trace and determinant:
-    ``S^(-1/2) = ((t + sqrt(d)) I - S) / (sqrt(d) sqrt(t + 2 sqrt(d)))``.
-    Non-positive-definite inputs produce non-finite entries rather than an
-    exception, so batch callers can mask them as infeasible.
-    """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        trace = np.real(s[..., 0, 0] + s[..., 1, 1])
-        det = np.real(s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0])
-        disc = np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
-        lam_min = (trace - disc) / 2.0
-        root_det = np.sqrt(det)
-        denom = root_det * np.sqrt(trace + 2.0 * root_det)
-        eye = np.eye(2, dtype=complex)
-        result = ((trace + root_det)[..., None, None] * eye - s) / denom[..., None, None]
-    # Written so NaN in lam_min (overflowed input) also lands infeasible.
-    infeasible = ~(lam_min > _FEASIBLE_EIGENVALUE)
-    if infeasible.any():
-        result[infeasible] = np.nan
-    return result
+def _project_tp(chi: np.ndarray) -> np.ndarray:
+    return (_TP_LINEAR @ chi.reshape(16)).reshape(4, 4) + _TP_OFFSET
 
 
-def _normalized_chi_batch(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map parameter rows to TP-normalized chi matrices.
-
-    Returns ``(chi, feasible)``; rows whose completeness sum is not positive
-    definite come back flagged infeasible with NaN entries.
-    """
-    batch = params.shape[0]
-    t = np.zeros((batch, 4, 4), dtype=complex)
-    t[:, _DIAG, _DIAG] = params[:, :4]
-    t[:, _LOWER_ROWS, _LOWER_COLS] = params[:, 4::2] + 1j * params[:, 5::2]
-    chi = np.conj(t.transpose(0, 2, 1)) @ t
-    total = (chi.reshape(batch, 16) @ _ADJ_SUM).reshape(batch, 2, 2)
-    inv_root = _inverse_sqrt_2x2(total)
-    feasible = np.isfinite(inv_root).all(axis=(1, 2))
-    if not feasible.all():
-        inv_root = np.nan_to_num(inv_root, nan=0.0)
-    w = (
-        inv_root.transpose(0, 2, 1).reshape(batch, 4) @ _ADJ_W
-    ).reshape(batch, 4, 4) / 2.0
-    normalized = (w @ chi) @ np.conj(w.transpose(0, 2, 1))
-    return normalized, feasible
+def _project_psd(h: np.ndarray) -> np.ndarray:
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.maximum(values, 0.0)) @ vectors.conj().T
 
 
-def _distances_sq(params: np.ndarray, target: np.ndarray) -> np.ndarray:
-    chi, feasible = _normalized_chi_batch(params)
-    diff = chi - target[None]
-    values = np.einsum("bij,bij->b", diff, diff.conj()).real
-    return np.where(feasible, values, np.inf)
+def _tp_residual(chi: np.ndarray) -> float:
+    return float(np.linalg.norm(_COMPLETENESS @ chi.reshape(16) - _IDENTITY_VEC))
 
 
-_POLL_COUNT = 2 * PARAMETER_COUNT
-_WALK_MULTIPLES = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
-_THRESHOLD_FLOOR = 1e-16
-_WALK_DISPLACEMENT_CAP = 1e3
-
-
-class _Restart:
-    """State machine for one compass-search restart.
-
-    A restart alternates between polling (all 32 single-coordinate moves at
-    the current step) and walking (probing geometric repeats of the last
-    winning move in one small batch).  Accepted walk jumps compound the
-    probe displacement, so straight descents are covered in logarithmically
-    few rounds; a long jump also re-expands the poll step.  A failed poll
-    halves the step; the restart converges when the step falls below
-    tolerance, and goes inactive unconverged when its budget runs out.
-    """
-
-    __slots__ = (
-        "params", "value", "step", "evaluations", "walking", "displacement",
-        "active", "converged", "initial_step",
-    )
-
-    def __init__(self, params: np.ndarray, value: float, step: float):
-        self.params = params
-        self.value = value
-        self.step = step
-        self.initial_step = step
-        self.evaluations = 1
-        self.walking = False
-        self.displacement = None
-        self.active = True
-        self.converged = False
-
-    def propose(self, max_evaluations: int) -> np.ndarray | None:
-        if self.walking:
-            if self.evaluations + len(_WALK_MULTIPLES) <= max_evaluations:
-                return self.params[None] + np.outer(_WALK_MULTIPLES, self.displacement)
-            self.walking = False
-        if self.evaluations + _POLL_COUNT > max_evaluations:
-            self.active = False
-            return None
-        candidates = np.repeat(self.params[None], _POLL_COUNT, axis=0)
-        idx = np.arange(PARAMETER_COUNT)
-        candidates[2 * idx, idx] += self.step
-        candidates[2 * idx + 1, idx] -= self.step
-        return candidates
-
-    def absorb(
-        self,
-        candidates: np.ndarray,
-        values: np.ndarray,
-        step_tolerance: float,
-        improvement_tolerance: float,
-    ) -> None:
-        self.evaluations += len(values)
-        best = int(np.argmin(values))
-        # Threshold scales with the objective once it drops below 1: near a
-        # deep optimum the attainable gains are of order the objective
-        # itself, and an absolute cutoff would end tail refinement early.
-        # The floor keeps the step-halving cascade (and with it termination)
-        # reachable once gains fade into float noise.
-        threshold = max(
-            improvement_tolerance * min(1.0, self.value), _THRESHOLD_FLOOR
-        )
-        if self.walking:
-            if values[best] < self.value - threshold:
-                multiple = _WALK_MULTIPLES[best]
-                self.params = candidates[best]
-                self.value = float(values[best])
-                self.displacement = self.displacement * multiple
-                if multiple >= 8.0:
-                    self.step = min(self.step * 2.0, 4.0 * self.initial_step)
-                if np.abs(self.displacement).max() > _WALK_DISPLACEMENT_CAP:
-                    # Parameters live on a unit-ish scale; far larger probes
-                    # only overflow the objective.
-                    self.walking = False
-            else:
-                self.walking = False
-            return
-        if values[best] < self.value - threshold:
-            self.displacement = candidates[best] - self.params
-            self.params = candidates[best]
-            self.value = float(values[best])
-            self.walking = True
-            return
-        if values[best] < self.value:
-            # Below the improvement threshold but still a gain: take it,
-            # then refine the step.
-            self.params = candidates[best]
-            self.value = float(values[best])
-        self.step /= 2.0
-        if self.step < step_tolerance:
-            self.converged = True
-            self.active = False
-
-
-def _run_restarts(
-    target: np.ndarray,
-    seeds: list[np.ndarray],
-    initial_step: float,
-    step_tolerance: float,
-    improvement_tolerance: float,
-    max_evaluations: int,
-) -> list[_Restart]:
-    """Advance all restarts in lockstep, one fused evaluation per round.
-
-    Each restart follows exactly the trajectory it would follow on its own
-    (its decisions depend only on its own candidates); fusing the candidate
-    blocks into a single batch just amortizes the evaluation overhead.
-    """
-    seed_values = _distances_sq(np.stack(seeds), target)
-    restarts = [
-        _Restart(seed.copy(), float(value), initial_step)
-        for seed, value in zip(seeds, seed_values)
-    ]
-    while True:
-        blocks = []
-        owners = []
-        for restart in restarts:
-            if not restart.active:
-                continue
-            block = restart.propose(max_evaluations)
-            if block is not None:
-                blocks.append(block)
-                owners.append(restart)
-        if not blocks:
-            return restarts
-        values = _distances_sq(np.concatenate(blocks), target)
-        offset = 0
-        for restart, block in zip(owners, blocks):
-            count = len(block)
-            restart.absorb(
-                block,
-                values[offset : offset + count],
-                step_tolerance,
-                improvement_tolerance,
-            )
-            offset += count
-
-
-def _aligned_seed(target: np.ndarray) -> np.ndarray:
-    """Factor the eigenvalue-clamped target as T^dag T for a warm start.
-
-    The clamp floor trades seed fidelity against feasibility: it must stay
-    above the completeness-sum eigenvalue gate, but every extra order of
-    magnitude moves the seed further from a rank-deficient target.
-    """
-    values, vectors = np.linalg.eigh(target)
-    values = np.clip(values, 1e-8, None)
-    psd = (vectors * values) @ vectors.conj().T
-    # Cholesky of the index-reversed matrix gives the lower factor of the
-    # T^dag T (rather than L L^dag) convention.
-    reversed_psd = psd[::-1, ::-1]
-    lower = np.linalg.cholesky(reversed_psd)
-    t = lower[::-1, ::-1].conj().T
-    return params_from_triangular(t)
-
-
-def _restart_seeds(target: np.ndarray, restarts: int) -> list[np.ndarray]:
-    seeds = []
-    identity = np.zeros(PARAMETER_COUNT)
-    identity[0] = 1.0
-    seeds.append(identity)
-    if restarts > 1:
-        seeds.append(_aligned_seed(target))
-    rng = np.random.default_rng(20260101)
-    while len(seeds) < restarts:
-        seeds.append(0.5 * rng.standard_normal(PARAMETER_COUNT))
-    return seeds[:restarts]
+def _min_eigenvalue(chi: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(chi)[0])
 
 
 @dataclass(frozen=True)
 class ProjectionResult:
     """Outcome of the physical projection.
 
-    ``chi_tilde`` is CPTP by construction; ``distance`` is the Frobenius
-    distance from the (symmetrized) input; ``iterations`` counts objective
-    evaluations across all restarts; ``restart_distances`` records each
-    restart's final distance, whose spread is a cheap convergence
-    diagnostic.
+    ``chi_tilde`` is the projected process; ``distance`` is its Frobenius
+    distance from the (symmetrized) input; ``iterations`` counts Dykstra
+    iterations.  ``tp_residual`` (``||S - I||_F``) and ``min_eigenvalue``
+    are measured on ``chi_tilde`` and certify its feasibility.
+    ``restart_distances`` is kept for callers of the former multi-start
+    solver; the Dykstra solver leaves it empty.
     """
 
     chi_tilde: np.ndarray
     distance: float
     iterations: int
     converged: bool
-    restart_distances: tuple[float, ...]
+    restart_distances: tuple[float, ...] = ()
 
     @property
-    def restart_spread(self) -> float:
-        finite = [d for d in self.restart_distances if np.isfinite(d)]
-        if len(finite) < 2:
-            return 0.0
-        return max(finite) - min(finite)
+    def tp_residual(self) -> float:
+        return _tp_residual(self.chi_tilde)
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return _min_eigenvalue(self.chi_tilde)
 
 
 def project_to_physical(
-    chi: np.ndarray,
-    restarts: int = 8,
-    initial_step: float = 0.25,
-    step_tolerance: float = 1e-9,
-    improvement_tolerance: float = 1e-10,
-    max_evaluations: int = 50000,
+    chi: np.ndarray, max_iterations: int = MAX_ITERATIONS
 ) -> ProjectionResult:
     """Find the nearest CPTP process to ``chi`` in Frobenius distance.
 
     The input is symmetrized first; distances refer to the Hermitian part.
-    Each restart runs its own compass search with ``max_evaluations`` as its
-    evaluation budget; a restart converges when the step size falls below
-    ``step_tolerance``.  ``improvement_tolerance`` is relative to the current
-    objective value (with a floor at 1), so tail refinement continues even
-    when the remaining distance is tiny.  If no restart converges,
-    ``NonConvergenceError`` is raised with the best result attached.
+    If ``max_iterations`` Dykstra iterations do not reach the stopping
+    criterion, ``NonConvergenceError`` is raised with the last iterate
+    attached as ``best_result``, moved toward the fully depolarizing
+    channel just far enough to be completely positive.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (4, 4):
         raise ValueError(f"chi matrix must be 4x4, got {chi.shape}")
     if not np.all(np.isfinite(chi)):
         raise ValueError("chi matrix contains non-finite entries")
-    if restarts < 1:
-        raise ValueError(f"restarts must be positive, got {restarts}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
     target = (chi + chi.conj().T) / 2.0
 
-    outcomes = _run_restarts(
-        target,
-        _restart_seeds(target, restarts),
-        initial_step,
-        step_tolerance,
-        improvement_tolerance,
-        max_evaluations,
-    )
-    best_params = None
-    best_value = np.inf
-    best_converged = False
-    any_converged = False
-    total_evaluations = 0
-    finals = []
-    for restart in outcomes:
-        total_evaluations += restart.evaluations
-        any_converged = any_converged or restart.converged
-        value = restart.value
-        finals.append(float(np.sqrt(value)) if np.isfinite(value) else np.inf)
-        better = value < best_value
-        tie_break = value == best_value and restart.converged and not best_converged
-        if best_params is None or better or tie_break:
-            best_params = restart.params
-            best_value = value
-            best_converged = restart.converged
+    y = _project_tp(target)
+    correction = np.zeros((4, 4), dtype=complex)
+    for iteration in range(1, max_iterations + 1):
+        r = y - correction
+        x = _project_psd(r)
+        correction = x - r
+        previous, y = y, _project_tp(x)
+        converged = (
+            np.linalg.norm(y - previous) <= _STEP_TOL
+            and _tp_residual(y) <= _FEASIBILITY_TOL
+            and _min_eigenvalue(y) >= -_FEASIBILITY_TOL
+        )
+        if converged:
+            break
+    else:
+        # Mixing a TP point with the depolarizing channel keeps it TP; weight
+        # t lifts the lowest eigenvalue to (1 - t) lowest + t / 4 = 0.
+        lowest = _min_eigenvalue(y)
+        if lowest < 0.0:
+            weight = -lowest / (0.25 - lowest)
+            y = (1.0 - weight) * y + weight * _DEPOLARIZING
 
-    chi_tilde, feasible = _normalized_chi_batch(best_params[None])
-    if not feasible[0]:
-        # Cannot happen from the identity seed, which is always feasible,
-        # but guard the invariant anyway.
-        raise DegenerateParametrizationError("no feasible point found")
     result = ProjectionResult(
-        chi_tilde=chi_tilde[0],
-        distance=float(np.sqrt(best_value)),
-        iterations=total_evaluations,
-        converged=best_converged,
-        restart_distances=tuple(finals),
+        chi_tilde=y,
+        distance=float(np.linalg.norm(y - target)),
+        iterations=iteration,
+        converged=bool(converged),
     )
-    if not any_converged:
-        # Every restart ran out of budget; surface the best iterate so the
-        # caller can still persist or inspect it.
+    if not converged:
         raise NonConvergenceError(
-            f"no restart converged within {max_evaluations} evaluations each",
+            f"projection did not converge within {max_iterations} iterations",
             best_result=result,
         )
     return result

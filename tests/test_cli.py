@@ -156,19 +156,32 @@ class TestProject:
         raw = tmp_path / "raw.json"
         assert run("reconstruct", "--records", noisy_records, "--out", raw) == 0
         out = tmp_path / "projected.json"
-        code = run("project", "--result", raw, "--out", out, "--max-evals", "40")
+        code = run("project", "--result", raw, "--out", out, "--max-iterations", "1")
         assert code == 4
         doc = qio.read_json(str(out))
         assert doc["projected"] is not None
         assert doc["projected"]["converged"] is False
         assert np.isfinite(doc["projected"]["distance"])
 
-    def test_restart_override(self, tmp_path, result_path):
-        out = tmp_path / "projected.json"
-        assert run(
-            "project", "--result", result_path, "--out", out, "--restarts", "2"
-        ) == 0
-        assert len(qio.read_json(str(out))["projected"]["restart_distances"]) == 2
+    @pytest.mark.parametrize("command", ["project", "pipeline"])
+    @pytest.mark.parametrize("value", ["0", "-5", "many"])
+    def test_iteration_cap_must_be_positive(self, tmp_path, result_path, command, value):
+        source = (
+            ["--result", result_path] if command == "project" else ["--preset", "paper-20ns"]
+        )
+        with pytest.raises(SystemExit) as info:
+            run(command, *source, "--out", tmp_path / "o", "--max-iterations", value)
+        assert info.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_chi_is_input_error(self, tmp_path, result_path, capsys):
+        doc = json.loads(result_path.read_text())
+        doc["raw"]["chi"][0][0] = [math.nan, 0.0]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))  # the default encoder writes NaN
+        assert run("project", "--result", broken, "--out", tmp_path / "o.json") == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestCompare:
@@ -238,6 +251,17 @@ class TestRender:
 
     def test_rejects_non_result(self, tmp_path, records_path):
         assert run("render", "--result", records_path, "--out", tmp_path / "m") == 2
+
+    @pytest.mark.parametrize("command", ["render", "pipeline"])
+    @pytest.mark.parametrize("value", ["0", "-3", "8"])
+    def test_subdivisions_out_of_range(self, tmp_path, result_path, command, value):
+        source = (
+            ["--result", result_path] if command == "render" else ["--preset", "paper-20ns"]
+        )
+        with pytest.raises(SystemExit) as info:
+            run(command, *source, "--out", tmp_path / "m", "--subdivisions", value)
+        assert info.value.code == 2
+        assert not list(tmp_path.glob("m*"))
 
 
 class TestPipeline:

@@ -171,7 +171,9 @@ class TestResultDocument:
         io.attach_projection(doc, result, report, comparison)
         assert doc["projected"]["distance"] == result.distance
         assert doc["projected"]["converged"] is True
-        assert len(doc["projected"]["restart_distances"]) == 8
+        assert doc["projected"]["tp_residual"] == result.tp_residual <= 1e-12
+        assert doc["projected"]["min_eigenvalue"] == result.min_eigenvalue >= -1e-12
+        assert "restart_distances" not in doc["projected"]
         assert doc["discrepancy"]["frobenius_norm"] == report.frobenius_norm
         json.dumps(doc, allow_nan=False)
 
@@ -235,6 +237,14 @@ class TestFileIo:
         io.write_json_atomic(path, {"a": 1})
         io.write_json_atomic(path, {"a": 2})
         assert io.read_json(path)["a"] == 2
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_rejected(self, tmp_path, constant):
+        path = str(tmp_path / "doc.json")
+        with open(path, "w") as handle:
+            handle.write('{"a": [1.0, %s]}' % constant)
+        with pytest.raises(ConfigError, match=f"non-finite number {constant}"):
+            io.read_json(path)
 
     def test_invalid_json_position(self, tmp_path):
         path = str(tmp_path / "broken.json")

@@ -4,25 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import random_cptp_chi, random_kraus_set
 from qpt import channels as ch
+from qpt import projection
 from qpt.errors import DegenerateParametrizationError, NonConvergenceError
 from qpt.metrics import DiscrepancyReport
 from qpt.projection import (
-    PARAMETER_COUNT,
     ProjectionResult,
-    params_from_triangular,
     project_to_physical,
     projection_report,
     tp_normalize,
-    triangular_from_params,
-)
-
-PARAMS = st.lists(
-    st.floats(-2.0, 2.0, allow_nan=False), min_size=16, max_size=16
 )
 
 
@@ -33,37 +25,10 @@ def assert_cptp(chi, cp_tol=1e-9, tp_tol=1e-8):
     assert tp_flag, f"not TP: deficit {deficit}"
 
 
-class TestParametrization:
-    @given(p=PARAMS)
-    def test_round_trip(self, p):
-        t = triangular_from_params(p)
-        np.testing.assert_allclose(params_from_triangular(t), p, atol=1e-15)
-
-    def test_structure(self):
-        t = triangular_from_params(np.arange(16.0))
-        assert np.abs(np.triu(t, k=1)).max() == 0.0
-        np.testing.assert_allclose(np.diag(t), [0.0, 1.0, 2.0, 3.0])
-        # First subdiagonal entry carries parameters 4 (real) and 5 (imag).
-        assert t[1, 0] == 4.0 + 5.0j
-
-    def test_psd_by_construction(self, rng):
-        for _ in range(20):
-            t = triangular_from_params(rng.standard_normal(PARAMETER_COUNT))
-            chi = t.conj().T @ t
-            assert np.linalg.eigvalsh(chi).min() > -1e-12
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="16 parameters"):
-            triangular_from_params(np.zeros(15))
-
-    def test_rejects_non_triangular(self):
-        with pytest.raises(ValueError, match="lower triangular"):
-            params_from_triangular(np.ones((4, 4)))
-
-    def test_rejects_complex_diagonal(self):
-        t = np.diag([1.0 + 1.0j, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="diagonal must be real"):
-            params_from_triangular(t)
+def test_tp_correction_is_the_pseudoinverse():
+    np.testing.assert_allclose(
+        projection._TP_PINV, np.linalg.pinv(projection._COMPLETENESS), atol=1e-15
+    )
 
 
 class TestTpNormalize:
@@ -132,7 +97,6 @@ class TestProjectionOutput:
         assert_cptp(result.chi_tilde)
         assert result.distance > 0.0
         assert result.iterations > 0
-        assert len(result.restart_distances) == 8
 
     def test_deterministic(self):
         chi = np.diag([0.9, 0.2, -0.05, 0.05]).astype(complex)
@@ -145,15 +109,17 @@ class TestProjectionOutput:
         chi = random_cptp_chi(rng)
         anti = 1j * np.diag([0.1, -0.1, 0.0, 0.0])
         with_anti = chi + anti  # same Hermitian part
-        a = project_to_physical(chi, restarts=2)
-        b = project_to_physical(with_anti, restarts=2)
+        a = project_to_physical(chi)
+        b = project_to_physical(with_anti)
         assert a.distance == pytest.approx(b.distance, abs=1e-12)
 
-    def test_restart_spread_diagnostic(self):
-        result = project_to_physical(np.diag([0.9, 0.2, -0.05, 0.05]), restarts=3)
-        assert result.restart_spread >= 0.0
-        single = project_to_physical(ch.standard_channel("identity"), restarts=1)
-        assert single.restart_spread == 0.0
+    def test_certificate_measured_on_output(self):
+        result = project_to_physical(np.diag([0.9, 0.2, -0.05, 0.05]))
+        _, deficit = ch.is_trace_preserving(result.chi_tilde)
+        assert result.tp_residual == pytest.approx(deficit, abs=1e-15)
+        lowest = np.linalg.eigvalsh(result.chi_tilde)[0]
+        assert result.min_eigenvalue == pytest.approx(lowest, abs=1e-15)
+        assert result.restart_distances == ()
 
 
 class TestKnownOptima:
@@ -178,8 +144,8 @@ class TestKnownOptima:
 class TestBudgetExhaustion:
     def test_raises_with_best_iterate(self):
         chi = np.diag([0.9, 0.2, -0.05, 0.05]).astype(complex)
-        with pytest.raises(NonConvergenceError, match="no restart converged") as info:
-            project_to_physical(chi, max_evaluations=40)
+        with pytest.raises(NonConvergenceError, match="did not converge") as info:
+            project_to_physical(chi, max_iterations=1)
         result = info.value.best_result
         assert isinstance(result, ProjectionResult)
         assert not result.converged
@@ -202,9 +168,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             project_to_physical(bad)
 
-    def test_bad_restart_count(self):
-        with pytest.raises(ValueError, match="restarts"):
-            project_to_physical(np.eye(4) / 4.0, restarts=0)
+    def test_bad_iteration_cap(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            project_to_physical(np.eye(4) / 4.0, max_iterations=0)
+
+
+class TestOptimality:
+    """Certify optimality by the variational inequality of a convex projection.
+
+    ``X`` is the projection of ``H`` onto the convex CPTP set exactly when
+    ``Re tr((H - X)^dag (Z - X)) <= 0`` for every CPTP ``Z``.
+    """
+
+    def test_variational_inequality_on_random_targets(self, rng):
+        competitors = [random_cptp_chi(rng, int(rng.integers(1, 5))) for _ in range(200)]
+        for _ in range(40):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            target = (g + g.conj().T) / 4.0
+            result = project_to_physical(target)
+            assert result.converged
+            assert result.tp_residual <= 1e-12
+            assert result.min_eigenvalue >= -1e-12
+            gradient = target - result.chi_tilde
+            worst = max(
+                float(np.real(np.vdot(gradient, z - result.chi_tilde)))
+                for z in competitors
+            )
+            assert worst <= 1e-9, f"variational inequality violated by {worst:.3e}"
+
+    @pytest.mark.parametrize("chi", TestFixedPoints.CHANNELS)
+    def test_physical_input_takes_one_iteration(self, chi):
+        assert project_to_physical(chi).iterations == 1
 
 
 class TestProjectionReport:
