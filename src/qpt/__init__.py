@@ -74,7 +74,6 @@ from .states import (
 from .state_tomography import (
     ExpectationRecord,
     StateEstimate,
-    optimize_bloch,
     reconstruct_state,
 )
 
@@ -116,7 +115,6 @@ __all__ = [
     "is_trace_preserving",
     "kraus_from_chi",
     "matrix_norms",
-    "optimize_bloch",
     "preset_config",
     "process_distance_report",
     "project_to_physical",

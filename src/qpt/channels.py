@@ -45,8 +45,12 @@ TP_TOL = 1e-8
 _OPS = np.stack(OPERATION_ELEMENTS)
 _PAULI_STACK = np.stack(PAULIS)
 
-# _ADJ_PRODUCTS[n, m] = A_n^dag A_m, used by the trace-preservation sum.
-_ADJ_PRODUCTS = np.einsum("nki,mkj->nmij", _OPS.conj(), _OPS)
+# The linear map chi -> S = sum_mn chi[m, n] A_n^dag A_m behind trace
+# preservation: vec(S) = _COMPLETENESS @ vec(chi), row-major vec on both
+# sides, so _COMPLETENESS[(i, j), (m, n)] = (A_n^dag A_m)[i, j].
+_COMPLETENESS = np.ascontiguousarray(
+    np.einsum("nki,mkj->ijmn", _OPS.conj(), _OPS).reshape(4, 16)
+)
 
 # Columns of _CHOI_BASIS are (I (x) A_m)|Phi> with |Phi> = (|00>+|11>)/sqrt(2);
 # they form an orthonormal basis of the two-qubit space.
@@ -204,7 +208,7 @@ def kraus_completeness_deficit(ops: Sequence[np.ndarray]) -> float:
 def trace_preservation_operator(chi: np.ndarray) -> np.ndarray:
     """The 2x2 sum ``S = sum_mn chi[m, n] A_n^dag A_m`` (equals I for TP maps)."""
     chi = _as_chi(chi)
-    return np.einsum("mn,nmij->ij", chi, _ADJ_PRODUCTS)
+    return (_COMPLETENESS @ chi.reshape(16)).reshape(2, 2)
 
 
 def is_trace_preserving(chi: np.ndarray, tol: float = TP_TOL) -> tuple[bool, float]:

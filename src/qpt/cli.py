@@ -108,11 +108,10 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     records = qio.parse_records_document(qio.read_json(args.records))
     try:
-        estimate = run_process_tomography(records, entropy_weight=args.entropy_weight)
+        estimate = run_process_tomography(records)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{args.records}: {exc}") from exc
-    config = records[0].config if records else None
-    qio.write_json_atomic(args.out, qio.result_document(estimate, config))
+    qio.write_json_atomic(args.out, qio.result_document(estimate, records[0].config))
     log.info(
         "reconstructed process: cp=%s tp=%s -> %s",
         estimate.cp_flag, estimate.tp_flag, args.out,
@@ -182,18 +181,7 @@ def cmd_compare(args) -> int:
     chi_a, label_a = _comparison_operand(args.a)
     chi_b, label_b = _comparison_operand(args.b)
     comparison = process_distance_report(chi_a, chi_b, context=(label_a, label_b))
-    doc = {
-        "schema_version": qio.SCHEMA_VERSION,
-        "kind": "qpt-comparison",
-        "context": [label_a, label_b],
-        "norms": comparison.norms.as_dict(),
-        "state_metrics": (
-            {"skipped": comparison.skip_reason}
-            if comparison.state_metrics is None
-            else comparison.state_metrics.as_dict()
-        ),
-    }
-    qio.write_json_atomic(args.out, doc)
+    qio.write_json_atomic(args.out, qio.comparison_document(comparison))
     print(
         f"{label_a} vs {label_b}: frobenius={comparison.norms.frobenius_norm:.6f} "
         f"d_pro={comparison.norms.trace_distance_pro:.6f}"
@@ -201,24 +189,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _render_block(doc: dict, block: str, prefix: str, subdivisions: int) -> None:
-    section = doc.get(block)
-    if section is None:
-        return
-    affine = qio.decode_affine(section["affine"], f"{block}.affine")
-    mesh = ellipsoid_mesh(affine, subdivisions)
-    write_obj(mesh, f"{prefix}_{block}.obj")
-    qio.write_json_atomic(f"{prefix}_{block}.json", mesh_metadata(affine, mesh))
+def _render_document(doc: dict, prefix: str, subdivisions: int) -> None:
+    """Write ``<prefix>_<section>.obj`` and ``.json`` for each stored map."""
+    for block, affine in qio.document_affines(doc).items():
+        mesh = ellipsoid_mesh(affine, subdivisions)
+        write_obj(mesh, f"{prefix}_{block}.obj")
+        qio.write_json_atomic(f"{prefix}_{block}.json", mesh_metadata(affine, mesh))
 
 
 def cmd_render(args) -> int:
-    doc = qio.read_json(args.result)
-    if doc.get("kind") != qio.RESULT_KIND:
-        raise ConfigError(f"{args.result}: not a result document")
-    if "raw" not in doc:
-        raise ConfigError(f"{args.result}: missing raw section")
-    _render_block(doc, "raw", args.out, args.subdivisions)
-    _render_block(doc, "projected", args.out, args.subdivisions)
+    _render_document(qio.read_json(args.result), args.out, args.subdivisions)
     log.info("meshes written with prefix %s", args.out)
     return 0
 
@@ -244,20 +224,9 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
     )
     qio.write_json_atomic(
         os.path.join(out_dir, "compare_identity.json"),
-        {
-            "schema_version": qio.SCHEMA_VERSION,
-            "kind": "qpt-comparison",
-            "context": ["projected", "identity"],
-            "norms": comparison.norms.as_dict(),
-            "state_metrics": (
-                {"skipped": comparison.skip_reason}
-                if comparison.state_metrics is None
-                else comparison.state_metrics.as_dict()
-            ),
-        },
+        qio.comparison_document(comparison),
     )
-    for block in ("raw", "projected"):
-        _render_block(doc, block, os.path.join(out_dir, "mesh"), args.subdivisions)
+    _render_document(doc, os.path.join(out_dir, "mesh"), args.subdivisions)
     print(
         f"{out_dir}: projection distance {doc['projected']['distance']:.6f}, "
         f"identity frobenius {comparison.norms.frobenius_norm:.6f}"
@@ -326,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="records JSON to a result document")
     p.add_argument("--records", required=True, help="input records path")
     p.add_argument("--out", required=True, help="output result path")
-    p.add_argument(
-        "--entropy-weight",
-        type=float,
-        default=1e-6,
-        help="state-estimation entropy tiebreak weight",
-    )
     p.set_defaults(handler=cmd_reconstruct)
 
     p = sub.add_parser("project", help="attach the physical projection to a result")

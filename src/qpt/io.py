@@ -1,11 +1,12 @@
 """JSON artifact formats and atomic file writes.
 
-Two document kinds flow through the pipeline: measurement records
-(``qpt-records``) and analysis results (``qpt-result``).  Both are plain
-JSON with complex numbers as ``[real, imag]`` pairs, so documents
-round-trip bit exactly through the standard encoder.  Writes go through a
-temporary file in the destination directory followed by an atomic rename;
-readers never observe partial documents.
+Three document kinds flow through the pipeline: measurement records
+(``qpt-records``), analysis results (``qpt-result``) and process
+comparisons (``qpt-comparison``).  All are plain JSON with complex numbers
+as ``[real, imag]`` pairs, so documents round-trip bit exactly through the
+standard encoder.  Writes go through a temporary file in the destination
+directory followed by an atomic rename; readers never observe partial
+documents.
 
 Malformed input (bad JSON, wrong kind, missing or invalid fields) raises
 ``ConfigError`` with the file position or field name; filesystem problems
@@ -27,12 +28,13 @@ from .errors import ConfigError
 from .metrics import DiscrepancyReport, ProcessComparison
 from .process_tomography import ProcessEstimate
 from .projection import ProjectionResult
-from .simulator import ExperimentConfig, MeasurementRecord
+from .simulator import INPUT_COUNT, ExperimentConfig, MeasurementRecord
 from .state_tomography import ExpectationRecord
 
 SCHEMA_VERSION = 1
 RECORDS_KIND = "qpt-records"
 RESULT_KIND = "qpt-result"
+COMPARISON_KIND = "qpt-comparison"
 
 
 def encode_complex_matrix(m: np.ndarray) -> list:
@@ -45,10 +47,12 @@ def decode_complex_matrix(data, shape: tuple[int, int], field: str) -> np.ndarra
         m = np.array(
             [[complex(float(v[0]), float(v[1])) for v in row] for row in data]
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, LookupError) as exc:
         raise ConfigError(f"{field}: malformed complex matrix: {exc}") from exc
     if m.shape != shape:
         raise ConfigError(f"{field}: expected shape {shape}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ConfigError(f"{field}: non-finite entries")
     return m
 
 
@@ -154,17 +158,27 @@ def _check_header(doc, kind: str, context: str) -> None:
 
 
 def parse_records_document(doc) -> list[MeasurementRecord]:
+    """Records of a ``qpt-records`` document, ordered by ``input_index``.
+
+    Each input index ``1..INPUT_COUNT`` must appear exactly once, as a JSON
+    integer; the entries may be listed in any order.
+    """
     _check_header(doc, RECORDS_KIND, "records document")
     config = config_from_dict(_require(doc, "config", "records document"))
     entries = _require(doc, "records", "records document")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("records document: records must be a non-empty list")
-    parsed = []
+    parsed = {}
     for pos, entry in enumerate(entries):
         context = f"records[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{context}: expected an object")
         index = _require(entry, "input_index", context)
+        # bool is an int subclass, but true is not an index.
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ConfigError(f"{context}: input_index must be an integer, got {index!r}")
+        if index in parsed:
+            raise ConfigError(f"{context}: duplicate input_index {index}")
         expectations = _require(entry, "expectations", context)
         if not isinstance(expectations, list):
             raise ConfigError(f"{context}: expectations must be a list")
@@ -175,12 +189,15 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
                 )
                 for e in expectations
             )
-            parsed.append(
-                MeasurementRecord(input_index=index, records=records, config=config)
+            parsed[index] = MeasurementRecord(
+                input_index=index, records=records, config=config
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{context}: {exc}") from exc
-    return parsed
+    missing = sorted(set(range(1, INPUT_COUNT + 1)) - set(parsed))
+    if missing:
+        raise ConfigError(f"records document: missing input_index {missing}")
+    return [parsed[index] for index in sorted(parsed)]
 
 
 def result_document(
@@ -232,20 +249,64 @@ def attach_projection(
     return doc
 
 
+def result_sections(doc) -> tuple[dict, dict | None]:
+    """The ``raw`` and ``projected`` sections of a result document.
+
+    Checks the header, that ``raw`` is an object and that ``projected`` is
+    an object or null; anything else raises ``ConfigError``.
+    """
+    _check_header(doc, RESULT_KIND, "result document")
+    raw = _require(doc, "raw", "result document")
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            f"result document: raw must be an object, got {type(raw).__name__}"
+        )
+    projected = doc.get("projected")
+    if projected is not None and not isinstance(projected, dict):
+        raise ConfigError(
+            "result document: projected must be an object or null, "
+            f"got {type(projected).__name__}"
+        )
+    return raw, projected
+
+
 def document_chi(doc, prefer_projected: bool = True) -> np.ndarray:
     """Extract a coefficient matrix from a result document.
 
     Takes the projected matrix when present (unless told otherwise), the raw
     one else.
     """
-    _check_header(doc, RESULT_KIND, "result document")
-    projected = doc.get("projected")
+    raw, projected = result_sections(doc)
     if prefer_projected and projected is not None:
         return decode_complex_matrix(
             _require(projected, "chi", "projected"), (4, 4), "projected.chi"
         )
-    raw = _require(doc, "raw", "result document")
     return decode_complex_matrix(_require(raw, "chi", "raw"), (4, 4), "raw.chi")
+
+
+def document_affines(doc) -> dict[str, AffineMap]:
+    """Affine maps of a result document by section: raw, then projected if set."""
+    raw, projected = result_sections(doc)
+    return {
+        name: decode_affine(_require(section, "affine", name), f"{name}.affine")
+        for name, section in (("raw", raw), ("projected", projected))
+        if section is not None
+    }
+
+
+def comparison_document(comparison: ProcessComparison) -> dict:
+    """The ``qpt-comparison`` document of a process comparison."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": COMPARISON_KIND,
+        "context": list(comparison.norms.context),
+        "norms": comparison.norms.as_dict(),
+        "state_metrics": (
+            {"skipped": comparison.skip_reason}
+            if comparison.state_metrics is None
+            else comparison.state_metrics.as_dict()
+        ),
+    }
 
 
 def document_config(doc) -> ExperimentConfig | None:

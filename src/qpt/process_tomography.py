@@ -10,6 +10,10 @@ beta depends only on the operation elements and the input basis, so it is
 built once and cached.  Measurement noise makes the recovered chi slightly
 non-Hermitian; the estimate keeps the symmetrized matrix and records the
 norm of the discarded anti-Hermitian part as a diagnostic.
+
+chi is the one reconstructed object: every other representation of the
+estimate (the affine Bloch map included) is converted from it, so the
+representations agree by construction.
 """
 
 from __future__ import annotations
@@ -19,14 +23,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import AffineMap, is_completely_positive, is_trace_preserving
+from .channels import (
+    AffineMap,
+    affine_from_chi,
+    is_completely_positive,
+    is_trace_preserving,
+)
 from .states import (
     KET_0,
     KET_1,
     KET_PLUS,
     KET_PLUS_I,
     OPERATION_ELEMENTS,
-    bloch_from_density,
     hermiticity_defect,
     projector,
 )
@@ -163,41 +171,12 @@ def chi_from_lambda(
     return (chi_raw + chi_raw.conj().T) / 2.0, float(np.linalg.norm(anti))
 
 
-def state_images_from_outputs(
-    outputs: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Images of ``(I/2, rho_x, rho_y, rho_z)`` from the four basis outputs.
-
-    The maximally mixed input is the average of the two pole inputs, and the
-    z input is the first pole, so no extra experiments are needed.
-    """
-    if len(outputs) != 4:
-        raise ValueError(f"expected 4 output states, got {len(outputs)}")
-    out = [np.asarray(o, dtype=complex) for o in outputs]
-    mixed = (out[0] + out[1]) / 2.0
-    return mixed, out[2], out[3], out[0]
-
-
-def affine_from_state_images(
-    images: Sequence[np.ndarray],
-) -> AffineMap:
-    """Affine Bloch map from images of ``(I/2, rho_x, rho_y, rho_z)``.
-
-    The image of the mixed state gives the translation directly; each axis
-    image minus the translation gives a column of the matrix.
-    """
-    if len(images) != 4:
-        raise ValueError(f"expected 4 image states, got {len(images)}")
-    translation = bloch_from_density(images[0])
-    columns = [bloch_from_density(img) - translation for img in images[1:]]
-    return AffineMap(matrix=np.stack(columns, axis=1), translation=translation)
-
-
 @dataclass(frozen=True)
 class ProcessEstimate:
     """Reconstructed process with physicality flags and diagnostics.
 
-    ``chi`` is Hermitian (symmetrized); ``cp_flag`` / ``tp_flag`` report
+    ``chi`` is Hermitian (symmetrized) and ``affine`` is its Bloch-sphere
+    action, ``affine_from_chi(chi)``; ``cp_flag`` / ``tp_flag`` report
     whether the estimate is completely positive and trace preserving within
     the standard tolerances, with the underlying numbers kept alongside.
     ``residuals`` are the per-input state-fit residuals.
@@ -219,17 +198,15 @@ class ProcessEstimate:
         return self.cp_flag and self.tp_flag
 
 
-def run_process_tomography(
-    record_sets: Sequence,
-    entropy_weight: float = 1e-6,
-) -> ProcessEstimate:
+def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     """Full reconstruction from four per-input expectation record sets.
 
     ``record_sets`` must follow the input order of :func:`input_basis`; each
     element is either a sequence of :class:`ExpectationRecord` or an object
-    exposing them as ``.records`` (as the simulator emits).  Errors raised
-    while reconstructing an output state are re-raised with the offending
-    input index prepended.
+    exposing them as ``.records`` (as the simulator emits).  An element that
+    also carries an ``input_index`` (1-based) must sit in that slot, else
+    ``ValueError``.  Errors raised while reconstructing an output state are
+    re-raised with the offending input index prepended.
     """
     if len(record_sets) != 4:
         raise ValueError(
@@ -237,9 +214,14 @@ def run_process_tomography(
         )
     estimates: list[StateEstimate] = []
     for j, entry in enumerate(record_sets):
+        index = getattr(entry, "input_index", j + 1)
+        if index != j + 1:
+            raise ValueError(
+                f"record set {j} is for input_index {index!r}, expected {j + 1}"
+            )
         records = getattr(entry, "records", entry)
         try:
-            estimates.append(reconstruct_state(records, entropy_weight=entropy_weight))
+            estimates.append(reconstruct_state(records))
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"input state {j} ({INPUT_STATE_LABELS[j]}): {exc}") from exc
 
@@ -248,10 +230,9 @@ def run_process_tomography(
     chi, anti_norm = chi_from_lambda(lam)
     cp_flag, cp_min = is_completely_positive(chi)
     tp_flag, tp_deficit = is_trace_preserving(chi)
-    affine = affine_from_state_images(state_images_from_outputs(outputs))
     return ProcessEstimate(
         chi=chi,
-        affine=affine,
+        affine=affine_from_chi(chi),
         cp_flag=cp_flag,
         tp_flag=tp_flag,
         cp_min_eigenvalue=cp_min,

@@ -35,15 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .channels import _COMPLETENESS
 from .errors import DegenerateParametrizationError, NonConvergenceError
 from .metrics import DiscrepancyReport
-from .states import OPERATION_ELEMENTS
 
-_OPS = np.stack(OPERATION_ELEMENTS)
-# _ADJ[p, m] = A_p^dag A_m; contracting with chi gives the completeness sum.
-_ADJ = np.einsum("pki,mkj->pmij", _OPS.conj(), _OPS)
-# vec(S) = _COMPLETENESS @ vec(chi), with row-major vec on both sides.
-_COMPLETENESS = np.ascontiguousarray(_ADJ.transpose(2, 3, 1, 0).reshape(4, 16))
 _IDENTITY_VEC = np.eye(2, dtype=complex).reshape(4)
 # For this basis the rows of _COMPLETENESS are orthogonal with squared norm
 # 8, so its pseudoinverse is its adjoint over 8.  The closed form avoids an

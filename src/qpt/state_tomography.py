@@ -12,16 +12,14 @@ model both levels have closed forms:
   the unit ball, and are radially rescaled onto the sphere otherwise, which
   is the exact Euclidean projection and hence the residual minimizer.
 
-``entropy_weight`` survives in the signature as the documented tiebreak
-strength.  Any positive value selects the same estimate here because the
-residual minimizer set has a unique entropy maximum; the knob matters only
-for alternative objectives fed to :func:`optimize_bloch` directly.
+The residual minimizer set has a unique entropy maximum, so the rule needs
+no tie-break weight and no iterative solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -73,18 +71,13 @@ class StateEstimate:
     complete: bool
 
 
-def reconstruct_state(
-    records: Iterable[ExpectationRecord],
-    entropy_weight: float = 1e-6,
-) -> StateEstimate:
+def reconstruct_state(records: Iterable[ExpectationRecord]) -> StateEstimate:
     """Estimate a density matrix from up to three axis expectations.
 
     Records must cover each axis at most once; an empty record set is
     rejected.  Values may lie anywhere (even far outside [-1, 1]); the
     output is always a valid state.
     """
-    if entropy_weight < 0.0:
-        raise ValueError(f"entropy_weight must be nonnegative, got {entropy_weight}")
     records = list(records)
     if not records:
         raise ValueError("at least one expectation record is required")
@@ -111,105 +104,3 @@ def reconstruct_state(
         complete=len(measured) == len(AXES),
     )
 
-
-def penalized_objective(
-    records: Iterable[ExpectationRecord],
-    entropy_weight: float = 1e-6,
-) -> Callable[[np.ndarray], float]:
-    """Squared residual minus weighted entropy, as a Bloch-vector function.
-
-    This is the smooth single-objective form of the reconstruction rule,
-    mainly useful for cross-checking :func:`reconstruct_state` against
-    direct numerical minimization.
-    """
-    records = list(records)
-    measured = {record.axis: record.value for record in records}
-    if len(measured) != len(records):
-        raise ValueError("duplicate axes in record set")
-    target = np.array([measured.get(axis, 0.0) for axis in AXES])
-    mask = np.array([axis in measured for axis in AXES])
-
-    def objective(r: np.ndarray) -> float:
-        r = np.asarray(r, dtype=float)
-        diff = (r - target)[mask]
-        value = float(diff @ diff)
-        if entropy_weight:
-            value -= entropy_weight * von_neumann_entropy(density_from_bloch(r))
-        return value
-
-    return objective
-
-
-def _project_ball(r: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(r))
-    return r if norm <= 1.0 else r / norm
-
-
-def _gradient(
-    objective: Callable[[np.ndarray], float],
-    r: np.ndarray,
-    f_r: float,
-    h: float,
-) -> np.ndarray:
-    """One-sided finite differences, stepping inward at the ball boundary."""
-    g = np.zeros(3)
-    for i in range(3):
-        step = np.zeros(3)
-        step[i] = h
-        forward = r + step
-        if np.linalg.norm(forward) <= 1.0:
-            g[i] = (objective(forward) - f_r) / h
-        else:
-            g[i] = (f_r - objective(r - step)) / h
-    return g
-
-
-def optimize_bloch(
-    objective: Callable[[np.ndarray], float],
-    start: Sequence[float] | None = None,
-    max_iterations: int = 10000,
-    step_tolerance: float = 1e-9,
-    fd_step: float = 1e-7,
-) -> np.ndarray:
-    """Minimize a scalar function over the closed Bloch ball.
-
-    Projected gradient descent with finite-difference gradients and a
-    backtracking step size.  Terminates when an accepted move is shorter
-    than ``step_tolerance``, when no descent step can be found, or after
-    ``max_iterations`` accepted moves.  A non-finite objective value raises
-    ``ValueError``.
-    """
-    r = np.zeros(3) if start is None else _project_ball(np.asarray(start, dtype=float))
-    if r.shape != (3,):
-        raise ValueError(f"start must be a 3-vector, got shape {r.shape}")
-
-    def evaluate(point: np.ndarray) -> float:
-        value = float(objective(point))
-        if not np.isfinite(value):
-            raise ValueError(f"objective returned non-finite value at {point}")
-        return value
-
-    f_r = evaluate(r)
-    trust = 0.25
-    for _ in range(max_iterations):
-        g = _gradient(evaluate, r, f_r, fd_step)
-        scale = float(np.linalg.norm(g))
-        if scale == 0.0:
-            return r
-        eta = trust
-        moved = False
-        while eta * scale >= step_tolerance / 4.0:
-            candidate = _project_ball(r - eta * g)
-            f_c = evaluate(candidate)
-            if f_c < f_r:
-                step_length = float(np.linalg.norm(candidate - r))
-                r, f_r = candidate, f_c
-                trust = min(eta * 2.0, 1.0)
-                moved = True
-                break
-            eta /= 2.0
-        if not moved:
-            return r
-        if step_length < step_tolerance:
-            return r
-    return r

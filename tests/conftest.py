@@ -67,3 +67,36 @@ def random_cptp_chi(rng: np.random.Generator, count: int = 3) -> np.ndarray:
     from qpt.channels import chi_from_kraus
 
     return chi_from_kraus(random_kraus_set(rng, count))
+
+
+def exhaustive_ball_minimum(
+    target: np.ndarray,
+    measured: tuple[bool, bool, bool] = (True, True, True),
+    step: float = 0.005,
+) -> np.ndarray:
+    """Brute-force residual minimizer over a Bloch-ball grid.
+
+    The objective is the squared distance to ``target`` over the
+    ``measured`` axes only; unmeasured components of ``target`` are
+    ignored.  Among grid points of equal residual the one nearest the
+    origin wins, the maximum-entropy tie-break of the estimator.  Scans z
+    slices to keep memory flat.
+    """
+    weights = np.asarray(measured, dtype=float)
+    axis = np.arange(-1.0, 1.0 + step / 2.0, step)
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    plane = xs**2 + ys**2
+    in_plane = weights[0] * (xs - target[0]) ** 2 + weights[1] * (ys - target[1]) ** 2
+    best_key = (np.inf, np.inf)
+    best_point = np.zeros(3)
+    for z in axis:
+        inside = plane + z**2 <= 1.0 + 1e-12
+        values = np.where(inside, in_plane + weights[2] * (z - target[2]) ** 2, np.inf)
+        lowest = values.min()
+        flat = int(np.argmin(np.where(values == lowest, plane, np.inf)))
+        key = (lowest, plane.flat[flat] + z**2)
+        if key < best_key:
+            best_key = key
+            i, j = np.unravel_index(flat, values.shape)
+            best_point = np.array([axis[i], axis[j], z])
+    return best_point

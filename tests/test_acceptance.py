@@ -13,7 +13,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import random_density_matrix, random_kraus_set, record_acceptance
+from conftest import (
+    exhaustive_ball_minimum,
+    random_density_matrix,
+    random_kraus_set,
+    record_acceptance,
+)
 from qpt.channels import (
     AffineMap,
     affine_from_chi,
@@ -35,12 +40,7 @@ from qpt.metrics import DiscrepancyReport, process_distance_report
 from qpt.process_tomography import run_process_tomography
 from qpt.projection import project_to_physical, projection_report
 from qpt.simulator import ExperimentConfig, preset_config, run_experiment, true_channel
-from qpt.state_tomography import (
-    ExpectationRecord,
-    optimize_bloch,
-    penalized_objective,
-    reconstruct_state,
-)
+from qpt.state_tomography import ExpectationRecord, reconstruct_state
 from qpt.states import bloch_from_density, density_from_bloch
 
 
@@ -242,34 +242,13 @@ def test_criterion_7_representation_coherence():
             assert np.linalg.norm(bloch_from_density(out_chi)) <= 1.0 + 1e-8
 
 
-def exhaustive_ball_minimum(target: np.ndarray, step: float = 0.005) -> np.ndarray:
-    """Brute-force residual minimizer over a Bloch-ball grid.
-
-    Scans z slices to keep memory flat; all three axes are treated as
-    measured, so the objective is the full squared distance to ``target``.
-    """
-    axis = np.arange(-1.0, 1.0 + step / 2.0, step)
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    plane = xs**2 + ys**2
-    best_value = np.inf
-    best_point = np.zeros(3)
-    for z in axis:
-        inside = plane + z**2 <= 1.0 + 1e-12
-        values = (xs - target[0]) ** 2 + (ys - target[1]) ** 2 + (z - target[2]) ** 2
-        values = np.where(inside, values, np.inf)
-        flat = int(np.argmin(values))
-        if values.flat[flat] < best_value:
-            best_value = values.flat[flat]
-            i, j = np.unravel_index(flat, values.shape)
-            best_point = np.array([axis[i], axis[j], z])
-    return best_point
-
-
 def test_criterion_8_oracle_agreements():
-    with criterion(8, "optimizers agree with grid and family-sweep oracles"):
+    with criterion(
+        8, "state estimate and projection agree with grid and family-sweep oracles"
+    ):
         # Inconsistent-data case: all three axes measured, requested vector
-        # of length 0.8*sqrt(2) > 1.  The grid oracle and both solvers must
-        # land on the same boundary point near (0.7071, 0, 0.7071).
+        # of length 0.8*sqrt(2) > 1.  The grid oracle and the closed form
+        # must land on the same boundary point near (0.7071, 0, 0.7071).
         records = [
             ExpectationRecord(axis="x", value=0.8),
             ExpectationRecord(axis="y", value=0.0),
@@ -279,8 +258,6 @@ def test_criterion_8_oracle_agreements():
         closed_form = reconstruct_state(records).bloch
         assert np.linalg.norm(closed_form - grid_best) <= 0.01
         assert np.linalg.norm(grid_best - np.array([0.7071, 0.0, 0.7071])) <= 0.01
-        iterated = optimize_bloch(penalized_objective(records))
-        assert np.linalg.norm(iterated - grid_best) <= 0.01
 
         # Projection oracles: each target's 1-parameter physical family
         # gives an upper bound the solver must beat or match.

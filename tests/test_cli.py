@@ -1,11 +1,16 @@
 """End-to-end command-line pipeline."""
 
+import copy
 import json
 import math
-import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpt import io as qio
 from qpt.channels import standard_channel
@@ -135,6 +140,58 @@ class TestReconstruct:
             "reconstruct", "--records", result_path, "--out", tmp_path / "r2.json"
         )
         assert code == 2
+
+    def test_entropy_weight_flag_removed(self, tmp_path, records_path):
+        with pytest.raises(SystemExit) as info:
+            run(
+                "reconstruct", "--records", records_path, "--out", tmp_path / "r.json",
+                "--entropy-weight", "0.1",
+            )
+        assert info.value.code == 2
+
+    def test_entries_reconstructed_by_input_index(self, tmp_path):
+        ordered = tmp_path / "ordered.json"
+        assert run(
+            "simulate", "--preset", "paper-20ns", "--shots", "500", "--seed", "5",
+            "--out", ordered,
+        ) == 0
+        doc = json.loads(ordered.read_text())
+        entries = {entry["input_index"]: entry for entry in doc["records"]}
+        doc["records"] = [entries[i] for i in (2, 1, 4, 3)]
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(doc))
+        for source in (ordered, shuffled):
+            assert run(
+                "reconstruct", "--records", source, "--out", f"{source}.result"
+            ) == 0
+        np.testing.assert_array_equal(
+            qio.document_chi(qio.read_json(f"{shuffled}.result")),
+            qio.document_chi(qio.read_json(f"{ordered}.result")),
+        )
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((1, 1, 1, 1), "duplicate input_index 1"),
+            ((1, 2, 3, 1.5), "input_index must be an integer"),
+            ((1, 2, 3, True), "input_index must be an integer"),
+            ((1, 2, 4), r"missing input_index \[3\]"),
+        ],
+        ids=["duplicate", "fractional", "boolean", "missing"],
+    )
+    def test_bad_input_indices_rejected(
+        self, tmp_path, records_path, capsys, indices, message
+    ):
+        doc = json.loads(records_path.read_text())
+        doc["records"] = [
+            dict(entry, input_index=index) for entry, index in zip(doc["records"], indices)
+        ]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert run("reconstruct", "--records", broken, "--out", out) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestProject:
@@ -316,3 +373,134 @@ class TestLogging:
         assert run(
             "simulate", "--preset", "paper-20ns", "--out", tmp_path / "r.json"
         ) == 0
+
+
+def command_argv(command, path, out_dir):
+    """argv of one document-reading command; every output starts with ``out``."""
+    return {
+        "reconstruct": ["reconstruct", "--records", path, "--out", out_dir / "out.json"],
+        "project": ["project", "--result", path, "--out", out_dir / "out.json"],
+        "compare": ["compare", path, "identity", "--out", out_dir / "out.json"],
+        "render": [
+            "render", "--result", path, "--out", out_dir / "out", "--subdivisions", "1",
+        ],
+    }[command]
+
+
+class TestMalformedResult:
+    @pytest.mark.parametrize(
+        "command, section, value",
+        [
+            ("project", "raw", 5),
+            ("compare", "raw", 5),
+            ("render", "raw", 5),
+            ("render", "projected", 5),
+            ("compare", "projected", 5),
+            ("render", "raw", []),
+            ("render", "projected", {}),
+            ("render", None, None),
+        ],
+        ids=[
+            "project-raw-number",
+            "compare-raw-number",
+            "render-raw-number",
+            "render-projected-number",
+            "compare-projected-number",
+            "render-raw-list",
+            "render-projected-empty",
+            "render-top-level-list",
+        ],
+    )
+    def test_exit_2_without_output(
+        self, tmp_path, result_path, capsys, command, section, value
+    ):
+        doc = json.loads(result_path.read_text())
+        if section is None:
+            doc = [doc]  # a top-level list
+        else:
+            doc[section] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert run(*command_argv(command, broken, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("out*"))
+
+
+# Replacement values no field of either document accepts: non-numeric
+# text, lists of it and objects without any known key.
+_POISON_TEXT = st.text(alphabet="qwz!#", min_size=1, max_size=3)
+POISON = st.one_of(
+    _POISON_TEXT,
+    st.lists(_POISON_TEXT, max_size=3),
+    st.dictionaries(_POISON_TEXT, _POISON_TEXT, max_size=2),
+)
+# What each command reads: (document, exact paths, subtrees).  Fields a
+# command never reads may hold anything.
+_SECTIONS = [(), ("raw",), ("projected",)]
+_HEADER = [("schema_version",), ("kind",)]
+READS = {
+    "reconstruct": ("records", [], [()]),
+    "project": ("raw", _SECTIONS, _HEADER + [("raw", "chi")]),
+    "compare": ("raw", _SECTIONS, _HEADER + [("raw", "chi")]),
+    "render": ("projected", _SECTIONS, _HEADER + [("raw", "affine"), ("projected", "affine")]),
+}
+
+
+def document_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from document_paths(child, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def valid_documents(tmp_path_factory):
+    paths = {
+        name: tmp_path_factory.mktemp("documents") / f"{name}.json"
+        for name in ("records", "raw", "projected")
+    }
+    assert run(
+        "simulate", "--preset", "paper-40ns", "--shots", "300", "--seed", "2",
+        "--out", paths["records"],
+    ) == 0
+    assert run("reconstruct", "--records", paths["records"], "--out", paths["raw"]) == 0
+    assert run("project", "--result", paths["raw"], "--out", paths["projected"]) == 0
+    return {name: json.loads(path.read_text()) for name, path in paths.items()}
+
+
+class TestExitCodeContract:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_corrupted_field_is_an_input_error(self, valid_documents, data):
+        command = data.draw(st.sampled_from(sorted(READS)), label="command")
+        kind, exact, subtrees = READS[command]
+        doc = valid_documents[kind]
+        readable = [
+            path
+            for path in document_paths(doc)
+            if path in exact or any(path[: len(t)] == t for t in subtrees)
+        ]
+        path = data.draw(st.sampled_from(readable), label="path")
+        value = data.draw(POISON, label="value")
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            source = scratch / "doc.json"
+            source.write_text(json.dumps(replaced(doc, path, value)))
+            code = main([str(a) for a in command_argv(command, source, scratch)])
+        assert code in (2, 3)

@@ -39,6 +39,16 @@ class TestComplexMatrixCodec:
         with pytest.raises(ConfigError, match="expected shape"):
             io.decode_complex_matrix(encoded, (4, 4), "chi")
 
+    @pytest.mark.parametrize(
+        "entry", [{}, {"re": 1.0}, ["nan", 0.0], [0.0, "-inf"]],
+        ids=["empty-object", "object", "nan-text", "infinite-text"],
+    )
+    def test_bad_entry_is_config_error(self, entry):
+        encoded = io.encode_complex_matrix(np.eye(2))
+        encoded[0][1] = entry
+        with pytest.raises(ConfigError, match="chi"):
+            io.decode_complex_matrix(encoded, (2, 2), "chi")
+
 
 class TestAffineCodec:
     def test_round_trip(self):

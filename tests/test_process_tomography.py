@@ -12,15 +12,14 @@ from qpt import states
 from qpt.process_tomography import (
     INPUT_STATE_LABELS,
     ProcessEstimate,
-    affine_from_state_images,
     build_beta,
     chi_from_lambda,
     expand_in_state_basis,
     input_basis,
     lambda_from_outputs,
     run_process_tomography,
-    state_images_from_outputs,
 )
+from qpt.simulator import ExperimentConfig, run_experiment
 from qpt.state_tomography import AXES, ExpectationRecord
 
 IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -156,34 +155,44 @@ class TestChiFromLambda:
 
 
 class TestAffineFromImages:
+    """``ProcessEstimate.affine`` is the Bloch action of the estimated chi."""
+
     def test_identity_process(self):
-        images = state_images_from_outputs(list(input_basis()))
-        affine = affine_from_state_images(images)
+        affine = run_process_tomography(exact_records(IDENTITY_CHI)).affine
         np.testing.assert_allclose(affine.matrix, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(affine.translation, np.zeros(3), atol=1e-12)
 
     def test_matches_chi_route(self, rng):
+        # Independent oracle: the map is affine, so the image of I/2 is the
+        # mean of the pole images, and each axis input's image minus that
+        # translation is a column.  Noise pushes some records out of the
+        # ball, where the state estimates are rescaled.
         for _ in range(20):
-            chi = random_cptp_chi(rng)
-            outputs = [ch.apply_chi(chi, rho) for rho in input_basis()]
-            via_states = affine_from_state_images(state_images_from_outputs(outputs))
-            via_chi = ch.affine_from_chi(chi)
-            np.testing.assert_allclose(via_states.matrix, via_chi.matrix, atol=1e-10)
-            np.testing.assert_allclose(via_states.translation, via_chi.translation, atol=1e-10)
+            sets = []
+            for records in exact_records(random_cptp_chi(rng)):
+                scale = 1.6 if rng.random() < 0.5 else 1.0
+                sets.append(
+                    [
+                        ExpectationRecord(r.axis, scale * r.value + rng.normal(0, 0.2))
+                        for r in records
+                    ]
+                )
+            estimate = run_process_tomography(sets)
+            b0, b1, b2, b3 = (e.bloch for e in estimate.state_estimates)
+            translation = (b0 + b1) / 2.0
+            matrix = np.stack([b2 - translation, b3 - translation, b0 - translation], axis=1)
+            np.testing.assert_allclose(estimate.affine.matrix, matrix, atol=1e-10)
+            np.testing.assert_allclose(estimate.affine.translation, translation, atol=1e-10)
+            via_chi = ch.affine_from_chi(estimate.chi)
+            np.testing.assert_array_equal(estimate.affine.matrix, via_chi.matrix)
+            np.testing.assert_array_equal(estimate.affine.translation, via_chi.translation)
 
     def test_amplitude_damping_translation(self):
         chi = ch.standard_channel("amplitude_damping", gamma=0.4)
-        outputs = [ch.apply_chi(chi, rho) for rho in input_basis()]
-        affine = affine_from_state_images(state_images_from_outputs(outputs))
+        affine = run_process_tomography(exact_records(chi)).affine
         root = math.sqrt(0.6)
         np.testing.assert_allclose(affine.matrix, np.diag([root, root, 0.6]), atol=1e-12)
         np.testing.assert_allclose(affine.translation, [0.0, 0.0, 0.4], atol=1e-12)
-
-    def test_count_checks(self):
-        with pytest.raises(ValueError, match="4 output states"):
-            state_images_from_outputs([np.eye(2)] * 3)
-        with pytest.raises(ValueError, match="4 image states"):
-            affine_from_state_images([np.eye(2) / 2.0] * 3)
 
 
 class TestRunProcessTomography:
@@ -245,6 +254,12 @@ class TestRunProcessTomography:
         sets[3] = [("z", 0.5)]
         with pytest.raises(TypeError, match="input state 3"):
             run_process_tomography(sets)
+
+    def test_entries_must_sit_in_their_input_slot(self):
+        records = run_experiment(ExperimentConfig(t2=100.0, decoherence_time=20.0))
+        records[2], records[3] = records[3], records[2]
+        with pytest.raises(ValueError, match="record set 2 is for input_index 4"):
+            run_process_tomography(records)
 
     def test_wrong_set_count(self):
         with pytest.raises(ValueError, match="4 input states"):
