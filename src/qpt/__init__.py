@@ -31,7 +31,6 @@ from .channels import (
 )
 from .errors import (
     ConfigError,
-    DegenerateParametrizationError,
     InvalidStateError,
     NonConvergenceError,
     NotCompletelyPositiveError,
@@ -56,7 +55,6 @@ from .projection import (
     ProjectionResult,
     project_to_physical,
     projection_report,
-    tp_normalize,
 )
 from .simulator import (
     ExperimentConfig,
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap",
     "ConfigError",
-    "DegenerateParametrizationError",
     "DiscrepancyReport",
     "ExpectationRecord",
     "ExperimentConfig",
@@ -123,7 +120,6 @@ __all__ = [
     "run_experiment",
     "run_process_tomography",
     "standard_channel",
-    "tp_normalize",
     "trace_distance",
     "true_channel",
     "von_neumann_entropy",

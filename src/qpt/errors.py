@@ -17,10 +17,6 @@ class NotCompletelyPositiveError(QptError):
     """
 
 
-class DegenerateParametrizationError(QptError):
-    """A Kraus set's completeness sum is singular and cannot be renormalized."""
-
-
 class NonConvergenceError(QptError):
     """An iterative solver exhausted its budget without meeting its criterion.
 

@@ -37,6 +37,24 @@ RESULT_KIND = "qpt-result"
 COMPARISON_KIND = "qpt-comparison"
 
 
+def _json_number(value, field: str) -> int | float:
+    """``value`` if it is a JSON number; anything else raises ``ConfigError``.
+
+    ``true`` is not a number although ``bool`` subclasses ``int``, and
+    numeric text such as ``"0.5"`` is text: neither is coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    return value
+
+
+def _json_integer(value, field: str) -> int:
+    """``value`` if it is a JSON integer (not ``true``); else ``ConfigError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def encode_complex_matrix(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -45,7 +63,13 @@ def encode_complex_matrix(m: np.ndarray) -> list:
 def decode_complex_matrix(data, shape: tuple[int, int], field: str) -> np.ndarray:
     try:
         m = np.array(
-            [[complex(float(v[0]), float(v[1])) for v in row] for row in data]
+            [
+                [
+                    complex(_json_number(re, field), _json_number(im, field))
+                    for re, im in row
+                ]
+                for row in data
+            ]
         )
     except (TypeError, ValueError, LookupError) as exc:
         raise ConfigError(f"{field}: malformed complex matrix: {exc}") from exc
@@ -65,9 +89,15 @@ def encode_affine(a: AffineMap) -> dict:
 
 def decode_affine(data, field: str) -> AffineMap:
     try:
+        matrix = [
+            [_json_number(v, f"{field}.matrix") for v in row] for row in data["matrix"]
+        ]
+        translation = [
+            _json_number(v, f"{field}.translation") for v in data["translation"]
+        ]
         return AffineMap(
-            matrix=np.array(data["matrix"], dtype=float),
-            translation=np.array(data["translation"], dtype=float),
+            matrix=np.array(matrix, dtype=float),
+            translation=np.array(translation, dtype=float),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{field}: malformed affine map: {exc}") from exc
@@ -98,14 +128,12 @@ def config_from_dict(data) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "t2" not in data:
         raise ConfigError("config is missing the required key t2")
-    kwargs = {"t2": data["t2"]}
-    if data.get("t1") is not None:
-        kwargs["t1"] = data["t1"]
-    for key in ("decoherence_time", "polarization", "seed", "pulse_error"):
-        if key in data:
-            kwargs[key] = data[key]
-    if data.get("shots") is not None:
-        kwargs["shots"] = data["shots"]
+    kwargs = {}
+    for key, value in data.items():
+        if value is None and key in ("t1", "shots"):
+            continue  # no amplitude damping; exact expectations
+        check = _json_integer if key in ("shots", "seed") else _json_number
+        kwargs[key] = check(value, f"config.{key}")
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -146,7 +174,9 @@ def _require(doc: dict, key: str, context: str):
 def _check_header(doc, kind: str, context: str) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected a JSON object")
-    version = _require(doc, "schema_version", context)
+    version = _json_number(
+        _require(doc, "schema_version", context), f"{context}: schema_version"
+    )
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"{context}: unsupported schema_version {version!r} "
@@ -173,10 +203,9 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
         context = f"records[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{context}: expected an object")
-        index = _require(entry, "input_index", context)
-        # bool is an int subclass, but true is not an index.
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise ConfigError(f"{context}: input_index must be an integer, got {index!r}")
+        index = _json_integer(
+            _require(entry, "input_index", context), f"{context}: input_index"
+        )
         if index in parsed:
             raise ConfigError(f"{context}: duplicate input_index {index}")
         expectations = _require(entry, "expectations", context)
@@ -185,7 +214,11 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
         try:
             records = tuple(
                 ExpectationRecord(
-                    axis=e["axis"], value=e["value"], shots=e.get("shots")
+                    axis=e["axis"],
+                    value=_json_number(e["value"], f"{context}: value"),
+                    shots=None
+                    if e.get("shots") is None
+                    else _json_integer(e["shots"], f"{context}: shots"),
                 )
                 for e in expectations
             )

@@ -40,36 +40,54 @@ _BASE_FACES = np.array(
 )
 
 
+def _normalized(points: np.ndarray) -> np.ndarray:
+    """Rows of ``points`` scaled to unit length.
+
+    Each row's squared norm comes from a 1x3 by 3x1 matmul, which numpy
+    evaluates with the same dot kernel as ``np.linalg.norm`` on one row, so
+    the result is bit-identical to ``row / np.linalg.norm(row)``; row sums,
+    ``einsum`` and ``norm(axis=1)`` differ in the last bit on many rows.
+    """
+    squared = points[:, None, :] @ points[:, :, None]
+    return points / np.sqrt(squared[:, :, 0])
+
+
 def icosphere(subdivisions: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Unit-sphere triangle mesh: ``(vertices (n, 3), faces (m, 3))``.
 
     Each subdivision splits every triangle in four through edge midpoints,
     shared between neighbors, and re-normalizes the new vertices onto the
     sphere.  ``subdivisions`` must be at least 1.
+
+    Midpoints are numbered in the order their edges are first met, walking
+    the faces in order and each face's edges as ``ab, bc, ca``; every face
+    ``(a, b, c)`` becomes ``(a, ab, ca), (b, bc, ab), (c, ca, bc),
+    (ab, bc, ca)``.
     """
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be at least 1, got {subdivisions}")
-    vertices = [v / np.linalg.norm(v) for v in _BASE_VERTICES]
+    vertices = _normalized(_BASE_VERTICES)
     faces = _BASE_FACES
     for _ in range(subdivisions):
-        midpoints: dict[tuple[int, int], int] = {}
-
-        def midpoint(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoints:
-                point = vertices[a] + vertices[b]
-                vertices.append(point / np.linalg.norm(point))
-                midpoints[key] = len(vertices) - 1
-            return midpoints[key]
-
-        next_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            next_faces.extend(
-                [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-            )
-        faces = np.array(next_faces)
-    return np.array(vertices), faces
+        count = len(vertices)
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        low, high = edges.min(axis=1), edges.max(axis=1)
+        _, first, inverse = np.unique(
+            low * count + high, return_index=True, return_inverse=True
+        )
+        # np.unique numbers edges by key; renumber them by first encounter.
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ab, bc, ca = (count + rank[inverse]).reshape(-1, 3).T
+        ends = edges[first[order]]
+        points = _normalized(vertices[ends[:, 0]] + vertices[ends[:, 1]])
+        vertices = np.concatenate([vertices, points])
+        a, b, c = faces.T
+        faces = np.stack(
+            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
+        ).reshape(-1, 3)
+    return vertices, faces
 
 
 @dataclass(frozen=True)
@@ -97,24 +115,24 @@ def ellipsoid_mesh(affine: AffineMap, subdivisions: int = 3) -> EllipsoidMesh:
     )
 
 
+def _obj_block(name: str, vertices: np.ndarray, faces: np.ndarray) -> str:
+    """One OBJ object; ``faces`` already hold 1-based file-wide indices."""
+    # %r of a Python float is its repr, the shortest exact decimal form.
+    return (
+        f"o {name}\n"
+        + "v %r %r %r\n" * len(vertices) % tuple(vertices.ravel().tolist())
+        + "f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist())
+    )
+
+
 def obj_text(mesh: EllipsoidMesh) -> str:
     """Both objects in one OBJ document: ``unit_sphere`` then ``ellipsoid``."""
-    lines = ["# Bloch sphere and its affine image"]
-    lines.append("o unit_sphere")
-    # repr of a Python float is the shortest exact decimal form.
-    for v in mesh.reference_vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for f in mesh.faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
     offset = len(mesh.reference_vertices)
-    lines.append("o ellipsoid")
-    for v in mesh.vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for f in mesh.faces:
-        lines.append(
-            f"f {f[0] + offset + 1} {f[1] + offset + 1} {f[2] + offset + 1}"
-        )
-    return "\n".join(lines) + "\n"
+    return (
+        "# Bloch sphere and its affine image\n"
+        + _obj_block("unit_sphere", mesh.reference_vertices, mesh.faces + 1)
+        + _obj_block("ellipsoid", mesh.vertices, mesh.faces + offset + 1)
+    )
 
 
 def write_obj(mesh: EllipsoidMesh, path: str) -> None:

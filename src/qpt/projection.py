@@ -23,20 +23,16 @@ affine, only the PSD step carries a correction term::
 The iteration stops when ``y`` is certified feasible (TP residual and
 negative eigenvalue both within ``1e-12``) and the last step moved it by
 at most ``1e-13``.  An input that is already CPTP passes in one iteration.
-
-``tp_normalize`` is the Kraus-set counterpart of trace preservation: it
-rescales a Kraus set to exact completeness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .channels import _COMPLETENESS
-from .errors import DegenerateParametrizationError, NonConvergenceError
+from .errors import NonConvergenceError
 from .metrics import DiscrepancyReport
 
 _IDENTITY_VEC = np.eye(2, dtype=complex).reshape(4)
@@ -55,31 +51,6 @@ _STEP_TOL = 1e-13
 # Noisy estimates need a few dozen iterations and random Hermitian targets
 # of unit scale a few hundred; targets far outside the CPTP set need more.
 MAX_ITERATIONS = 10000
-# Smallest admissible eigenvalue of a Kraus set's completeness sum; below
-# this the set cannot be renormalized.
-_FEASIBLE_EIGENVALUE = 1e-10
-
-
-def tp_normalize(ops: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Rescale a Kraus set to exact completeness: ``K_k -> K_k S^(-1/2)``.
-
-    Raises ``DegenerateParametrizationError`` when the completeness sum is
-    numerically singular.
-    """
-    if len(ops) == 0:
-        raise ValueError("Kraus set must contain at least one operator")
-    stack = np.stack([np.asarray(k, dtype=complex) for k in ops])
-    if stack.shape[1:] != (2, 2):
-        raise ValueError("Kraus operators must be 2x2")
-    total = np.einsum("kji,kjl->il", stack.conj(), stack)
-    values, vectors = np.linalg.eigh(total)
-    # Written so NaN in the eigenvalues (overflowed input) is also rejected.
-    if not values[0] > _FEASIBLE_EIGENVALUE:
-        raise DegenerateParametrizationError(
-            "completeness sum is singular; the Kraus set cannot be renormalized"
-        )
-    inv_root = (vectors / np.sqrt(values)) @ vectors.conj().T
-    return [k @ inv_root for k in stack]
 
 
 def _project_tp(chi: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ no tie-break weight and no iterative solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -76,7 +77,9 @@ def reconstruct_state(records: Iterable[ExpectationRecord]) -> StateEstimate:
 
     Records must cover each axis at most once; an empty record set is
     rejected.  Values may lie anywhere (even far outside [-1, 1]); the
-    output is always a valid state.
+    output is always a valid state.  Only when the residual itself exceeds
+    the float range (measured values of norm above ~1.8e308) is a
+    ``ValueError`` raised.
     """
     records = list(records)
     if not records:
@@ -90,10 +93,23 @@ def reconstruct_state(records: Iterable[ExpectationRecord]) -> StateEstimate:
         measured[record.axis] = record.value
 
     target = np.array([measured.get(axis, 0.0) for axis in AXES])
-    norm = float(np.linalg.norm(target))
-    bloch = target if norm <= 1.0 else target / norm
+    # Norms are taken of target * 2**-shift, with shift the binary exponent
+    # of the largest value when that is positive.  A power-of-two scale is
+    # exact, so the results are those of the unscaled formulas, but values
+    # near 1e308 no longer overflow when squared.
+    shift = max(math.frexp(max(map(abs, measured.values())))[1], 0)
+    scale = 2.0**-shift
+    scaled = target * scale
+    scaled_norm = float(np.linalg.norm(scaled))
+    bloch = target if scaled_norm <= scale else scaled / scaled_norm
     mask = np.array([axis in measured for axis in AXES])
-    residual = float(np.linalg.norm((bloch - target)[mask]))
+    scaled_residual = float(np.linalg.norm((bloch * scale - scaled)[mask]))
+    try:
+        residual = math.ldexp(scaled_residual, shift)
+    except OverflowError:
+        raise ValueError(
+            "expectation values too large: the residual exceeds the float range"
+        ) from None
 
     rho = density_from_bloch(bloch)
     return StateEstimate(

@@ -100,3 +100,35 @@ def exhaustive_ball_minimum(
             i, j = np.unravel_index(flat, values.shape)
             best_point = np.array([axis[i], axis[j], z])
     return best_point
+
+
+def loop_icosphere(subdivisions: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Reference icosphere: one midpoint lookup per edge, one norm per vertex.
+
+    ``qpt.mesh.icosphere`` must return exactly these arrays.
+    """
+    from qpt.mesh import _BASE_FACES, _BASE_VERTICES
+
+    if subdivisions < 1:
+        raise ValueError(f"subdivisions must be at least 1, got {subdivisions}")
+    vertices = [v / np.linalg.norm(v) for v in _BASE_VERTICES]
+    faces = _BASE_FACES
+    for _ in range(subdivisions):
+        midpoints: dict[tuple[int, int], int] = {}
+
+        def midpoint(a: int, b: int) -> int:
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoints:
+                point = vertices[a] + vertices[b]
+                vertices.append(point / np.linalg.norm(point))
+                midpoints[key] = len(vertices) - 1
+            return midpoints[key]
+
+        next_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            next_faces.extend(
+                [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+            )
+        faces = np.array(next_faces)
+    return np.array(vertices), faces

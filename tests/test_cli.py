@@ -169,6 +169,18 @@ class TestReconstruct:
             qio.document_chi(qio.read_json(f"{ordered}.result")),
         )
 
+    def test_huge_expectations_reconstruct(self, tmp_path, records_path):
+        doc = json.loads(records_path.read_text())
+        for expectation in doc["records"][0]["expectations"][:2]:
+            expectation["value"] = 1e308
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert run("reconstruct", "--records", huge, "--out", out) == 0
+        residuals = qio.read_json(str(out))["raw"]["residuals"]
+        assert residuals[0] == pytest.approx(math.sqrt(2.0) * 1e308)
+        assert all(math.isfinite(r) for r in residuals)
+
     @pytest.mark.parametrize(
         "indices, message",
         [
@@ -425,12 +437,61 @@ class TestMalformedResult:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("block", ["raw", "projected"])
+    def test_render_overflow_leaves_no_output(self, tmp_path, result_path, capsys, block):
+        projected = tmp_path / "projected.json"
+        assert run("project", "--result", result_path, "--out", projected) == 0
+        doc = json.loads(projected.read_text())
+        doc[block]["affine"]["matrix"][0][0] = 1e308
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert run(*command_argv("render", broken, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {block}.affine")
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [
+            ("reconstruct", ("schema_version",), True),
+            ("reconstruct", ("records", 1, "expectations", 0, "value"), "0.5"),
+            ("reconstruct", ("records", 2, "expectations", 1, "shots"), True),
+            ("reconstruct", ("config", "t2"), "100"),
+            ("compare", ("schema_version",), True),
+            ("project", ("raw", "chi", 0, 0, 0), True),
+            ("render", ("raw", "affine", "translation", 2), "0.5"),
+        ],
+        ids=[
+            "records-version-true",
+            "value-text",
+            "shots-true",
+            "config-text",
+            "result-version-true",
+            "chi-true",
+            "affine-text",
+        ],
+    )
+    def test_wrong_typed_number_rejected(self, tmp_path, capsys, command, path, value):
+        source = tmp_path / "source.json"
+        assert run(
+            "simulate", "--preset", "paper-20ns", "--shots", "200", "--out", source
+        ) == 0
+        if command != "reconstruct":
+            assert run("reconstruct", "--records", source, "--out", source) == 0
+        doc = replaced(json.loads(source.read_text()), path, value)
+        source.write_text(json.dumps(doc))
+        assert run(*command_argv(command, source, tmp_path)) == 2
+        assert "must be a" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
 
 # Replacement values no field of either document accepts: non-numeric
-# text, lists of it and objects without any known key.
+# text, numbers written as text, booleans, lists of text and objects without
+# any known key.
 _POISON_TEXT = st.text(alphabet="qwz!#", min_size=1, max_size=3)
 POISON = st.one_of(
     _POISON_TEXT,
+    st.one_of(st.integers(-5, 5), st.floats(-2.0, 2.0)).map(str),
+    st.booleans(),
     st.lists(_POISON_TEXT, max_size=3),
     st.dictionaries(_POISON_TEXT, _POISON_TEXT, max_size=2),
 )

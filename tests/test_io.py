@@ -40,8 +40,12 @@ class TestComplexMatrixCodec:
             io.decode_complex_matrix(encoded, (4, 4), "chi")
 
     @pytest.mark.parametrize(
-        "entry", [{}, {"re": 1.0}, ["nan", 0.0], [0.0, "-inf"]],
-        ids=["empty-object", "object", "nan-text", "infinite-text"],
+        "entry",
+        [{}, {"re": 1.0}, ["nan", 0.0], [0.0, "-inf"], [0.5, 0.0, 1.0], [True, 0.0]],
+        ids=[
+            "empty-object", "object", "nan-text", "infinite-text", "three-numbers",
+            "boolean",
+        ],
     )
     def test_bad_entry_is_config_error(self, entry):
         encoded = io.encode_complex_matrix(np.eye(2))

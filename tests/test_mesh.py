@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import loop_icosphere
 from qpt.channels import AffineMap
 from qpt.mesh import (
     EllipsoidMesh,
@@ -51,6 +52,14 @@ class TestIcosphere:
         with pytest.raises(ValueError, match="at least 1"):
             icosphere(0)
 
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
+    def test_matches_loop_oracle(self, subdivisions):
+        vertices, faces = icosphere(subdivisions)
+        expected_vertices, expected_faces = loop_icosphere(subdivisions)
+        assert np.array_equal(vertices, expected_vertices)
+        assert np.array_equal(faces, expected_faces)
+        assert faces.dtype == expected_faces.dtype
+
 
 class TestEllipsoidMesh:
     AFFINE = AffineMap(np.diag([0.8, 0.8, 1.0]), np.array([0.0, 0.0, 0.1]))
@@ -77,8 +86,38 @@ class TestEllipsoidMesh:
         np.testing.assert_allclose(norms, 0.5, atol=1e-12)
 
 
+def row_obj_text(mesh):
+    """Reference OBJ formatter: one f-string per vertex and face row."""
+    lines = ["# Bloch sphere and its affine image"]
+    lines.append("o unit_sphere")
+    for v in mesh.reference_vertices:
+        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    for f in mesh.faces:
+        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    offset = len(mesh.reference_vertices)
+    lines.append("o ellipsoid")
+    for v in mesh.vertices:
+        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    for f in mesh.faces:
+        lines.append(
+            f"f {f[0] + offset + 1} {f[1] + offset + 1} {f[2] + offset + 1}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 class TestObjExport:
     AFFINE = AffineMap(np.diag([0.7, 0.7, 1.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3])
+    def test_matches_row_formatter(self, subdivisions):
+        # A sheared, shifted map puts negative zeros, tiny and long-repr
+        # coordinates into the ellipsoid block.
+        affine = AffineMap(
+            np.array([[0.81, 0.02, -0.01], [0.0, 0.79, 0.03], [1e-17, 0.0, -0.98]]),
+            np.array([0.0, -0.0, 0.125]),
+        )
+        mesh = ellipsoid_mesh(affine, subdivisions)
+        assert obj_text(mesh).encode() == row_obj_text(mesh).encode()
 
     def test_structure(self):
         mesh = ellipsoid_mesh(self.AFFINE, subdivisions=1)

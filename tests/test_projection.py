@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cptp_chi, random_kraus_set
+from conftest import random_cptp_chi
 from qpt import channels as ch
 from qpt import projection
-from qpt.errors import DegenerateParametrizationError, NonConvergenceError
+from qpt.errors import NonConvergenceError
 from qpt.metrics import DiscrepancyReport
 from qpt.projection import (
     ProjectionResult,
     project_to_physical,
     projection_report,
-    tp_normalize,
 )
 
 
@@ -29,39 +28,6 @@ def test_tp_correction_is_the_pseudoinverse():
     np.testing.assert_allclose(
         projection._TP_PINV, np.linalg.pinv(projection._COMPLETENESS), atol=1e-15
     )
-
-
-class TestTpNormalize:
-    def test_restores_completeness(self, rng):
-        for _ in range(10):
-            raw = [k * 1.7 for k in random_kraus_set(rng, count=3)]
-            fixed = tp_normalize(raw)
-            assert ch.kraus_completeness_deficit(fixed) < 1e-12
-
-    def test_identity_left_alone(self):
-        fixed = tp_normalize([np.eye(2)])
-        np.testing.assert_allclose(fixed[0], np.eye(2), atol=1e-14)
-
-    def test_preserves_channel_direction(self):
-        # Scaling a complete set leaves the normalized channel unchanged.
-        base = [np.array([[1.0, 0.0], [0.0, math.sqrt(0.5)]]),
-                np.array([[0.0, math.sqrt(0.5)], [0.0, 0.0]])]
-        scaled = tp_normalize([3.0 * k for k in base])
-        np.testing.assert_allclose(
-            ch.chi_from_kraus(scaled), ch.chi_from_kraus(base), atol=1e-12
-        )
-
-    def test_singular_sum_rejected(self):
-        with pytest.raises(DegenerateParametrizationError, match="singular"):
-            tp_normalize([np.array([[1.0, 0.0], [0.0, 0.0]])])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            tp_normalize([])
-
-    def test_shape_rejected(self):
-        with pytest.raises(ValueError, match="2x2"):
-            tp_normalize([np.eye(3)])
 
 
 class TestFixedPoints:

@@ -109,6 +109,30 @@ class TestReconstructState:
         assert states.is_valid_density_matrix(estimate.rho)
         assert np.linalg.norm(estimate.bloch) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize(
+        "case, residual",
+        [
+            ({"x": 1e308, "y": 1e308}, math.sqrt(2.0) * 1e308 - 1.0),
+            ({"x": -1e308, "z": 1e-300}, 1e308 - 1.0),
+            ({"x": 1e200, "y": -1e200, "z": 1e200}, math.sqrt(3.0) * 1e200 - 1.0),
+        ],
+        ids=["two-at-1e308", "huge-and-tiny", "three-at-1e200"],
+    )
+    def test_huge_values_do_not_overflow(self, case, residual):
+        estimate = reconstruct_state(records_for(**case))
+        direction = np.array([case.get(axis, 0.0) for axis in AXES]) / 1e200
+        np.testing.assert_allclose(
+            estimate.bloch, direction / np.linalg.norm(direction), atol=1e-15
+        )
+        assert np.linalg.norm(estimate.bloch) == pytest.approx(1.0, abs=1e-15)
+        assert math.isfinite(estimate.residual)
+        assert estimate.residual == pytest.approx(residual, rel=1e-15)
+        assert states.is_valid_density_matrix(estimate.rho)
+
+    def test_residual_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="float range"):
+            reconstruct_state(records_for(x=1.7e308, y=1.7e308, z=1.7e308))
+
 
 class TestAgainstDirectMinimization:
     """The closed-form rule must agree with a brute-force grid minimization."""
