@@ -43,6 +43,7 @@ CP_TOL = 1e-9
 TP_TOL = 1e-8
 
 _OPS = np.stack(OPERATION_ELEMENTS)
+_OPS_CONJ = _OPS.conj()
 _PAULI_STACK = np.stack(PAULIS)
 
 # The linear map chi -> S = sum_mn chi[m, n] A_n^dag A_m behind trace
@@ -132,13 +133,17 @@ def operator_from_coefficients(c: Sequence[complex]) -> np.ndarray:
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Evaluate ``sum_mn chi[m, n] A_m rho A_n^dag``.
 
-    Works for any 4x4 coefficient matrix, physical or not; Hermiticity of
-    ``chi`` is the caller's responsibility (reconstruction symmetrizes, and
-    the standard constructors emit Hermitian matrices).
+    ``rho`` is one 2x2 operator or a (k, 2, 2) stack, mapped in one
+    contraction that gives each operator the same bits as a call on it
+    alone.  Works for any 4x4 coefficient matrix, physical or not;
+    Hermiticity of ``chi`` is the caller's responsibility (reconstruction
+    symmetrizes, and the standard constructors emit Hermitian matrices).
     """
     chi = _as_chi(chi)
-    rho = _as_operator(rho)
-    return np.einsum("mn,mik,kl,njl->ij", chi, _OPS, rho, _OPS.conj())
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (2, 2) or rho.ndim not in (2, 3):
+        raise ValueError(f"expected a 2x2 operator or a stack of them, got {rho.shape}")
+    return np.einsum("mn,mik,...kl,njl->...ij", chi, _OPS, rho, _OPS_CONJ)
 
 
 def apply_kraus(ops: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:

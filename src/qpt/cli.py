@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -138,10 +140,43 @@ def _project_into_document(doc: dict, max_iterations: int) -> int:
     return code
 
 
+@contextmanager
+def _derived_from(source: str):
+    """Compute from the document(s) ``source`` names.
+
+    Overflow raises no numpy warning (:func:`_write_finite` rejects its
+    result), and an eigensolver failure is an input error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
+
+
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return True
+
+
+def _write_finite(path: str, doc: dict, source: str) -> None:
+    """Write ``doc``, or raise ``ConfigError`` naming ``source`` and write
+    nothing if a number in it left the float range."""
+    if not _finite(doc):
+        raise ConfigError(f"{source}: a number derived from it overflows the float range")
+    qio.write_json_atomic(path, doc)
+
+
 def cmd_project(args) -> int:
     doc = qio.read_json(args.result)
-    code = _project_into_document(doc, args.max_iterations)
-    qio.write_json_atomic(args.out, doc)
+    with _derived_from(args.result):
+        code = _project_into_document(doc, args.max_iterations)
+    _write_finite(args.out, doc, args.result)
     log.info("projected result written to %s", args.out)
     return code
 
@@ -182,8 +217,10 @@ def _comparison_operand(spec: str) -> tuple[np.ndarray, str]:
 def cmd_compare(args) -> int:
     chi_a, label_a = _comparison_operand(args.a)
     chi_b, label_b = _comparison_operand(args.b)
-    comparison = process_distance_report(chi_a, chi_b, context=(label_a, label_b))
-    qio.write_json_atomic(args.out, qio.comparison_document(comparison))
+    source = f"{args.a} vs {args.b}"
+    with _derived_from(source):
+        comparison = process_distance_report(chi_a, chi_b, context=(label_a, label_b))
+    _write_finite(args.out, qio.comparison_document(comparison), source)
     print(
         f"{label_a} vs {label_b}: frobenius={comparison.norms.frobenius_norm:.6f} "
         f"d_pro={comparison.norms.trace_distance_pro:.6f}"

@@ -1,4 +1,4 @@
-"""Process reconstruction from the four canonical input states.
+"""Process reconstruction from four spanning input states.
 
 The pipeline follows the linear-inversion scheme: prepare the spanning
 inputs ``{|0><0|, |1><1|, |+><+|, |+i><+i|}``, tomograph each output state,
@@ -6,10 +6,17 @@ express the outputs in the input-state basis (the lambda matrix), and solve
 ``beta . chi = lambda`` through the pseudoinverse of the fixed transfer
 tensor beta, where ``A_m rho_j A_n^dag = sum_k beta[(j, k), (m, n)] rho_k``.
 
-beta depends only on the operation elements and the input basis, so it is
-built once and cached.  Measurement noise makes the recovered chi slightly
-non-Hermitian; the estimate keeps the symmetrized matrix and records the
-norm of the discarded anti-Hermitian part as a diagnostic.
+Both steps are fixed linear maps of the input basis: ``lambda`` is
+``vec(outputs) @ inverse.T`` for the inverse of the basis system, and
+``vec(chi) = pinv(beta) @ vec(lambda)``.  The two matrices are built and
+the basis rank-checked once per basis, then cached.  The basis is the
+canonical one unless the records declare a non-ideal preparation
+(``polarization != 1`` or ``pulse_error != 0`` in their config), in which
+case it is the declared prepared inputs.
+
+Measurement noise makes the recovered chi slightly non-Hermitian; the
+estimate keeps the symmetrized matrix and records the norm of the
+discarded anti-Hermitian part as a diagnostic.
 
 chi is the one reconstructed object: every other representation of the
 estimate (the affine Bloch map included) is converted from it, so the
@@ -19,7 +26,8 @@ representations agree by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,18 +46,23 @@ from .states import (
     hermiticity_defect,
     projector,
 )
-from .state_tomography import ExpectationRecord, StateEstimate, reconstruct_state
+from .simulator import prepared_inputs
+from .state_tomography import StateEstimate, bloch_target, fit_states
 
 INPUT_STATE_LABELS = ("|0><0|", "|1><1|", "|+><+|", "|+i><+i|")
+_INPUT_NAMES = tuple(
+    f"input state {j} ({label})" for j, label in enumerate(INPUT_STATE_LABELS)
+)
+# The (polarization, pulse_error) of a perfect preparation.
+_IDEAL = (1.0, 0.0)
 
 _INPUT_STATES = tuple(projector(k) for k in (KET_0, KET_1, KET_PLUS, KET_PLUS_I))
 for _s in _INPUT_STATES:
     _s.setflags(write=False)
+_INPUT_STACK = np.stack(_INPUT_STATES)
+_OPS = np.stack(OPERATION_ELEMENTS)
 
 _PINV_RCOND = 1e-10
-
-_cached_beta: np.ndarray | None = None
-_cached_beta_pinv: np.ndarray | None = None
 
 
 def input_basis() -> tuple[np.ndarray, ...]:
@@ -59,11 +72,46 @@ def input_basis() -> tuple[np.ndarray, ...]:
 
 def _basis_stack(rho_basis: Sequence[np.ndarray] | None) -> np.ndarray:
     if rho_basis is None:
-        return np.stack(_INPUT_STATES)
-    stack = np.stack([np.asarray(r, dtype=complex) for r in rho_basis])
+        return _INPUT_STACK
+    stack = np.asarray(rho_basis, dtype=complex)
     if stack.shape != (4, 2, 2):
         raise ValueError(f"state basis must be four 2x2 matrices, got {stack.shape}")
     return stack
+
+
+class _BasisMaps(NamedTuple):
+    """The fixed linear maps of one spanning input basis.
+
+    ``inverse`` inverts the 4x4 system whose columns are the vectorized
+    basis states, so ``inverse @ vec(m)`` are the coefficients of ``m`` over
+    the basis; ``beta`` is the transfer tensor over the canonical operation
+    elements and ``pinv`` its pseudoinverse, mapping ``vec(lambda)`` to
+    ``vec(chi)``.  All three are read-only.
+    """
+
+    inverse: np.ndarray
+    beta: np.ndarray
+    pinv: np.ndarray
+
+
+def _basis_maps(stack: np.ndarray) -> _BasisMaps:
+    return _maps_for(np.ascontiguousarray(stack, dtype=complex).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _maps_for(key: bytes) -> _BasisMaps:
+    # The rank check runs once per basis, when its entry is filled; a basis
+    # that does not span raises ValueError and is not cached.
+    stack = np.frombuffer(key, dtype=complex).reshape(4, 2, 2)
+    system = stack.reshape(4, 4).T
+    if np.linalg.matrix_rank(system, tol=1e-10) < 4:
+        raise ValueError("state basis is rank deficient and does not span")
+    inverse = np.linalg.inv(system)
+    beta = _beta(_OPS, stack, inverse)
+    maps = _BasisMaps(inverse, beta, np.linalg.pinv(beta, rcond=_PINV_RCOND))
+    for m in maps:
+        m.setflags(write=False)
+    return maps
 
 
 def expand_in_state_basis(
@@ -73,12 +121,7 @@ def expand_in_state_basis(
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-    stack = _basis_stack(rho_basis)
-    # Columns of the 4x4 system are the vectorized basis states.
-    system = stack.reshape(4, 4).T
-    if np.linalg.matrix_rank(system, tol=1e-10) < 4:
-        raise ValueError("state basis is rank deficient and does not span")
-    return np.linalg.solve(system, m.reshape(4))
+    return _basis_maps(_basis_stack(rho_basis)).inverse @ m.reshape(4)
 
 
 def build_beta(
@@ -88,57 +131,39 @@ def build_beta(
     """Transfer tensor flattened to 16x16: rows (j, k), columns (m, n).
 
     ``beta[(j, k), (m, n)]`` is the coefficient of ``rho_k`` in the
-    expansion of ``A_m rho_j A_n^dag``.  The default tensor (canonical
-    elements and inputs) is cached after the first call.
+    expansion of ``A_m rho_j A_n^dag``.  Over the canonical operation
+    elements the tensor is cached per basis and read-only.
     """
-    default = operation_elements is None and rho_basis is None
-    global _cached_beta
-    if default and _cached_beta is not None:
-        return _cached_beta
-
-    ops = (
-        np.stack(OPERATION_ELEMENTS)
-        if operation_elements is None
-        else np.stack([np.asarray(op, dtype=complex) for op in operation_elements])
-    )
+    states = _basis_stack(rho_basis)
+    if operation_elements is None:
+        return _basis_maps(states).beta
+    ops = np.stack([np.asarray(op, dtype=complex) for op in operation_elements])
     if ops.shape != (4, 2, 2):
         raise ValueError(f"need four 2x2 operation elements, got {ops.shape}")
-    states = _basis_stack(rho_basis)
-    system = states.reshape(4, 4).T
-    if np.linalg.matrix_rank(system, tol=1e-10) < 4:
-        raise ValueError("state basis is rank deficient and does not span")
+    return _beta(ops, states, _basis_maps(states).inverse)
 
-    # transformed[m, n, j] = A_m rho_j A_n^dag, then solve for its
-    # coefficients over the state basis in one batched call.
+
+def _beta(ops: np.ndarray, states: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    # transformed[m, n, j] = A_m rho_j A_n^dag, expanded over the state
+    # basis by the basis inverse: coeffs[k, (m, n, j)].
     transformed = np.einsum("mab,jbc,ndc->mnjad", ops, states, ops.conj())
-    coeffs = np.linalg.solve(
-        system[None, :, :], transformed.reshape(4, 4, 4, 4).reshape(64, 4).T[None, :, :]
-    )
-    # coeffs has shape (1, 4, 64) with axes (batch, k, (m, n, j)).
-    beta = coeffs[0].reshape(4, 4, 4, 4)  # k, m, n, j
-    beta = np.transpose(beta, (3, 0, 1, 2)).reshape(16, 16)  # (j, k), (m, n)
-    if default:
-        _cached_beta = beta
-        _cached_beta.setflags(write=False)
-    return beta
-
-
-def _beta_pinv() -> np.ndarray:
-    global _cached_beta_pinv
-    if _cached_beta_pinv is None:
-        _cached_beta_pinv = np.linalg.pinv(build_beta(), rcond=_PINV_RCOND)
-        _cached_beta_pinv.setflags(write=False)
-    return _cached_beta_pinv
+    coeffs = inverse @ transformed.reshape(64, 4).T
+    beta = coeffs.reshape(4, 4, 4, 4)  # k, m, n, j
+    return np.transpose(beta, (3, 0, 1, 2)).reshape(16, 16)  # (j, k), (m, n)
 
 
 def lambda_from_outputs(
     outputs: Sequence[np.ndarray],
     rho_basis: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Expand the four output states over the input basis, row j = image of rho_j."""
+    """Expand the four output states over the input basis, row j = image of rho_j.
+
+    Row j is ``inverse @ vec(outputs[j])``, with the basis inverse cached
+    per basis.
+    """
     if len(outputs) != 4:
         raise ValueError(f"expected 4 output states, got {len(outputs)}")
-    rows = []
+    stack = []
     for j, out in enumerate(outputs):
         out = np.asarray(out, dtype=complex)
         if out.shape != (2, 2):
@@ -149,8 +174,8 @@ def lambda_from_outputs(
             raise ValueError(f"output {j}: not Hermitian")
         if abs(out.trace() - 1.0) > 1e-6:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
-        rows.append(expand_in_state_basis(out, rho_basis))
-    return np.stack(rows)
+        stack.append(out)
+    return np.stack(stack).reshape(4, 4) @ _basis_maps(_basis_stack(rho_basis)).inverse.T
 
 
 def chi_from_lambda(
@@ -160,12 +185,13 @@ def chi_from_lambda(
 
     The raw solution of ``beta . chi_vec = lambda_vec`` picks up a small
     anti-Hermitian component under noisy data; it is split off and its
-    Frobenius norm returned alongside the symmetrized matrix.
+    Frobenius norm returned alongside the symmetrized matrix.  The default
+    ``beta_pinv`` is that of the canonical basis.
     """
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (4, 4):
         raise ValueError(f"lambda matrix must be 4x4, got {lam.shape}")
-    pinv = _beta_pinv() if beta_pinv is None else beta_pinv
+    pinv = _basis_maps(_INPUT_STACK).pinv if beta_pinv is None else beta_pinv
     chi_raw = (pinv @ lam.reshape(16)).reshape(4, 4)
     anti = (chi_raw - chi_raw.conj().T) / 2.0
     return (chi_raw + chi_raw.conj().T) / 2.0, float(np.linalg.norm(anti))
@@ -207,27 +233,42 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     also carries an ``input_index`` (1-based) must sit in that slot, else
     ``ValueError``.  Errors raised while reconstructing an output state are
     re-raised with the offending input index prepended.
+
+    Elements that carry a ``config`` declare their preparation.  When it is
+    non-ideal (``polarization != 1`` or ``pulse_error != 0``), lambda and chi
+    are solved over the prepared inputs ``prepare_input(config, 1..4)``
+    instead of the canonical basis.  Elements declaring different
+    preparations, or a preparation whose inputs do not span, raise
+    ``ValueError``.
     """
     if len(record_sets) != 4:
         raise ValueError(
             f"expected records for 4 input states, got {len(record_sets)}"
         )
-    estimates: list[StateEstimate] = []
+    targets, masks = [], []
+    preparations = {}
     for j, entry in enumerate(record_sets):
         index = getattr(entry, "input_index", j + 1)
         if index != j + 1:
             raise ValueError(
                 f"record set {j} is for input_index {index!r}, expected {j + 1}"
             )
+        config = getattr(entry, "config", None)
+        if config is None:
+            preparations[_IDEAL] = None
+        else:
+            preparations[(config.polarization, config.pulse_error)] = config
         records = getattr(entry, "records", entry)
         try:
-            estimates.append(reconstruct_state(records))
+            target, mask = bloch_target(records)
         except (ValueError, TypeError) as exc:
-            raise type(exc)(f"input state {j} ({INPUT_STATE_LABELS[j]}): {exc}") from exc
-
-    outputs = [e.rho for e in estimates]
-    lam = lambda_from_outputs(outputs)
-    chi, anti_norm = chi_from_lambda(lam)
+            raise type(exc)(f"{_INPUT_NAMES[j]}: {exc}") from exc
+        targets.append(target)
+        masks.append(mask)
+    maps = _declared_maps(preparations)
+    fit = fit_states(np.array(targets), np.array(masks), _INPUT_NAMES)
+    lam = fit.rho.reshape(4, 4) @ maps.inverse.T
+    chi, anti_norm = chi_from_lambda(lam, maps.pinv)
     cp_flag, cp_min = is_completely_positive(chi)
     tp_flag, tp_deficit = is_trace_preserving(chi)
     return ProcessEstimate(
@@ -237,8 +278,32 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         tp_flag=tp_flag,
         cp_min_eigenvalue=cp_min,
         tp_deficit=tp_deficit,
-        residuals=tuple(e.residual for e in estimates),
+        residuals=tuple(fit.residual.tolist()),
         anti_hermitian_norm=anti_norm,
         lambda_matrix=lam,
-        state_estimates=tuple(estimates),
+        state_estimates=fit.estimates(),
     )
+
+
+def _declared_maps(preparations: dict) -> _BasisMaps:
+    """The basis maps of the one preparation the record sets declare.
+
+    ``preparations`` maps each declared ``(polarization, pulse_error)`` to
+    a config declaring it (``None`` for entries without a config).
+    """
+    if len(preparations) != 1:
+        raise ValueError(
+            "record sets declare different preparations (polarization, "
+            f"pulse_error): {sorted(preparations)}"
+        )
+    ((preparation, config),) = preparations.items()
+    if preparation == _IDEAL:
+        return _basis_maps(_INPUT_STACK)
+    try:
+        return _basis_maps(prepared_inputs(config))
+    except ValueError as exc:
+        polarization, pulse_error = preparation
+        raise ValueError(
+            f"declared preparation polarization={polarization}, "
+            f"pulse_error={pulse_error}: {exc}"
+        ) from None

@@ -8,6 +8,13 @@ streams keyed by ``(seed, input index, axis)``, so any record is
 reproducible in isolation: re-running a single input state with the same
 seed yields bit-identical values regardless of execution order.
 
+A run is computed as whole arrays over the four inputs: the prepared
+inputs are cached per ``(polarization, pulse_error)``, the channel maps
+all four in one contraction, all twelve expectations come from a second
+one, and one Philox bit generator per call is rekeyed for each
+``(seed, input, axis)`` cell, which draws exactly what a generator built
+from that key would.
+
 The decoherence interval is the channel under test.  ``run_experiment`` can
 swap it for an arbitrary coefficient matrix, which turns the simulator into
 a general fixture for round-trip tests while keeping the preparation and
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,15 +133,37 @@ def prepare_input(config: ExperimentConfig, index: int) -> np.ndarray:
     """Initial mixture rotated by the preparation pulse for one input index."""
     if index not in _PULSES:
         raise ValueError(f"input index must be 1..{INPUT_COUNT}, got {index}")
-    rho = config.polarization * projector(KET_0) + (1.0 - config.polarization) * (
+    return _prepare(config.polarization, config.pulse_error, index)
+
+
+def _prepare(polarization: float, pulse_error: float, index: int) -> np.ndarray:
+    rho = polarization * projector(KET_0) + (1.0 - polarization) * (
         np.eye(2, dtype=complex) - projector(KET_0)
     )
     pulse = _PULSES[index]
     if pulse is None:
         return rho
     axis, angle = pulse
-    u = rotation_unitary(axis, angle * (1.0 + config.pulse_error))
+    u = rotation_unitary(axis, angle * (1.0 + pulse_error))
     return u @ rho @ u.conj().T
+
+
+def prepared_inputs(config: ExperimentConfig) -> np.ndarray:
+    """The four prepared inputs as a read-only (4, 2, 2) stack, in index order.
+
+    Equal to ``prepare_input(config, i)`` for ``i = 1..4``; cached per
+    ``(polarization, pulse_error)``.
+    """
+    return _prepared_stack(config.polarization, config.pulse_error)
+
+
+@lru_cache(maxsize=64)
+def _prepared_stack(polarization: float, pulse_error: float) -> np.ndarray:
+    stack = np.stack(
+        [_prepare(polarization, pulse_error, i) for i in range(1, INPUT_COUNT + 1)]
+    )
+    stack.setflags(write=False)
+    return stack
 
 
 def true_channel(config: ExperimentConfig) -> np.ndarray:
@@ -155,14 +184,50 @@ def evolve(config: ExperimentConfig, rho: np.ndarray) -> np.ndarray:
     return apply_chi(true_channel(config), rho)
 
 
-def _axis_stream(seed: int, input_index: int, axis_index: int) -> np.random.Generator:
-    # Counter-based bit generator: the key alone fixes the stream, so the
-    # draw for one (input, axis) cell never depends on the others.
-    key = np.array(
-        [np.uint64(seed % (1 << 64)), np.uint64(input_index * 8 + axis_index)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+_PAULI_AXES = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+def _expectations(states: np.ndarray) -> np.ndarray:
+    """``Re tr(rho sigma_a)`` for a (k, 2, 2) stack: a (k, 3) array."""
+    return np.trace(states[:, None] @ _PAULI_AXES, axis1=-2, axis2=-1).real
+
+
+def _sample(
+    config: ExperimentConfig, input_indices, values: np.ndarray
+) -> list[tuple[ExpectationRecord, ...]]:
+    """Records of a (k, 3) array of exact expectations, one tuple per row.
+
+    With shots, each ``(input, axis)`` cell draws a binomial from the
+    Philox stream keyed by ``(seed, input * 8 + axis)``.  One bit generator
+    serves the whole call: setting its public state to a fresh counter
+    under the cell's key makes it exactly a new ``Philox(key=...)``.  It is
+    local to the call, so concurrent calls share no generator.
+    """
+    rows = values.tolist()
+    shots = config.shots
+    if shots is None:
+        return [
+            tuple(ExpectationRecord(axis, value, None) for axis, value in zip(AXES, row))
+            for row in rows
+        ]
+    ups_probability = np.clip((1.0 + values) / 2.0, 0.0, 1.0).tolist()
+    key = np.array([config.seed % (1 << 64), 0], dtype=np.uint64)
+    bit_generator = np.random.Philox(key=key)
+    generator = np.random.Generator(bit_generator)
+    # A fresh state (zero counter, empty buffer) whose key is set per cell;
+    # the setter copies the values in.
+    fresh = bit_generator.state
+    fresh["state"]["key"] = key
+    sampled = []
+    for index, probabilities in zip(input_indices, ups_probability):
+        records = []
+        for axis_index, (axis, p_up) in enumerate(zip(AXES, probabilities)):
+            key[1] = index * 8 + axis_index
+            bit_generator.state = fresh
+            ups = int(generator.binomial(shots, p_up))
+            records.append(ExpectationRecord(axis, (2.0 * ups - shots) / shots, shots))
+        sampled.append(tuple(records))
+    return sampled
 
 
 def measure(
@@ -177,18 +242,7 @@ def measure(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 state, got {rho.shape}")
-    exact = [float(np.trace(rho @ pauli).real) for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-    records = []
-    for axis_index, (axis, value) in enumerate(zip(AXES, exact)):
-        if config.shots is None:
-            records.append(ExpectationRecord(axis=axis, value=value, shots=None))
-            continue
-        p_up = float(np.clip((1.0 + value) / 2.0, 0.0, 1.0))
-        stream = _axis_stream(config.seed, input_index, axis_index)
-        ups = int(stream.binomial(config.shots, p_up))
-        sampled = (2.0 * ups - config.shots) / config.shots
-        records.append(ExpectationRecord(axis=axis, value=sampled, shots=config.shots))
-    return tuple(records)
+    return _sample(config, (input_index,), _expectations(rho[None]))[0]
 
 
 def run_experiment(
@@ -204,12 +258,9 @@ def run_experiment(
     chi = true_channel(config) if channel is None else np.asarray(channel, dtype=complex)
     if chi.shape != (4, 4):
         raise ValueError(f"channel must be a 4x4 coefficient matrix, got {chi.shape}")
-    results = []
-    for index in range(1, INPUT_COUNT + 1):
-        prepared = prepare_input(config, index)
-        output = apply_chi(chi, prepared)
-        records = measure(config, output, input_index=index)
-        results.append(
-            MeasurementRecord(input_index=index, records=records, config=config)
-        )
-    return results
+    indices = range(1, INPUT_COUNT + 1)
+    outputs = apply_chi(chi, prepared_inputs(config))
+    return [
+        MeasurementRecord(input_index=index, records=records, config=config)
+        for index, records in zip(indices, _sample(config, indices, _expectations(outputs)))
+    ]

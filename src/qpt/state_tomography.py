@@ -20,13 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .states import density_from_bloch, von_neumann_entropy
+from .errors import InvalidStateError
+from .states import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 AXES = ("x", "y", "z")
+
+# rho = (I + r . sigma) / 2 row-wise: vec(rho) = (r @ _PAULI_ROWS + vec(I)) / 2.
+_PAULI_ROWS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]).reshape(3, 4)
+_IDENTITY_ROW = SIGMA_0.reshape(4)
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,7 @@ class ExpectationRecord:
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         value = float(self.value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"expectation value must be finite, got {value!r}")
         object.__setattr__(self, "value", value)
         if self.shots is not None:
@@ -81,9 +87,16 @@ def reconstruct_state(records: Iterable[ExpectationRecord]) -> StateEstimate:
     the float range (measured values of norm above ~1.8e308) is a
     ``ValueError`` raised.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("at least one expectation record is required")
+    target, measured = bloch_target(records)
+    return fit_states(np.array([target]), np.array([measured])).estimates()[0]
+
+
+def bloch_target(records: Iterable[ExpectationRecord]) -> tuple[list, list]:
+    """Measured values per axis (0.0 where unmeasured) and the axis mask.
+
+    Empty record sets and repeated axes raise ``ValueError``; anything but
+    an :class:`ExpectationRecord` raises ``TypeError``.
+    """
     measured = {}
     for record in records:
         if not isinstance(record, ExpectationRecord):
@@ -91,32 +104,70 @@ def reconstruct_state(records: Iterable[ExpectationRecord]) -> StateEstimate:
         if record.axis in measured:
             raise ValueError(f"duplicate record for axis {record.axis!r}")
         measured[record.axis] = record.value
+    if not measured:
+        raise ValueError("at least one expectation record is required")
+    return [measured.get(axis, 0.0) for axis in AXES], [axis in measured for axis in AXES]
 
-    target = np.array([measured.get(axis, 0.0) for axis in AXES])
+
+class StateFit(NamedTuple):
+    """Estimates of k states as arrays: rho (k, 2, 2), bloch (k, 3), and
+    per-row residual, entropy and completeness."""
+
+    rho: np.ndarray
+    bloch: np.ndarray
+    residual: np.ndarray
+    entropy: np.ndarray
+    complete: np.ndarray
+
+    def estimates(self) -> tuple[StateEstimate, ...]:
+        """One :class:`StateEstimate` per row; ``rho``/``bloch`` are row views."""
+        return tuple(
+            StateEstimate(rho=rho, bloch=bloch, residual=r, entropy=e, complete=c)
+            for rho, bloch, r, e, c in zip(
+                self.rho,
+                self.bloch,
+                self.residual.tolist(),
+                self.entropy.tolist(),
+                self.complete.tolist(),
+            )
+        )
+
+
+def fit_states(
+    target: np.ndarray, measured: np.ndarray, names: Sequence[str] | None = None
+) -> StateFit:
+    """The estimation rule above applied to k rows at once.
+
+    ``target`` is (k, 3), zero on unmeasured axes, and ``measured`` the
+    matching boolean mask.  A row whose residual exceeds the float range
+    raises ``ValueError``, prefixed with its entry of ``names`` if given.
+    """
     # Norms are taken of target * 2**-shift, with shift the binary exponent
     # of the largest value when that is positive.  A power-of-two scale is
     # exact, so the results are those of the unscaled formulas, but values
     # near 1e308 no longer overflow when squared.
-    shift = max(math.frexp(max(map(abs, measured.values())))[1], 0)
-    scale = 2.0**-shift
+    shift = np.maximum(np.frexp(np.abs(target).max(axis=1))[1], 0)
+    scale = np.ldexp(1.0, -shift)[:, None]
     scaled = target * scale
-    scaled_norm = float(np.linalg.norm(scaled))
-    bloch = target if scaled_norm <= scale else scaled / scaled_norm
-    mask = np.array([axis in measured for axis in AXES])
-    scaled_residual = float(np.linalg.norm((bloch * scale - scaled)[mask]))
-    try:
-        residual = math.ldexp(scaled_residual, shift)
-    except OverflowError:
+    scaled_norm = np.sqrt((scaled * scaled).sum(axis=1, keepdims=True))
+    inside = scaled_norm <= scale
+    bloch = np.where(inside, target, scaled / np.where(inside, 1.0, scaled_norm))
+    gap = (bloch * scale - scaled) * measured
+    with np.errstate(over="ignore"):
+        residual = np.ldexp(np.sqrt((gap * gap).sum(axis=1)), shift)
+    overflow = np.isinf(residual)
+    if overflow.any():
+        prefix = "" if names is None else f"{names[int(np.argmax(overflow))]}: "
         raise ValueError(
-            "expectation values too large: the residual exceeds the float range"
-        ) from None
+            f"{prefix}expectation values too large: the residual exceeds the float range"
+        )
 
-    rho = density_from_bloch(bloch)
-    return StateEstimate(
-        rho=rho,
-        bloch=bloch,
-        residual=residual,
-        entropy=von_neumann_entropy(rho),
-        complete=len(measured) == len(AXES),
-    )
-
+    norm = np.sqrt((bloch * bloch).sum(axis=1))
+    if (norm > 1.0 + 1e-9).any():
+        raise InvalidStateError(f"Bloch vector norm {norm.max():.12f} exceeds 1")
+    rho = (bloch @ _PAULI_ROWS + _IDENTITY_ROW).reshape(-1, 2, 2) / 2.0
+    # A qubit state's spectrum is (1 +- |r|) / 2; 0 ln 0 counts as 0.
+    spectrum = (1.0 + _SIGNS * np.minimum(norm, 1.0)[:, None]) / 2.0
+    terms = spectrum * np.log(np.where(spectrum > 0.0, spectrum, 1.0))
+    entropy = np.maximum(-terms.sum(axis=1), 0.0)
+    return StateFit(rho, bloch, residual, entropy, measured.all(axis=1))

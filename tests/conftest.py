@@ -132,3 +132,179 @@ def loop_icosphere(subdivisions: int = 3) -> tuple[np.ndarray, np.ndarray]:
             )
         faces = np.array(next_faces)
     return np.array(vertices), faces
+
+
+# Loop oracles: the per-record simulate and reconstruct path that the
+# whole-array kernels in ``qpt.simulator``, ``qpt.state_tomography`` and
+# ``qpt.process_tomography`` replace.  The kernels must give the same
+# records bit for bit and the same estimates to round-off.
+
+
+def loop_axis_stream(seed: int, input_index: int, axis_index: int) -> np.random.Generator:
+    # Counter-based bit generator: the key alone fixes the stream, so the
+    # draw for one (input, axis) cell never depends on the others.
+    key = np.array(
+        [np.uint64(seed % (1 << 64)), np.uint64(input_index * 8 + axis_index)],
+        dtype=np.uint64,
+    )
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def loop_measure(config, rho: np.ndarray, input_index: int = 0) -> tuple:
+    """Pauli expectations of one state, one record and one stream at a time."""
+    from qpt.state_tomography import AXES, ExpectationRecord
+    from qpt.states import SIGMA_X, SIGMA_Y, SIGMA_Z
+
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 state, got {rho.shape}")
+    exact = [float(np.trace(rho @ pauli).real) for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    records = []
+    for axis_index, (axis, value) in enumerate(zip(AXES, exact)):
+        if config.shots is None:
+            records.append(ExpectationRecord(axis=axis, value=value, shots=None))
+            continue
+        p_up = float(np.clip((1.0 + value) / 2.0, 0.0, 1.0))
+        stream = loop_axis_stream(config.seed, input_index, axis_index)
+        ups = int(stream.binomial(config.shots, p_up))
+        sampled = (2.0 * ups - config.shots) / config.shots
+        records.append(ExpectationRecord(axis=axis, value=sampled, shots=config.shots))
+    return tuple(records)
+
+
+def loop_run_experiment(config, channel: np.ndarray | None = None) -> list:
+    """All four inputs, prepared, evolved and measured one after another."""
+    from qpt.channels import apply_chi
+    from qpt.simulator import INPUT_COUNT, MeasurementRecord, prepare_input, true_channel
+
+    chi = true_channel(config) if channel is None else np.asarray(channel, dtype=complex)
+    if chi.shape != (4, 4):
+        raise ValueError(f"channel must be a 4x4 coefficient matrix, got {chi.shape}")
+    results = []
+    for index in range(1, INPUT_COUNT + 1):
+        prepared = prepare_input(config, index)
+        output = apply_chi(chi, prepared)
+        records = loop_measure(config, output, input_index=index)
+        results.append(
+            MeasurementRecord(input_index=index, records=records, config=config)
+        )
+    return results
+
+
+def loop_reconstruct_state(records):
+    """One state estimate: dict of measured axes, scaled norms, eigvalsh entropy."""
+    import math
+
+    from qpt.state_tomography import AXES, ExpectationRecord, StateEstimate
+    from qpt.states import density_from_bloch, von_neumann_entropy
+
+    records = list(records)
+    if not records:
+        raise ValueError("at least one expectation record is required")
+    measured = {}
+    for record in records:
+        if not isinstance(record, ExpectationRecord):
+            raise TypeError(f"expected ExpectationRecord, got {type(record).__name__}")
+        if record.axis in measured:
+            raise ValueError(f"duplicate record for axis {record.axis!r}")
+        measured[record.axis] = record.value
+
+    target = np.array([measured.get(axis, 0.0) for axis in AXES])
+    shift = max(math.frexp(max(map(abs, measured.values())))[1], 0)
+    scale = 2.0**-shift
+    scaled = target * scale
+    scaled_norm = float(np.linalg.norm(scaled))
+    bloch = target if scaled_norm <= scale else scaled / scaled_norm
+    mask = np.array([axis in measured for axis in AXES])
+    scaled_residual = float(np.linalg.norm((bloch * scale - scaled)[mask]))
+    try:
+        residual = math.ldexp(scaled_residual, shift)
+    except OverflowError:
+        raise ValueError(
+            "expectation values too large: the residual exceeds the float range"
+        ) from None
+
+    rho = density_from_bloch(bloch)
+    return StateEstimate(
+        rho=rho,
+        bloch=bloch,
+        residual=residual,
+        entropy=von_neumann_entropy(rho),
+        complete=len(measured) == len(AXES),
+    )
+
+
+def loop_expand_in_state_basis(m: np.ndarray, rho_basis=None) -> np.ndarray:
+    """Coefficients over the basis by a rank check and a solve per matrix."""
+    from qpt.process_tomography import input_basis
+
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
+    basis = input_basis() if rho_basis is None else rho_basis
+    stack = np.stack([np.asarray(r, dtype=complex) for r in basis])
+    system = stack.reshape(4, 4).T
+    if np.linalg.matrix_rank(system, tol=1e-10) < 4:
+        raise ValueError("state basis is rank deficient and does not span")
+    return np.linalg.solve(system, m.reshape(4))
+
+
+def loop_lambda_from_outputs(outputs, rho_basis=None) -> np.ndarray:
+    """Expand the four output states over the input basis, row by row."""
+    from qpt.states import hermiticity_defect
+
+    if len(outputs) != 4:
+        raise ValueError(f"expected 4 output states, got {len(outputs)}")
+    rows = []
+    for j, out in enumerate(outputs):
+        out = np.asarray(out, dtype=complex)
+        if out.shape != (2, 2):
+            raise ValueError(f"output {j}: expected a 2x2 matrix, got {out.shape}")
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"output {j}: non-finite entries")
+        if hermiticity_defect(out) > 1e-6:
+            raise ValueError(f"output {j}: not Hermitian")
+        if abs(out.trace() - 1.0) > 1e-6:
+            raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
+        rows.append(loop_expand_in_state_basis(out, rho_basis))
+    return np.stack(rows)
+
+
+def loop_run_process_tomography(record_sets):
+    """The canonical-basis estimate from the loop oracles above."""
+    from qpt.channels import affine_from_chi, is_completely_positive, is_trace_preserving
+    from qpt.process_tomography import INPUT_STATE_LABELS, ProcessEstimate, chi_from_lambda
+
+    if len(record_sets) != 4:
+        raise ValueError(
+            f"expected records for 4 input states, got {len(record_sets)}"
+        )
+    estimates = []
+    for j, entry in enumerate(record_sets):
+        index = getattr(entry, "input_index", j + 1)
+        if index != j + 1:
+            raise ValueError(
+                f"record set {j} is for input_index {index!r}, expected {j + 1}"
+            )
+        records = getattr(entry, "records", entry)
+        try:
+            estimates.append(loop_reconstruct_state(records))
+        except (ValueError, TypeError) as exc:
+            raise type(exc)(f"input state {j} ({INPUT_STATE_LABELS[j]}): {exc}") from exc
+
+    lam = loop_lambda_from_outputs([e.rho for e in estimates])
+    chi, anti_norm = chi_from_lambda(lam)
+    cp_flag, cp_min = is_completely_positive(chi)
+    tp_flag, tp_deficit = is_trace_preserving(chi)
+    return ProcessEstimate(
+        chi=chi,
+        affine=affine_from_chi(chi),
+        cp_flag=cp_flag,
+        tp_flag=tp_flag,
+        cp_min_eigenvalue=cp_min,
+        tp_deficit=tp_deficit,
+        residuals=tuple(e.residual for e in estimates),
+        anti_hermitian_norm=anti_norm,
+        lambda_matrix=lam,
+        state_estimates=tuple(estimates),
+    )

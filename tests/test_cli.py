@@ -205,6 +205,33 @@ class TestReconstruct:
         assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
 
+    def _simulate(self, tmp_path, **preparation):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"t2": 100.0, "decoherence_time": 40.0, **preparation})
+        )
+        records = tmp_path / "records.json"
+        assert run("simulate", "--config", config, "--out", records) == 0
+        return records
+
+    def test_declared_preparation_honoured(self, tmp_path):
+        records = self._simulate(tmp_path, polarization=0.9, pulse_error=0.05)
+        out = tmp_path / "r.json"
+        assert run("reconstruct", "--records", records, "--out", out) == 0
+        doc = qio.read_json(str(out))
+        np.testing.assert_allclose(
+            qio.document_chi(doc), standard_channel("dephasing", factor=math.exp(-0.4)),
+            atol=1e-13,
+        )
+        assert doc["raw"]["cp"]["flag"] and doc["raw"]["tp"]["flag"]
+
+    def test_non_spanning_preparation_exits_2(self, tmp_path, capsys):
+        records = self._simulate(tmp_path, polarization=0.5)
+        out = tmp_path / "r.json"
+        assert run("reconstruct", "--records", records, "--out", out) == 2
+        assert "does not span" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProject:
     def test_attaches_projection(self, tmp_path, result_path):
@@ -447,6 +474,21 @@ class TestMalformedResult:
         broken.write_text(json.dumps(doc))
         assert run(*command_argv("render", broken, tmp_path)) == 2
         assert capsys.readouterr().err.startswith(f"error: {block}.affine")
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("value", [1e200, 1e308], ids=["1e200", "1e308"])
+    @pytest.mark.parametrize("command", ["project", "compare"])
+    def test_chi_overflow_leaves_no_output(
+        self, tmp_path, result_path, capsys, command, value
+    ):
+        # Finite entries this large overflow the norms to inf (or stop the
+        # eigensolver); either is an input error, caught before any write.
+        doc = json.loads(result_path.read_text())
+        doc["raw"]["chi"][0][0][0] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert run(*command_argv(command, broken, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {broken}")
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize(

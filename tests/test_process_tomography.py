@@ -6,7 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_cptp_chi
+from conftest import (
+    loop_expand_in_state_basis,
+    loop_lambda_from_outputs,
+    loop_run_process_tomography,
+    random_cptp_chi,
+    random_density_matrix,
+)
 from qpt import channels as ch
 from qpt import states
 from qpt.process_tomography import (
@@ -19,7 +25,7 @@ from qpt.process_tomography import (
     lambda_from_outputs,
     run_process_tomography,
 )
-from qpt.simulator import ExperimentConfig, run_experiment
+from qpt.simulator import ExperimentConfig, prepare_input, run_experiment, true_channel
 from qpt.state_tomography import AXES, ExpectationRecord
 
 IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -264,3 +270,146 @@ class TestRunProcessTomography:
     def test_wrong_set_count(self):
         with pytest.raises(ValueError, match="4 input states"):
             run_process_tomography(exact_records(IDENTITY_CHI)[:2])
+
+
+class TestDeclaredPreparation:
+    """Records that carry a non-ideal config are read against its inputs."""
+
+    @pytest.mark.parametrize(
+        "polarization, pulse_error",
+        [(0.6, 0.0), (0.95, 0.0), (1.0, -0.1), (1.0, 0.05), (1.0, 0.2), (0.8, 0.1)],
+    )
+    @pytest.mark.parametrize("t1", [math.inf, 150.0])
+    def test_exact_records_recover_the_channel(self, polarization, pulse_error, t1):
+        config = ExperimentConfig(
+            t2=100.0, t1=t1, decoherence_time=40.0,
+            polarization=polarization, pulse_error=pulse_error,
+        )
+        estimate = run_process_tomography(run_experiment(config))
+        assert np.linalg.norm(estimate.chi - true_channel(config)) < 1e-13
+        assert estimate.physical
+        basis = [prepare_input(config, i) for i in range(1, 5)]
+        outputs = [ch.apply_chi(true_channel(config), rho) for rho in basis]
+        np.testing.assert_allclose(
+            estimate.lambda_matrix, lambda_from_outputs(outputs, basis), atol=1e-14
+        )
+
+    def test_random_channel_override(self, rng):
+        config = ExperimentConfig(t2=100.0, polarization=0.85, pulse_error=-0.05)
+        for _ in range(10):
+            chi = random_cptp_chi(rng)
+            estimate = run_process_tomography(run_experiment(config, channel=chi))
+            np.testing.assert_allclose(estimate.chi, chi, atol=1e-12)
+
+    def test_ideal_config_keeps_the_canonical_basis(self):
+        config = ExperimentConfig(t2=100.0, decoherence_time=20.0, shots=500, seed=2)
+        results = run_experiment(config)
+        declared = run_process_tomography(results)
+        plain = run_process_tomography([list(r.records) for r in results])
+        np.testing.assert_array_equal(declared.chi, plain.chi)
+
+    def test_different_preparations_rejected(self):
+        a = run_experiment(ExperimentConfig(t2=100.0, polarization=0.9))
+        b = run_experiment(ExperimentConfig(t2=100.0, pulse_error=0.1))
+        with pytest.raises(ValueError, match="different preparations"):
+            run_process_tomography(a[:2] + b[2:])
+        with pytest.raises(ValueError, match="different preparations"):
+            run_process_tomography(a[:3] + [list(a[3].records)])
+
+    @pytest.mark.parametrize(
+        "polarization, pulse_error", [(0.5, 0.0), (1.0, -1.0), (1.0, 1.0)]
+    )
+    def test_non_spanning_preparation_rejected(self, polarization, pulse_error):
+        config = ExperimentConfig(
+            t2=100.0, polarization=polarization, pulse_error=pulse_error
+        )
+        with pytest.raises(ValueError, match="declared preparation.*does not span"):
+            run_process_tomography(run_experiment(config))
+
+
+def assert_estimates_match(new, old):
+    """Every ProcessEstimate field within round-off of the loop oracle."""
+    for name in ("chi", "lambda_matrix"):
+        np.testing.assert_allclose(getattr(new, name), getattr(old, name), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(new.affine.matrix, old.affine.matrix, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        new.affine.translation, old.affine.translation, rtol=0, atol=1e-14
+    )
+    assert (new.cp_flag, new.tp_flag) == (old.cp_flag, old.tp_flag)
+    for name in ("cp_min_eigenvalue", "tp_deficit", "anti_hermitian_norm"):
+        assert getattr(new, name) == pytest.approx(getattr(old, name), rel=0, abs=1e-14)
+    np.testing.assert_allclose(new.residuals, old.residuals, rtol=1e-15, atol=1e-14)
+    for a, b in zip(new.state_estimates, old.state_estimates, strict=True):
+        np.testing.assert_allclose(a.rho, b.rho, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(a.bloch, b.bloch, rtol=0, atol=1e-14)
+        assert a.entropy == pytest.approx(b.entropy, rel=0, abs=1e-12)
+        assert a.residual == pytest.approx(b.residual, rel=1e-15, abs=1e-14)
+        assert a.complete == b.complete
+
+
+class TestAgainstLoopOracle:
+    """The batched fit and cached maps agree with the per-record loops."""
+
+    @pytest.mark.parametrize("shots", [None, 1, 100, 1000, 10**5])
+    def test_simulated_records(self, shots):
+        for seed in range(8):
+            config = ExperimentConfig(
+                t2=100.0, t1=(math.inf, 150.0)[seed % 2],
+                decoherence_time=(20.0, 40.0, 80.0)[seed % 3], shots=shots, seed=seed,
+            )
+            records = run_experiment(config)
+            assert_estimates_match(
+                run_process_tomography(records), loop_run_process_tomography(records)
+            )
+
+    def test_partial_and_out_of_ball_records(self, rng):
+        for _ in range(200):
+            sets = []
+            for _ in range(4):
+                axes = [a for a in AXES if rng.random() < 0.7] or ["z"]
+                scale = rng.choice([0.3, 1.0, 1.8, 50.0])
+                sets.append(
+                    [ExpectationRecord(a, scale * rng.uniform(-1, 1)) for a in axes]
+                )
+            assert_estimates_match(
+                run_process_tomography(sets), loop_run_process_tomography(sets)
+            )
+
+    def test_edge_values(self):
+        sets = [
+            [ExpectationRecord("z", 0.0)],
+            [ExpectationRecord("x", 1.0), ExpectationRecord("y", 0.0), ExpectationRecord("z", 0.0)],
+            [ExpectationRecord("x", -1e300), ExpectationRecord("y", 1e-300)],
+            [ExpectationRecord("y", 1.0 + 1e-16), ExpectationRecord("z", -0.0)],
+        ]
+        assert_estimates_match(
+            run_process_tomography(sets), loop_run_process_tomography(sets)
+        )
+
+    def test_lambda_and_expansion(self, rng):
+        for _ in range(20):
+            outputs = [random_density_matrix(rng) for _ in range(4)]
+            basis = [random_density_matrix(rng) for _ in range(4)]
+            for rho_basis in (None, basis):
+                np.testing.assert_allclose(
+                    lambda_from_outputs(outputs, rho_basis),
+                    loop_lambda_from_outputs(outputs, rho_basis),
+                    rtol=1e-12, atol=1e-12,
+                )
+                np.testing.assert_allclose(
+                    expand_in_state_basis(outputs[0], rho_basis),
+                    loop_expand_in_state_basis(outputs[0], rho_basis),
+                    rtol=1e-12, atol=1e-12,
+                )
+
+    def test_errors_match(self):
+        sets = exact_records(IDENTITY_CHI)
+        sets[1] = [ExpectationRecord(axis, 1.7e308) for axis in AXES]
+        too_large = r"input state 1 \(\|1><1\|\): expectation values too large"
+        for reconstruct in (run_process_tomography, loop_run_process_tomography):
+            with pytest.raises(ValueError, match=too_large):
+                reconstruct(sets)
+        sets[1] = []
+        for reconstruct in (run_process_tomography, loop_run_process_tomography):
+            with pytest.raises(ValueError, match="input state 1.*at least one"):
+                reconstruct(sets)

@@ -1,10 +1,18 @@
 """Simulated decoherence experiment: preparation, evolution, sampling."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from conftest import (
+    loop_measure,
+    loop_run_experiment,
+    random_cptp_chi,
+    random_density_matrix,
+)
 from qpt import channels as ch
 from qpt import states
 from qpt.process_tomography import run_process_tomography
@@ -16,10 +24,20 @@ from qpt.simulator import (
     evolve,
     measure,
     prepare_input,
+    prepared_inputs,
     preset_config,
     run_experiment,
     true_channel,
 )
+
+
+def record_bits(results):
+    """(input, axis, value bits, shots) of every record: ``-0.0`` differs from ``0.0``."""
+    return [
+        (result.input_index, r.axis, np.float64(r.value).tobytes(), r.shots)
+        for result in results
+        for r in result.records
+    ]
 
 
 class TestExperimentConfig:
@@ -114,6 +132,20 @@ class TestPrepareInput:
         assert bloch[2] == pytest.approx(math.cos(1.1 * math.pi), abs=1e-12)
         ideal = prepare_input(ExperimentConfig(t2=100.0), 2)
         assert np.linalg.norm(rho - ideal) > 0.01
+
+    @pytest.mark.parametrize(
+        "polarization, pulse_error", [(1.0, 0.0), (0.7, 0.0), (0.9, -0.1), (1.0, 0.2)]
+    )
+    def test_prepared_stack_matches_and_is_read_only(self, polarization, pulse_error):
+        config = ExperimentConfig(t2=100.0, polarization=polarization, pulse_error=pulse_error)
+        stack = prepared_inputs(config)
+        assert stack.shape == (INPUT_COUNT, 2, 2)
+        for index in range(1, INPUT_COUNT + 1):
+            np.testing.assert_array_equal(stack[index - 1], prepare_input(config, index))
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 5.0
+        assert prepared_inputs(ExperimentConfig(t2=50.0, polarization=polarization,
+                                                pulse_error=pulse_error, seed=9)) is stack
 
     def test_bad_index(self):
         with pytest.raises(ValueError, match="input index"):
@@ -279,10 +311,103 @@ class TestRunExperiment:
 
 class TestPolarizationImperfection:
     def test_reduced_polarization_scales_affine(self):
-        # With polarization p the prepared Bloch vectors shrink by (2p - 1),
-        # and reconstruction through the identity sees that shrink as the
-        # channel: affine matrix (2p - 1) I, no translation.
+        # With polarization p the prepared Bloch vectors shrink by (2p - 1).
+        # Records that carry their config are reconstructed over the
+        # declared inputs and recover the identity; the same values as plain
+        # record lists are read against the canonical inputs, which see the
+        # shrink as the channel: affine matrix (2p - 1) I, no translation.
         config = ExperimentConfig(t2=100.0, polarization=0.7)
-        estimate = run_process_tomography(run_experiment(config))
-        np.testing.assert_allclose(estimate.affine.matrix, 0.4 * np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(estimate.affine.translation, np.zeros(3), atol=1e-12)
+        results = run_experiment(config)
+        declared = run_process_tomography(results)
+        np.testing.assert_allclose(declared.affine.matrix, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(declared.affine.translation, np.zeros(3), atol=1e-12)
+        plain = run_process_tomography([list(r.records) for r in results])
+        np.testing.assert_allclose(plain.affine.matrix, 0.4 * np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(plain.affine.translation, np.zeros(3), atol=1e-12)
+
+
+class TestAgainstLoopOracle:
+    """The whole-array run gives the per-record loop's records bit for bit."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("shots", [None, 1, 100, 1000, 10**5])
+    @pytest.mark.parametrize("t1", [math.inf, 150.0])
+    def test_run_experiment_records(self, preset, shots, t1):
+        for seed in (0, 1, 77, 2**64 - 1):
+            config = preset_config(preset, shots=shots, seed=seed)
+            config = ExperimentConfig(
+                t2=config.t2, t1=t1, decoherence_time=config.decoherence_time,
+                shots=shots, seed=seed,
+            )
+            assert record_bits(run_experiment(config)) == record_bits(
+                loop_run_experiment(config)
+            )
+
+    @pytest.mark.parametrize("shots", [None, 1, 100, 1000, 10**5])
+    def test_channel_override_and_preparations(self, rng, shots):
+        for seed in range(6):
+            chi = random_cptp_chi(rng)
+            config = ExperimentConfig(
+                t2=100.0, shots=shots, seed=seed,
+                polarization=(1.0, 0.8, 0.95)[seed % 3],
+                pulse_error=(0.0, 0.05, -0.1)[seed % 3],
+            )
+            assert record_bits(run_experiment(config, channel=chi)) == record_bits(
+                loop_run_experiment(config, channel=chi)
+            )
+
+    @pytest.mark.parametrize("shots", [None, 1, 1000])
+    def test_measure(self, rng, shots):
+        for seed in range(5):
+            config = ExperimentConfig(t2=100.0, shots=shots, seed=seed)
+            rho = random_density_matrix(rng) if seed else states.projector(states.KET_0)
+            for input_index in (0, 1, 4):
+                new = measure(config, rho, input_index)
+                old = loop_measure(config, rho, input_index)
+                assert [(r.axis, r.shots) for r in new] == [(r.axis, r.shots) for r in old]
+                assert [np.float64(r.value).tobytes() for r in new] == [
+                    np.float64(r.value).tobytes() for r in old
+                ]
+
+    def test_non_finite_channel_rejected(self):
+        chi = np.eye(4, dtype=complex)
+        chi[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            run_experiment(ExperimentConfig(t2=100.0), channel=chi)
+
+
+def test_concurrent_runs_match_serial():
+    config = ExperimentConfig(t2=100.0, decoherence_time=40.0, shots=1000, seed=31)
+    serial = record_bits(run_experiment(config))
+
+    def runs(_):
+        return [record_bits(run_experiment(config)) for _ in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as allowed
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [bits for batch in pool.map(runs, range(4)) for bits in batch]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 800
+    assert all(bits == serial for bits in results)
+
+
+def test_each_call_owns_its_bit_generator(monkeypatch):
+    # A generator shared between calls would be rekeyed by one thread while
+    # another draws from it.  Under CPython's global interpreter lock the
+    # rekey and the draw happen not to be split, so the threaded test above
+    # cannot see the sharing; this one does.
+    made = []
+    philox = np.random.Philox
+
+    def tracked(*args, **kwargs):
+        made.append(philox(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "Philox", tracked)
+    config = ExperimentConfig(t2=100.0, shots=100, seed=4)
+    run_experiment(config)
+    measure(config, states.projector(states.KET_PLUS), input_index=3)
+    assert len(made) == 2 and made[0] is not made[1]

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exhaustive_ball_minimum
+from conftest import exhaustive_ball_minimum, loop_reconstruct_state
 from qpt import states
-from qpt.state_tomography import AXES, ExpectationRecord, reconstruct_state
+from qpt.state_tomography import AXES, ExpectationRecord, fit_states, reconstruct_state
 
 IN_BALL = st.floats(-0.577, 0.577, allow_nan=False)
 
@@ -154,3 +154,47 @@ class TestAgainstDirectMinimization:
         # The closed form is never worse than the grid, and lands on its argmin.
         assert estimate.residual <= grid_residual + 1e-12
         assert np.linalg.norm(grid_best - estimate.bloch) <= 0.01
+
+
+ANY_VALUE = st.one_of(
+    st.none(),
+    st.floats(-2.0, 2.0, allow_nan=False),
+    st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestAgainstLoopOracle:
+    @given(x=ANY_VALUE, y=ANY_VALUE, z=ANY_VALUE)
+    def test_single_state(self, x, y, z):
+        records = records_for(x=x, y=y, z=z)
+        if not records:
+            return
+        try:
+            old = loop_reconstruct_state(records)
+        except ValueError:
+            with pytest.raises(ValueError, match="float range"):
+                reconstruct_state(records)
+            return
+        new = reconstruct_state(records)
+        np.testing.assert_allclose(new.bloch, old.bloch, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(new.rho, old.rho, rtol=0, atol=1e-15)
+        assert new.residual == pytest.approx(old.residual, rel=1e-15, abs=1e-15)
+        assert new.entropy == pytest.approx(old.entropy, rel=0, abs=1e-12)
+        assert new.complete == old.complete
+
+    def test_rows_fit_independently(self, rng):
+        target = rng.uniform(-3.0, 3.0, size=(50, 3))
+        measured = rng.random((50, 3)) < 0.7
+        target[~measured] = 0.0
+        fit = fit_states(target, measured)
+        assert fit.rho.shape == (50, 2, 2)
+        for row, estimate in enumerate(fit.estimates()):
+            alone = fit_states(target[row : row + 1], measured[row : row + 1])
+            np.testing.assert_array_equal(estimate.bloch, alone.bloch[0])
+            assert estimate.residual == alone.residual[0]
+            assert estimate.complete == bool(measured[row].all())
+
+    def test_overflow_names_the_row(self):
+        target = np.array([[0.1, 0.2, 0.3], [1.7e308, 1.7e308, 1.7e308]])
+        with pytest.raises(ValueError, match="^second: expectation values too large"):
+            fit_states(target, np.ones((2, 3), bool), ["first", "second"])
