@@ -2,13 +2,23 @@
 
 State metrics follow the squared-trace fidelity convention,
 ``F(a, b) = (tr sqrt(sqrt(a) b sqrt(a)))^2``, so for pure states F is the
-transition probability ``|<psi|phi>|^2``.  The derived quantities are the
-Bures metric ``B = sqrt(2 - 2 sqrt(F))`` and ``C = sqrt(1 - F)``, which obey
-``1 - sqrt(F) <= D <= C`` against the trace distance D.
+transition probability ``|<psi|phi>|^2``.  It is computed as the squared
+trace norm ``F = ||sqrt(a) sqrt(b)||_1^2`` (Jozsa, J. Mod. Opt. 41, 2315,
+1994; Nielsen & Chuang, section 9.2.2) from one eigendecomposition of each
+operand: with ``R = V diag(sqrt(w))`` built from the clamped, renormalized
+spectrum, ``sqrt(a) sqrt(b) = V_a (R_a^dag R_b) V_b^dag``, so F is the
+squared sum of singular values of ``R_a^dag R_b``.  No square root of a
+product is taken, which keeps F exact on rank-deficient states.  The
+derived quantities are the Bures metric ``B = sqrt(2 - 2 sqrt(F))`` and
+``C = sqrt(1 - F)``, which obey ``1 - sqrt(F) <= D <= C`` against the trace
+distance D.
 
 Process discrepancies are plain matrix norms of the difference of two
 coefficient matrices, which stay meaningful even when one of the processes
-is unphysical and fidelity-based comparisons would not be.
+is unphysical and fidelity-based comparisons would not be.  The Choi state
+is the chi matrix conjugated by a fixed unitary, so the trace distance of
+two Choi states equals the process trace distance ``d_pro`` of the norm
+block, and the state block reuses it.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import CP_TOL, choi_from_chi
-from .states import matrix_sqrt, validate_density_matrix
+from .states import check_density_form, check_lowest_eigenvalue
 
 
 class MatrixNorms(NamedTuple):
@@ -77,35 +87,49 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     raises ``InvalidStateError``: unphysical estimates must be projected
     before fidelity is meaningful.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    validate_density_matrix(a, dim=None, eigenvalue_tol=CP_TOL, context="first state")
-    validate_density_matrix(b, dim=None, eigenvalue_tol=CP_TOL, context="second state")
-    root_a = matrix_sqrt(_clamped(a))
-    inner = root_a @ _clamped(b) @ root_a
-    values = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    total = float(np.sqrt(np.clip(values, 0.0, None)).sum())
+    return _fidelity(a, b, (None, None))
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray, spectra) -> float:
+    """Validate both states and return ``||sqrt(a) sqrt(b)||_1^2``, capped at 1.
+
+    ``spectra`` holds the ``eigh`` of each Hermitian part, or ``None`` where
+    the caller has not decomposed it yet.  Each root factor
+    ``R = V diag(sqrt(w))`` uses the spectrum clipped at zero and
+    renormalized to unit sum, so ``R R^dag`` is the clamped, trace-1 state.
+    """
+    roots = []
+    for rho, context, spectrum in zip((a, b), ("first state", "second state"), spectra):
+        rho = check_density_form(rho, dim=None, context=context)
+        if spectrum is None:
+            spectrum = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+        values, vectors = spectrum
+        check_lowest_eigenvalue(values, CP_TOL, context)
+        values = np.clip(values, 0.0, None)
+        roots.append(vectors * np.sqrt(values / values.sum()))
+    total = float(np.linalg.svd(roots[0].conj().T @ roots[1], compute_uv=False).sum())
     return min(total * total, 1.0)
 
 
-def _clamped(rho: np.ndarray) -> np.ndarray:
-    """Zero out slightly negative eigenvalues and renormalize the trace."""
-    values, vectors = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    values = np.clip(values, 0.0, None)
-    clean = (vectors * values) @ vectors.conj().T
-    return clean / clean.trace().real
+def _bures_from_fidelity(f: float) -> float:
+    return float(np.sqrt(max(2.0 - 2.0 * np.sqrt(f), 0.0)))
+
+
+def _c_from_fidelity(f: float) -> float:
+    return float(np.sqrt(max(1.0 - f, 0.0)))
 
 
 def bures_metric(a: np.ndarray, b: np.ndarray) -> float:
     """``sqrt(2 - 2 sqrt(F))``; zero iff the states coincide."""
-    return float(np.sqrt(max(2.0 - 2.0 * np.sqrt(fidelity(a, b)), 0.0)))
+    return _bures_from_fidelity(fidelity(a, b))
 
 
 def c_metric(a: np.ndarray, b: np.ndarray) -> float:
     """``sqrt(1 - F)``, the upper bound of the trace distance."""
-    return float(np.sqrt(max(1.0 - fidelity(a, b), 0.0)))
+    return _c_from_fidelity(fidelity(a, b))
 
 
 @dataclass(frozen=True)
@@ -191,11 +215,11 @@ def process_distance_report(
         raise ValueError("both processes must be 4x4 coefficient matrices")
     report = DiscrepancyReport.from_difference(chi_a - chi_b, context)
 
-    choi_a = choi_from_chi(chi_a)
-    choi_b = choi_from_chi(chi_b)
+    chois = (choi_from_chi(chi_a), choi_from_chi(chi_b))
+    spectra = [np.linalg.eigh((choi + choi.conj().T) / 2.0) for choi in chois]
     unphysical = []
-    for label, choi in zip(context, (choi_a, choi_b)):
-        lowest = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
+    for label, choi, (values, _) in zip(context, chois, spectra):
+        lowest = float(values[0])
         trace = choi.trace().real
         if lowest < -CP_TOL:
             unphysical.append(f"{label} (eigenvalue {lowest:.3e})")
@@ -207,11 +231,11 @@ def process_distance_report(
             state_metrics=None,
             skip_reason="skipped: unphysical Choi for " + ", ".join(unphysical),
         )
-    f = fidelity(choi_a, choi_b)
+    f = _fidelity(*chois, spectra)
     block = StateMetricBlock(
-        trace_distance=trace_distance(choi_a, choi_b),
+        trace_distance=report.trace_distance_pro,
         fidelity=f,
-        bures=float(np.sqrt(max(2.0 - 2.0 * np.sqrt(f), 0.0))),
-        c_metric=float(np.sqrt(max(1.0 - f, 0.0))),
+        bures=_bures_from_fidelity(f),
+        c_metric=_c_from_fidelity(f),
     )
     return ProcessComparison(norms=report, state_metrics=block, skip_reason=None)

@@ -29,7 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import apply_chi, compose_chi, rotation_unitary, standard_channel
+from .channels import (
+    AffineMap,
+    apply_chi,
+    chi_from_affine,
+    rotation_unitary,
+    standard_channel,
+)
 from .states import KET_0, SIGMA_X, SIGMA_Y, SIGMA_Z, projector
 from .state_tomography import AXES, ExpectationRecord
 
@@ -169,14 +175,17 @@ def _prepared_stack(polarization: float, pulse_error: float) -> np.ndarray:
 def true_channel(config: ExperimentConfig) -> np.ndarray:
     """Coefficient matrix of the configured decoherence interval.
 
-    Dephasing and amplitude damping commute as Bloch maps, so the
-    composition order is immaterial.
+    Dephasing by ``f = exp(-t/t2)`` and damping by ``gamma = 1 - exp(-t/t1)``
+    commute as Bloch maps; their composition is the affine map
+    ``diag(f sqrt(1 - gamma), f sqrt(1 - gamma), 1 - gamma)`` with
+    translation ``(0, 0, gamma)``.
     """
-    dephasing = standard_channel("dephasing", t=config.decoherence_time, t2=config.t2)
     if math.isinf(config.t1):
-        return dephasing
-    damping = standard_channel("amplitude_damping", t=config.decoherence_time, t1=config.t1)
-    return compose_chi(dephasing, damping)
+        return standard_channel("dephasing", t=config.decoherence_time, t2=config.t2)
+    keep = math.exp(-config.decoherence_time / config.t1)
+    shrink = math.exp(-config.decoherence_time / config.t2) * math.sqrt(keep)
+    affine = AffineMap(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
+    return chi_from_affine(affine)
 
 
 def evolve(config: ExperimentConfig, rho: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Qubit states, Bloch vectors, and the shared Hermitian-matrix kernel.
+"""Qubit states, Bloch vectors, and density-matrix validation.
 
 Conventions used across the package:
 
@@ -14,7 +14,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,56 +97,14 @@ def hermitian_eigensystem(
     return values[order], vectors[:, order]
 
 
-def matrix_function(
-    m: np.ndarray,
-    f: Callable[[float], float],
-    clamp_negative: bool = False,
+def check_density_form(
+    rho: np.ndarray, dim: int | None = 2, context: str = "density matrix"
 ) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
+    """The non-spectral checks of :func:`validate_density_matrix`.
 
-    With ``clamp_negative`` set, eigenvalues in ``(-EIGENVALUE_CLAMP, 0)``
-    are treated as exact zeros before ``f`` is applied; anything below the
-    clamp raises ``InvalidStateError``.  ``f`` undefined (raising, or
-    returning a non-finite value) at a needed eigenvalue raises
-    ``ValueError``.
-    """
-    values, vectors = hermitian_eigensystem(m)
-    if clamp_negative:
-        if values[-1] < -EIGENVALUE_CLAMP:
-            raise InvalidStateError(
-                f"eigenvalue {values[-1]:.3e} below clamp -{EIGENVALUE_CLAMP:g}"
-            )
-        values = np.clip(values, 0.0, None)
-    mapped = np.empty_like(values)
-    for i, v in enumerate(values):
-        try:
-            mapped[i] = float(f(v))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"function undefined at eigenvalue {v!r}: {exc}") from exc
-    if not np.all(np.isfinite(mapped)):
-        raise ValueError("function returned a non-finite value on the spectrum")
-    return (vectors * mapped) @ vectors.conj().T
-
-
-def matrix_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix (tiny negatives clamped)."""
-    return matrix_function(m, math.sqrt, clamp_negative=True)
-
-
-def matrix_abs(m: np.ndarray) -> np.ndarray:
-    return matrix_function(m, abs)
-
-
-def validate_density_matrix(
-    rho: np.ndarray,
-    dim: int | None = 2,
-    eigenvalue_tol: float = EIGENVALUE_CLAMP,
-    context: str = "density matrix",
-) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; return the array.
-
-    Raises ``InvalidStateError`` describing the first violated constraint.
-    ``dim=None`` accepts any square dimension (used for bipartite states).
+    Shape, finiteness, Hermiticity and unit trace, in that order; returns
+    ``rho`` as a complex array.  A caller that needs the spectrum anyway
+    decomposes once and passes it to :func:`check_lowest_eigenvalue`.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -161,11 +119,36 @@ def validate_density_matrix(
     trace = rho.trace()
     if abs(trace - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
-    lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+    return rho
+
+
+def check_lowest_eigenvalue(
+    values: np.ndarray,
+    eigenvalue_tol: float = EIGENVALUE_CLAMP,
+    context: str = "density matrix",
+) -> None:
+    """Positivity check on an ascending spectrum (as ``eigh`` returns it)."""
+    lowest = float(values[0])
     if lowest < -eigenvalue_tol:
         raise InvalidStateError(
             f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
         )
+
+
+def validate_density_matrix(
+    rho: np.ndarray,
+    dim: int | None = 2,
+    eigenvalue_tol: float = EIGENVALUE_CLAMP,
+    context: str = "density matrix",
+) -> np.ndarray:
+    """Check Hermiticity, unit trace, and positivity; return the array.
+
+    Raises ``InvalidStateError`` describing the first violated constraint.
+    ``dim=None`` accepts any square dimension (used for bipartite states).
+    """
+    rho = check_density_form(rho, dim, context)
+    values = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    check_lowest_eigenvalue(values, eigenvalue_tol, context)
     return rho
 
 
@@ -210,8 +193,9 @@ def density_from_bloch(r: Sequence[float]) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy ``-sum p ln p`` in nats over the clamped spectrum of ``rho``."""
-    rho = validate_density_matrix(rho, dim=None)
+    rho = check_density_form(rho, dim=None)
     values = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    check_lowest_eigenvalue(values)
     values = np.clip(values, 0.0, 1.0)
     positive = values[values > 0.0]
     return max(float(-np.sum(positive * np.log(positive))), 0.0)

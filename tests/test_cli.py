@@ -320,6 +320,20 @@ class TestCompare:
     def test_malformed_factor(self, tmp_path):
         assert run("compare", "dephasing:x", "identity", "--out", tmp_path / "c.json") == 2
 
+    def test_non_hermitian_chi_exits_2(self, tmp_path, result_path, capsys):
+        # Hermitian part CPTP (fully depolarizing), anti-Hermitian 0.1j at [0, 1]
+        # and [1, 0]: the state metrics refuse it as an input error.
+        doc = json.loads(result_path.read_text())
+        chi = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        chi[0][1] = chi[1][0] = [0.0, 0.1]
+        doc["raw"]["chi"] = chi
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "c.json"
+        assert run("compare", broken, "identity", "--out", out) == 2
+        assert "not Hermitian" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRender:
     def test_raw_only(self, tmp_path, result_path):

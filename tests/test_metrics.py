@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+from conftest import random_cptp_chi, random_density_matrix
 from qpt import metrics, states
 from qpt import channels as ch
 from qpt.errors import InvalidStateError
@@ -77,6 +77,26 @@ class TestFidelity:
         assert metrics.fidelity(
             states.projector(states.KET_0), states.projector(states.KET_1)
         ) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rotated_rank_two_pairs(self, rng):
+        # Choi states of R o dephasing(f) are rank 2 and share the eigenbasis
+        # fixed by R, so F = (sqrt(p1 q1) + sqrt(p2 q2))^2 exactly.  The
+        # composition leaves round-off in the two null directions, which a
+        # square root of sqrt(a) b sqrt(a) would amplify to ~sqrt(eps).
+        for _ in range(100):
+            f1, f2 = rng.random(2)
+            u = ch.rotation_unitary(rng.standard_normal(3), rng.uniform(0.0, 2.0 * math.pi))
+            rotation = ch.chi_from_kraus([u])
+            a, b = (
+                ch.choi_from_chi(
+                    ch.compose_chi(ch.standard_channel("dephasing", factor=f), rotation)
+                )
+                for f in (f1, f2)
+            )
+            expected = (
+                math.sqrt((1.0 + f1) * (1.0 + f2)) + math.sqrt((1.0 - f1) * (1.0 - f2))
+            ) ** 2 / 4.0
+            assert abs(metrics.fidelity(a, b) - expected) <= 1e-12
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
@@ -166,17 +186,24 @@ class TestDiscrepancyReport:
 
 
 class TestProcessComparison:
-    def test_physical_pair_has_state_block(self):
-        a = ch.standard_channel("dephasing", factor=0.5)
-        b = ch.standard_channel("identity")
-        comparison = metrics.process_distance_report(a, b, context=("deph", "id"))
-        assert comparison.state_metrics is not None
-        assert comparison.skip_reason is None
-        assert 0.0 < comparison.state_metrics.fidelity < 1.0
-        assert comparison.state_metrics.bures == pytest.approx(
-            math.sqrt(2.0 - 2.0 * math.sqrt(comparison.state_metrics.fidelity)),
-            abs=1e-12,
-        )
+    def test_physical_pair_has_state_block(self, rng):
+        pairs = [
+            (ch.standard_channel("dephasing", factor=0.5), ch.standard_channel("identity"))
+        ]
+        pairs += [(random_cptp_chi(rng), random_cptp_chi(rng)) for _ in range(50)]
+        for a, b in pairs:
+            comparison = metrics.process_distance_report(a, b, context=("a", "b"))
+            assert comparison.state_metrics is not None
+            assert comparison.skip_reason is None
+            assert 0.0 < comparison.state_metrics.fidelity < 1.0
+            assert comparison.state_metrics.bures == pytest.approx(
+                math.sqrt(2.0 - 2.0 * math.sqrt(comparison.state_metrics.fidelity)),
+                abs=1e-12,
+            )
+            # The Choi states are the chi matrices under one fixed unitary, so
+            # their trace distance is the norm block's d_pro.
+            choi_distance = metrics.trace_distance(ch.choi_from_chi(a), ch.choi_from_chi(b))
+            assert abs(comparison.state_metrics.trace_distance - choi_distance) <= 1e-14
 
     def test_identical_pair(self):
         a = ch.standard_channel("identity")
@@ -205,6 +232,15 @@ class TestProcessComparison:
         assert comparison.state_metrics is None
         assert "leaky" in comparison.skip_reason
         assert "trace" in comparison.skip_reason
+
+    def test_non_hermitian_operand_with_cptp_hermitian_part_raises(self):
+        # The skip check reads the Hermitian part, which here is the fully
+        # depolarizing channel; the fidelity validation then rejects the
+        # anti-Hermitian remainder instead of silently symmetrizing it.
+        chi = np.eye(4, dtype=complex) / 4.0
+        chi[0, 1] = chi[1, 0] = 0.1j
+        with pytest.raises(InvalidStateError, match="first state: not Hermitian"):
+            metrics.process_distance_report(chi, ch.standard_channel("identity"))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""States module: Pauli algebra, Bloch conversions, and the matrix kernel."""
+"""States module: Pauli algebra, Bloch conversions, and validation."""
 
 import math
 
@@ -69,41 +69,6 @@ class TestEigensystem:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             states.hermitian_eigensystem(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestMatrixFunction:
-    def test_abs_of_sigma_z_is_identity(self):
-        assert np.allclose(states.matrix_abs(states.SIGMA_Z), np.eye(2))
-
-    def test_sqrt_squares_back(self, rng):
-        for _ in range(20):
-            rho = random_density_matrix(rng)
-            root = states.matrix_sqrt(rho)
-            assert np.allclose(root @ root, rho, atol=1e-12)
-
-    def test_commutes_with_argument(self, rng):
-        for _ in range(10):
-            rho = random_density_matrix(rng)
-            f_rho = states.matrix_function(rho, lambda x: x**3 + 2.0 * x)
-            assert np.linalg.norm(f_rho @ rho - rho @ f_rho) < 1e-9
-
-    def test_clamp_rejects_genuine_negatives(self):
-        with pytest.raises(InvalidStateError, match="clamp"):
-            states.matrix_sqrt(states.SIGMA_Z)
-
-    def test_clamp_accepts_tiny_negatives(self):
-        m = np.diag([1.0, -1e-12]).astype(complex)
-        root = states.matrix_sqrt(m)
-        assert np.allclose(root, np.diag([1.0, 0.0]))
-
-    def test_undefined_function_value(self):
-        singular = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError, match="undefined"):
-            states.matrix_function(singular, math.log, clamp_negative=True)
-
-    def test_non_finite_function_value(self):
-        with pytest.raises(ValueError):
-            states.matrix_function(np.eye(2), lambda x: float("nan"))
 
 
 class TestBlochConversions:
