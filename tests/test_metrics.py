@@ -98,6 +98,18 @@ class TestFidelity:
             ) ** 2 / 4.0
             assert abs(metrics.fidelity(a, b) - expected) <= 1e-12
 
+    def test_unitary_channel_choi_states(self, rng):
+        # Rank-1 Choi states of unitary channels U and V overlap by
+        # F = |tr(U^dag V)|^2 / 4.
+        for _ in range(50):
+            u, v = (
+                ch.rotation_unitary(rng.standard_normal(3), rng.uniform(0.0, 2.0 * math.pi))
+                for _ in range(2)
+            )
+            a, b = (ch.choi_from_chi(ch.chi_from_kraus([w])) for w in (u, v))
+            expected = abs(np.trace(u.conj().T @ v)) ** 2 / 4.0
+            assert abs(metrics.fidelity(a, b) - expected) <= 1e-12
+
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
             metrics.fidelity(np.diag([1.5, -0.5]), np.eye(2) / 2.0)
@@ -204,6 +216,17 @@ class TestProcessComparison:
             # their trace distance is the norm block's d_pro.
             choi_distance = metrics.trace_distance(ch.choi_from_chi(a), ch.choi_from_chi(b))
             assert abs(comparison.state_metrics.trace_distance - choi_distance) <= 1e-14
+
+    def test_state_block_matches_public_metrics(self, rng):
+        # The block reuses the CP-check spectra; it must agree with the public
+        # state metrics computed from scratch on the same Choi states.
+        for _ in range(30):
+            a, b = random_cptp_chi(rng), random_cptp_chi(rng)
+            block = metrics.process_distance_report(a, b).state_metrics
+            choi_a, choi_b = ch.choi_from_chi(a), ch.choi_from_chi(b)
+            assert block.fidelity == metrics.fidelity(choi_a, choi_b)
+            assert block.bures == metrics.bures_metric(choi_a, choi_b)
+            assert block.c_metric == metrics.c_metric(choi_a, choi_b)
 
     def test_identical_pair(self):
         a = ch.standard_channel("identity")

@@ -183,6 +183,18 @@ class TestTrueChannel:
             true_channel(config), ch.compose_chi(damping, dephasing), atol=1e-12
         )
 
+    def test_matches_composition_over_random_intervals(self, rng):
+        # The closed affine form against the composed standard channels.
+        for _ in range(50):
+            t2, t1 = rng.uniform(10.0, 300.0, size=2)
+            t = rng.uniform(0.0, 200.0)
+            config = ExperimentConfig(t2=t2, t1=t1, decoherence_time=t)
+            composed = ch.compose_chi(
+                ch.standard_channel("dephasing", t=t, t2=t2),
+                ch.standard_channel("amplitude_damping", t=t, t1=t1),
+            )
+            np.testing.assert_allclose(true_channel(config), composed, atol=1e-12)
+
     def test_zero_interval_is_identity(self):
         config = ExperimentConfig(t2=100.0, t1=50.0)
         np.testing.assert_allclose(

@@ -125,6 +125,22 @@ class TestValidation:
             states.validate_density_matrix(np.eye(4) / 4.0, dim=2)
         states.validate_density_matrix(np.eye(4) / 4.0, dim=None)
 
+    def test_density_form_leaves_spectrum_unchecked(self):
+        # Hermitian with unit trace but not PSD: the form check returns it as a
+        # complex array, and only the full validation rejects it.
+        m = np.diag([1.5, -0.5])
+        checked = states.check_density_form(m)
+        assert checked.dtype == complex
+        np.testing.assert_array_equal(checked, m)
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            states.validate_density_matrix(m)
+
+    def test_lowest_eigenvalue_tolerance(self):
+        states.check_lowest_eigenvalue(np.array([-0.5 * states.EIGENVALUE_CLAMP, 1.0]))
+        with pytest.raises(InvalidStateError, match=r"^probe: negative eigenvalue -2\.000e-10"):
+            states.check_lowest_eigenvalue(np.array([-2e-10, 1.0]), context="probe")
+        states.check_lowest_eigenvalue(np.array([-2e-10, 1.0]), eigenvalue_tol=1e-9)
+
 
 class TestEntropy:
     def test_pure_state_zero(self):
@@ -150,3 +166,10 @@ class TestEntropy:
     def test_rejects_invalid(self):
         with pytest.raises(InvalidStateError):
             states.von_neumann_entropy(np.diag([2.0, -1.0]))
+
+    def test_clamp_range(self):
+        # Round-off negatives inside the clamp count as zero weight; one just
+        # beyond it is rejected.
+        assert states.von_neumann_entropy(np.diag([1.0 + 5e-11, -5e-11])) == 0.0
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            states.von_neumann_entropy(np.diag([1.0 + 2e-10, -2e-10]))
