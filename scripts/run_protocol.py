@@ -30,7 +30,7 @@ from qpt.io import (
 from qpt.mesh import ellipsoid_mesh, mesh_metadata, obj_text
 from qpt.metrics import process_distance_report
 from qpt.process_tomography import run_process_tomography
-from qpt.projection import project_to_physical, projection_report
+from qpt.projection import project_to_physical
 from qpt.simulator import PRESETS, preset_config, run_experiment
 
 
@@ -39,16 +39,13 @@ def run_one(name: str, shots: int | None, seed: int, out_dir: Path) -> dict:
     records = run_experiment(config)
     estimate = run_process_tomography(records)
     result = project_to_physical(estimate.chi)
-    report = projection_report(estimate.chi, result)
     comparison = process_distance_report(
-        estimate.chi, result.chi_tilde, context=("raw", "projected")
+        estimate.chi, result.chi_tilde, context=("estimated", "projected")
     )
 
     stem = out_dir / name
     write_json_atomic(str(stem) + ".records.json", records_document(records))
-    doc = attach_projection(
-        result_document(estimate, config=config), result, report, comparison
-    )
+    doc = attach_projection(result_document(estimate, config=config), result, comparison)
     write_json_atomic(str(stem) + ".result.json", doc)
     affine = affine_from_chi(result.chi_tilde)
     mesh = ellipsoid_mesh(affine)
@@ -64,10 +61,10 @@ def run_one(name: str, shots: int | None, seed: int, out_dir: Path) -> dict:
         "raw_physical": estimate.physical,
         "distance": result.distance,
         "norms": (
-            report.p1_norm,
-            report.p2_norm,
-            report.frobenius_norm,
-            report.trace_distance_pro,
+            comparison.norms.p1_norm,
+            comparison.norms.p2_norm,
+            comparison.norms.frobenius_norm,
+            comparison.norms.trace_distance_pro,
         ),
     }
 

@@ -66,7 +66,8 @@ _CHOI_BASIS = np.stack(
 _PTM_TENSOR = 0.5 * np.einsum(
     "iab,mbc,jcd,nad->ijmn", _PAULI_STACK, _OPS, _PAULI_STACK, _OPS.conj()
 ).reshape(4, 4, 16).reshape(16, 16)
-_CHI_FROM_PTM = np.linalg.inv(_PTM_TENSOR)
+# The tensor is twice a unitary, so its inverse is its adjoint over 4.
+_CHI_FROM_PTM = _PTM_TENSOR.conj().T / 4.0
 
 
 @dataclass(frozen=True)
@@ -365,10 +366,14 @@ def standard_channel(kind: str, **params) -> np.ndarray:
         ).astype(complex)
     if kind == "amplitude_damping":
         # _decay_fraction yields gamma directly when gamma= is given, and the
-        # survival probability exp(-t/t1) otherwise.
+        # survival probability exp(-t/t1) otherwise.  The survival is used
+        # as is: 1 - (1 - survival) cancels to 0 once it drops below ~1e-16.
         fraction = _decay_fraction(params, "t1", "gamma", "amplitude_damping")
-        gamma = fraction if "gamma" in params else 1.0 - fraction
-        keep = math.sqrt(1.0 - gamma)
+        if "gamma" in params:
+            gamma, survival = fraction, 1.0 - fraction
+        else:
+            gamma, survival = 1.0 - fraction, fraction
+        keep = math.sqrt(survival)
         decay = np.array([[1.0, 0.0], [0.0, keep]], dtype=complex)
         jump = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
         return chi_from_kraus([decay, jump])

@@ -23,7 +23,7 @@ from .errors import ConfigError, NonConvergenceError, QptError
 from .mesh import ellipsoid_mesh, mesh_metadata, write_obj
 from .metrics import process_distance_report
 from .process_tomography import run_process_tomography
-from .projection import MAX_ITERATIONS, project_to_physical, projection_report
+from .projection import MAX_ITERATIONS, project_to_physical
 from .simulator import PRESETS, ExperimentConfig, preset_config, run_experiment
 
 log = logging.getLogger("qpt")
@@ -132,11 +132,10 @@ def _project_into_document(doc: dict, max_iterations: int) -> int:
         log.error("projection did not converge: %s", exc)
         result = exc.best_result
         code = 4
-    report = projection_report(chi, result)
     comparison = process_distance_report(
         chi, result.chi_tilde, context=("estimated", "projected")
     )
-    qio.attach_projection(doc, result, report, comparison)
+    qio.attach_projection(doc, result, comparison)
     return code
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import AffineMap, affine_from_chi
 from .errors import ConfigError
-from .metrics import DiscrepancyReport, ProcessComparison
+from .metrics import ProcessComparison
 from .process_tomography import ProcessEstimate
 from .projection import ProjectionResult
 from .simulator import INPUT_COUNT, ExperimentConfig, MeasurementRecord
@@ -261,10 +261,13 @@ def result_document(
 def attach_projection(
     doc: dict,
     result: ProjectionResult,
-    report: DiscrepancyReport,
     comparison: ProcessComparison,
 ) -> dict:
-    """Fill the projection sections of a result document in place."""
+    """Fill the projection sections of a result document in place.
+
+    ``comparison`` compares the estimate with ``result.chi_tilde``; its norm
+    block is written as the discrepancy removed by projection.
+    """
     doc["projected"] = {
         "chi": encode_complex_matrix(result.chi_tilde),
         "affine": encode_affine(affine_from_chi(result.chi_tilde)),
@@ -274,7 +277,7 @@ def attach_projection(
         "tp_residual": result.tp_residual,
         "min_eigenvalue": result.min_eigenvalue,
     }
-    doc["discrepancy"] = report.as_dict()
+    doc["discrepancy"] = comparison.norms.as_dict()
     if comparison.state_metrics is None:
         doc["state_metrics"] = {"skipped": comparison.skip_reason}
     else:

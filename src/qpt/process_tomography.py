@@ -2,20 +2,23 @@
 
 The pipeline follows the linear-inversion scheme: prepare the spanning
 inputs ``{|0><0|, |1><1|, |+><+|, |+i><+i|}``, tomograph each output state,
-express the outputs in the input-state basis (the lambda matrix), and solve
-``beta . chi = lambda`` through the pseudoinverse of the fixed transfer
-tensor beta, where ``A_m rho_j A_n^dag = sum_k beta[(j, k), (m, n)] rho_k``.
+and invert the linear relation between the inputs and the outputs.
 
-Both steps are fixed linear maps of the input basis: ``lambda`` is
-``vec(outputs) @ inverse.T`` for the inverse of the basis system, and
-``vec(chi) = pinv(beta) @ vec(lambda)``.  The two matrices are built and
-the basis rank-checked once per basis, then cached.  The basis is the
+In Pauli coordinates ``coords(m)[i] = tr(sigma_i m)``, let ``P_B`` hold the
+inputs' coordinates as columns and ``P_O`` the outputs'.  The Pauli transfer
+matrix ``R[i, j] = (1/2) tr(sigma_i E(sigma_j))`` of the channel satisfies
+``P_O = R P_B``, so ``R = P_O P_B^-1``, and chi is the image of ``R`` under
+the fixed inverse transfer tensor of :mod:`qpt.channels`.  The lambda matrix
+(the outputs expanded over the inputs, row j = image of rho_j) is
+``(P_B^-1 P_O)^T``.  ``P_B^-1`` is the one per-basis object: it is built
+and the basis rank-checked once per basis, then cached.  The basis is the
 canonical one unless the records declare a non-ideal preparation
 (``polarization != 1`` or ``pulse_error != 0`` in their config), in which
 case it is the declared prepared inputs.
 
-Measurement noise makes the recovered chi slightly non-Hermitian; the
-estimate keeps the symmetrized matrix and records the norm of the
+Fitted outputs are Hermitian with trace 1, so ``R`` is real with first row
+``(1, 0, 0, 0)`` and chi is Hermitian and trace preserving up to round-off.
+The estimate keeps the Hermitian part of chi and records the norm of the
 discarded anti-Hermitian part as a diagnostic.
 
 chi is the one reconstructed object: every other representation of the
@@ -27,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import (
+    _CHI_FROM_PTM,
     AffineMap,
     affine_from_chi,
     is_completely_positive,
@@ -42,7 +46,7 @@ from .states import (
     KET_1,
     KET_PLUS,
     KET_PLUS_I,
-    OPERATION_ELEMENTS,
+    PAULIS,
     hermiticity_defect,
     projector,
 )
@@ -60,9 +64,12 @@ _INPUT_STATES = tuple(projector(k) for k in (KET_0, KET_1, KET_PLUS, KET_PLUS_I)
 for _s in _INPUT_STATES:
     _s.setflags(write=False)
 _INPUT_STACK = np.stack(_INPUT_STATES)
-_OPS = np.stack(OPERATION_ELEMENTS)
 
-_PINV_RCOND = 1e-10
+# Pauli coordinates: coords(m) = _COORDS @ vec(m), row i is vec(sigma_i^T).
+# _COORDS is sqrt(2) times a unitary, so the rank test of the coordinates
+# scales the 1e-10 tolerance on the vectorized basis by sqrt(2).
+_COORDS = np.stack([p.T for p in PAULIS]).reshape(4, 4)
+_RANK_TOL = np.sqrt(2.0) * 1e-10
 
 
 def input_basis() -> tuple[np.ndarray, ...]:
@@ -79,39 +86,26 @@ def _basis_stack(rho_basis: Sequence[np.ndarray] | None) -> np.ndarray:
     return stack
 
 
-class _BasisMaps(NamedTuple):
-    """The fixed linear maps of one spanning input basis.
-
-    ``inverse`` inverts the 4x4 system whose columns are the vectorized
-    basis states, so ``inverse @ vec(m)`` are the coefficients of ``m`` over
-    the basis; ``beta`` is the transfer tensor over the canonical operation
-    elements and ``pinv`` its pseudoinverse, mapping ``vec(lambda)`` to
-    ``vec(chi)``.  All three are read-only.
-    """
-
-    inverse: np.ndarray
-    beta: np.ndarray
-    pinv: np.ndarray
+def _coords(stack: np.ndarray) -> np.ndarray:
+    """Pauli coordinates of a (k, 2, 2) stack, one column per matrix."""
+    return _COORDS @ stack.reshape(-1, 4).T
 
 
-def _basis_maps(stack: np.ndarray) -> _BasisMaps:
-    return _maps_for(np.ascontiguousarray(stack, dtype=complex).tobytes())
+def _coords_inverse(stack: np.ndarray) -> np.ndarray:
+    """``P_B^-1`` of a basis stack, read-only and cached per basis."""
+    return _inverse_for(np.ascontiguousarray(stack, dtype=complex).tobytes())
 
 
 @lru_cache(maxsize=64)
-def _maps_for(key: bytes) -> _BasisMaps:
+def _inverse_for(key: bytes) -> np.ndarray:
     # The rank check runs once per basis, when its entry is filled; a basis
     # that does not span raises ValueError and is not cached.
-    stack = np.frombuffer(key, dtype=complex).reshape(4, 2, 2)
-    system = stack.reshape(4, 4).T
-    if np.linalg.matrix_rank(system, tol=1e-10) < 4:
+    coords = _coords(np.frombuffer(key, dtype=complex).reshape(4, 2, 2))
+    if np.linalg.matrix_rank(coords, tol=_RANK_TOL) < 4:
         raise ValueError("state basis is rank deficient and does not span")
-    inverse = np.linalg.inv(system)
-    beta = _beta(_OPS, stack, inverse)
-    maps = _BasisMaps(inverse, beta, np.linalg.pinv(beta, rcond=_PINV_RCOND))
-    for m in maps:
-        m.setflags(write=False)
-    return maps
+    inverse = np.linalg.inv(coords)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def expand_in_state_basis(
@@ -121,35 +115,7 @@ def expand_in_state_basis(
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-    return _basis_maps(_basis_stack(rho_basis)).inverse @ m.reshape(4)
-
-
-def build_beta(
-    operation_elements: Sequence[np.ndarray] | None = None,
-    rho_basis: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Transfer tensor flattened to 16x16: rows (j, k), columns (m, n).
-
-    ``beta[(j, k), (m, n)]`` is the coefficient of ``rho_k`` in the
-    expansion of ``A_m rho_j A_n^dag``.  Over the canonical operation
-    elements the tensor is cached per basis and read-only.
-    """
-    states = _basis_stack(rho_basis)
-    if operation_elements is None:
-        return _basis_maps(states).beta
-    ops = np.stack([np.asarray(op, dtype=complex) for op in operation_elements])
-    if ops.shape != (4, 2, 2):
-        raise ValueError(f"need four 2x2 operation elements, got {ops.shape}")
-    return _beta(ops, states, _basis_maps(states).inverse)
-
-
-def _beta(ops: np.ndarray, states: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    # transformed[m, n, j] = A_m rho_j A_n^dag, expanded over the state
-    # basis by the basis inverse: coeffs[k, (m, n, j)].
-    transformed = np.einsum("mab,jbc,ndc->mnjad", ops, states, ops.conj())
-    coeffs = inverse @ transformed.reshape(64, 4).T
-    beta = coeffs.reshape(4, 4, 4, 4)  # k, m, n, j
-    return np.transpose(beta, (3, 0, 1, 2)).reshape(16, 16)  # (j, k), (m, n)
+    return _coords_inverse(_basis_stack(rho_basis)) @ (_COORDS @ m.reshape(4))
 
 
 def lambda_from_outputs(
@@ -158,8 +124,8 @@ def lambda_from_outputs(
 ) -> np.ndarray:
     """Expand the four output states over the input basis, row j = image of rho_j.
 
-    Row j is ``inverse @ vec(outputs[j])``, with the basis inverse cached
-    per basis.
+    Row j is ``P_B^-1 @ coords(outputs[j])``, with ``P_B^-1`` cached per
+    basis.
     """
     if len(outputs) != 4:
         raise ValueError(f"expected 4 output states, got {len(outputs)}")
@@ -175,26 +141,31 @@ def lambda_from_outputs(
         if abs(out.trace() - 1.0) > 1e-6:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
         stack.append(out)
-    return np.stack(stack).reshape(4, 4) @ _basis_maps(_basis_stack(rho_basis)).inverse.T
+    return (_coords_inverse(_basis_stack(rho_basis)) @ _coords(np.stack(stack))).T
 
 
 def chi_from_lambda(
-    lam: np.ndarray, beta_pinv: np.ndarray | None = None
+    lam: np.ndarray, rho_basis: Sequence[np.ndarray] | None = None
 ) -> tuple[np.ndarray, float]:
-    """Solve the linear inversion; return (Hermitian chi, anti-Hermitian norm).
+    """Invert a lambda matrix; return (Hermitian chi, anti-Hermitian norm).
 
-    The raw solution of ``beta . chi_vec = lambda_vec`` picks up a small
-    anti-Hermitian component under noisy data; it is split off and its
-    Frobenius norm returned alongside the symmetrized matrix.  The default
-    ``beta_pinv`` is that of the canonical basis.
+    The transfer matrix of the process is ``R = P_B lam^T P_B^-1`` over the
+    basis (the canonical one by default), and chi its image under the
+    inverse transfer tensor.  The anti-Hermitian part of that chi is split
+    off and its Frobenius norm returned alongside the Hermitian part; it
+    vanishes when ``R`` is real, as it is for Hermitian trace-1 outputs.
     """
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (4, 4):
         raise ValueError(f"lambda matrix must be 4x4, got {lam.shape}")
-    pinv = _basis_maps(_INPUT_STACK).pinv if beta_pinv is None else beta_pinv
-    chi_raw = (pinv @ lam.reshape(16)).reshape(4, 4)
-    anti = (chi_raw - chi_raw.conj().T) / 2.0
-    return (chi_raw + chi_raw.conj().T) / 2.0, float(np.linalg.norm(anti))
+    stack = _basis_stack(rho_basis)
+    return _chi_from_transfer(_coords(stack) @ lam.T @ _coords_inverse(stack))
+
+
+def _chi_from_transfer(transfer: np.ndarray) -> tuple[np.ndarray, float]:
+    chi = (_CHI_FROM_PTM @ transfer.reshape(16)).reshape(4, 4)
+    anti = (chi - chi.conj().T) / 2.0
+    return (chi + chi.conj().T) / 2.0, float(np.linalg.norm(anti))
 
 
 @dataclass(frozen=True)
@@ -265,10 +236,12 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
             raise type(exc)(f"{_INPUT_NAMES[j]}: {exc}") from exc
         targets.append(target)
         masks.append(mask)
-    maps = _declared_maps(preparations)
+    inverse = _declared_inverse(preparations)
     fit = fit_states(np.array(targets), np.array(masks), _INPUT_NAMES)
-    lam = fit.rho.reshape(4, 4) @ maps.inverse.T
-    chi, anti_norm = chi_from_lambda(lam, maps.pinv)
+    outputs = np.empty((4, 4))  # P_O: the fitted outputs' Pauli coordinates
+    outputs[0] = 1.0
+    outputs[1:] = fit.bloch.T
+    chi, anti_norm = _chi_from_transfer(outputs @ inverse)
     cp_flag, cp_min = is_completely_positive(chi)
     tp_flag, tp_deficit = is_trace_preserving(chi)
     return ProcessEstimate(
@@ -280,13 +253,13 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         tp_deficit=tp_deficit,
         residuals=tuple(fit.residual.tolist()),
         anti_hermitian_norm=anti_norm,
-        lambda_matrix=lam,
+        lambda_matrix=(inverse @ outputs).T,
         state_estimates=fit.estimates(),
     )
 
 
-def _declared_maps(preparations: dict) -> _BasisMaps:
-    """The basis maps of the one preparation the record sets declare.
+def _declared_inverse(preparations: dict) -> np.ndarray:
+    """``P_B^-1`` of the one preparation the record sets declare.
 
     ``preparations`` maps each declared ``(polarization, pulse_error)`` to
     a config declaring it (``None`` for entries without a config).
@@ -298,9 +271,9 @@ def _declared_maps(preparations: dict) -> _BasisMaps:
         )
     ((preparation, config),) = preparations.items()
     if preparation == _IDEAL:
-        return _basis_maps(_INPUT_STACK)
+        return _coords_inverse(_INPUT_STACK)
     try:
-        return _basis_maps(prepared_inputs(config))
+        return _coords_inverse(prepared_inputs(config))
     except ValueError as exc:
         polarization, pulse_error = preparation
         raise ValueError(

@@ -73,30 +73,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.all(np.abs(m - m.conj().T) <= tol))
 
 
-def hermitian_eigensystem(
-    m: np.ndarray, tol: float = HERMITICITY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns of ``m``.
-
-    ``m`` must be square and Hermitian within ``tol`` entrywise; the
-    decomposition itself runs on the exactly symmetrized matrix so the
-    returned eigenvalues are always real.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    if not np.all(np.abs(m - m.conj().T) <= tol):
-        raise ValueError(
-            f"matrix is not Hermitian within {tol:g} "
-            f"(defect {hermiticity_defect(m):.3e})"
-        )
-    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
-    order = np.argsort(values)[::-1]
-    return values[order], vectors[:, order]
-
-
 def check_density_form(
     rho: np.ndarray, dim: int | None = 2, context: str = "density matrix"
 ) -> np.ndarray:

@@ -270,10 +270,36 @@ def loop_lambda_from_outputs(outputs, rho_basis=None) -> np.ndarray:
     return np.stack(rows)
 
 
+def loop_chi_from_lambda(lam, rho_basis=None) -> tuple[np.ndarray, float]:
+    """Invert lambda through the transfer tensor beta and its pseudoinverse.
+
+    ``A_m rho_j A_n^dag = sum_k beta[(j, k), (m, n)] rho_k`` over the
+    operation elements, and ``vec(chi) = pinv(beta) @ vec(lambda)``
+    (Nielsen & Chuang, Box 8.5).  Returns the Hermitian part of chi and the
+    norm of its anti-Hermitian part.
+    """
+    from qpt.process_tomography import input_basis
+    from qpt.states import OPERATION_ELEMENTS
+
+    lam = np.asarray(lam, dtype=complex)
+    basis = input_basis() if rho_basis is None else rho_basis
+    stack = np.stack([np.asarray(r, dtype=complex) for r in basis])
+    system = stack.reshape(4, 4).T
+    if np.linalg.matrix_rank(system, tol=1e-10) < 4:
+        raise ValueError("state basis is rank deficient and does not span")
+    ops = np.stack(OPERATION_ELEMENTS)
+    products = np.einsum("mab,jbc,ndc->jmnad", ops, stack, ops.conj())
+    coeffs = np.linalg.solve(system, products.reshape(64, 4).T)  # k, (j, m, n)
+    beta = coeffs.reshape(4, 4, 4, 4).transpose(1, 0, 2, 3).reshape(16, 16)
+    chi = (np.linalg.pinv(beta, rcond=1e-10) @ lam.reshape(16)).reshape(4, 4)
+    anti = (chi - chi.conj().T) / 2.0
+    return (chi + chi.conj().T) / 2.0, float(np.linalg.norm(anti))
+
+
 def loop_run_process_tomography(record_sets):
     """The canonical-basis estimate from the loop oracles above."""
     from qpt.channels import affine_from_chi, is_completely_positive, is_trace_preserving
-    from qpt.process_tomography import INPUT_STATE_LABELS, ProcessEstimate, chi_from_lambda
+    from qpt.process_tomography import INPUT_STATE_LABELS, ProcessEstimate
 
     if len(record_sets) != 4:
         raise ValueError(
@@ -293,7 +319,7 @@ def loop_run_process_tomography(record_sets):
             raise type(exc)(f"input state {j} ({INPUT_STATE_LABELS[j]}): {exc}") from exc
 
     lam = loop_lambda_from_outputs([e.rho for e in estimates])
-    chi, anti_norm = chi_from_lambda(lam)
+    chi, anti_norm = loop_chi_from_lambda(lam)
     cp_flag, cp_min = is_completely_positive(chi)
     tp_flag, tp_deficit = is_trace_preserving(chi)
     return ProcessEstimate(

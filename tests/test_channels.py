@@ -230,6 +230,17 @@ class TestStandardChannels:
         timed = ch.standard_channel("amplitude_damping", t=50.0, t1=100.0)
         assert np.allclose(direct, timed, atol=1e-12)
 
+    @pytest.mark.parametrize("ratio", [36.0, 38.0, 40.0])
+    def test_amplitude_damping_long_time_shrink(self, ratio):
+        # The x/y shrink exp(-t/2t1) is 1.5e-8 .. 2.1e-9 here; forming
+        # gamma = 1 - exp(-t/t1) first and then sqrt(1 - gamma) loses it.
+        # The chi entries are O(1), so the bound is a few of their ulps.
+        chi = ch.standard_channel("amplitude_damping", t=ratio * 10.0, t1=10.0)
+        matrix = ch.affine_from_chi(chi).matrix
+        expected = math.exp(-ratio / 2.0)
+        assert matrix[0, 0] == pytest.approx(expected, rel=0, abs=1e-15)
+        assert matrix[1, 1] == pytest.approx(expected, rel=0, abs=1e-15)
+
     def test_full_damping_affine(self):
         affine = ch.affine_from_chi(ch.standard_channel("amplitude_damping", gamma=1.0))
         assert np.allclose(affine.matrix, np.zeros((3, 3)), atol=1e-12)

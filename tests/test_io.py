@@ -180,25 +180,24 @@ class TestResultDocument:
         result = project_to_physical(estimate.chi)
         report = projection_report(estimate.chi, result)
         comparison = process_distance_report(
-            estimate.chi, result.chi_tilde, context=("raw", "projected")
+            estimate.chi, result.chi_tilde, context=("estimated", "projected")
         )
-        io.attach_projection(doc, result, report, comparison)
+        io.attach_projection(doc, result, comparison)
         assert doc["projected"]["distance"] == result.distance
         assert doc["projected"]["converged"] is True
         assert doc["projected"]["tp_residual"] == result.tp_residual <= 1e-12
         assert doc["projected"]["min_eigenvalue"] == result.min_eigenvalue >= -1e-12
         assert "restart_distances" not in doc["projected"]
-        assert doc["discrepancy"]["frobenius_norm"] == report.frobenius_norm
+        assert doc["discrepancy"] == report.as_dict() == comparison.norms.as_dict()
         json.dumps(doc, allow_nan=False)
 
     def test_state_metrics_skip_reason_serialized(self):
         config, estimate, doc = self.build()
         result = project_to_physical(estimate.chi)
-        report = projection_report(estimate.chi, result)
         comparison = process_distance_report(
             estimate.chi, result.chi_tilde, context=("raw", "projected")
         )
-        io.attach_projection(doc, result, report, comparison)
+        io.attach_projection(doc, result, comparison)
         # The raw estimate violates complete positivity for this seed, so
         # the state-metric block records why it was skipped.
         assert estimate.cp_flag is False
@@ -208,12 +207,11 @@ class TestResultDocument:
     def test_document_chi_prefers_projected(self):
         config, estimate, doc = self.build()
         result = project_to_physical(estimate.chi)
-        report = projection_report(estimate.chi, result)
         comparison = process_distance_report(
             estimate.chi, result.chi_tilde, context=("raw", "projected")
         )
         np.testing.assert_array_equal(io.document_chi(doc), estimate.chi)
-        io.attach_projection(doc, result, report, comparison)
+        io.attach_projection(doc, result, comparison)
         roundtrip = json.loads(json.dumps(doc))
         np.testing.assert_allclose(
             io.document_chi(roundtrip), result.chi_tilde, atol=1e-15

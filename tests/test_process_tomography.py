@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    loop_chi_from_lambda,
     loop_expand_in_state_basis,
     loop_lambda_from_outputs,
     loop_run_process_tomography,
@@ -18,14 +19,19 @@ from qpt import states
 from qpt.process_tomography import (
     INPUT_STATE_LABELS,
     ProcessEstimate,
-    build_beta,
     chi_from_lambda,
     expand_in_state_basis,
     input_basis,
     lambda_from_outputs,
     run_process_tomography,
 )
-from qpt.simulator import ExperimentConfig, prepare_input, run_experiment, true_channel
+from qpt.simulator import (
+    ExperimentConfig,
+    prepare_input,
+    prepared_inputs,
+    run_experiment,
+    true_channel,
+)
 from qpt.state_tomography import AXES, ExpectationRecord
 
 IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -85,37 +91,6 @@ class TestExpansion:
             expand_in_state_basis(np.eye(2), rho_basis=degenerate)
 
 
-class TestBeta:
-    def test_default_is_cached_and_locked(self):
-        beta = build_beta()
-        assert build_beta() is beta
-        assert not beta.flags.writeable
-        assert beta.shape == (16, 16)
-
-    def test_custom_elements_not_cached(self):
-        beta = build_beta(operation_elements=states.PAULIS)
-        assert beta is not build_beta()
-
-    def test_defining_relation(self, rng):
-        # A_m rho_j A_n^dag must equal sum_k beta[(j,k),(m,n)] rho_k.
-        beta = build_beta().reshape(4, 4, 4, 4)  # j, k, m, n
-        ops = states.OPERATION_ELEMENTS
-        basis = input_basis()
-        for _ in range(10):
-            j, m, n = rng.integers(0, 4, size=3)
-            direct = ops[m] @ basis[j] @ ops[n].conj().T
-            rebuilt = sum(beta[j, k, m, n] * basis[k] for k in range(4))
-            np.testing.assert_allclose(rebuilt, direct, atol=1e-12)
-
-    def test_identity_process_maps_to_identity_lambda(self):
-        lam_vec = build_beta() @ IDENTITY_CHI.reshape(16)
-        np.testing.assert_allclose(lam_vec.reshape(4, 4), np.eye(4), atol=1e-12)
-
-    def test_rejects_bad_operation_elements(self):
-        with pytest.raises(ValueError, match="operation elements"):
-            build_beta(operation_elements=[np.eye(2)] * 3)
-
-
 class TestLambda:
     def test_identity_outputs(self):
         lam = lambda_from_outputs(list(input_basis()))
@@ -158,6 +133,30 @@ class TestChiFromLambda:
     def test_shape_check(self):
         with pytest.raises(ValueError, match="4x4"):
             chi_from_lambda(np.eye(3))
+
+    def test_matches_beta_oracle(self):
+        seeds = np.random.default_rng(7)
+        bases = [None] + [
+            prepared_inputs(
+                ExperimentConfig(
+                    t2=100.0,
+                    polarization=float(seeds.uniform(0.6, 1.0)),
+                    pulse_error=float(seeds.uniform(-0.3, 0.3)),
+                )
+            )
+            for _ in range(3)
+        ]
+        for rho_basis in bases:
+            for _ in range(25):
+                lam = seeds.standard_normal((4, 4))
+                chi, anti = chi_from_lambda(lam, rho_basis)
+                expected, expected_anti = loop_chi_from_lambda(lam, rho_basis)
+                np.testing.assert_allclose(chi, expected, rtol=0, atol=1e-12)
+                assert anti == pytest.approx(expected_anti, abs=1e-12)
+
+    def test_rejects_rank_deficient_basis(self):
+        with pytest.raises(ValueError, match="rank deficient"):
+            chi_from_lambda(np.eye(4), [input_basis()[0]] * 4)
 
 
 class TestAffineFromImages:
@@ -293,6 +292,34 @@ class TestDeclaredPreparation:
         np.testing.assert_allclose(
             estimate.lambda_matrix, lambda_from_outputs(outputs, basis), atol=1e-14
         )
+
+    @pytest.mark.parametrize("pulse_error", [0.0, 0.05, -0.2])
+    @pytest.mark.parametrize("t1", [math.inf, 80.0])
+    def test_nearly_mixed_preparation_recovers_the_channel(self, pulse_error, t1):
+        # At polarization 0.51 the inputs sit 0.02 from the maximally mixed
+        # state, so the basis inverse has entries near 50 and amplifies
+        # any round-off of the inversion itself.
+        for t in np.linspace(0.0, 300.0, 61):
+            config = ExperimentConfig(
+                t2=100.0, t1=t1, decoherence_time=float(t),
+                polarization=0.51, pulse_error=pulse_error,
+            )
+            estimate = run_process_tomography(run_experiment(config))
+            assert np.linalg.norm(estimate.chi - true_channel(config)) <= 5e-14
+
+    @pytest.mark.parametrize("shots", [10, 100, 1000])
+    def test_noisy_records_give_hermitian_tp_chi(self, shots):
+        # Fitted outputs are Hermitian with trace 1, so the anti-Hermitian
+        # part and the TP deficit of the raw estimate are round-off only.
+        for seed in range(40):
+            config = ExperimentConfig(
+                t2=100.0, t1=(math.inf, 80.0)[seed % 2],
+                decoherence_time=(20.0, 40.0, 80.0)[seed % 3], shots=shots,
+                seed=seed, polarization=0.6, pulse_error=-0.3,
+            )
+            estimate = run_process_tomography(run_experiment(config))
+            assert estimate.anti_hermitian_norm <= 1e-14
+            assert estimate.tp_deficit <= 2e-14
 
     def test_random_channel_override(self, rng):
         config = ExperimentConfig(t2=100.0, polarization=0.85, pulse_error=-0.05)

@@ -43,34 +43,6 @@ class TestPauliBasis:
         assert states.bloch_from_density(rho_i) == pytest.approx([0.0, 1.0, 0.0])
 
 
-class TestEigensystem:
-    def test_known_spectrum(self):
-        # sigma_x + sigma_z has eigenvalues +-sqrt(2).
-        values, vectors = states.hermitian_eigensystem(states.SIGMA_X + states.SIGMA_Z)
-        assert values == pytest.approx([math.sqrt(2.0), -math.sqrt(2.0)])
-        m = states.SIGMA_X + states.SIGMA_Z
-        for i in range(2):
-            assert np.linalg.norm(m @ vectors[:, i] - values[i] * vectors[:, i]) < 1e-12
-
-    def test_descending_order(self, rng):
-        for _ in range(20):
-            m = random_density_matrix(rng)
-            values, _ = states.hermitian_eigensystem(m)
-            assert values[0] >= values[1]
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            states.hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            states.hermitian_eigensystem(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            states.hermitian_eigensystem(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
 class TestBlochConversions:
     def test_ground_state(self):
         rho = states.density_from_bloch([0.0, 0.0, 1.0])
