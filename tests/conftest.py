@@ -334,3 +334,66 @@ def loop_run_process_tomography(record_sets):
         lambda_matrix=lam,
         state_estimates=tuple(estimates),
     )
+
+
+def loop_project_to_physical(chi, max_iterations: int = 10000):
+    """Nearest CPTP process by Dykstra's alternating projections.
+
+    Higham's form for the nearest correlation matrix (Knee et al., PRA 98,
+    062336, 2018, for CPTP maps).  The TP set is affine, so only the PSD
+    step carries a correction term::
+
+        y <- P_TP(H)
+        repeat:  r = y - dS;  x = P_PSD(r);  dS = x - r;  y = P_TP(x)
+
+    It stops when ``y`` is feasible to ``1e-12`` and the last step moved it
+    by at most ``1e-13``.  It converges only linearly, so targets far
+    outside the CPTP set need thousands of iterations.
+    """
+    from qpt.errors import NonConvergenceError
+    from qpt.projection import (
+        _DEPOLARIZING,
+        ProjectionResult,
+        _min_eigenvalue,
+        _project_tp,
+        _tp_residual,
+    )
+
+    def project_psd(h):
+        values, vectors = np.linalg.eigh(h)
+        return (vectors * np.maximum(values, 0.0)) @ vectors.conj().T
+
+    chi = np.asarray(chi, dtype=complex)
+    target = (chi + chi.conj().T) / 2.0
+    y = _project_tp(target)
+    correction = np.zeros((4, 4), dtype=complex)
+    for iteration in range(1, max_iterations + 1):
+        r = y - correction
+        x = project_psd(r)
+        correction = x - r
+        previous, y = y, _project_tp(x)
+        converged = (
+            np.linalg.norm(y - previous) <= 1e-13
+            and _tp_residual(y) <= 1e-12
+            and _min_eigenvalue(y) >= -1e-12
+        )
+        if converged:
+            break
+    else:
+        lowest = _min_eigenvalue(y)
+        if lowest < 0.0:
+            weight = -lowest / (0.25 - lowest)
+            y = (1.0 - weight) * y + weight * _DEPOLARIZING
+
+    result = ProjectionResult(
+        chi_tilde=y,
+        distance=float(np.linalg.norm(y - target)),
+        iterations=iteration,
+        converged=bool(converged),
+    )
+    if not converged:
+        raise NonConvergenceError(
+            f"projection did not converge within {max_iterations} iterations",
+            best_result=result,
+        )
+    return result

@@ -505,6 +505,19 @@ class TestMalformedResult:
         assert capsys.readouterr().err.startswith(f"error: {broken}")
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("value", [1e50, 1e100], ids=["1e50", "1e100"])
+    def test_large_chi_projects(self, tmp_path, result_path, value):
+        # Large but far from overflow: the projection is still certified.
+        doc = json.loads(result_path.read_text())
+        doc["raw"]["chi"][0][0][0] = value
+        large = tmp_path / "large.json"
+        large.write_text(json.dumps(doc))
+        assert run(*command_argv("project", large, tmp_path)) == 0
+        projected = qio.read_json(str(tmp_path / "out.json"))["projected"]
+        assert projected["converged"] is True
+        assert projected["tp_residual"] <= 1e-12
+        assert projected["min_eigenvalue"] >= -1e-12
+
     @pytest.mark.parametrize(
         "command, path, value",
         [

@@ -1,11 +1,13 @@
 """Projection onto the completely positive trace-preserving set."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import random_cptp_chi
+from conftest import loop_project_to_physical, random_cptp_chi
+from qpt import ExperimentConfig, run_experiment, run_process_tomography
 from qpt import channels as ch
 from qpt import projection
 from qpt.errors import NonConvergenceError
@@ -165,6 +167,105 @@ class TestOptimality:
     @pytest.mark.parametrize("chi", TestFixedPoints.CHANNELS)
     def test_physical_input_takes_one_iteration(self, chi):
         assert project_to_physical(chi).iterations == 1
+
+
+def roundoff_bound(target):
+    """The stopping bound on ``||S - I||_F``: absolute, or relative at scale."""
+    return max(1e-12, 64.0 * sys.float_info.epsilon * float(np.linalg.norm(target)))
+
+
+def random_targets(seed, scale, count=50):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        yield scale * (g + g.conj().T) / 2.0
+
+
+@pytest.fixture(scope="module")
+def noisy_estimates():
+    """36 seeded estimates: three paper presets, three shot counts, four seeds."""
+    return [
+        run_process_tomography(
+            run_experiment(
+                ExperimentConfig(
+                    t2=100.0, decoherence_time=interval, shots=shots, seed=seed
+                )
+            )
+        ).chi
+        for interval in (20.0, 40.0, 80.0)
+        for shots in (100, 1000, 10000)
+        for seed in range(4)
+    ]
+
+
+class TestAgainstDykstra:
+    """The Newton solve lands where Dykstra's alternating projections do."""
+
+    def test_noisy_estimates(self, noisy_estimates):
+        for chi in noisy_estimates:
+            newton = project_to_physical(chi)
+            dykstra = loop_project_to_physical(chi)
+            assert np.linalg.norm(newton.chi_tilde - dykstra.chi_tilde) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_random_targets(self, scale):
+        for target in random_targets(7, scale):
+            newton = project_to_physical(target)
+            dykstra = loop_project_to_physical(target)
+            gap = np.linalg.norm(newton.chi_tilde - dykstra.chi_tilde)
+            assert gap <= 1e-10 * scale
+
+
+def test_noisy_estimates_take_few_evaluations(noisy_estimates):
+    # Newton converges in four to six; a linearly convergent method needs a
+    # few dozen.
+    for chi in noisy_estimates:
+        assert project_to_physical(chi).iterations <= 8
+
+
+class TestFarTargets:
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    def test_converge_with_certificate(self, scale):
+        competitors = [random_cptp_chi(np.random.default_rng(k), 1 + k % 4) for k in range(100)]
+        for target in random_targets(11, scale):
+            result = project_to_physical(target)
+            assert result.converged
+            bound = roundoff_bound(target)
+            assert result.tp_residual <= bound
+            assert -result.min_eigenvalue <= bound
+            gradient = target - result.chi_tilde
+            worst = max(
+                float(np.real(np.vdot(gradient, z - result.chi_tilde)))
+                for z in competitors
+            )
+            assert worst <= 1e-9 * scale, f"variational inequality violated by {worst:.3e}"
+
+    @pytest.mark.parametrize("scale", [-1000.0, -1.0, 0.0, 1.0, 1000.0])
+    def test_multiple_of_identity_goes_to_depolarizing(self, scale):
+        # With tr chi = 1 fixed, ||X - cI||^2 is ||X||^2 plus a constant, and
+        # the least-norm CPTP process is I / 4; at c <= 0 the dual Hessian
+        # starts at zero.
+        result = project_to_physical(scale * np.eye(4))
+        assert result.converged
+        np.testing.assert_allclose(result.chi_tilde, np.eye(4) / 4.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
+    def test_huge_entry_gives_a_certified_process(self, scale):
+        chi = np.eye(4, dtype=complex) / 4.0
+        chi[0, 0] = scale
+        result = project_to_physical(chi)
+        assert result.converged is True
+        assert result.tp_residual <= 1e-12
+        assert result.min_eigenvalue >= -1e-12
+        assert result.distance == pytest.approx(scale)
+
+    def test_overflowing_norm_is_not_certified(self):
+        # Entries near 1e154 overflow ||H||_F, and with it the stopping bound.
+        chi = np.diag([1e154, -1e154, 3e153, 0.1]).astype(complex)
+        chi[0, 1] = chi[1, 0] = 2e153
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError):
+                project_to_physical(chi)
 
 
 class TestProjectionReport:
