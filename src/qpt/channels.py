@@ -52,6 +52,7 @@ _PAULI_STACK = np.stack(PAULIS)
 _COMPLETENESS = np.ascontiguousarray(
     np.einsum("nki,mkj->ijmn", _OPS.conj(), _OPS).reshape(4, 16)
 )
+_IDENTITY_VEC = np.eye(2, dtype=complex).reshape(4)
 
 # Columns of _CHOI_BASIS are (I (x) A_m)|Phi> with |Phi> = (|00>+|11>)/sqrt(2);
 # they form an orthonormal basis of the two-qubit space.
@@ -170,13 +171,13 @@ def chi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
     return np.einsum("km,kn->mn", coeff, coeff.conj())
 
 
-def kraus_from_chi(chi: np.ndarray, weight_cutoff: float = 1e-12) -> Kraus:
+def kraus_from_chi(chi: np.ndarray) -> Kraus:
     """Diagonalize a PSD chi matrix into a Kraus set.
 
     Eigenvalues in ``[-CP_TOL, 0)`` are clamped to zero; anything below
     ``-CP_TOL`` means the map is not completely positive and raises
     ``NotCompletelyPositiveError``.  Components with weight below
-    ``weight_cutoff`` are dropped.
+    ``1e-12`` are dropped.
     """
     chi = _as_chi(chi)
     defect = hermiticity_defect(chi)
@@ -192,7 +193,7 @@ def kraus_from_chi(chi: np.ndarray, weight_cutoff: float = 1e-12) -> Kraus:
     ops: Kraus = []
     for idx in np.argsort(values)[::-1]:
         w = values[idx]
-        if w < weight_cutoff:
+        if w < 1e-12:
             continue
         ops.append(math.sqrt(w) * operator_from_coefficients(vectors[:, idx]))
     if not ops:
@@ -211,23 +212,30 @@ def kraus_completeness_deficit(ops: Sequence[np.ndarray]) -> float:
     return float(np.linalg.norm(total - np.eye(2)))
 
 
-def trace_preservation_operator(chi: np.ndarray) -> np.ndarray:
-    """The 2x2 sum ``S = sum_mn chi[m, n] A_n^dag A_m`` (equals I for TP maps)."""
-    chi = _as_chi(chi)
-    return (_COMPLETENESS @ chi.reshape(16)).reshape(2, 2)
+def _tp_deficit(chi: np.ndarray) -> float:
+    """``||S - I||_F`` with ``S = sum_mn chi[m, n] A_n^dag A_m``; no input checks."""
+    return float(np.linalg.norm(_COMPLETENESS @ chi.reshape(16) - _IDENTITY_VEC))
 
 
-def is_trace_preserving(chi: np.ndarray, tol: float = TP_TOL) -> tuple[bool, float]:
-    """Return ``(flag, deficit)`` where deficit is ``||S - I||_F``."""
-    deficit = float(np.linalg.norm(trace_preservation_operator(chi) - np.eye(2)))
-    return deficit <= tol, deficit
+def _lowest_eigenvalue(chi: np.ndarray) -> float:
+    """Lowest eigenvalue of the Hermitian part of ``chi``; no input checks."""
+    return float(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)[0])
 
 
-def is_completely_positive(chi: np.ndarray, tol: float = CP_TOL) -> tuple[bool, float]:
-    """Return ``(flag, min_choi_eigenvalue)``; the flag allows ``-tol`` slack."""
-    choi = choi_from_chi(chi)
-    lowest = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
-    return lowest >= -tol, lowest
+def is_trace_preserving(chi: np.ndarray) -> tuple[bool, float]:
+    """Return ``(flag, deficit)``, deficit ``||S - I||_F``; TP up to ``TP_TOL``."""
+    deficit = _tp_deficit(_as_chi(chi))
+    return deficit <= TP_TOL, deficit
+
+
+def is_completely_positive(chi: np.ndarray) -> tuple[bool, float]:
+    """Return ``(flag, min_choi_eigenvalue)``; the flag allows ``-CP_TOL`` slack.
+
+    The Choi state is chi rotated by a fixed unitary, so the lowest
+    eigenvalue of chi itself is the lowest Choi eigenvalue.
+    """
+    lowest = _lowest_eigenvalue(_as_chi(chi))
+    return lowest >= -CP_TOL, lowest
 
 
 def choi_from_chi(chi: np.ndarray) -> np.ndarray:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import ConfigError, NonConvergenceError, QptError
 from .mesh import ellipsoid_mesh, mesh_metadata, write_obj
 from .metrics import process_distance_report
 from .process_tomography import run_process_tomography
-from .projection import MAX_ITERATIONS, project_to_physical
+from .projection import project_to_physical
 from .simulator import PRESETS, ExperimentConfig, preset_config, run_experiment
 
 log = logging.getLogger("qpt")
@@ -31,7 +31,7 @@ log = logging.getLogger("qpt")
 PAPER_REPRO = "paper-repro"
 # Each level quadruples the mesh.  On a 2-CPU host a result with raw and
 # projected maps renders in about 1 s at level 6 (8.2 MB of OBJ per map)
-# and 4 s at level 7 (34.5 MB per map, 170 MB peak RSS); level 9 would
+# and 4 s at level 7 (34.5 MB per map, 92 MB peak RSS); level 9 would
 # write ~550 MB per map.
 MAX_SUBDIVISIONS = 7
 
@@ -74,10 +74,6 @@ def _resolve_config(args) -> ExperimentConfig:
     if (preset is None) == (config_path is None):
         raise ConfigError("exactly one of --preset and --config is required")
     if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
-            )
         config = PRESETS[preset]
     else:
         config = qio.config_from_dict(qio.read_json(config_path))
@@ -85,8 +81,6 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -109,12 +103,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _reconstruct(records, source: str):
+    """The linear-inversion estimate; records it cannot invert, such as a
+    declared preparation that does not span, are an input error."""
+    try:
+        return run_process_tomography(records)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
 def cmd_reconstruct(args) -> int:
     records = qio.parse_records_document(qio.read_json(args.records))
-    try:
-        estimate = run_process_tomography(records)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{args.records}: {exc}") from exc
+    estimate = _reconstruct(records, args.records)
     qio.write_json_atomic(args.out, qio.result_document(estimate, records[0].config))
     log.info(
         "reconstructed process: cp=%s tp=%s -> %s",
@@ -123,11 +123,11 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _project_into_document(doc: dict, max_iterations: int) -> int:
+def _project_into_document(doc: dict) -> int:
     chi = qio.document_chi(doc, prefer_projected=False)
     code = 0
     try:
-        result = project_to_physical(chi, max_iterations=max_iterations)
+        result = project_to_physical(chi)
     except NonConvergenceError as exc:
         log.error("projection did not converge: %s", exc)
         result = exc.best_result
@@ -153,28 +153,22 @@ def _derived_from(source: str):
             raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _finite(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, dict):
-        return all(_finite(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_finite(v) for v in value)
-    return True
-
-
 def _write_finite(path: str, doc: dict, source: str) -> None:
     """Write ``doc``, or raise ``ConfigError`` naming ``source`` and write
-    nothing if a number in it left the float range."""
-    if not _finite(doc):
-        raise ConfigError(f"{source}: a number derived from it overflows the float range")
-    qio.write_json_atomic(path, doc)
+    nothing if a number in it left the float range (the strict encoder
+    rejects it before the temporary file is made)."""
+    try:
+        qio.write_json_atomic(path, doc)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{source}: a number derived from it overflows the float range"
+        ) from exc
 
 
 def cmd_project(args) -> int:
     doc = qio.read_json(args.result)
     with _derived_from(args.result):
-        code = _project_into_document(doc, args.max_iterations)
+        code = _project_into_document(doc)
     _write_finite(args.out, doc, args.result)
     log.info("projected result written to %s", args.out)
     return code
@@ -260,14 +254,14 @@ def cmd_render(args) -> int:
 
 
 def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     records = run_experiment(config)
+    # Reconstruct first: records it cannot invert leave no file of the run.
+    estimate = _reconstruct(records, "simulated records")
     qio.write_json_atomic(
         os.path.join(out_dir, "records.json"), qio.records_document(records)
     )
-    estimate = run_process_tomography(records)
     doc = qio.result_document(estimate, config)
-    code = _project_into_document(doc, args.max_iterations)
+    code = _project_into_document(doc)
     result_path = os.path.join(out_dir, "result.json")
     qio.write_json_atomic(result_path, doc)
 
@@ -318,15 +312,6 @@ def _add_config_arguments(parser, include_repro: bool = False) -> None:
     )
 
 
-def _add_projection_arguments(parser) -> None:
-    parser.add_argument(
-        "--max-iterations",
-        type=_bounded_int("max-iterations", 1),
-        default=MAX_ITERATIONS,
-        help=f"projection iteration budget (default {MAX_ITERATIONS})",
-    )
-
-
 def _add_subdivisions_argument(parser) -> None:
     parser.add_argument(
         "--subdivisions",
@@ -356,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="attach the physical projection to a result")
     p.add_argument("--result", required=True, help="input result path")
     p.add_argument("--out", required=True, help="output result path")
-    _add_projection_arguments(p)
     p.set_defaults(handler=cmd_project)
 
     p = sub.add_parser(
@@ -379,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(p, include_repro=True)
     p.add_argument("--out", required=True, help="output directory")
     _add_subdivisions_argument(p)
-    _add_projection_arguments(p)
     p.set_defaults(handler=cmd_pipeline)
     return parser
 

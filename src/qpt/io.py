@@ -19,7 +19,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -367,8 +367,11 @@ def read_json(path: str) -> dict:
         ) from exc
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temporary file and an atomic rename."""
+def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write via a sibling temporary file and an atomic rename.
+
+    ``text`` is a string or an iterable of strings, written as they come.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
@@ -376,7 +379,7 @@ def write_text_atomic(path: str, text: str) -> None:
     )
     try:
         with handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(handle.name, path)
     except BaseException:
         try:

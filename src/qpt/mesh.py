@@ -115,28 +115,39 @@ def ellipsoid_mesh(affine: AffineMap, subdivisions: int = 3) -> EllipsoidMesh:
     )
 
 
-def _obj_block(name: str, vertices: np.ndarray, faces: np.ndarray) -> str:
+# Rows formatted per chunk: a level-6 map is 41k vertices and 82k faces,
+# and formatting all of them at once holds every coordinate as a Python
+# float and the whole document as one string.
+_CHUNK_ROWS = 4096
+
+
+def _obj_block(name: str, vertices: np.ndarray, faces: np.ndarray):
     """One OBJ object; ``faces`` already hold 1-based file-wide indices."""
+    yield f"o {name}\n"
     # %r of a Python float is its repr, the shortest exact decimal form.
-    return (
-        f"o {name}\n"
-        + "v %r %r %r\n" * len(vertices) % tuple(vertices.ravel().tolist())
-        + "f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist())
-    )
+    for rows, line in ((vertices, "v %r %r %r\n"), (faces, "f %d %d %d\n")):
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start : start + _CHUNK_ROWS]
+            yield line * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _obj_chunks(mesh: EllipsoidMesh):
+    """Both objects of one OBJ document, ``unit_sphere`` then ``ellipsoid``,
+    as consecutive pieces of text."""
+    offset = len(mesh.reference_vertices)
+    yield "# Bloch sphere and its affine image\n"
+    yield from _obj_block("unit_sphere", mesh.reference_vertices, mesh.faces + 1)
+    yield from _obj_block("ellipsoid", mesh.vertices, mesh.faces + offset + 1)
 
 
 def obj_text(mesh: EllipsoidMesh) -> str:
-    """Both objects in one OBJ document: ``unit_sphere`` then ``ellipsoid``."""
-    offset = len(mesh.reference_vertices)
-    return (
-        "# Bloch sphere and its affine image\n"
-        + _obj_block("unit_sphere", mesh.reference_vertices, mesh.faces + 1)
-        + _obj_block("ellipsoid", mesh.vertices, mesh.faces + offset + 1)
-    )
+    """The whole OBJ document as one string."""
+    return "".join(_obj_chunks(mesh))
 
 
 def write_obj(mesh: EllipsoidMesh, path: str) -> None:
-    write_text_atomic(path, obj_text(mesh))
+    """Write the OBJ document chunk by chunk, never holding all of it."""
+    write_text_atomic(path, _obj_chunks(mesh))
 
 
 def mesh_metadata(affine: AffineMap, mesh: EllipsoidMesh) -> dict:

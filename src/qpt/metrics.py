@@ -16,9 +16,10 @@ distance D.
 Process discrepancies are plain matrix norms of the difference of two
 coefficient matrices, which stay meaningful even when one of the processes
 is unphysical and fidelity-based comparisons would not be.  The Choi state
-is the chi matrix conjugated by a fixed unitary, so the trace distance of
-two Choi states equals the process trace distance ``d_pro`` of the norm
-block, and the state block reuses it.
+is the chi matrix conjugated by a fixed unitary, so it has the spectrum,
+trace and pairwise fidelity of chi: the state block is computed on chi
+itself, with no rotation, and its trace distance is the process trace
+distance ``d_pro`` of the norm block.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CP_TOL, choi_from_chi
+from .channels import CP_TOL
 from .states import check_density_form, check_lowest_eigenvalue
 
 
@@ -173,7 +174,11 @@ class DiscrepancyReport:
 
 @dataclass(frozen=True)
 class StateMetricBlock:
-    """Choi-state comparison of two processes (defined only when both are CP)."""
+    """Choi-state comparison of two processes (defined only when both are CP).
+
+    Every value equals the one computed on the two Choi states; the Choi
+    state is chi rotated by a fixed unitary, so chi stands in for it.
+    """
 
     trace_distance: float
     fidelity: float
@@ -215,12 +220,11 @@ def process_distance_report(
         raise ValueError("both processes must be 4x4 coefficient matrices")
     report = DiscrepancyReport.from_difference(chi_a - chi_b, context)
 
-    chois = (choi_from_chi(chi_a), choi_from_chi(chi_b))
-    spectra = [np.linalg.eigh((choi + choi.conj().T) / 2.0) for choi in chois]
+    spectra = [np.linalg.eigh((chi + chi.conj().T) / 2.0) for chi in (chi_a, chi_b)]
     unphysical = []
-    for label, choi, (values, _) in zip(context, chois, spectra):
+    for label, chi, (values, _) in zip(context, (chi_a, chi_b), spectra):
         lowest = float(values[0])
-        trace = choi.trace().real
+        trace = chi.trace().real
         if lowest < -CP_TOL:
             unphysical.append(f"{label} (eigenvalue {lowest:.3e})")
         elif abs(trace - 1.0) > 1e-6:
@@ -231,7 +235,7 @@ def process_distance_report(
             state_metrics=None,
             skip_reason="skipped: unphysical Choi for " + ", ".join(unphysical),
         )
-    f = _fidelity(*chois, spectra)
+    f = _fidelity(chi_a, chi_b, spectra)
     block = StateMetricBlock(
         trace_distance=report.trace_distance_pro,
         fidelity=f,

@@ -47,12 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _COMPLETENESS
+from .channels import _COMPLETENESS, _IDENTITY_VEC, _lowest_eigenvalue, _tp_deficit
 from .errors import NonConvergenceError
 from .metrics import DiscrepancyReport
 from .states import PAULIS
 
-_IDENTITY_VEC = np.eye(2, dtype=complex).reshape(4)
 # For this basis the rows of _COMPLETENESS are orthogonal with squared norm
 # 8, so its pseudoinverse is its adjoint over 8.  The closed form avoids an
 # SVD at import, which adds ~1 MB to the peak RSS of every CLI process.
@@ -80,14 +79,6 @@ MAX_ITERATIONS = 100
 
 def _project_tp(chi: np.ndarray) -> np.ndarray:
     return (_TP_LINEAR @ chi.reshape(16)).reshape(4, 4) + _TP_OFFSET
-
-
-def _tp_residual(chi: np.ndarray) -> float:
-    return float(np.linalg.norm(_COMPLETENESS @ chi.reshape(16) - _IDENTITY_VEC))
-
-
-def _min_eigenvalue(chi: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(chi)[0])
 
 
 class _DualPoint:
@@ -154,45 +145,42 @@ class ProjectionResult:
 
     @property
     def tp_residual(self) -> float:
-        return _tp_residual(self.chi_tilde)
+        return _tp_deficit(self.chi_tilde)
 
     @property
     def min_eigenvalue(self) -> float:
-        return _min_eigenvalue(self.chi_tilde)
+        return _lowest_eigenvalue(self.chi_tilde)
 
 
-def project_to_physical(
-    chi: np.ndarray, max_iterations: int = MAX_ITERATIONS
-) -> ProjectionResult:
+def project_to_physical(chi: np.ndarray) -> ProjectionResult:
     """Find the nearest CPTP process to ``chi`` in Frobenius distance.
 
     The input is symmetrized first; distances refer to the Hermitian part.
-    If ``max_iterations`` evaluations of the dual function do not reach the
-    stopping bound, ``NonConvergenceError`` is raised with ``best_result``
-    the last iterate, made trace preserving and then moved toward the fully
-    depolarizing channel just far enough to be completely positive.
+    If ``MAX_ITERATIONS`` evaluations of the dual function (the module value
+    at call time) do not reach the stopping bound, ``NonConvergenceError``
+    is raised with ``best_result`` the last iterate, made trace preserving
+    and then moved toward the fully depolarizing channel just far enough to
+    be completely positive.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (4, 4):
         raise ValueError(f"chi matrix must be 4x4, got {chi.shape}")
     if not np.all(np.isfinite(chi)):
         raise ValueError("chi matrix contains non-finite entries")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
     target = (chi + chi.conj().T) / 2.0
     tol = max(_FEASIBILITY_TOL, _ROUNDOFF_FACTOR * float(np.linalg.norm(target)))
 
     point = _DualPoint.of(target, np.zeros(4))
     evaluations = 1
-    if point.residual > tol and max_iterations > 1:
+    if point.residual > tol and MAX_ITERATIONS > 1:
         point = point.trace_shifted()
         evaluations += 1
     last_length = 1.0
-    while point.residual > tol and evaluations < max_iterations:
+    while point.residual > tol and evaluations < MAX_ITERATIONS:
         step = np.linalg.solve(point.hessian() + _RIDGE, -point.gradient)
         slope = float(point.gradient @ step)
         length = 1.0
-        while evaluations < max_iterations:
+        while evaluations < MAX_ITERATIONS:
             trial = _DualPoint.of(target, point.y + length * step)
             evaluations += 1
             if (length == 1.0 and trial.residual < point.residual) or (
@@ -211,7 +199,7 @@ def project_to_physical(
         # keeps it TP; weight t lifts the lowest eigenvalue to
         # (1 - t) lowest + t / 4 = 0.
         chi_tilde = _project_tp(chi_tilde)
-        lowest = _min_eigenvalue(chi_tilde)
+        lowest = _lowest_eigenvalue(chi_tilde)
         if lowest < 0.0:
             weight = -lowest / (0.25 - lowest)
             chi_tilde = (1.0 - weight) * chi_tilde + weight * _DEPOLARIZING
@@ -224,7 +212,7 @@ def project_to_physical(
     )
     if not converged:
         raise NonConvergenceError(
-            f"projection did not converge within {max_iterations} iterations",
+            f"projection did not converge within {MAX_ITERATIONS} iterations",
             best_result=result,
         )
     return result

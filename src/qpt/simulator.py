@@ -83,8 +83,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"polarization must lie in [0.5, 1], got {self.polarization}"
             )
-        if self.shots is not None and int(self.shots) < 1:
-            raise ValueError(f"shots must be positive, got {self.shots}")
+        # The binomial sampler takes its count as a 64-bit signed integer.
+        if self.shots is not None and not 1 <= int(self.shots) <= 2**63 - 1:
+            raise ValueError(f"shots must lie in [1, 2**63 - 1], got {self.shots}")
         if self.shots is not None:
             object.__setattr__(self, "shots", int(self.shots))
         if not np.isfinite(self.pulse_error):

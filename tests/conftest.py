@@ -350,14 +350,9 @@ def loop_project_to_physical(chi, max_iterations: int = 10000):
     by at most ``1e-13``.  It converges only linearly, so targets far
     outside the CPTP set need thousands of iterations.
     """
+    from qpt.channels import _lowest_eigenvalue, _tp_deficit
     from qpt.errors import NonConvergenceError
-    from qpt.projection import (
-        _DEPOLARIZING,
-        ProjectionResult,
-        _min_eigenvalue,
-        _project_tp,
-        _tp_residual,
-    )
+    from qpt.projection import _DEPOLARIZING, ProjectionResult, _project_tp
 
     def project_psd(h):
         values, vectors = np.linalg.eigh(h)
@@ -374,13 +369,13 @@ def loop_project_to_physical(chi, max_iterations: int = 10000):
         previous, y = y, _project_tp(x)
         converged = (
             np.linalg.norm(y - previous) <= 1e-13
-            and _tp_residual(y) <= 1e-12
-            and _min_eigenvalue(y) >= -1e-12
+            and _tp_deficit(y) <= 1e-12
+            and _lowest_eigenvalue(y) >= -1e-12
         )
         if converged:
             break
     else:
-        lowest = _min_eigenvalue(y)
+        lowest = _lowest_eigenvalue(y)
         if lowest < 0.0:
             weight = -lowest / (0.25 - lowest)
             y = (1.0 - weight) * y + weight * _DEPOLARIZING

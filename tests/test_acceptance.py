@@ -125,8 +125,8 @@ def test_criterion_3_noisy_runs_restored_to_physical():
                 f"seed {seed}: raw estimate is already physical"
             )
             result = project_to_physical(estimate.chi)
-            cp_ok, _ = is_completely_positive(result.chi_tilde, 1e-9)
-            tp_ok, _ = is_trace_preserving(result.chi_tilde, 1e-8)
+            cp_ok, _ = is_completely_positive(result.chi_tilde)
+            tp_ok, _ = is_trace_preserving(result.chi_tilde)
             assert cp_ok and tp_ok, f"seed {seed}: projection is not physical"
             raw_error = float(np.linalg.norm(estimate.chi - truth))
             assert result.distance <= raw_error + 0.05, (

@@ -112,6 +112,17 @@ class TestPhysicalityChecks:
         tp, _ = ch.is_trace_preserving(TRANSPOSE_CHI)
         assert tp
 
+    def test_lowest_eigenvalue_is_the_choi_one(self, rng):
+        # The check reads chi itself: the Choi state is chi under a fixed
+        # unitary, so the spectra agree, CP or not.
+        for scale in (0.1, 1.0, 10.0):
+            for _ in range(40):
+                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                chi = scale * (g + g.conj().T) / 2.0
+                _, lowest = ch.is_completely_positive(chi)
+                choi_lowest = np.linalg.eigvalsh(ch.choi_from_chi(chi))[0]
+                assert abs(lowest - choi_lowest) <= 1e-13
+
     def test_scaled_identity_not_tp(self):
         tp, deficit = ch.is_trace_preserving(0.9 * IDENTITY_CHI)
         assert not tp

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpt import io as qio
+from qpt import projection
 from qpt.channels import standard_channel
 from qpt.cli import main
 
@@ -103,6 +104,23 @@ class TestSimulate:
         with pytest.raises(SystemExit) as info:
             run("simulate", "--preset", "paper-20ns")
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_shots_beyond_int64_exit_2(self, tmp_path, capsys, command, source):
+        # The binomial sampler takes a 64-bit count; 2**63 and up is rejected
+        # with the config, before anything is simulated or written.
+        shots = 10**20
+        if source == "flag":
+            argv = ["--preset", "paper-20ns", "--shots", shots]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"t2": 100.0, "shots": shots}))
+            argv = ["--config", config]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--out", out) == 2
+        assert "shots must lie in" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_broken_config_json_reports_position(self, tmp_path, capsys):
         config_path = tmp_path / "broken.json"
@@ -243,7 +261,7 @@ class TestProject:
         assert doc["discrepancy"]["frobenius_norm"] < 1e-6
         assert "fidelity" in doc["state_metrics"]
 
-    def test_budget_exhaustion_still_writes(self, tmp_path, capsys):
+    def test_budget_exhaustion_still_writes(self, tmp_path, capsys, monkeypatch):
         noisy_records = tmp_path / "noisy.json"
         assert run(
             "simulate", "--preset", "paper-20ns", "--shots", "500",
@@ -252,7 +270,8 @@ class TestProject:
         raw = tmp_path / "raw.json"
         assert run("reconstruct", "--records", noisy_records, "--out", raw) == 0
         out = tmp_path / "projected.json"
-        code = run("project", "--result", raw, "--out", out, "--max-iterations", "1")
+        monkeypatch.setattr(projection, "MAX_ITERATIONS", 1)
+        code = run("project", "--result", raw, "--out", out)
         assert code == 4
         doc = qio.read_json(str(out))
         assert doc["projected"] is not None
@@ -260,13 +279,14 @@ class TestProject:
         assert np.isfinite(doc["projected"]["distance"])
 
     @pytest.mark.parametrize("command", ["project", "pipeline"])
-    @pytest.mark.parametrize("value", ["0", "-5", "many"])
-    def test_iteration_cap_must_be_positive(self, tmp_path, result_path, command, value):
+    def test_max_iterations_flag_removed(self, tmp_path, result_path, command):
+        # The budget is fixed at projection.MAX_ITERATIONS; the flag that set
+        # it is now a usage error.
         source = (
             ["--result", result_path] if command == "project" else ["--preset", "paper-20ns"]
         )
         with pytest.raises(SystemExit) as info:
-            run(command, *source, "--out", tmp_path / "o", "--max-iterations", value)
+            run(command, *source, "--out", tmp_path / "o", "--max-iterations", "100")
         assert info.value.code == 2
         assert not (tmp_path / "o").exists()
 
@@ -405,6 +425,18 @@ class TestPipeline:
             assert qio.read_json(str(out / name / "result.json"))["projected"] is not None
         # Longer decoherence intervals sit further from the identity.
         assert gaps[0] < gaps[1] < gaps[2]
+
+    @pytest.mark.parametrize(
+        "preparation", [{"polarization": 0.5}, {"pulse_error": -1.0}],
+        ids=["polarization", "pulse-error"],
+    )
+    def test_non_spanning_preparation_exits_2(self, tmp_path, capsys, preparation):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"t2": 100.0, "decoherence_time": 40.0, **preparation}))
+        out = tmp_path / "run"
+        assert run("pipeline", "--config", config, "--out", out) == 2
+        assert "does not span" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repro_not_accepted_elsewhere(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -108,10 +108,11 @@ def row_obj_text(mesh):
 class TestObjExport:
     AFFINE = AffineMap(np.diag([0.7, 0.7, 1.0]), np.zeros(3))
 
-    @pytest.mark.parametrize("subdivisions", [1, 2, 3])
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 5])
     def test_matches_row_formatter(self, subdivisions):
         # A sheared, shifted map puts negative zeros, tiny and long-repr
-        # coordinates into the ellipsoid block.
+        # coordinates into the ellipsoid block.  Level 5 (10242 vertices,
+        # 20480 faces) spans several formatting chunks in each block.
         affine = AffineMap(
             np.array([[0.81, 0.02, -0.01], [0.0, 0.79, 0.03], [1e-17, 0.0, -0.98]]),
             np.array([0.0, -0.0, 0.125]),
