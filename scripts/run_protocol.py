@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run the three-interval decoherence protocol and summarize the results.
 
-For each bundled preset the script simulates the experiment, reconstructs
-the process, projects it onto the nearest physical map, and writes the
-result document plus ellipsoid meshes under the output directory.  The
-printed table shows the transverse contraction of the projected map next
-to its closed-form reference exp(-t/t2), and the discrepancy norms that
-the projection removed.
+The script runs ``qpt pipeline --preset paper-repro``, which writes the
+records, result document, identity comparison and ellipsoid meshes of
+each bundled preset under ``<out>/<preset>/``, and then tabulates each
+``result.json``: the transverse contraction of the projected map next to
+its closed-form reference exp(-t/t2), and the discrepancy norms that the
+projection removed.  It returns the pipeline's exit code; a projection
+that does not converge (exit 4) still writes its result and is tabulated.
 
 Run with no arguments for the exact-measurement protocol; pass --shots
 to sample finite measurement statistics instead.
@@ -19,54 +20,26 @@ from pathlib import Path
 
 import numpy as np
 
-from qpt.channels import affine_from_chi
-from qpt.io import (
-    attach_projection,
-    records_document,
-    result_document,
-    write_json_atomic,
-    write_text_atomic,
-)
-from qpt.mesh import ellipsoid_mesh, mesh_metadata, obj_text
-from qpt.metrics import process_distance_report
-from qpt.process_tomography import run_process_tomography
-from qpt.projection import project_to_physical
-from qpt.simulator import PRESETS, preset_config, run_experiment
+from qpt import cli
+from qpt.io import read_json
+from qpt.simulator import PRESETS
 
 
-def run_one(name: str, shots: int | None, seed: int, out_dir: Path) -> dict:
-    config = preset_config(name, shots=shots, seed=seed)
-    records = run_experiment(config)
-    estimate = run_process_tomography(records)
-    result = project_to_physical(estimate.chi)
-    comparison = process_distance_report(
-        estimate.chi, result.chi_tilde, context=("estimated", "projected")
+def table_row(name: str, doc: dict) -> str:
+    """One table line from a preset's ``result.json`` document."""
+    config, raw, projected = doc["config"], doc["raw"], doc["projected"]
+    reference = float(np.exp(-config["decoherence_time"] / config["t2"]))
+    matrix = projected["affine"]["matrix"]
+    contraction = (matrix[0][0] + matrix[1][1]) / 2
+    raw_ok = raw["cp"]["flag"] and raw["tp"]["flag"]
+    norms = ", ".join(
+        f"{doc['discrepancy'][key]:.4f}"
+        for key in ("p1_norm", "p2_norm", "frobenius_norm", "trace_distance_pro")
     )
-
-    stem = out_dir / name
-    write_json_atomic(str(stem) + ".records.json", records_document(records))
-    doc = attach_projection(result_document(estimate, config=config), result, comparison)
-    write_json_atomic(str(stem) + ".result.json", doc)
-    affine = affine_from_chi(result.chi_tilde)
-    mesh = ellipsoid_mesh(affine)
-    write_text_atomic(str(stem) + ".obj", obj_text(mesh))
-    write_json_atomic(str(stem) + ".mesh.json", mesh_metadata(affine, mesh))
-
-    contraction = float(np.mean([affine.matrix[0, 0], affine.matrix[1, 1]]))
-    return {
-        "name": name,
-        "reference": float(np.exp(-config.decoherence_time / config.t2)),
-        "contraction": contraction,
-        "z_scale": float(affine.matrix[2, 2]),
-        "raw_physical": estimate.physical,
-        "distance": result.distance,
-        "norms": (
-            comparison.norms.p1_norm,
-            comparison.norms.p2_norm,
-            comparison.norms.frobenius_norm,
-            comparison.norms.trace_distance_pro,
-        ),
-    }
+    return (
+        f"{name:<12} {reference:>10.6f} {contraction:>10.6f} {matrix[2][2]:>8.5f} "
+        f"{str(raw_ok):>6} {projected['distance']:>9.2e}  ({norms})"
+    )
 
 
 def main(argv=None) -> int:
@@ -80,8 +53,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    rows = [run_one(name, args.shots, args.seed, args.out) for name in PRESETS]
+    code = cli.main([
+        "pipeline", "--preset", cli.PAPER_REPRO, "--out", str(args.out),
+        "--seed", str(args.seed),
+        "--shots", "exact" if args.shots is None else str(args.shots),
+    ])
+    if code not in (0, 4):
+        return code
 
     mode = "exact expectations" if args.shots is None else f"{args.shots} shots"
     print(f"three-interval protocol, {mode}, artifacts in {args.out}/")
@@ -89,14 +67,9 @@ def main(argv=None) -> int:
         f"{'preset':<12} {'exp(-t/t2)':>10} {'measured c':>10} {'z scale':>8} "
         f"{'raw ok':>6} {'proj dist':>9}  norms (p1, p2, fro, d_pro)"
     )
-    for row in rows:
-        norms = ", ".join(f"{value:.4f}" for value in row["norms"])
-        print(
-            f"{row['name']:<12} {row['reference']:>10.6f} "
-            f"{row['contraction']:>10.6f} {row['z_scale']:>8.5f} "
-            f"{str(row['raw_physical']):>6} {row['distance']:>9.2e}  ({norms})"
-        )
-    return 0
+    for name in PRESETS:
+        print(table_row(name, read_json(str(args.out / name / "result.json"))))
+    return code
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import NotCompletelyPositiveError
 from .states import (
+    HERMITICITY_TOL,
     OPERATION_ELEMENTS,
     PAULIS,
     SIGMA_0,
@@ -181,7 +182,7 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
     """
     chi = _as_chi(chi)
     defect = hermiticity_defect(chi)
-    if defect > 1e-8:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"chi matrix is not Hermitian (defect {defect:.3e})")
     values, vectors = np.linalg.eigh((chi + chi.conj().T) / 2.0)
     if values[0] < -CP_TOL:

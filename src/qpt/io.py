@@ -278,11 +278,15 @@ def attach_projection(
         "min_eigenvalue": result.min_eigenvalue,
     }
     doc["discrepancy"] = comparison.norms.as_dict()
-    if comparison.state_metrics is None:
-        doc["state_metrics"] = {"skipped": comparison.skip_reason}
-    else:
-        doc["state_metrics"] = comparison.state_metrics.as_dict()
+    doc["state_metrics"] = _state_metrics_section(comparison)
     return doc
+
+
+def _state_metrics_section(comparison: ProcessComparison) -> dict:
+    """The state-metric block of a comparison, or why it was skipped."""
+    if comparison.state_metrics is None:
+        return {"skipped": comparison.skip_reason}
+    return comparison.state_metrics.as_dict()
 
 
 def result_sections(doc) -> tuple[dict, dict | None]:
@@ -337,11 +341,7 @@ def comparison_document(comparison: ProcessComparison) -> dict:
         "kind": COMPARISON_KIND,
         "context": list(comparison.norms.context),
         "norms": comparison.norms.as_dict(),
-        "state_metrics": (
-            {"skipped": comparison.skip_reason}
-            if comparison.state_metrics is None
-            else comparison.state_metrics.as_dict()
-        ),
+        "state_metrics": _state_metrics_section(comparison),
     }
 
 
@@ -352,9 +352,16 @@ def document_config(doc) -> ExperimentConfig | None:
 
 
 def read_json(path: str) -> dict:
-    """Parse a strict JSON file; ``NaN`` and ``Infinity`` raise ``ConfigError``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """Parse a strict JSON file.
+
+    ``NaN`` and ``Infinity``, bytes that are not UTF-8, and nesting deeper
+    than the parser's recursion limit raise ``ConfigError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
 
     def reject_constant(name: str):
         raise ConfigError(f"{path}: non-finite number {name} is not valid JSON")
@@ -365,6 +372,8 @@ def read_json(path: str) -> dict:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def write_text_atomic(path: str, text: str | Iterable[str]) -> None:

@@ -140,11 +140,6 @@ def _obj_chunks(mesh: EllipsoidMesh):
     yield from _obj_block("ellipsoid", mesh.vertices, mesh.faces + offset + 1)
 
 
-def obj_text(mesh: EllipsoidMesh) -> str:
-    """The whole OBJ document as one string."""
-    return "".join(_obj_chunks(mesh))
-
-
 def write_obj(mesh: EllipsoidMesh, path: str) -> None:
     """Write the OBJ document chunk by chunk, never holding all of it."""
     write_text_atomic(path, _obj_chunks(mesh))

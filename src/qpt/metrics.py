@@ -30,7 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import CP_TOL
-from .states import check_density_form, check_lowest_eigenvalue
+from .states import (
+    HERMITICITY_TOL, TRACE_TOL, check_density_form, check_lowest_eigenvalue,
+    hermiticity_defect,
+)
 
 
 class MatrixNorms(NamedTuple):
@@ -73,8 +76,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
-    defect = float(np.linalg.norm(diff - diff.conj().T)) / 2.0
-    if defect > 1e-8:
+    defect = hermiticity_defect(diff)
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"difference is not Hermitian (defect {defect:.3e})")
     values = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
     return float(np.abs(values).sum() / 2.0)
@@ -227,7 +230,7 @@ def process_distance_report(
         trace = chi.trace().real
         if lowest < -CP_TOL:
             unphysical.append(f"{label} (eigenvalue {lowest:.3e})")
-        elif abs(trace - 1.0) > 1e-6:
+        elif abs(trace - 1.0) > TRACE_TOL:
             unphysical.append(f"{label} (trace {trace:.8f})")
     if unphysical:
         return ProcessComparison(

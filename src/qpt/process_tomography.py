@@ -164,8 +164,7 @@ def chi_from_lambda(
 
 def _chi_from_transfer(transfer: np.ndarray) -> tuple[np.ndarray, float]:
     chi = (_CHI_FROM_PTM @ transfer.reshape(16)).reshape(4, 4)
-    anti = (chi - chi.conj().T) / 2.0
-    return (chi + chi.conj().T) / 2.0, float(np.linalg.norm(anti))
+    return (chi + chi.conj().T) / 2.0, hermiticity_defect(chi)
 
 
 @dataclass(frozen=True)

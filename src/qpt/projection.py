@@ -47,7 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _COMPLETENESS, _IDENTITY_VEC, _lowest_eigenvalue, _tp_deficit
+from .channels import (
+    _COMPLETENESS, _IDENTITY_VEC, _as_chi, _lowest_eigenvalue, _tp_deficit,
+)
 from .errors import NonConvergenceError
 from .metrics import DiscrepancyReport
 from .states import PAULIS
@@ -162,11 +164,7 @@ def project_to_physical(chi: np.ndarray) -> ProjectionResult:
     and then moved toward the fully depolarizing channel just far enough to
     be completely positive.
     """
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (4, 4):
-        raise ValueError(f"chi matrix must be 4x4, got {chi.shape}")
-    if not np.all(np.isfinite(chi)):
-        raise ValueError("chi matrix contains non-finite entries")
+    chi = _as_chi(chi)
     target = (chi + chi.conj().T) / 2.0
     tol = max(_FEASIBILITY_TOL, _ROUNDOFF_FACTOR * float(np.linalg.norm(target)))
 
@@ -224,7 +222,5 @@ def projection_report(
     context: tuple[str, str] = ("estimated", "projected"),
 ) -> DiscrepancyReport:
     """Norms of ``chi - chi_tilde``, the discrepancy removed by projection."""
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (4, 4):
-        raise ValueError(f"chi matrix must be 4x4, got {chi.shape}")
+    chi = _as_chi(chi)
     return DiscrepancyReport.from_difference(chi - result.chi_tilde, context)

@@ -88,8 +88,15 @@ class ExperimentConfig:
             raise ValueError(f"shots must lie in [1, 2**63 - 1], got {self.shots}")
         if self.shots is not None:
             object.__setattr__(self, "shots", int(self.shots))
-        if not np.isfinite(self.pulse_error):
-            raise ValueError("pulse_error must be finite")
+        # The largest preparation pulse turns by pi * (1 + pulse_error).
+        if not (
+            np.isfinite(self.pulse_error)
+            and math.isfinite(math.pi * (1.0 + self.pulse_error))
+        ):
+            raise ValueError(
+                "pulse_error must be finite and keep the pulse angle "
+                f"pi * (1 + pulse_error) finite, got {self.pulse_error}"
+            )
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -265,9 +272,7 @@ def run_experiment(
     configured decoherence interval; preparation and measurement behave
     identically either way.
     """
-    chi = true_channel(config) if channel is None else np.asarray(channel, dtype=complex)
-    if chi.shape != (4, 4):
-        raise ValueError(f"channel must be a 4x4 coefficient matrix, got {chi.shape}")
+    chi = true_channel(config) if channel is None else channel
     indices = range(1, INPUT_COUNT + 1)
     outputs = apply_chi(chi, prepared_inputs(config))
     return [

@@ -37,7 +37,6 @@ PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # Operation elements for process expansions: identity, sigma_x, -i sigma_y,
 # sigma_z.  All real.
 OPERATION_ELEMENTS = (SIGMA_0, SIGMA_X, -1.0j * SIGMA_Y, SIGMA_Z)
-OPERATION_LABELS = ("I", "X", "-iY", "Z")
 
 KET_0 = np.array([1.0, 0.0], dtype=complex)
 KET_1 = np.array([0.0, 1.0], dtype=complex)
@@ -64,13 +63,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """Frobenius norm of the anti-Hermitian part of ``m``."""
     m = np.asarray(m, dtype=complex)
     return float(np.linalg.norm((m - m.conj().T) / 2.0))
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.all(np.abs(m - m.conj().T) <= tol))
 
 
 def check_density_form(

@@ -122,6 +122,24 @@ class TestSimulate:
         assert "shots must lie in" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [1e308, -1e308], ids=["1e308", "-1e308"])
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_pulse_angle_overflow_exit_2(self, tmp_path, capsys, command, value):
+        # pi * (1 + pulse_error) overflows, so no pulse could be built.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"t2": 100.0, "pulse_error": value}))
+        out = tmp_path / "out"
+        assert run(command, "--config", config, "--out", out) == 2
+        assert "pulse_error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_finite_pulse_angle_simulates(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"t2": 100.0, "pulse_error": 5e307}))
+        out = tmp_path / "records.json"
+        assert run("simulate", "--config", config, "--out", out) == 0
+        assert qio.read_json(str(out))["config"]["pulse_error"] == 5e307
+
     def test_broken_config_json_reports_position(self, tmp_path, capsys):
         config_path = tmp_path / "broken.json"
         config_path.write_text('{"t2": 100.0,}')
@@ -463,6 +481,7 @@ class TestLogging:
 def command_argv(command, path, out_dir):
     """argv of one document-reading command; every output starts with ``out``."""
     return {
+        "simulate": ["simulate", "--config", path, "--out", out_dir / "out.json"],
         "reconstruct": ["reconstruct", "--records", path, "--out", out_dir / "out.json"],
         "project": ["project", "--result", path, "--out", out_dir / "out.json"],
         "compare": ["compare", path, "identity", "--out", out_dir / "out.json"],
@@ -470,6 +489,21 @@ def command_argv(command, path, out_dir):
             "render", "--result", path, "--out", out_dir / "out", "--subdivisions", "1",
         ],
     }[command]
+
+
+class TestUnparseableFile:
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe\x00{", b"[" * 100000], ids=["not-utf8", "deep-nesting"]
+    )
+    @pytest.mark.parametrize(
+        "command", ["simulate", "reconstruct", "project", "compare", "render"]
+    )
+    def test_exit_2_without_output(self, tmp_path, capsys, command, content):
+        source = tmp_path / "source.json"
+        source.write_bytes(content)
+        assert run(*command_argv(command, source, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {source}: ")
+        assert not list(tmp_path.glob("out*"))
 
 
 class TestMalformedResult:

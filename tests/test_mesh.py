@@ -10,7 +10,6 @@ from qpt.mesh import (
     ellipsoid_mesh,
     icosphere,
     mesh_metadata,
-    obj_text,
     write_obj,
 )
 
@@ -108,8 +107,15 @@ def row_obj_text(mesh):
 class TestObjExport:
     AFFINE = AffineMap(np.diag([0.7, 0.7, 1.0]), np.zeros(3))
 
+    @staticmethod
+    def written(mesh, tmp_path):
+        """The bytes ``write_obj`` puts in a file."""
+        path = tmp_path / "mesh.obj"
+        write_obj(mesh, str(path))
+        return path.read_bytes()
+
     @pytest.mark.parametrize("subdivisions", [1, 2, 3, 5])
-    def test_matches_row_formatter(self, subdivisions):
+    def test_matches_row_formatter(self, tmp_path, subdivisions):
         # A sheared, shifted map puts negative zeros, tiny and long-repr
         # coordinates into the ellipsoid block.  Level 5 (10242 vertices,
         # 20480 faces) spans several formatting chunks in each block.
@@ -118,11 +124,11 @@ class TestObjExport:
             np.array([0.0, -0.0, 0.125]),
         )
         mesh = ellipsoid_mesh(affine, subdivisions)
-        assert obj_text(mesh).encode() == row_obj_text(mesh).encode()
+        assert self.written(mesh, tmp_path) == row_obj_text(mesh).encode()
 
-    def test_structure(self):
+    def test_structure(self, tmp_path):
         mesh = ellipsoid_mesh(self.AFFINE, subdivisions=1)
-        lines = obj_text(mesh).splitlines()
+        lines = self.written(mesh, tmp_path).decode().splitlines()
         assert lines[0].startswith("#")
         assert lines.count("o unit_sphere") == 1
         assert lines.count("o ellipsoid") == 1
@@ -131,9 +137,9 @@ class TestObjExport:
         assert len(v_lines) == 2 * 42
         assert len(f_lines) == 2 * 80
 
-    def test_face_indices_one_based_and_offset(self):
+    def test_face_indices_one_based_and_offset(self, tmp_path):
         mesh = ellipsoid_mesh(self.AFFINE, subdivisions=1)
-        lines = obj_text(mesh).splitlines()
+        lines = self.written(mesh, tmp_path).decode().splitlines()
         f_indices = [
             [int(tok) for tok in line.split()[1:]]
             for line in lines
@@ -146,9 +152,9 @@ class TestObjExport:
         assert min(min(f) for f in second_block) == 43
         assert max(max(f) for f in second_block) == 84
 
-    def test_vertices_round_trip_through_repr(self):
+    def test_vertices_round_trip_through_repr(self, tmp_path):
         mesh = ellipsoid_mesh(self.AFFINE, subdivisions=1)
-        lines = obj_text(mesh).splitlines()
+        lines = self.written(mesh, tmp_path).decode().splitlines()
         v_values = np.array(
             [[float(tok) for tok in line.split()[1:]] for line in lines if line.startswith("v ")]
         )
@@ -156,11 +162,13 @@ class TestObjExport:
         np.testing.assert_array_equal(v_values[42:], mesh.vertices)
 
     def test_write_obj(self, tmp_path):
+        # An existing file is replaced whole, and no temporary file is left.
+        path = tmp_path / "mesh.obj"
+        path.write_text("stale\n" * 10000)
         mesh = ellipsoid_mesh(self.AFFINE, subdivisions=1)
-        path = str(tmp_path / "mesh.obj")
-        write_obj(mesh, path)
-        with open(path) as handle:
-            assert handle.read() == obj_text(mesh)
+        write_obj(mesh, str(path))
+        assert path.read_bytes() == row_obj_text(mesh).encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["mesh.obj"]
 
 
 class TestMetadata:

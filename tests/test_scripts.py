@@ -1,7 +1,12 @@
 """Smoke runs of the scripts under ``scripts/`` through their ``main()``."""
 
 import importlib.util
+import json
+import math
+import re
 from pathlib import Path
+
+from qpt import projection
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -13,11 +18,60 @@ def load_script(name):
     return module
 
 
+PRESET_NAMES = ("paper-20ns", "paper-40ns", "paper-80ns")
+NORM_KEYS = ("p1_norm", "p2_norm", "frobenius_norm", "trace_distance_pro")
+
+
+def expected_row(name, doc):
+    """A table row's fields, formatted from the numbers of ``result.json``."""
+    config, projected = doc["config"], doc["projected"]
+    matrix = projected["affine"]["matrix"]
+    return [
+        name,
+        f"{math.exp(-config['decoherence_time'] / config['t2']):.6f}",
+        f"{(matrix[0][0] + matrix[1][1]) / 2:.6f}",
+        f"{matrix[2][2]:.5f}",
+        str(doc["raw"]["cp"]["flag"] and doc["raw"]["tp"]["flag"]),
+        f"{projected['distance']:.2e}",
+        *(f"{doc['discrepancy'][key]:.4f}" for key in NORM_KEYS),
+    ]
+
+
 def test_run_protocol(tmp_path, capsys):
-    assert load_script("run_protocol").main(["--out", str(tmp_path)]) == 0
-    assert "three-interval protocol" in capsys.readouterr().out
-    for name in ("paper-20ns", "paper-40ns", "paper-80ns"):
-        assert (tmp_path / f"{name}.result.json").exists()
+    main = load_script("run_protocol").main
+    for argv, mode in (
+        ([], "exact expectations"),
+        (["--shots", "1000", "--seed", "3"], "1000 shots"),
+    ):
+        out = tmp_path / mode.replace(" ", "-")
+        assert main([*argv, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-5] == f"three-interval protocol, {mode}, artifacts in {out}/"
+        assert lines[-4].startswith("preset ")
+        for name, row in zip(PRESET_NAMES, lines[-3:]):
+            run_dir = out / name
+            for artifact in (
+                "records.json", "result.json", "compare_identity.json",
+                "mesh_raw.obj", "mesh_raw.json",
+                "mesh_projected.obj", "mesh_projected.json",
+            ):
+                assert (run_dir / artifact).exists()
+            doc = json.loads((run_dir / "result.json").read_text())
+            fields = re.sub(r"[(),]", " ", row).split()
+            assert fields == expected_row(name, doc)
+
+
+def test_run_protocol_returns_pipeline_exit_code(tmp_path, capsys, monkeypatch):
+    # With a one-evaluation budget no noisy projection converges: the
+    # pipeline exits 4, still writes every result, and the table follows.
+    monkeypatch.setattr(projection, "MAX_ITERATIONS", 1)
+    main = load_script("run_protocol").main
+    assert main(["--shots", "1000", "--out", str(tmp_path)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    for name, row in zip(PRESET_NAMES, lines[-3:]):
+        doc = json.loads((tmp_path / name / "result.json").read_text())
+        assert doc["projected"]["converged"] is False
+        assert re.sub(r"[(),]", " ", row).split() == expected_row(name, doc)
 
 
 def test_shot_noise_study(capsys):

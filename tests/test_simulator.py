@@ -68,6 +68,8 @@ class TestExperimentConfig:
             {"t2": 100.0, "polarization": 1.1},
             {"t2": 100.0, "shots": 0},
             {"t2": 100.0, "pulse_error": math.nan},
+            {"t2": 100.0, "pulse_error": 1e308},
+            {"t2": 100.0, "pulse_error": -1e308},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

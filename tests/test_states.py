@@ -24,7 +24,7 @@ class TestPauliBasis:
 
     def test_paulis_are_hermitian(self):
         for sigma in states.PAULIS:
-            assert states.is_hermitian(sigma)
+            assert states.hermiticity_defect(sigma) == 0
 
     def test_operation_elements_are_real(self):
         for op in states.OPERATION_ELEMENTS:
