@@ -120,12 +120,6 @@ def _as_operator(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def expand_in_operation_basis(m: np.ndarray) -> np.ndarray:
-    """Coefficients c with ``m = sum_m c[m] A_m`` (c[m] = tr(A_m^dag m)/2)."""
-    m = _as_operator(m)
-    return np.einsum("mij,ij->m", _OPS.conj(), m) / 2.0
-
-
 def operator_from_coefficients(c: Sequence[complex]) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
     if c.shape != (4,):
@@ -204,15 +198,6 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
     return ops
 
 
-def kraus_completeness_deficit(ops: Sequence[np.ndarray]) -> float:
-    """Frobenius distance of ``sum_k K_k^dag K_k`` from the identity."""
-    if len(ops) == 0:
-        raise ValueError("Kraus set must contain at least one operator")
-    stack = np.stack([_as_operator(k) for k in ops])
-    total = np.einsum("kji,kjl->il", stack.conj(), stack)
-    return float(np.linalg.norm(total - np.eye(2)))
-
-
 def _tp_deficit(chi: np.ndarray) -> float:
     """``||S - I||_F`` with ``S = sum_mn chi[m, n] A_n^dag A_m``; no input checks."""
     return float(np.linalg.norm(_COMPLETENESS @ chi.reshape(16) - _IDENTITY_VEC))
@@ -250,22 +235,6 @@ def chi_from_choi(choi: np.ndarray) -> np.ndarray:
     if choi.shape != (4, 4):
         raise ValueError(f"Choi state must be 4x4, got {choi.shape}")
     return _CHOI_BASIS.conj().T @ choi @ _CHOI_BASIS
-
-
-def partial_trace_ancilla(state: np.ndarray) -> np.ndarray:
-    """Trace out the first tensor factor of a 4x4 bipartite state."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 state, got {state.shape}")
-    return state.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-
-
-def partial_trace_output(state: np.ndarray) -> np.ndarray:
-    """Trace out the second tensor factor of a 4x4 bipartite state."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 state, got {state.shape}")
-    return state.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
 
 
 def affine_from_chi(chi: np.ndarray) -> AffineMap:

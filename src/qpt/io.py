@@ -41,10 +41,18 @@ def _json_number(value, field: str) -> int | float:
     """``value`` if it is a JSON number; anything else raises ``ConfigError``.
 
     ``true`` is not a number although ``bool`` subclasses ``int``, and
-    numeric text such as ``"0.5"`` is text: neither is coerced.
+    numeric text such as ``"0.5"`` is text: neither is coerced.  An integer
+    too large for a float is rejected too; the value is returned unchanged.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{field} must be a number within the float range, got an integer "
+            f"of {value.bit_length()} bits"
+        ) from None
     return value
 
 
@@ -345,17 +353,12 @@ def comparison_document(comparison: ProcessComparison) -> dict:
     }
 
 
-def document_config(doc) -> ExperimentConfig | None:
-    _check_header(doc, RESULT_KIND, "result document")
-    stored = doc.get("config")
-    return None if stored is None else config_from_dict(stored)
-
-
 def read_json(path: str) -> dict:
     """Parse a strict JSON file.
 
-    ``NaN`` and ``Infinity``, bytes that are not UTF-8, and nesting deeper
-    than the parser's recursion limit raise ``ConfigError``.
+    ``NaN`` and ``Infinity``, bytes that are not UTF-8, nesting deeper
+    than the parser's recursion limit and integers longer than Python's
+    integer-string limit (4300 digits by default) raise ``ConfigError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -374,6 +377,8 @@ def read_json(path: str) -> dict:
         ) from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: JSON integer too long to parse: {exc}") from exc
 
 
 def write_text_atomic(path: str, text: str | Iterable[str]) -> None:

@@ -107,7 +107,7 @@ def _fidelity(a: np.ndarray, b: np.ndarray, spectra) -> float:
     """
     roots = []
     for rho, context, spectrum in zip((a, b), ("first state", "second state"), spectra):
-        rho = check_density_form(rho, dim=None, context=context)
+        rho = check_density_form(rho, context=context)
         if spectrum is None:
             spectrum = np.linalg.eigh((rho + rho.conj().T) / 2.0)
         values, vectors = spectrum

@@ -42,16 +42,18 @@ from .channels import (
     is_trace_preserving,
 )
 from .states import (
+    HERMITICITY_TOL,
     KET_0,
     KET_1,
     KET_PLUS,
     KET_PLUS_I,
     PAULIS,
+    TRACE_TOL,
     hermiticity_defect,
     projector,
 )
 from .simulator import prepared_inputs
-from .state_tomography import StateEstimate, bloch_target, fit_states
+from .state_tomography import bloch_target, fit_states
 
 INPUT_STATE_LABELS = ("|0><0|", "|1><1|", "|+><+|", "|+i><+i|")
 _INPUT_NAMES = tuple(
@@ -108,16 +110,6 @@ def _inverse_for(key: bytes) -> np.ndarray:
     return inverse
 
 
-def expand_in_state_basis(
-    m: np.ndarray, rho_basis: Sequence[np.ndarray] | None = None
-) -> np.ndarray:
-    """Coefficients c with ``m = sum_k c[k] rho_k`` for a spanning basis."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-    return _coords_inverse(_basis_stack(rho_basis)) @ (_COORDS @ m.reshape(4))
-
-
 def lambda_from_outputs(
     outputs: Sequence[np.ndarray],
     rho_basis: Sequence[np.ndarray] | None = None,
@@ -136,9 +128,9 @@ def lambda_from_outputs(
             raise ValueError(f"output {j}: expected a 2x2 matrix, got {out.shape}")
         if not np.all(np.isfinite(out)):
             raise ValueError(f"output {j}: non-finite entries")
-        if hermiticity_defect(out) > 1e-6:
+        if hermiticity_defect(out) > HERMITICITY_TOL:
             raise ValueError(f"output {j}: not Hermitian")
-        if abs(out.trace() - 1.0) > 1e-6:
+        if abs(out.trace() - 1.0) > TRACE_TOL:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
         stack.append(out)
     return (_coords_inverse(_basis_stack(rho_basis)) @ _coords(np.stack(stack))).T
@@ -187,7 +179,6 @@ class ProcessEstimate:
     residuals: tuple[float, ...]
     anti_hermitian_norm: float
     lambda_matrix: np.ndarray
-    state_estimates: tuple[StateEstimate, ...]
 
     @property
     def physical(self) -> bool:
@@ -236,10 +227,10 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         targets.append(target)
         masks.append(mask)
     inverse = _declared_inverse(preparations)
-    fit = fit_states(np.array(targets), np.array(masks), _INPUT_NAMES)
+    bloch, residuals = fit_states(np.array(targets), np.array(masks), _INPUT_NAMES)
     outputs = np.empty((4, 4))  # P_O: the fitted outputs' Pauli coordinates
     outputs[0] = 1.0
-    outputs[1:] = fit.bloch.T
+    outputs[1:] = bloch.T
     chi, anti_norm = _chi_from_transfer(outputs @ inverse)
     cp_flag, cp_min = is_completely_positive(chi)
     tp_flag, tp_deficit = is_trace_preserving(chi)
@@ -250,10 +241,9 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         tp_flag=tp_flag,
         cp_min_eigenvalue=cp_min,
         tp_deficit=tp_deficit,
-        residuals=tuple(fit.residual.tolist()),
+        residuals=tuple(residuals.tolist()),
         anti_hermitian_norm=anti_norm,
         lambda_matrix=(inverse @ outputs).T,
-        state_estimates=fit.estimates(),
     )
 
 

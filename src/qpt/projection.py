@@ -135,8 +135,8 @@ class ProjectionResult:
     of the dual function, one eigendecomposition each except the second,
     which reuses the first.  ``tp_residual`` (``||S - I||_F``) and
     ``min_eigenvalue`` are measured on ``chi_tilde`` and certify its
-    feasibility.  ``restart_distances`` is kept for callers of the former
-    multi-start solver; the solver leaves it empty.
+    feasibility.  ``restart_distances`` is always empty; it stays only
+    because ``perfbench/test_perfbench.py`` constructs results with it.
     """
 
     chi_tilde: np.ndarray

@@ -4,9 +4,9 @@ One run prepares each of the four tomographic input states with a short
 control pulse, lets the qubit decohere for a configurable interval under
 combined dephasing (t2) and amplitude damping (t1), and measures the three
 Pauli expectations of the output.  Shot noise is sampled from counter-based
-streams keyed by ``(seed, input index, axis)``, so any record is
-reproducible in isolation: re-running a single input state with the same
-seed yields bit-identical values regardless of execution order.
+streams keyed by ``(seed, input index, axis)``, so every record depends
+only on its own cell: its value is bit-identical whatever the order in
+which the cells are drawn.
 
 A run is computed as whole arrays over the four inputs: the prepared
 inputs are cached per ``(polarization, pulse_error)``, the channel maps
@@ -196,11 +196,6 @@ def true_channel(config: ExperimentConfig) -> np.ndarray:
     return chi_from_affine(affine)
 
 
-def evolve(config: ExperimentConfig, rho: np.ndarray) -> np.ndarray:
-    """Apply the configured decoherence interval to a state."""
-    return apply_chi(true_channel(config), rho)
-
-
 _PAULI_AXES = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
@@ -245,21 +240,6 @@ def _sample(
             records.append(ExpectationRecord(axis, (2.0 * ups - shots) / shots, shots))
         sampled.append(tuple(records))
     return sampled
-
-
-def measure(
-    config: ExperimentConfig, rho: np.ndarray, input_index: int = 0
-) -> tuple[ExpectationRecord, ...]:
-    """Pauli expectations of a state, exact or with binomial shot noise.
-
-    ``input_index`` selects the noise stream; keep it at the actual input
-    slot when simulating an experiment so repeated runs stay reproducible
-    per record.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got {rho.shape}")
-    return _sample(config, (input_index,), _expectations(rho[None]))[0]
 
 
 def run_experiment(

@@ -20,19 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidStateError
-from .states import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .states import density_from_bloch, von_neumann_entropy
 
 AXES = ("x", "y", "z")
-
-# rho = (I + r . sigma) / 2 row-wise: vec(rho) = (r @ _PAULI_ROWS + vec(I)) / 2.
-_PAULI_ROWS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]).reshape(3, 4)
-_IDENTITY_ROW = SIGMA_0.reshape(4)
-_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -85,10 +79,19 @@ def reconstruct_state(records: Iterable[ExpectationRecord]) -> StateEstimate:
     rejected.  Values may lie anywhere (even far outside [-1, 1]); the
     output is always a valid state.  Only when the residual itself exceeds
     the float range (measured values of norm above ~1.8e308) is a
-    ``ValueError`` raised.
+    ``ValueError`` raised.  The Bloch vector and residual come from
+    :func:`fit_states`; ``rho`` and ``entropy`` from ``qpt.states``.
     """
     target, measured = bloch_target(records)
-    return fit_states(np.array([target]), np.array([measured])).estimates()[0]
+    bloch, residual = fit_states(np.array([target]), np.array([measured]))
+    rho = density_from_bloch(bloch[0])
+    return StateEstimate(
+        rho=rho,
+        bloch=bloch[0],
+        residual=float(residual[0]),
+        entropy=von_neumann_entropy(rho),
+        complete=all(measured),
+    )
 
 
 def bloch_target(records: Iterable[ExpectationRecord]) -> tuple[list, list]:
@@ -109,38 +112,15 @@ def bloch_target(records: Iterable[ExpectationRecord]) -> tuple[list, list]:
     return [measured.get(axis, 0.0) for axis in AXES], [axis in measured for axis in AXES]
 
 
-class StateFit(NamedTuple):
-    """Estimates of k states as arrays: rho (k, 2, 2), bloch (k, 3), and
-    per-row residual, entropy and completeness."""
-
-    rho: np.ndarray
-    bloch: np.ndarray
-    residual: np.ndarray
-    entropy: np.ndarray
-    complete: np.ndarray
-
-    def estimates(self) -> tuple[StateEstimate, ...]:
-        """One :class:`StateEstimate` per row; ``rho``/``bloch`` are row views."""
-        return tuple(
-            StateEstimate(rho=rho, bloch=bloch, residual=r, entropy=e, complete=c)
-            for rho, bloch, r, e, c in zip(
-                self.rho,
-                self.bloch,
-                self.residual.tolist(),
-                self.entropy.tolist(),
-                self.complete.tolist(),
-            )
-        )
-
-
 def fit_states(
     target: np.ndarray, measured: np.ndarray, names: Sequence[str] | None = None
-) -> StateFit:
+) -> tuple[np.ndarray, np.ndarray]:
     """The estimation rule above applied to k rows at once.
 
     ``target`` is (k, 3), zero on unmeasured axes, and ``measured`` the
-    matching boolean mask.  A row whose residual exceeds the float range
-    raises ``ValueError``, prefixed with its entry of ``names`` if given.
+    matching boolean mask.  Returns the (k, 3) Bloch vectors and the k
+    residuals.  A row whose residual exceeds the float range raises
+    ``ValueError``, prefixed with its entry of ``names`` if given.
     """
     # Norms are taken of target * 2**-shift, with shift the binary exponent
     # of the largest value when that is positive.  A power-of-two scale is
@@ -161,13 +141,4 @@ def fit_states(
         raise ValueError(
             f"{prefix}expectation values too large: the residual exceeds the float range"
         )
-
-    norm = np.sqrt((bloch * bloch).sum(axis=1))
-    if (norm > 1.0 + 1e-9).any():
-        raise InvalidStateError(f"Bloch vector norm {norm.max():.12f} exceeds 1")
-    rho = (bloch @ _PAULI_ROWS + _IDENTITY_ROW).reshape(-1, 2, 2) / 2.0
-    # A qubit state's spectrum is (1 +- |r|) / 2; 0 ln 0 counts as 0.
-    spectrum = (1.0 + _SIGNS * np.minimum(norm, 1.0)[:, None]) / 2.0
-    terms = spectrum * np.log(np.where(spectrum > 0.0, spectrum, 1.0))
-    entropy = np.maximum(-terms.sum(axis=1), 0.0)
-    return StateFit(rho, bloch, residual, entropy, measured.all(axis=1))
+    return bloch, residual

@@ -65,10 +65,8 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm((m - m.conj().T) / 2.0))
 
 
-def check_density_form(
-    rho: np.ndarray, dim: int | None = 2, context: str = "density matrix"
-) -> np.ndarray:
-    """The non-spectral checks of :func:`validate_density_matrix`.
+def check_density_form(rho: np.ndarray, context: str = "density matrix") -> np.ndarray:
+    """The non-spectral checks of a density matrix of any square dimension.
 
     Shape, finiteness, Hermiticity and unit trace, in that order; returns
     ``rho`` as a complex array.  A caller that needs the spectrum anyway
@@ -77,8 +75,6 @@ def check_density_form(
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"{context}: expected a square matrix, got {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise InvalidStateError(f"{context}: expected {dim}x{dim}, got {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise InvalidStateError(f"{context}: non-finite entries")
     defect = hermiticity_defect(rho)
@@ -101,31 +97,6 @@ def check_lowest_eigenvalue(
         raise InvalidStateError(
             f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
         )
-
-
-def validate_density_matrix(
-    rho: np.ndarray,
-    dim: int | None = 2,
-    eigenvalue_tol: float = EIGENVALUE_CLAMP,
-    context: str = "density matrix",
-) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; return the array.
-
-    Raises ``InvalidStateError`` describing the first violated constraint.
-    ``dim=None`` accepts any square dimension (used for bipartite states).
-    """
-    rho = check_density_form(rho, dim, context)
-    values = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    check_lowest_eigenvalue(values, eigenvalue_tol, context)
-    return rho
-
-
-def is_valid_density_matrix(rho: np.ndarray, dim: int | None = 2) -> bool:
-    try:
-        validate_density_matrix(rho, dim=dim)
-    except InvalidStateError:
-        return False
-    return True
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
@@ -161,7 +132,7 @@ def density_from_bloch(r: Sequence[float]) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy ``-sum p ln p`` in nats over the clamped spectrum of ``rho``."""
-    rho = check_density_form(rho, dim=None)
+    rho = check_density_form(rho)
     values = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     check_lowest_eigenvalue(values)
     values = np.clip(values, 0.0, 1.0)

@@ -69,6 +69,44 @@ def random_cptp_chi(rng: np.random.Generator, count: int = 3) -> np.ndarray:
     return chi_from_kraus(random_kraus_set(rng, count))
 
 
+def is_valid_density_matrix(rho: np.ndarray) -> bool:
+    """A 2x2 Hermitian, unit-trace, PSD matrix within the ``qpt.states`` tolerances."""
+    from qpt.errors import InvalidStateError
+    from qpt.states import check_density_form, check_lowest_eigenvalue
+
+    if np.shape(rho) != (2, 2):
+        return False
+    try:
+        rho = check_density_form(rho)
+        check_lowest_eigenvalue(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0))
+    except InvalidStateError:
+        return False
+    return True
+
+
+def expand_in_operation_basis(m: np.ndarray) -> np.ndarray:
+    """Coefficients c with ``m = sum_m c[m] A_m`` (c[m] = tr(A_m^dag m)/2)."""
+    from qpt.states import OPERATION_ELEMENTS
+
+    return np.einsum("mij,ij->m", np.conj(OPERATION_ELEMENTS), m) / 2.0
+
+
+def kraus_completeness_deficit(ops) -> float:
+    """Frobenius distance of ``sum_k K_k^dag K_k`` from the identity."""
+    total = sum(k.conj().T @ k for k in ops)
+    return float(np.linalg.norm(total - np.eye(2)))
+
+
+def partial_trace_ancilla(state: np.ndarray) -> np.ndarray:
+    """Trace out the first tensor factor of a 4x4 bipartite state."""
+    return np.asarray(state).reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+
+
+def partial_trace_output(state: np.ndarray) -> np.ndarray:
+    """Trace out the second tensor factor of a 4x4 bipartite state."""
+    return np.asarray(state).reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+
+
 def exhaustive_ball_minimum(
     target: np.ndarray,
     measured: tuple[bool, bool, bool] = (True, True, True),
@@ -251,7 +289,7 @@ def loop_expand_in_state_basis(m: np.ndarray, rho_basis=None) -> np.ndarray:
 
 def loop_lambda_from_outputs(outputs, rho_basis=None) -> np.ndarray:
     """Expand the four output states over the input basis, row by row."""
-    from qpt.states import hermiticity_defect
+    from qpt.states import HERMITICITY_TOL, TRACE_TOL, hermiticity_defect
 
     if len(outputs) != 4:
         raise ValueError(f"expected 4 output states, got {len(outputs)}")
@@ -262,9 +300,9 @@ def loop_lambda_from_outputs(outputs, rho_basis=None) -> np.ndarray:
             raise ValueError(f"output {j}: expected a 2x2 matrix, got {out.shape}")
         if not np.all(np.isfinite(out)):
             raise ValueError(f"output {j}: non-finite entries")
-        if hermiticity_defect(out) > 1e-6:
+        if hermiticity_defect(out) > HERMITICITY_TOL:
             raise ValueError(f"output {j}: not Hermitian")
-        if abs(out.trace() - 1.0) > 1e-6:
+        if abs(out.trace() - 1.0) > TRACE_TOL:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
         rows.append(loop_expand_in_state_basis(out, rho_basis))
     return np.stack(rows)
@@ -332,7 +370,6 @@ def loop_run_process_tomography(record_sets):
         residuals=tuple(e.residual for e in estimates),
         anti_hermitian_norm=anti_norm,
         lambda_matrix=lam,
-        state_estimates=tuple(estimates),
     )
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from conftest import (
     exhaustive_ball_minimum,
+    partial_trace_output,
     random_density_matrix,
     random_kraus_set,
     record_acceptance,
@@ -32,7 +33,6 @@ from qpt.channels import (
     is_completely_positive,
     is_trace_preserving,
     kraus_from_chi,
-    partial_trace_output,
     standard_channel,
 )
 from qpt.mesh import ellipsoid_mesh, mesh_metadata

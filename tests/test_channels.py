@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bloch_vector, random_cptp_chi, random_density_matrix, random_kraus_set
+from conftest import (
+    expand_in_operation_basis,
+    kraus_completeness_deficit,
+    partial_trace_ancilla,
+    partial_trace_output,
+    random_bloch_vector,
+    random_cptp_chi,
+    random_density_matrix,
+    random_kraus_set,
+)
 from qpt import channels as ch
 from qpt import states
 from qpt.errors import NotCompletelyPositiveError
@@ -53,11 +62,11 @@ class TestApply:
 class TestOperationExpansion:
     def test_round_trip(self, rng):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        c = ch.expand_in_operation_basis(m)
+        c = expand_in_operation_basis(m)
         assert np.allclose(ch.operator_from_coefficients(c), m)
 
     def test_identity_coefficients(self):
-        assert ch.expand_in_operation_basis(np.eye(2)) == pytest.approx(
+        assert expand_in_operation_basis(np.eye(2)) == pytest.approx(
             [1.0, 0.0, 0.0, 0.0]
         )
 
@@ -82,12 +91,12 @@ class TestKrausConversions:
         chi = IDENTITY_CHI.copy()
         chi[1, 1] = -1e-10
         ops = ch.kraus_from_chi(chi)
-        assert ch.kraus_completeness_deficit(ops) < 1e-9
+        assert kraus_completeness_deficit(ops) < 1e-9
 
     def test_completeness_deficit(self, rng):
         ops = random_kraus_set(rng)
-        assert ch.kraus_completeness_deficit(ops) < 1e-12
-        assert ch.kraus_completeness_deficit([0.9 * np.eye(2)]) == pytest.approx(
+        assert kraus_completeness_deficit(ops) < 1e-12
+        assert kraus_completeness_deficit([0.9 * np.eye(2)]) == pytest.approx(
             np.linalg.norm((0.81 - 1.0) * np.eye(2))
         )
 
@@ -175,8 +184,8 @@ class TestChoi:
             chi = random_cptp_chi(rng)
             choi = ch.choi_from_chi(chi)
             # Trace preservation shows up as a maximally mixed ancilla.
-            assert np.allclose(ch.partial_trace_output(choi), np.eye(2) / 2.0, atol=1e-10)
-            assert ch.partial_trace_ancilla(choi).trace() == pytest.approx(1.0)
+            assert np.allclose(partial_trace_output(choi), np.eye(2) / 2.0, atol=1e-10)
+            assert partial_trace_ancilla(choi).trace() == pytest.approx(1.0)
 
     def test_choi_trace_one(self, rng):
         chi = random_cptp_chi(rng)

@@ -18,6 +18,10 @@ from qpt.channels import standard_channel
 from qpt.cli import main
 
 
+# A JSON integer of 401 digits: valid JSON, but beyond the float range.
+HUGE_INTEGER = 10**400
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -493,7 +497,9 @@ def command_argv(command, path, out_dir):
 
 class TestUnparseableFile:
     @pytest.mark.parametrize(
-        "content", [b"\xff\xfe\x00{", b"[" * 100000], ids=["not-utf8", "deep-nesting"]
+        "content",
+        [b"\xff\xfe\x00{", b"[" * 100000, b'{"t2": 1' + b"0" * 5000 + b"}"],
+        ids=["not-utf8", "deep-nesting", "overlong-integer"],
     )
     @pytest.mark.parametrize(
         "command", ["simulate", "reconstruct", "project", "compare", "render"]
@@ -594,6 +600,16 @@ class TestMalformedResult:
             ("compare", ("schema_version",), True),
             ("project", ("raw", "chi", 0, 0, 0), True),
             ("render", ("raw", "affine", "translation", 2), "0.5"),
+            # An integer no float can hold, in a field read as a float.
+            ("simulate", ("t1",), HUGE_INTEGER),
+            ("simulate", ("t2",), HUGE_INTEGER),
+            ("simulate", ("decoherence_time",), HUGE_INTEGER),
+            ("simulate", ("polarization",), HUGE_INTEGER),
+            ("simulate", ("pulse_error",), HUGE_INTEGER),
+            ("reconstruct", ("records", 1, "expectations", 0, "value"), HUGE_INTEGER),
+            ("project", ("raw", "chi", 1, 2, 0), HUGE_INTEGER),
+            ("compare", ("raw", "chi", 0, 0, 1), HUGE_INTEGER),
+            ("render", ("raw", "affine", "matrix", 0, 0), HUGE_INTEGER),
         ],
         ids=[
             "records-version-true",
@@ -603,6 +619,15 @@ class TestMalformedResult:
             "result-version-true",
             "chi-true",
             "affine-text",
+            "t1-huge-integer",
+            "t2-huge-integer",
+            "decoherence-time-huge-integer",
+            "polarization-huge-integer",
+            "pulse-error-huge-integer",
+            "value-huge-integer",
+            "project-chi-huge-integer",
+            "compare-chi-huge-integer",
+            "affine-huge-integer",
         ],
     )
     def test_wrong_typed_number_rejected(self, tmp_path, capsys, command, path, value):
@@ -610,12 +635,18 @@ class TestMalformedResult:
         assert run(
             "simulate", "--preset", "paper-20ns", "--shots", "200", "--out", source
         ) == 0
-        if command != "reconstruct":
+        if command not in ("simulate", "reconstruct"):
             assert run("reconstruct", "--records", source, "--out", source) == 0
-        doc = replaced(json.loads(source.read_text()), path, value)
-        source.write_text(json.dumps(doc))
+        doc = json.loads(source.read_text())
+        if command == "simulate":
+            doc = doc["config"]
+        source.write_text(json.dumps(replaced(doc, path, value)))
         assert run(*command_argv(command, source, tmp_path)) == 2
-        assert "must be a" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be a" in err
+        field = [key for key in path if isinstance(key, str)][-1]
+        assert field in err
+        assert str(HUGE_INTEGER) not in err
         assert not list(tmp_path.glob("out*"))
 
 

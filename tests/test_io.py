@@ -222,8 +222,8 @@ class TestResultDocument:
 
     def test_document_config(self):
         config, estimate, doc = self.build()
-        assert io.document_config(doc) == config
-        assert io.document_config(io.result_document(estimate)) is None
+        assert io.config_from_dict(doc["config"]) == config
+        assert io.result_document(estimate)["config"] is None
 
 
 class TestFileIo:

@@ -11,7 +11,6 @@ from conftest import (
     loop_measure,
     loop_run_experiment,
     random_cptp_chi,
-    random_density_matrix,
 )
 from qpt import channels as ch
 from qpt import states
@@ -21,8 +20,6 @@ from qpt.simulator import (
     PRESETS,
     ExperimentConfig,
     MeasurementRecord,
-    evolve,
-    measure,
     prepare_input,
     prepared_inputs,
     preset_config,
@@ -204,61 +201,65 @@ class TestTrueChannel:
         )
 
     def test_evolve_shrinks_coherence(self):
+        # Input 3 is |+>, whose x expectation decays as exp(-t/t2).
         config = ExperimentConfig(t2=100.0, decoherence_time=20.0)
-        plus = states.projector(states.KET_PLUS)
-        out = evolve(config, plus)
-        bloch = states.bloch_from_density(out)
-        assert bloch[0] == pytest.approx(math.exp(-0.2), abs=1e-12)
-        assert bloch[1] == pytest.approx(0.0, abs=1e-12)
-        assert bloch[2] == pytest.approx(0.0, abs=1e-12)
+        values = [r.value for r in run_experiment(config)[2].records]
+        assert values[0] == pytest.approx(math.exp(-0.2), abs=1e-12)
+        assert values[1] == pytest.approx(0.0, abs=1e-12)
+        assert values[2] == pytest.approx(0.0, abs=1e-12)
+
+
+def replacement_channel(bloch):
+    """The channel that maps every input to the state with this Bloch vector."""
+    return ch.chi_from_affine(ch.AffineMap(np.zeros((3, 3)), np.asarray(bloch)))
 
 
 class TestMeasure:
+    """Sampling of the Pauli expectations, through ``run_experiment``."""
+
     def test_exact_expectations(self):
         config = ExperimentConfig(t2=100.0)
-        records = measure(config, states.projector(states.KET_PLUS))
-        by_axis = {r.axis: r.value for r in records}
+        results = run_experiment(config)
+        by_axis = {r.axis: r.value for r in results[2].records}  # input 3: |+>
         assert by_axis["x"] == pytest.approx(1.0, abs=1e-12)
         assert by_axis["y"] == pytest.approx(0.0, abs=1e-12)
         assert by_axis["z"] == pytest.approx(0.0, abs=1e-12)
-        assert all(r.shots is None for r in records)
+        assert all(r.shots is None for result in results for r in result.records)
 
     def test_sampled_values_are_valid_fractions(self):
         config = ExperimentConfig(t2=100.0, shots=100, seed=1)
-        records = measure(config, states.projector(states.KET_PLUS), input_index=1)
-        for record in records:
-            assert record.shots == 100
-            assert -1.0 <= record.value <= 1.0
-            # (2k - n) / n has resolution 2/n.
-            assert (record.value * 100) % 2 == pytest.approx(0.0, abs=1e-9)
+        for result in run_experiment(config):
+            for record in result.records:
+                assert record.shots == 100
+                assert -1.0 <= record.value <= 1.0
+                # (2k - n) / n has resolution 2/n.
+                assert (record.value * 100) % 2 == pytest.approx(0.0, abs=1e-9)
 
     def test_extreme_probability_never_flips(self):
-        # <sigma_z> = 1 gives p = 1 exactly; every shot must come up +1.
+        # Input 1 is |0>: <sigma_z> = 1 gives p = 1 exactly; every shot must
+        # come up +1.
         config = ExperimentConfig(t2=100.0, shots=500, seed=11)
-        records = measure(config, states.projector(states.KET_0), input_index=1)
-        by_axis = {r.axis: r.value for r in records}
+        by_axis = {r.axis: r.value for r in run_experiment(config)[0].records}
         assert by_axis["z"] == 1.0
 
     def test_reproducible_per_stream(self):
         config = ExperimentConfig(t2=100.0, shots=200, seed=42)
-        rho = states.density_from_bloch([0.3, -0.1, 0.4])
-        first = measure(config, rho, input_index=2)
-        second = measure(config, rho, input_index=2)
-        assert [r.value for r in first] == [r.value for r in second]
+        channel = replacement_channel([0.3, -0.1, 0.4])
+        first = run_experiment(config, channel=channel)
+        second = run_experiment(config, channel=channel)
+        assert record_bits(first) == record_bits(second)
 
     def test_streams_differ_by_input_and_seed(self):
+        # Every input leaves in the same state, so only the stream differs.
         config = ExperimentConfig(t2=100.0, shots=200, seed=42)
-        rho = states.density_from_bloch([0.3, -0.1, 0.4])
-        a = [r.value for r in measure(config, rho, input_index=1)]
-        b = [r.value for r in measure(config, rho, input_index=2)]
+        channel = replacement_channel([0.3, -0.1, 0.4])
+        results = run_experiment(config, channel=channel)
+        a = [r.value for r in results[0].records]
+        b = [r.value for r in results[1].records]
         assert a != b
         other_seed = ExperimentConfig(t2=100.0, shots=200, seed=43)
-        c = [r.value for r in measure(other_seed, rho, input_index=1)]
+        c = [r.value for r in run_experiment(other_seed, channel=channel)[0].records]
         assert a != c
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError, match="2x2"):
-            measure(ExperimentConfig(t2=100.0), np.eye(3))
 
 
 class TestRunExperiment:
@@ -281,10 +282,11 @@ class TestRunExperiment:
         # Measuring input 3 alone gives the same values as inside a full run.
         config = ExperimentConfig(t2=100.0, shots=300, seed=8, decoherence_time=40.0)
         full = run_experiment(config)
-        alone = measure(
-            config, evolve(config, prepare_input(config, 3)), input_index=3
-        )
-        assert [r.value for r in full[2].records] == [r.value for r in alone]
+        output = ch.apply_chi(true_channel(config), prepare_input(config, 3))
+        alone = loop_measure(config, output, input_index=3)
+        assert [np.float64(r.value).tobytes() for r in full[2].records] == [
+            np.float64(r.value).tobytes() for r in alone
+        ]
 
     def test_channel_override(self):
         config = ExperimentConfig(t2=100.0)
@@ -306,7 +308,6 @@ class TestRunExperiment:
     def test_sampling_concentrates_with_shots(self):
         # Error in the x expectation of the decohered |+> state shrinks
         # roughly like 1/sqrt(shots); compare medians over 20 seeds.
-        config_base = ExperimentConfig(t2=100.0, decoherence_time=20.0)
         truth = math.exp(-0.2)
         medians = []
         for shots in (100, 10000):
@@ -315,9 +316,7 @@ class TestRunExperiment:
                 config = ExperimentConfig(
                     t2=100.0, decoherence_time=20.0, shots=shots, seed=seed
                 )
-                records = measure(
-                    config, evolve(config_base, prepare_input(config_base, 3)), 3
-                )
+                records = run_experiment(config)[2].records
                 errors.append(abs(records[0].value - truth))
             medians.append(float(np.median(errors)))
         assert medians[1] < medians[0] / 3.0
@@ -370,19 +369,6 @@ class TestAgainstLoopOracle:
                 loop_run_experiment(config, channel=chi)
             )
 
-    @pytest.mark.parametrize("shots", [None, 1, 1000])
-    def test_measure(self, rng, shots):
-        for seed in range(5):
-            config = ExperimentConfig(t2=100.0, shots=shots, seed=seed)
-            rho = random_density_matrix(rng) if seed else states.projector(states.KET_0)
-            for input_index in (0, 1, 4):
-                new = measure(config, rho, input_index)
-                old = loop_measure(config, rho, input_index)
-                assert [(r.axis, r.shots) for r in new] == [(r.axis, r.shots) for r in old]
-                assert [np.float64(r.value).tobytes() for r in new] == [
-                    np.float64(r.value).tobytes() for r in old
-                ]
-
     def test_non_finite_channel_rejected(self):
         chi = np.eye(4, dtype=complex)
         chi[1, 1] = np.nan
@@ -423,5 +409,5 @@ def test_each_call_owns_its_bit_generator(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", tracked)
     config = ExperimentConfig(t2=100.0, shots=100, seed=4)
     run_experiment(config)
-    measure(config, states.projector(states.KET_PLUS), input_index=3)
+    run_experiment(config)
     assert len(made) == 2 and made[0] is not made[1]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exhaustive_ball_minimum, loop_reconstruct_state
+from conftest import exhaustive_ball_minimum, is_valid_density_matrix, loop_reconstruct_state
 from qpt import states
 from qpt.state_tomography import AXES, ExpectationRecord, fit_states, reconstruct_state
 
@@ -67,7 +67,7 @@ class TestReconstructState:
         estimate = reconstruct_state(records_for(x=1.0, y=1.0, z=1.0))
         np.testing.assert_allclose(estimate.bloch, np.ones(3) / math.sqrt(3.0), atol=1e-12)
         assert estimate.residual == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-12)
-        assert states.is_valid_density_matrix(estimate.rho)
+        assert is_valid_density_matrix(estimate.rho)
 
     def test_single_axis_overshoot(self):
         estimate = reconstruct_state(records_for(z=2.0))
@@ -101,12 +101,12 @@ class TestReconstructState:
         estimate = reconstruct_state(records_for(x=x, y=y, z=z))
         np.testing.assert_allclose(estimate.bloch, [x, y, z], atol=1e-15)
         assert estimate.residual == 0.0
-        assert states.is_valid_density_matrix(estimate.rho)
+        assert is_valid_density_matrix(estimate.rho)
 
     @given(scale=st.floats(1.1, 20.0), z=st.floats(0.1, 1.0))
     def test_always_physical(self, scale, z):
         estimate = reconstruct_state(records_for(x=scale, y=-scale, z=scale * z))
-        assert states.is_valid_density_matrix(estimate.rho)
+        assert is_valid_density_matrix(estimate.rho)
         assert np.linalg.norm(estimate.bloch) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize(
@@ -127,7 +127,7 @@ class TestReconstructState:
         assert np.linalg.norm(estimate.bloch) == pytest.approx(1.0, abs=1e-15)
         assert math.isfinite(estimate.residual)
         assert estimate.residual == pytest.approx(residual, rel=1e-15)
-        assert states.is_valid_density_matrix(estimate.rho)
+        assert is_valid_density_matrix(estimate.rho)
 
     def test_residual_beyond_float_range_rejected(self):
         with pytest.raises(ValueError, match="float range"):
@@ -186,13 +186,14 @@ class TestAgainstLoopOracle:
         target = rng.uniform(-3.0, 3.0, size=(50, 3))
         measured = rng.random((50, 3)) < 0.7
         target[~measured] = 0.0
-        fit = fit_states(target, measured)
-        assert fit.rho.shape == (50, 2, 2)
-        for row, estimate in enumerate(fit.estimates()):
-            alone = fit_states(target[row : row + 1], measured[row : row + 1])
-            np.testing.assert_array_equal(estimate.bloch, alone.bloch[0])
-            assert estimate.residual == alone.residual[0]
-            assert estimate.complete == bool(measured[row].all())
+        bloch, residual = fit_states(target, measured)
+        assert bloch.shape == (50, 3) and residual.shape == (50,)
+        for row in range(50):
+            alone_bloch, alone_residual = fit_states(
+                target[row : row + 1], measured[row : row + 1]
+            )
+            np.testing.assert_array_equal(bloch[row], alone_bloch[0])
+            assert residual[row] == alone_residual[0]
 
     def test_overflow_names_the_row(self):
         target = np.array([[0.1, 0.2, 0.3], [1.7e308, 1.7e308, 1.7e308]])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_bloch_vector, random_density_matrix
+from conftest import random_density_matrix
 from qpt import states
 from qpt.errors import InvalidStateError
 
@@ -74,38 +74,41 @@ class TestBlochConversions:
 
 
 class TestValidation:
+    # von_neumann_entropy runs the full check: form, then spectrum.
     def test_accepts_valid(self, rng):
         for _ in range(10):
-            states.validate_density_matrix(random_density_matrix(rng))
+            states.von_neumann_entropy(random_density_matrix(rng))
 
     def test_rejects_trace(self):
         with pytest.raises(InvalidStateError, match="trace"):
-            states.validate_density_matrix(2.0 * np.eye(2))
+            states.check_density_form(2.0 * np.eye(2))
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidStateError, match="Hermitian"):
-            states.validate_density_matrix(m)
+            states.check_density_form(m)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
-            states.validate_density_matrix(m)
+            states.von_neumann_entropy(m)
 
     def test_dim_check(self):
-        with pytest.raises(InvalidStateError, match="expected 2x2"):
-            states.validate_density_matrix(np.eye(4) / 4.0, dim=2)
-        states.validate_density_matrix(np.eye(4) / 4.0, dim=None)
+        # Any square dimension passes the form check; non-square does not.
+        checked = states.check_density_form(np.eye(4) / 4.0)
+        assert checked.shape == (4, 4)
+        with pytest.raises(InvalidStateError, match="square"):
+            states.check_density_form(np.ones((2, 3)) / 2.0)
 
     def test_density_form_leaves_spectrum_unchecked(self):
         # Hermitian with unit trace but not PSD: the form check returns it as a
-        # complex array, and only the full validation rejects it.
+        # complex array, and only the spectral check rejects it.
         m = np.diag([1.5, -0.5])
         checked = states.check_density_form(m)
         assert checked.dtype == complex
         np.testing.assert_array_equal(checked, m)
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
-            states.validate_density_matrix(m)
+            states.von_neumann_entropy(m)
 
     def test_lowest_eigenvalue_tolerance(self):
         states.check_lowest_eigenvalue(np.array([-0.5 * states.EIGENVALUE_CLAMP, 1.0]))
