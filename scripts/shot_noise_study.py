@@ -11,10 +11,10 @@ fitted exponent printed at the end should sit near 0.5.
 from __future__ import annotations
 
 import argparse
-import json
 
 import numpy as np
 
+from qpt.io import write_json_atomic
 from qpt.process_tomography import run_process_tomography
 from qpt.simulator import PRESETS, preset_config, run_experiment, true_channel
 
@@ -68,9 +68,7 @@ def main(argv=None) -> int:
             "median_errors": medians,
             "exponent": exponent,
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        write_json_atomic(args.out, payload)
         print(f"wrote {args.out}")
     return 0
 

@@ -6,9 +6,9 @@ The modules are layered bottom-up:
 * :mod:`qpt.channels` - chi/Kraus/affine/Choi representations.
 * :mod:`qpt.metrics` - state distances and process-discrepancy norms.
 * :mod:`qpt.state_tomography` - state estimation from expectations.
+* :mod:`qpt.simulator` - the decoherence-interval experiment.
 * :mod:`qpt.process_tomography` - linear-inversion chi reconstruction.
 * :mod:`qpt.projection` - nearest-CPTP projection.
-* :mod:`qpt.simulator` - the decoherence-interval experiment.
 * :mod:`qpt.io`, :mod:`qpt.mesh`, :mod:`qpt.cli` - artifacts and the
   command-line pipeline.
 """

@@ -50,43 +50,37 @@ def _shots_argument(text: str):
     return value
 
 
-def _bounded_int(name: str, low: int, high: int | None = None):
-    """argparse type for an integer flag in ``[low, high]`` (usage error else)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be an integer, got {text!r}"
-            ) from None
-        if value < low or (high is not None and value > high):
-            bounds = f"at least {low}" if high is None else f"between {low} and {high}"
-            raise argparse.ArgumentTypeError(f"{name} must be {bounds}, got {value}")
-        return value
-
-    return parse
+def _subdivisions_argument(text: str) -> int:
+    """argparse type for ``--subdivisions``: an integer in 1..MAX_SUBDIVISIONS."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"subdivisions must be an integer, got {text!r}"
+        ) from None
+    if not 1 <= value <= MAX_SUBDIVISIONS:
+        raise argparse.ArgumentTypeError(
+            f"subdivisions must be between 1 and {MAX_SUBDIVISIONS}, got {value}"
+        )
+    return value
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    preset = getattr(args, "preset", None)
-    config_path = getattr(args, "config", None)
-    if (preset is None) == (config_path is None):
+    if (args.preset is None) == (args.config is None):
         raise ConfigError("exactly one of --preset and --config is required")
-    if preset is not None:
-        config = PRESETS[preset]
+    if args.preset is not None:
+        config = PRESETS[args.preset]
     else:
-        config = qio.config_from_dict(qio.read_json(config_path))
+        config = qio.config_from_dict(qio.read_json(args.config))
     return _apply_overrides(config, args)
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
-    shots = getattr(args, "shots", None)
-    if shots is not None:
-        updates["shots"] = None if shots == "exact" else shots
+    if args.shots is not None:
+        updates["shots"] = None if args.shots == "exact" else args.shots
     if not updates:
         return config
     try:
@@ -198,12 +192,8 @@ def _comparison_operand(spec: str) -> tuple[np.ndarray, str]:
     if os.path.exists(spec):
         doc = qio.read_json(spec)
         chi = qio.document_chi(doc)
-        label = os.path.basename(spec)
-        if doc.get("projected") is not None:
-            label += ":projected"
-        else:
-            label += ":raw"
-        return chi, label
+        section = "raw" if doc.get("projected") is None else "projected"
+        return chi, f"{os.path.basename(spec)}:{section}"
     return _channel_by_name(spec), spec
 
 
@@ -262,14 +252,11 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
     )
     doc = qio.result_document(estimate, config)
     code = _project_into_document(doc)
-    result_path = os.path.join(out_dir, "result.json")
-    qio.write_json_atomic(result_path, doc)
+    qio.write_json_atomic(os.path.join(out_dir, "result.json"), doc)
 
-    projected = doc["projected"]
-    ideal = standard_channel("identity")
     comparison = process_distance_report(
-        qio.decode_complex_matrix(projected["chi"], (4, 4), "projected.chi"),
-        ideal,
+        qio.document_chi(doc),
+        standard_channel("identity"),
         context=("projected", "identity"),
     )
     qio.write_json_atomic(
@@ -285,7 +272,7 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if getattr(args, "preset", None) == PAPER_REPRO:
+    if args.preset == PAPER_REPRO:
         code = 0
         for name in ("paper-20ns", "paper-40ns", "paper-80ns"):
             config = _apply_overrides(preset_config(name), args)
@@ -315,7 +302,7 @@ def _add_config_arguments(parser, include_repro: bool = False) -> None:
 def _add_subdivisions_argument(parser) -> None:
     parser.add_argument(
         "--subdivisions",
-        type=_bounded_int("subdivisions", 1, MAX_SUBDIVISIONS),
+        type=_subdivisions_argument,
         default=3,
         help=f"icosphere refinement level, 1 to {MAX_SUBDIVISIONS} (default 3)",
     )
@@ -390,11 +377,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NonConvergenceError as exc:
-        # Reached only when a command other than project/pipeline hits the
-        # solver; those handle the error themselves to persist the iterate.
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except QptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import MISSING, asdict, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,35 +113,31 @@ def decode_affine(data, field: str) -> AffineMap:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "t2": config.t2,
-        # JSON has no infinity; null stands for "no amplitude damping".
-        "t1": None if math.isinf(config.t1) else config.t1,
-        "decoherence_time": config.decoherence_time,
-        "polarization": config.polarization,
-        "shots": config.shots,
-        "seed": config.seed,
-        "pulse_error": config.pulse_error,
-    }
+    doc = asdict(config)
+    # JSON has no infinity; null stands for "no amplitude damping".
+    if math.isinf(config.t1):
+        doc["t1"] = None
+    return doc
 
 
 def config_from_dict(data) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be an object, got {type(data).__name__}")
-    known = {
-        "t2", "t1", "decoherence_time", "polarization", "shots", "seed",
-        "pulse_error",
-    }
-    unknown = set(data) - known
+    spec = {f.name: f for f in fields(ExperimentConfig)}
+    unknown = set(data) - set(spec)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "t2" not in data:
-        raise ConfigError("config is missing the required key t2")
+    for name, field in spec.items():
+        if field.default is MISSING and name not in data:
+            raise ConfigError(f"config is missing the required key {name}")
     kwargs = {}
     for key, value in data.items():
-        if value is None and key in ("t1", "shots"):
-            continue  # no amplitude damping; exact expectations
-        check = _json_integer if key in ("shots", "seed") else _json_number
+        # null is "no amplitude damping" for t1, and the default where that
+        # is None (shots: exact expectations).
+        if value is None and (key == "t1" or spec[key].default is None):
+            continue
+        # Annotations are text here: "float", "int" or "int | None".
+        check = _json_integer if spec[key].type.startswith("int") else _json_number
         kwargs[key] = check(value, f"config.{key}")
     try:
         return ExperimentConfig(**kwargs)
@@ -159,14 +156,7 @@ def records_document(records: Sequence[MeasurementRecord]) -> dict:
         "records": [
             {
                 "input_index": record.input_index,
-                "expectations": [
-                    {
-                        "axis": r.axis,
-                        "value": r.value,
-                        "shots": r.shots,
-                    }
-                    for r in record.records
-                ],
+                "expectations": [asdict(r) for r in record.records],
             }
             for record in records
         ],

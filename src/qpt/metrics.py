@@ -24,7 +24,7 @@ distance ``d_pro`` of the norm block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,8 @@ class MatrixNorms(NamedTuple):
     ``p1`` and ``p_inf`` are the induced operator norms (maximum absolute
     column and row sum), ``p2`` is the spectral norm, ``frobenius`` the
     entrywise 2-norm, and ``half_trace`` is half the sum of singular values
-    (half the trace of ``sqrt(X^dag X)``).
+    (half the trace of ``sqrt(X^dag X)``).  ``DiscrepancyReport`` takes
+    its norm fields from these, in this order.
     """
 
     p1: float
@@ -154,25 +155,11 @@ class DiscrepancyReport:
 
     @classmethod
     def from_difference(cls, x: np.ndarray, context: tuple[str, str]) -> "DiscrepancyReport":
-        norms = matrix_norms(x)
-        return cls(
-            p1_norm=norms.p1,
-            p2_norm=norms.p2,
-            p_inf_norm=norms.p_inf,
-            frobenius_norm=norms.frobenius,
-            trace_distance_pro=norms.half_trace,
-            context=(str(context[0]), str(context[1])),
-        )
+        # The norm fields are those of MatrixNorms, in the same order.
+        return cls(*matrix_norms(x), context=(str(context[0]), str(context[1])))
 
     def as_dict(self) -> dict:
-        return {
-            "p1_norm": self.p1_norm,
-            "p2_norm": self.p2_norm,
-            "p_inf_norm": self.p_inf_norm,
-            "frobenius_norm": self.frobenius_norm,
-            "trace_distance_pro": self.trace_distance_pro,
-            "context": list(self.context),
-        }
+        return {**asdict(self), "context": list(self.context)}
 
 
 @dataclass(frozen=True)
@@ -189,12 +176,7 @@ class StateMetricBlock:
     c_metric: float
 
     def as_dict(self) -> dict:
-        return {
-            "trace_distance": self.trace_distance,
-            "fidelity": self.fidelity,
-            "bures": self.bures,
-            "c_metric": self.c_metric,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

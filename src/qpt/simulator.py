@@ -51,6 +51,14 @@ _PULSES = {
 }
 
 
+def _shown(value) -> str:
+    """``value`` for an error message; an integer past 64 bits by its size,
+    not its digits."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    return str(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Physical and sampling parameters of one simulated run.
@@ -85,7 +93,9 @@ class ExperimentConfig:
             )
         # The binomial sampler takes its count as a 64-bit signed integer.
         if self.shots is not None and not 1 <= int(self.shots) <= 2**63 - 1:
-            raise ValueError(f"shots must lie in [1, 2**63 - 1], got {self.shots}")
+            raise ValueError(
+                f"shots must lie in [1, 2**63 - 1], got {_shown(self.shots)}"
+            )
         if self.shots is not None:
             object.__setattr__(self, "shots", int(self.shots))
         # The largest preparation pulse turns by pi * (1 + pulse_error).
@@ -138,44 +148,41 @@ class MeasurementRecord:
     def __post_init__(self):
         if not 1 <= self.input_index <= INPUT_COUNT:
             raise ValueError(
-                f"input_index must be 1..{INPUT_COUNT}, got {self.input_index}"
+                f"input_index must be 1..{INPUT_COUNT}, got {_shown(self.input_index)}"
             )
         object.__setattr__(self, "records", tuple(self.records))
 
 
 def prepare_input(config: ExperimentConfig, index: int) -> np.ndarray:
-    """Initial mixture rotated by the preparation pulse for one input index."""
+    """Initial mixture rotated by the preparation pulse for one input index:
+    a writable copy of row ``index - 1`` of :func:`prepared_inputs`."""
     if index not in _PULSES:
         raise ValueError(f"input index must be 1..{INPUT_COUNT}, got {index}")
-    return _prepare(config.polarization, config.pulse_error, index)
-
-
-def _prepare(polarization: float, pulse_error: float, index: int) -> np.ndarray:
-    rho = polarization * projector(KET_0) + (1.0 - polarization) * (
-        np.eye(2, dtype=complex) - projector(KET_0)
-    )
-    pulse = _PULSES[index]
-    if pulse is None:
-        return rho
-    axis, angle = pulse
-    u = rotation_unitary(axis, angle * (1.0 + pulse_error))
-    return u @ rho @ u.conj().T
+    return prepared_inputs(config)[index - 1].copy()
 
 
 def prepared_inputs(config: ExperimentConfig) -> np.ndarray:
     """The four prepared inputs as a read-only (4, 2, 2) stack, in index order.
 
-    Equal to ``prepare_input(config, i)`` for ``i = 1..4``; cached per
-    ``(polarization, pulse_error)``.
+    Each is the initial mixture rotated by its input's preparation pulse;
+    the stack is cached per ``(polarization, pulse_error)``.
     """
     return _prepared_stack(config.polarization, config.pulse_error)
 
 
 @lru_cache(maxsize=64)
 def _prepared_stack(polarization: float, pulse_error: float) -> np.ndarray:
-    stack = np.stack(
-        [_prepare(polarization, pulse_error, i) for i in range(1, INPUT_COUNT + 1)]
+    rho = polarization * projector(KET_0) + (1.0 - polarization) * (
+        np.eye(2, dtype=complex) - projector(KET_0)
     )
+    inputs = []
+    for pulse in _PULSES.values():  # in index order
+        if pulse is None:
+            inputs.append(rho)
+        else:
+            u = rotation_unitary(pulse[0], pulse[1] * (1.0 + pulse_error))
+            inputs.append(u @ rho @ u.conj().T)
+    stack = np.stack(inputs)
     stack.setflags(write=False)
     return stack
 

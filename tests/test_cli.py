@@ -113,18 +113,21 @@ class TestSimulate:
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     def test_shots_beyond_int64_exit_2(self, tmp_path, capsys, command, source):
         # The binomial sampler takes a 64-bit count; 2**63 and up is rejected
-        # with the config, before anything is simulated or written.
-        shots = 10**20
-        if source == "flag":
-            argv = ["--preset", "paper-20ns", "--shots", shots]
-        else:
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"t2": 100.0, "shots": shots}))
-            argv = ["--config", config]
-        out = tmp_path / "out"
-        assert run(command, *argv, "--out", out) == 2
-        assert "shots must lie in" in capsys.readouterr().err
-        assert not out.exists()
+        # with the config, before anything is simulated or written.  The
+        # message gives a huge count by its size, not its 401 digits.
+        for shots in (10**20, 10**400):
+            if source == "flag":
+                argv = ["--preset", "paper-20ns", "--shots", shots]
+            else:
+                config = tmp_path / "config.json"
+                config.write_text(json.dumps({"t2": 100.0, "shots": shots}))
+                argv = ["--config", config]
+            out = tmp_path / "out"
+            assert run(command, *argv, "--out", out) == 2
+            err = capsys.readouterr().err
+            assert "shots must lie in" in err
+            assert len(err) < 200
+            assert not out.exists()
 
     @pytest.mark.parametrize("value", [1e308, -1e308], ids=["1e308", "-1e308"])
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
@@ -228,8 +231,12 @@ class TestReconstruct:
             ((1, 2, 3, 1.5), "input_index must be an integer"),
             ((1, 2, 3, True), "input_index must be an integer"),
             ((1, 2, 4), r"missing input_index \[3\]"),
+            (
+                (1, 2, 3, 10**400),
+                "input_index must be 1..4, got an integer of 1329 bits",
+            ),
         ],
-        ids=["duplicate", "fractional", "boolean", "missing"],
+        ids=["duplicate", "fractional", "boolean", "missing", "huge"],
     )
     def test_bad_input_indices_rejected(
         self, tmp_path, records_path, capsys, indices, message
@@ -242,7 +249,9 @@ class TestReconstruct:
         broken.write_text(json.dumps(doc))
         out = tmp_path / "r.json"
         assert run("reconstruct", "--records", broken, "--out", out) == 2
-        assert re.search(message, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(message, err)
+        assert len(err) < 200
         assert not out.exists()
 
     def _simulate(self, tmp_path, **preparation):

@@ -195,6 +195,30 @@ class TestDiscrepancyReport:
             "p1_norm", "p2_norm", "p_inf_norm", "frobenius_norm",
             "trace_distance_pro", "context",
         }
+        # A non-normal difference whose five norms all differ (p1 != p_inf):
+        # each report field must be its own norm, so swapping any two fields
+        # of either type fails.
+        x = np.zeros((4, 4), dtype=complex)
+        x[0, 1], x[0, 2], x[1, 3], x[2, 3] = 0.3, 0.2j, 0.1, -0.05
+        norms = metrics.matrix_norms(x)
+        assert norms.p1 != norms.p_inf
+        assert len(set(norms)) == len(norms)
+        report = metrics.DiscrepancyReport.from_difference(x, ("a", "b"))
+        assert report.p1_norm == norms.p1
+        assert report.p2_norm == norms.p2
+        assert report.p_inf_norm == norms.p_inf
+        assert report.frobenius_norm == norms.frobenius
+        assert report.trace_distance_pro == norms.half_trace
+        assert report.as_dict() == {
+            "p1_norm": norms.p1,
+            "p2_norm": norms.p2,
+            "p_inf_norm": norms.p_inf,
+            "frobenius_norm": norms.frobenius,
+            "trace_distance_pro": norms.half_trace,
+            "context": ["a", "b"],
+        }
+        # Documents write the keys in field order.
+        assert list(report.as_dict().values()) == [*norms, ["a", "b"]]
 
 
 class TestProcessComparison:

@@ -74,8 +74,21 @@ def test_run_protocol_returns_pipeline_exit_code(tmp_path, capsys, monkeypatch):
         assert re.sub(r"[(),]", " ", row).split() == expected_row(name, doc)
 
 
-def test_shot_noise_study(capsys):
+def test_shot_noise_study(tmp_path, capsys):
     main = load_script("shot_noise_study").main
-    assert main(["--levels", "100", "1000", "--seeds", "5"]) == 0
-    assert "fitted scaling exponent" in capsys.readouterr().out
+    out = tmp_path / "shot_noise.json"
+    assert main(["--levels", "1000", "100", "--seeds", "5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "fitted scaling exponent" in printed
+    text = out.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert payload["preset"] == "paper-20ns"
+    assert payload["seeds"] == 5
+    assert payload["levels"] == [100, 1000]
+    assert len(payload["median_errors"]) == 2
+    assert all(error > 0.0 for error in payload["median_errors"])
+    assert math.isfinite(payload["exponent"])
+    assert f"fitted scaling exponent: {payload['exponent']:.3f}" in printed
+    assert [p.name for p in tmp_path.iterdir()] == ["shot_noise.json"]
 
