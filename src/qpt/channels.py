@@ -47,14 +47,6 @@ _OPS = np.stack(OPERATION_ELEMENTS)
 _OPS_CONJ = _OPS.conj()
 _PAULI_STACK = np.stack(PAULIS)
 
-# The linear map chi -> S = sum_mn chi[m, n] A_n^dag A_m behind trace
-# preservation: vec(S) = _COMPLETENESS @ vec(chi), row-major vec on both
-# sides, so _COMPLETENESS[(i, j), (m, n)] = (A_n^dag A_m)[i, j].
-_COMPLETENESS = np.ascontiguousarray(
-    np.einsum("nki,mkj->ijmn", _OPS.conj(), _OPS).reshape(4, 16)
-)
-_IDENTITY_VEC = np.eye(2, dtype=complex).reshape(4)
-
 # Columns of _CHOI_BASIS are (I (x) A_m)|Phi> with |Phi> = (|00>+|11>)/sqrt(2);
 # they form an orthonormal basis of the two-qubit space.
 _PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -70,6 +62,12 @@ _PTM_TENSOR = 0.5 * np.einsum(
 ).reshape(4, 4, 16).reshape(16, 16)
 # The tensor is twice a unitary, so its inverse is its adjoint over 4.
 _CHI_FROM_PTM = _PTM_TENSOR.conj().T / 4.0
+# Row 0 of R, R[0, j] = (1/2) tr(S sigma_j) with S = sum_mn chi[m, n]
+# A_n^dag A_m, is _ROW0 @ vec(chi); the map is TP exactly when it is _E0.
+# The Paulis over sqrt(2) are orthonormal, so ||S - I||_F is
+# sqrt(2) ||_ROW0 @ vec(chi) - _E0||.
+_ROW0 = _PTM_TENSOR[:4]
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,7 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
 
 def _tp_deficit(chi: np.ndarray) -> float:
     """``||S - I||_F`` with ``S = sum_mn chi[m, n] A_n^dag A_m``; no input checks."""
-    return float(np.linalg.norm(_COMPLETENESS @ chi.reshape(16) - _IDENTITY_VEC))
+    return math.sqrt(2.0) * float(np.linalg.norm(_ROW0 @ chi.reshape(16) - _E0))
 
 
 def _lowest_eigenvalue(chi: np.ndarray) -> float:
@@ -260,8 +258,14 @@ def chi_from_affine(a: AffineMap) -> np.ndarray:
     transfer[0, 0] = 1.0
     transfer[1:, 0] = a.translation
     transfer[1:, 1:] = a.matrix
+    return _chi_from_ptm(transfer)[0]
+
+
+def _chi_from_ptm(transfer: np.ndarray) -> tuple[np.ndarray, float]:
+    """Hermitian part of the chi matrix of a transfer matrix ``R``, and the
+    Frobenius norm of the anti-Hermitian part it drops (zero for real ``R``)."""
     chi = (_CHI_FROM_PTM @ transfer.reshape(16)).reshape(4, 4)
-    return (chi + chi.conj().T) / 2.0
+    return (chi + chi.conj().T) / 2.0, hermiticity_defect(chi)
 
 
 def compose_chi(first: np.ndarray, then: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .mesh import ellipsoid_mesh, mesh_metadata, write_obj
 from .metrics import process_distance_report
 from .process_tomography import run_process_tomography
 from .projection import project_to_physical
-from .simulator import PRESETS, ExperimentConfig, preset_config, run_experiment
+from .simulator import PRESETS, ExperimentConfig, _shown, preset_config, run_experiment
 
 log = logging.getLogger("qpt")
 
@@ -36,31 +36,39 @@ PAPER_REPRO = "paper-repro"
 MAX_SUBDIVISIONS = 7
 
 
+def _integer(text: str, name: str, expected: str) -> int:
+    """``int(text)`` for an argparse type, else an error saying ``name`` must be
+    ``expected``.  Text over 64 characters, such as an integer past Python's
+    digit limit, is named by its length instead of echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 64 else f"text of {len(text)} characters"
+        raise argparse.ArgumentTypeError(
+            f"{name} must be {expected}, got {shown}"
+        ) from None
+
+
 def _shots_argument(text: str):
     if text == "exact":
         return "exact"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shots must be a positive integer or 'exact', got {text!r}"
-        ) from None
+    value = _integer(text, "shots", "a positive integer or 'exact'")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"shots must be positive, got {value}")
+        raise argparse.ArgumentTypeError(f"shots must be positive, got {_shown(value)}")
     return value
+
+
+def _seed_argument(text: str) -> int:
+    return _integer(text, "seed", "an integer")
 
 
 def _subdivisions_argument(text: str) -> int:
     """argparse type for ``--subdivisions``: an integer in 1..MAX_SUBDIVISIONS."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"subdivisions must be an integer, got {text!r}"
-        ) from None
+    value = _integer(text, "subdivisions", "an integer")
     if not 1 <= value <= MAX_SUBDIVISIONS:
         raise argparse.ArgumentTypeError(
-            f"subdivisions must be between 1 and {MAX_SUBDIVISIONS}, got {value}"
+            f"subdivisions must be between 1 and {MAX_SUBDIVISIONS}, "
+            f"got {_shown(value)}"
         )
     return value
 
@@ -291,7 +299,7 @@ def _add_config_arguments(parser, include_repro: bool = False) -> None:
         "--preset", choices=names, help="bundled experiment configuration"
     )
     parser.add_argument("--config", help="path to a config JSON file")
-    parser.add_argument("--seed", type=int, help="override the noise seed")
+    parser.add_argument("--seed", type=_seed_argument, help="override the noise seed")
     parser.add_argument(
         "--shots",
         type=_shots_argument,
@@ -371,9 +379,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,9 +4,10 @@ The pipeline follows the linear-inversion scheme: prepare the spanning
 inputs ``{|0><0|, |1><1|, |+><+|, |+i><+i|}``, tomograph each output state,
 and invert the linear relation between the inputs and the outputs.
 
-In Pauli coordinates ``coords(m)[i] = tr(sigma_i m)``, let ``P_B`` hold the
-inputs' coordinates as columns and ``P_O`` the outputs'.  The Pauli transfer
-matrix ``R[i, j] = (1/2) tr(sigma_i E(sigma_j))`` of the channel satisfies
+In the Pauli coordinates ``coords(m)[i] = tr(sigma_i m)`` of
+:mod:`qpt.states`, let ``P_B`` hold the inputs' coordinates as columns and
+``P_O`` the outputs'.  The Pauli transfer matrix
+``R[i, j] = (1/2) tr(sigma_i E(sigma_j))`` of the channel satisfies
 ``P_O = R P_B``, so ``R = P_O P_B^-1``, and chi is the image of ``R`` under
 the fixed inverse transfer tensor of :mod:`qpt.channels`.  The lambda matrix
 (the outputs expanded over the inputs, row j = image of rho_j) is
@@ -35,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
-    _CHI_FROM_PTM,
     AffineMap,
+    _chi_from_ptm,
     affine_from_chi,
     is_completely_positive,
     is_trace_preserving,
@@ -47,8 +48,8 @@ from .states import (
     KET_1,
     KET_PLUS,
     KET_PLUS_I,
-    PAULIS,
     TRACE_TOL,
+    _coords,
     hermiticity_defect,
     projector,
 )
@@ -67,10 +68,8 @@ for _s in _INPUT_STATES:
     _s.setflags(write=False)
 _INPUT_STACK = np.stack(_INPUT_STATES)
 
-# Pauli coordinates: coords(m) = _COORDS @ vec(m), row i is vec(sigma_i^T).
-# _COORDS is sqrt(2) times a unitary, so the rank test of the coordinates
-# scales the 1e-10 tolerance on the vectorized basis by sqrt(2).
-_COORDS = np.stack([p.T for p in PAULIS]).reshape(4, 4)
+# The coordinate map is sqrt(2) times a unitary, so the rank test of the
+# coordinates scales the 1e-10 tolerance on the vectorized basis by sqrt(2).
 _RANK_TOL = np.sqrt(2.0) * 1e-10
 
 
@@ -86,11 +85,6 @@ def _basis_stack(rho_basis: Sequence[np.ndarray] | None) -> np.ndarray:
     if stack.shape != (4, 2, 2):
         raise ValueError(f"state basis must be four 2x2 matrices, got {stack.shape}")
     return stack
-
-
-def _coords(stack: np.ndarray) -> np.ndarray:
-    """Pauli coordinates of a (k, 2, 2) stack, one column per matrix."""
-    return _COORDS @ stack.reshape(-1, 4).T
 
 
 def _coords_inverse(stack: np.ndarray) -> np.ndarray:
@@ -151,12 +145,7 @@ def chi_from_lambda(
     if lam.shape != (4, 4):
         raise ValueError(f"lambda matrix must be 4x4, got {lam.shape}")
     stack = _basis_stack(rho_basis)
-    return _chi_from_transfer(_coords(stack) @ lam.T @ _coords_inverse(stack))
-
-
-def _chi_from_transfer(transfer: np.ndarray) -> tuple[np.ndarray, float]:
-    chi = (_CHI_FROM_PTM @ transfer.reshape(16)).reshape(4, 4)
-    return (chi + chi.conj().T) / 2.0, hermiticity_defect(chi)
+    return _chi_from_ptm(_coords(stack) @ lam.T @ _coords_inverse(stack))
 
 
 @dataclass(frozen=True)
@@ -231,7 +220,7 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     outputs = np.empty((4, 4))  # P_O: the fitted outputs' Pauli coordinates
     outputs[0] = 1.0
     outputs[1:] = bloch.T
-    chi, anti_norm = _chi_from_transfer(outputs @ inverse)
+    chi, anti_norm = _chi_from_ptm(outputs @ inverse)
     cp_flag, cp_min = is_completely_positive(chi)
     tp_flag, tp_deficit = is_trace_preserving(chi)
     return ProcessEstimate(

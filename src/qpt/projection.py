@@ -2,21 +2,28 @@
 
 The nearest physical process to the Hermitian part ``H`` of an estimate
 solves ``min 1/2 ||X - H||^2`` over ``X >= 0`` (complete positivity) with
-``A(X) = I`` (trace preservation), where ``A(chi) = S = sum_mn chi[m, n]
-A_n^dag A_m`` is the completeness sum.
+row 0 of its Pauli transfer matrix equal to ``e_0 = (1, 0, 0, 0)`` (trace
+preservation).  That row is ``T_0 vec(X)``, where ``T_0`` holds the first
+four rows of the transfer tensor of :mod:`qpt.channels`:
+``R[0, j] = (1/2) tr(S sigma_j)`` with ``S = sum_mn chi[m, n] A_n^dag A_m``,
+so ``||S - I||_F = sqrt(2) ||T_0 vec(X) - e_0||``.
 
-**Dual.**  ``A(X) = I`` is four real equations.  On the orthonormal basis
-``E_k = {I, X, Y, Z} / sqrt(2)`` of 2x2 Hermitian matrices, with
-``B_k = A^*(E_k)``, the multipliers ``y`` in R^4 minimize the convex, once
-differentiable ``theta(y) = 1/2 ||P_PSD(M)||^2 - <I, y>`` with
-``M = H + sum_k y_k B_k``, and ``X = P_PSD(M)`` at the minimizer (Malick,
-SIAM J. Matrix Anal. Appl. 26, 272, 2004; Qi & Sun, ibid. 28, 360, 2006;
-for CPTP maps Knee et al., PRA 98, 062336, 2018).  One ``eigh``
+**Dual.**  The constraint is four real equations.  With the dual basis
+``vec(B_k) = sqrt(2) conj(T_0[k])``, so that ``<B_k, X>`` is
+``sqrt(2) (T_0 vec(X))_k``, the multipliers ``y`` in R^4 minimize the
+convex, once differentiable ``theta(y) = 1/2 ||P_PSD(M)||^2 - sqrt(2) y_0``
+with ``M = H + sum_k y_k B_k``, and ``X = P_PSD(M)`` at the minimizer
+(Malick, SIAM J. Matrix Anal. Appl. 26, 272, 2004; Qi & Sun, ibid. 28,
+360, 2006; for CPTP maps Knee et al., PRA 98, 062336, 2018).  One ``eigh``
 ``M = Q diag(lam) Q^dag`` gives ``X = Q diag(lam_+) Q^dag``; with
-``W_k = Q^dag B_k Q`` the gradient ``g_k = Re diag(W_k) . lam_+ - tr E_k``
-is the TP residual ``A(X) - I`` on the basis ``E``, so ``||g|| = ||S - I||_F``,
-and the generalized Hessian is ``V_kl = Re <W_k, Omega o W_l>``, where
-``Omega`` holds the first divided differences of ``max(., 0)`` at ``lam``.
+``W_k = Q^dag B_k Q`` the gradient
+``g_k = Re diag(W_k) . lam_+ - sqrt(2) delta_k0`` is the TP residual
+``sqrt(2) (T_0 vec(X) - e_0)``, so ``||g|| = ||S - I||_F``, and the
+generalized Hessian is ``V_kl = Re <W_k, Omega o W_l>``, where ``Omega``
+holds the first divided differences of ``max(., 0)`` at ``lam``.  The rows
+of ``T_0`` are orthogonal with squared norm 4, so ``T_0^dag / 4`` is its
+pseudoinverse and the nearest TP matrix to any ``X`` is
+``X - T_0^dag (T_0 vec(X) - e_0) / 4``.
 
 **Iteration.**  The first move is along ``y_0`` alone: ``B_0 = sqrt(2) I``
 shifts every eigenvalue of ``M`` and keeps ``Q``, so the first ``eigh``
@@ -29,9 +36,9 @@ otherwise the step length halves, from twice the last accepted length,
 until ``theta`` passes the Armijo test.  Armijo alone stalls near
 ``||g|| ~ 1e-9``, where differences of ``theta`` fall below roundoff.
 
-**Stopping.**  ``X`` is PSD by construction, and ``H - X + A^*(y)`` is the
-negative part of ``M``, orthogonal to ``X``; so ``||g||`` is the whole KKT
-residual.  It stops at ``||g|| <= max(1e-12, 64 eps ||H||_F)``: the
+**Stopping.**  ``X`` is PSD by construction, and ``H - X + sum_k y_k B_k``
+is the negative part of ``M``, orthogonal to ``X``; so ``||g||`` is the
+whole KKT residual.  It stops at ``||g|| <= max(1e-12, 64 eps ||H||_F)``: the
 eigenvalues of ``M`` carry errors of order ``eps ||M||``, so at
 ``||H|| ~ 3000`` the residual floors near ``2e-12``.  The bound is
 ``1e-12`` for ``||H||_F`` up to ~70, which covers every tomography
@@ -47,27 +54,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    _COMPLETENESS, _IDENTITY_VEC, _as_chi, _lowest_eigenvalue, _tp_deficit,
-)
+from .channels import _E0, _ROW0, _as_chi, _lowest_eigenvalue, _tp_deficit
 from .errors import NonConvergenceError
 from .metrics import DiscrepancyReport
-from .states import PAULIS
 
-# For this basis the rows of _COMPLETENESS are orthogonal with squared norm
-# 8, so its pseudoinverse is its adjoint over 8.  The closed form avoids an
-# SVD at import, which adds ~1 MB to the peak RSS of every CLI process.
-_TP_PINV = _COMPLETENESS.conj().T / 8.0
-# P_TP(chi) = _TP_LINEAR @ vec(chi) + _TP_OFFSET, the minimum-norm fix of S.
-_TP_LINEAR = np.eye(16) - _TP_PINV @ _COMPLETENESS
-_TP_OFFSET = (_TP_PINV @ _IDENTITY_VEC).reshape(4, 4)
 # The fully depolarizing channel: CPTP with every eigenvalue at 1/4.
 _DEPOLARIZING = np.eye(4, dtype=complex) / 4.0
 
-# The dual basis: row k of _B_FLAT is vec(B_k) = _COMPLETENESS^dag vec(E_k).
-_E = np.stack(PAULIS) / np.sqrt(2.0)
-_B_FLAT = _E.reshape(4, 4) @ _COMPLETENESS.conj()
-_TRACE_E = np.trace(_E, axis1=1, axis2=2).real
+# The dual basis, row k of _B_FLAT is vec(B_k) = sqrt(2) conj(_ROW0[k]), and
+# the values <B_k, X> takes at a TP point.  sqrt(2) is rounded as 2 / sqrt(2),
+# as in the orthonormal Pauli basis {I, X, Y, Z} / sqrt(2) the dual is built on.
+_B_FLAT = 2.0 * _ROW0.conj() / np.sqrt(2.0)
+_B_AT_TP = 2.0 * _E0 / np.sqrt(2.0)
 _COUNTS = np.arange(1.0, 5.0)
 _RIDGE = 1e-12 * np.eye(4)
 _ARMIJO = 1e-4
@@ -80,7 +78,9 @@ MAX_ITERATIONS = 100
 
 
 def _project_tp(chi: np.ndarray) -> np.ndarray:
-    return (_TP_LINEAR @ chi.reshape(16)).reshape(4, 4) + _TP_OFFSET
+    """The nearest TP matrix: ``chi - _ROW0^dag (_ROW0 vec(chi) - e_0) / 4``."""
+    excess = _ROW0 @ chi.reshape(16) - _E0
+    return chi - (_ROW0.conj().T @ excess).reshape(4, 4) / 4.0
 
 
 class _DualPoint:
@@ -95,9 +95,9 @@ class _DualPoint:
         self.blocks = _B_FLAT @ (
             vectors.conj()[:, None, :, None] * vectors[None, :, None, :]
         ).reshape(16, 16)
-        self.gradient = self.blocks[:, ::5].real @ self.positive - _TRACE_E
+        self.gradient = self.blocks[:, ::5].real @ self.positive - _B_AT_TP
         self.residual = math.sqrt(self.gradient @ self.gradient)
-        self.theta = 0.5 * (self.positive @ self.positive) - _TRACE_E @ y
+        self.theta = 0.5 * (self.positive @ self.positive) - _B_AT_TP @ y
 
     @classmethod
     def of(cls, target: np.ndarray, y: np.ndarray) -> _DualPoint:

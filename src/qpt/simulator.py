@@ -10,10 +10,10 @@ which the cells are drawn.
 
 A run is computed as whole arrays over the four inputs: the prepared
 inputs are cached per ``(polarization, pulse_error)``, the channel maps
-all four in one contraction, all twelve expectations come from a second
-one, and one Philox bit generator per call is rekeyed for each
-``(seed, input, axis)`` cell, which draws exactly what a generator built
-from that key would.
+all four in one contraction, all twelve expectations are the outputs'
+Pauli coordinates (:mod:`qpt.states`), read in one product, and one
+Philox bit generator per call is rekeyed for each ``(seed, input, axis)``
+cell, which draws exactly what a generator built from that key would.
 
 The decoherence interval is the channel under test.  ``run_experiment`` can
 swap it for an arbitrary coefficient matrix, which turns the simulator into
@@ -36,7 +36,7 @@ from .channels import (
     rotation_unitary,
     standard_channel,
 )
-from .states import KET_0, SIGMA_X, SIGMA_Y, SIGMA_Z, projector
+from .states import KET_0, _coords, projector
 from .state_tomography import AXES, ExpectationRecord
 
 INPUT_COUNT = 4
@@ -203,14 +203,6 @@ def true_channel(config: ExperimentConfig) -> np.ndarray:
     return chi_from_affine(affine)
 
 
-_PAULI_AXES = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-
-
-def _expectations(states: np.ndarray) -> np.ndarray:
-    """``Re tr(rho sigma_a)`` for a (k, 2, 2) stack: a (k, 3) array."""
-    return np.trace(states[:, None] @ _PAULI_AXES, axis1=-2, axis2=-1).real
-
-
 def _sample(
     config: ExperimentConfig, input_indices, values: np.ndarray
 ) -> list[tuple[ExpectationRecord, ...]]:
@@ -262,7 +254,8 @@ def run_experiment(
     chi = true_channel(config) if channel is None else channel
     indices = range(1, INPUT_COUNT + 1)
     outputs = apply_chi(chi, prepared_inputs(config))
+    expectations = _coords(outputs)[1:].T.real
     return [
         MeasurementRecord(input_index=index, records=records, config=config)
-        for index, records in zip(indices, _sample(config, indices, _expectations(outputs)))
+        for index, records in zip(indices, _sample(config, indices, expectations))
     ]

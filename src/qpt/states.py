@@ -3,8 +3,9 @@
 Conventions used across the package:
 
 * ``|0>`` is the +1 eigenstate of sigma_z, so its Bloch vector is (0, 0, 1).
-* Bloch components are ``r_i = Re tr(rho sigma_i)`` and the inverse map is
-  ``rho = (I + r . sigma) / 2``.
+* Pauli coordinates are ``coords(m)[i] = tr(sigma_i m)``, defined here
+  once.  Bloch components are coordinates 1..3 of a state, real parts
+  taken, and the inverse map is ``rho = (I + r . sigma) / 2``.
 * Process matrices are expanded over the operation elements
   ``{sigma_0, sigma_x, -i sigma_y, sigma_z}``.  With the ``-i`` folded into
   the y element all four operators are real, which keeps the coefficient
@@ -47,6 +48,11 @@ for _m in PAULIS + OPERATION_ELEMENTS:
     _m.setflags(write=False)
 for _k in (KET_0, KET_1, KET_PLUS, KET_PLUS_I):
     _k.setflags(write=False)
+
+# Pauli coordinates ``coords(m)[i] = tr(sigma_i m)``: coords(m) is
+# _COORDS @ vec(m) with row-major vec, so row i is vec(sigma_i^T).
+# _COORDS is sqrt(2) times a unitary.
+_COORDS = np.stack([p.T for p in PAULIS]).reshape(4, 4)
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
@@ -99,6 +105,11 @@ def check_lowest_eigenvalue(
         )
 
 
+def _coords(stack: np.ndarray) -> np.ndarray:
+    """Pauli coordinates of a (k, 2, 2) stack, one column per matrix."""
+    return _COORDS @ stack.reshape(-1, 4).T
+
+
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     """Bloch vector ``(Re tr(rho sigma_x), ..., Re tr(rho sigma_z))``.
 
@@ -110,13 +121,7 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2x2 matrix, got {rho.shape}")
     if hermiticity_defect(rho) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
-    return np.array(
-        [
-            float(np.trace(rho @ SIGMA_X).real),
-            float(np.trace(rho @ SIGMA_Y).real),
-            float(np.trace(rho @ SIGMA_Z).real),
-        ]
-    )
+    return _coords(rho)[1:, 0].real
 
 
 def density_from_bloch(r: Sequence[float]) -> np.ndarray:

@@ -132,6 +132,17 @@ class TestPhysicalityChecks:
                 choi_lowest = np.linalg.eigvalsh(ch.choi_from_chi(chi))[0]
                 assert abs(lowest - choi_lowest) <= 1e-13
 
+    def test_tp_deficit_is_the_completeness_defect(self, rng):
+        # sqrt(2) ||row 0 of R - e_0|| is ||sum_mn chi_mn A_n^dag A_m - I||_F
+        # for any chi, Hermitian and TP or not.
+        ops = states.OPERATION_ELEMENTS
+        for _ in range(200):
+            chi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            s = sum(
+                chi[m, n] * ops[n].conj().T @ ops[m] for m in range(4) for n in range(4)
+            )
+            assert abs(ch._tp_deficit(chi) - np.linalg.norm(s - np.eye(2))) <= 1e-14
+
     def test_scaled_identity_not_tp(self):
         tp, deficit = ch.is_trace_preserving(0.9 * IDENTITY_CHI)
         assert not tp

@@ -129,6 +129,30 @@ class TestSimulate:
             assert len(err) < 200
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--shots"), ("simulate", "--seed"), ("render", "--subdivisions")],
+    )
+    def test_integer_flag_past_digit_limit_exit_2(self, tmp_path, capsys, command, flag):
+        # 5001 digits is past Python's 4300-digit parsing limit.  The error
+        # line names the text by its length instead of echoing it; argparse
+        # prints its usage block (about 150 bytes for simulate) before it.
+        digits = "1" * 5001
+        source = ["--preset", "paper-20ns"] if command == "simulate" else [
+            "--result", tmp_path / "result.json"
+        ]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            run(command, *source, flag, digits, "--out", out)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        line = err.splitlines()[-1]
+        assert line.startswith(f"qpt {command}: error: argument {flag}:")
+        assert "text of 5001 characters" in line
+        assert len(line.encode()) < 200
+        assert len(err.encode()) < 400
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("value", [1e308, -1e308], ids=["1e308", "-1e308"])
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     def test_pulse_angle_overflow_exit_2(self, tmp_path, capsys, command, value):

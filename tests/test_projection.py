@@ -27,8 +27,10 @@ def assert_cptp(chi, cp_tol=1e-9, tp_tol=1e-8):
 
 
 def test_tp_correction_is_the_pseudoinverse():
+    # The TP fix uses T_0^dag / 4, T_0 the row-0 block of the transfer tensor.
+    row0 = ch._ROW0
     np.testing.assert_allclose(
-        projection._TP_PINV, np.linalg.pinv(projection._COMPLETENESS), atol=1e-15
+        row0.conj().T / 4.0, np.linalg.pinv(row0), rtol=0, atol=1e-15
     )
 
 

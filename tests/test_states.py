@@ -60,6 +60,13 @@ class TestBlochConversions:
             again = states.density_from_bloch(states.bloch_from_density(rho))
             assert np.allclose(again, rho, atol=1e-12)
 
+    def test_bloch_is_the_trace_against_each_pauli(self, rng):
+        for _ in range(200):
+            rho = random_density_matrix(rng)
+            expected = [np.trace(rho @ sigma).real for sigma in states.PAULIS[1:]]
+            bloch = states.bloch_from_density(rho)
+            assert bloch.tobytes() == np.array(expected).tobytes()
+
     def test_rejects_outside_ball(self):
         with pytest.raises(InvalidStateError, match="exceeds"):
             states.density_from_bloch([1.0, 1.0, 0.0])
