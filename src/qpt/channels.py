@@ -242,8 +242,17 @@ def affine_from_chi(chi: np.ndarray) -> AffineMap:
     and ``t[i] = (1/2) Re tr(sigma_i E(I))``.  Defined for any coefficient
     matrix; for non-TP input the affine form simply drops the trace row.
     """
-    chi = _as_chi(chi)
-    transfer = np.real(_PTM_TENSOR @ chi.reshape(16)).reshape(4, 4)
+    return _affine(_as_chi(chi))
+
+
+def _transfer(chi: np.ndarray) -> np.ndarray:
+    """Real part of the Pauli transfer matrix ``R`` of ``chi``; no input checks."""
+    return np.real(_PTM_TENSOR @ chi.reshape(16)).reshape(4, 4)
+
+
+def _affine(chi: np.ndarray) -> AffineMap:
+    """:func:`affine_from_chi` without the input checks."""
+    transfer = _transfer(chi)
     return AffineMap(matrix=transfer[1:, 1:], translation=transfer[1:, 0])
 
 

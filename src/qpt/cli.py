@@ -19,12 +19,12 @@ import numpy as np
 
 from . import io as qio
 from .channels import standard_channel
-from .errors import ConfigError, NonConvergenceError, QptError
+from .errors import ConfigError, NonConvergenceError, QptError, _shown
 from .mesh import ellipsoid_mesh, mesh_metadata, write_obj
 from .metrics import process_distance_report
 from .process_tomography import run_process_tomography
 from .projection import project_to_physical
-from .simulator import PRESETS, ExperimentConfig, _shown, preset_config, run_experiment
+from .simulator import PRESETS, ExperimentConfig, preset_config, run_experiment
 
 log = logging.getLogger("qpt")
 
@@ -36,16 +36,41 @@ PAPER_REPRO = "paper-repro"
 MAX_SUBDIVISIONS = 7
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors show command-line text through
+    :func:`qpt.errors._shown`, so over-long text is named by its length
+    instead of echoed.  Subcommand parsers are made of the same class."""
+
+    def _check_value(self, action, value):
+        # argparse's own check, for --preset and the subcommand name.
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(
+                action,
+                f"invalid choice: {_shown(value)} "
+                f"(choose from {', '.join(map(repr, action.choices))})",
+            )
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            more = f" and {len(extras) - 3} more" if len(extras) > 3 else ""
+            self.error(
+                "unrecognized arguments: "
+                + " ".join(map(_shown, extras[:3]))
+                + more
+            )
+        return namespace
+
+
 def _integer(text: str, name: str, expected: str) -> int:
     """``int(text)`` for an argparse type, else an error saying ``name`` must be
-    ``expected``.  Text over 64 characters, such as an integer past Python's
-    digit limit, is named by its length instead of echoed."""
+    ``expected``; text such as an integer past Python's digit limit is
+    shown bounded."""
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 64 else f"text of {len(text)} characters"
         raise argparse.ArgumentTypeError(
-            f"{name} must be {expected}, got {shown}"
+            f"{name} must be {expected}, got {_shown(text)}"
         ) from None
 
 
@@ -176,24 +201,35 @@ def cmd_project(args) -> int:
     return code
 
 
+# The named channel families of ``qpt compare`` and the parameter each takes.
+_CHANNEL_PARAMETERS = {
+    "dephasing": "factor",
+    "depolarizing": "p",
+    "amplitude_damping": "gamma",
+}
+
+
 def _channel_by_name(name: str) -> np.ndarray:
     base, _, argument = name.partition(":")
     kind = base.replace("-", "_")
+    if kind == "identity":
+        return standard_channel("identity")
+    if kind not in _CHANNEL_PARAMETERS:
+        raise ConfigError(
+            f"{_shown(name)} is neither an existing result file nor a known "
+            "channel (identity, dephasing:FACTOR, depolarizing:P, "
+            "amplitude-damping:GAMMA)"
+        )
     try:
-        if kind == "identity":
-            return standard_channel("identity")
-        if kind == "dephasing":
-            return standard_channel("dephasing", factor=float(argument))
-        if kind == "depolarizing":
-            return standard_channel("depolarizing", p=float(argument))
-        if kind == "amplitude_damping":
-            return standard_channel("amplitude_damping", gamma=float(argument))
+        value = float(argument)
+    except ValueError:
+        raise ConfigError(
+            f"channel {_shown(name)}: {_shown(argument)} is not a number"
+        ) from None
+    try:
+        return standard_channel(kind, **{_CHANNEL_PARAMETERS[kind]: value})
     except ValueError as exc:
-        raise ConfigError(f"channel {name!r}: {exc}") from exc
-    raise ConfigError(
-        f"{name!r} is neither an existing result file nor a known channel "
-        "(identity, dephasing:FACTOR, depolarizing:P, amplitude-damping:GAMMA)"
-    )
+        raise ConfigError(f"channel {_shown(name)}: {exc}") from exc
 
 
 def _comparison_operand(spec: str) -> tuple[np.ndarray, str]:
@@ -317,7 +353,7 @@ def _add_subdivisions_argument(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpt",
         description="Single-qubit process tomography pipeline",
     )
@@ -373,6 +409,14 @@ def _configure_logging() -> None:
     log.setLevel(level)
 
 
+def _os_error_text(exc: OSError) -> str:
+    """``str(exc)`` with its file names shown bounded."""
+    if exc.filename is None:
+        return str(exc)
+    names = [_shown(name) for name in (exc.filename, exc.filename2) if name is not None]
+    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
+
+
 def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
@@ -380,7 +424,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_os_error_text(exc)}", file=sys.stderr)
         return 3
     except QptError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,22 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how their messages show
+input values."""
+
+
+def _shown(value) -> str:
+    """``value`` for an error message, never echoed past about 64 characters.
+
+    An integer past 64 bits is named by its size; text whose ``repr`` is
+    over 64 characters, and any other value written in over 64, by its
+    length.  Text is quoted, other values are written with ``str``.
+    """
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    text = repr(value) if isinstance(value, str) else str(value)
+    if len(text) <= 64:
+        return text
+    if isinstance(value, str):
+        return f"text of {len(value)} characters"
+    return f"a {type(value).__name__} written in {len(text)} characters"
 
 
 class QptError(Exception):

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import AffineMap, affine_from_chi
-from .errors import ConfigError
+from .errors import ConfigError, _shown
 from .metrics import ProcessComparison
 from .process_tomography import ProcessEstimate
 from .projection import ProjectionResult
@@ -46,7 +46,7 @@ def _json_number(value, field: str) -> int | float:
     too large for a float is rejected too; the value is returned unchanged.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field} must be a number, got {value!r}")
+        raise ConfigError(f"{field} must be a number, got {_shown(value)}")
     try:
         float(value)
     except OverflowError:
@@ -60,7 +60,7 @@ def _json_number(value, field: str) -> int | float:
 def _json_integer(value, field: str) -> int:
     """``value`` if it is a JSON integer (not ``true``); else ``ConfigError``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
+        raise ConfigError(f"{field} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -126,7 +126,9 @@ def config_from_dict(data) -> ExperimentConfig:
     spec = {f.name: f for f in fields(ExperimentConfig)}
     unknown = set(data) - set(spec)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(
+            f"unknown config keys: {', '.join(map(_shown, sorted(unknown)))}"
+        )
     for name, field in spec.items():
         if field.default is MISSING and name not in data:
             raise ConfigError(f"config is missing the required key {name}")
@@ -177,12 +179,12 @@ def _check_header(doc, kind: str, context: str) -> None:
     )
     if version != SCHEMA_VERSION:
         raise ConfigError(
-            f"{context}: unsupported schema_version {version!r} "
+            f"{context}: unsupported schema_version {_shown(version)} "
             f"(expected {SCHEMA_VERSION})"
         )
     found = _require(doc, "kind", context)
     if found != kind:
-        raise ConfigError(f"{context}: expected kind {kind!r}, got {found!r}")
+        raise ConfigError(f"{context}: expected kind {kind!r}, got {_shown(found)}")
 
 
 def parse_records_document(doc) -> list[MeasurementRecord]:

@@ -36,11 +36,13 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
+    CP_TOL,
+    TP_TOL,
     AffineMap,
+    _affine,
     _chi_from_ptm,
-    affine_from_chi,
-    is_completely_positive,
-    is_trace_preserving,
+    _lowest_eigenvalue,
+    _tp_deficit,
 )
 from .states import (
     HERMITICITY_TOL,
@@ -220,14 +222,15 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     outputs = np.empty((4, 4))  # P_O: the fitted outputs' Pauli coordinates
     outputs[0] = 1.0
     outputs[1:] = bloch.T
+    # chi is built here, so it skips the public checkers' input validation.
     chi, anti_norm = _chi_from_ptm(outputs @ inverse)
-    cp_flag, cp_min = is_completely_positive(chi)
-    tp_flag, tp_deficit = is_trace_preserving(chi)
+    cp_min = _lowest_eigenvalue(chi)
+    tp_deficit = _tp_deficit(chi)
     return ProcessEstimate(
         chi=chi,
-        affine=affine_from_chi(chi),
-        cp_flag=cp_flag,
-        tp_flag=tp_flag,
+        affine=_affine(chi),
+        cp_flag=cp_min >= -CP_TOL,
+        tp_flag=tp_deficit <= TP_TOL,
         cp_min_eigenvalue=cp_min,
         tp_deficit=tp_deficit,
         residuals=tuple(residuals.tolist()),

@@ -8,10 +8,12 @@ streams keyed by ``(seed, input index, axis)``, so every record depends
 only on its own cell: its value is bit-identical whatever the order in
 which the cells are drawn.
 
-A run is computed as whole arrays over the four inputs: the prepared
-inputs are cached per ``(polarization, pulse_error)``, the channel maps
-all four in one contraction, all twelve expectations are the outputs'
-Pauli coordinates (:mod:`qpt.states`), read in one product, and one
+A run is computed as whole arrays over the four inputs.  The channel acts
+on Pauli coordinates (:mod:`qpt.states`) through its transfer matrix
+``R``, so the output coordinates are ``R`` times the input coordinates and
+the twelve exact expectations are rows 1..3 of that product.  The inputs'
+coordinates are cached per ``(polarization, pulse_error)``, the product
+is one small contraction, and no output density matrix is formed.  One
 Philox bit generator per call is rekeyed for each ``(seed, input, axis)``
 cell, which draws exactly what a generator built from that key would.
 
@@ -31,11 +33,13 @@ import numpy as np
 
 from .channels import (
     AffineMap,
-    apply_chi,
+    _as_chi,
+    _transfer,
     chi_from_affine,
     rotation_unitary,
     standard_channel,
 )
+from .errors import _shown
 from .states import KET_0, _coords, projector
 from .state_tomography import AXES, ExpectationRecord
 
@@ -49,14 +53,6 @@ _PULSES = {
     3: ("y", math.pi / 2.0),
     4: ("x", -math.pi / 2.0),
 }
-
-
-def _shown(value) -> str:
-    """``value`` for an error message; an integer past 64 bits by its size,
-    not its digits."""
-    if isinstance(value, int) and value.bit_length() > 64:
-        return f"an integer of {value.bit_length()} bits"
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not (np.isfinite(self.t2) and self.t2 > 0.0):
-            raise ValueError(f"t2 must be positive and finite, got {self.t2}")
+            raise ValueError(f"t2 must be positive and finite, got {_shown(self.t2)}")
         if not self.t1 > 0.0:
-            raise ValueError(f"t1 must be positive, got {self.t1}")
+            raise ValueError(f"t1 must be positive, got {_shown(self.t1)}")
         if not (np.isfinite(self.decoherence_time) and self.decoherence_time >= 0.0):
             raise ValueError(
-                f"decoherence_time must be nonnegative, got {self.decoherence_time}"
+                "decoherence_time must be nonnegative, "
+                f"got {_shown(self.decoherence_time)}"
             )
         if not 0.5 <= self.polarization <= 1.0:
             raise ValueError(
-                f"polarization must lie in [0.5, 1], got {self.polarization}"
+                f"polarization must lie in [0.5, 1], got {_shown(self.polarization)}"
             )
         # The binomial sampler takes its count as a 64-bit signed integer.
         if self.shots is not None and not 1 <= int(self.shots) <= 2**63 - 1:
@@ -105,7 +102,7 @@ class ExperimentConfig:
         ):
             raise ValueError(
                 "pulse_error must be finite and keep the pulse angle "
-                f"pi * (1 + pulse_error) finite, got {self.pulse_error}"
+                f"pi * (1 + pulse_error) finite, got {_shown(self.pulse_error)}"
             )
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -126,7 +123,7 @@ def preset_config(
     """A bundled preset with optional shot/seed overrides."""
     if name not in PRESETS:
         raise ValueError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
+            f"unknown preset {_shown(name)}; available: {', '.join(sorted(PRESETS))}"
         )
     config = PRESETS[name]
     updates = {}
@@ -185,6 +182,17 @@ def _prepared_stack(polarization: float, pulse_error: float) -> np.ndarray:
     stack = np.stack(inputs)
     stack.setflags(write=False)
     return stack
+
+
+@lru_cache(maxsize=64)
+def _prepared_coords(polarization: float, pulse_error: float) -> np.ndarray:
+    """Real Pauli coordinates of :func:`_prepared_stack`, one column per
+    input; read-only."""
+    coords = np.ascontiguousarray(
+        _coords(_prepared_stack(polarization, pulse_error)).real
+    )
+    coords.setflags(write=False)
+    return coords
 
 
 def true_channel(config: ExperimentConfig) -> np.ndarray:
@@ -247,14 +255,22 @@ def run_experiment(
 ) -> list[MeasurementRecord]:
     """Simulate all four tomographic inputs through the channel under test.
 
-    ``channel`` substitutes an arbitrary coefficient matrix for the
-    configured decoherence interval; preparation and measurement behave
-    identically either way.
+    The exact expectations of input ``k`` are ``R[1:] @ coords(rho_k)``,
+    with ``R`` the real Pauli transfer matrix of the channel.  ``channel``
+    substitutes an arbitrary coefficient matrix for the configured
+    decoherence interval; preparation and measurement behave identically
+    either way.
     """
-    chi = true_channel(config) if channel is None else channel
+    chi = true_channel(config) if channel is None else _as_chi(channel)
     indices = range(1, INPUT_COUNT + 1)
-    outputs = apply_chi(chi, prepared_inputs(config))
-    expectations = _coords(outputs)[1:].T.real
+    # A two-operand einsum sums each output in index order, so every input
+    # gets the bits of its own ``einsum("ij,j->i", ...)``; a matmul over
+    # the stack does not guarantee that.
+    expectations = np.einsum(
+        "ij,jk->ki",
+        _transfer(chi)[1:],
+        _prepared_coords(config.polarization, config.pulse_error),
+    )
     return [
         MeasurementRecord(input_index=index, records=records, config=config)
         for index, records in zip(indices, _sample(config, indices, expectations))

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import _shown
 from .states import density_from_bloch, von_neumann_entropy
 
 AXES = ("x", "y", "z")
@@ -44,7 +45,7 @@ class ExpectationRecord:
 
     def __post_init__(self):
         if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+            raise ValueError(f"axis must be one of {AXES}, got {_shown(self.axis)}")
         value = float(self.value)
         if not math.isfinite(value):
             raise ValueError(f"expectation value must be finite, got {value!r}")
@@ -52,7 +53,7 @@ class ExpectationRecord:
         if self.shots is not None:
             shots = int(self.shots)
             if shots < 1:
-                raise ValueError(f"shots must be positive, got {shots}")
+                raise ValueError(f"shots must be positive, got {_shown(shots)}")
             object.__setattr__(self, "shots", shots)
 
 

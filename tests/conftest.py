@@ -188,17 +188,13 @@ def loop_axis_stream(seed: int, input_index: int, axis_index: int) -> np.random.
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def loop_measure(config, rho: np.ndarray, input_index: int = 0) -> tuple:
-    """Pauli expectations of one state, one record and one stream at a time."""
+def loop_sample(config, exact, input_index: int = 0) -> tuple:
+    """Records of one input's exact (x, y, z) expectations, one stream at a time."""
     from qpt.state_tomography import AXES, ExpectationRecord
-    from qpt.states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got {rho.shape}")
-    exact = [float(np.trace(rho @ pauli).real) for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
     records = []
     for axis_index, (axis, value) in enumerate(zip(AXES, exact)):
+        value = float(value)
         if config.shots is None:
             records.append(ExpectationRecord(axis=axis, value=value, shots=None))
             continue
@@ -210,23 +206,65 @@ def loop_measure(config, rho: np.ndarray, input_index: int = 0) -> tuple:
     return tuple(records)
 
 
-def loop_run_experiment(config, channel: np.ndarray | None = None) -> list:
-    """All four inputs, prepared, evolved and measured one after another."""
-    from qpt.channels import apply_chi
-    from qpt.simulator import INPUT_COUNT, MeasurementRecord, prepare_input, true_channel
+def loop_coords(rho: np.ndarray) -> np.ndarray:
+    """Real Pauli coordinates ``tr(sigma_i rho)`` of one 2x2 operator."""
+    from qpt.states import PAULIS
+
+    return np.array([np.trace(pauli @ rho).real for pauli in PAULIS])
+
+
+def loop_measure(config, rho: np.ndarray, input_index: int = 0) -> tuple:
+    """Pauli expectations of one state, one record and one stream at a time."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 state, got {rho.shape}")
+    return loop_sample(config, loop_coords(rho)[1:], input_index)
+
+
+def _loop_channel(config, channel):
+    from qpt.simulator import true_channel
 
     chi = true_channel(config) if channel is None else np.asarray(channel, dtype=complex)
     if chi.shape != (4, 4):
         raise ValueError(f"channel must be a 4x4 coefficient matrix, got {chi.shape}")
+    return chi
+
+
+def loop_run_experiment(config, channel: np.ndarray | None = None) -> list:
+    """All four inputs, prepared, mapped through the channel's transfer
+    matrix and measured one after another."""
+    from qpt.channels import _transfer
+    from qpt.simulator import INPUT_COUNT, MeasurementRecord, prepare_input
+
+    rows = _transfer(_loop_channel(config, channel))[1:]
     results = []
     for index in range(1, INPUT_COUNT + 1):
-        prepared = prepare_input(config, index)
-        output = apply_chi(chi, prepared)
-        records = loop_measure(config, output, input_index=index)
+        coords = loop_coords(prepare_input(config, index))
+        exact = np.einsum("ij,j->i", rows, coords)
+        records = loop_sample(config, exact, input_index=index)
         results.append(
             MeasurementRecord(input_index=index, records=records, config=config)
         )
     return results
+
+
+def evolved_run_experiment(config, channel: np.ndarray | None = None) -> list:
+    """All four inputs, prepared, evolved as density matrices through
+    ``apply_chi`` and measured one after another."""
+    from qpt.channels import apply_chi
+    from qpt.simulator import INPUT_COUNT, MeasurementRecord, prepare_input
+
+    chi = _loop_channel(config, channel)
+    return [
+        MeasurementRecord(
+            input_index=index,
+            records=loop_measure(
+                config, apply_chi(chi, prepare_input(config, index)), index
+            ),
+            config=config,
+        )
+        for index in range(1, INPUT_COUNT + 1)
+    ]
 
 
 def loop_reconstruct_state(records):

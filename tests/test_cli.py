@@ -185,6 +185,99 @@ class TestSimulate:
         assert code == 3
 
 
+# Over-long user text, named by its length in error messages.
+LONG_TEXT = "x" * 5000
+
+
+def assert_bounded_input_error(
+    tmp_path, capsys, *argv, shown="text of 5000 characters"
+):
+    """``qpt argv`` exits 2, writes nothing and names the long value as
+    ``shown`` in under 1 KB of stderr."""
+    before = sorted(tmp_path.iterdir())
+    try:
+        code = run(*argv)
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert shown in err
+    assert len(err.encode()) < 1024
+    assert sorted(tmp_path.iterdir()) == before
+
+
+class TestLongTextBounded:
+    def test_preset(self, tmp_path, capsys):
+        assert_bounded_input_error(
+            tmp_path, capsys, "simulate", "--preset", LONG_TEXT,
+            "--out", tmp_path / "o.json",
+        )
+
+    def test_stray_positional(self, tmp_path, capsys):
+        assert_bounded_input_error(
+            tmp_path, capsys, "simulate", "--preset", "paper-20ns",
+            "--out", tmp_path / "o.json", LONG_TEXT,
+        )
+
+    def test_many_stray_positionals(self, tmp_path, capsys):
+        assert_bounded_input_error(
+            tmp_path, capsys, "simulate", "--preset", "paper-20ns",
+            "--out", tmp_path / "o.json", *(["ab"] * 3000),
+            shown="'ab' 'ab' 'ab' and 2997 more",
+        )
+
+    def test_unknown_subcommand(self, tmp_path, capsys):
+        assert_bounded_input_error(
+            tmp_path, capsys, LONG_TEXT, "--out", tmp_path / "o.json"
+        )
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (LONG_TEXT, "text of 5000 characters"),
+            ([0] * 2000, "a list written in 6000 characters"),
+        ],
+        ids=["text", "list"],
+    )
+    def test_config_number_not_a_number(self, tmp_path, capsys, value, shown):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"t2": value}))
+        assert_bounded_input_error(
+            tmp_path, capsys, "simulate", "--config", config,
+            "--out", tmp_path / "o.json", shown=shown,
+        )
+
+    def test_records_kind(self, tmp_path, capsys, records_path):
+        doc = json.loads(records_path.read_text())
+        doc["kind"] = LONG_TEXT
+        records_path.write_text(json.dumps(doc))
+        assert_bounded_input_error(
+            tmp_path, capsys, "reconstruct", "--records", records_path,
+            "--out", tmp_path / "o.json",
+        )
+
+    def test_compare_operand(self, tmp_path, capsys):
+        assert_bounded_input_error(
+            tmp_path, capsys, "compare", LONG_TEXT, "identity",
+            "--out", tmp_path / "o.json",
+        )
+
+    def test_compare_channel_argument(self, tmp_path, capsys):
+        assert_bounded_input_error(
+            tmp_path, capsys, "compare", f"dephasing:{LONG_TEXT}", "identity",
+            "--out", tmp_path / "o.json",
+        )
+
+    def test_output_name_too_long_is_io_error(self, tmp_path, capsys):
+        # The file system refuses the name; the error names it by length.
+        code = run("simulate", "--preset", "paper-20ns", "--out", tmp_path / LONG_TEXT)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "text of" in err and "characters" in err
+        assert len(err.encode()) < 1024
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReconstruct:
     def test_result_document(self, result_path):
         doc = qio.read_json(str(result_path))

@@ -93,7 +93,7 @@ class TestConfigCodec:
             io.config_from_dict({"decoherence_time": 20.0})
 
     def test_unknown_keys(self):
-        with pytest.raises(ConfigError, match="unknown config keys: tt2"):
+        with pytest.raises(ConfigError, match="unknown config keys: 'tt2'"):
             io.config_from_dict({"t2": 100.0, "tt2": 1.0})
 
     def test_invalid_values_wrapped(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    evolved_run_experiment,
     loop_measure,
     loop_run_experiment,
     random_cptp_chi,
@@ -339,6 +340,27 @@ class TestPolarizationImperfection:
         np.testing.assert_allclose(plain.affine.translation, np.zeros(3), atol=1e-12)
 
 
+def preset_cases(preset, shots, t1):
+    """Configs of a preset at the given shots and t1, over the oracle seeds."""
+    for seed in (0, 1, 77, 2**64 - 1):
+        config = preset_config(preset, shots=shots, seed=seed)
+        yield ExperimentConfig(
+            t2=config.t2, t1=t1, decoherence_time=config.decoherence_time,
+            shots=shots, seed=seed,
+        )
+
+
+def override_cases(rng, shots):
+    """(config, random CPTP channel) pairs, most with a non-ideal preparation."""
+    for seed in range(6):
+        config = ExperimentConfig(
+            t2=100.0, shots=shots, seed=seed,
+            polarization=(1.0, 0.8, 0.95)[seed % 3],
+            pulse_error=(0.0, 0.05, -0.1)[seed % 3],
+        )
+        yield config, random_cptp_chi(rng)
+
+
 class TestAgainstLoopOracle:
     """The whole-array run gives the per-record loop's records bit for bit."""
 
@@ -346,25 +368,14 @@ class TestAgainstLoopOracle:
     @pytest.mark.parametrize("shots", [None, 1, 100, 1000, 10**5])
     @pytest.mark.parametrize("t1", [math.inf, 150.0])
     def test_run_experiment_records(self, preset, shots, t1):
-        for seed in (0, 1, 77, 2**64 - 1):
-            config = preset_config(preset, shots=shots, seed=seed)
-            config = ExperimentConfig(
-                t2=config.t2, t1=t1, decoherence_time=config.decoherence_time,
-                shots=shots, seed=seed,
-            )
+        for config in preset_cases(preset, shots, t1):
             assert record_bits(run_experiment(config)) == record_bits(
                 loop_run_experiment(config)
             )
 
     @pytest.mark.parametrize("shots", [None, 1, 100, 1000, 10**5])
     def test_channel_override_and_preparations(self, rng, shots):
-        for seed in range(6):
-            chi = random_cptp_chi(rng)
-            config = ExperimentConfig(
-                t2=100.0, shots=shots, seed=seed,
-                polarization=(1.0, 0.8, 0.95)[seed % 3],
-                pulse_error=(0.0, 0.05, -0.1)[seed % 3],
-            )
+        for config, chi in override_cases(rng, shots):
             assert record_bits(run_experiment(config, channel=chi)) == record_bits(
                 loop_run_experiment(config, channel=chi)
             )
@@ -374,6 +385,42 @@ class TestAgainstLoopOracle:
         chi[1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             run_experiment(ExperimentConfig(t2=100.0), channel=chi)
+
+
+def assert_matches_evolution(results, evolved):
+    """Exact expectations within 1e-15 of the density-matrix route; sampled
+    records bit for bit."""
+    if results[0].config.shots is not None:
+        assert record_bits(results) == record_bits(evolved)
+        return
+    assert [(res.input_index, r.axis) for res in results for r in res.records] == [
+        (res.input_index, r.axis) for res in evolved for r in res.records
+    ]
+    values = [r.value for result in results for r in result.records]
+    expected = [r.value for result in evolved for r in result.records]
+    np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-15)
+
+
+class TestAgainstEvolution:
+    """The transfer-matrix run agrees with evolving each input's density
+    matrix through ``apply_chi`` and measuring it."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("shots", [None, 1, 100, 1000, 10**5])
+    @pytest.mark.parametrize("t1", [math.inf, 150.0])
+    def test_presets(self, preset, shots, t1):
+        for config in preset_cases(preset, shots, t1):
+            assert_matches_evolution(
+                run_experiment(config), evolved_run_experiment(config)
+            )
+
+    @pytest.mark.parametrize("shots", [None, 1, 100, 1000, 10**5])
+    def test_channel_override_and_preparations(self, rng, shots):
+        for config, chi in override_cases(rng, shots):
+            assert_matches_evolution(
+                run_experiment(config, channel=chi),
+                evolved_run_experiment(config, channel=chi),
+            )
 
 
 def test_concurrent_runs_match_serial():
