@@ -27,13 +27,13 @@ import numpy as np
 
 from .errors import NotCompletelyPositiveError
 from .states import (
-    HERMITICITY_TOL,
     OPERATION_ELEMENTS,
     PAULIS,
     SIGMA_0,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    check_hermitian,
     hermiticity_defect,
 )
 
@@ -172,10 +172,7 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
     ``NotCompletelyPositiveError``.  Components with weight below
     ``1e-12`` are dropped.
     """
-    chi = _as_chi(chi)
-    defect = hermiticity_defect(chi)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"chi matrix is not Hermitian (defect {defect:.3e})")
+    chi = check_hermitian(_as_chi(chi), "chi matrix")
     values, vectors = np.linalg.eigh((chi + chi.conj().T) / 2.0)
     if values[0] < -CP_TOL:
         raise NotCompletelyPositiveError(
@@ -278,10 +275,13 @@ def _chi_from_ptm(transfer: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def compose_chi(first: np.ndarray, then: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of ``rho -> then(first(rho))`` via Kraus products."""
-    ops_a = kraus_from_chi(first)
-    ops_b = kraus_from_chi(then)
-    return chi_from_kraus([b @ a for b in ops_b for a in ops_a])
+    """Coefficient matrix of ``rho -> then(first(rho))``, physical or not.
+
+    Transfer matrices compose by product: ``R = R_then @ R_first``.  Both
+    inputs must be Hermitian, so that each ``R`` is real.
+    """
+    first, then = (check_hermitian(_as_chi(chi), "chi matrix") for chi in (first, then))
+    return _chi_from_ptm(_transfer(then) @ _transfer(first))[0]
 
 
 def rotation_unitary(axis, angle: float) -> np.ndarray:

@@ -291,6 +291,7 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
     records = run_experiment(config)
     # Reconstruct first: records it cannot invert leave no file of the run.
     estimate = _reconstruct(records, "simulated records")
+    os.makedirs(out_dir, exist_ok=True)
     qio.write_json_atomic(
         os.path.join(out_dir, "records.json"), qio.records_document(records)
     )
@@ -410,10 +411,14 @@ def _configure_logging() -> None:
 
 
 def _os_error_text(exc: OSError) -> str:
-    """``str(exc)`` with its file names shown bounded."""
+    """``str(exc)``, except that a file name longer than Linux's
+    ``PATH_MAX`` (4096 characters) is named by its length."""
     if exc.filename is None:
         return str(exc)
-    names = [_shown(name) for name in (exc.filename, exc.filename2) if name is not None]
+    names = [
+        repr(name) if len(str(name)) <= 4096 else _shown(name)
+        for name in (exc.filename, exc.filename2) if name is not None
+    ]
     return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
 
 

@@ -377,12 +377,17 @@ def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
     """Write via a sibling temporary file and an atomic rename.
 
     ``text`` is a string or an iterable of strings, written as they come.
+    The directory must exist; an ``OSError`` from making the temporary file
+    names ``path``, not the temporary file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        mode="w", encoding="utf-8", dir=directory, delete=False, suffix=".tmp"
-    )
+    try:
+        handle = tempfile.NamedTemporaryFile(
+            mode="w", encoding="utf-8", dir=os.path.dirname(os.path.abspath(path)),
+            delete=False, suffix=".tmp",
+        )
+    except OSError as exc:
+        exc.filename = path
+        raise
     try:
         with handle:
             handle.writelines([text] if isinstance(text, str) else text)

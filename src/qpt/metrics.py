@@ -30,10 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import CP_TOL
-from .states import (
-    HERMITICITY_TOL, TRACE_TOL, check_density_form, check_lowest_eigenvalue,
-    hermiticity_defect,
-)
+from .errors import InvalidStateError
+from .states import check_density_matrix, check_hermitian
 
 
 class MatrixNorms(NamedTuple):
@@ -76,10 +74,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    defect = hermiticity_defect(diff)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"difference is not Hermitian (defect {defect:.3e})")
+    diff = check_hermitian(a - b, "difference")
     values = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
     return float(np.abs(values).sum() / 2.0)
 
@@ -95,27 +90,23 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _fidelity(a, b, (None, None))
+    return _fidelity(_root(a, "first state"), _root(b, "second state"))
 
 
-def _fidelity(a: np.ndarray, b: np.ndarray, spectra) -> float:
-    """Validate both states and return ``||sqrt(a) sqrt(b)||_1^2``, capped at 1.
+def _root(rho: np.ndarray, context: str) -> np.ndarray:
+    """Validate a state and return its root factor ``R = V diag(sqrt(w))``.
 
-    ``spectra`` holds the ``eigh`` of each Hermitian part, or ``None`` where
-    the caller has not decomposed it yet.  Each root factor
-    ``R = V diag(sqrt(w))`` uses the spectrum clipped at zero and
-    renormalized to unit sum, so ``R R^dag`` is the clamped, trace-1 state.
+    ``w`` is the spectrum clipped at zero and renormalized to unit sum, so
+    ``R R^dag`` is the clamped, trace-1 state.
     """
-    roots = []
-    for rho, context, spectrum in zip((a, b), ("first state", "second state"), spectra):
-        rho = check_density_form(rho, context=context)
-        if spectrum is None:
-            spectrum = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-        values, vectors = spectrum
-        check_lowest_eigenvalue(values, CP_TOL, context)
-        values = np.clip(values, 0.0, None)
-        roots.append(vectors * np.sqrt(values / values.sum()))
-    total = float(np.linalg.svd(roots[0].conj().T @ roots[1], compute_uv=False).sum())
+    values, vectors = check_density_matrix(rho, CP_TOL, context)
+    values = np.clip(values, 0.0, None)
+    return vectors * np.sqrt(values / values.sum())
+
+
+def _fidelity(root_a: np.ndarray, root_b: np.ndarray) -> float:
+    """``||sqrt(a) sqrt(b)||_1^2`` from two root factors, capped at 1."""
+    total = float(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False).sum())
     return min(total * total, 1.0)
 
 
@@ -164,7 +155,7 @@ class DiscrepancyReport:
 
 @dataclass(frozen=True)
 class StateMetricBlock:
-    """Choi-state comparison of two processes (defined only when both are CP).
+    """Choi-state comparison of two processes (defined only when both are states).
 
     Every value equals the one computed on the two Choi states; the Choi
     state is chi rotated by a fixed unitary, so chi stands in for it.
@@ -184,8 +175,9 @@ class ProcessComparison:
     """Full discrepancy record between two processes.
 
     The norm block is always present.  The Choi-state block is attached only
-    when both Choi states are positive semidefinite; otherwise
-    ``skip_reason`` explains why it is absent.
+    when both chi pass :func:`qpt.states.check_density_matrix`; otherwise
+    ``skip_reason`` names the first operand that fails and the check it
+    fails.
     """
 
     norms: DiscrepancyReport
@@ -198,29 +190,25 @@ def process_distance_report(
     chi_b: np.ndarray,
     context: tuple[str, str] = ("a", "b"),
 ) -> ProcessComparison:
-    """Compare two coefficient matrices with norms and, when possible, states."""
+    """Compare two coefficient matrices with norms and, when possible, states.
+
+    Each operand is checked as a state under its label, ``chi_a`` first;
+    a finite operand that fails only skips the state block.
+    """
     chi_a = np.asarray(chi_a, dtype=complex)
     chi_b = np.asarray(chi_b, dtype=complex)
     if chi_a.shape != (4, 4) or chi_b.shape != (4, 4):
         raise ValueError("both processes must be 4x4 coefficient matrices")
     report = DiscrepancyReport.from_difference(chi_a - chi_b, context)
-
-    spectra = [np.linalg.eigh((chi + chi.conj().T) / 2.0) for chi in (chi_a, chi_b)]
-    unphysical = []
-    for label, chi, (values, _) in zip(context, (chi_a, chi_b), spectra):
-        lowest = float(values[0])
-        trace = chi.trace().real
-        if lowest < -CP_TOL:
-            unphysical.append(f"{label} (eigenvalue {lowest:.3e})")
-        elif abs(trace - 1.0) > TRACE_TOL:
-            unphysical.append(f"{label} (trace {trace:.8f})")
-    if unphysical:
+    try:
+        roots = [_root(chi, label) for chi, label in zip((chi_a, chi_b), report.context)]
+    except InvalidStateError as error:
         return ProcessComparison(
             norms=report,
             state_metrics=None,
-            skip_reason="skipped: unphysical Choi for " + ", ".join(unphysical),
+            skip_reason="skipped: unphysical Choi for " + str(error),
         )
-    f = _fidelity(chi_a, chi_b, spectra)
+    f = _fidelity(*roots)
     block = StateMetricBlock(
         trace_distance=report.trace_distance_pro,
         fidelity=f,

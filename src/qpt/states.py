@@ -71,12 +71,25 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm((m - m.conj().T) / 2.0))
 
 
-def check_density_form(rho: np.ndarray, context: str = "density matrix") -> np.ndarray:
-    """The non-spectral checks of a density matrix of any square dimension.
+def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` as a complex array; ``ValueError`` naming ``what`` if its
+    anti-Hermitian part exceeds ``HERMITICITY_TOL`` in Frobenius norm."""
+    m = np.asarray(m, dtype=complex)
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
+    return m
 
-    Shape, finiteness, Hermiticity and unit trace, in that order; returns
-    ``rho`` as a complex array.  A caller that needs the spectrum anyway
-    decomposes once and passes it to :func:`check_lowest_eigenvalue`.
+
+def check_density_matrix(
+    rho: np.ndarray, eigenvalue_tol: float, context: str = "density matrix"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one density-matrix check, for any square dimension.
+
+    Shape, finiteness, Hermiticity, unit trace, then the lowest eigenvalue
+    against ``-eigenvalue_tol``, in that order; raises
+    ``InvalidStateError`` prefixed by ``context`` at the first that fails.
+    Returns the ``eigh`` of the Hermitian part, ascending.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -89,20 +102,13 @@ def check_density_form(rho: np.ndarray, context: str = "density matrix") -> np.n
     trace = rho.trace()
     if abs(trace - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
-    return rho
-
-
-def check_lowest_eigenvalue(
-    values: np.ndarray,
-    eigenvalue_tol: float = EIGENVALUE_CLAMP,
-    context: str = "density matrix",
-) -> None:
-    """Positivity check on an ascending spectrum (as ``eigh`` returns it)."""
+    values, vectors = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     lowest = float(values[0])
     if lowest < -eigenvalue_tol:
         raise InvalidStateError(
             f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
         )
+    return values, vectors
 
 
 def _coords(stack: np.ndarray) -> np.ndarray:
@@ -119,9 +125,7 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {rho.shape}")
-    if hermiticity_defect(rho) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
-    return _coords(rho)[1:, 0].real
+    return _coords(check_hermitian(rho, "matrix"))[1:, 0].real
 
 
 def density_from_bloch(r: Sequence[float]) -> np.ndarray:
@@ -137,9 +141,6 @@ def density_from_bloch(r: Sequence[float]) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy ``-sum p ln p`` in nats over the clamped spectrum of ``rho``."""
-    rho = check_density_form(rho)
-    values = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    check_lowest_eigenvalue(values)
-    values = np.clip(values, 0.0, 1.0)
+    values = np.clip(check_density_matrix(rho, EIGENVALUE_CLAMP)[0], 0.0, 1.0)
     positive = values[values > 0.0]
     return max(float(-np.sum(positive * np.log(positive))), 0.0)

@@ -72,13 +72,12 @@ def random_cptp_chi(rng: np.random.Generator, count: int = 3) -> np.ndarray:
 def is_valid_density_matrix(rho: np.ndarray) -> bool:
     """A 2x2 Hermitian, unit-trace, PSD matrix within the ``qpt.states`` tolerances."""
     from qpt.errors import InvalidStateError
-    from qpt.states import check_density_form, check_lowest_eigenvalue
+    from qpt.states import EIGENVALUE_CLAMP, check_density_matrix
 
     if np.shape(rho) != (2, 2):
         return False
     try:
-        rho = check_density_form(rho)
-        check_lowest_eigenvalue(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0))
+        check_density_matrix(rho, EIGENVALUE_CLAMP)
     except InvalidStateError:
         return False
     return True

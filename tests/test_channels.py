@@ -344,12 +344,47 @@ class TestComposition:
         )
 
     def test_composition_matches_application(self, rng):
-        first = random_cptp_chi(rng)
-        then = random_cptp_chi(rng)
-        rho = random_density_matrix(rng)
-        composed = ch.compose_chi(first, then)
-        assert np.allclose(
-            ch.apply_chi(composed, rho),
-            ch.apply_chi(then, ch.apply_chi(first, rho)),
-            atol=1e-10,
-        )
+        for _ in range(50):
+            first = random_cptp_chi(rng)
+            then = random_cptp_chi(rng)
+            rho = random_density_matrix(rng)
+            composed = ch.compose_chi(first, then)
+            np.testing.assert_allclose(
+                ch.apply_chi(composed, rho),
+                ch.apply_chi(then, ch.apply_chi(first, rho)),
+                atol=1e-14,
+            )
+
+    def test_composition_of_non_cp_first_matches_application(self, rng):
+        # Composition is linear algebra on the transfer matrices: a Hermitian
+        # but not completely positive map composes like any other.
+        transpose = np.diag([0.5, 0.5, -0.5, 0.5]).astype(complex)
+        for first in [transpose] + [
+            (m + m.conj().T) / 2.0
+            for m in rng.standard_normal((50, 4, 4)) + 1j * rng.standard_normal((50, 4, 4))
+        ]:
+            then = random_cptp_chi(rng)
+            rho = random_density_matrix(rng)
+            composed = ch.compose_chi(first, then)
+            np.testing.assert_allclose(
+                ch.apply_chi(composed, rho),
+                ch.apply_chi(then, ch.apply_chi(first, rho)),
+                atol=1e-13,
+            )
+        assert ch.is_completely_positive(ch.compose_chi(transpose, transpose))[0]
+
+    def test_composition_keeps_tiny_weights(self):
+        # Two dephasings by 1 - 1e-13 dephase by 1 - 2e-13: chi[3, 3] is 1e-13
+        # and the composite stays trace preserving to round-off.
+        d = ch.standard_channel("dephasing", factor=1.0 - 1e-13)
+        composed = ch.compose_chi(d, d)
+        assert composed[3, 3].real == pytest.approx(1e-13, rel=1e-3)
+        assert ch.is_trace_preserving(composed)[1] < 1e-15
+
+    def test_composition_rejects_non_hermitian(self):
+        skewed = np.eye(4, dtype=complex) / 4.0
+        skewed[0, 1] = 0.1
+        identity = ch.standard_channel("identity")
+        for first, then in ((skewed, identity), (identity, skewed)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                ch.compose_chi(first, then)

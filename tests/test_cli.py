@@ -40,6 +40,17 @@ def result_path(tmp_path, records_path):
     return path
 
 
+def with_hermiticity_defect(result_path, tmp_path):
+    """A copy of the result whose raw chi gains 5e-7j at [0, 1] and [1, 0],
+    an anti-Hermitian part of Frobenius norm 7.071e-07."""
+    doc = json.loads(result_path.read_text())
+    for i, j in ((0, 1), (1, 0)):
+        doc["raw"]["chi"][i][j][1] += 5e-7
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    return broken
+
+
 class TestSimulate:
     def test_writes_records_document(self, records_path):
         doc = qio.read_json(str(records_path))
@@ -278,6 +289,30 @@ class TestLongTextBounded:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFileErrors:
+    # Only pipeline makes its --out directory; any other output into a
+    # missing directory is a file error that makes nothing.
+    def test_simulate_into_missing_directory_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "records.json"
+        assert run("simulate", "--preset", "paper-20ns", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert repr(str(out)) in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_render_into_missing_directory_exits_3(self, tmp_path, result_path, capsys):
+        prefix = tmp_path / "missing" / "mesh"
+        assert run(
+            "render", "--result", result_path, "--out", prefix, "--subdivisions", "1"
+        ) == 3
+        assert repr(f"{prefix}_raw.obj") in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_missing_input_named_in_full(self, tmp_path, capsys):
+        missing = tmp_path / ("r" * 95 + ".json")
+        assert run("reconstruct", "--records", missing, "--out", tmp_path / "o.json") == 3
+        assert repr(str(missing)) in capsys.readouterr().err
+
+
 class TestReconstruct:
     def test_result_document(self, result_path):
         doc = qio.read_json(str(result_path))
@@ -438,6 +473,20 @@ class TestProject:
         assert info.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_small_hermiticity_defect_projects(self, tmp_path, result_path):
+        # The projection symmetrizes its input; the comparison of raw and
+        # projected chi skips its state block instead of failing.
+        out = tmp_path / "projected.json"
+        assert run(
+            "project", "--result", with_hermiticity_defect(result_path, tmp_path),
+            "--out", out,
+        ) == 0
+        doc = qio.read_json(str(out))
+        assert doc["projected"]["converged"] is True
+        assert doc["state_metrics"]["skipped"] == (
+            "skipped: unphysical Choi for estimated: not Hermitian (defect 7.071e-07)"
+        )
+
     def test_non_finite_chi_is_input_error(self, tmp_path, result_path, capsys):
         doc = json.loads(result_path.read_text())
         doc["raw"]["chi"][0][0] = [math.nan, 0.0]
@@ -488,9 +537,10 @@ class TestCompare:
     def test_malformed_factor(self, tmp_path):
         assert run("compare", "dephasing:x", "identity", "--out", tmp_path / "c.json") == 2
 
-    def test_non_hermitian_chi_exits_2(self, tmp_path, result_path, capsys):
+    def test_non_hermitian_chi_skips_state_block(self, tmp_path, result_path):
         # Hermitian part CPTP (fully depolarizing), anti-Hermitian 0.1j at [0, 1]
-        # and [1, 0]: the state metrics refuse it as an input error.
+        # and [1, 0]: chi is not symmetrized, so the state block is skipped
+        # and the reason names the failed check.
         doc = json.loads(result_path.read_text())
         chi = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
         chi[0][1] = chi[1][0] = [0.0, 0.1]
@@ -498,9 +548,17 @@ class TestCompare:
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
         out = tmp_path / "c.json"
-        assert run("compare", broken, "identity", "--out", out) == 2
-        assert "not Hermitian" in capsys.readouterr().err
-        assert not out.exists()
+        assert run("compare", broken, "identity", "--out", out) == 0
+        skipped = qio.read_json(str(out))["state_metrics"]["skipped"]
+        assert skipped.startswith("skipped: unphysical Choi for broken.json:raw: not Hermitian")
+
+    def test_small_hermiticity_defect_skips_state_block(self, tmp_path, result_path):
+        out = tmp_path / "c.json"
+        broken = with_hermiticity_defect(result_path, tmp_path)
+        assert run("compare", broken, "identity", "--out", out) == 0
+        assert qio.read_json(str(out))["state_metrics"]["skipped"] == (
+            "skipped: unphysical Choi for broken.json:raw: not Hermitian (defect 7.071e-07)"
+        )
 
 
 class TestRender:

@@ -228,10 +228,19 @@ class TestResultDocument:
 
 class TestFileIo:
     def test_write_and_read_json(self, tmp_path):
-        path = str(tmp_path / "sub" / "doc.json")
+        path = str(tmp_path / "doc.json")
         io.write_json_atomic(path, {"schema_version": 1, "kind": "qpt-records"})
         loaded = io.read_json(path)
         assert loaded["kind"] == "qpt-records"
+
+    def test_missing_directory_raises_and_leaves_nothing(self, tmp_path):
+        # No parent directory is made; the error names the requested path,
+        # not the temporary file that would have gone beside it.
+        path = str(tmp_path / "sub" / "doc.json")
+        with pytest.raises(FileNotFoundError) as info:
+            io.write_json_atomic(path, {"a": 1})
+        assert info.value.filename == path
+        assert os.listdir(tmp_path) == []
 
     def test_trailing_newline(self, tmp_path):
         path = str(tmp_path / "doc.json")

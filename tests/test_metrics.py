@@ -118,6 +118,17 @@ class TestFidelity:
         with pytest.raises(InvalidStateError, match="trace"):
             metrics.fidelity(2.0 * np.eye(2), np.eye(2) / 2.0)
 
+    def test_messages_name_the_operand_and_check(self):
+        skewed = np.array([[0.5, 0.1j], [0.1j, 0.5]])
+        with pytest.raises(InvalidStateError, match=r"^first state: not Hermitian \(defect 1\.414e-01\)$"):
+            metrics.fidelity(skewed, np.eye(2) / 2.0)
+        with pytest.raises(InvalidStateError, match=r"^second state: trace"):
+            metrics.bures_metric(np.eye(2) / 2.0, np.eye(2))
+        with pytest.raises(
+            InvalidStateError, match=r"^second state: negative eigenvalue -5\.000e-01 beyond clamp$"
+        ):
+            metrics.c_metric(np.eye(2) / 2.0, np.diag([1.5, -0.5]))
+
     def test_tolerates_clamp_range(self):
         nearly = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         assert metrics.fidelity(nearly, states.projector(states.KET_0)) == pytest.approx(
@@ -242,8 +253,8 @@ class TestProcessComparison:
             assert abs(comparison.state_metrics.trace_distance - choi_distance) <= 1e-14
 
     def test_state_block_matches_public_metrics(self, rng):
-        # The block reuses the CP-check spectra of chi; it must equal the public
-        # state metrics computed from scratch on chi, and match them on the
+        # The block validates chi with the check fidelity uses; it must equal
+        # the public state metrics computed from scratch on chi, and match them on the
         # Choi states, which are chi under one fixed unitary, to roundoff.
         for _ in range(300):
             a, b = random_cptp_chi(rng), random_cptp_chi(rng)
@@ -284,14 +295,56 @@ class TestProcessComparison:
         assert "leaky" in comparison.skip_reason
         assert "trace" in comparison.skip_reason
 
-    def test_non_hermitian_operand_with_cptp_hermitian_part_raises(self):
-        # The skip check reads the Hermitian part, which here is the fully
-        # depolarizing channel; the fidelity validation then rejects the
-        # anti-Hermitian remainder instead of silently symmetrizing it.
+    def test_non_hermitian_operand_with_cptp_hermitian_part_skips(self):
+        # The Hermitian part is the fully depolarizing channel, but chi is
+        # never silently symmetrized: the anti-Hermitian remainder fails the
+        # density-matrix check and the state block is skipped.
         chi = np.eye(4, dtype=complex) / 4.0
         chi[0, 1] = chi[1, 0] = 0.1j
-        with pytest.raises(InvalidStateError, match="first state: not Hermitian"):
-            metrics.process_distance_report(chi, ch.standard_channel("identity"))
+        comparison = metrics.process_distance_report(chi, ch.standard_channel("identity"))
+        assert comparison.state_metrics is None
+        assert comparison.skip_reason.startswith("skipped: unphysical Choi for a: not Hermitian")
+        assert comparison.norms.frobenius_norm > 0.0
+
+    def test_hermiticity_defect_named_whatever_the_hermitian_part(self):
+        # A 7e-7 anti-Hermitian part gets the same reason whether the
+        # Hermitian part is CPTP or not.
+        defect = np.zeros((4, 4), dtype=complex)
+        defect[0, 1] = defect[1, 0] = 5e-7j
+        identity = ch.standard_channel("identity")
+        transpose = np.diag([0.5, 0.5, -0.5, 0.5]).astype(complex)
+        for hermitian in (identity, transpose):
+            comparison = metrics.process_distance_report(
+                identity, hermitian + defect, context=("id", "probe")
+            )
+            assert comparison.skip_reason == (
+                "skipped: unphysical Choi for probe: not Hermitian (defect 7.071e-07)"
+            )
+
+    def test_first_failing_operand_and_check_named(self):
+        identity = ch.standard_channel("identity")
+        transpose = np.diag([0.5, 0.5, -0.5, 0.5]).astype(complex)
+        leaky = 0.9 * identity
+        reason = metrics.process_distance_report(
+            transpose, leaky, context=("transpose", "leaky")
+        ).skip_reason
+        assert reason == (
+            "skipped: unphysical Choi for transpose: negative eigenvalue -5.000e-01 beyond clamp"
+        )
+        reason = metrics.process_distance_report(
+            identity, leaky, context=("id", "leaky")
+        ).skip_reason
+        assert reason.startswith("skipped: unphysical Choi for leaky: trace 0.9")
+
+    def test_never_raises_for_finite_unphysical_operands(self, rng):
+        for _ in range(200):
+            chi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            comparison = metrics.process_distance_report(
+                random_cptp_chi(rng), chi, context=("cptp", "random")
+            )
+            assert comparison.state_metrics is None
+            assert comparison.skip_reason.startswith("skipped: unphysical Choi for random: ")
+            assert comparison.norms.frobenius_norm > 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -81,19 +81,36 @@ class TestBlochConversions:
 
 
 class TestValidation:
-    # von_neumann_entropy runs the full check: form, then spectrum.
+    # check_density_matrix runs every check, in order: shape, finiteness,
+    # Hermiticity, trace, then the lowest eigenvalue.
     def test_accepts_valid(self, rng):
         for _ in range(10):
-            states.von_neumann_entropy(random_density_matrix(rng))
+            rho = random_density_matrix(rng)
+            values, vectors = states.check_density_matrix(rho, states.EIGENVALUE_CLAMP)
+            np.testing.assert_allclose((vectors * values) @ vectors.conj().T, rho, atol=1e-14)
+            states.von_neumann_entropy(rho)
+
+    def test_returns_eigh_of_hermitian_part(self, rng):
+        rho = random_density_matrix(rng)
+        rho = rho + 1e-9j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        values, vectors = states.check_density_matrix(rho, states.EIGENVALUE_CLAMP)
+        expected_values, expected_vectors = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+        assert values.tobytes() == expected_values.tobytes()
+        assert vectors.tobytes() == expected_vectors.tobytes()
 
     def test_rejects_trace(self):
         with pytest.raises(InvalidStateError, match="trace"):
-            states.check_density_form(2.0 * np.eye(2))
+            states.check_density_matrix(2.0 * np.eye(2), states.EIGENVALUE_CLAMP)
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidStateError, match="Hermitian"):
-            states.check_density_form(m)
+            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+
+    def test_rejects_non_finite(self):
+        m = np.array([[np.nan, 0.0], [0.0, 0.5]])
+        with pytest.raises(InvalidStateError, match="^density matrix: non-finite"):
+            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5]).astype(complex)
@@ -101,27 +118,36 @@ class TestValidation:
             states.von_neumann_entropy(m)
 
     def test_dim_check(self):
-        # Any square dimension passes the form check; non-square does not.
-        checked = states.check_density_form(np.eye(4) / 4.0)
-        assert checked.shape == (4, 4)
+        # Any square dimension passes; non-square does not.
+        values, vectors = states.check_density_matrix(np.eye(4) / 4.0, states.EIGENVALUE_CLAMP)
+        assert values.shape == (4,) and vectors.shape == (4, 4)
         with pytest.raises(InvalidStateError, match="square"):
-            states.check_density_form(np.ones((2, 3)) / 2.0)
+            states.check_density_matrix(np.ones((2, 3)) / 2.0, states.EIGENVALUE_CLAMP)
 
-    def test_density_form_leaves_spectrum_unchecked(self):
-        # Hermitian with unit trace but not PSD: the form check returns it as a
-        # complex array, and only the spectral check rejects it.
+    def test_rejects_hermitian_unit_trace_non_psd(self):
+        # Hermitian with unit trace, so only the spectral check rejects it.
         m = np.diag([1.5, -0.5])
-        checked = states.check_density_form(m)
-        assert checked.dtype == complex
-        np.testing.assert_array_equal(checked, m)
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
             states.von_neumann_entropy(m)
 
+    def test_first_failing_check_wins(self):
+        # Not Hermitian, trace 2 and not PSD: Hermiticity is checked first,
+        # then trace.
+        m = np.array([[2.5, 1.0], [0.0, -0.5]])
+        with pytest.raises(InvalidStateError, match="not Hermitian"):
+            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+        with pytest.raises(InvalidStateError, match="trace"):
+            states.check_density_matrix(np.diag([2.5, -0.5]), states.EIGENVALUE_CLAMP)
+
     def test_lowest_eigenvalue_tolerance(self):
-        states.check_lowest_eigenvalue(np.array([-0.5 * states.EIGENVALUE_CLAMP, 1.0]))
+        nearly = np.diag([1.0 + 0.5 * states.EIGENVALUE_CLAMP, -0.5 * states.EIGENVALUE_CLAMP])
+        states.check_density_matrix(nearly, states.EIGENVALUE_CLAMP)
+        over = np.diag([1.0 + 2e-10, -2e-10])
         with pytest.raises(InvalidStateError, match=r"^probe: negative eigenvalue -2\.000e-10"):
-            states.check_lowest_eigenvalue(np.array([-2e-10, 1.0]), context="probe")
-        states.check_lowest_eigenvalue(np.array([-2e-10, 1.0]), eigenvalue_tol=1e-9)
+            states.check_density_matrix(over, states.EIGENVALUE_CLAMP, context="probe")
+        states.check_density_matrix(over, 1e-9)
 
 
 class TestEntropy:
