@@ -11,6 +11,7 @@ fitted exponent printed at the end should sit near 0.5.
 from __future__ import annotations
 
 import argparse
+import os
 
 import numpy as np
 
@@ -46,6 +47,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if any(level < 1 for level in args.levels) or args.seeds < 1:
         parser.error("shot levels and seed count must be positive")
+    # The payload is written after the whole sweep; a missing directory
+    # found only then would lose the run.
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"--out: directory of {args.out!r} does not exist")
 
     levels = sorted(args.levels)
     medians = [median_error(args.preset, level, args.seeds) for level in levels]

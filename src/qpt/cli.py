@@ -264,12 +264,9 @@ def _render_document(doc: dict, prefix: str, subdivisions: int) -> None:
     rendered = []
     for block, affine in qio.document_affines(doc).items():
         # Finite entries near 1e308 can overflow the image; checked below.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _derived_from(f"{block}.affine"):
             mesh = ellipsoid_mesh(affine, subdivisions)
-            try:
-                metadata = mesh_metadata(affine, mesh)
-            except np.linalg.LinAlgError as exc:
-                raise ConfigError(f"{block}.affine: {exc}") from exc
+            metadata = mesh_metadata(affine, mesh)
         numbers = metadata["axis_lengths"] + [metadata["max_vertex_norm"]]
         if not (np.isfinite(mesh.vertices).all() and np.isfinite(numbers).all()):
             raise ConfigError(

@@ -1,8 +1,9 @@
 """Process reconstruction from four spanning input states.
 
 The pipeline follows the linear-inversion scheme: prepare the spanning
-inputs ``{|0><0|, |1><1|, |+><+|, |+i><+i|}``, tomograph each output state,
-and invert the linear relation between the inputs and the outputs.
+inputs, nominally ``{|0><0|, |1><1|, |+><+|, |+i><+i|}``, tomograph each
+output state, and invert the linear relation between the inputs and the
+outputs.
 
 In the Pauli coordinates ``coords(m)[i] = tr(sigma_i m)`` of
 :mod:`qpt.states`, let ``P_B`` hold the inputs' coordinates as columns and
@@ -11,11 +12,11 @@ In the Pauli coordinates ``coords(m)[i] = tr(sigma_i m)`` of
 ``P_O = R P_B``, so ``R = P_O P_B^-1``, and chi is the image of ``R`` under
 the fixed inverse transfer tensor of :mod:`qpt.channels`.  The lambda matrix
 (the outputs expanded over the inputs, row j = image of rho_j) is
-``(P_B^-1 P_O)^T``.  ``P_B^-1`` is the one per-basis object: it is built
-and the basis rank-checked once per basis, then cached.  The basis is the
-canonical one unless the records declare a non-ideal preparation
-(``polarization != 1`` or ``pulse_error != 0`` in their config), in which
-case it is the declared prepared inputs.
+``(P_B^-1 P_O)^T``.  The inputs are the ones the records' config declares
+by its ``(polarization, pulse_error)``; records without a config declare a
+perfect preparation ``(1, 0)``.  ``P_B^-1`` is read from the simulator's
+one cache of per-preparation objects, so a reconstruction inverts exactly
+the inputs the simulator prepared, the perfect preparation included.
 
 Fitted outputs are Hermitian with trace 1, so ``R`` is real with first row
 ``(1, 0, 0, 0)`` and chi is Hermitian and trace preserving up to round-off.
@@ -30,7 +31,6 @@ representations agree by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,64 +46,39 @@ from .channels import (
 )
 from .states import (
     HERMITICITY_TOL,
-    KET_0,
-    KET_1,
-    KET_PLUS,
-    KET_PLUS_I,
     TRACE_TOL,
     _coords,
+    _coords_inverse,
     hermiticity_defect,
-    projector,
 )
-from .simulator import prepared_inputs
+from .simulator import _preparation
 from .state_tomography import bloch_target, fit_states
 
 INPUT_STATE_LABELS = ("|0><0|", "|1><1|", "|+><+|", "|+i><+i|")
 _INPUT_NAMES = tuple(
     f"input state {j} ({label})" for j, label in enumerate(INPUT_STATE_LABELS)
 )
-# The (polarization, pulse_error) of a perfect preparation.
+# The (polarization, pulse_error) of a perfect preparation.  Its cache
+# entry is filled on first use, not at import: filling it is a process's
+# first LAPACK call, which grows resident memory by about 1.5 MB that
+# commands never reconstructing need not pay.
 _IDEAL = (1.0, 0.0)
-
-_INPUT_STATES = tuple(projector(k) for k in (KET_0, KET_1, KET_PLUS, KET_PLUS_I))
-for _s in _INPUT_STATES:
-    _s.setflags(write=False)
-_INPUT_STACK = np.stack(_INPUT_STATES)
-
-# The coordinate map is sqrt(2) times a unitary, so the rank test of the
-# coordinates scales the 1e-10 tolerance on the vectorized basis by sqrt(2).
-_RANK_TOL = np.sqrt(2.0) * 1e-10
 
 
 def input_basis() -> tuple[np.ndarray, ...]:
-    """The four spanning input states, in fixed order."""
-    return _INPUT_STATES
+    """The four spanning input states of a perfect preparation, in fixed order."""
+    return tuple(_preparation(*_IDEAL)[0])
 
 
-def _basis_stack(rho_basis: Sequence[np.ndarray] | None) -> np.ndarray:
+def _basis_coords(rho_basis: Sequence[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """``P_B`` and ``P_B^-1`` of a basis, the perfect preparation by default."""
     if rho_basis is None:
-        return _INPUT_STACK
+        rho_basis = _preparation(*_IDEAL)[0]
     stack = np.asarray(rho_basis, dtype=complex)
     if stack.shape != (4, 2, 2):
         raise ValueError(f"state basis must be four 2x2 matrices, got {stack.shape}")
-    return stack
-
-
-def _coords_inverse(stack: np.ndarray) -> np.ndarray:
-    """``P_B^-1`` of a basis stack, read-only and cached per basis."""
-    return _inverse_for(np.ascontiguousarray(stack, dtype=complex).tobytes())
-
-
-@lru_cache(maxsize=64)
-def _inverse_for(key: bytes) -> np.ndarray:
-    # The rank check runs once per basis, when its entry is filled; a basis
-    # that does not span raises ValueError and is not cached.
-    coords = _coords(np.frombuffer(key, dtype=complex).reshape(4, 2, 2))
-    if np.linalg.matrix_rank(coords, tol=_RANK_TOL) < 4:
-        raise ValueError("state basis is rank deficient and does not span")
-    inverse = np.linalg.inv(coords)
-    inverse.setflags(write=False)
-    return inverse
+    coords = _coords(stack)
+    return coords, _coords_inverse(coords)
 
 
 def lambda_from_outputs(
@@ -112,8 +87,7 @@ def lambda_from_outputs(
 ) -> np.ndarray:
     """Expand the four output states over the input basis, row j = image of rho_j.
 
-    Row j is ``P_B^-1 @ coords(outputs[j])``, with ``P_B^-1`` cached per
-    basis.
+    Row j is ``P_B^-1 @ coords(outputs[j])``.
     """
     if len(outputs) != 4:
         raise ValueError(f"expected 4 output states, got {len(outputs)}")
@@ -129,7 +103,7 @@ def lambda_from_outputs(
         if abs(out.trace() - 1.0) > TRACE_TOL:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
         stack.append(out)
-    return (_coords_inverse(_basis_stack(rho_basis)) @ _coords(np.stack(stack))).T
+    return (_basis_coords(rho_basis)[1] @ _coords(np.stack(stack))).T
 
 
 def chi_from_lambda(
@@ -138,7 +112,7 @@ def chi_from_lambda(
     """Invert a lambda matrix; return (Hermitian chi, anti-Hermitian norm).
 
     The transfer matrix of the process is ``R = P_B lam^T P_B^-1`` over the
-    basis (the canonical one by default), and chi its image under the
+    basis (the perfect preparation by default), and chi its image under the
     inverse transfer tensor.  The anti-Hermitian part of that chi is split
     off and its Frobenius norm returned alongside the Hermitian part; it
     vanishes when ``R`` is real, as it is for Hermitian trace-1 outputs.
@@ -146,8 +120,8 @@ def chi_from_lambda(
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (4, 4):
         raise ValueError(f"lambda matrix must be 4x4, got {lam.shape}")
-    stack = _basis_stack(rho_basis)
-    return _chi_from_ptm(_coords(stack) @ lam.T @ _coords_inverse(stack))
+    coords, inverse = _basis_coords(rho_basis)
+    return _chi_from_ptm(coords @ lam.T @ inverse)
 
 
 @dataclass(frozen=True)
@@ -186,19 +160,19 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     ``ValueError``.  Errors raised while reconstructing an output state are
     re-raised with the offending input index prepended.
 
-    Elements that carry a ``config`` declare their preparation.  When it is
-    non-ideal (``polarization != 1`` or ``pulse_error != 0``), lambda and chi
-    are solved over the prepared inputs ``prepare_input(config, 1..4)``
-    instead of the canonical basis.  Elements declaring different
-    preparations, or a preparation whose inputs do not span, raise
-    ``ValueError``.
+    Elements that carry a ``config`` declare their preparation by its
+    ``(polarization, pulse_error)``; elements without one declare the
+    perfect preparation.  lambda and chi are solved over the declared
+    prepared inputs ``prepare_input(config, 1..4)``.  Elements declaring
+    different preparations, or a preparation whose inputs do not span,
+    raise ``ValueError``.
     """
     if len(record_sets) != 4:
         raise ValueError(
             f"expected records for 4 input states, got {len(record_sets)}"
         )
     targets, masks = [], []
-    preparations = {}
+    preparations = set()
     for j, entry in enumerate(record_sets):
         index = getattr(entry, "input_index", j + 1)
         if index != j + 1:
@@ -206,10 +180,9 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
                 f"record set {j} is for input_index {index!r}, expected {j + 1}"
             )
         config = getattr(entry, "config", None)
-        if config is None:
-            preparations[_IDEAL] = None
-        else:
-            preparations[(config.polarization, config.pulse_error)] = config
+        preparations.add(
+            _IDEAL if config is None else (config.polarization, config.pulse_error)
+        )
         records = getattr(entry, "records", entry)
         try:
             target, mask = bloch_target(records)
@@ -239,25 +212,20 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     )
 
 
-def _declared_inverse(preparations: dict) -> np.ndarray:
-    """``P_B^-1`` of the one preparation the record sets declare.
-
-    ``preparations`` maps each declared ``(polarization, pulse_error)`` to
-    a config declaring it (``None`` for entries without a config).
-    """
+def _declared_inverse(preparations: set) -> np.ndarray:
+    """``P_B^-1`` of the one ``(polarization, pulse_error)`` the record sets
+    declare."""
     if len(preparations) != 1:
         raise ValueError(
             "record sets declare different preparations (polarization, "
             f"pulse_error): {sorted(preparations)}"
         )
-    ((preparation, config),) = preparations.items()
-    if preparation == _IDEAL:
-        return _coords_inverse(_INPUT_STACK)
-    try:
-        return _coords_inverse(prepared_inputs(config))
-    except ValueError as exc:
-        polarization, pulse_error = preparation
+    ((polarization, pulse_error),) = preparations
+    inverse = _preparation(polarization, pulse_error)[2]
+    if inverse is None:
         raise ValueError(
             f"declared preparation polarization={polarization}, "
-            f"pulse_error={pulse_error}: {exc}"
-        ) from None
+            f"pulse_error={pulse_error}: state basis is rank deficient and "
+            "does not span"
+        )
+    return inverse

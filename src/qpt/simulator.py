@@ -11,11 +11,16 @@ which the cells are drawn.
 A run is computed as whole arrays over the four inputs.  The channel acts
 on Pauli coordinates (:mod:`qpt.states`) through its transfer matrix
 ``R``, so the output coordinates are ``R`` times the input coordinates and
-the twelve exact expectations are rows 1..3 of that product.  The inputs'
-coordinates are cached per ``(polarization, pulse_error)``, the product
+the twelve exact expectations are rows 1..3 of that product.  The product
 is one small contraction, and no output density matrix is formed.  One
 Philox bit generator per call is rekeyed for each ``(seed, input, axis)``
 cell, which draws exactly what a generator built from that key would.
+
+Which four inputs a preparation gives is decided in one place: one cache
+keyed by ``(polarization, pulse_error)`` holds the prepared stack, its Pauli
+coordinates and their inverse.  Simulation reads the coordinates and
+:mod:`qpt.process_tomography` the inverse, so a reconstruction inverts the
+very inputs that were simulated.
 
 The decoherence interval is the channel under test.  ``run_experiment`` can
 swap it for an arbitrary coefficient matrix, which turns the simulator into
@@ -40,7 +45,7 @@ from .channels import (
     standard_channel,
 )
 from .errors import _shown
-from .states import KET_0, _coords, projector
+from .states import KET_0, _coords, _coords_inverse, projector
 from .state_tomography import AXES, ExpectationRecord
 
 INPUT_COUNT = 4
@@ -161,14 +166,17 @@ def prepare_input(config: ExperimentConfig, index: int) -> np.ndarray:
 def prepared_inputs(config: ExperimentConfig) -> np.ndarray:
     """The four prepared inputs as a read-only (4, 2, 2) stack, in index order.
 
-    Each is the initial mixture rotated by its input's preparation pulse;
-    the stack is cached per ``(polarization, pulse_error)``.
+    Each is the initial mixture rotated by its input's preparation pulse.
     """
-    return _prepared_stack(config.polarization, config.pulse_error)
+    return _preparation(config.polarization, config.pulse_error)[0]
 
 
 @lru_cache(maxsize=64)
-def _prepared_stack(polarization: float, pulse_error: float) -> np.ndarray:
+def _preparation(polarization: float, pulse_error: float) -> tuple:
+    """The one cache of per-preparation objects, all read-only: the prepared
+    (4, 2, 2) stack, its real Pauli coordinates (one column per input) and
+    ``P_B^-1``, the inverse of its (complex) coordinates, or ``None`` when
+    the inputs do not span."""
     rho = polarization * projector(KET_0) + (1.0 - polarization) * (
         np.eye(2, dtype=complex) - projector(KET_0)
     )
@@ -180,19 +188,16 @@ def _prepared_stack(polarization: float, pulse_error: float) -> np.ndarray:
             u = rotation_unitary(pulse[0], pulse[1] * (1.0 + pulse_error))
             inputs.append(u @ rho @ u.conj().T)
     stack = np.stack(inputs)
-    stack.setflags(write=False)
-    return stack
-
-
-@lru_cache(maxsize=64)
-def _prepared_coords(polarization: float, pulse_error: float) -> np.ndarray:
-    """Real Pauli coordinates of :func:`_prepared_stack`, one column per
-    input; read-only."""
-    coords = np.ascontiguousarray(
-        _coords(_prepared_stack(polarization, pulse_error)).real
-    )
-    coords.setflags(write=False)
-    return coords
+    coords = _coords(stack)
+    try:
+        inverse = _coords_inverse(coords)
+    except ValueError:
+        inverse = None
+    entry = (stack, np.ascontiguousarray(coords.real), inverse)
+    for array in entry:
+        if array is not None:
+            array.setflags(write=False)
+    return entry
 
 
 def true_channel(config: ExperimentConfig) -> np.ndarray:
@@ -269,7 +274,7 @@ def run_experiment(
     expectations = np.einsum(
         "ij,jk->ki",
         _transfer(chi)[1:],
-        _prepared_coords(config.polarization, config.pulse_error),
+        _preparation(config.polarization, config.pulse_error)[1],
     )
     return [
         MeasurementRecord(input_index=index, records=records, config=config)

@@ -116,6 +116,16 @@ def _coords(stack: np.ndarray) -> np.ndarray:
     return _COORDS @ stack.reshape(-1, 4).T
 
 
+def _coords_inverse(coords: np.ndarray) -> np.ndarray:
+    """Inverse of the (4, 4) coordinates of a four-state basis;
+    ``ValueError`` if the basis does not span."""
+    # _COORDS is sqrt(2) times a unitary, so the rank test scales the 1e-10
+    # tolerance on the vectorized basis by sqrt(2).
+    if np.linalg.matrix_rank(coords, tol=math.sqrt(2.0) * 1e-10) < 4:
+        raise ValueError("state basis is rank deficient and does not span")
+    return np.linalg.inv(coords)
+
+
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     """Bloch vector ``(Re tr(rho sigma_x), ..., Re tr(rho sigma_z))``.
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -892,7 +893,38 @@ def valid_documents(tmp_path_factory):
     ) == 0
     assert run("reconstruct", "--records", paths["records"], "--out", paths["raw"]) == 0
     assert run("project", "--result", paths["raw"], "--out", paths["projected"]) == 0
-    return {name: json.loads(path.read_text()) for name, path in paths.items()}
+    documents = {name: json.loads(path.read_text()) for name, path in paths.items()}
+    documents["config"] = documents["records"]["config"]
+    return documents
+
+
+def document_leaves(doc, per_list=3):
+    """Paths of the leaves of a JSON document, through the first
+    ``per_list`` entries of each list (list keys are the integers)."""
+    for path in document_paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        capped = all(isinstance(key, str) or key < per_list for key in path)
+        if capped and not isinstance(node, (dict, list)):
+            yield path
+
+
+# Leaf replacements for the seeded sweep: wrong types, numbers as text, an
+# over-long text, numbers at and past the float range, non-finite numbers
+# (written as JSON's NaN/Infinity extensions) and a subnormal.
+MUTANTS = [
+    None, True, False, "x", "0.5", "x" * 5000, 1e308, -1e308, 10**30,
+    math.nan, math.inf, -math.inf, [], [0.5, 0.5], {}, {"x": 0.5}, 5e-324,
+]
+# The commands that read each document.
+READERS = {
+    "config": ["simulate"],
+    "records": ["reconstruct"],
+    "raw": ["project", "compare", "render"],
+    "projected": ["project", "compare", "render"],
+}
+SWEEP_CASES = 1000
 
 
 class TestExitCodeContract:
@@ -915,3 +947,32 @@ class TestExitCodeContract:
             source.write_text(json.dumps(replaced(doc, path, value)))
             code = main([str(a) for a in command_argv(command, source, scratch)])
         assert code in (2, 3)
+
+    def test_seeded_field_mutation_sweep(self, valid_documents, tmp_path):
+        # For each (document, reading command), a seeded sample of its
+        # (leaf, mutant) pairs, an equal share of SWEEP_CASES: every case
+        # exits by the contract.
+        groups = [(kind, command) for kind in READERS for command in READERS[kind]]
+        rng = random.Random(16)
+        cases = []
+        for kind, command in groups:
+            pairs = [
+                (path, mutant)
+                for path in document_leaves(valid_documents[kind])
+                for mutant in range(len(MUTANTS))
+            ]
+            share = min(len(pairs), SWEEP_CASES // len(groups))
+            cases += [(kind, command, *pair) for pair in rng.sample(pairs, share)]
+        source = tmp_path / "doc.json"
+        outside = []
+        for kind, command, path, mutant in cases:
+            value = MUTANTS[mutant]
+            source.write_text(json.dumps(replaced(valid_documents[kind], path, value)))
+            try:
+                code = main([str(a) for a in command_argv(command, source, tmp_path)])
+            except Exception as exc:  # noqa: BLE001 - every escape is a finding
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3, 4):
+                outside.append((command, kind, path, repr(value)[:40], code))
+        assert 900 < len(cases) <= SWEEP_CASES
+        assert outside == []

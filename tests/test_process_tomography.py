@@ -1,6 +1,7 @@
 """Linear-inversion process reconstruction."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import (
     random_density_matrix,
 )
 from qpt import channels as ch
-from qpt import states
+from qpt import simulator, states
 from qpt.process_tomography import (
     INPUT_STATE_LABELS,
     ProcessEstimate,
@@ -63,6 +64,11 @@ class TestInputBasis:
     def test_read_only(self):
         with pytest.raises(ValueError):
             input_basis()[0][0, 0] = 5.0
+
+    def test_is_the_simulated_perfect_preparation(self):
+        # Bit for bit, so exact records of a perfect preparation are
+        # inverted over the very inputs that were simulated.
+        assert np.array_equal(input_basis(), prepared_inputs(ExperimentConfig(t2=100.0)))
 
     def test_labels_align(self):
         assert len(INPUT_STATE_LABELS) == 4
@@ -344,6 +350,28 @@ class TestDeclaredPreparation:
         declared = run_process_tomography(results)
         plain = run_process_tomography([list(r.records) for r in results])
         np.testing.assert_array_equal(declared.chi, plain.chi)
+
+    def test_configs_sharing_a_preparation_share_one_cache_entry(self):
+        # Only (polarization, pulse_error) selects the inputs: simulating
+        # and reconstructing under every other setting, and mixing record
+        # sets of such configs, fills one entry of the preparation cache.
+        base = ExperimentConfig(t2=100.0, polarization=0.8125, pulse_error=0.0375)
+        configs = [
+            base,
+            replace(base, t2=60.0),
+            replace(base, decoherence_time=30.0),
+            replace(base, shots=400),
+            replace(base, shots=400, seed=9),
+        ]
+        before = simulator._preparation.cache_info()
+        runs = [run_experiment(config) for config in configs]
+        for records in runs:
+            run_process_tomography(records)
+        mixed = run_process_tomography([run[j] for j, run in enumerate(runs[1:])])
+        after = simulator._preparation.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 2 * len(configs)
+        assert np.all(np.isfinite(mixed.chi))
 
     def test_different_preparations_rejected(self):
         a = run_experiment(ExperimentConfig(t2=100.0, polarization=0.9))

@@ -6,6 +6,8 @@ import math
 import re
 from pathlib import Path
 
+import pytest
+
 from qpt import projection
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -92,3 +94,20 @@ def test_shot_noise_study(tmp_path, capsys):
     assert f"fitted scaling exponent: {payload['exponent']:.3f}" in printed
     assert [p.name for p in tmp_path.iterdir()] == ["shot_noise.json"]
 
+
+
+def test_shot_noise_study_checks_out_directory_before_the_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    module = load_script("shot_noise_study")
+
+    def sweep_started(*args):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(module, "median_error", sweep_started)
+    out = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--levels", "100", "--seeds", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

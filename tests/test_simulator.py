@@ -14,7 +14,7 @@ from conftest import (
     random_cptp_chi,
 )
 from qpt import channels as ch
-from qpt import states
+from qpt import simulator, states
 from qpt.process_tomography import run_process_tomography
 from qpt.simulator import (
     INPUT_COUNT,
@@ -146,6 +146,23 @@ class TestPrepareInput:
             stack[0, 0, 0] = 5.0
         assert prepared_inputs(ExperimentConfig(t2=50.0, polarization=polarization,
                                                 pulse_error=pulse_error, seed=9)) is stack
+
+    @pytest.mark.parametrize(
+        "polarization, pulse_error, spans",
+        [(1.0, 0.0, True), (0.7, 0.1, True), (0.5, 0.0, False), (1.0, -1.0, False)],
+    )
+    def test_preparation_entry(self, polarization, pulse_error, spans):
+        # The one per-preparation cache entry: stack, real coordinates and
+        # their inverse (None when the inputs do not span), all read-only.
+        stack, coords, inverse = simulator._preparation(polarization, pulse_error)
+        config = ExperimentConfig(t2=100.0, polarization=polarization, pulse_error=pulse_error)
+        assert stack is prepared_inputs(config)
+        np.testing.assert_array_equal(coords, states._coords(stack).real)
+        assert (inverse is not None) == spans
+        if spans:
+            np.testing.assert_allclose(inverse @ coords, np.eye(4), atol=1e-12)
+        for array in (stack, coords, inverse):
+            assert array is None or not array.flags.writeable
 
     def test_bad_index(self):
         with pytest.raises(ValueError, match="input index"):
