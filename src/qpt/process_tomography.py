@@ -23,9 +23,9 @@ Fitted outputs are Hermitian with trace 1, so ``R`` is real with first row
 The estimate keeps the Hermitian part of chi and records the norm of the
 discarded anti-Hermitian part as a diagnostic.
 
-chi is the one reconstructed object: every other representation of the
-estimate (the affine Bloch map included) is converted from it, so the
-representations agree by construction.
+chi is the one reconstructed object.  An estimate stores it and reads
+every other representation (the affine Bloch map) and its CP/TP verdicts
+from it on access, so they cannot disagree with the chi they describe.
 """
 
 from __future__ import annotations
@@ -126,24 +126,41 @@ def chi_from_lambda(
 
 @dataclass(frozen=True)
 class ProcessEstimate:
-    """Reconstructed process with physicality flags and diagnostics.
+    """Reconstructed process with its fit diagnostics.
 
-    ``chi`` is Hermitian (symmetrized) and ``affine`` is its Bloch-sphere
-    action, ``affine_from_chi(chi)``; ``cp_flag`` / ``tp_flag`` report
-    whether the estimate is completely positive and trace preserving within
-    the standard tolerances, with the underlying numbers kept alongside.
-    ``residuals`` are the per-input state-fit residuals.
+    Stored: the Hermitian (symmetrized) ``chi``, the per-input state-fit
+    ``residuals``, the norm of the anti-Hermitian part split off chi and
+    the ``lambda_matrix``.  Everything else is read from ``chi`` on each
+    access: ``affine`` is its Bloch-sphere action, ``affine_from_chi(chi)``,
+    and ``cp_flag`` / ``tp_flag`` report whether it is completely positive
+    and trace preserving within ``CP_TOL`` / ``TP_TOL``, with the underlying
+    ``cp_min_eigenvalue`` and ``tp_deficit`` alongside.
     """
 
     chi: np.ndarray
-    affine: AffineMap
-    cp_flag: bool
-    tp_flag: bool
-    cp_min_eigenvalue: float
-    tp_deficit: float
     residuals: tuple[float, ...]
     anti_hermitian_norm: float
     lambda_matrix: np.ndarray
+
+    @property
+    def affine(self) -> AffineMap:
+        return _affine(self.chi)
+
+    @property
+    def cp_min_eigenvalue(self) -> float:
+        return _lowest_eigenvalue(self.chi)
+
+    @property
+    def tp_deficit(self) -> float:
+        return _tp_deficit(self.chi)
+
+    @property
+    def cp_flag(self) -> bool:
+        return self.cp_min_eigenvalue >= -CP_TOL
+
+    @property
+    def tp_flag(self) -> bool:
+        return self.tp_deficit <= TP_TOL
 
     @property
     def physical(self) -> bool:
@@ -197,15 +214,8 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     outputs[1:] = bloch.T
     # chi is built here, so it skips the public checkers' input validation.
     chi, anti_norm = _chi_from_ptm(outputs @ inverse)
-    cp_min = _lowest_eigenvalue(chi)
-    tp_deficit = _tp_deficit(chi)
     return ProcessEstimate(
         chi=chi,
-        affine=_affine(chi),
-        cp_flag=cp_min >= -CP_TOL,
-        tp_flag=tp_deficit <= TP_TOL,
-        cp_min_eigenvalue=cp_min,
-        tp_deficit=tp_deficit,
         residuals=tuple(residuals.tolist()),
         anti_hermitian_norm=anti_norm,
         lambda_matrix=(inverse @ outputs).T,

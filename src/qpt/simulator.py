@@ -45,7 +45,7 @@ from .channels import (
     standard_channel,
 )
 from .errors import _shown
-from .states import KET_0, _coords, _coords_inverse, projector
+from .states import _coords, _coords_inverse
 from .state_tomography import AXES, ExpectationRecord
 
 INPUT_COUNT = 4
@@ -175,11 +175,9 @@ def prepared_inputs(config: ExperimentConfig) -> np.ndarray:
 def _preparation(polarization: float, pulse_error: float) -> tuple:
     """The one cache of per-preparation objects, all read-only: the prepared
     (4, 2, 2) stack, its real Pauli coordinates (one column per input) and
-    ``P_B^-1``, the inverse of its (complex) coordinates, or ``None`` when
-    the inputs do not span."""
-    rho = polarization * projector(KET_0) + (1.0 - polarization) * (
-        np.eye(2, dtype=complex) - projector(KET_0)
-    )
+    ``P_B^-1``, the inverse of those coordinates, or ``None`` when the
+    inputs do not span."""
+    rho = np.diag([polarization, 1.0 - polarization]).astype(complex)
     inputs = []
     for pulse in _PULSES.values():  # in index order
         if pulse is None:
@@ -188,12 +186,16 @@ def _preparation(polarization: float, pulse_error: float) -> tuple:
             u = rotation_unitary(pulse[0], pulse[1] * (1.0 + pulse_error))
             inputs.append(u @ rho @ u.conj().T)
     stack = np.stack(inputs)
-    coords = _coords(stack)
+    # The imaginary parts of the stack's coordinates are round-off; the
+    # simulator multiplies the real parts, so those are what get inverted.
+    coords = np.ascontiguousarray(_coords(stack).real)
     try:
-        inverse = _coords_inverse(coords)
+        # Inverted as complex: a real-dtype inverse would page in the real
+        # LAPACK routines as well and raise a process's peak resident memory.
+        inverse = _coords_inverse(coords.astype(complex))
     except ValueError:
         inverse = None
-    entry = (stack, np.ascontiguousarray(coords.real), inverse)
+    entry = (stack, coords, inverse)
     for array in entry:
         if array is not None:
             array.setflags(write=False)

@@ -39,30 +39,13 @@ PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # sigma_z.  All real.
 OPERATION_ELEMENTS = (SIGMA_0, SIGMA_X, -1.0j * SIGMA_Y, SIGMA_Z)
 
-KET_0 = np.array([1.0, 0.0], dtype=complex)
-KET_1 = np.array([0.0, 1.0], dtype=complex)
-KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
-
 for _m in PAULIS + OPERATION_ELEMENTS:
     _m.setflags(write=False)
-for _k in (KET_0, KET_1, KET_PLUS, KET_PLUS_I):
-    _k.setflags(write=False)
 
 # Pauli coordinates ``coords(m)[i] = tr(sigma_i m)``: coords(m) is
 # _COORDS @ vec(m) with row-major vec, so row i is vec(sigma_i^T).
 # _COORDS is sqrt(2) times a unitary.
 _COORDS = np.stack([p.T for p in PAULIS]).reshape(4, 4)
-
-
-def projector(ket: np.ndarray) -> np.ndarray:
-    """Return |ket><ket| for a (not necessarily normalized) state vector."""
-    ket = np.asarray(ket, dtype=complex)
-    norm = np.linalg.norm(ket)
-    if norm == 0.0:
-        raise ValueError("cannot project onto the zero vector")
-    ket = ket / norm
-    return np.outer(ket, ket.conj())
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

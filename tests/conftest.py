@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -30,6 +32,22 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in _ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+KET_0 = np.array([1.0, 0.0], dtype=complex)
+KET_1 = np.array([0.0, 1.0], dtype=complex)
+KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
+
+
+def projector(ket: np.ndarray) -> np.ndarray:
+    """Return |ket><ket| for a (not necessarily normalized) state vector."""
+    ket = np.asarray(ket, dtype=complex)
+    norm = np.linalg.norm(ket)
+    if norm == 0.0:
+        raise ValueError("cannot project onto the zero vector")
+    ket = ket / norm
+    return np.outer(ket, ket.conj())
 
 
 @pytest.fixture
@@ -373,7 +391,6 @@ def loop_chi_from_lambda(lam, rho_basis=None) -> tuple[np.ndarray, float]:
 
 def loop_run_process_tomography(record_sets):
     """The canonical-basis estimate from the loop oracles above."""
-    from qpt.channels import affine_from_chi, is_completely_positive, is_trace_preserving
     from qpt.process_tomography import INPUT_STATE_LABELS, ProcessEstimate
 
     if len(record_sets) != 4:
@@ -395,15 +412,8 @@ def loop_run_process_tomography(record_sets):
 
     lam = loop_lambda_from_outputs([e.rho for e in estimates])
     chi, anti_norm = loop_chi_from_lambda(lam)
-    cp_flag, cp_min = is_completely_positive(chi)
-    tp_flag, tp_deficit = is_trace_preserving(chi)
     return ProcessEstimate(
         chi=chi,
-        affine=affine_from_chi(chi),
-        cp_flag=cp_flag,
-        tp_flag=tp_flag,
-        cp_min_eigenvalue=cp_min,
-        tp_deficit=tp_deficit,
         residuals=tuple(e.residual for e in estimates),
         anti_hermitian_norm=anti_norm,
         lambda_matrix=lam,

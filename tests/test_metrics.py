@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cptp_chi, random_density_matrix
+from conftest import KET_0, KET_1, projector, random_cptp_chi, random_density_matrix
 from qpt import metrics, states
 from qpt import channels as ch
 from qpt.errors import InvalidStateError
@@ -20,8 +20,8 @@ def pure(theta: float, phi: float) -> np.ndarray:
 
 class TestTraceDistance:
     def test_orthogonal_pure_states(self):
-        zero = states.projector(states.KET_0)
-        one = states.projector(states.KET_1)
+        zero = projector(KET_0)
+        one = projector(KET_1)
         assert metrics.trace_distance(zero, one) == pytest.approx(1.0)
 
     def test_self_distance_zero(self, rng):
@@ -75,7 +75,7 @@ class TestFidelity:
 
     def test_orthogonal_zero(self):
         assert metrics.fidelity(
-            states.projector(states.KET_0), states.projector(states.KET_1)
+            projector(KET_0), projector(KET_1)
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_rotated_rank_two_pairs(self, rng):
@@ -131,7 +131,7 @@ class TestFidelity:
 
     def test_tolerates_clamp_range(self):
         nearly = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
-        assert metrics.fidelity(nearly, states.projector(states.KET_0)) == pytest.approx(
+        assert metrics.fidelity(nearly, projector(KET_0)) == pytest.approx(
             1.0, abs=1e-8
         )
 

@@ -1,7 +1,7 @@
 """Linear-inversion process reconstruction."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -217,6 +217,26 @@ class TestAffineFromImages:
 
 
 class TestRunProcessTomography:
+    def test_stores_only_what_reconstruction_computes(self):
+        assert [f.name for f in fields(ProcessEstimate)] == [
+            "chi", "residuals", "anti_hermitian_norm", "lambda_matrix",
+        ]
+
+    def test_derived_values_follow_chi(self):
+        estimate = run_process_tomography(exact_records(IDENTITY_CHI))
+        # Neither CP nor TP, with a nonzero translation.
+        other = np.diag([0.6, 0.2, 0.1, -0.1]).astype(complex)
+        other[0, 3] = other[3, 0] = 0.05
+        swapped = replace(estimate, chi=other)
+        affine = ch.affine_from_chi(other)
+        np.testing.assert_array_equal(swapped.affine.matrix, affine.matrix)
+        np.testing.assert_array_equal(swapped.affine.translation, affine.translation)
+        cp_flag, cp_min = ch.is_completely_positive(other)
+        tp_flag, tp_deficit = ch.is_trace_preserving(other)
+        assert (swapped.cp_min_eigenvalue, swapped.tp_deficit) == (cp_min, tp_deficit)
+        assert (swapped.cp_flag, swapped.tp_flag) == (cp_flag, tp_flag) == (False, False)
+        assert estimate.physical and not swapped.physical
+
     def test_identity_channel(self):
         estimate = run_process_tomography(exact_records(IDENTITY_CHI))
         assert isinstance(estimate, ProcessEstimate)
@@ -336,6 +356,16 @@ class TestDeclaredPreparation:
             estimate = run_process_tomography(run_experiment(config))
             assert estimate.anti_hermitian_norm <= 1e-14
             assert estimate.tp_deficit <= 2e-14
+
+    @pytest.mark.parametrize("polarization, pulse_error", [(0.7, -0.1), (0.9, 0.2)])
+    def test_exact_records_leave_no_anti_hermitian_part(self, polarization, pulse_error):
+        # The basis inverse is taken of the real coordinates the simulator
+        # multiplies, so the fitted transfer matrix has no imaginary part.
+        config = ExperimentConfig(
+            t2=100.0, decoherence_time=40.0,
+            polarization=polarization, pulse_error=pulse_error,
+        )
+        assert run_process_tomography(run_experiment(config)).anti_hermitian_norm == 0.0
 
     def test_random_channel_override(self, rng):
         config = ExperimentConfig(t2=100.0, polarization=0.85, pulse_error=-0.05)

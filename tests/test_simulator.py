@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    KET_0,
+    KET_1,
+    KET_PLUS,
+    KET_PLUS_I,
     evolved_run_experiment,
     loop_measure,
     loop_run_experiment,
+    projector,
     random_cptp_chi,
 )
 from qpt import channels as ch
@@ -104,10 +109,10 @@ class TestPrepareInput:
 
     def test_four_canonical_states(self):
         expected = [
-            states.projector(states.KET_0),
-            states.projector(states.KET_1),
-            states.projector(states.KET_PLUS),
-            states.projector(states.KET_PLUS_I),
+            projector(KET_0),
+            projector(KET_1),
+            projector(KET_PLUS),
+            projector(KET_PLUS_I),
         ]
         for index, rho in enumerate(expected, start=1):
             np.testing.assert_allclose(

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exhaustive_ball_minimum, is_valid_density_matrix, loop_reconstruct_state
+from conftest import (
+    KET_0,
+    exhaustive_ball_minimum,
+    is_valid_density_matrix,
+    loop_reconstruct_state,
+    projector,
+)
 from qpt import states
 from qpt.state_tomography import AXES, ExpectationRecord, fit_states, reconstruct_state
 
@@ -77,7 +83,7 @@ class TestReconstructState:
 
     def test_pure_state_zero_entropy(self):
         estimate = reconstruct_state(records_for(x=0.0, y=0.0, z=1.0))
-        np.testing.assert_allclose(estimate.rho, states.projector(states.KET_0), atol=1e-15)
+        np.testing.assert_allclose(estimate.rho, projector(KET_0), atol=1e-15)
         assert estimate.entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_entropy(self):

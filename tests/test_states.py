@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix
+from conftest import KET_0, KET_PLUS, KET_PLUS_I, projector, random_density_matrix
 from qpt import states
 from qpt.errors import InvalidStateError
 
@@ -38,8 +38,8 @@ class TestPauliBasis:
                 assert np.trace(a.conj().T @ b) == pytest.approx(expected)
 
     def test_kets(self):
-        assert np.allclose(states.projector(states.KET_PLUS), 0.5 * np.ones((2, 2)))
-        rho_i = states.projector(states.KET_PLUS_I)
+        assert np.allclose(projector(KET_PLUS), 0.5 * np.ones((2, 2)))
+        rho_i = projector(KET_PLUS_I)
         assert states.bloch_from_density(rho_i) == pytest.approx([0.0, 1.0, 0.0])
 
 
@@ -152,7 +152,7 @@ class TestValidation:
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        assert states.von_neumann_entropy(states.projector(states.KET_0)) == 0.0
+        assert states.von_neumann_entropy(projector(KET_0)) == 0.0
 
     def test_maximally_mixed(self):
         assert states.von_neumann_entropy(np.eye(2) / 2.0) == pytest.approx(
