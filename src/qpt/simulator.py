@@ -16,11 +16,18 @@ is one small contraction, and no output density matrix is formed.  One
 Philox bit generator per call is rekeyed for each ``(seed, input, axis)``
 cell, which draws exactly what a generator built from that key would.
 
-Which four inputs a preparation gives is decided in one place: one cache
-keyed by ``(polarization, pulse_error)`` holds the prepared stack, its Pauli
-coordinates and their inverse.  Simulation reads the coordinates and
-:mod:`qpt.process_tomography` the inverse, so a reconstruction inverts the
-very inputs that were simulated.
+Three read-only caches hold everything that depends on neither the seed
+nor the shot count, so a sweep over seeds pays per call only for its draws:
+
+* ``_preparation``, keyed by ``(polarization, pulse_error)``, decides which
+  four inputs a preparation gives: the prepared stack, its Pauli
+  coordinates and their inverse.  Simulation reads the coordinates and
+  :mod:`qpt.process_tomography` the inverse, so a reconstruction inverts
+  the very inputs that were simulated.
+* ``_channel``, keyed by ``(t2, t1, decoherence_time)``, holds the chi
+  matrix of the decoherence interval.
+* ``_outcomes``, keyed by all five physical parameters, holds the exact
+  records of a run and the clipped probabilities that the shots sample.
 
 The decoherence interval is the channel under test.  ``run_experiment`` can
 swap it for an arbitrary coefficient matrix, which turns the simulator into
@@ -46,7 +53,7 @@ from .channels import (
 )
 from .errors import _shown
 from .states import _coords, _coords_inverse
-from .state_tomography import AXES, ExpectationRecord
+from .state_tomography import AXES, ExpectationRecord, _integer
 
 INPUT_COUNT = 4
 
@@ -93,13 +100,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"polarization must lie in [0.5, 1], got {_shown(self.polarization)}"
             )
-        # The binomial sampler takes its count as a 64-bit signed integer.
-        if self.shots is not None and not 1 <= int(self.shots) <= 2**63 - 1:
-            raise ValueError(
-                f"shots must lie in [1, 2**63 - 1], got {_shown(self.shots)}"
-            )
         if self.shots is not None:
-            object.__setattr__(self, "shots", int(self.shots))
+            shots = _integer(self.shots, "shots")
+            # The binomial sampler takes its count as a 64-bit signed integer.
+            if not 1 <= shots <= 2**63 - 1:
+                raise ValueError(f"shots must lie in [1, 2**63 - 1], got {_shown(shots)}")
+            object.__setattr__(self, "shots", shots)
         # The largest preparation pulse turns by pi * (1 + pulse_error).
         if not (
             np.isfinite(self.pulse_error)
@@ -109,7 +115,7 @@ class ExperimentConfig:
                 "pulse_error must be finite and keep the pulse angle "
                 f"pi * (1 + pulse_error) finite, got {_shown(self.pulse_error)}"
             )
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
 # The bundled decoherence intervals at t2 = 100 (amplitude damping off).
@@ -173,10 +179,11 @@ def prepared_inputs(config: ExperimentConfig) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _preparation(polarization: float, pulse_error: float) -> tuple:
-    """The one cache of per-preparation objects, all read-only: the prepared
+    """The per-preparation cache entry, all read-only: the prepared
     (4, 2, 2) stack, its real Pauli coordinates (one column per input) and
     ``P_B^-1``, the inverse of those coordinates, or ``None`` when the
-    inputs do not span."""
+    inputs do not span.  The only place that decides which inputs a
+    preparation gives."""
     rho = np.diag([polarization, 1.0 - polarization]).astype(complex)
     inputs = []
     for pulse in _PULSES.values():  # in index order
@@ -202,41 +209,81 @@ def _preparation(polarization: float, pulse_error: float) -> tuple:
     return entry
 
 
+@lru_cache(maxsize=64)
+def _channel(t2: float, t1: float, decoherence_time: float) -> np.ndarray:
+    """The read-only chi matrix of one decoherence interval; see
+    :func:`true_channel`."""
+    if math.isinf(t1):
+        chi = standard_channel("dephasing", t=decoherence_time, t2=t2)
+    else:
+        keep = math.exp(-decoherence_time / t1)
+        shrink = math.exp(-decoherence_time / t2) * math.sqrt(keep)
+        affine = AffineMap(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
+        chi = chi_from_affine(affine)
+    chi.setflags(write=False)
+    return chi
+
+
 def true_channel(config: ExperimentConfig) -> np.ndarray:
-    """Coefficient matrix of the configured decoherence interval.
+    """Coefficient matrix of the configured decoherence interval, as a fresh
+    writable copy.
 
     Dephasing by ``f = exp(-t/t2)`` and damping by ``gamma = 1 - exp(-t/t1)``
     commute as Bloch maps; their composition is the affine map
     ``diag(f sqrt(1 - gamma), f sqrt(1 - gamma), 1 - gamma)`` with
     translation ``(0, 0, gamma)``.
     """
-    if math.isinf(config.t1):
-        return standard_channel("dephasing", t=config.decoherence_time, t2=config.t2)
-    keep = math.exp(-config.decoherence_time / config.t1)
-    shrink = math.exp(-config.decoherence_time / config.t2) * math.sqrt(keep)
-    affine = AffineMap(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
-    return chi_from_affine(affine)
+    return _channel(config.t2, config.t1, config.decoherence_time).copy()
+
+
+def _expectations(chi: np.ndarray, polarization: float, pulse_error: float) -> np.ndarray:
+    """The (4, 3) exact expectations of the prepared inputs under ``chi``:
+    row ``k`` is ``R[1:] @ coords(rho_k)``, with ``R`` the real Pauli
+    transfer matrix of ``chi``."""
+    # A two-operand einsum sums each output in index order, so every input
+    # gets the bits of its own ``einsum("ij,j->i", ...)``; a matmul over
+    # the stack does not guarantee that.
+    return np.einsum(
+        "ij,jk->ki", _transfer(chi)[1:], _preparation(polarization, pulse_error)[1]
+    )
+
+
+def _exact_records(values: np.ndarray) -> tuple[tuple[ExpectationRecord, ...], ...]:
+    """Exact records of a (4, 3) array of expectations, one tuple per input."""
+    return tuple(
+        tuple(ExpectationRecord(axis, value, None) for axis, value in zip(AXES, row))
+        for row in values.tolist()
+    )
+
+
+def _up_probabilities(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """The probability of outcome +1 for each expectation, clipped into [0, 1]."""
+    return tuple(map(tuple, np.clip((1.0 + values) / 2.0, 0.0, 1.0).tolist()))
+
+
+@lru_cache(maxsize=64)
+def _outcomes(
+    t2: float, t1: float, decoherence_time: float, polarization: float, pulse_error: float
+) -> tuple:
+    """A run's exact records and up-probabilities under its own decoherence
+    interval: what every seed and shot count of one physical setting share."""
+    values = _expectations(_channel(t2, t1, decoherence_time), polarization, pulse_error)
+    return _exact_records(values), _up_probabilities(values)
 
 
 def _sample(
-    config: ExperimentConfig, input_indices, values: np.ndarray
+    config: ExperimentConfig, probabilities: tuple[tuple[float, ...], ...]
 ) -> list[tuple[ExpectationRecord, ...]]:
-    """Records of a (k, 3) array of exact expectations, one tuple per row.
+    """Sampled records of the up-probabilities of the four inputs, one tuple
+    per input.
 
-    With shots, each ``(input, axis)`` cell draws a binomial from the
-    Philox stream keyed by ``(seed, input * 8 + axis)``.  One bit generator
-    serves the whole call: setting its public state to a fresh counter
-    under the cell's key makes it exactly a new ``Philox(key=...)``.  It is
-    local to the call, so concurrent calls share no generator.
+    Each ``(input, axis)`` cell draws a binomial from the Philox stream
+    keyed by ``(seed, input * 8 + axis)``.  One bit generator serves the
+    whole call: setting its public state to a fresh counter under the
+    cell's key makes it exactly a new ``Philox(key=...)``.  It is built
+    anew on every call, so concurrent calls share no generator.
     """
-    rows = values.tolist()
     shots = config.shots
-    if shots is None:
-        return [
-            tuple(ExpectationRecord(axis, value, None) for axis, value in zip(AXES, row))
-            for row in rows
-        ]
-    ups_probability = np.clip((1.0 + values) / 2.0, 0.0, 1.0).tolist()
     key = np.array([config.seed % (1 << 64), 0], dtype=np.uint64)
     bit_generator = np.random.Philox(key=key)
     generator = np.random.Generator(bit_generator)
@@ -245,9 +292,9 @@ def _sample(
     fresh = bit_generator.state
     fresh["state"]["key"] = key
     sampled = []
-    for index, probabilities in zip(input_indices, ups_probability):
+    for index, row in enumerate(probabilities, start=1):
         records = []
-        for axis_index, (axis, p_up) in enumerate(zip(AXES, probabilities)):
+        for axis_index, (axis, p_up) in enumerate(zip(AXES, row)):
             key[1] = index * 8 + axis_index
             bit_generator.state = fresh
             ups = int(generator.binomial(shots, p_up))
@@ -263,22 +310,27 @@ def run_experiment(
     """Simulate all four tomographic inputs through the channel under test.
 
     The exact expectations of input ``k`` are ``R[1:] @ coords(rho_k)``,
-    with ``R`` the real Pauli transfer matrix of the channel.  ``channel``
-    substitutes an arbitrary coefficient matrix for the configured
-    decoherence interval; preparation and measurement behave identically
+    with ``R`` the real Pauli transfer matrix of the channel.  For the
+    configured decoherence interval they come from a cache keyed by the
+    five physical parameters, so a call computes only its shot draws; an
+    exact call returns the cached records.  ``channel`` substitutes an
+    arbitrary coefficient matrix for the interval, computed on every call
+    and never cached; preparation and measurement behave identically
     either way.
     """
-    chi = true_channel(config) if channel is None else _as_chi(channel)
-    indices = range(1, INPUT_COUNT + 1)
-    # A two-operand einsum sums each output in index order, so every input
-    # gets the bits of its own ``einsum("ij,j->i", ...)``; a matmul over
-    # the stack does not guarantee that.
-    expectations = np.einsum(
-        "ij,jk->ki",
-        _transfer(chi)[1:],
-        _preparation(config.polarization, config.pulse_error)[1],
-    )
+    if channel is None:
+        exact, probabilities = _outcomes(
+            config.t2, config.t1, config.decoherence_time,
+            config.polarization, config.pulse_error,
+        )
+        records = exact if config.shots is None else _sample(config, probabilities)
+    else:
+        values = _expectations(_as_chi(channel), config.polarization, config.pulse_error)
+        if config.shots is None:
+            records = _exact_records(values)
+        else:
+            records = _sample(config, _up_probabilities(values))
     return [
-        MeasurementRecord(input_index=index, records=records, config=config)
-        for index, records in zip(indices, _sample(config, indices, expectations))
+        MeasurementRecord(input_index=index, records=entry, config=config)
+        for index, entry in enumerate(records, start=1)
     ]

@@ -385,6 +385,8 @@ class TestDeclaredPreparation:
         # Only (polarization, pulse_error) selects the inputs: simulating
         # and reconstructing under every other setting, and mixing record
         # sets of such configs, fills one entry of the preparation cache.
+        # A run that repeats a physical setting (the last two, which differ
+        # only in shots and seed) reads its outcomes cache, not this one.
         base = ExperimentConfig(t2=100.0, polarization=0.8125, pulse_error=0.0375)
         configs = [
             base,
@@ -394,13 +396,17 @@ class TestDeclaredPreparation:
             replace(base, shots=400, seed=9),
         ]
         before = simulator._preparation.cache_info()
+        outcomes_before = simulator._outcomes.cache_info()
         runs = [run_experiment(config) for config in configs]
         for records in runs:
             run_process_tomography(records)
         mixed = run_process_tomography([run[j] for j, run in enumerate(runs[1:])])
         after = simulator._preparation.cache_info()
+        outcomes_after = simulator._outcomes.cache_info()
         assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 2 * len(configs)
+        assert after.hits - before.hits == 8
+        assert outcomes_after.misses - outcomes_before.misses == 3
+        assert outcomes_after.hits - outcomes_before.hits == 2
         assert np.all(np.isfinite(mixed.chi))
 
     def test_different_preparations_rejected(self):

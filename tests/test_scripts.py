@@ -111,3 +111,119 @@ def test_shot_noise_study_checks_out_directory_before_the_sweep(
     assert exit_info.value.code == 2
     assert "does not exist" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+MACHINE = {
+    "cpu_count": 2, "cpus_usable": 2, "cpu_model": "Test CPU", "python": "3.11.7",
+    "numpy": "2.4.6", "blas": "scipy-openblas 0.3.30",
+}
+
+
+def write_run(path, workload, seed, commit, values, machine=MACHINE, failed=0):
+    """A saved ``perfbench/run.py`` stdout: header, provenance, metric lines
+    and the final JSON result line."""
+    provenance = {
+        "workload": workload, "seed": seed, "seconds": 30, "trace": 0,
+        "git_commit": commit, "source_sha256": commit * 2, **machine,
+    }
+    metrics = {
+        "ops_per_s": {"value": values[0], "unit": "1/s"},
+        "latency_p50_ms": {"value": values[1], "unit": "ms"},
+        "ok_ratio": {"value": 1.0 - failed / 36, "unit": "ratio"},
+    }
+    result = {"correct": True, "attempted": 36, "failed": failed, "metrics": metrics}
+    path.write_text(
+        f"# perfbench {workload} seed={seed} seconds=30 trace=0\n"
+        f"# provenance {json.dumps(provenance, sort_keys=True)}\n"
+        f"ops_per_s {values[0]} 1/s  (36 ops)\n"
+        f"{json.dumps(result)}\n"
+    )
+    return path
+
+
+def test_bench_record_folds_runs_by_workload_side_and_metric(tmp_path, capsys):
+    main = load_script("bench_record").main
+    runs = []
+    for seed, parent, change in ((12, 100.0, 110.0), (13, 104.0, 118.0), (14, 102.0, 114.0),
+                                 (15, 101.0, 111.0), (16, 103.0, 113.0)):
+        runs.append("parent=" + str(write_run(
+            tmp_path / f"p{seed}.txt", "reconstruct-sweep", seed, "aa", (parent, 3.0))))
+        runs.append("change=" + str(write_run(
+            tmp_path / f"c{seed}.txt", "reconstruct-sweep", seed, "bb", (change, 2.0))))
+    runs.append("change=" + str(write_run(tmp_path / "n.txt", "noisy-sweep", 3, "bb", (9.0, 1.0))))
+    out = tmp_path / "BENCH_7.json"
+    assert main(["--pr", "7", "--out", str(out), *runs]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["pr"] == 7
+    assert doc["machine"] == MACHINE
+    assert doc["sources"] == {
+        "parent": {"git_commit": "aa", "source_sha256": "aaaa"},
+        "change": {"git_commit": "bb", "source_sha256": "bbbb"},
+    }
+    assert list(doc["workloads"]) == ["noisy-sweep", "reconstruct-sweep"]
+    sweep = doc["workloads"]["reconstruct-sweep"]
+    assert sweep["seeds"] == [12, 13, 14, 15, 16]
+    ops = sweep["metrics"]["ops_per_s"]
+    assert ops["unit"] == "1/s"
+    assert ops["parent"] == {"median": 102.0, "q1": 101.0, "q3": 103.0, "runs": 5}
+    assert ops["change"] == {"median": 113.0, "q1": 111.0, "q3": 114.0, "runs": 5}
+    assert sweep["metrics"]["ok_ratio"]["change"]["median"] == 1.0
+    noisy = doc["workloads"]["noisy-sweep"]["metrics"]["ops_per_s"]
+    assert "parent" not in noisy
+    assert noisy["change"] == {"median": 9.0, "q1": 9.0, "q3": 9.0, "runs": 1}
+    printed = capsys.readouterr().out
+    assert "reconstruct-sweep ops_per_s [1/s]  parent 102 (n=5)  change 113 (n=5)" in printed
+
+
+def test_bench_record_default_output_name(tmp_path, monkeypatch):
+    main = load_script("bench_record").main
+    run = write_run(tmp_path / "run.txt", "cli-chain", 1, "aa", (1.5, 700.0))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--pr", "5", f"change={run}"]) == 0
+    assert json.loads((tmp_path / "BENCH_5.json").read_text())["pr"] == 5
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("other machine", "runs disagree on cpu_model"),
+        ("two commits on one side", "runs disagree on parent git_commit"),
+        ("no provenance", "expected one provenance line, found 0"),
+        ("no result", "not a result object with metrics"),
+        ("truncated result", "not a result object with metrics"),
+        ("bad provenance", "malformed provenance"),
+        ("metric without unit", "not a result object with metrics"),
+    ],
+)
+def test_bench_record_refuses_runs_it_cannot_fold(tmp_path, capsys, case, message):
+    main = load_script("bench_record").main
+    first = write_run(tmp_path / "a.txt", "noisy-sweep", 1, "aa", (1.0, 1.0))
+    second = write_run(
+        tmp_path / "b.txt", "noisy-sweep", 2, "cc" if case == "two commits on one side" else "aa",
+        (1.0, 1.0), machine={**MACHINE, "cpu_model": "Other CPU"} if case == "other machine" else MACHINE,
+    )
+    lines = second.read_text().splitlines()
+    if case == "no provenance":
+        lines = [line for line in lines if not line.startswith("# provenance")]
+    elif case == "no result":
+        lines = lines[:-1]
+    elif case == "truncated result":
+        lines[-1] = lines[-1][:20]
+    elif case == "bad provenance":
+        lines[1] = lines[1][:30]
+    elif case == "metric without unit":
+        lines[-1] = lines[-1].replace('"unit": "1/s"', '"units": "1/s"')
+    second.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "BENCH_1.json"
+    assert main(["--pr", "1", "--out", str(out), f"parent={first}", f"parent={second}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_record_rejects_an_untagged_run(tmp_path, capsys):
+    main = load_script("bench_record").main
+    run = write_run(tmp_path / "a.txt", "noisy-sweep", 1, "aa", (1.0, 1.0))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--pr", "1", str(run)])
+    assert exit_info.value.code == 2
+    assert "SIDE=PATH" in capsys.readouterr().err

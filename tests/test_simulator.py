@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -73,11 +74,25 @@ class TestExperimentConfig:
             {"t2": 100.0, "pulse_error": math.nan},
             {"t2": 100.0, "pulse_error": 1e308},
             {"t2": 100.0, "pulse_error": -1e308},
+            {"t2": 100.0, "seed": 1.5},
+            {"t2": 100.0, "seed": "3"},
+            {"t2": 100.0, "seed": True},
+            {"t2": 100.0, "shots": 100.7},
+            {"t2": 100.0, "shots": True},
+            {"t2": 100.0, "shots": "100"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value", [("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", np.bool_(True)),
+                         ("shots", 100.7), ("shots", 1.0), ("shots", True)],
+    )
+    def test_non_integral_counts_are_named_not_truncated(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ExperimentConfig(t2=100.0, **{field: value})
 
 
 class TestPresets:
@@ -480,3 +495,83 @@ def test_each_call_owns_its_bit_generator(monkeypatch):
     run_experiment(config)
     run_experiment(config)
     assert len(made) == 2 and made[0] is not made[1]
+
+
+PREPARATIONS = [(1.0, 0.0, math.inf), (0.95, 0.0, math.inf), (1.0, 0.05, math.inf), (0.9, 0.02, 300.0)]
+
+
+def physics_config(preset, shots=None, seed=0, preparation=PREPARATIONS[0]):
+    polarization, pulse_error, t1 = preparation
+    return ExperimentConfig(
+        t2=PRESETS[preset].t2, t1=t1, decoherence_time=PRESETS[preset].decoherence_time,
+        polarization=polarization, pulse_error=pulse_error, shots=shots, seed=seed,
+    )
+
+
+class TestPhysicsCache:
+    """What depends on neither seed nor shots is computed once per physical
+    setting; the records are those of a run that computes it afresh."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("shots", [None, 100, 1000])
+    @pytest.mark.parametrize("preparation", PREPARATIONS)
+    def test_cache_hits_are_byte_identical(self, preset, shots, preparation):
+        config = physics_config(preset, shots, seed=12, preparation=preparation)
+        first = run_experiment(config)
+        before = simulator._outcomes.cache_info()
+        second = run_experiment(config)
+        after = simulator._outcomes.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert record_bits(second) == record_bits(first)
+        assert record_bits(second) == record_bits(loop_run_experiment(config))
+
+    def test_true_channel_returns_a_private_copy(self):
+        config = physics_config("paper-40ns", preparation=PREPARATIONS[3])
+        records = record_bits(run_experiment(config))
+        chi = true_channel(config)
+        expected = chi.copy()
+        assert chi.flags.writeable
+        chi[...] = np.nan
+        np.testing.assert_array_equal(true_channel(config), expected)
+        assert true_channel(config) is not true_channel(config)
+        assert record_bits(run_experiment(config)) == records
+
+    def test_seeds_and_shots_add_no_entry(self):
+        config = ExperimentConfig(t2=123.25, t1=321.5, decoherence_time=17.0)
+        run_experiment(config)
+        before = [cache.cache_info() for cache in (simulator._outcomes, simulator._channel)]
+        for shots in (None, 1, 100, 1000):
+            for seed in (0, 5, 2**64 - 1):
+                run_experiment(replace(config, shots=shots, seed=seed))
+                true_channel(replace(config, shots=shots, seed=seed))
+        after = [cache.cache_info() for cache in (simulator._outcomes, simulator._channel)]
+        assert [info.misses for info in after] == [info.misses for info in before]
+
+    def test_a_new_physical_setting_adds_one_entry(self):
+        config = ExperimentConfig(t2=123.25, t1=321.5, decoherence_time=19.0, shots=100)
+        run_experiment(config)
+        for change in (
+            {"t2": 124.25}, {"t1": 322.5}, {"decoherence_time": 18.0},
+            {"polarization": 0.875}, {"pulse_error": 0.0625},
+        ):
+            before = simulator._outcomes.cache_info()
+            run_experiment(replace(config, **change))
+            after = simulator._outcomes.cache_info()
+            assert after.misses - before.misses == 1
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    @pytest.mark.parametrize("negative_first", [True, False])
+    def test_negative_zeros_share_the_entry_of_zero(self, shots, negative_first):
+        zero = ExperimentConfig(t2=100.0, t1=300.0, polarization=0.9, shots=shots, seed=6)
+        negative = replace(zero, decoherence_time=-0.0, pulse_error=-0.0)
+        for cache in (simulator._outcomes, simulator._channel):
+            cache.cache_clear()
+        order = (negative, zero) if negative_first else (zero, negative)
+        first = run_experiment(order[0])
+        before = simulator._outcomes.cache_info()
+        second = run_experiment(order[1])
+        after = simulator._outcomes.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert record_bits(first) == record_bits(second)
+        assert record_bits(first) == record_bits(loop_run_experiment(zero))
+        assert true_channel(negative).tobytes() == true_channel(zero).tobytes()

@@ -51,6 +51,11 @@ class TestExpectationRecord:
         with pytest.raises(ValueError, match="shots"):
             ExpectationRecord("x", 0.0, shots=0)
 
+    @pytest.mark.parametrize("shots", [100.7, 1.0, True, "100", np.bool_(True)])
+    def test_rejects_non_integral_shots(self, shots):
+        with pytest.raises(ValueError, match="^shots must be an integer"):
+            ExpectationRecord("x", 0.0, shots=shots)
+
 
 class TestReconstructState:
     def test_consistent_full_data(self):
