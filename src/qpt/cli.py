@@ -30,9 +30,9 @@ log = logging.getLogger("qpt")
 
 PAPER_REPRO = "paper-repro"
 # Each level quadruples the mesh.  On a 2-CPU host a result with raw and
-# projected maps renders in about 1 s at level 6 (8.2 MB of OBJ per map)
-# and 4 s at level 7 (34.5 MB per map, 92 MB peak RSS); level 9 would
-# write ~550 MB per map.
+# projected maps renders in about 0.8 s at level 6 (8.2 MB of OBJ per map,
+# 43 MB peak RSS) and 2.5 s at level 7 (34.5 MB per map, 77 MB peak RSS);
+# level 9 would write ~550 MB per map.
 MAX_SUBDIVISIONS = 7
 
 

@@ -88,13 +88,23 @@ class _DualPoint:
 
     __slots__ = ("y", "values", "vectors", "positive", "blocks", "gradient", "residual", "theta")
 
-    def __init__(self, y: np.ndarray, values: np.ndarray, vectors: np.ndarray):
+    def __init__(
+        self,
+        y: np.ndarray,
+        values: np.ndarray,
+        vectors: np.ndarray,
+        blocks: np.ndarray | None = None,
+    ):
         self.y, self.values, self.vectors = y, values, vectors
         self.positive = np.maximum(values, 0.0)
-        # Row k is vec(W_k), W_k = Q^dag B_k Q, through conj(Q_ai) Q_bj.
-        self.blocks = _B_FLAT @ (
-            vectors.conj()[:, None, :, None] * vectors[None, :, None, :]
-        ).reshape(16, 16)
+        # Row k is vec(W_k), W_k = Q^dag B_k Q, through conj(Q_ai) Q_bj; it
+        # depends on the eigenvectors alone, so a caller that keeps them
+        # passes their blocks along.
+        if blocks is None:
+            blocks = _B_FLAT @ (
+                vectors.conj()[:, None, :, None] * vectors[None, :, None, :]
+            ).reshape(16, 16)
+        self.blocks = blocks
         self.gradient = self.blocks[:, ::5].real @ self.positive - _B_AT_TP
         self.residual = math.sqrt(self.gradient @ self.gradient)
         self.theta = 0.5 * (self.positive @ self.positive) - _B_AT_TP @ y
@@ -120,7 +130,7 @@ class _DualPoint:
         fits[0] = True  # exactly 1 for the top eigenvalue; roundoff can lose it
         shift = shifts[np.flatnonzero(fits)[-1]]
         y = self.y + np.array([shift / np.sqrt(2.0), 0.0, 0.0, 0.0])
-        return _DualPoint(y, self.values + shift, self.vectors)
+        return _DualPoint(y, self.values + shift, self.vectors, self.blocks)
 
     def primal(self) -> np.ndarray:
         return (self.vectors * self.positive) @ self.vectors.conj().T

@@ -52,7 +52,7 @@ from .channels import (
     standard_channel,
 )
 from .errors import _shown
-from .states import _coords, _coords_inverse
+from .states import _coords, _coords_inverse, check_hermitian
 from .state_tomography import AXES, ExpectationRecord, _integer
 
 INPUT_COUNT = 4
@@ -313,10 +313,12 @@ def run_experiment(
     with ``R`` the real Pauli transfer matrix of the channel.  For the
     configured decoherence interval they come from a cache keyed by the
     five physical parameters, so a call computes only its shot draws; an
-    exact call returns the cached records.  ``channel`` substitutes an
-    arbitrary coefficient matrix for the interval, computed on every call
-    and never cached; preparation and measurement behave identically
-    either way.
+    exact call returns the cached records.  ``channel`` substitutes a
+    Hermitian 4x4 coefficient matrix for the interval, computed on every
+    call and never cached; preparation and measurement behave identically
+    either way.  A ``channel`` whose anti-Hermitian part exceeds
+    ``HERMITICITY_TOL`` raises ``ValueError``: the records could only show
+    its Hermitian part.
     """
     if channel is None:
         exact, probabilities = _outcomes(
@@ -325,7 +327,8 @@ def run_experiment(
         )
         records = exact if config.shots is None else _sample(config, probabilities)
     else:
-        values = _expectations(_as_chi(channel), config.polarization, config.pulse_error)
+        chi = check_hermitian(_as_chi(channel), "channel")
+        values = _expectations(chi, config.polarization, config.pulse_error)
         if config.shots is None:
             records = _exact_records(values)
         else:

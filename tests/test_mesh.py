@@ -1,5 +1,7 @@
 """Sphere and ellipsoid mesh generation and export."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,13 +53,27 @@ class TestIcosphere:
         with pytest.raises(ValueError, match="at least 1"):
             icosphere(0)
 
-    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5, 6])
     def test_matches_loop_oracle(self, subdivisions):
         vertices, faces = icosphere(subdivisions)
         expected_vertices, expected_faces = loop_icosphere(subdivisions)
         assert np.array_equal(vertices, expected_vertices)
         assert np.array_equal(faces, expected_faces)
         assert faces.dtype == expected_faces.dtype
+
+    def test_level_seven_structure(self):
+        # The loop oracle is too slow here; the last level's edge keys
+        # (low * 40962 + high) reach 1.68e9, close to the int32 limit.
+        vertices, faces = icosphere(7)
+        assert vertices.shape == (10 * 4**7 + 2, 3)
+        assert faces.shape == (20 * 4**7, 3)
+        assert faces.dtype == np.int64
+        assert faces.min() == 0 and faces.max() == len(vertices) - 1
+        assert len(np.unique(faces)) == len(vertices)
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        edge_count = len(np.unique(edges[:, 0] * len(vertices) + edges[:, 1]))
+        assert len(vertices) - edge_count + len(faces) == 2
+        np.testing.assert_allclose(np.linalg.norm(vertices, axis=1), 1.0, atol=1e-12)
 
 
 class TestEllipsoidMesh:
@@ -126,6 +142,21 @@ class TestObjExport:
         mesh = ellipsoid_mesh(affine, subdivisions)
         assert self.written(mesh, tmp_path) == row_obj_text(mesh).encode()
 
+    def test_signed_zeros_and_repeats_in_reference(self, tmp_path):
+        # Unit-sphere coordinates are formatted once per distinct bit
+        # pattern: -0.0 must keep its sign beside 0.0, and a value repeated
+        # down a column must print alike in every row, across chunks.
+        column = np.array([0.0, -0.0, 0.5, -0.0, 0.5, 0.0, 1e-300, -0.5, 0.1 + 0.2])
+        rows = np.tile(column, 1000)
+        reference = np.stack([rows, rows[::-1], np.roll(rows, 1)], axis=1)
+        faces = np.arange(3 * 3000).reshape(-1, 3) % len(reference)
+        mesh = EllipsoidMesh(
+            vertices=-reference, faces=faces, reference_vertices=reference, subdivisions=1
+        )
+        text = self.written(mesh, tmp_path)
+        assert text == row_obj_text(mesh).encode()
+        assert b"v 0.0 -0.0 " in text and b"v -0.0 0.0 " in text
+
     def test_structure(self, tmp_path):
         mesh = ellipsoid_mesh(self.AFFINE, subdivisions=1)
         lines = self.written(mesh, tmp_path).decode().splitlines()
@@ -160,6 +191,19 @@ class TestObjExport:
         )
         np.testing.assert_array_equal(v_values[:42], mesh.reference_vertices)
         np.testing.assert_array_equal(v_values[42:], mesh.vertices)
+
+    def test_level_six_memory(self, tmp_path):
+        # The finished level-6 mesh holds 3.9 MB.  Building and writing it
+        # peaked at 6.0 MB when this bound was set, against 8.6 MB for a
+        # build that kept every level's edge arrays and a write that copied
+        # the faces whole.
+        tracemalloc.start()
+        try:
+            write_obj(ellipsoid_mesh(self.AFFINE, subdivisions=6), str(tmp_path / "m.obj"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5e6
 
     def test_write_obj(self, tmp_path):
         # An existing file is replaced whole, and no temporary file is left.

@@ -167,6 +167,17 @@ class TestOptimality:
     def test_physical_input_takes_one_iteration(self, chi):
         assert project_to_physical(chi).iterations == 1
 
+    def test_trace_shift_shares_the_eigenvector_blocks(self, rng):
+        # The shift moves only the eigenvalues, so the blocks built from the
+        # eigenvectors carry over unchanged and unrebuilt.
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        point = projection._DualPoint.of((g + g.conj().T) / 4.0, np.zeros(4))
+        shifted = point.trace_shifted()
+        assert shifted.blocks is point.blocks
+        rebuilt = projection._DualPoint(shifted.y, shifted.values, shifted.vectors)
+        assert np.array_equal(rebuilt.blocks, shifted.blocks)
+        assert np.array_equal(rebuilt.gradient, shifted.gradient)
+
 
 def roundoff_bound(target):
     """The stopping bound on ``||S - I||_F``: absolute, or relative at scale."""

@@ -423,6 +423,31 @@ class TestAgainstLoopOracle:
         with pytest.raises(ValueError, match="non-finite"):
             run_experiment(ExperimentConfig(t2=100.0), channel=chi)
 
+    @staticmethod
+    def skewed_identity(imaginary):
+        """The identity's chi with ``imaginary * 1j`` at (0, 1) and (1, 0):
+        an anti-Hermitian part of Frobenius norm ``sqrt(2) * imaginary``."""
+        chi = np.zeros((4, 4), dtype=complex)
+        chi[0, 0] = 1.0
+        chi[0, 1] = chi[1, 0] = imaginary * 1j
+        return chi
+
+    def test_non_hermitian_channel_rejected(self):
+        # The records can show only the Hermitian part, the identity, so the
+        # estimate would miss this chi by 0.42 without a word.
+        chi = self.skewed_identity(0.3)
+        for shots in (None, 1000):
+            with pytest.raises(ValueError, match="channel is not Hermitian"):
+                run_experiment(ExperimentConfig(t2=100.0, shots=shots), channel=chi)
+
+    def test_channel_inside_hermiticity_tolerance_runs(self):
+        chi = self.skewed_identity(0.5 * states.HERMITICITY_TOL)
+        assert states.hermiticity_defect(chi) < states.HERMITICITY_TOL
+        estimate = run_process_tomography(
+            run_experiment(ExperimentConfig(t2=100.0), channel=chi)
+        )
+        np.testing.assert_allclose(estimate.chi, (chi + chi.conj().T) / 2, atol=1e-12)
+
 
 def assert_matches_evolution(results, evolved):
     """Exact expectations within 1e-15 of the density-matrix route; sampled
