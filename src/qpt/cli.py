@@ -316,7 +316,7 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
 def cmd_pipeline(args) -> int:
     if args.preset == PAPER_REPRO:
         code = 0
-        for name in ("paper-20ns", "paper-40ns", "paper-80ns"):
+        for name in PRESETS:
             config = _apply_overrides(preset_config(name), args)
             step = _run_single_pipeline(config, os.path.join(args.out, name), args)
             code = code or step

@@ -15,8 +15,9 @@ the fixed inverse transfer tensor of :mod:`qpt.channels`.  The lambda matrix
 ``(P_B^-1 P_O)^T``.  The inputs are the ones the records' config declares
 by its ``(polarization, pulse_error)``; records without a config declare a
 perfect preparation ``(1, 0)``.  ``P_B^-1`` is read from the simulator's
-one cache of per-preparation objects, so a reconstruction inverts exactly
-the inputs the simulator prepared, the perfect preparation included.
+per-preparation cache, whose inputs come from the one function that also
+builds the simulated ones, so a reconstruction inverts exactly the inputs
+the simulator prepared, the perfect preparation included.
 
 Fitted outputs are Hermitian with trace 1, so ``R`` is real with first row
 ``(1, 0, 0, 0)`` and chi is Hermitian and trace preserving up to round-off.
@@ -44,13 +45,7 @@ from .channels import (
     _lowest_eigenvalue,
     _tp_deficit,
 )
-from .states import (
-    HERMITICITY_TOL,
-    TRACE_TOL,
-    _coords,
-    _coords_inverse,
-    hermiticity_defect,
-)
+from .states import TRACE_TOL, _coords, _coords_inverse, check_hermitian
 from .simulator import _preparation
 from .state_tomography import bloch_target, fit_states
 
@@ -73,7 +68,7 @@ def input_basis() -> tuple[np.ndarray, ...]:
 def _basis_coords(rho_basis: Sequence[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
     """``P_B`` and ``P_B^-1`` of a basis, the perfect preparation by default."""
     if rho_basis is None:
-        rho_basis = _preparation(*_IDEAL)[0]
+        return _preparation(*_IDEAL)[1:]
     stack = np.asarray(rho_basis, dtype=complex)
     if stack.shape != (4, 2, 2):
         raise ValueError(f"state basis must be four 2x2 matrices, got {stack.shape}")
@@ -98,8 +93,7 @@ def lambda_from_outputs(
             raise ValueError(f"output {j}: expected a 2x2 matrix, got {out.shape}")
         if not np.all(np.isfinite(out)):
             raise ValueError(f"output {j}: non-finite entries")
-        if hermiticity_defect(out) > HERMITICITY_TOL:
-            raise ValueError(f"output {j}: not Hermitian")
+        check_hermitian(out, f"output {j}")
         if abs(out.trace() - 1.0) > TRACE_TOL:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
         stack.append(out)

@@ -16,18 +16,21 @@ is one small contraction, and no output density matrix is formed.  One
 Philox bit generator per call is rekeyed for each ``(seed, input, axis)``
 cell, which draws exactly what a generator built from that key would.
 
-Three read-only caches hold everything that depends on neither the seed
-nor the shot count, so a sweep over seeds pays per call only for its draws:
+One uncached function, ``_inputs``, decides which four inputs a
+preparation ``(polarization, pulse_error)`` gives: the prepared stack and
+its real Pauli coordinates.  Simulation and reconstruction both build their
+inputs with it.  Two read-only caches hold what their readers use:
 
-* ``_preparation``, keyed by ``(polarization, pulse_error)``, decides which
-  four inputs a preparation gives: the prepared stack, its Pauli
-  coordinates and their inverse.  Simulation reads the coordinates and
-  :mod:`qpt.process_tomography` the inverse, so a reconstruction inverts
-  the very inputs that were simulated.
-* ``_channel``, keyed by ``(t2, t1, decoherence_time)``, holds the chi
-  matrix of the decoherence interval.
-* ``_outcomes``, keyed by all five physical parameters, holds the exact
-  records of a run and the clipped probabilities that the shots sample.
+* ``_outcomes``, keyed by all five physical parameters, holds what depends
+  on neither the seed nor the shot count: the chi matrix of the decoherence
+  interval, the exact records of a run and the clipped probabilities that
+  the shots sample.  A sweep over seeds pays per call only for its draws.
+* ``_preparation``, keyed by ``(polarization, pulse_error)``, holds the
+  stack, the coordinates and their inverse ``P_B^-1``.
+  :mod:`qpt.process_tomography` reads the inverse, so a reconstruction
+  inverts the very inputs that were simulated.  A run of the configured
+  interval never fills it: only reconstruction, :func:`prepare_input` and
+  a run with a substituted channel do.
 
 The decoherence interval is the channel under test.  ``run_experiment`` can
 swap it for an arbitrary coefficient matrix, which turns the simulator into
@@ -87,6 +90,14 @@ class ExperimentConfig:
     pulse_error: float = 0.0
 
     def __post_init__(self):
+        # Only an int or float (numpy scalars as the equal Python number)
+        # is kept: what JSON writes as a number and reads back.
+        for name in ("t2", "t1", "decoherence_time", "polarization", "pulse_error"):
+            value = getattr(self, name)
+            if isinstance(value, (np.integer, np.floating)):
+                object.__setattr__(self, name, value.item())
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {_shown(value)}")
         if not (np.isfinite(self.t2) and self.t2 > 0.0):
             raise ValueError(f"t2 must be positive and finite, got {_shown(self.t2)}")
         if not self.t1 > 0.0:
@@ -154,36 +165,25 @@ class MeasurementRecord:
     config: ExperimentConfig
 
     def __post_init__(self):
-        if not 1 <= self.input_index <= INPUT_COUNT:
-            raise ValueError(
-                f"input_index must be 1..{INPUT_COUNT}, got {_shown(self.input_index)}"
-            )
+        index = _integer(self.input_index, "input_index")
+        if not 1 <= index <= INPUT_COUNT:
+            raise ValueError(f"input_index must be 1..{INPUT_COUNT}, got {_shown(index)}")
+        object.__setattr__(self, "input_index", index)
         object.__setattr__(self, "records", tuple(self.records))
 
 
 def prepare_input(config: ExperimentConfig, index: int) -> np.ndarray:
-    """Initial mixture rotated by the preparation pulse for one input index:
-    a writable copy of row ``index - 1`` of :func:`prepared_inputs`."""
+    """Initial mixture rotated by the preparation pulse for one input index,
+    as a writable copy."""
     if index not in _PULSES:
         raise ValueError(f"input index must be 1..{INPUT_COUNT}, got {index}")
-    return prepared_inputs(config)[index - 1].copy()
+    return _preparation(config.polarization, config.pulse_error)[0][index - 1].copy()
 
 
-def prepared_inputs(config: ExperimentConfig) -> np.ndarray:
-    """The four prepared inputs as a read-only (4, 2, 2) stack, in index order.
-
-    Each is the initial mixture rotated by its input's preparation pulse.
-    """
-    return _preparation(config.polarization, config.pulse_error)[0]
-
-
-@lru_cache(maxsize=64)
-def _preparation(polarization: float, pulse_error: float) -> tuple:
-    """The per-preparation cache entry, all read-only: the prepared
-    (4, 2, 2) stack, its real Pauli coordinates (one column per input) and
-    ``P_B^-1``, the inverse of those coordinates, or ``None`` when the
-    inputs do not span.  The only place that decides which inputs a
-    preparation gives."""
+def _inputs(polarization: float, pulse_error: float) -> tuple[np.ndarray, np.ndarray]:
+    """The prepared (4, 2, 2) stack, in index order, and its real Pauli
+    coordinates, one column per input.  The only place that decides which
+    inputs a preparation gives, for simulation and reconstruction alike."""
     rho = np.diag([polarization, 1.0 - polarization]).astype(complex)
     inputs = []
     for pulse in _PULSES.values():  # in index order
@@ -195,7 +195,15 @@ def _preparation(polarization: float, pulse_error: float) -> tuple:
     stack = np.stack(inputs)
     # The imaginary parts of the stack's coordinates are round-off; the
     # simulator multiplies the real parts, so those are what get inverted.
-    coords = np.ascontiguousarray(_coords(stack).real)
+    return stack, np.ascontiguousarray(_coords(stack).real)
+
+
+@lru_cache(maxsize=64)
+def _preparation(polarization: float, pulse_error: float) -> tuple:
+    """The per-preparation cache entry, all read-only: the stack and
+    coordinates of :func:`_inputs` and ``P_B^-1``, the inverse of those
+    coordinates, or ``None`` when the inputs do not span."""
+    stack, coords = _inputs(polarization, pulse_error)
     try:
         # Inverted as complex: a real-dtype inverse would page in the real
         # LAPACK routines as well and raise a process's peak resident memory.
@@ -209,21 +217,6 @@ def _preparation(polarization: float, pulse_error: float) -> tuple:
     return entry
 
 
-@lru_cache(maxsize=64)
-def _channel(t2: float, t1: float, decoherence_time: float) -> np.ndarray:
-    """The read-only chi matrix of one decoherence interval; see
-    :func:`true_channel`."""
-    if math.isinf(t1):
-        chi = standard_channel("dephasing", t=decoherence_time, t2=t2)
-    else:
-        keep = math.exp(-decoherence_time / t1)
-        shrink = math.exp(-decoherence_time / t2) * math.sqrt(keep)
-        affine = AffineMap(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
-        chi = chi_from_affine(affine)
-    chi.setflags(write=False)
-    return chi
-
-
 def true_channel(config: ExperimentConfig) -> np.ndarray:
     """Coefficient matrix of the configured decoherence interval, as a fresh
     writable copy.
@@ -233,47 +226,54 @@ def true_channel(config: ExperimentConfig) -> np.ndarray:
     ``diag(f sqrt(1 - gamma), f sqrt(1 - gamma), 1 - gamma)`` with
     translation ``(0, 0, gamma)``.
     """
-    return _channel(config.t2, config.t1, config.decoherence_time).copy()
+    return _outcomes(
+        config.t2, config.t1, config.decoherence_time,
+        config.polarization, config.pulse_error,
+    )[0].copy()
 
 
-def _expectations(chi: np.ndarray, polarization: float, pulse_error: float) -> np.ndarray:
-    """The (4, 3) exact expectations of the prepared inputs under ``chi``:
-    row ``k`` is ``R[1:] @ coords(rho_k)``, with ``R`` the real Pauli
-    transfer matrix of ``chi``."""
+def _records(values, shots: int | None) -> tuple[tuple[ExpectationRecord, ...], ...]:
+    """Records of four rows of expectations, one tuple per input."""
+    return tuple(
+        tuple(ExpectationRecord(axis, value, shots) for axis, value in zip(AXES, row))
+        for row in values
+    )
+
+
+def _outcomes_of(chi: np.ndarray, coords: np.ndarray) -> tuple:
+    """The exact records of the inputs with Pauli coordinates ``coords``
+    under ``chi``, and the probability of outcome +1 for each expectation,
+    clipped into [0, 1].  Input ``k`` expects ``R[1:] @ coords[:, k]``, with
+    ``R`` the real Pauli transfer matrix of ``chi``."""
     # A two-operand einsum sums each output in index order, so every input
     # gets the bits of its own ``einsum("ij,j->i", ...)``; a matmul over
     # the stack does not guarantee that.
-    return np.einsum(
-        "ij,jk->ki", _transfer(chi)[1:], _preparation(polarization, pulse_error)[1]
-    )
-
-
-def _exact_records(values: np.ndarray) -> tuple[tuple[ExpectationRecord, ...], ...]:
-    """Exact records of a (4, 3) array of expectations, one tuple per input."""
-    return tuple(
-        tuple(ExpectationRecord(axis, value, None) for axis, value in zip(AXES, row))
-        for row in values.tolist()
-    )
-
-
-def _up_probabilities(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    """The probability of outcome +1 for each expectation, clipped into [0, 1]."""
-    return tuple(map(tuple, np.clip((1.0 + values) / 2.0, 0.0, 1.0).tolist()))
+    values = np.einsum("ij,jk->ki", _transfer(chi)[1:], coords)
+    up = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
+    return _records(values.tolist(), None), tuple(map(tuple, up.tolist()))
 
 
 @lru_cache(maxsize=64)
 def _outcomes(
     t2: float, t1: float, decoherence_time: float, polarization: float, pulse_error: float
 ) -> tuple:
-    """A run's exact records and up-probabilities under its own decoherence
-    interval: what every seed and shot count of one physical setting share."""
-    values = _expectations(_channel(t2, t1, decoherence_time), polarization, pulse_error)
-    return _exact_records(values), _up_probabilities(values)
+    """What every seed and shot count of one physical setting share: the
+    read-only chi of its decoherence interval (see :func:`true_channel`),
+    then the exact records and up-probabilities of :func:`_outcomes_of`."""
+    if math.isinf(t1):
+        chi = standard_channel("dephasing", t=decoherence_time, t2=t2)
+    else:
+        keep = math.exp(-decoherence_time / t1)
+        shrink = math.exp(-decoherence_time / t2) * math.sqrt(keep)
+        affine = AffineMap(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
+        chi = chi_from_affine(affine)
+    chi.setflags(write=False)
+    return (chi, *_outcomes_of(chi, _inputs(polarization, pulse_error)[1]))
 
 
 def _sample(
     config: ExperimentConfig, probabilities: tuple[tuple[float, ...], ...]
-) -> list[tuple[ExpectationRecord, ...]]:
+) -> tuple[tuple[ExpectationRecord, ...], ...]:
     """Sampled records of the up-probabilities of the four inputs, one tuple
     per input.
 
@@ -291,16 +291,15 @@ def _sample(
     # the setter copies the values in.
     fresh = bit_generator.state
     fresh["state"]["key"] = key
-    sampled = []
+    values = []
     for index, row in enumerate(probabilities, start=1):
-        records = []
-        for axis_index, (axis, p_up) in enumerate(zip(AXES, row)):
+        values.append([])
+        for axis_index, p_up in enumerate(row):
             key[1] = index * 8 + axis_index
             bit_generator.state = fresh
             ups = int(generator.binomial(shots, p_up))
-            records.append(ExpectationRecord(axis, (2.0 * ups - shots) / shots, shots))
-        sampled.append(tuple(records))
-    return sampled
+            values[-1].append((2.0 * ups - shots) / shots)
+    return _records(values, shots)
 
 
 def run_experiment(
@@ -315,24 +314,22 @@ def run_experiment(
     five physical parameters, so a call computes only its shot draws; an
     exact call returns the cached records.  ``channel`` substitutes a
     Hermitian 4x4 coefficient matrix for the interval, computed on every
-    call and never cached; preparation and measurement behave identically
-    either way.  A ``channel`` whose anti-Hermitian part exceeds
-    ``HERMITICITY_TOL`` raises ``ValueError``: the records could only show
-    its Hermitian part.
+    call over the cached prepared inputs and never cached itself;
+    preparation and measurement behave identically either way.  A
+    ``channel`` whose anti-Hermitian part exceeds ``HERMITICITY_TOL``
+    raises ``ValueError``: the records could only show its Hermitian part.
     """
     if channel is None:
-        exact, probabilities = _outcomes(
+        _, exact, probabilities = _outcomes(
             config.t2, config.t1, config.decoherence_time,
             config.polarization, config.pulse_error,
         )
-        records = exact if config.shots is None else _sample(config, probabilities)
     else:
-        chi = check_hermitian(_as_chi(channel), "channel")
-        values = _expectations(chi, config.polarization, config.pulse_error)
-        if config.shots is None:
-            records = _exact_records(values)
-        else:
-            records = _sample(config, _up_probabilities(values))
+        exact, probabilities = _outcomes_of(
+            check_hermitian(_as_chi(channel), "channel"),
+            _preparation(config.polarization, config.pulse_error)[1],
+        )
+    records = exact if config.shots is None else _sample(config, probabilities)
     return [
         MeasurementRecord(input_index=index, records=entry, config=config)
         for index, entry in enumerate(records, start=1)

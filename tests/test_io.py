@@ -13,7 +13,7 @@ from qpt.errors import ConfigError
 from qpt.metrics import process_distance_report
 from qpt.process_tomography import run_process_tomography
 from qpt.projection import project_to_physical, projection_report
-from qpt.simulator import ExperimentConfig, run_experiment
+from qpt.simulator import ExperimentConfig, MeasurementRecord, run_experiment
 
 
 def noisy_config(**overrides):
@@ -152,6 +152,63 @@ class TestRecordsDocument:
         doc["records"][2]["expectations"][0]["axis"] = "q"
         with pytest.raises(ConfigError, match=r"records\[2\]"):
             io.parse_records_document(doc)
+
+
+def round_trip(records):
+    """Records written by the library and read back through strict JSON."""
+    return io.parse_records_document(json.loads(json.dumps(io.records_document(records))))
+
+
+# A value inside each float field's range, exact in every spelling below.
+CONFIG_NUMBERS = {
+    "t2": 100, "t1": 300, "decoherence_time": 40, "polarization": 1, "pulse_error": 0,
+}
+
+
+class TestDocumentsReadBack:
+    """Every spelling a config or a record accepts is written as a document
+    that the records reader accepts, holding the same values."""
+
+    @pytest.mark.parametrize("field", sorted(CONFIG_NUMBERS))
+    @pytest.mark.parametrize(
+        "spelling", [int, float, np.int64, np.int32, np.float64, np.float32, np.float16]
+    )
+    def test_config_numbers(self, field, spelling):
+        numbers = dict(CONFIG_NUMBERS, **{field: spelling(CONFIG_NUMBERS[field])})
+        config = ExperimentConfig(**numbers)
+        value = getattr(config, field)
+        # Python numbers are kept as given, so documents keep their bytes;
+        # numpy scalars become the equal Python number.
+        assert value == CONFIG_NUMBERS[field]
+        assert type(value) is (int if spelling in (int, np.int64, np.int32) else float)
+        parsed = round_trip(run_experiment(config))
+        assert parsed[0].config == config
+        assert type(getattr(parsed[0].config, field)) is type(value)
+
+    @pytest.mark.parametrize("field", sorted(CONFIG_NUMBERS))
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.bool_(True), "100", None, 100j, np.complex128(100), [100]]
+    )
+    def test_config_non_numbers_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be a number"):
+            ExperimentConfig(**dict(CONFIG_NUMBERS, **{field: bad}))
+
+    @pytest.mark.parametrize("spelling", [int, np.int64, np.int32, np.uint8])
+    def test_input_index(self, spelling):
+        records = [
+            MeasurementRecord(spelling(r.input_index), r.records, r.config)
+            for r in run_experiment(noisy_config())
+        ]
+        assert all(type(r.input_index) is int for r in records)
+        parsed = round_trip(records)
+        assert [r.input_index for r in parsed] == [1, 2, 3, 4]
+        assert [r.records for r in parsed] == [r.records for r in records]
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 2.0, np.float64(2.0), "2", None])
+    def test_input_index_non_integers_rejected(self, bad):
+        record = run_experiment(noisy_config())[1]
+        with pytest.raises(ValueError, match="^input_index must be an integer"):
+            MeasurementRecord(bad, record.records, record.config)
 
 
 class TestResultDocument:

@@ -29,7 +29,6 @@ from qpt.process_tomography import (
 from qpt.simulator import (
     ExperimentConfig,
     prepare_input,
-    prepared_inputs,
     run_experiment,
     true_channel,
 )
@@ -68,7 +67,8 @@ class TestInputBasis:
     def test_is_the_simulated_perfect_preparation(self):
         # Bit for bit, so exact records of a perfect preparation are
         # inverted over the very inputs that were simulated.
-        assert np.array_equal(input_basis(), prepared_inputs(ExperimentConfig(t2=100.0)))
+        config = ExperimentConfig(t2=100.0)
+        assert np.array_equal(input_basis(), [prepare_input(config, k) for k in range(1, 5)])
 
     def test_labels_align(self):
         assert len(INPUT_STATE_LABELS) == 4
@@ -122,7 +122,7 @@ class TestLambda:
         # A Hermiticity defect of 1e-7: ten times HERMITICITY_TOL.
         outputs[2][0, 1] += math.sqrt(2.0) * 1e-7
         assert states.hermiticity_defect(outputs[2]) == pytest.approx(1e-7)
-        with pytest.raises(ValueError, match="output 2: not Hermitian"):
+        with pytest.raises(ValueError, match="output 2 is not Hermitian"):
             lambda_from_outputs(outputs)
 
 
@@ -153,13 +153,9 @@ class TestChiFromLambda:
     def test_matches_beta_oracle(self):
         seeds = np.random.default_rng(7)
         bases = [None] + [
-            prepared_inputs(
-                ExperimentConfig(
-                    t2=100.0,
-                    polarization=float(seeds.uniform(0.6, 1.0)),
-                    pulse_error=float(seeds.uniform(-0.3, 0.3)),
-                )
-            )
+            simulator._preparation(
+                float(seeds.uniform(0.6, 1.0)), float(seeds.uniform(-0.3, 0.3))
+            )[0]
             for _ in range(3)
         ]
         for rho_basis in bases:
@@ -382,11 +378,11 @@ class TestDeclaredPreparation:
         np.testing.assert_array_equal(declared.chi, plain.chi)
 
     def test_configs_sharing_a_preparation_share_one_cache_entry(self):
-        # Only (polarization, pulse_error) selects the inputs: simulating
-        # and reconstructing under every other setting, and mixing record
-        # sets of such configs, fills one entry of the preparation cache.
-        # A run that repeats a physical setting (the last two, which differ
-        # only in shots and seed) reads its outcomes cache, not this one.
+        # Only (polarization, pulse_error) selects the inputs: reconstructing
+        # under every other setting, and mixing record sets of such configs,
+        # fills one entry of the preparation cache, which only reconstruction
+        # reads.  A run that repeats a physical setting (the last two, which
+        # differ only in shots and seed) reads its outcomes cache.
         base = ExperimentConfig(t2=100.0, polarization=0.8125, pulse_error=0.0375)
         configs = [
             base,
@@ -404,7 +400,7 @@ class TestDeclaredPreparation:
         after = simulator._preparation.cache_info()
         outcomes_after = simulator._outcomes.cache_info()
         assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 8
+        assert after.hits - before.hits == 5
         assert outcomes_after.misses - outcomes_before.misses == 3
         assert outcomes_after.hits - outcomes_before.hits == 2
         assert np.all(np.isfinite(mixed.chi))

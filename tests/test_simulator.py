@@ -28,7 +28,6 @@ from qpt.simulator import (
     ExperimentConfig,
     MeasurementRecord,
     prepare_input,
-    prepared_inputs,
     preset_config,
     run_experiment,
     true_channel,
@@ -158,14 +157,14 @@ class TestPrepareInput:
     )
     def test_prepared_stack_matches_and_is_read_only(self, polarization, pulse_error):
         config = ExperimentConfig(t2=100.0, polarization=polarization, pulse_error=pulse_error)
-        stack = prepared_inputs(config)
+        stack = simulator._preparation(polarization, pulse_error)[0]
         assert stack.shape == (INPUT_COUNT, 2, 2)
         for index in range(1, INPUT_COUNT + 1):
             np.testing.assert_array_equal(stack[index - 1], prepare_input(config, index))
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 5.0
-        assert prepared_inputs(ExperimentConfig(t2=50.0, polarization=polarization,
-                                                pulse_error=pulse_error, seed=9)) is stack
+        copy = prepare_input(replace(config, t2=50.0, seed=9), 1)
+        assert copy.flags.writeable and not np.shares_memory(copy, stack)
 
     @pytest.mark.parametrize(
         "polarization, pulse_error, spans",
@@ -175,9 +174,12 @@ class TestPrepareInput:
         # The one per-preparation cache entry: stack, real coordinates and
         # their inverse (None when the inputs do not span), all read-only.
         stack, coords, inverse = simulator._preparation(polarization, pulse_error)
-        config = ExperimentConfig(t2=100.0, polarization=polarization, pulse_error=pulse_error)
-        assert stack is prepared_inputs(config)
+        assert stack is simulator._preparation(polarization, pulse_error)[0]
         np.testing.assert_array_equal(coords, states._coords(stack).real)
+        # The simulator builds its inputs anew with the same function.
+        fresh_stack, fresh_coords = simulator._inputs(polarization, pulse_error)
+        assert fresh_stack.tobytes() == stack.tobytes()
+        assert fresh_coords.tobytes() == coords.tobytes()
         assert (inverse is not None) == spans
         if spans:
             np.testing.assert_allclose(inverse @ coords, np.eye(4), atol=1e-12)
@@ -564,12 +566,12 @@ class TestPhysicsCache:
     def test_seeds_and_shots_add_no_entry(self):
         config = ExperimentConfig(t2=123.25, t1=321.5, decoherence_time=17.0)
         run_experiment(config)
-        before = [cache.cache_info() for cache in (simulator._outcomes, simulator._channel)]
+        before = [cache.cache_info() for cache in (simulator._outcomes, simulator._preparation)]
         for shots in (None, 1, 100, 1000):
             for seed in (0, 5, 2**64 - 1):
                 run_experiment(replace(config, shots=shots, seed=seed))
                 true_channel(replace(config, shots=shots, seed=seed))
-        after = [cache.cache_info() for cache in (simulator._outcomes, simulator._channel)]
+        after = [cache.cache_info() for cache in (simulator._outcomes, simulator._preparation)]
         assert [info.misses for info in after] == [info.misses for info in before]
 
     def test_a_new_physical_setting_adds_one_entry(self):
@@ -584,13 +586,27 @@ class TestPhysicsCache:
             after = simulator._outcomes.cache_info()
             assert after.misses - before.misses == 1
 
+    def test_configured_runs_leave_the_preparation_cache_empty(self):
+        # A run of the configured interval builds its inputs uncached; only
+        # reconstruction fills the entry that holds P_B^-1.
+        for cache in (simulator._outcomes, simulator._preparation):
+            cache.cache_clear()
+        runs = [
+            run_experiment(physics_config("paper-40ns", shots, seed=5, preparation=preparation))
+            for preparation in (PREPARATIONS[0], PREPARATIONS[3])
+            for shots in (None, 1000)
+        ]
+        assert simulator._preparation.cache_info().currsize == 0
+        run_process_tomography(runs[-1])
+        info = simulator._preparation.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+
     @pytest.mark.parametrize("shots", [None, 1000])
     @pytest.mark.parametrize("negative_first", [True, False])
     def test_negative_zeros_share_the_entry_of_zero(self, shots, negative_first):
         zero = ExperimentConfig(t2=100.0, t1=300.0, polarization=0.9, shots=shots, seed=6)
         negative = replace(zero, decoherence_time=-0.0, pulse_error=-0.0)
-        for cache in (simulator._outcomes, simulator._channel):
-            cache.cache_clear()
+        simulator._outcomes.cache_clear()
         order = (negative, zero) if negative_first else (zero, negative)
         first = run_experiment(order[0])
         before = simulator._outcomes.cache_info()
