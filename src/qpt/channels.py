@@ -78,8 +78,17 @@ class AffineMap:
     translation: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        translation = np.asarray(self.translation, dtype=float)
+        # Only integer and float entries: a cast to float would drop the
+        # imaginary part of complex entries and parse text or booleans.
+        for name in ("matrix", "translation"):
+            array = np.asarray(getattr(self, name))
+            if array.dtype.kind not in "iuf":
+                raise ValueError(
+                    f"affine {name} must hold integers or floats, "
+                    f"got dtype {array.dtype}"
+                )
+            object.__setattr__(self, name, array.astype(float, copy=False))
+        matrix, translation = self.matrix, self.translation
         if matrix.shape != (3, 3):
             raise ValueError(f"affine matrix must be 3x3, got {matrix.shape}")
         if translation.shape != (3,):
@@ -88,8 +97,6 @@ class AffineMap:
             )
         if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(translation))):
             raise ValueError("affine map contains non-finite entries")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "translation", translation)
 
     def __call__(self, r: Sequence[float]) -> np.ndarray:
         return apply_affine(self, r)

@@ -62,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
         return namespace
 
 
-def _integer(text: str, name: str, expected: str) -> int:
+def _integer_text(text: str, name: str, expected: str) -> int:
     """``int(text)`` for an argparse type, else an error saying ``name`` must be
     ``expected``; text such as an integer past Python's digit limit is
     shown bounded."""
@@ -77,19 +77,19 @@ def _integer(text: str, name: str, expected: str) -> int:
 def _shots_argument(text: str):
     if text == "exact":
         return "exact"
-    value = _integer(text, "shots", "a positive integer or 'exact'")
+    value = _integer_text(text, "shots", "a positive integer or 'exact'")
     if value < 1:
         raise argparse.ArgumentTypeError(f"shots must be positive, got {_shown(value)}")
     return value
 
 
 def _seed_argument(text: str) -> int:
-    return _integer(text, "seed", "an integer")
+    return _integer_text(text, "seed", "an integer")
 
 
 def _subdivisions_argument(text: str) -> int:
     """argparse type for ``--subdivisions``: an integer in 1..MAX_SUBDIVISIONS."""
-    value = _integer(text, "subdivisions", "an integer")
+    value = _integer_text(text, "subdivisions", "an integer")
     if not 1 <= value <= MAX_SUBDIVISIONS:
         raise argparse.ArgumentTypeError(
             f"subdivisions must be between 1 and {MAX_SUBDIVISIONS}, "

@@ -1,5 +1,16 @@
-"""Exception types shared across the toolkit, and how their messages show
-input values."""
+"""Exception types shared across the toolkit, how their messages show input
+values, and the one rule for what a numeric field accepts.
+
+``_integer`` and ``_number`` are that rule.  Every constructor that takes
+a number (``ExperimentConfig``, ``MeasurementRecord``,
+``ExpectationRecord``) checks its own fields with them, and :mod:`qpt.io`
+uses the same two for the numbers it reads outside those constructors, so
+a library caller and the CLI reject the same values with the same
+field-named ``ValueError``.
+"""
+
+import numbers
+import operator
 
 
 def _shown(value) -> str:
@@ -17,6 +28,49 @@ def _shown(value) -> str:
     if isinstance(value, str):
         return f"text of {len(value)} characters"
     return f"a {type(value).__name__} written in {len(text)} characters"
+
+
+def _integer(value, field: str) -> int:
+    """``value`` as an ``int`` if it is an integer other than a boolean,
+    such as ``7`` or ``np.int64(7)``; else a ``ValueError`` naming ``field``.
+
+    A float, string or boolean is never truncated or parsed into a count.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {_shown(value)}")
+
+
+def _number(value, field: str) -> int | float:
+    """``value`` if it is a real number other than a boolean, else a
+    ``ValueError`` naming ``field``.
+
+    An ``int`` or ``float`` is returned as given, so a document keeps its
+    bytes, and a numpy scalar as the equal Python number.  Booleans, text
+    such as ``"0.5"``, ``None``, complex values and containers are never
+    coerced, and an integer too large for a float is rejected.
+    """
+    if type(value) is float:
+        return value
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            value = operator.index(value)
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{field} must be a number within the float range, "
+                    f"got {_shown(value)}"
+                ) from None
+            return value
+        if isinstance(value, numbers.Real):
+            return float(value)
+    raise ValueError(f"{field} must be a number, got {_shown(value)}")
 
 
 class QptError(Exception):

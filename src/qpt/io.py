@@ -10,7 +10,12 @@ documents.
 
 Malformed input (bad JSON, wrong kind, missing or invalid fields) raises
 ``ConfigError`` with the file position or field name; filesystem problems
-propagate as ``OSError``.
+propagate as ``OSError``.  What a numeric field accepts is not decided
+here: the config and records readers hand the values to the constructors,
+which check their own fields with ``errors._integer`` and
+``errors._number``, and turn the constructors' ``ValueError`` into
+``ConfigError``.  Header versions, matrices and affine maps go through
+``_number`` entry by entry.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import AffineMap, affine_from_chi
-from .errors import ConfigError, _shown
+from .errors import ConfigError, _number, _shown
 from .metrics import ProcessComparison
 from .process_tomography import ProcessEstimate
 from .projection import ProjectionResult
@@ -38,32 +43,6 @@ RESULT_KIND = "qpt-result"
 COMPARISON_KIND = "qpt-comparison"
 
 
-def _json_number(value, field: str) -> int | float:
-    """``value`` if it is a JSON number; anything else raises ``ConfigError``.
-
-    ``true`` is not a number although ``bool`` subclasses ``int``, and
-    numeric text such as ``"0.5"`` is text: neither is coerced.  An integer
-    too large for a float is rejected too; the value is returned unchanged.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field} must be a number, got {_shown(value)}")
-    try:
-        float(value)
-    except OverflowError:
-        raise ConfigError(
-            f"{field} must be a number within the float range, got an integer "
-            f"of {value.bit_length()} bits"
-        ) from None
-    return value
-
-
-def _json_integer(value, field: str) -> int:
-    """``value`` if it is a JSON integer (not ``true``); else ``ConfigError``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field} must be an integer, got {_shown(value)}")
-    return value
-
-
 def encode_complex_matrix(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -73,10 +52,7 @@ def decode_complex_matrix(data, shape: tuple[int, int], field: str) -> np.ndarra
     try:
         m = np.array(
             [
-                [
-                    complex(_json_number(re, field), _json_number(im, field))
-                    for re, im in row
-                ]
+                [complex(_number(re, "entry"), _number(im, "entry")) for re, im in row]
                 for row in data
             ]
         )
@@ -98,16 +74,10 @@ def encode_affine(a: AffineMap) -> dict:
 
 def decode_affine(data, field: str) -> AffineMap:
     try:
-        matrix = [
-            [_json_number(v, f"{field}.matrix") for v in row] for row in data["matrix"]
-        ]
-        translation = [
-            _json_number(v, f"{field}.translation") for v in data["translation"]
-        ]
-        return AffineMap(
-            matrix=np.array(matrix, dtype=float),
-            translation=np.array(translation, dtype=float),
-        )
+        # Entry by entry: a list mixing true with integers is an int array.
+        matrix = [[_number(v, "matrix entry") for v in row] for row in data["matrix"]]
+        translation = [_number(v, "translation entry") for v in data["translation"]]
+        return AffineMap(matrix=matrix, translation=translation)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{field}: malformed affine map: {exc}") from exc
 
@@ -132,18 +102,12 @@ def config_from_dict(data) -> ExperimentConfig:
     for name, field in spec.items():
         if field.default is MISSING and name not in data:
             raise ConfigError(f"config is missing the required key {name}")
-    kwargs = {}
-    for key, value in data.items():
-        # null is "no amplitude damping" for t1, and the default where that
-        # is None (shots: exact expectations).
-        if value is None and (key == "t1" or spec[key].default is None):
-            continue
-        # Annotations are text here: "float", "int" or "int | None".
-        check = _json_integer if spec[key].type.startswith("int") else _json_number
-        kwargs[key] = check(value, f"config.{key}")
+    # null is "no amplitude damping" for t1; for shots it is None as given.
+    if data.get("t1", 0.0) is None:
+        data = dict(data, t1=math.inf)
     try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return ExperimentConfig(**data)
+    except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -174,9 +138,10 @@ def _require(doc: dict, key: str, context: str):
 def _check_header(doc, kind: str, context: str) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected a JSON object")
-    version = _json_number(
-        _require(doc, "schema_version", context), f"{context}: schema_version"
-    )
+    try:
+        version = _number(_require(doc, "schema_version", context), "schema_version")
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"{context}: unsupported schema_version {_shown(version)} "
@@ -203,30 +168,24 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
         context = f"records[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{context}: expected an object")
-        index = _json_integer(
-            _require(entry, "input_index", context), f"{context}: input_index"
-        )
-        if index in parsed:
-            raise ConfigError(f"{context}: duplicate input_index {index}")
+        index = _require(entry, "input_index", context)
         expectations = _require(entry, "expectations", context)
         if not isinstance(expectations, list):
             raise ConfigError(f"{context}: expectations must be a list")
         try:
-            records = tuple(
-                ExpectationRecord(
-                    axis=e["axis"],
-                    value=_json_number(e["value"], f"{context}: value"),
-                    shots=None
-                    if e.get("shots") is None
-                    else _json_integer(e["shots"], f"{context}: shots"),
-                )
-                for e in expectations
-            )
-            parsed[index] = MeasurementRecord(
-                input_index=index, records=records, config=config
+            record = MeasurementRecord(
+                input_index=index,
+                records=tuple(
+                    ExpectationRecord(e["axis"], e["value"], e.get("shots"))
+                    for e in expectations
+                ),
+                config=config,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{context}: {exc}") from exc
+        if record.input_index in parsed:
+            raise ConfigError(f"{context}: duplicate input_index {record.input_index}")
+        parsed[record.input_index] = record
     missing = sorted(set(range(1, INPUT_COUNT + 1)) - set(parsed))
     if missing:
         raise ConfigError(f"records document: missing input_index {missing}")

@@ -54,9 +54,9 @@ from .channels import (
     rotation_unitary,
     standard_channel,
 )
-from .errors import _shown
+from .errors import _integer, _number, _shown
 from .states import _coords, _coords_inverse, check_hermitian
-from .state_tomography import AXES, ExpectationRecord, _integer
+from .state_tomography import AXES, ExpectationRecord
 
 INPUT_COUNT = 4
 
@@ -90,19 +90,13 @@ class ExperimentConfig:
     pulse_error: float = 0.0
 
     def __post_init__(self):
-        # Only an int or float (numpy scalars as the equal Python number)
-        # is kept: what JSON writes as a number and reads back.
         for name in ("t2", "t1", "decoherence_time", "polarization", "pulse_error"):
-            value = getattr(self, name)
-            if isinstance(value, (np.integer, np.floating)):
-                object.__setattr__(self, name, value.item())
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {_shown(value)}")
-        if not (np.isfinite(self.t2) and self.t2 > 0.0):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        if not (math.isfinite(self.t2) and self.t2 > 0.0):
             raise ValueError(f"t2 must be positive and finite, got {_shown(self.t2)}")
         if not self.t1 > 0.0:
             raise ValueError(f"t1 must be positive, got {_shown(self.t1)}")
-        if not (np.isfinite(self.decoherence_time) and self.decoherence_time >= 0.0):
+        if not (math.isfinite(self.decoherence_time) and self.decoherence_time >= 0.0):
             raise ValueError(
                 "decoherence_time must be nonnegative, "
                 f"got {_shown(self.decoherence_time)}"
@@ -118,10 +112,7 @@ class ExperimentConfig:
                 raise ValueError(f"shots must lie in [1, 2**63 - 1], got {_shown(shots)}")
             object.__setattr__(self, "shots", shots)
         # The largest preparation pulse turns by pi * (1 + pulse_error).
-        if not (
-            np.isfinite(self.pulse_error)
-            and math.isfinite(math.pi * (1.0 + self.pulse_error))
-        ):
+        if not math.isfinite(math.pi * (1.0 + self.pulse_error)):
             raise ValueError(
                 "pulse_error must be finite and keep the pulse angle "
                 f"pi * (1 + pulse_error) finite, got {_shown(self.pulse_error)}"
@@ -175,8 +166,9 @@ class MeasurementRecord:
 def prepare_input(config: ExperimentConfig, index: int) -> np.ndarray:
     """Initial mixture rotated by the preparation pulse for one input index,
     as a writable copy."""
+    index = _integer(index, "input index")
     if index not in _PULSES:
-        raise ValueError(f"input index must be 1..{INPUT_COUNT}, got {index}")
+        raise ValueError(f"input index must be 1..{INPUT_COUNT}, got {_shown(index)}")
     return _preparation(config.polarization, config.pulse_error)[0][index - 1].copy()
 
 

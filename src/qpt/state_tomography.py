@@ -19,30 +19,15 @@ no tie-break weight and no iterative solver.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import _shown
+from .errors import _integer, _number, _shown
 from .states import density_from_bloch, von_neumann_entropy
 
 AXES = ("x", "y", "z")
-
-
-def _integer(value, field: str) -> int:
-    """``value`` as an ``int`` if it is an integer other than a boolean,
-    such as ``7`` or ``np.int64(7)``; else a ``ValueError`` naming ``field``.
-
-    A float, string or boolean is never truncated or parsed into a count.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{field} must be an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -61,12 +46,12 @@ class ExpectationRecord:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {_shown(self.axis)}")
-        value = float(self.value)
+        value = float(_number(self.value, "value"))
         if not math.isfinite(value):
             raise ValueError(f"expectation value must be finite, got {value!r}")
         object.__setattr__(self, "value", value)
         if self.shots is not None:
-            shots = self.shots if type(self.shots) is int else _integer(self.shots, "shots")
+            shots = _integer(self.shots, "shots")
             if shots < 1:
                 raise ValueError(f"shots must be positive, got {_shown(shots)}")
             object.__setattr__(self, "shots", shots)

@@ -240,6 +240,19 @@ class TestAffine:
             ch.AffineMap(matrix=np.eye(2), translation=np.zeros(3))
         with pytest.raises(ValueError):
             ch.AffineMap(matrix=np.eye(3), translation=np.zeros(2))
+        # Complex entries are not cast away, nor are text or booleans parsed.
+        for matrix, translation, field in [
+            (np.eye(3) * 1j, [0, 0, 0], "matrix"),
+            (np.eye(3, dtype=bool), np.zeros(3), "matrix"),
+            (np.eye(3), ["0.5", "0", "0"], "translation"),
+            (np.eye(3), [True, False, True], "translation"),
+            (np.eye(3), np.zeros(3, dtype=complex), "translation"),
+        ]:
+            with pytest.raises(ValueError, match=f"^affine {field} must hold integers"):
+                ch.AffineMap(matrix=matrix, translation=translation)
+        # Integer entries are exact floats.
+        affine = ch.AffineMap(np.eye(3, dtype=np.int32), [0, 0, 1])
+        assert affine.matrix.dtype == affine.translation.dtype == float
 
 
 class TestStandardChannels:

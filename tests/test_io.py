@@ -187,7 +187,11 @@ class TestDocumentsReadBack:
 
     @pytest.mark.parametrize("field", sorted(CONFIG_NUMBERS))
     @pytest.mark.parametrize(
-        "bad", [True, False, np.bool_(True), "100", None, 100j, np.complex128(100), [100]]
+        "bad",
+        [
+            True, False, np.bool_(True), "100", None, 100j, np.complex128(100), [100],
+            pytest.param(10**400, id="huge-integer"),
+        ],
     )
     def test_config_non_numbers_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be a number"):

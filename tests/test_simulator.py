@@ -191,6 +191,13 @@ class TestPrepareInput:
             prepare_input(self.CONFIG, 5)
         with pytest.raises(ValueError, match="input index"):
             prepare_input(self.CONFIG, 0)
+        # A boolean or a float is not an input index, even when it equals one.
+        for index in (True, 1.0):
+            with pytest.raises(ValueError, match="^input index must be an integer"):
+                prepare_input(self.CONFIG, index)
+        np.testing.assert_array_equal(
+            prepare_input(self.CONFIG, np.int64(2)), prepare_input(self.CONFIG, 2)
+        )
 
 
 class TestTrueChannel:

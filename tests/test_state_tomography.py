@@ -56,6 +56,14 @@ class TestExpectationRecord:
         with pytest.raises(ValueError, match="^shots must be an integer"):
             ExpectationRecord("x", 0.0, shots=shots)
 
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(True), "0.5", pytest.param(10**400, id="huge-integer"), 0.5j],
+    )
+    def test_rejects_non_number_value(self, value):
+        with pytest.raises(ValueError, match="^value must be a number"):
+            ExpectationRecord("x", value)
+
 
 class TestReconstructState:
     def test_consistent_full_data(self):
