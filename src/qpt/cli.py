@@ -20,19 +20,20 @@ import numpy as np
 from . import io as qio
 from .channels import standard_channel
 from .errors import ConfigError, NonConvergenceError, QptError, _shown
-from .mesh import ellipsoid_mesh, mesh_metadata, write_obj
-from .metrics import process_distance_report
-from .process_tomography import run_process_tomography
-from .projection import project_to_physical
-from .simulator import PRESETS, ExperimentConfig, preset_config, run_experiment
+from .simulator import PRESETS, ExperimentConfig, run_experiment
+
+# The stages past simulation (process_tomography, projection, metrics,
+# mesh) are imported in the functions that run them, so each command's
+# process loads only the stages it runs; `io` and the simulator are
+# module-level, since every command reads or writes a document and the
+# parser's --preset choices are the simulator's PRESETS.
 
 log = logging.getLogger("qpt")
 
 PAPER_REPRO = "paper-repro"
-# Each level quadruples the mesh.  On a 2-CPU host a result with raw and
-# projected maps renders in about 0.8 s at level 6 (8.2 MB of OBJ per map,
-# 43 MB peak RSS) and 2.5 s at level 7 (34.5 MB per map, 77 MB peak RSS);
-# level 9 would write ~550 MB per map.
+# Each level quadruples the mesh: level 7 writes 34.5 MB of OBJ per map and
+# level 9 would write ~550 MB.  README's `render` entry gives two-map render
+# times and peak RSS at levels 6 and 7.
 MAX_SUBDIVISIONS = 7
 
 
@@ -98,14 +99,19 @@ def _subdivisions_argument(text: str) -> int:
     return value
 
 
-def _resolve_config(args) -> ExperimentConfig:
+def _resolve_configs(args) -> dict[str, ExperimentConfig]:
+    """The configurations to run, with the flag overrides applied, by output
+    subdirectory: every bundled preset for ``paper-repro``, else the one
+    given, under ``""``."""
     if (args.preset is None) == (args.config is None):
         raise ConfigError("exactly one of --preset and --config is required")
-    if args.preset is not None:
-        config = PRESETS[args.preset]
+    if args.preset == PAPER_REPRO:
+        configs = dict(PRESETS)
+    elif args.preset is not None:
+        configs = {"": PRESETS[args.preset]}
     else:
-        config = qio.config_from_dict(qio.read_json(args.config))
-    return _apply_overrides(config, args)
+        configs = {"": qio.config_from_dict(qio.read_json(args.config))}
+    return {name: _apply_overrides(config, args) for name, config in configs.items()}
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -123,7 +129,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
-    config = _resolve_config(args)
+    (config,) = _resolve_configs(args).values()
     records = run_experiment(config)
     qio.write_json_atomic(args.out, qio.records_document(records))
     log.info("wrote %d record sets to %s", len(records), args.out)
@@ -133,6 +139,8 @@ def cmd_simulate(args) -> int:
 def _reconstruct(records, source: str):
     """The linear-inversion estimate; records it cannot invert, such as a
     declared preparation that does not span, are an input error."""
+    from .process_tomography import run_process_tomography
+
     try:
         return run_process_tomography(records)
     except (ValueError, TypeError) as exc:
@@ -151,6 +159,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def _project_into_document(doc: dict) -> int:
+    from .metrics import process_distance_report
+    from .projection import project_to_physical
+
     chi = qio.document_chi(doc, prefer_projected=False)
     code = 0
     try:
@@ -242,6 +253,8 @@ def _comparison_operand(spec: str) -> tuple[np.ndarray, str]:
 
 
 def cmd_compare(args) -> int:
+    from .metrics import process_distance_report
+
     chi_a, label_a = _comparison_operand(args.a)
     chi_b, label_b = _comparison_operand(args.b)
     source = f"{args.a} vs {args.b}"
@@ -258,23 +271,28 @@ def cmd_compare(args) -> int:
 def _render_document(doc: dict, prefix: str, subdivisions: int) -> None:
     """Write ``<prefix>_<section>.obj`` and ``.json`` for each stored map.
 
-    Every mesh and sidecar is built before the first file is written, so a
-    map that cannot be rendered leaves no output at all.
+    All maps share one icosphere.  Every mesh and sidecar is built before
+    the first file is written, so a map that cannot be rendered leaves no
+    output at all.
     """
-    rendered = []
-    for block, affine in qio.document_affines(doc).items():
-        # Finite entries near 1e308 can overflow the image; checked below.
+    from .mesh import ellipsoid_meshes, mesh_metadata, write_objs
+
+    affines = qio.document_affines(doc)
+    # Finite entries near 1e308 can overflow the images; checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        meshes = ellipsoid_meshes(affines.values(), subdivisions)
+    sidecars = {}
+    for (block, affine), mesh in zip(affines.items(), meshes):
         with _derived_from(f"{block}.affine"):
-            mesh = ellipsoid_mesh(affine, subdivisions)
             metadata = mesh_metadata(affine, mesh)
         numbers = metadata["axis_lengths"] + [metadata["max_vertex_norm"]]
         if not (np.isfinite(mesh.vertices).all() and np.isfinite(numbers).all()):
             raise ConfigError(
                 f"{block}.affine: the mesh of this map overflows the float range"
             )
-        rendered.append((block, mesh, metadata))
-    for block, mesh, metadata in rendered:
-        write_obj(mesh, f"{prefix}_{block}.obj")
+        sidecars[block] = metadata
+    write_objs({f"{prefix}_{block}.obj": mesh for block, mesh in zip(affines, meshes)})
+    for block, metadata in sidecars.items():
         qio.write_json_atomic(f"{prefix}_{block}.json", metadata)
 
 
@@ -285,6 +303,8 @@ def cmd_render(args) -> int:
 
 
 def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
+    from .metrics import process_distance_report
+
     records = run_experiment(config)
     # Reconstruct first: records it cannot invert leave no file of the run.
     estimate = _reconstruct(records, "simulated records")
@@ -314,15 +334,12 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.preset == PAPER_REPRO:
-        code = 0
-        for name in PRESETS:
-            config = _apply_overrides(preset_config(name), args)
-            step = _run_single_pipeline(config, os.path.join(args.out, name), args)
-            code = code or step
-        return code
-    config = _resolve_config(args)
-    return _run_single_pipeline(config, args.out, args)
+    code = 0
+    for name, config in _resolve_configs(args).items():
+        out_dir = os.path.join(args.out, name) if name else args.out
+        step = _run_single_pipeline(config, out_dir, args)
+        code = code or step
+    return code
 
 
 def _add_config_arguments(parser, include_repro: bool = False) -> None:

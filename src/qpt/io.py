@@ -25,17 +25,19 @@ import math
 import os
 import tempfile
 from dataclasses import MISSING, asdict, fields
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .channels import AffineMap, affine_from_chi
 from .errors import ConfigError, _number, _shown
-from .metrics import ProcessComparison
-from .process_tomography import ProcessEstimate
-from .projection import ProjectionResult
 from .simulator import INPUT_COUNT, ExperimentConfig, MeasurementRecord
 from .state_tomography import ExpectationRecord
+
+if TYPE_CHECKING:
+    from .metrics import ProcessComparison
+    from .process_tomography import ProcessEstimate
+    from .projection import ProjectionResult
 
 SCHEMA_VERSION = 1
 RECORDS_KIND = "qpt-records"

@@ -12,6 +12,7 @@ and the largest image norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -120,16 +121,23 @@ class EllipsoidMesh:
     subdivisions: int
 
 
-def ellipsoid_mesh(affine: AffineMap, subdivisions: int = 3) -> EllipsoidMesh:
+def ellipsoid_meshes(
+    affines: Iterable[AffineMap], subdivisions: int = 3
+) -> list[EllipsoidMesh]:
+    """The mesh of each map, all over one icosphere: every mesh holds the
+    same ``reference_vertices`` and ``faces`` arrays."""
     reference, faces = icosphere(subdivisions)
-    vertices = reference @ affine.matrix.T
-    vertices += affine.translation
-    return EllipsoidMesh(
-        vertices=vertices,
-        faces=faces,
-        reference_vertices=reference,
-        subdivisions=subdivisions,
-    )
+    meshes = []
+    for affine in affines:
+        vertices = reference @ affine.matrix.T
+        vertices += affine.translation
+        meshes.append(EllipsoidMesh(vertices, faces, reference, subdivisions))
+    return meshes
+
+
+def ellipsoid_mesh(affine: AffineMap, subdivisions: int = 3) -> EllipsoidMesh:
+    (mesh,) = ellipsoid_meshes([affine], subdivisions)
+    return mesh
 
 
 # Rows formatted per chunk: a level-6 map is 41k vertices and 82k faces,
@@ -143,22 +151,21 @@ def _chunks(rows: np.ndarray):
         yield rows[start : start + _CHUNK_ROWS]
 
 
-def _repr_chunks(vertices: np.ndarray):
-    """Chunks of ``vertices`` as object arrays of their coordinates' reprs.
+def _repr_table(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct coordinates of ``vertices``, sorted as int64 bit
+    patterns, and an object array of their reprs.
 
     Each distinct coordinate is formatted once: a level-6 unit sphere has
     17,731 distinct values among its 122,886 coordinates.  Values are told
     apart by bit pattern, so ``-0.0`` keeps its sign.
     """
-    bits = vertices.view(np.int64)
     # Sorting and masking takes a sixth of np.unique's time here.
-    distinct = np.sort(bits, axis=None)
+    distinct = np.sort(vertices.view(np.int64), axis=None)
     distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
     table = np.array(
         [repr(value) for value in distinct.view(np.float64).tolist()], dtype=object
     )
-    for chunk in _chunks(bits):
-        yield table[np.searchsorted(distinct, chunk)]
+    return distinct, table
 
 
 def _obj_block(name: str, vertex_chunks, faces: np.ndarray, base: int):
@@ -173,12 +180,18 @@ def _obj_block(name: str, vertex_chunks, faces: np.ndarray, base: int):
         yield "f %d %d %d\n" * len(chunk) % tuple((chunk + base).ravel().tolist())
 
 
-def _obj_chunks(mesh: EllipsoidMesh):
+def _obj_chunks(mesh: EllipsoidMesh, repr_table):
     """Both objects of one OBJ document, ``unit_sphere`` then ``ellipsoid``,
-    as consecutive pieces of text."""
+    as consecutive pieces of text; ``repr_table`` is the
+    :func:`_repr_table` of ``mesh.reference_vertices``."""
     yield "# Bloch sphere and its affine image\n"
     reference = mesh.reference_vertices
-    yield from _obj_block("unit_sphere", _repr_chunks(reference), mesh.faces, 1)
+    distinct, table = repr_table
+    reprs = (
+        table[np.searchsorted(distinct, chunk)]
+        for chunk in _chunks(reference.view(np.int64))
+    )
+    yield from _obj_block("unit_sphere", reprs, mesh.faces, 1)
     # The image's coordinates are almost all distinct, so a table of them
     # would cost more than it saves.
     yield from _obj_block(
@@ -186,9 +199,22 @@ def _obj_chunks(mesh: EllipsoidMesh):
     )
 
 
+def write_objs(meshes: Mapping[str, EllipsoidMesh]) -> None:
+    """Write each ``path: mesh`` as :func:`write_obj` does.  Consecutive
+    meshes over the same reference array, as from one
+    :func:`ellipsoid_meshes` call, share one table of its coordinates'
+    reprs."""
+    reference = repr_table = None
+    for path, mesh in meshes.items():
+        if mesh.reference_vertices is not reference:
+            reference = mesh.reference_vertices
+            repr_table = _repr_table(reference)
+        write_text_atomic(path, _obj_chunks(mesh, repr_table))
+
+
 def write_obj(mesh: EllipsoidMesh, path: str) -> None:
     """Write the OBJ document chunk by chunk, never holding all of it."""
-    write_text_atomic(path, _obj_chunks(mesh))
+    write_objs({path: mesh})
 
 
 def mesh_metadata(affine: AffineMap, mesh: EllipsoidMesh) -> dict:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpt import io as qio
-from qpt import projection
+from qpt import mesh, projection
 from qpt.channels import standard_channel
 from qpt.cli import main
 
@@ -90,15 +90,20 @@ class TestSimulate:
         assert stored.t1 == 300.0
         assert stored.shots == 64
 
-    def test_preset_and_config_together_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, preset",
+        [("simulate", "paper-20ns"), ("pipeline", "paper-20ns"), ("pipeline", "paper-repro")],
+    )
+    def test_preset_and_config_together_rejected(self, tmp_path, capsys, command, preset):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"t2": 100.0}))
         code = run(
-            "simulate", "--preset", "paper-20ns", "--config", config_path,
-            "--out", tmp_path / "x.json",
+            command, "--preset", preset, "--config", config_path,
+            "--out", tmp_path / "out",
         )
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [config_path]
 
     def test_neither_source_rejected(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x.json") == 2
@@ -588,6 +593,26 @@ class TestRender:
 
     def test_rejects_non_result(self, tmp_path, records_path):
         assert run("render", "--result", records_path, "--out", tmp_path / "m") == 2
+
+    def test_two_maps_share_one_sphere(self, tmp_path, result_path, monkeypatch):
+        projected = tmp_path / "projected.json"
+        assert run("project", "--result", result_path, "--out", projected) == 0
+        builds = []
+        for name in ("icosphere", "_repr_table"):
+            build = getattr(mesh, name)
+            monkeypatch.setattr(
+                mesh, name,
+                lambda *args, build=build, name=name: builds.append(name) or build(*args),
+            )
+        assert run(
+            "render", "--result", projected, "--out", tmp_path / "m", "--subdivisions", "2"
+        ) == 0
+        assert sorted(builds) == ["_repr_table", "icosphere"]
+        # Each file holds what a render of its map alone writes.
+        for block, affine in qio.document_affines(qio.read_json(str(projected))).items():
+            alone = tmp_path / f"{block}_alone.obj"
+            mesh.write_obj(mesh.ellipsoid_mesh(affine, 2), str(alone))
+            assert (tmp_path / f"m_{block}.obj").read_bytes() == alone.read_bytes()
 
     @pytest.mark.parametrize("command", ["render", "pipeline"])
     @pytest.mark.parametrize("value", ["0", "-3", "8"])
