@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotCompletelyPositiveError
+from .errors import NotCompletelyPositiveError, _number
 from .states import (
     OPERATION_ELEMENTS,
     PAULIS,
@@ -34,7 +34,6 @@ from .states import (
     SIGMA_Y,
     SIGMA_Z,
     check_hermitian,
-    hermiticity_defect,
 )
 
 # Kraus sets are plain lists of 2x2 complex arrays.
@@ -70,6 +69,19 @@ _ROW0 = _PTM_TENSOR[:4]
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array if its entries are integers or floats.
+
+    A cast to float would drop the imaginary part of complex entries and
+    parse text or booleans, so any other dtype raises a ``ValueError``
+    naming ``name``.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers or floats, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """Bloch-sphere action ``r -> matrix @ r + translation``."""
@@ -78,16 +90,9 @@ class AffineMap:
     translation: np.ndarray
 
     def __post_init__(self):
-        # Only integer and float entries: a cast to float would drop the
-        # imaginary part of complex entries and parse text or booleans.
         for name in ("matrix", "translation"):
-            array = np.asarray(getattr(self, name))
-            if array.dtype.kind not in "iuf":
-                raise ValueError(
-                    f"affine {name} must hold integers or floats, "
-                    f"got dtype {array.dtype}"
-                )
-            object.__setattr__(self, name, array.astype(float, copy=False))
+            array = _real_array(getattr(self, name), f"affine {name}")
+            object.__setattr__(self, name, array)
         matrix, translation = self.matrix, self.translation
         if matrix.shape != (3, 3):
             raise ValueError(f"affine matrix must be 3x3, got {matrix.shape}")
@@ -139,7 +144,7 @@ def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     contraction that gives each operator the same bits as a call on it
     alone.  Works for any 4x4 coefficient matrix, physical or not;
     Hermiticity of ``chi`` is the caller's responsibility (reconstruction
-    symmetrizes, and the standard constructors emit Hermitian matrices).
+    and the standard constructors emit Hermitian matrices).
     """
     chi = _as_chi(chi)
     rho = np.asarray(rho, dtype=complex)
@@ -271,14 +276,19 @@ def chi_from_affine(a: AffineMap) -> np.ndarray:
     transfer[0, 0] = 1.0
     transfer[1:, 0] = a.translation
     transfer[1:, 1:] = a.matrix
-    return _chi_from_ptm(transfer)[0]
+    return _chi_from_ptm(transfer)
 
 
-def _chi_from_ptm(transfer: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hermitian part of the chi matrix of a transfer matrix ``R``, and the
-    Frobenius norm of the anti-Hermitian part it drops (zero for real ``R``)."""
-    chi = (_CHI_FROM_PTM @ transfer.reshape(16)).reshape(4, 4)
-    return (chi + chi.conj().T) / 2.0, hermiticity_defect(chi)
+def _chi_from_ptm(transfer: np.ndarray) -> np.ndarray:
+    """The chi matrix of a transfer matrix ``R``; no input checks.
+
+    For a real ``R`` (real or complex dtype with zero imaginary part) the
+    result is Hermitian bit for bit.  Every entry of ``_CHI_FROM_PTM`` is
+    0, +-1/4 or +-i/4, and the row of ``chi[n, m]`` is the conjugate of the
+    row of ``chi[m, n]``, so the two sum the same exact products in the
+    same order and differ only in the sign of the imaginary part.
+    """
+    return (_CHI_FROM_PTM @ transfer.reshape(16)).reshape(4, 4)
 
 
 def compose_chi(first: np.ndarray, then: np.ndarray) -> np.ndarray:
@@ -288,7 +298,7 @@ def compose_chi(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     inputs must be Hermitian, so that each ``R`` is real.
     """
     first, then = (check_hermitian(_as_chi(chi), "chi matrix") for chi in (first, then))
-    return _chi_from_ptm(_transfer(then) @ _transfer(first))[0]
+    return _chi_from_ptm(_transfer(then) @ _transfer(first))
 
 
 def rotation_unitary(axis, angle: float) -> np.ndarray:
@@ -299,13 +309,14 @@ def rotation_unitary(axis, angle: float) -> np.ndarray:
             raise ValueError(f"unknown axis {axis!r}; expected x, y, or z")
         n = np.array(named[axis])
     else:
-        n = np.asarray(axis, dtype=float)
+        n = _real_array(axis, "axis")
         if n.shape != (3,):
             raise ValueError(f"axis must be a 3-vector, got shape {n.shape}")
         norm = float(np.linalg.norm(n))
         if norm == 0.0:
             raise ValueError("rotation axis must be nonzero")
         n = n / norm
+    angle = _number(angle, "angle")
     generator = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return math.cos(angle / 2.0) * SIGMA_0 - 1.0j * math.sin(angle / 2.0) * generator
 
@@ -316,7 +327,7 @@ def _decay_fraction(params: dict, rate_key: str, fraction_key: str, kind: str) -
         extra = set(params) - {fraction_key}
         if extra:
             raise ValueError(f"{kind}: unexpected parameters {sorted(extra)}")
-        value = float(params[fraction_key])
+        value = _number(params[fraction_key], f"{kind}: {fraction_key}")
     else:
         missing = {"t", rate_key} - set(params)
         if missing:
@@ -326,8 +337,8 @@ def _decay_fraction(params: dict, rate_key: str, fraction_key: str, kind: str) -
         extra = set(params) - {"t", rate_key}
         if extra:
             raise ValueError(f"{kind}: unexpected parameters {sorted(extra)}")
-        t = float(params["t"])
-        scale = float(params[rate_key])
+        t = _number(params["t"], f"{kind}: t")
+        scale = _number(params[rate_key], f"{kind}: {rate_key}")
         if scale <= 0.0:
             raise ValueError(f"{kind}: {rate_key} must be positive, got {scale}")
         if t < 0.0:
@@ -378,7 +389,7 @@ def standard_channel(kind: str, **params) -> np.ndarray:
     if kind == "depolarizing":
         if set(params) != {"p"}:
             raise ValueError("depolarizing takes exactly the parameter p=")
-        p = float(params["p"])
+        p = _number(params["p"], "depolarizing: p")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"depolarizing: p {p} outside [0, 1]")
         return np.diag(
@@ -387,5 +398,5 @@ def standard_channel(kind: str, **params) -> np.ndarray:
     if kind == "unitary_rotation":
         if set(params) != {"axis", "angle"}:
             raise ValueError("unitary_rotation takes exactly axis= and angle=")
-        return chi_from_kraus([rotation_unitary(params["axis"], float(params["angle"]))])
+        return chi_from_kraus([rotation_unitary(params["axis"], params["angle"])])
     raise ValueError(f"unknown channel kind {kind!r}")

@@ -221,9 +221,9 @@ _CHANNEL_PARAMETERS = {
 
 
 def _channel_by_name(name: str) -> np.ndarray:
-    base, _, argument = name.partition(":")
+    base, colon, argument = name.partition(":")
     kind = base.replace("-", "_")
-    if kind == "identity":
+    if kind == "identity" and not colon:
         return standard_channel("identity")
     if kind not in _CHANNEL_PARAMETERS:
         raise ConfigError(

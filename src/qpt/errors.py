@@ -3,10 +3,11 @@ values, and the one rule for what a numeric field accepts.
 
 ``_integer`` and ``_number`` are that rule.  Every constructor that takes
 a number (``ExperimentConfig``, ``MeasurementRecord``,
-``ExpectationRecord``) checks its own fields with them, and :mod:`qpt.io`
-uses the same two for the numbers it reads outside those constructors, so
-a library caller and the CLI reject the same values with the same
-field-named ``ValueError``.
+``ExpectationRecord``) checks its own fields with them, the named channels
+of :mod:`qpt.channels` check their parameters with ``_number``, and
+:mod:`qpt.io` uses the same two for the numbers it reads outside those
+constructors, so a library caller and the CLI reject the same values with
+the same field-named ``ValueError``.
 """
 
 import numbers

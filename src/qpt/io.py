@@ -209,9 +209,7 @@ def result_document(
                 "min_choi_eigenvalue": estimate.cp_min_eigenvalue,
             },
             "tp": {"flag": estimate.tp_flag, "deficit": estimate.tp_deficit},
-            "anti_hermitian_norm": estimate.anti_hermitian_norm,
             "residuals": list(estimate.residuals),
-            "lambda": encode_complex_matrix(estimate.lambda_matrix),
         },
         "projected": None,
         "discrepancy": None,

@@ -10,23 +10,22 @@ In the Pauli coordinates ``coords(m)[i] = tr(sigma_i m)`` of
 ``P_O`` the outputs'.  The Pauli transfer matrix
 ``R[i, j] = (1/2) tr(sigma_i E(sigma_j))`` of the channel satisfies
 ``P_O = R P_B``, so ``R = P_O P_B^-1``, and chi is the image of ``R`` under
-the fixed inverse transfer tensor of :mod:`qpt.channels`.  The lambda matrix
-(the outputs expanded over the inputs, row j = image of rho_j) is
-``(P_B^-1 P_O)^T``.  The inputs are the ones the records' config declares
-by its ``(polarization, pulse_error)``; records without a config declare a
-perfect preparation ``(1, 0)``.  ``P_B^-1`` is read from the simulator's
-per-preparation cache, whose inputs come from the one function that also
-builds the simulated ones, so a reconstruction inverts exactly the inputs
-the simulator prepared, the perfect preparation included.
+the fixed inverse transfer tensor of :mod:`qpt.channels`.  The inputs are
+the ones the records' config declares by its ``(polarization,
+pulse_error)``; records without a config declare a perfect preparation
+``(1, 0)``.  ``P_B^-1`` is read from the simulator's per-preparation
+cache, whose inputs come from the one function that also builds the
+simulated ones, so a reconstruction inverts exactly the inputs the
+simulator prepared, the perfect preparation included.
 
 Fitted outputs are Hermitian with trace 1, so ``R`` is real with first row
-``(1, 0, 0, 0)`` and chi is Hermitian and trace preserving up to round-off.
-The estimate keeps the Hermitian part of chi and records the norm of the
-discarded anti-Hermitian part as a diagnostic.
+``(1, 0, 0, 0)``.  chi is therefore Hermitian by construction, bit for bit
+(see ``channels._chi_from_ptm``), and trace preserving up to round-off.
 
-chi is the one reconstructed object.  An estimate stores it and reads
-every other representation (the affine Bloch map) and its CP/TP verdicts
-from it on access, so they cannot disagree with the chi they describe.
+An estimate stores chi and the per-input fit residuals, nothing else.  It
+reads every other representation (the affine Bloch map) and its CP/TP
+verdicts from chi on access, so they cannot disagree with the chi they
+describe.
 """
 
 from __future__ import annotations
@@ -45,7 +44,13 @@ from .channels import (
     _lowest_eigenvalue,
     _tp_deficit,
 )
-from .states import TRACE_TOL, _coords, _coords_inverse, check_hermitian
+from .states import (
+    TRACE_TOL,
+    _coords,
+    _coords_inverse,
+    check_hermitian,
+    hermiticity_defect,
+)
 from .simulator import _preparation
 from .state_tomography import bloch_target, fit_states
 
@@ -82,7 +87,9 @@ def lambda_from_outputs(
 ) -> np.ndarray:
     """Expand the four output states over the input basis, row j = image of rho_j.
 
-    Row j is ``P_B^-1 @ coords(outputs[j])``.
+    Row j is ``P_B^-1 @ coords(outputs[j])``: Nielsen and Chuang's lambda
+    matrix.  Reconstruction does not use it: only ``perfbench`` and the tests
+    call it, and ROADMAP item 1 deletes it.
     """
     if len(outputs) != 4:
         raise ValueError(f"expected 4 output states, got {len(outputs)}")
@@ -107,24 +114,27 @@ def chi_from_lambda(
 
     The transfer matrix of the process is ``R = P_B lam^T P_B^-1`` over the
     basis (the perfect preparation by default), and chi its image under the
-    inverse transfer tensor.  The anti-Hermitian part of that chi is split
-    off and its Frobenius norm returned alongside the Hermitian part; it
-    vanishes when ``R`` is real, as it is for Hermitian trace-1 outputs.
+    inverse transfer tensor.  An arbitrary lambda gives a complex ``R``, so
+    the anti-Hermitian part of that chi is split off here and its Frobenius
+    norm returned alongside the Hermitian part; it vanishes when ``R`` is
+    real, as it is for Hermitian trace-1 outputs.  Reconstruction does not
+    use this route: only ``perfbench`` and the tests call it, and ROADMAP
+    item 1 deletes it.
     """
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (4, 4):
         raise ValueError(f"lambda matrix must be 4x4, got {lam.shape}")
     coords, inverse = _basis_coords(rho_basis)
-    return _chi_from_ptm(coords @ lam.T @ inverse)
+    chi = _chi_from_ptm(coords @ lam.T @ inverse)
+    return (chi + chi.conj().T) / 2.0, hermiticity_defect(chi)
 
 
 @dataclass(frozen=True)
 class ProcessEstimate:
     """Reconstructed process with its fit diagnostics.
 
-    Stored: the Hermitian (symmetrized) ``chi``, the per-input state-fit
-    ``residuals``, the norm of the anti-Hermitian part split off chi and
-    the ``lambda_matrix``.  Everything else is read from ``chi`` on each
+    Stored: ``chi``, Hermitian by construction, and the per-input
+    state-fit ``residuals``.  Everything else is read from ``chi`` on each
     access: ``affine`` is its Bloch-sphere action, ``affine_from_chi(chi)``,
     and ``cp_flag`` / ``tp_flag`` report whether it is completely positive
     and trace preserving within ``CP_TOL`` / ``TP_TOL``, with the underlying
@@ -133,8 +143,6 @@ class ProcessEstimate:
 
     chi: np.ndarray
     residuals: tuple[float, ...]
-    anti_hermitian_norm: float
-    lambda_matrix: np.ndarray
 
     @property
     def affine(self) -> AffineMap:
@@ -173,10 +181,10 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
 
     Elements that carry a ``config`` declare their preparation by its
     ``(polarization, pulse_error)``; elements without one declare the
-    perfect preparation.  lambda and chi are solved over the declared
-    prepared inputs ``prepare_input(config, 1..4)``.  Elements declaring
-    different preparations, or a preparation whose inputs do not span,
-    raise ``ValueError``.
+    perfect preparation.  chi is solved over the declared prepared inputs
+    ``prepare_input(config, 1..4)``.  Elements declaring different
+    preparations, or a preparation whose inputs do not span, raise
+    ``ValueError``.
     """
     if len(record_sets) != 4:
         raise ValueError(
@@ -207,13 +215,7 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     outputs[0] = 1.0
     outputs[1:] = bloch.T
     # chi is built here, so it skips the public checkers' input validation.
-    chi, anti_norm = _chi_from_ptm(outputs @ inverse)
-    return ProcessEstimate(
-        chi=chi,
-        residuals=tuple(residuals.tolist()),
-        anti_hermitian_norm=anti_norm,
-        lambda_matrix=(inverse @ outputs).T,
-    )
+    return ProcessEstimate(_chi_from_ptm(outputs @ inverse), tuple(residuals.tolist()))
 
 
 def _declared_inverse(preparations: set) -> np.ndarray:

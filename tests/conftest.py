@@ -410,14 +410,8 @@ def loop_run_process_tomography(record_sets):
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"input state {j} ({INPUT_STATE_LABELS[j]}): {exc}") from exc
 
-    lam = loop_lambda_from_outputs([e.rho for e in estimates])
-    chi, anti_norm = loop_chi_from_lambda(lam)
-    return ProcessEstimate(
-        chi=chi,
-        residuals=tuple(e.residual for e in estimates),
-        anti_hermitian_norm=anti_norm,
-        lambda_matrix=lam,
-    )
+    chi, _ = loop_chi_from_lambda(loop_lambda_from_outputs([e.rho for e in estimates]))
+    return ProcessEstimate(chi=chi, residuals=tuple(e.residual for e in estimates))
 
 
 def loop_project_to_physical(chi, max_iterations: int = 10000):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     expand_in_operation_basis,
@@ -334,6 +336,64 @@ class TestStandardChannels:
             ch.rotation_unitary("w", 1.0)
         with pytest.raises(ValueError, match="nonzero"):
             ch.rotation_unitary([0.0, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("dephasing", {"factor": "0.5"}, "dephasing: factor must be a number"),
+            ("dephasing", {"factor": True}, "dephasing: factor must be a number"),
+            ("dephasing", {"factor": None}, "dephasing: factor must be a number"),
+            ("dephasing", {"factor": 10**400}, "dephasing: factor must be a number within"),
+            ("dephasing", {"t": 5.0, "t2": "10"}, "dephasing: t2 must be a number"),
+            ("amplitude_damping", {"gamma": "0.1"}, "amplitude_damping: gamma must be"),
+            ("amplitude_damping", {"t": "5", "t1": "10"}, "amplitude_damping: t must be"),
+            ("amplitude_damping", {"t": 5.0, "t1": "10"}, "amplitude_damping: t1 must be"),
+            ("depolarizing", {"p": "0.3"}, "depolarizing: p must be a number"),
+            ("depolarizing", {"p": 1j}, "depolarizing: p must be a number"),
+            ("unitary_rotation", {"axis": "x", "angle": "1"}, "angle must be a number"),
+            ("unitary_rotation", {"axis": ["1", "0", "0"], "angle": 1.0}, "axis must hold"),
+            ("unitary_rotation", {"axis": [1j, 0, 0], "angle": 1.0}, "axis must hold"),
+            ("unitary_rotation", {"axis": [True, False, False], "angle": 1.0}, "axis must hold"),
+        ],
+        ids=[
+            "factor-text", "factor-boolean", "factor-none", "factor-huge-integer",
+            "t2-text", "gamma-text", "t-text", "t1-text", "p-text", "p-complex",
+            "angle-text", "axis-text", "axis-complex", "axis-boolean",
+        ],
+    )
+    def test_parameters_are_numbers(self, kind, params, message):
+        # The one rule of errors._number: no text, boolean, None, complex or
+        # out-of-range integer is coerced into a parameter.
+        with pytest.raises(ValueError, match=message):
+            ch.standard_channel(kind, **params)
+
+    def test_integer_and_numpy_parameters_accepted(self):
+        np.testing.assert_array_equal(
+            ch.standard_channel("dephasing", factor=1), ch.standard_channel("identity")
+        )
+        np.testing.assert_array_equal(
+            ch.standard_channel("depolarizing", p=np.float64(0.5)),
+            ch.standard_channel("depolarizing", p=0.5),
+        )
+        np.testing.assert_array_equal(
+            ch.rotation_unitary(np.array([0, 0, 2]), 1), ch.rotation_unitary("z", 1.0)
+        )
+
+
+class TestTransferInverse:
+    """A real transfer matrix maps to a chi that is Hermitian bit for bit."""
+
+    @given(
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+        exponent=st.floats(-3.0, 3.0),
+    )
+    def test_real_transfer_gives_exactly_hermitian_chi(self, entries, exponent):
+        transfer = np.reshape(entries, (4, 4)) * 10.0**exponent
+        # Reconstruction multiplies by the complex-typed P_B^-1, so its
+        # transfer matrix is complex with a zero imaginary part.
+        for r in (transfer, transfer.astype(complex)):
+            chi = ch._chi_from_ptm(r)
+            assert np.array_equal(chi, chi.conj().T)
 
 
 class TestComposition:

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import loop_lambda_from_outputs
 from qpt import io as qio
 from qpt import mesh, projection
-from qpt.channels import standard_channel
+from qpt.channels import apply_chi, standard_channel
 from qpt.cli import main
+from qpt.process_tomography import input_basis
 
 
 # A JSON integer of 401 digits: valid JSON, but beyond the float range.
@@ -536,9 +538,13 @@ class TestCompare:
         assert qio.read_json(str(out))["context"][0].endswith(":projected")
 
     def test_unknown_channel_name(self, tmp_path, capsys):
-        code = run("compare", "identity", "squeezing:0.5", "--out", tmp_path / "c.json")
-        assert code == 2
-        assert "squeezing" in capsys.readouterr().err
+        # identity takes no parameter, so identity: with any text is unknown.
+        out = tmp_path / "c.json"
+        for name in ("squeezing:0.5", "identity:", "identity:x", "identity:0.5"):
+            assert run("compare", "identity", name, "--out", out) == 2
+            message = f"{name!r} is neither an existing result file nor a known channel"
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_malformed_factor(self, tmp_path):
         assert run("compare", "dephasing:x", "identity", "--out", tmp_path / "c.json") == 2
@@ -565,6 +571,59 @@ class TestCompare:
         assert qio.read_json(str(out))["state_metrics"]["skipped"] == (
             "skipped: unphysical Choi for broken.json:raw: not Hermitian (defect 7.071e-07)"
         )
+
+
+class TestResultWithLambda:
+    """Result documents that carry ``raw.lambda`` and
+    ``raw.anti_hermitian_norm``, which reconstruction no longer writes,
+    read as they did: no command reads either key."""
+
+    @pytest.fixture
+    def documents(self, tmp_path, result_path):
+        """The same result without and with the two keys, each saved as
+        ``result.json`` in its own directory so that labels match."""
+        plain = json.loads(result_path.read_text())
+        chi = qio.document_chi(plain)
+        outputs = [apply_chi(chi, rho) for rho in input_basis()]
+        raw = plain["raw"]
+        carried = copy.deepcopy(plain)
+        # The key order of the former writer.
+        carried["raw"] = {
+            "chi": raw["chi"],
+            "affine": raw["affine"],
+            "cp": raw["cp"],
+            "tp": raw["tp"],
+            "anti_hermitian_norm": 0.0,
+            "residuals": raw["residuals"],
+            "lambda": qio.encode_complex_matrix(loop_lambda_from_outputs(outputs)),
+        }
+        paths = {}
+        for name, doc in (("plain", plain), ("carried", carried)):
+            (tmp_path / name).mkdir()
+            paths[name] = tmp_path / name / "result.json"
+            paths[name].write_text(json.dumps(doc))
+        return paths
+
+    def test_compare_and_render_ignore_the_keys(self, tmp_path, documents):
+        for name, path in documents.items():
+            out = tmp_path / name
+            assert run("compare", path, "identity", "--out", out / "c.json") == 0
+            assert run(
+                "render", "--result", path, "--out", out / "m", "--subdivisions", "2"
+            ) == 0
+        for file in ("c.json", "m_raw.obj", "m_raw.json"):
+            plain = (tmp_path / "plain" / file).read_bytes()
+            assert (tmp_path / "carried" / file).read_bytes() == plain, file
+
+    def test_project_carries_the_keys(self, tmp_path, documents):
+        for name, path in documents.items():
+            assert run("project", "--result", path, "--out", tmp_path / name / "p.json") == 0
+        carried = json.loads((tmp_path / "carried" / "p.json").read_text())
+        expected = json.loads((tmp_path / "plain" / "p.json").read_text())
+        source = json.loads(documents["carried"].read_text())["raw"]
+        for key in ("anti_hermitian_norm", "lambda"):
+            expected["raw"][key] = source[key]
+        assert carried == expected
 
 
 class TestRender:

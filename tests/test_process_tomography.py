@@ -214,9 +214,7 @@ class TestAffineFromImages:
 
 class TestRunProcessTomography:
     def test_stores_only_what_reconstruction_computes(self):
-        assert [f.name for f in fields(ProcessEstimate)] == [
-            "chi", "residuals", "anti_hermitian_norm", "lambda_matrix",
-        ]
+        assert [f.name for f in fields(ProcessEstimate)] == ["chi", "residuals"]
 
     def test_derived_values_follow_chi(self):
         estimate = run_process_tomography(exact_records(IDENTITY_CHI))
@@ -239,8 +237,6 @@ class TestRunProcessTomography:
         np.testing.assert_allclose(estimate.chi, IDENTITY_CHI, atol=1e-12)
         assert estimate.cp_flag and estimate.tp_flag and estimate.physical
         np.testing.assert_allclose(estimate.residuals, np.zeros(4), atol=1e-14)
-        assert estimate.anti_hermitian_norm == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(estimate.lambda_matrix, np.eye(4), atol=1e-12)
 
     def test_dephasing_channel(self):
         chi = ch.standard_channel("dephasing", factor=0.5)
@@ -319,10 +315,13 @@ class TestDeclaredPreparation:
         estimate = run_process_tomography(run_experiment(config))
         assert np.linalg.norm(estimate.chi - true_channel(config)) < 1e-13
         assert estimate.physical
+        # Cross-check with the lambda route over the same declared inputs.
         basis = [prepare_input(config, i) for i in range(1, 5)]
         outputs = [ch.apply_chi(true_channel(config), rho) for rho in basis]
         np.testing.assert_allclose(
-            estimate.lambda_matrix, lambda_from_outputs(outputs, basis), atol=1e-14
+            estimate.chi,
+            chi_from_lambda(lambda_from_outputs(outputs, basis), basis)[0],
+            rtol=0, atol=1e-14,
         )
 
     @pytest.mark.parametrize("pulse_error", [0.0, 0.05, -0.2])
@@ -341,8 +340,8 @@ class TestDeclaredPreparation:
 
     @pytest.mark.parametrize("shots", [10, 100, 1000])
     def test_noisy_records_give_hermitian_tp_chi(self, shots):
-        # Fitted outputs are Hermitian with trace 1, so the anti-Hermitian
-        # part and the TP deficit of the raw estimate are round-off only.
+        # Fitted outputs are Hermitian with trace 1, so the transfer matrix
+        # is real: chi is Hermitian exactly and its TP deficit is round-off.
         for seed in range(40):
             config = ExperimentConfig(
                 t2=100.0, t1=(math.inf, 80.0)[seed % 2],
@@ -350,7 +349,7 @@ class TestDeclaredPreparation:
                 seed=seed, polarization=0.6, pulse_error=-0.3,
             )
             estimate = run_process_tomography(run_experiment(config))
-            assert estimate.anti_hermitian_norm <= 1e-14
+            assert np.array_equal(estimate.chi, estimate.chi.conj().T)
             assert estimate.tp_deficit <= 2e-14
 
     @pytest.mark.parametrize("polarization, pulse_error", [(0.7, -0.1), (0.9, 0.2)])
@@ -361,7 +360,8 @@ class TestDeclaredPreparation:
             t2=100.0, decoherence_time=40.0,
             polarization=polarization, pulse_error=pulse_error,
         )
-        assert run_process_tomography(run_experiment(config)).anti_hermitian_norm == 0.0
+        chi = run_process_tomography(run_experiment(config)).chi
+        assert np.array_equal(chi, chi.conj().T)
 
     def test_random_channel_override(self, rng):
         config = ExperimentConfig(t2=100.0, polarization=0.85, pulse_error=-0.05)
@@ -426,14 +426,13 @@ class TestDeclaredPreparation:
 
 def assert_estimates_match(new, old):
     """Every ProcessEstimate field within round-off of the loop oracle."""
-    for name in ("chi", "lambda_matrix"):
-        np.testing.assert_allclose(getattr(new, name), getattr(old, name), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(new.chi, old.chi, rtol=0, atol=1e-14)
     np.testing.assert_allclose(new.affine.matrix, old.affine.matrix, rtol=0, atol=1e-14)
     np.testing.assert_allclose(
         new.affine.translation, old.affine.translation, rtol=0, atol=1e-14
     )
     assert (new.cp_flag, new.tp_flag) == (old.cp_flag, old.tp_flag)
-    for name in ("cp_min_eigenvalue", "tp_deficit", "anti_hermitian_norm"):
+    for name in ("cp_min_eigenvalue", "tp_deficit"):
         assert getattr(new, name) == pytest.approx(getattr(old, name), rel=0, abs=1e-14)
     np.testing.assert_allclose(new.residuals, old.residuals, rtol=1e-15, atol=1e-14)
 
