@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotCompletelyPositiveError, _number
+from .errors import NotCompletelyPositiveError, _array, _number
 from .states import (
     OPERATION_ELEMENTS,
     PAULIS,
@@ -69,19 +69,6 @@ _ROW0 = _PTM_TENSOR[:4]
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _real_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array if its entries are integers or floats.
-
-    A cast to float would drop the imaginary part of complex entries and
-    parse text or booleans, so any other dtype raises a ``ValueError``
-    naming ``name``.
-    """
-    array = np.asarray(value)
-    if array.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold integers or floats, got dtype {array.dtype}")
-    return array.astype(float, copy=False)
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """Bloch-sphere action ``r -> matrix @ r + translation``."""
@@ -90,51 +77,31 @@ class AffineMap:
     translation: np.ndarray
 
     def __post_init__(self):
-        for name in ("matrix", "translation"):
-            array = _real_array(getattr(self, name), f"affine {name}")
+        for name, shape in (("matrix", (3, 3)), ("translation", (3,))):
+            array = _array(getattr(self, name), f"affine {name}", shape, real=True)
             object.__setattr__(self, name, array)
-        matrix, translation = self.matrix, self.translation
-        if matrix.shape != (3, 3):
-            raise ValueError(f"affine matrix must be 3x3, got {matrix.shape}")
-        if translation.shape != (3,):
-            raise ValueError(
-                f"affine translation must be a 3-vector, got {translation.shape}"
-            )
-        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(translation))):
-            raise ValueError("affine map contains non-finite entries")
 
     def __call__(self, r: Sequence[float]) -> np.ndarray:
         return apply_affine(self, r)
 
 
 def apply_affine(a: AffineMap, r: Sequence[float]) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"expected a Bloch 3-vector, got shape {r.shape}")
-    return a.matrix @ r + a.translation
+    return a.matrix @ _array(r, "Bloch vector", (3,), real=True) + a.translation
 
 
 def _as_chi(chi: np.ndarray) -> np.ndarray:
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (4, 4):
-        raise ValueError(f"chi matrix must be 4x4, got {chi.shape}")
-    if not np.all(np.isfinite(chi)):
-        raise ValueError("chi matrix contains non-finite entries")
-    return chi
+    return _array(chi, "chi matrix", (4, 4))
 
 
-def _as_operator(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got {m.shape}")
-    return m
+def _kraus_stack(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """The (k, 2, 2) stack of a nonempty Kraus set."""
+    if len(ops) == 0:
+        raise ValueError("Kraus set must contain at least one operator")
+    return np.stack([_array(k, f"Kraus operator {i}", (2, 2)) for i, k in enumerate(ops)])
 
 
 def operator_from_coefficients(c: Sequence[complex]) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (4,):
-        raise ValueError(f"expected 4 coefficients, got shape {c.shape}")
-    return np.einsum("m,mij->ij", c, _OPS)
+    return np.einsum("m,mij->ij", _array(c, "coefficients", (4,)), _OPS)
 
 
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -142,23 +109,21 @@ def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     ``rho`` is one 2x2 operator or a (k, 2, 2) stack, mapped in one
     contraction that gives each operator the same bits as a call on it
-    alone.  Works for any 4x4 coefficient matrix, physical or not;
-    Hermiticity of ``chi`` is the caller's responsibility (reconstruction
-    and the standard constructors emit Hermitian matrices).
+    alone.  Works for any 4x4 coefficient matrix with finite entries,
+    physical or not; Hermiticity of ``chi`` is the caller's responsibility
+    (reconstruction and the standard constructors emit Hermitian matrices).
     """
     chi = _as_chi(chi)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _array(rho, "rho")
     if rho.shape[-2:] != (2, 2) or rho.ndim not in (2, 3):
-        raise ValueError(f"expected a 2x2 operator or a stack of them, got {rho.shape}")
+        raise ValueError(f"rho: expected a 2x2 operator or a stack of them, got {rho.shape}")
     return np.einsum("mn,mik,...kl,njl->...ij", chi, _OPS, rho, _OPS_CONJ)
 
 
 def apply_kraus(ops: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     """Evaluate ``sum_k K_k rho K_k^dag``."""
-    if len(ops) == 0:
-        raise ValueError("Kraus set must contain at least one operator")
-    stack = np.stack([_as_operator(k) for k in ops])
-    rho = _as_operator(rho)
+    stack = _kraus_stack(ops)
+    rho = _array(rho, "rho", (2, 2))
     return np.einsum("kil,lm,kjm->ij", stack, rho, stack.conj())
 
 
@@ -169,9 +134,7 @@ def chi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
     ``K_k = sum_m c[k, m] A_m``, giving ``chi = sum_k c_k c_k^dag``,
     which is PSD by construction.
     """
-    if len(ops) == 0:
-        raise ValueError("Kraus set must contain at least one operator")
-    stack = np.stack([_as_operator(k) for k in ops])
+    stack = _kraus_stack(ops)
     coeff = np.einsum("mij,kij->km", _OPS.conj(), stack) / 2.0
     return np.einsum("km,kn->mn", coeff, coeff.conj())
 
@@ -238,9 +201,7 @@ def choi_from_chi(chi: np.ndarray) -> np.ndarray:
 
 
 def chi_from_choi(choi: np.ndarray) -> np.ndarray:
-    choi = np.asarray(choi, dtype=complex)
-    if choi.shape != (4, 4):
-        raise ValueError(f"Choi state must be 4x4, got {choi.shape}")
+    choi = _array(choi, "Choi state", (4, 4))
     return _CHOI_BASIS.conj().T @ choi @ _CHOI_BASIS
 
 
@@ -309,14 +270,17 @@ def rotation_unitary(axis, angle: float) -> np.ndarray:
             raise ValueError(f"unknown axis {axis!r}; expected x, y, or z")
         n = np.array(named[axis])
     else:
-        n = _real_array(axis, "axis")
-        if n.shape != (3,):
-            raise ValueError(f"axis must be a 3-vector, got shape {n.shape}")
-        norm = float(np.linalg.norm(n))
-        if norm == 0.0:
+        n = _array(axis, "axis", (3,), real=True)
+        # Scaled to a largest entry of 1 first, so the norm neither
+        # overflows nor underflows.
+        largest = np.abs(n).max()
+        if largest == 0.0:
             raise ValueError("rotation axis must be nonzero")
-        n = n / norm
+        n = n / largest
+        n = n / np.linalg.norm(n)
     angle = _number(angle, "angle")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     generator = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return math.cos(angle / 2.0) * SIGMA_0 - 1.0j * math.sin(angle / 2.0) * generator
 

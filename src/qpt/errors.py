@@ -1,17 +1,21 @@
 """Exception types shared across the toolkit, how their messages show input
-values, and the one rule for what a numeric field accepts.
+values, and the one rule for what a number and an array accept.
 
-``_integer`` and ``_number`` are that rule.  Every constructor that takes
-a number (``ExperimentConfig``, ``MeasurementRecord``,
+``_integer`` and ``_number`` are that rule for a number.  Every
+constructor that takes one (``ExperimentConfig``, ``MeasurementRecord``,
 ``ExpectationRecord``) checks its own fields with them, the named channels
 of :mod:`qpt.channels` check their parameters with ``_number``, and
 :mod:`qpt.io` uses the same two for the numbers it reads outside those
 constructors, so a library caller and the CLI reject the same values with
-the same field-named ``ValueError``.
+the same field-named ``ValueError``.  ``_array`` is the rule for a matrix,
+vector or stack: every public function that takes one converts it there
+and nowhere else.
 """
 
 import numbers
 import operator
+
+import numpy as np
 
 
 def _shown(value) -> str:
@@ -72,6 +76,30 @@ def _number(value, field: str) -> int | float:
         if isinstance(value, numbers.Real):
             return float(value)
     raise ValueError(f"{field} must be a number, got {_shown(value)}")
+
+
+def _array(value, name: str, shape: tuple[int, ...] | None = None, real: bool = False):
+    """``value`` as a float (``real``) or complex array, else a
+    ``ValueError`` that starts with ``name``.
+
+    Only integer, float and, unless ``real``, complex entries are
+    converted: booleans, text, bytes and objects such as ``None`` never
+    are.  The shape must be ``shape`` when given, and every entry finite.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: not an array: {exc}") from None
+    if array.dtype.kind not in ("iuf" if real else "iufc"):
+        kinds = "integers or floats" if real else "integers, floats or complex numbers"
+        raise ValueError(f"{name}: must hold {kinds}, got dtype {array.dtype}")
+    if shape is not None and array.shape != shape:
+        expected = "x".join(map(str, shape))
+        raise ValueError(f"{name}: expected shape {expected}, got {array.shape}")
+    array = array.astype(float if real else complex, copy=False)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name}: non-finite entries")
+    return array
 
 
 class QptError(Exception):

@@ -113,10 +113,33 @@ def config_from_dict(data) -> ExperimentConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
+def _in_input_order(records: Sequence[MeasurementRecord]) -> list[MeasurementRecord]:
+    """``records`` ordered by ``input_index``; ``ValueError`` unless each
+    index ``1..INPUT_COUNT`` appears exactly once."""
+    by_index = {}
+    for pos, record in enumerate(records):
+        if record.input_index in by_index:
+            raise ValueError(f"records[{pos}]: duplicate input_index {record.input_index}")
+        by_index[record.input_index] = record
+    missing = sorted(set(range(1, INPUT_COUNT + 1)) - set(by_index))
+    if missing:
+        raise ValueError(f"missing input_index {missing}")
+    return [by_index[index] for index in sorted(by_index)]
+
+
 def records_document(records: Sequence[MeasurementRecord]) -> dict:
+    """The ``qpt-records`` document of one run, its records in the order
+    given.
+
+    Every record must carry the same config, and each input index
+    ``1..INPUT_COUNT`` appear exactly once; else ``ValueError``.
+    """
     if not records:
         raise ValueError("no measurement records to serialize")
     config = records[0].config
+    if any(record.config != config for record in records):
+        raise ValueError("records carry different configs; a document holds one run")
+    _in_input_order(records)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": RECORDS_KIND,
@@ -165,7 +188,7 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
     entries = _require(doc, "records", "records document")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("records document: records must be a non-empty list")
-    parsed = {}
+    parsed = []
     for pos, entry in enumerate(entries):
         context = f"records[{pos}]"
         if not isinstance(entry, dict):
@@ -185,13 +208,11 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{context}: {exc}") from exc
-        if record.input_index in parsed:
-            raise ConfigError(f"{context}: duplicate input_index {record.input_index}")
-        parsed[record.input_index] = record
-    missing = sorted(set(range(1, INPUT_COUNT + 1)) - set(parsed))
-    if missing:
-        raise ConfigError(f"records document: missing input_index {missing}")
-    return [parsed[index] for index in sorted(parsed)]
+        parsed.append(record)
+    try:
+        return _in_input_order(parsed)
+    except ValueError as exc:
+        raise ConfigError(f"records document: {exc}") from None
 
 
 def result_document(

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import CP_TOL
-from .errors import InvalidStateError
+from .errors import InvalidStateError, _array
 from .states import check_density_matrix, check_hermitian
 
 
@@ -52,11 +52,9 @@ class MatrixNorms(NamedTuple):
 
 
 def matrix_norms(x: np.ndarray) -> MatrixNorms:
-    x = np.asarray(x, dtype=complex)
+    x = _array(x, "matrix")
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix contains non-finite entries")
+        raise ValueError(f"matrix: expected a square matrix, got shape {x.shape}")
     absolute = np.abs(x)
     singular = np.linalg.svd(x, compute_uv=False)
     return MatrixNorms(
@@ -70,8 +68,7 @@ def matrix_norms(x: np.ndarray) -> MatrixNorms:
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """``(1/2) tr |a - b|`` for Hermitian matrices of equal dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _array(a, "first state"), _array(b, "second state")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = check_hermitian(a - b, "difference")
@@ -87,7 +84,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     raises ``InvalidStateError``: unphysical estimates must be projected
     before fidelity is meaningful.
     """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a, b = _array(a, "first state"), _array(b, "second state")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return _fidelity(_root(a, "first state"), _root(b, "second state"))
@@ -195,10 +192,8 @@ def process_distance_report(
     Each operand is checked as a state under its label, ``chi_a`` first;
     a finite operand that fails only skips the state block.
     """
-    chi_a = np.asarray(chi_a, dtype=complex)
-    chi_b = np.asarray(chi_b, dtype=complex)
-    if chi_a.shape != (4, 4) or chi_b.shape != (4, 4):
-        raise ValueError("both processes must be 4x4 coefficient matrices")
+    chi_a = _array(chi_a, context[0], (4, 4))
+    chi_b = _array(chi_b, context[1], (4, 4))
     report = DiscrepancyReport.from_difference(chi_a - chi_b, context)
     try:
         roots = [_root(chi, label) for chi, label in zip((chi_a, chi_b), report.context)]

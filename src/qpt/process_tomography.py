@@ -44,6 +44,7 @@ from .channels import (
     _lowest_eigenvalue,
     _tp_deficit,
 )
+from .errors import _array
 from .states import (
     TRACE_TOL,
     _coords,
@@ -74,10 +75,7 @@ def _basis_coords(rho_basis: Sequence[np.ndarray] | None) -> tuple[np.ndarray, n
     """``P_B`` and ``P_B^-1`` of a basis, the perfect preparation by default."""
     if rho_basis is None:
         return _preparation(*_IDEAL)[1:]
-    stack = np.asarray(rho_basis, dtype=complex)
-    if stack.shape != (4, 2, 2):
-        raise ValueError(f"state basis must be four 2x2 matrices, got {stack.shape}")
-    coords = _coords(stack)
+    coords = _coords(_array(rho_basis, "state basis", (4, 2, 2)))
     return coords, _coords_inverse(coords)
 
 
@@ -95,11 +93,7 @@ def lambda_from_outputs(
         raise ValueError(f"expected 4 output states, got {len(outputs)}")
     stack = []
     for j, out in enumerate(outputs):
-        out = np.asarray(out, dtype=complex)
-        if out.shape != (2, 2):
-            raise ValueError(f"output {j}: expected a 2x2 matrix, got {out.shape}")
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"output {j}: non-finite entries")
+        out = _array(out, f"output {j}", (2, 2))
         check_hermitian(out, f"output {j}")
         if abs(out.trace() - 1.0) > TRACE_TOL:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
@@ -121,9 +115,7 @@ def chi_from_lambda(
     use this route: only ``perfbench`` and the tests call it, and ROADMAP
     item 1 deletes it.
     """
-    lam = np.asarray(lam, dtype=complex)
-    if lam.shape != (4, 4):
-        raise ValueError(f"lambda matrix must be 4x4, got {lam.shape}")
+    lam = _array(lam, "lambda matrix", (4, 4))
     coords, inverse = _basis_coords(rho_basis)
     chi = _chi_from_ptm(coords @ lam.T @ inverse)
     return (chi + chi.conj().T) / 2.0, hermiticity_defect(chi)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, _array
 
 # Tolerances shared by the validation helpers.  Hermiticity and trace checks
 # allow more slack than the eigenvalue clamp because they absorb accumulated
@@ -69,16 +69,18 @@ def check_density_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one density-matrix check, for any square dimension.
 
-    Shape, finiteness, Hermiticity, unit trace, then the lowest eigenvalue
-    against ``-eigenvalue_tol``, in that order; raises
-    ``InvalidStateError`` prefixed by ``context`` at the first that fails.
+    The entries (by ``errors._array``), squareness, Hermiticity, unit
+    trace, then the lowest eigenvalue against ``-eigenvalue_tol``, in that
+    order; raises ``InvalidStateError`` prefixed by ``context`` at the
+    first that fails.
     Returns the ``eigh`` of the Hermitian part, ascending.
     """
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = _array(rho, context)
+    except ValueError as exc:
+        raise InvalidStateError(str(exc)) from None
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"{context}: expected a square matrix, got {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise InvalidStateError(f"{context}: non-finite entries")
     defect = hermiticity_defect(rho)
     if defect > HERMITICITY_TOL:
         raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
@@ -115,17 +117,13 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     Requires a 2x2 Hermitian matrix; positivity is not checked here so the
     function stays usable on noisy intermediate estimates.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {rho.shape}")
+    rho = _array(rho, "matrix", (2, 2))
     return _coords(check_hermitian(rho, "matrix"))[1:, 0].real
 
 
 def density_from_bloch(r: Sequence[float]) -> np.ndarray:
     """``(I + r . sigma) / 2`` for a Bloch vector inside the unit ball."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {r.shape}")
+    r = _array(r, "Bloch vector", (3,), real=True)
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + 1e-9:
         raise InvalidStateError(f"Bloch vector norm {norm:.12f} exceeds 1")

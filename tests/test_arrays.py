@@ -1,0 +1,158 @@
+"""The one rule for what an array argument accepts: ``errors._array``.
+
+Every matrix, vector and stack argument of the public functions goes
+through it, so each rejects booleans, text, objects, NaN and infinity, and
+complex entries where it needs real ones, with a ``ValueError`` that
+names the argument; ``check_density_matrix`` and ``von_neumann_entropy``
+report the same failures as ``InvalidStateError``.
+"""
+
+import numpy as np
+import pytest
+
+from qpt import channels as ch
+from qpt.errors import InvalidStateError, _array
+from qpt.metrics import fidelity, matrix_norms, process_distance_report, trace_distance
+from qpt.process_tomography import chi_from_lambda, lambda_from_outputs
+from qpt.projection import project_to_physical
+from qpt.simulator import ExperimentConfig, run_experiment
+from qpt.states import (
+    bloch_from_density,
+    check_density_matrix,
+    density_from_bloch,
+    von_neumann_entropy,
+)
+
+IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0])
+GROUND = np.diag([1.0, 0.0])
+UP = np.array([0.0, 0.0, 1.0])
+AFFINE = ch.AffineMap(np.eye(3), np.zeros(3))
+KRAUS = np.eye(2)[None]
+UNIT_4 = np.eye(4)[0]
+
+# (id, call with the probe, a valid template the probes are made from,
+# the argument's name in the message, whether it must be real)
+ENTRY_POINTS = [
+    ("project_to_physical", project_to_physical, IDENTITY_CHI, "chi matrix", False),
+    ("apply_chi-chi", lambda x: ch.apply_chi(x, GROUND), IDENTITY_CHI, "chi matrix", False),
+    ("apply_chi-rho", lambda x: ch.apply_chi(IDENTITY_CHI, x), GROUND, "rho", False),
+    ("choi_from_chi", ch.choi_from_chi, IDENTITY_CHI, "chi matrix", False),
+    ("chi_from_choi", ch.chi_from_choi, IDENTITY_CHI, "Choi state", False),
+    ("is_completely_positive", ch.is_completely_positive, IDENTITY_CHI, "chi matrix", False),
+    ("affine_from_chi", ch.affine_from_chi, IDENTITY_CHI, "chi matrix", False),
+    ("apply_kraus-ops", lambda x: ch.apply_kraus(x, GROUND), KRAUS, "Kraus operator 0", False),
+    ("apply_kraus-rho", lambda x: ch.apply_kraus(KRAUS, x), GROUND, "rho", False),
+    ("chi_from_kraus", ch.chi_from_kraus, KRAUS, "Kraus operator 0", False),
+    ("operator_from_coefficients", ch.operator_from_coefficients, UNIT_4, "coefficients", False),
+    ("apply_affine", lambda x: ch.apply_affine(AFFINE, x), UP, "Bloch vector", True),
+    ("AffineMap-matrix", lambda x: ch.AffineMap(x, np.zeros(3)), np.eye(3), "affine matrix", True),
+    ("AffineMap-translation", lambda x: ch.AffineMap(np.eye(3), x), UP, "affine translation", True),
+    ("rotation_unitary", lambda x: ch.rotation_unitary(x, 1.0), UP, "axis", True),
+    ("density_from_bloch", density_from_bloch, UP, "Bloch vector", True),
+    ("bloch_from_density", bloch_from_density, GROUND, "matrix", False),
+    ("matrix_norms", matrix_norms, GROUND, "matrix", False),
+    ("trace_distance", lambda x: trace_distance(GROUND, x), GROUND, "second state", False),
+    ("fidelity", lambda x: fidelity(x, GROUND), GROUND, "first state", False),
+    (
+        "process_distance_report",
+        lambda x: process_distance_report(IDENTITY_CHI, x, ("estimated", "channel")),
+        IDENTITY_CHI,
+        "channel",
+        False,
+    ),
+    (
+        "run_experiment",
+        lambda x: run_experiment(ExperimentConfig(t2=100.0), channel=x),
+        IDENTITY_CHI,
+        "chi matrix",
+        False,
+    ),
+    ("lambda_from_outputs", lambda x: lambda_from_outputs([x] * 4), GROUND, "output 0", False),
+    ("chi_from_lambda", chi_from_lambda, np.eye(4), "lambda matrix", False),
+    ("check_density_matrix", lambda x: check_density_matrix(x, 0), GROUND, "density matrix", False),
+    ("von_neumann_entropy", von_neumann_entropy, GROUND, "density matrix", False),
+]
+# These two report every failure of their state as InvalidStateError.
+STATE_ERRORS = {"check_density_matrix", "von_neumann_entropy"}
+
+
+def _with_first(template, value, dtype):
+    probe = np.array(template, dtype=dtype)
+    probe.flat[0] = value
+    return probe
+
+
+# Each probe turns a valid template into an array the rule refuses, and
+# the start of the message it gets.  Complex entries are refused only
+# where real ones are required.
+PROBES = {
+    "boolean": (lambda t: np.asarray(t) != 0, "must hold"),
+    "text": (lambda t: np.asarray(t).astype(str), "must hold"),
+    "none": (lambda t: _with_first(t, None, object), "must hold"),
+    "nan": (lambda t: _with_first(t, np.nan, float), "non-finite entries"),
+    "inf": (lambda t: _with_first(t, np.inf, float), "non-finite entries"),
+}
+COMPLEX_PROBE = (lambda t: _with_first(t, 1.0 + 0.5j, complex), "must hold integers or floats")
+
+CASES = [
+    pytest.param(
+        call,
+        make(template),
+        InvalidStateError if entry in STATE_ERRORS else ValueError,
+        f"^{name}: {message}",
+        id=f"{entry}-{probe}",
+    )
+    for entry, call, template, name, real in ENTRY_POINTS
+    for probe, (make, message) in {**PROBES, **({"complex": COMPLEX_PROBE} if real else {})}.items()
+]
+
+
+@pytest.mark.parametrize("call, probe, error, message", CASES)
+def test_entry_points_refuse_non_numeric_arrays(call, probe, error, message):
+    with pytest.raises(error, match=message):
+        call(probe)
+
+
+@pytest.mark.parametrize(
+    "call, template",
+    [pytest.param(call, template, id=entry) for entry, call, template, _, _ in ENTRY_POINTS],
+)
+def test_templates_are_accepted(call, template):
+    # Each probe differs from an accepted input only in what it holds.
+    call(template)
+    call(np.asarray(template).astype(int))
+
+
+class TestRule:
+    def test_converts_integers_and_floats(self):
+        for value in ([1, 2], np.array([1, 2], dtype=np.uint8), np.float32([1, 2])):
+            array = _array(value, "x", (2,), real=True)
+            assert array.dtype == float
+            np.testing.assert_array_equal(array, [1.0, 2.0])
+        assert _array([1, 2j], "x").dtype == complex
+
+    def test_valid_arrays_are_not_copied(self):
+        array = np.eye(2, dtype=complex)
+        assert _array(array, "x", (2, 2)) is array
+
+    @pytest.mark.parametrize(
+        "value, shape, real, message",
+        [
+            (np.eye(3), (4, 4), False, r"^x: expected shape 4x4, got \(3, 3\)$"),
+            ([1, 2], (3,), True, r"^x: expected shape 3, got \(2,\)$"),
+            ([[1, 2], [3]], None, False, "^x: not an array"),
+            (
+                [10**400],
+                None,
+                False,
+                "^x: must hold integers, floats or complex numbers, got dtype object$",
+            ),
+            ([1j], None, True, "^x: must hold integers or floats, got dtype complex128$"),
+            (b"12", None, False, "^x: must hold"),
+            ([1.0, -np.inf], None, True, "^x: non-finite entries$"),
+        ],
+        ids=["shape", "vector-shape", "ragged", "huge-integer", "complex", "bytes", "minus-inf"],
+    )
+    def test_rejects(self, value, shape, real, message):
+        with pytest.raises(ValueError, match=message):
+            _array(value, "x", shape, real=real)

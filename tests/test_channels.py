@@ -250,7 +250,7 @@ class TestAffine:
             (np.eye(3), [True, False, True], "translation"),
             (np.eye(3), np.zeros(3, dtype=complex), "translation"),
         ]:
-            with pytest.raises(ValueError, match=f"^affine {field} must hold integers"):
+            with pytest.raises(ValueError, match=f"^affine {field}: must hold integers"):
                 ch.AffineMap(matrix=matrix, translation=translation)
         # Integer entries are exact floats.
         affine = ch.AffineMap(np.eye(3, dtype=np.int32), [0, 0, 1])
@@ -351,14 +351,20 @@ class TestStandardChannels:
             ("depolarizing", {"p": "0.3"}, "depolarizing: p must be a number"),
             ("depolarizing", {"p": 1j}, "depolarizing: p must be a number"),
             ("unitary_rotation", {"axis": "x", "angle": "1"}, "angle must be a number"),
-            ("unitary_rotation", {"axis": ["1", "0", "0"], "angle": 1.0}, "axis must hold"),
-            ("unitary_rotation", {"axis": [1j, 0, 0], "angle": 1.0}, "axis must hold"),
-            ("unitary_rotation", {"axis": [True, False, False], "angle": 1.0}, "axis must hold"),
+            ("unitary_rotation", {"axis": ["1", "0", "0"], "angle": 1.0}, "axis: must hold"),
+            ("unitary_rotation", {"axis": [1j, 0, 0], "angle": 1.0}, "axis: must hold"),
+            ("unitary_rotation", {"axis": [True, False, False], "angle": 1.0}, "axis: must hold"),
+            ("unitary_rotation", {"axis": [np.inf, 0, 0], "angle": 1.0}, "axis: non-finite"),
+            ("unitary_rotation", {"axis": [np.nan, 0, 0], "angle": 1.0}, "axis: non-finite"),
+            ("unitary_rotation", {"axis": "x", "angle": math.nan}, "angle must be finite"),
+            ("unitary_rotation", {"axis": "x", "angle": math.inf}, "angle must be finite"),
+            ("unitary_rotation", {"axis": "x", "angle": -math.inf}, "angle must be finite"),
         ],
         ids=[
             "factor-text", "factor-boolean", "factor-none", "factor-huge-integer",
             "t2-text", "gamma-text", "t-text", "t1-text", "p-text", "p-complex",
             "angle-text", "axis-text", "axis-complex", "axis-boolean",
+            "axis-inf", "axis-nan", "angle-nan", "angle-inf", "angle-minus-inf",
         ],
     )
     def test_parameters_are_numbers(self, kind, params, message):
@@ -366,6 +372,33 @@ class TestStandardChannels:
         # out-of-range integer is coerced into a parameter.
         with pytest.raises(ValueError, match=message):
             ch.standard_channel(kind, **params)
+
+    @pytest.mark.parametrize(
+        "axis, unit",
+        [
+            ([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
+            ([1e308, -1e308, 1e308], [1.0, -1.0, 1.0]),
+            ([1e-320, 0.0, 0.0], "x"),
+            ([0.0, -5e-324, 0.0], [0.0, -1.0, 0.0]),
+        ],
+        ids=["1e200", "1e308", "subnormal", "smallest-subnormal"],
+    )
+    def test_extreme_finite_axes_rotate_about_their_direction(self, axis, unit):
+        # The axis is scaled before it is normalized, so its norm neither
+        # overflows to inf nor underflows to 0.
+        u = ch.rotation_unitary(axis, 1.0)
+        np.testing.assert_allclose(u, ch.rotation_unitary(unit, 1.0), rtol=0, atol=1e-15)
+        chi = ch.standard_channel("unitary_rotation", axis=axis, angle=1.0)
+        assert ch.is_trace_preserving(chi)[0]
+        assert chi.trace().real == pytest.approx(1.0, abs=1e-15)
+
+    def test_named_axes_are_exact(self):
+        # Named axes skip the normalization: the simulator's pulses stay
+        # bit for bit what they were.
+        angle = 0.7
+        for name, axis in zip("xyz", (states.SIGMA_X, states.SIGMA_Y, states.SIGMA_Z)):
+            expected = math.cos(angle / 2.0) * states.SIGMA_0 - 1.0j * math.sin(angle / 2.0) * axis
+            np.testing.assert_array_equal(ch.rotation_unitary(name, angle), expected)
 
     def test_integer_and_numpy_parameters_accepted(self):
         np.testing.assert_array_equal(

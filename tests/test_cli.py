@@ -846,6 +846,34 @@ class TestMalformedResult:
         assert capsys.readouterr().err.startswith(f"error: {broken}")
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize(
+        "command, path, field",
+        [
+            ("project", ("raw", "chi", 0, 0, 0), "raw.chi"),
+            ("compare", ("raw", "chi", 1, 2, 1), "raw.chi"),
+            ("compare", ("projected", "chi", 3, 3, 0), "projected.chi"),
+            ("render", ("raw", "affine", "matrix", 0, 0), "raw.affine"),
+        ],
+        ids=["project-raw-chi", "compare-raw-chi", "compare-projected-chi", "render-raw-affine"],
+    )
+    def test_number_past_float_range_is_input_error(
+        self, tmp_path, result_path, capsys, command, path, field
+    ):
+        # The JSON number 1e999 is valid JSON that json reads as inf, so it
+        # reaches the finiteness checks of the matrix and affine readers.
+        source = result_path
+        if path[0] == "projected":
+            source = tmp_path / "projected.json"
+            assert run("project", "--result", result_path, "--out", source) == 0
+        doc = replaced(json.loads(source.read_text()), path, "INF")
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc).replace('"INF"', "1e999"))
+        assert run(*command_argv(command, broken, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ")
+        assert "non-finite entries" in err
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("value", [1e50, 1e100], ids=["1e50", "1e100"])
     def test_large_chi_projects(self, tmp_path, result_path, value):
         # Large but far from overflow: the projection is still certified.

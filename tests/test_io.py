@@ -135,6 +135,36 @@ class TestRecordsDocument:
         with pytest.raises(ValueError, match="no measurement records"):
             io.records_document([])
 
+    def test_records_of_two_runs_rejected(self):
+        # Written from the first config, the mix would read back as one run.
+        short = run_experiment(noisy_config(decoherence_time=20.0, shots=100))
+        long = run_experiment(noisy_config(decoherence_time=80.0, shots=1000))
+        with pytest.raises(ValueError, match="^records carry different configs"):
+            io.records_document(short[:2] + long[2:])
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((0, 1, 1, 3), r"^records\[2\]: duplicate input_index 2$"),
+            ((0, 1, 2), r"^missing input_index \[4\]$"),
+            ((3, 2, 1), r"^missing input_index \[1\]$"),
+        ],
+        ids=["duplicate", "missing-last", "missing-first"],
+    )
+    def test_not_one_record_per_input_rejected(self, indices, message):
+        # The rule parse_records_document applies: a document it would
+        # refuse is never written.
+        records = run_experiment(noisy_config())
+        with pytest.raises(ValueError, match=message):
+            io.records_document([records[i] for i in indices])
+
+    def test_any_input_order_written_as_given(self):
+        records = run_experiment(noisy_config())
+        shuffled = [records[i] for i in (2, 0, 3, 1)]
+        doc = io.records_document(shuffled)
+        assert [entry["input_index"] for entry in doc["records"]] == [3, 1, 4, 2]
+        assert io.parse_records_document(json.loads(json.dumps(doc))) == records
+
     def test_header_checks(self):
         records = run_experiment(noisy_config())
         doc = io.records_document(records)
