@@ -149,11 +149,15 @@ def _reconstruct(records, source: str):
 
 def cmd_reconstruct(args) -> int:
     records = qio.parse_records_document(qio.read_json(args.records))
-    estimate = _reconstruct(records, args.records)
-    qio.write_json_atomic(args.out, qio.result_document(estimate, records[0].config))
+    with _derived_from(args.records):
+        doc = qio.result_document(
+            _reconstruct(records, args.records), records[0].config
+        )
+    _write_finite(args.out, doc, args.records)
+    raw = doc["raw"]
     log.info(
         "reconstructed process: cp=%s tp=%s -> %s",
-        estimate.cp_flag, estimate.tp_flag, args.out,
+        raw["cp"]["flag"], raw["tp"]["flag"], args.out,
     )
     return 0
 

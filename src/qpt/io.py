@@ -230,7 +230,6 @@ def result_document(
                 "min_choi_eigenvalue": estimate.cp_min_eigenvalue,
             },
             "tp": {"flag": estimate.tp_flag, "deficit": estimate.tp_deficit},
-            "residuals": list(estimate.residuals),
         },
         "projected": None,
         "discrepancy": None,

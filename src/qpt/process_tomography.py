@@ -18,14 +18,17 @@ cache, whose inputs come from the one function that also builds the
 simulated ones, so a reconstruction inverts exactly the inputs the
 simulator prepared, the perfect preparation included.
 
-Fitted outputs are Hermitian with trace 1, so ``R`` is real with first row
-``(1, 0, 0, 0)``.  chi is therefore Hermitian by construction, bit for bit
-(see ``channels._chi_from_ptm``), and trace preserving up to round-off.
+``P_O`` holds the measured expectations as they are, zero on unmeasured
+axes: no output is fitted to the Bloch ball first, so the estimate is
+linear in the records and unbiased, and the one projection onto physical
+processes is :mod:`qpt.projection`'s.  Its first row is ``(1, 0, 0, 0)``
+and every entry is real, so ``R`` is too, and chi is Hermitian by
+construction, bit for bit (see ``channels._chi_from_ptm``), and trace
+preserving up to round-off.
 
-An estimate stores chi and the per-input fit residuals, nothing else.  It
-reads every other representation (the affine Bloch map) and its CP/TP
-verdicts from chi on access, so they cannot disagree with the chi they
-describe.
+An estimate stores chi, nothing else.  It reads every other representation
+(the affine Bloch map) and its CP/TP verdicts from chi on access, so they
+cannot disagree with the chi they describe.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .states import (
     hermiticity_defect,
 )
 from .simulator import _preparation
-from .state_tomography import bloch_target, fit_states
+from .state_tomography import bloch_target
 
 INPUT_STATE_LABELS = ("|0><0|", "|1><1|", "|+><+|", "|+i><+i|")
 _INPUT_NAMES = tuple(
@@ -123,18 +126,17 @@ def chi_from_lambda(
 
 @dataclass(frozen=True)
 class ProcessEstimate:
-    """Reconstructed process with its fit diagnostics.
+    """Reconstructed process.
 
-    Stored: ``chi``, Hermitian by construction, and the per-input
-    state-fit ``residuals``.  Everything else is read from ``chi`` on each
-    access: ``affine`` is its Bloch-sphere action, ``affine_from_chi(chi)``,
-    and ``cp_flag`` / ``tp_flag`` report whether it is completely positive
-    and trace preserving within ``CP_TOL`` / ``TP_TOL``, with the underlying
-    ``cp_min_eigenvalue`` and ``tp_deficit`` alongside.
+    Stored: ``chi``, Hermitian by construction.  Everything else is read
+    from ``chi`` on each access: ``affine`` is its Bloch-sphere action,
+    ``affine_from_chi(chi)``, and ``cp_flag`` / ``tp_flag`` report whether
+    it is completely positive and trace preserving within ``CP_TOL`` /
+    ``TP_TOL``, with the underlying ``cp_min_eigenvalue`` and
+    ``tp_deficit`` alongside.
     """
 
     chi: np.ndarray
-    residuals: tuple[float, ...]
 
     @property
     def affine(self) -> AffineMap:
@@ -176,13 +178,14 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     perfect preparation.  chi is solved over the declared prepared inputs
     ``prepare_input(config, 1..4)``.  Elements declaring different
     preparations, or a preparation whose inputs do not span, raise
-    ``ValueError``.
+    ``ValueError``, as do records whose chi leaves the float range.
     """
     if len(record_sets) != 4:
         raise ValueError(
             f"expected records for 4 input states, got {len(record_sets)}"
         )
-    targets, masks = [], []
+    outputs = np.empty((4, 4))  # P_O: the outputs' Pauli coordinates as columns
+    outputs[0] = 1.0
     preparations = set()
     for j, entry in enumerate(record_sets):
         index = getattr(entry, "input_index", j + 1)
@@ -196,18 +199,17 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         )
         records = getattr(entry, "records", entry)
         try:
-            target, mask = bloch_target(records)
+            outputs[1:, j] = bloch_target(records)[0]
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"{_INPUT_NAMES[j]}: {exc}") from exc
-        targets.append(target)
-        masks.append(mask)
-    inverse = _declared_inverse(preparations)
-    bloch, residuals = fit_states(np.array(targets), np.array(masks), _INPUT_NAMES)
-    outputs = np.empty((4, 4))  # P_O: the fitted outputs' Pauli coordinates
-    outputs[0] = 1.0
-    outputs[1:] = bloch.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = _chi_from_ptm(outputs @ _declared_inverse(preparations))
+    if not np.isfinite(chi).all():
+        raise ValueError(
+            "expectation values too large: the estimate exceeds the float range"
+        )
     # chi is built here, so it skips the public checkers' input validation.
-    return ProcessEstimate(_chi_from_ptm(outputs @ inverse), tuple(residuals.tolist()))
+    return ProcessEstimate(chi)
 
 
 def _declared_inverse(preparations: set) -> np.ndarray:

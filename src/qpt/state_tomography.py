@@ -14,13 +14,17 @@ model both levels have closed forms:
 
 The residual minimizer set has a unique entropy maximum, so the rule needs
 no tie-break weight and no iterative solver.
+
+Process reconstruction does not apply this rule to its output states: it
+inverts the measured expectations as they are (see
+:mod:`qpt.process_tomography`) and reads only :func:`bloch_target` here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -78,18 +82,24 @@ def reconstruct_state(records: Iterable[ExpectationRecord]) -> StateEstimate:
 
     Records must cover each axis at most once; an empty record set is
     rejected.  Values may lie anywhere (even far outside [-1, 1]); the
-    output is always a valid state.  Only when the residual itself exceeds
-    the float range (measured values of norm above ~1.8e308) is a
-    ``ValueError`` raised.  The Bloch vector and residual come from
-    :func:`fit_states`; ``rho`` and ``entropy`` from ``qpt.states``.
+    output is always a valid state, by the rule above.  Only when the
+    residual itself exceeds the float range (measured values of norm above
+    ~1.8e308) is a ``ValueError`` raised.
     """
     target, measured = bloch_target(records)
-    bloch, residual = fit_states(np.array([target]), np.array([measured]))
-    rho = density_from_bloch(bloch[0])
+    # math.hypot scales internally, so values near 1e308 do not overflow
+    # when squared.
+    bloch = np.array(target) / max(math.hypot(*target), 1.0)
+    residual = math.hypot(*(b - t for b, t, m in zip(bloch, target, measured) if m))
+    if math.isinf(residual):
+        raise ValueError(
+            "expectation values too large: the residual exceeds the float range"
+        )
+    rho = density_from_bloch(bloch)
     return StateEstimate(
         rho=rho,
-        bloch=bloch[0],
-        residual=float(residual[0]),
+        bloch=bloch,
+        residual=residual,
         entropy=von_neumann_entropy(rho),
         complete=all(measured),
     )
@@ -112,34 +122,3 @@ def bloch_target(records: Iterable[ExpectationRecord]) -> tuple[list, list]:
         raise ValueError("at least one expectation record is required")
     return [measured.get(axis, 0.0) for axis in AXES], [axis in measured for axis in AXES]
 
-
-def fit_states(
-    target: np.ndarray, measured: np.ndarray, names: Sequence[str] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The estimation rule above applied to k rows at once.
-
-    ``target`` is (k, 3), zero on unmeasured axes, and ``measured`` the
-    matching boolean mask.  Returns the (k, 3) Bloch vectors and the k
-    residuals.  A row whose residual exceeds the float range raises
-    ``ValueError``, prefixed with its entry of ``names`` if given.
-    """
-    # Norms are taken of target * 2**-shift, with shift the binary exponent
-    # of the largest value when that is positive.  A power-of-two scale is
-    # exact, so the results are those of the unscaled formulas, but values
-    # near 1e308 no longer overflow when squared.
-    shift = np.maximum(np.frexp(np.abs(target).max(axis=1))[1], 0)
-    scale = np.ldexp(1.0, -shift)[:, None]
-    scaled = target * scale
-    scaled_norm = np.sqrt((scaled * scaled).sum(axis=1, keepdims=True))
-    inside = scaled_norm <= scale
-    bloch = np.where(inside, target, scaled / np.where(inside, 1.0, scaled_norm))
-    gap = (bloch * scale - scaled) * measured
-    with np.errstate(over="ignore"):
-        residual = np.ldexp(np.sqrt((gap * gap).sum(axis=1)), shift)
-    overflow = np.isinf(residual)
-    if overflow.any():
-        prefix = "" if names is None else f"{names[int(np.argmax(overflow))]}: "
-        raise ValueError(
-            f"{prefix}expectation values too large: the residual exceeds the float range"
-        )
-    return bloch, residual

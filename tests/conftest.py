@@ -284,16 +284,10 @@ def evolved_run_experiment(config, channel: np.ndarray | None = None) -> list:
     ]
 
 
-def loop_reconstruct_state(records):
-    """One state estimate: dict of measured axes, scaled norms, eigvalsh entropy."""
-    import math
+def loop_measured(records) -> dict:
+    """The measured value of each axis in a record set."""
+    from qpt.state_tomography import ExpectationRecord
 
-    from qpt.state_tomography import AXES, ExpectationRecord, StateEstimate
-    from qpt.states import density_from_bloch, von_neumann_entropy
-
-    records = list(records)
-    if not records:
-        raise ValueError("at least one expectation record is required")
     measured = {}
     for record in records:
         if not isinstance(record, ExpectationRecord):
@@ -301,7 +295,19 @@ def loop_reconstruct_state(records):
         if record.axis in measured:
             raise ValueError(f"duplicate record for axis {record.axis!r}")
         measured[record.axis] = record.value
+    if not measured:
+        raise ValueError("at least one expectation record is required")
+    return measured
 
+
+def loop_reconstruct_state(records):
+    """One state estimate: dict of measured axes, scaled norms, eigvalsh entropy."""
+    import math
+
+    from qpt.state_tomography import AXES, StateEstimate
+    from qpt.states import density_from_bloch, von_neumann_entropy
+
+    measured = loop_measured(records)
     target = np.array([measured.get(axis, 0.0) for axis in AXES])
     shift = max(math.frexp(max(map(abs, measured.values())))[1], 0)
     scale = 2.0**-shift
@@ -390,28 +396,39 @@ def loop_chi_from_lambda(lam, rho_basis=None) -> tuple[np.ndarray, float]:
 
 
 def loop_run_process_tomography(record_sets):
-    """The canonical-basis estimate from the loop oracles above."""
+    """The canonical-basis linear-inversion estimate from the loop oracles.
+
+    Each output is ``(I + r . sigma) / 2`` with ``r`` the measured values,
+    zero on unmeasured axes, taken as they are: no output is fitted to the
+    Bloch ball.
+    """
     from qpt.process_tomography import INPUT_STATE_LABELS, ProcessEstimate
+    from qpt.state_tomography import AXES
 
     if len(record_sets) != 4:
         raise ValueError(
             f"expected records for 4 input states, got {len(record_sets)}"
         )
-    estimates = []
+    outputs = []
     for j, entry in enumerate(record_sets):
         index = getattr(entry, "input_index", j + 1)
         if index != j + 1:
             raise ValueError(
                 f"record set {j} is for input_index {index!r}, expected {j + 1}"
             )
-        records = getattr(entry, "records", entry)
         try:
-            estimates.append(loop_reconstruct_state(records))
+            measured = loop_measured(getattr(entry, "records", entry))
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"input state {j} ({INPUT_STATE_LABELS[j]}): {exc}") from exc
+        x, y, z = (measured.get(axis, 0.0) for axis in AXES)
+        outputs.append(np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2.0)
 
-    chi, _ = loop_chi_from_lambda(loop_lambda_from_outputs([e.rho for e in estimates]))
-    return ProcessEstimate(chi=chi, residuals=tuple(e.residual for e in estimates))
+    chi, _ = loop_chi_from_lambda(loop_lambda_from_outputs(outputs))
+    if not np.all(np.isfinite(chi)):
+        raise ValueError(
+            "expectation values too large: the estimate exceeds the float range"
+        )
+    return ProcessEstimate(chi=chi)
 
 
 def loop_project_to_physical(chi, max_iterations: int = 10000):

@@ -380,9 +380,39 @@ class TestReconstruct:
         huge.write_text(json.dumps(doc))
         out = tmp_path / "r.json"
         assert run("reconstruct", "--records", huge, "--out", out) == 0
-        residuals = qio.read_json(str(out))["raw"]["residuals"]
-        assert residuals[0] == pytest.approx(math.sqrt(2.0) * 1e308)
-        assert all(math.isfinite(r) for r in residuals)
+        chi = qio.document_chi(qio.read_json(str(out)), prefer_projected=False)
+        assert np.isfinite(chi).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extreme_expectations_keep_the_exit_contract(
+        self, tmp_path, capsys, records_path, seed
+    ):
+        # Records at the edge of the float range: the estimate, its CP
+        # verdict or a derived number may leave it.  Each case either
+        # writes strict JSON (exit 0) or is an input error naming the
+        # records (exit 2) that writes nothing.
+        rng = random.Random(seed)
+        doc = json.loads(records_path.read_text())
+        codes = set()
+        for case in range(50):
+            for entry in doc["records"]:
+                for expectation in entry["expectations"]:
+                    expectation["value"] = rng.choice(
+                        [1e308, -1e308, 1.7e308, -1.7e308, 0.0]
+                    )
+            source = tmp_path / f"extreme{case}.json"
+            source.write_text(json.dumps(doc))
+            out = tmp_path / f"result{case}.json"
+            code = run("reconstruct", "--records", source, "--out", out)
+            err = capsys.readouterr().err
+            if code == 2:
+                assert not out.exists()
+                assert str(source) in err and len(err.encode()) < 1024
+            else:
+                assert code == 0
+                qio.read_json(str(out))
+            codes.add(code)
+        assert codes == {0, 2}
 
     @pytest.mark.parametrize(
         "indices, message",
@@ -574,13 +604,13 @@ class TestCompare:
 
 
 class TestResultWithLambda:
-    """Result documents that carry ``raw.lambda`` and
-    ``raw.anti_hermitian_norm``, which reconstruction no longer writes,
-    read as they did: no command reads either key."""
+    """Result documents that carry ``raw.lambda``,
+    ``raw.anti_hermitian_norm`` and ``raw.residuals``, which reconstruction
+    no longer writes, read as they did: no command reads these keys."""
 
     @pytest.fixture
     def documents(self, tmp_path, result_path):
-        """The same result without and with the two keys, each saved as
+        """The same result without and with the three keys, each saved as
         ``result.json`` in its own directory so that labels match."""
         plain = json.loads(result_path.read_text())
         chi = qio.document_chi(plain)
@@ -594,7 +624,7 @@ class TestResultWithLambda:
             "cp": raw["cp"],
             "tp": raw["tp"],
             "anti_hermitian_norm": 0.0,
-            "residuals": raw["residuals"],
+            "residuals": [0.0, 0.03125, 0.0, 0.0],
             "lambda": qio.encode_complex_matrix(loop_lambda_from_outputs(outputs)),
         }
         paths = {}
@@ -621,7 +651,7 @@ class TestResultWithLambda:
         carried = json.loads((tmp_path / "carried" / "p.json").read_text())
         expected = json.loads((tmp_path / "plain" / "p.json").read_text())
         source = json.loads(documents["carried"].read_text())["raw"]
-        for key in ("anti_hermitian_norm", "lambda"):
+        for key in ("anti_hermitian_norm", "residuals", "lambda"):
             expected["raw"][key] = source[key]
         assert carried == expected
 

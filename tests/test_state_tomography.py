@@ -15,7 +15,7 @@ from conftest import (
     projector,
 )
 from qpt import states
-from qpt.state_tomography import AXES, ExpectationRecord, fit_states, reconstruct_state
+from qpt.state_tomography import AXES, ExpectationRecord, reconstruct_state
 
 IN_BALL = st.floats(-0.577, 0.577, allow_nan=False)
 
@@ -200,21 +200,3 @@ class TestAgainstLoopOracle:
         assert new.residual == pytest.approx(old.residual, rel=1e-15, abs=1e-15)
         assert new.entropy == pytest.approx(old.entropy, rel=0, abs=1e-12)
         assert new.complete == old.complete
-
-    def test_rows_fit_independently(self, rng):
-        target = rng.uniform(-3.0, 3.0, size=(50, 3))
-        measured = rng.random((50, 3)) < 0.7
-        target[~measured] = 0.0
-        bloch, residual = fit_states(target, measured)
-        assert bloch.shape == (50, 3) and residual.shape == (50,)
-        for row in range(50):
-            alone_bloch, alone_residual = fit_states(
-                target[row : row + 1], measured[row : row + 1]
-            )
-            np.testing.assert_array_equal(bloch[row], alone_bloch[0])
-            assert residual[row] == alone_residual[0]
-
-    def test_overflow_names_the_row(self):
-        target = np.array([[0.1, 0.2, 0.3], [1.7e308, 1.7e308, 1.7e308]])
-        with pytest.raises(ValueError, match="^second: expectation values too large"):
-            fit_states(target, np.ones((2, 3), bool), ["first", "second"])
