@@ -12,8 +12,8 @@ counts and by its vertices against the result's affine map.
 import numpy as np
 import pytest
 
+from conftest import load_script
 from qpt import io as qio
-from test_scripts import load_script
 
 SCRIPT = load_script("make_reference")
 # The pipeline's default icosphere level.

@@ -1,23 +1,14 @@
 """Smoke runs of the scripts under ``scripts/`` through their ``main()``."""
 
-import importlib.util
 import json
 import math
 import re
-from pathlib import Path
 
 import pytest
 
+from conftest import load_script
 from qpt import projection
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 PRESET_NAMES = ("paper-20ns", "paper-40ns", "paper-80ns")
