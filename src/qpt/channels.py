@@ -169,8 +169,18 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
 
 
 def _tp_deficit(chi: np.ndarray) -> float:
-    """``||S - I||_F`` with ``S = sum_mn chi[m, n] A_n^dag A_m``; no input checks."""
-    return math.sqrt(2.0) * float(np.linalg.norm(_ROW0 @ chi.reshape(16) - _E0))
+    """``||S - I||_F`` with ``S = sum_mn chi[m, n] A_n^dag A_m``; no input checks.
+
+    The norm is numpy's unless its squares overflow; then ``math.hypot``,
+    which scales internally, gives it, so a finite gap has a finite
+    deficit unless the deficit itself passes the float range.
+    """
+    gap = _ROW0 @ chi.reshape(16) - _E0
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(gap))
+    if math.isinf(norm):
+        norm = math.hypot(*gap.real.tolist(), *gap.imag.tolist())
+    return math.sqrt(2.0) * norm
 
 
 def _lowest_eigenvalue(chi: np.ndarray) -> float:

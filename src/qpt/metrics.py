@@ -4,14 +4,14 @@ State metrics follow the squared-trace fidelity convention,
 ``F(a, b) = (tr sqrt(sqrt(a) b sqrt(a)))^2``, so for pure states F is the
 transition probability ``|<psi|phi>|^2``.  It is computed as the squared
 trace norm ``F = ||sqrt(a) sqrt(b)||_1^2`` (Jozsa, J. Mod. Opt. 41, 2315,
-1994; Nielsen & Chuang, section 9.2.2) from one eigendecomposition of each
-operand: with ``R = V diag(sqrt(w))`` built from the clamped, renormalized
-spectrum, ``sqrt(a) sqrt(b) = V_a (R_a^dag R_b) V_b^dag``, so F is the
-squared sum of singular values of ``R_a^dag R_b``.  No square root of a
-product is taken, which keeps F exact on rank-deficient states.  The
-derived quantities are the Bures metric ``B = sqrt(2 - 2 sqrt(F))`` and
-``C = sqrt(1 - F)``, which obey ``1 - sqrt(F) <= D <= C`` against the trace
-distance D.
+1994; Nielsen & Chuang, section 9.2.2) from one stacked check and
+decomposition of both operands: with ``R = V diag(sqrt(w))`` built from
+the clamped, renormalized spectrum, ``sqrt(a) sqrt(b) = V_a (R_a^dag R_b)
+V_b^dag``, so F is the squared sum of singular values of ``R_a^dag R_b``.
+No square root of a product is taken, which keeps F exact on
+rank-deficient states.  The derived quantities are the Bures metric
+``B = sqrt(2 - 2 sqrt(F))`` and ``C = sqrt(1 - F)``, which obey
+``1 - sqrt(F) <= D <= C`` against the trace distance D.
 
 Process discrepancies are plain matrix norms of the difference of two
 coefficient matrices, which stay meaningful even when one of the processes
@@ -19,11 +19,14 @@ is unphysical and fidelity-based comparisons would not be.  The Choi state
 is the chi matrix conjugated by a fixed unitary, so it has the spectrum,
 trace and pairwise fidelity of chi: the state block is computed on chi
 itself, with no rotation, and its trace distance is the process trace
-distance ``d_pro`` of the norm block.
+distance ``d_pro`` of the norm block.  A comparison converts each operand
+once and takes the singular values of the difference and of
+``R_a^dag R_b`` from one stacked SVD.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .channels import CP_TOL
 from .errors import InvalidStateError, _array
-from .states import check_density_matrix, check_hermitian
+from .states import _check_square, _check_states, check_hermitian
 
 
 class MatrixNorms(NamedTuple):
@@ -55,14 +58,23 @@ def matrix_norms(x: np.ndarray) -> MatrixNorms:
     x = _array(x, "matrix")
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"matrix: expected a square matrix, got shape {x.shape}")
-    absolute = np.abs(x)
-    singular = np.linalg.svd(x, compute_uv=False)
+    return _norms(x, np.linalg.svd(x, compute_uv=False))
+
+
+def _norms(x: np.ndarray, singular: np.ndarray) -> MatrixNorms:
+    """The norms of a converted square ``x`` with singular values ``singular``.
+
+    The sums run left to right in Python, which for fewer than eight terms
+    per sum, as in every 4x4 comparison, gives numpy's bits.
+    """
+    rows = np.abs(x).tolist()
+    singular = singular.tolist()
     return MatrixNorms(
-        p1=float(absolute.sum(axis=0).max()),
-        p2=float(singular[0]),
-        p_inf=float(absolute.sum(axis=1).max()),
+        p1=max(map(sum, zip(*rows))),
+        p2=singular[0],
+        p_inf=max(map(sum, rows)),
         frobenius=float(np.linalg.norm(x)),
-        half_trace=float(singular.sum() / 2.0),
+        half_trace=sum(singular) / 2.0,
     )
 
 
@@ -87,32 +99,36 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _array(a, "first state"), _array(b, "second state")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _fidelity(_root(a, "first state"), _root(b, "second state"))
+    _check_square(a, "first state")
+    root_a, root_b = _roots(np.array((a, b)), ("first state", "second state"))
+    return _fidelity(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False))
 
 
-def _root(rho: np.ndarray, context: str) -> np.ndarray:
-    """Validate a state and return its root factor ``R = V diag(sqrt(w))``.
+def _roots(stack: np.ndarray, contexts: tuple[str, str]) -> np.ndarray:
+    """Check a converted stack of states and return their root factors
+    ``R = V diag(sqrt(w))``, stacked.
 
-    ``w`` is the spectrum clipped at zero and renormalized to unit sum, so
+    ``w`` is each spectrum clipped at zero and renormalized to unit sum, so
     ``R R^dag`` is the clamped, trace-1 state.
     """
-    values, vectors = check_density_matrix(rho, CP_TOL, context)
-    values = np.clip(values, 0.0, None)
-    return vectors * np.sqrt(values / values.sum())
+    values, vectors = _check_states(stack, CP_TOL, contexts)
+    values = np.maximum(values, 0.0)
+    return vectors * np.sqrt(values / values.sum(axis=1, keepdims=True))[:, np.newaxis]
 
 
-def _fidelity(root_a: np.ndarray, root_b: np.ndarray) -> float:
-    """``||sqrt(a) sqrt(b)||_1^2`` from two root factors, capped at 1."""
-    total = float(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False).sum())
+def _fidelity(singular: np.ndarray) -> float:
+    """``||sqrt(a) sqrt(b)||_1^2`` from the singular values of
+    ``R_a^dag R_b``, capped at 1."""
+    total = float(singular.sum())
     return min(total * total, 1.0)
 
 
 def _bures_from_fidelity(f: float) -> float:
-    return float(np.sqrt(max(2.0 - 2.0 * np.sqrt(f), 0.0)))
+    return math.sqrt(max(2.0 - 2.0 * math.sqrt(f), 0.0))
 
 
 def _c_from_fidelity(f: float) -> float:
-    return float(np.sqrt(max(1.0 - f, 0.0)))
+    return math.sqrt(max(1.0 - f, 0.0))
 
 
 def bures_metric(a: np.ndarray, b: np.ndarray) -> float:
@@ -194,16 +210,21 @@ def process_distance_report(
     """
     chi_a = _array(chi_a, context[0], (4, 4))
     chi_b = _array(chi_b, context[1], (4, 4))
-    report = DiscrepancyReport.from_difference(chi_a - chi_b, context)
+    labels = (str(context[0]), str(context[1]))
+    # Two finite operands can still have a difference that overflows.
+    x = _array(chi_a - chi_b, "matrix")
     try:
-        roots = [_root(chi, label) for chi, label in zip((chi_a, chi_b), report.context)]
+        root_a, root_b = _roots(np.array((chi_a, chi_b)), labels)
     except InvalidStateError as error:
+        singular = np.linalg.svd(x, compute_uv=False)
         return ProcessComparison(
-            norms=report,
+            norms=DiscrepancyReport(*_norms(x, singular), labels),
             state_metrics=None,
             skip_reason="skipped: unphysical Choi for " + str(error),
         )
-    f = _fidelity(*roots)
+    singular = np.linalg.svd(np.array((x, root_a.conj().T @ root_b)), compute_uv=False)
+    report = DiscrepancyReport(*_norms(x, singular[0]), labels)
+    f = _fidelity(singular[1])
     block = StateMetricBlock(
         trace_distance=report.trace_distance_pro,
         fidelity=f,

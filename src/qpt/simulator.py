@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -147,7 +148,7 @@ def preset_config(
     return replace(config, **updates) if updates else config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """Expectations for one input state, with the config that produced them."""
 
@@ -159,8 +160,12 @@ class MeasurementRecord:
         index = _integer(self.input_index, "input_index")
         if not 1 <= index <= INPUT_COUNT:
             raise ValueError(f"input_index must be 1..{INPUT_COUNT}, got {_shown(index)}")
-        object.__setattr__(self, "input_index", index)
-        object.__setattr__(self, "records", tuple(self.records))
+        # Only a field whose conversion changed its type is written back: a
+        # frozen write is slow, and a Python number keeps its object.
+        if type(self.input_index) is not int:
+            object.__setattr__(self, "input_index", index)
+        if type(self.records) is not tuple:
+            object.__setattr__(self, "records", tuple(self.records))
 
 
 def prepare_input(config: ExperimentConfig, index: int) -> np.ndarray:
@@ -226,10 +231,7 @@ def true_channel(config: ExperimentConfig) -> np.ndarray:
 
 def _records(values, shots: int | None) -> tuple[tuple[ExpectationRecord, ...], ...]:
     """Records of four rows of expectations, one tuple per input."""
-    return tuple(
-        tuple(ExpectationRecord(axis, value, shots) for axis, value in zip(AXES, row))
-        for row in values
-    )
+    return tuple(tuple(map(ExpectationRecord, AXES, row, repeat(shots))) for row in values)
 
 
 def _outcomes_of(chi: np.ndarray, coords: np.ndarray) -> tuple:
@@ -271,18 +273,26 @@ def _sample(
 
     Each ``(input, axis)`` cell draws a binomial from the Philox stream
     keyed by ``(seed, input * 8 + axis)``.  One bit generator serves the
-    whole call: setting its public state to a fresh counter under the
-    cell's key makes it exactly a new ``Philox(key=...)``.  It is built
-    anew on every call, so concurrent calls share no generator.
+    whole call: before each cell its state is set from a plain dict of
+    Python ints, a zero counter, an empty buffer and the cell's key, which
+    makes it exactly a new ``Philox(key=...)``.  It is built anew on every
+    call, so concurrent calls share no generator.
     """
     shots = config.shots
-    key = np.array([config.seed % (1 << 64), 0], dtype=np.uint64)
-    bit_generator = np.random.Philox(key=key)
+    key = [config.seed % (1 << 64), 0]
+    # An integer key is split into 64-bit words, low first: this is ``key``.
+    bit_generator = np.random.Philox(key=key[0])
     generator = np.random.Generator(bit_generator)
-    # A fresh state (zero counter, empty buffer) whose key is set per cell;
-    # the setter copies the values in.
-    fresh = bit_generator.state
-    fresh["state"]["key"] = key
+    # The setter copies these values in, so the one dict and its key list
+    # serve every cell.
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     values = []
     for index, row in enumerate(probabilities, start=1):
         values.append([])

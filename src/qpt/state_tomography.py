@@ -34,7 +34,7 @@ from .states import density_from_bloch, von_neumann_entropy
 AXES = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectationRecord:
     """One measured expectation value along a Pauli axis.
 
@@ -53,12 +53,16 @@ class ExpectationRecord:
         value = float(_number(self.value, "value"))
         if not math.isfinite(value):
             raise ValueError(f"expectation value must be finite, got {value!r}")
-        object.__setattr__(self, "value", value)
+        # Only a field whose conversion changed its type is written back: a
+        # frozen write is slow, and a Python number keeps its object.
+        if type(self.value) is not float:
+            object.__setattr__(self, "value", value)
         if self.shots is not None:
             shots = _integer(self.shots, "shots")
             if shots < 1:
                 raise ValueError(f"shots must be positive, got {_shown(shots)}")
-            object.__setattr__(self, "shots", shots)
+            if type(self.shots) is not int:
+                object.__setattr__(self, "shots", shots)
 
 
 @dataclass(frozen=True)

@@ -69,30 +69,59 @@ def check_density_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one density-matrix check, for any square dimension.
 
-    The entries (by ``errors._array``), squareness, Hermiticity, unit
-    trace, then the lowest eigenvalue against ``-eigenvalue_tol``, in that
-    order; raises ``InvalidStateError`` prefixed by ``context`` at the
-    first that fails.
-    Returns the ``eigh`` of the Hermitian part, ascending.
+    The entries (by ``errors._array``), squareness, then
+    :func:`_check_states` on ``rho`` alone: Hermiticity, unit trace and
+    the lowest eigenvalue against ``-eigenvalue_tol``, in that order;
+    raises ``InvalidStateError`` prefixed by ``context`` at the first that
+    fails.  Returns the ``eigh`` of the Hermitian part, ascending.
     """
     try:
         rho = _array(rho, context)
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from None
+    _check_square(rho, context)
+    values, vectors = _check_states(rho[np.newaxis], eigenvalue_tol, (context,))
+    return values[0], vectors[0]
+
+
+def _check_square(rho: np.ndarray, context: str) -> None:
+    """``InvalidStateError`` prefixed by ``context`` unless ``rho`` is a
+    square matrix."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"{context}: expected a square matrix, got {rho.shape}")
-    defect = hermiticity_defect(rho)
-    if defect > HERMITICITY_TOL:
-        raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
-    trace = rho.trace()
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
-    values, vectors = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    lowest = float(values[0])
-    if lowest < -eigenvalue_tol:
-        raise InvalidStateError(
-            f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
-        )
+
+
+def _check_states(
+    stack: np.ndarray, eigenvalue_tol: float, contexts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The density-matrix check on a converted ``(k, n, n)`` complex stack.
+
+    Matrix ``i`` is checked under ``contexts[i]``, in stack order:
+    Hermiticity, unit trace, then the lowest eigenvalue, with the
+    ``InvalidStateError`` of :func:`check_density_matrix` at the first
+    failure.  Returns the stacked ``eigh`` of the Hermitian parts.
+
+    Every matrix is decomposed before any is checked, so that arithmetic
+    must not fail on a matrix the checks never reach: the Hermitian and
+    anti-Hermitian parts are formed from halves, which cannot overflow.
+    A defect and a trace are computed only for a matrix that is reached.
+    """
+    half = stack / 2.0
+    adjoint = half.conj().swapaxes(1, 2)
+    anti = half - adjoint
+    values, vectors = np.linalg.eigh(half + adjoint)
+    for i, context in enumerate(contexts):
+        defect = float(np.linalg.norm(anti[i]))
+        if defect > HERMITICITY_TOL:
+            raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
+        trace = stack[i].trace()
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
+        lowest = float(values[i, 0])
+        if lowest < -eigenvalue_tol:
+            raise InvalidStateError(
+                f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
+            )
     return values, vectors
 
 

@@ -68,6 +68,25 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260822)
 
 
+@pytest.fixture(scope="module")
+def noisy_estimates() -> list[np.ndarray]:
+    """36 seeded estimates: three paper presets, three shot counts, four seeds."""
+    from qpt import ExperimentConfig, run_experiment, run_process_tomography
+
+    return [
+        run_process_tomography(
+            run_experiment(
+                ExperimentConfig(
+                    t2=100.0, decoherence_time=interval, shots=shots, seed=seed
+                )
+            )
+        ).chi
+        for interval in (20.0, 40.0, 80.0)
+        for shots in (100, 1000, 10000)
+        for seed in range(4)
+    ]
+
+
 def random_bloch_vector(rng: np.random.Generator, radius: float = 1.0) -> np.ndarray:
     """Uniform direction, radius scaled toward the surface (cube-root law)."""
     direction = rng.standard_normal(3)
@@ -500,3 +519,72 @@ def loop_project_to_physical(chi, max_iterations: int = 10000):
             best_result=result,
         )
     return result
+
+
+# --- comparison oracle ----------------------------------------------------
+# Each operand checked and decomposed on its own, in order, with the norm
+# block taken from its own SVD: the per-operand formulas the stacked
+# comparison must reproduce bit for bit.
+
+
+def loop_check_density_matrix(rho, eigenvalue_tol: float, context: str):
+    """The density-matrix check of one converted square matrix."""
+    from qpt.errors import InvalidStateError
+
+    defect = float(np.linalg.norm((rho - rho.conj().T) / 2.0))
+    if defect > 1e-8:
+        raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
+    trace = rho.trace()
+    if abs(trace - 1.0) > 1e-6:
+        raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
+    values, vectors = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    lowest = float(values[0])
+    if lowest < -eigenvalue_tol:
+        raise InvalidStateError(f"{context}: negative eigenvalue {lowest:.3e} beyond clamp")
+    return values, vectors
+
+
+def loop_root(rho, context: str) -> np.ndarray:
+    from qpt.channels import CP_TOL
+
+    values, vectors = loop_check_density_matrix(rho, CP_TOL, context)
+    values = np.clip(values, 0.0, None)
+    return vectors * np.sqrt(values / values.sum())
+
+
+def loop_fidelity(a, b) -> float:
+    """Fidelity of two converted states, one root and one SVD at a time."""
+    root_a, root_b = loop_root(a, "first state"), loop_root(b, "second state")
+    total = float(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False).sum())
+    return min(total * total, 1.0)
+
+
+def loop_process_distance_report(chi_a, chi_b, context=("a", "b")) -> tuple:
+    """``(norms, state block, skip reason)`` of two converted 4x4 operands;
+    the norms in ``DiscrepancyReport`` field order, the block as
+    ``(trace distance, fidelity, bures, c)`` or ``None``."""
+    from qpt.errors import InvalidStateError
+
+    x = chi_a - chi_b
+    absolute = np.abs(x)
+    singular = np.linalg.svd(x, compute_uv=False)
+    norms = (
+        float(absolute.sum(axis=0).max()),
+        float(singular[0]),
+        float(absolute.sum(axis=1).max()),
+        float(np.linalg.norm(x)),
+        float(singular.sum() / 2.0),
+    )
+    try:
+        roots = [loop_root(chi, label) for chi, label in zip((chi_a, chi_b), context)]
+    except InvalidStateError as error:
+        return norms, None, "skipped: unphysical Choi for " + str(error)
+    total = float(np.linalg.svd(roots[0].conj().T @ roots[1], compute_uv=False).sum())
+    f = min(total * total, 1.0)
+    block = (
+        norms[4],
+        f,
+        float(np.sqrt(max(2.0 - 2.0 * np.sqrt(f), 0.0))),
+        float(np.sqrt(max(1.0 - f, 0.0))),
+    )
+    return norms, block, None

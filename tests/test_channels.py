@@ -1,6 +1,7 @@
 """Channel representations: conversions, physicality checks, standard families."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -144,6 +145,42 @@ class TestPhysicalityChecks:
                 chi[m, n] * ops[n].conj().T @ ops[m] for m in range(4) for n in range(4)
             )
             assert abs(ch._tp_deficit(chi) - np.linalg.norm(s - np.eye(2))) <= 1e-14
+
+    def test_tp_deficit_of_a_finite_gap_near_the_float_limit(self):
+        # Estimates of records at the edge of the float range: a finite gap
+        # has a finite deficit, and numpy's own bits wherever numpy's norm
+        # does not overflow.
+        from qpt.process_tomography import run_process_tomography
+        from qpt.state_tomography import AXES, ExpectationRecord
+
+        pick = random.Random(0)
+        rescaled = 0
+        for _ in range(300):
+            sets = [
+                [
+                    ExpectationRecord(axis, pick.choice([1e308, -1e308, 1.7e308, -1.7e308, 0.0]))
+                    for axis in AXES
+                ]
+                for _ in range(4)
+            ]
+            try:
+                chi = run_process_tomography(sets).chi
+            except ValueError:
+                continue  # the estimate itself leaves the float range
+            gap = ch._ROW0 @ chi.reshape(16) - ch._E0
+            assert np.isfinite(gap).all()
+            with np.errstate(over="ignore"):
+                plain = float(np.linalg.norm(gap))
+            deficit = ch._tp_deficit(chi)
+            assert math.isfinite(deficit)
+            if math.isinf(plain):
+                rescaled += 1
+                scale = float(np.abs(gap).max())
+                expected = math.sqrt(2.0) * scale * float(np.linalg.norm(gap / scale))
+                assert abs(deficit - expected) <= 1e-15 * expected
+            else:
+                assert deficit == math.sqrt(2.0) * plain
+        assert rescaled > 0  # 16 of the 300 on a 64-bit Linux host
 
     def test_scaled_identity_not_tp(self):
         tp, deficit = ch.is_trace_preserving(0.9 * IDENTITY_CHI)

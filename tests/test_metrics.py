@@ -1,14 +1,26 @@
 """State metrics and process-discrepancy norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import KET_0, KET_1, projector, random_cptp_chi, random_density_matrix
+from conftest import (
+    KET_0,
+    KET_1,
+    loop_check_density_matrix,
+    loop_fidelity,
+    loop_process_distance_report,
+    projector,
+    random_cptp_chi,
+    random_density_matrix,
+)
 from qpt import metrics, states
 from qpt import channels as ch
 from qpt.errors import InvalidStateError
+from qpt.projection import project_to_physical
+from qpt.simulator import PRESETS, true_channel
 
 
 def pure(theta: float, phi: float) -> np.ndarray:
@@ -349,3 +361,119 @@ class TestProcessComparison:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             metrics.process_distance_report(np.eye(2), np.eye(4))
+
+
+def bits(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+def comparison_bits(comparison) -> tuple:
+    norms = comparison.norms
+    block = comparison.state_metrics
+    return (
+        bits([norms.p1_norm, norms.p2_norm, norms.p_inf_norm, norms.frobenius_norm,
+              norms.trace_distance_pro]),
+        None if block is None else bits(
+            [block.trace_distance, block.fidelity, block.bures, block.c_metric]
+        ),
+        comparison.skip_reason,
+    )
+
+
+def oracle_bits(chi_a, chi_b, context=("a", "b")) -> tuple:
+    norms, block, reason = loop_process_distance_report(chi_a, chi_b, context)
+    return bits(norms), None if block is None else bits(block), reason
+
+
+# Operands that fail the density-matrix check, one per check, each with
+# its reason.
+SKEWED = np.eye(4, dtype=complex) / 4.0
+SKEWED[0, 1] = SKEWED[1, 0] = 0.1j
+LEAKY = 0.9 * ch.standard_channel("identity")
+TRANSPOSE = np.diag([0.5, 0.5, -0.5, 0.5]).astype(complex)
+FAILING = {"not Hermitian": SKEWED, "trace": LEAKY, "negative eigenvalue": TRANSPOSE}
+
+
+def huge_pair() -> tuple[np.ndarray, np.ndarray]:
+    """A pair whose second operand holds entries near 1.7e308 and whose
+    first fails its trace check: their difference is small, so only the
+    state check could overflow, and only on the operand it never reaches."""
+    second = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    second[0, 1] = second[1, 0] = 1.7e308
+    second[2, 3] = second[3, 2] = -1.7e308
+    second[1, 2], second[2, 1] = 1.7e308j, -1.7e308j
+    first = second.copy()
+    first[0, 0] += 0.1
+    return first, second
+
+
+class TestAgainstLoopOracle:
+    """The stacked comparison equals per-operand checks, roots and SVDs bit
+    for bit: norms, state block and skip reason."""
+
+    def test_noisy_estimates_and_projections(self, noisy_estimates):
+        truths = [true_channel(PRESETS[name]) for name in sorted(PRESETS)]
+        projected = [project_to_physical(chi).chi_tilde for chi in noisy_estimates]
+        pairs = [(chi, truth) for chi in noisy_estimates for truth in truths]
+        pairs += [(chi, truth) for chi in projected for truth in truths]
+        pairs += list(zip(noisy_estimates, projected))
+        pairs += list(zip(projected, noisy_estimates))
+        skipped = 0
+        for a, b in pairs:
+            comparison = metrics.process_distance_report(a, b)
+            assert comparison_bits(comparison) == oracle_bits(a, b)
+            skipped += comparison.state_metrics is None
+        # Both paths are exercised.
+        assert 0 < skipped < len(pairs)
+
+    def test_random_cptp_pairs(self, rng):
+        for _ in range(200):
+            a, b = random_cptp_chi(rng), random_cptp_chi(rng)
+            assert comparison_bits(metrics.process_distance_report(a, b)) == oracle_bits(a, b)
+            assert bits([metrics.fidelity(a, b)]) == bits([loop_fidelity(a, b)])
+
+    def test_random_states(self, rng):
+        for _ in range(200):
+            a, b = random_density_matrix(rng), random_density_matrix(rng)
+            assert bits([metrics.fidelity(a, b)]) == bits([loop_fidelity(a, b)])
+            for rho in (a, b):
+                values, vectors = states.check_density_matrix(rho, 1e-9)
+                expected = loop_check_density_matrix(rho.astype(complex), 1e-9, "density matrix")
+                assert np.array_equal(values, expected[0])
+                assert np.array_equal(vectors, expected[1])
+
+    @pytest.mark.parametrize("kind", sorted(FAILING))
+    def test_every_failure_on_either_operand(self, rng, kind):
+        bad = FAILING[kind]
+        for good in (ch.standard_channel("identity"), random_cptp_chi(rng)):
+            for other in [good, *FAILING.values()]:
+                for a, b in ((bad, other), (other, bad)):
+                    comparison = metrics.process_distance_report(a, b, ("p", "q"))
+                    assert comparison_bits(comparison) == oracle_bits(a, b, ("p", "q"))
+                    assert comparison.state_metrics is None
+                    with pytest.raises(InvalidStateError) as raised:
+                        metrics.fidelity(a, b)
+                    with pytest.raises(InvalidStateError) as expected:
+                        loop_fidelity(a, b)
+                    assert str(raised.value) == str(expected.value)
+            reason = metrics.process_distance_report(bad, good, ("p", "q")).skip_reason
+            assert reason.startswith(f"skipped: unphysical Choi for p: {kind}")
+            reason = metrics.process_distance_report(good, bad, ("p", "q")).skip_reason
+            assert reason.startswith(f"skipped: unphysical Choi for q: {kind}")
+
+    def test_unreached_operand_near_the_float_limit(self):
+        first, second = huge_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comparison = metrics.process_distance_report(first, second)
+            with pytest.raises(InvalidStateError) as raised:
+                metrics.fidelity(first, second)
+            expected = oracle_bits(first, second)
+            with pytest.raises(InvalidStateError) as oracle:
+                loop_fidelity(first, second)
+        assert comparison_bits(comparison) == expected
+        assert comparison.skip_reason == (
+            "skipped: unphysical Choi for a: trace 1.10000000+0.00000000j is not 1"
+        )
+        assert str(raised.value) == str(oracle.value)
+        assert str(raised.value).startswith("first state: trace 1.1")

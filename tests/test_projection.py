@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import loop_project_to_physical, random_cptp_chi
-from qpt import ExperimentConfig, run_experiment, run_process_tomography
 from qpt import channels as ch
 from qpt import projection
 from qpt.errors import NonConvergenceError
@@ -189,23 +188,6 @@ def random_targets(seed, scale, count=50):
     for _ in range(count):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         yield scale * (g + g.conj().T) / 2.0
-
-
-@pytest.fixture(scope="module")
-def noisy_estimates():
-    """36 seeded estimates: three paper presets, three shot counts, four seeds."""
-    return [
-        run_process_tomography(
-            run_experiment(
-                ExperimentConfig(
-                    t2=100.0, decoherence_time=interval, shots=shots, seed=seed
-                )
-            )
-        ).chi
-        for interval in (20.0, 40.0, 80.0)
-        for shots in (100, 1000, 10000)
-        for seed in range(4)
-    ]
 
 
 class TestAgainstDykstra:

@@ -1,9 +1,14 @@
 """Simulated decoherence experiment: preparation, evolution, sampling."""
 
+import copy
+import dataclasses
+import json
 import math
+import pickle
 import sys
 from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +25,10 @@ from conftest import (
     random_cptp_chi,
 )
 from qpt import channels as ch
+from qpt import io as qio
 from qpt import simulator, states
 from qpt.process_tomography import run_process_tomography
+from qpt.state_tomography import ExpectationRecord
 from qpt.simulator import (
     INPUT_COUNT,
     PRESETS,
@@ -512,6 +519,18 @@ def test_concurrent_runs_match_serial():
     assert all(bits == serial for bits in results)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64 + 5, 10**30])
+@pytest.mark.parametrize("shots", [1, 100, 10**5])
+def test_streams_at_extreme_seeds(seed, shots):
+    # The key is the seed modulo 2**64, so these seeds wrap; each sampled
+    # value must still be the draw of its own freshly keyed stream.
+    config = ExperimentConfig(
+        t2=100.0, t1=150.0, decoherence_time=40.0, shots=shots, seed=seed,
+        polarization=0.95, pulse_error=0.05,
+    )
+    assert record_bits(run_experiment(config)) == record_bits(loop_run_experiment(config))
+
+
 def test_each_call_owns_its_bit_generator(monkeypatch):
     # A generator shared between calls would be rekeyed by one thread while
     # another draws from it.  Under CPython's global interpreter lock the
@@ -623,3 +642,46 @@ class TestPhysicsCache:
         assert record_bits(first) == record_bits(second)
         assert record_bits(first) == record_bits(loop_run_experiment(zero))
         assert true_channel(negative).tobytes() == true_channel(zero).tobytes()
+
+
+REFERENCE = Path(__file__).resolve().parent / "reference" / "shots1000-seed7"
+
+
+class TestMeasurementRecord:
+    def test_numpy_index_becomes_int(self):
+        config = ExperimentConfig(t2=100.0)
+        records = [ExpectationRecord("z", 1.0)]
+        record = MeasurementRecord(input_index=np.int64(2), records=records, config=config)
+        assert type(record.input_index) is int and record.input_index == 2
+        assert type(record.records) is tuple and record.records == tuple(records)
+
+    def test_tuple_kept_as_given(self):
+        config = ExperimentConfig(t2=100.0)
+        records = (ExpectationRecord("z", 1.0),)
+        record = MeasurementRecord(input_index=1, records=records, config=config)
+        assert record.records is records
+
+    def test_refusals_kept(self):
+        config = ExperimentConfig(t2=100.0)
+        for index in (0, 5, 1.0, True):
+            with pytest.raises(ValueError, match="input_index"):
+                MeasurementRecord(input_index=index, records=(), config=config)
+
+    def test_slotted_record_copies(self):
+        record = run_experiment(preset_config("paper-20ns", shots=100, seed=3))[1]
+        assert not hasattr(record, "__dict__")
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert clone == record
+        moved = dataclasses.replace(record, input_index=np.int64(3))
+        assert type(moved.input_index) is int and moved.records is record.records
+        assert dataclasses.asdict(record)["records"][0] == dataclasses.asdict(record.records[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.input_index = 1
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_records_document_bytes(self, preset):
+        # The sampled records of the checked-in reproduction, byte for byte
+        # as the writer formats them.
+        records = run_experiment(preset_config(preset, shots=1000, seed=7))
+        text = json.dumps(qio.records_document(records), indent=2, allow_nan=False) + "\n"
+        assert text == (REFERENCE / preset / "records.json").read_text()

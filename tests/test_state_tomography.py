@@ -1,6 +1,9 @@
 """State reconstruction from expectation records."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +41,29 @@ class TestExpectationRecord:
         record = ExpectationRecord("y", np.float64(0.25), shots=np.int64(7))
         assert isinstance(record.value, float)
         assert isinstance(record.shots, int)
+
+    def test_numpy_scalars_become_python_numbers(self):
+        record = ExpectationRecord("x", np.float64(-0.5), shots=np.int64(3))
+        assert type(record.value) is float and record.value == -0.5
+        assert type(record.shots) is int and record.shots == 3
+
+    def test_python_numbers_kept_as_given(self):
+        value, shots = 0.125, 2**40
+        record = ExpectationRecord("z", value, shots=shots)
+        assert record.value is value and record.shots is shots
+
+    def test_slotted_record_copies(self):
+        record = ExpectationRecord("y", np.float64(0.75), shots=np.int64(100))
+        assert not hasattr(record, "__dict__")
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert clone == record
+        changed = dataclasses.replace(record, value=np.float64(-1.0))
+        assert type(changed.value) is float and changed.value == -1.0
+        assert dataclasses.asdict(record) == {"axis": "y", "value": 0.75, "shots": 100}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.value = 0.0
+        with pytest.raises(ValueError, match="expectation value must be finite"):
+            dataclasses.replace(record, value=math.inf)
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
