@@ -33,6 +33,7 @@ from .states import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _parts,
     check_hermitian,
 )
 
@@ -143,13 +144,13 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
     """Diagonalize a PSD chi matrix into a Kraus set.
 
     Eigenvalues in ``[-CP_TOL, 0)`` are clamped to zero; anything below
-    ``-CP_TOL`` means the map is not completely positive and raises
-    ``NotCompletelyPositiveError``.  Components with weight below
-    ``1e-12`` are dropped.
+    ``-CP_TOL``, or a NaN lowest eigenvalue, means the map is not shown to
+    be completely positive and raises ``NotCompletelyPositiveError``.
+    Components with weight below ``1e-12`` are dropped.
     """
     chi = check_hermitian(_as_chi(chi), "chi matrix")
-    values, vectors = np.linalg.eigh((chi + chi.conj().T) / 2.0)
-    if values[0] < -CP_TOL:
+    values, vectors = np.linalg.eigh(_parts(chi)[0])
+    if not values[0] >= -CP_TOL:
         raise NotCompletelyPositiveError(
             f"chi eigenvalue {values[0]:.3e} below -{CP_TOL:g}; "
             "project the process onto the physical set first"
@@ -185,7 +186,7 @@ def _tp_deficit(chi: np.ndarray) -> float:
 
 def _lowest_eigenvalue(chi: np.ndarray) -> float:
     """Lowest eigenvalue of the Hermitian part of ``chi``; no input checks."""
-    return float(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)[0])
+    return float(np.linalg.eigvalsh(_parts(chi)[0])[0])
 
 
 def is_trace_preserving(chi: np.ndarray) -> tuple[bool, float]:

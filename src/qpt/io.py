@@ -24,13 +24,14 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .channels import AffineMap, affine_from_chi
-from .errors import ConfigError, _number, _shown
+from .errors import ConfigError, _array, _number, _shown
 from .simulator import INPUT_COUNT, ExperimentConfig, MeasurementRecord
 from .state_tomography import ExpectationRecord
 
@@ -51,20 +52,20 @@ def encode_complex_matrix(m: np.ndarray) -> list:
 
 
 def decode_complex_matrix(data, shape: tuple[int, int], field: str) -> np.ndarray:
+    """The matrix of ``[real, imag]`` pairs ``data``: each number by
+    ``errors._number``, then the shape and finiteness by ``errors._array``;
+    else ``ConfigError`` naming ``field``."""
     try:
-        m = np.array(
-            [
-                [complex(_number(re, "entry"), _number(im, "entry")) for re, im in row]
-                for row in data
-            ]
-        )
+        entries = [
+            [complex(_number(re, "entry"), _number(im, "entry")) for re, im in row]
+            for row in data
+        ]
     except (TypeError, ValueError, LookupError) as exc:
         raise ConfigError(f"{field}: malformed complex matrix: {exc}") from exc
-    if m.shape != shape:
-        raise ConfigError(f"{field}: expected shape {shape}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ConfigError(f"{field}: non-finite entries")
-    return m
+    try:
+        return _array(entries, field, shape)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def encode_affine(a: AffineMap) -> dict:
@@ -352,10 +353,11 @@ def read_json(path: str) -> dict:
         raise ConfigError(f"{path}: JSON integer too long to parse: {exc}") from exc
 
 
-def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
-    """Write via a sibling temporary file and an atomic rename.
+@contextmanager
+def atomic_text_file(path: str):
+    """A text handle on a sibling temporary file, renamed to ``path`` when
+    the block exits and removed if it raises.
 
-    ``text`` is a string or an iterable of strings, written as they come.
     The directory must exist; an ``OSError`` from making the temporary file
     names ``path``, not the temporary file.
     """
@@ -369,7 +371,7 @@ def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
         raise
     try:
         with handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+            yield handle
         os.replace(handle.name, path)
     except BaseException:
         try:
@@ -380,4 +382,9 @@ def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
 
 
 def write_json_atomic(path: str, doc: dict) -> None:
-    write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    """Write ``doc`` via a sibling temporary file and an atomic rename; a
+    number out of the strict encoder's range raises ``ValueError`` before
+    the temporary file is made."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    with atomic_text_file(path) as handle:
+        handle.write(text)

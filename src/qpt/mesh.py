@@ -11,13 +11,15 @@ and the largest image norm.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .channels import AffineMap
-from .io import encode_affine, write_text_atomic
+from .io import atomic_text_file, encode_affine
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -180,36 +182,51 @@ def _obj_block(name: str, vertex_chunks, faces: np.ndarray, base: int):
         yield "f %d %d %d\n" * len(chunk) % tuple((chunk + base).ravel().tolist())
 
 
-def _obj_chunks(mesh: EllipsoidMesh, repr_table):
-    """Both objects of one OBJ document, ``unit_sphere`` then ``ellipsoid``,
-    as consecutive pieces of text; ``repr_table`` is the
-    :func:`_repr_table` of ``mesh.reference_vertices``."""
+def _sphere_chunks(mesh: EllipsoidMesh):
+    """The header and ``unit_sphere`` object of an OBJ document, as
+    consecutive pieces of text."""
     yield "# Bloch sphere and its affine image\n"
     reference = mesh.reference_vertices
-    distinct, table = repr_table
+    distinct, table = _repr_table(reference)
     reprs = (
         table[np.searchsorted(distinct, chunk)]
         for chunk in _chunks(reference.view(np.int64))
     )
     yield from _obj_block("unit_sphere", reprs, mesh.faces, 1)
-    # The image's coordinates are almost all distinct, so a table of them
-    # would cost more than it saves.
-    yield from _obj_block(
-        "ellipsoid", _chunks(mesh.vertices), mesh.faces, len(reference) + 1
-    )
+
+
+def _sphere_of(item: tuple[str, EllipsoidMesh]) -> tuple[int, int]:
+    """Which reference and faces arrays a ``path: mesh`` item is over."""
+    return id(item[1].reference_vertices), id(item[1].faces)
 
 
 def write_objs(meshes: Mapping[str, EllipsoidMesh]) -> None:
-    """Write each ``path: mesh`` as :func:`write_obj` does.  Consecutive
-    meshes over the same reference array, as from one
-    :func:`ellipsoid_meshes` call, share one table of its coordinates'
-    reprs."""
-    reference = repr_table = None
-    for path, mesh in meshes.items():
-        if mesh.reference_vertices is not reference:
-            reference = mesh.reference_vertices
-            repr_table = _repr_table(reference)
-        write_text_atomic(path, _obj_chunks(mesh, repr_table))
+    """Write each ``path: mesh`` as :func:`write_obj` does.
+
+    Consecutive meshes over the same reference and faces arrays, as from
+    one :func:`ellipsoid_meshes` call, are written in one pass: their
+    header and ``unit_sphere`` object are formatted once, chunk by chunk,
+    and each chunk goes to every one of their files.  No file of the pass
+    is renamed into place before all of them are written.
+    """
+    for _, items in groupby(meshes.items(), key=_sphere_of):
+        paths, group = zip(*items)
+        with ExitStack() as stack:
+            handles = [stack.enter_context(atomic_text_file(path)) for path in paths]
+            for piece in _sphere_chunks(group[0]):
+                for handle in handles:
+                    handle.write(piece)
+                # Freed before the next piece is formatted, as writelines does.
+                del piece
+            # The image's coordinates are almost all distinct, so a table of
+            # their reprs would cost more than it saves.
+            for handle, mesh in zip(handles, group):
+                handle.writelines(
+                    _obj_block(
+                        "ellipsoid", _chunks(mesh.vertices), mesh.faces,
+                        len(mesh.reference_vertices) + 1,
+                    )
+                )
 
 
 def write_obj(mesh: EllipsoidMesh, path: str) -> None:

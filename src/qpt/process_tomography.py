@@ -52,8 +52,8 @@ from .states import (
     TRACE_TOL,
     _coords,
     _coords_inverse,
+    _parts,
     check_hermitian,
-    hermiticity_defect,
 )
 from .simulator import _preparation
 from .state_tomography import bloch_target
@@ -96,8 +96,7 @@ def lambda_from_outputs(
         raise ValueError(f"expected 4 output states, got {len(outputs)}")
     stack = []
     for j, out in enumerate(outputs):
-        out = _array(out, f"output {j}", (2, 2))
-        check_hermitian(out, f"output {j}")
+        out = check_hermitian(_array(out, f"output {j}", (2, 2)), f"output {j}")
         if abs(out.trace() - 1.0) > TRACE_TOL:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
         stack.append(out)
@@ -120,8 +119,8 @@ def chi_from_lambda(
     """
     lam = _array(lam, "lambda matrix", (4, 4))
     coords, inverse = _basis_coords(rho_basis)
-    chi = _chi_from_ptm(coords @ lam.T @ inverse)
-    return (chi + chi.conj().T) / 2.0, hermiticity_defect(chi)
+    hermitian, anti = _parts(_chi_from_ptm(coords @ lam.T @ inverse))
+    return hermitian, float(np.linalg.norm(anti))
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ import numpy as np
 from .channels import _E0, _ROW0, _as_chi, _lowest_eigenvalue, _tp_deficit
 from .errors import NonConvergenceError
 from .metrics import DiscrepancyReport, _norms
+from .states import _parts
 
 # The fully depolarizing channel: CPTP with every eigenvalue at 1/4.
 _DEPOLARIZING = np.eye(4, dtype=complex) / 4.0
@@ -174,8 +175,7 @@ def project_to_physical(chi: np.ndarray) -> ProjectionResult:
     and then moved toward the fully depolarizing channel just far enough to
     be completely positive.
     """
-    chi = _as_chi(chi)
-    target = (chi + chi.conj().T) / 2.0
+    target = _parts(_as_chi(chi))[0]
     tol = max(_FEASIBILITY_TOL, _ROUNDOFF_FACTOR * float(np.linalg.norm(target)))
 
     point = _DualPoint.of(target, np.zeros(4))

@@ -10,6 +10,12 @@ Conventions used across the package:
   ``{sigma_0, sigma_x, -i sigma_y, sigma_z}``.  With the ``-i`` folded into
   the y element all four operators are real, which keeps the coefficient
   matrix of any channel with a real Bloch-map representation real as well.
+* The Hermitian and anti-Hermitian parts of a matrix are formed in one
+  place, :func:`_parts`, from halves: ``m/2 + m^dag/2`` and
+  ``m/2 - m^dag/2``.  Neither can overflow on finite entries, and for
+  entries whose halves are normal floats both equal ``(m +- m^dag) / 2``
+  bit for bit.  Every Hermiticity check, CP verdict, projection target and
+  state check in the package starts from them.
 """
 
 from __future__ import annotations
@@ -48,16 +54,26 @@ for _m in PAULIS + OPERATION_ELEMENTS:
 _COORDS = np.stack([p.T for p in PAULIS]).reshape(4, 4)
 
 
+def _parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian and anti-Hermitian parts of a converted complex matrix
+    or ``(k, n, n)`` stack, formed from halves."""
+    half = m / 2.0
+    adjoint = half.conj().swapaxes(-1, -2)
+    return half + adjoint, half - adjoint
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part of ``m``."""
-    m = np.asarray(m, dtype=complex)
-    return float(np.linalg.norm((m - m.conj().T) / 2.0))
+    """Frobenius norm of the anti-Hermitian part of ``m`` (converted by
+    ``errors._array``); ``inf`` when the norm passes the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(_parts(_array(m, "matrix"))[1]))
 
 
 def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` as a complex array; ``ValueError`` naming ``what`` if its
-    anti-Hermitian part exceeds ``HERMITICITY_TOL`` in Frobenius norm."""
-    m = np.asarray(m, dtype=complex)
+    """``m`` as a complex array (by ``errors._array``); ``ValueError``
+    naming ``what`` if its anti-Hermitian part exceeds ``HERMITICITY_TOL``
+    in Frobenius norm."""
+    m = _array(m, what)
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
@@ -102,14 +118,14 @@ def _check_states(
     failure.  Returns the stacked ``eigh`` of the Hermitian parts.
 
     Every matrix is decomposed before any is checked, so that arithmetic
-    must not fail on a matrix the checks never reach: the Hermitian and
-    anti-Hermitian parts are formed from halves, which cannot overflow.
-    A defect and a trace are computed only for a matrix that is reached.
+    must not fail on a matrix the checks never reach: the parts come from
+    :func:`_parts`, which cannot overflow.  A defect and a trace are
+    computed only for a matrix that is reached.  A NaN lowest eigenvalue,
+    which LAPACK returns for a finite Hermitian matrix whose entries'
+    moduli pass the float range, fails the eigenvalue check.
     """
-    half = stack / 2.0
-    adjoint = half.conj().swapaxes(1, 2)
-    anti = half - adjoint
-    values, vectors = np.linalg.eigh(half + adjoint)
+    hermitian, anti = _parts(stack)
+    values, vectors = np.linalg.eigh(hermitian)
     for i, context in enumerate(contexts):
         defect = float(np.linalg.norm(anti[i]))
         if defect > HERMITICITY_TOL:
@@ -118,7 +134,7 @@ def _check_states(
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
         lowest = float(values[i, 0])
-        if lowest < -eigenvalue_tol:
+        if not lowest >= -eigenvalue_tol:
             raise InvalidStateError(
                 f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
             )

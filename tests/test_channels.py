@@ -182,6 +182,29 @@ class TestPhysicalityChecks:
                 assert deficit == math.sqrt(2.0) * plain
         assert rescaled > 0  # 16 of the 300 on a 64-bit Linux host
 
+    @pytest.mark.parametrize("value", [1e200, 1e308, 1.7e308])
+    def test_hermitian_pair_near_the_float_limit(self, value):
+        # (chi + chi^dag) / 2 overflows past ~9e307 and the eigensolver
+        # failed on the inf; the parts from halves keep chi as it is.
+        chi = np.eye(4, dtype=complex) / 4.0
+        chi[0, 1] = chi[1, 0] = value
+        cp, lowest = ch.is_completely_positive(chi)
+        assert cp is False
+        assert lowest == pytest.approx(-value, rel=1e-12)
+        with pytest.raises(NotCompletelyPositiveError, match="below -1e-09"):
+            ch.kraus_from_chi(chi)
+
+    def test_hermitian_pair_whose_modulus_overflows(self):
+        # eigh returns NaN eigenvalues here: no verdict of complete
+        # positivity, and no Kraus set of NaN operators.
+        chi = np.eye(4, dtype=complex) / 4.0
+        chi[0, 1], chi[1, 0] = 1.7e308 + 1.7e308j, 1.7e308 - 1.7e308j
+        with np.errstate(over="ignore", invalid="ignore"):
+            cp, lowest = ch.is_completely_positive(chi)
+            assert cp is False and math.isnan(lowest)
+            with pytest.raises(NotCompletelyPositiveError, match="^chi eigenvalue nan below"):
+                ch.kraus_from_chi(chi)
+
     def test_scaled_identity_not_tp(self):
         tp, deficit = ch.is_trace_preserving(0.9 * IDENTITY_CHI)
         assert not tp

@@ -876,6 +876,30 @@ class TestMalformedResult:
         assert capsys.readouterr().err.startswith(f"error: {broken}")
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("value", [1e308, 1.7e308], ids=["1e308", "1.7e308"])
+    def test_hermitian_pair_near_the_float_limit(
+        self, tmp_path, result_path, capsys, value
+    ):
+        # A finite Hermitian raw chi whose (chi + chi^dag) / 2 overflows.
+        # The projection's target is formed from halves, so it stops without
+        # converging, as at 1e200, and its document is refused before any
+        # write, not failed in the eigensolver.
+        doc = json.loads(result_path.read_text())
+        doc["raw"]["chi"][0][1] = doc["raw"]["chi"][1][0] = [value, 0.0]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(*command_argv("project", broken, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: {broken}: a number derived from it overflows the float range\n"
+        )
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
+        assert run(*command_argv("compare", broken, tmp_path)) == 2
+        assert not list(tmp_path.glob("out*"))
+        assert run(*command_argv("render", broken, tmp_path)) == 0
+
     @pytest.mark.parametrize(
         "command, path, field",
         [

@@ -311,6 +311,12 @@ class TestResultDocument:
             io.document_chi(roundtrip, prefer_projected=False), estimate.chi, atol=1e-15
         )
 
+    def test_document_chi_shape_is_checked_by_the_array_rule(self):
+        _, _, doc = self.build()
+        doc["raw"]["chi"] = doc["raw"]["chi"][:3]
+        with pytest.raises(ConfigError, match=r"^raw\.chi: expected shape 4x4, got \(3, 4\)$"):
+            io.document_chi(doc)
+
     def test_document_config(self):
         config, estimate, doc = self.build()
         assert io.config_from_dict(doc["config"]) == config
@@ -343,6 +349,20 @@ class TestFileIo:
         path = str(tmp_path / "doc.json")
         io.write_json_atomic(path, {"a": 1})
         assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_atomic_text_file_keeps_the_old_file_when_the_block_raises(self, tmp_path):
+        path = tmp_path / "doc.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with io.atomic_text_file(str(path)) as handle:
+                handle.write("new\n")
+                raise RuntimeError("stop")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["doc.txt"]
+        with io.atomic_text_file(str(path)) as handle:
+            handle.write("new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["doc.txt"]
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         path = str(tmp_path / "doc.json")

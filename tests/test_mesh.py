@@ -10,9 +10,11 @@ from qpt.channels import AffineMap
 from qpt.mesh import (
     EllipsoidMesh,
     ellipsoid_mesh,
+    ellipsoid_meshes,
     icosphere,
     mesh_metadata,
     write_obj,
+    write_objs,
 )
 
 
@@ -213,6 +215,58 @@ class TestObjExport:
         write_obj(mesh, str(path))
         assert path.read_bytes() == row_obj_text(mesh).encode()
         assert [p.name for p in tmp_path.iterdir()] == ["mesh.obj"]
+
+
+class TestTwoMapExport:
+    """``write_objs`` of meshes from one ``ellipsoid_meshes`` call formats
+    their shared ``unit_sphere`` block once and writes it to each file."""
+
+    AFFINES = (
+        AffineMap(
+            np.array([[0.81, 0.02, -0.01], [0.0, 0.79, 0.03], [1e-17, 0.0, -0.98]]),
+            np.array([0.0, -0.0, 0.125]),
+        ),
+        AffineMap(np.diag([0.5, 0.6, 0.7]), np.array([0.1, 0.0, -0.2])),
+    )
+
+    @pytest.mark.parametrize("subdivisions", [1, 3, 5])
+    def test_each_file_matches_row_formatter(self, tmp_path, subdivisions):
+        meshes = ellipsoid_meshes(self.AFFINES, subdivisions)
+        paths = [tmp_path / "raw.obj", tmp_path / "projected.obj"]
+        write_objs({str(path): mesh for path, mesh in zip(paths, meshes)})
+        for path, mesh in zip(paths, meshes):
+            assert path.read_bytes() == row_obj_text(mesh).encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["projected.obj", "raw.obj"]
+
+    def test_meshes_over_other_spheres_are_written_apart(self, tmp_path):
+        # Three maps: two share a sphere, the third has its own.
+        shared = ellipsoid_meshes(self.AFFINES, 2)
+        alone = ellipsoid_mesh(self.AFFINES[0], 1)
+        meshes = {str(tmp_path / f"{i}.obj"): m for i, m in enumerate([*shared, alone])}
+        write_objs(meshes)
+        for path, mesh in meshes.items():
+            assert open(path, "rb").read() == row_obj_text(mesh).encode()
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # The second file's directory is missing: neither file appears.
+        meshes = ellipsoid_meshes(self.AFFINES, 1)
+        paths = [str(tmp_path / "raw.obj"), str(tmp_path / "missing" / "projected.obj")]
+        with pytest.raises(FileNotFoundError):
+            write_objs(dict(zip(paths, meshes)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_level_six_memory(self, tmp_path):
+        # Writing two level-6 maps peaked at 2.20 MB when each file formatted
+        # the unit sphere itself; the shared block is formatted once.
+        meshes = ellipsoid_meshes(self.AFFINES, 6)
+        paths = [str(tmp_path / "raw.obj"), str(tmp_path / "projected.obj")]
+        tracemalloc.start()
+        try:
+            write_objs(dict(zip(paths, meshes)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2e6
 
 
 class TestMetadata:

@@ -62,6 +62,15 @@ class TestTraceDistance:
         with pytest.raises(ValueError, match="Hermitian"):
             metrics.trace_distance(bad, np.eye(2) / 2.0)
 
+    def test_difference_past_the_float_range(self):
+        # Two finite operands whose difference overflows: refused by the
+        # array rule, as in process_distance_report, not a NaN distance.
+        a = [[0.5, 1e308], [1e308, 0.5]]
+        b = [[0.5, -1e308], [-1e308, 0.5]]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^difference: non-finite entries$"):
+                metrics.trace_distance(a, b)
+
 
 class TestFidelity:
     def test_identical_states(self, rng):

@@ -259,6 +259,17 @@ class TestFarTargets:
             with pytest.raises(NonConvergenceError):
                 project_to_physical(chi)
 
+    @pytest.mark.parametrize("value", [1e200, 1e308, 1.7e308])
+    def test_hermitian_pair_near_the_float_limit(self, value):
+        # Past ~9e307 the target (chi + chi^dag) / 2 overflowed and the
+        # eigensolver raised LinAlgError; from halves the target is chi.
+        chi = np.eye(4, dtype=complex) / 4.0
+        chi[0, 1] = chi[1, 0] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError) as raised:
+                project_to_physical(chi)
+        assert raised.value.best_result.converged is False
+
 
 class TestProjectionReport:
     def test_norms_of_removed_part(self):

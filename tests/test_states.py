@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import KET_0, KET_PLUS, KET_PLUS_I, projector, random_density_matrix
 from qpt import states
+from qpt.channels import is_completely_positive
 from qpt.errors import InvalidStateError
+from qpt.projection import project_to_physical
 
 BALL = st.builds(
     lambda x, y, z: np.array([x, y, z]),
@@ -148,6 +150,83 @@ class TestValidation:
         with pytest.raises(InvalidStateError, match=r"^probe: negative eigenvalue -2\.000e-10"):
             states.check_density_matrix(over, states.EIGENVALUE_CLAMP, context="probe")
         states.check_density_matrix(over, 1e-9)
+
+
+def bits(m: np.ndarray) -> bytes:
+    return np.ascontiguousarray(m).tobytes()
+
+
+class TestHermitianParts:
+    """The parts from halves equal ``(m +- m^dag) / 2`` bit for bit on the
+    package's estimates, their projections and random matrices."""
+
+    @pytest.fixture
+    def matrices(self, noisy_estimates, rng):
+        projections = [project_to_physical(chi).chi_tilde for chi in noisy_estimates]
+        shape = (200, 4, 4)
+        scale = 1e3 * rng.random((200, 1, 1))
+        randoms = scale * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+        return [*noisy_estimates, *projections, *randoms]
+
+    def test_parts_equal_the_sum_formula(self, matrices):
+        for m in matrices:
+            hermitian, anti = states._parts(m)
+            assert bits(hermitian) == bits((m + m.conj().T) / 2.0)
+            assert bits(anti) == bits((m - m.conj().T) / 2.0)
+
+    def test_stacked_parts_equal_each_matrix_alone(self, matrices):
+        hermitian, anti = states._parts(np.array(matrices))
+        for i, m in enumerate(matrices):
+            assert bits(hermitian[i]) == bits(states._parts(m)[0])
+            assert bits(anti[i]) == bits(states._parts(m)[1])
+
+    def test_results_read_from_the_parts_keep_their_bits(self, matrices):
+        # Public results that start from a part, against the sum formula.
+        for m in matrices:
+            hermitian = (m + m.conj().T) / 2.0
+            defect = float(np.linalg.norm((m - m.conj().T) / 2.0))
+            assert bits(np.float64(states.hermiticity_defect(m))) == bits(np.float64(defect))
+            lowest = np.linalg.eigvalsh(hermitian)[0]
+            assert bits(np.float64(is_completely_positive(m)[1])) == bits(lowest)
+
+
+class TestHermiticityNearTheFloatLimit:
+    def test_anti_hermitian_pair_is_refused(self):
+        # (m - m^dag) / 2 overflows to a NaN defect here, which passed.
+        m = [[0.5, 1e308], [-1e308, 0.5]]
+        assert states.hermiticity_defect(m) == math.inf
+        with pytest.raises(ValueError, match=r"^m is not Hermitian \(defect inf\)$"):
+            states.check_hermitian(m, "m")
+
+    @pytest.mark.parametrize("value", [1e308, 1.7e308])
+    def test_hermitian_pair_passes(self, value):
+        m = np.array([[0.5, value], [value, 0.5]], dtype=complex)
+        assert states.hermiticity_defect(m) == 0.0
+        np.testing.assert_array_equal(states.check_hermitian(m, "m"), m)
+
+    def test_nan_spectrum_is_refused(self):
+        # Finite, Hermitian and unit trace, but the off-diagonal modulus
+        # passes the float range and eigh returns NaN eigenvalues, which the
+        # eigenvalue check passed.
+        m = np.array([[0.5, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidStateError, match="^density matrix: negative eigenvalue"):
+                states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+            with pytest.raises(InvalidStateError, match="^density matrix: negative eigenvalue"):
+                states.von_neumann_entropy(m)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([[0.5, np.nan], [np.nan, 0.5]], "^m: non-finite entries$"),
+            ([[True, False], [False, True]], "^m: must hold"),
+            ([["a", "b"], ["c", "d"]], "^m: must hold"),
+        ],
+        ids=["nan", "boolean", "text"],
+    )
+    def test_entries_go_through_the_array_rule(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            states.check_hermitian(value, "m")
 
 
 class TestEntropy:
