@@ -15,6 +15,10 @@ The operation elements are unitary up to phase and satisfy
 orthonormal and the Choi state is exactly the chi matrix rotated by a fixed
 unitary.  Complete positivity of the map is therefore equivalent to the chi
 matrix itself being positive semidefinite.
+
+A conversion or application of finite inputs whose result leaves the float
+range raises the ``ValueError`` of ``errors._array``, naming the result,
+instead of returning ``inf`` or NaN entries.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ class AffineMap:
 
 
 def apply_affine(a: AffineMap, r: Sequence[float]) -> np.ndarray:
-    return a.matrix @ _array(r, "Bloch vector", (3,), real=True) + a.translation
+    image = a.matrix @ _array(r, "Bloch vector", (3,), real=True) + a.translation
+    return _array(image, "image of the Bloch vector", real=True)
 
 
 def _as_chi(chi: np.ndarray) -> np.ndarray:
@@ -102,7 +107,7 @@ def _kraus_stack(ops: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def operator_from_coefficients(c: Sequence[complex]) -> np.ndarray:
-    return np.einsum("m,mij->ij", _array(c, "coefficients", (4,)), _OPS)
+    return _array(np.einsum("m,mij->ij", _array(c, "coefficients", (4,)), _OPS), "operator")
 
 
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -118,14 +123,15 @@ def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     rho = _array(rho, "rho")
     if rho.shape[-2:] != (2, 2) or rho.ndim not in (2, 3):
         raise ValueError(f"rho: expected a 2x2 operator or a stack of them, got {rho.shape}")
-    return np.einsum("mn,mik,...kl,njl->...ij", chi, _OPS, rho, _OPS_CONJ)
+    image = np.einsum("mn,mik,...kl,njl->...ij", chi, _OPS, rho, _OPS_CONJ)
+    return _array(image, "image of rho")
 
 
 def apply_kraus(ops: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     """Evaluate ``sum_k K_k rho K_k^dag``."""
     stack = _kraus_stack(ops)
     rho = _array(rho, "rho", (2, 2))
-    return np.einsum("kil,lm,kjm->ij", stack, rho, stack.conj())
+    return _array(np.einsum("kil,lm,kjm->ij", stack, rho, stack.conj()), "image of rho")
 
 
 def chi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -137,7 +143,7 @@ def chi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
     """
     stack = _kraus_stack(ops)
     coeff = np.einsum("mij,kij->km", _OPS.conj(), stack) / 2.0
-    return np.einsum("km,kn->mn", coeff, coeff.conj())
+    return _array(np.einsum("km,kn->mn", coeff, coeff.conj()), "chi matrix of the Kraus set")
 
 
 def kraus_from_chi(chi: np.ndarray) -> Kraus:
@@ -207,13 +213,12 @@ def is_completely_positive(chi: np.ndarray) -> tuple[bool, float]:
 
 def choi_from_chi(chi: np.ndarray) -> np.ndarray:
     """Trace-1 Choi state of the map, ancilla as the first tensor factor."""
-    chi = _as_chi(chi)
-    return _CHOI_BASIS @ chi @ _CHOI_BASIS.conj().T
+    return _array(_CHOI_BASIS @ _as_chi(chi) @ _CHOI_BASIS.conj().T, "Choi state")
 
 
 def chi_from_choi(choi: np.ndarray) -> np.ndarray:
     choi = _array(choi, "Choi state", (4, 4))
-    return _CHOI_BASIS.conj().T @ choi @ _CHOI_BASIS
+    return _array(_CHOI_BASIS.conj().T @ choi @ _CHOI_BASIS, "chi matrix of the Choi state")
 
 
 def affine_from_chi(chi: np.ndarray) -> AffineMap:
@@ -270,7 +275,7 @@ def compose_chi(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     inputs must be Hermitian, so that each ``R`` is real.
     """
     first, then = (check_hermitian(_as_chi(chi), "chi matrix") for chi in (first, then))
-    return _chi_from_ptm(_transfer(then) @ _transfer(first))
+    return _array(_chi_from_ptm(_transfer(then) @ _transfer(first)), "composed chi matrix")
 
 
 def rotation_unitary(axis, angle: float) -> np.ndarray:

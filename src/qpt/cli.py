@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as qio
 from .channels import standard_channel
-from .errors import ConfigError, NonConvergenceError, QptError, _shown
+from .errors import ConfigError, NonConvergenceError, QptError, _input_error, _shown
 from .simulator import PRESETS, ExperimentConfig, run_experiment
 
 # The stages past simulation (process_tomography, projection, metrics,
@@ -122,10 +122,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["shots"] = None if args.shots == "exact" else args.shots
     if not updates:
         return config
-    try:
+    with _input_error("invalid override"):
         return replace(config, **updates)
-    except ValueError as exc:
-        raise ConfigError(f"invalid override: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -136,23 +134,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _reconstruct(records, source: str):
-    """The linear-inversion estimate; records it cannot invert, such as a
-    declared preparation that does not span, are an input error."""
+def cmd_reconstruct(args) -> int:
     from .process_tomography import run_process_tomography
 
-    try:
-        return run_process_tomography(records)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-
-
-def cmd_reconstruct(args) -> int:
     records = qio.parse_records_document(qio.read_json(args.records))
     with _derived_from(args.records):
-        doc = qio.result_document(
-            _reconstruct(records, args.records), records[0].config
-        )
+        doc = qio.result_document(run_process_tomography(records), records[0].config)
     _write_finite(args.out, doc, args.records)
     raw = doc["raw"]
     log.info(
@@ -183,16 +170,15 @@ def _project_into_document(doc: dict) -> int:
 
 @contextmanager
 def _derived_from(source: str):
-    """Compute from the document(s) ``source`` names.
+    """Compute from the document(s) or records ``source`` names.
 
     Overflow raises no numpy warning (:func:`_write_finite` rejects its
-    result), and an eigensolver failure is an input error.
+    result), and what the computation refuses, such as records that do not
+    invert, a difference past the float range or an eigensolver failure,
+    is an input error naming ``source``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            yield
-        except np.linalg.LinAlgError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"), _input_error(source):
+        yield
 
 
 def _write_finite(path: str, doc: dict, source: str) -> None:
@@ -241,10 +227,8 @@ def _channel_by_name(name: str) -> np.ndarray:
         raise ConfigError(
             f"channel {_shown(name)}: {_shown(argument)} is not a number"
         ) from None
-    try:
+    with _input_error(f"channel {_shown(name)}"):
         return standard_channel(kind, **{_CHANNEL_PARAMETERS[kind]: value})
-    except ValueError as exc:
-        raise ConfigError(f"channel {_shown(name)}: {exc}") from exc
 
 
 def _comparison_operand(spec: str) -> tuple[np.ndarray, str]:
@@ -289,11 +273,9 @@ def _render_document(doc: dict, prefix: str, subdivisions: int) -> None:
     for (block, affine), mesh in zip(affines.items(), meshes):
         with _derived_from(f"{block}.affine"):
             metadata = mesh_metadata(affine, mesh)
-        numbers = metadata["axis_lengths"] + [metadata["max_vertex_norm"]]
-        if not (np.isfinite(mesh.vertices).all() and np.isfinite(numbers).all()):
-            raise ConfigError(
-                f"{block}.affine: the mesh of this map overflows the float range"
-            )
+            numbers = metadata["axis_lengths"] + [metadata["max_vertex_norm"]]
+            if not (np.isfinite(mesh.vertices).all() and np.isfinite(numbers).all()):
+                raise ValueError("the mesh of this map overflows the float range")
         sidecars[block] = metadata
     write_objs({f"{prefix}_{block}.obj": mesh for block, mesh in zip(affines, meshes)})
     for block, metadata in sidecars.items():
@@ -308,10 +290,12 @@ def cmd_render(args) -> int:
 
 def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
     from .metrics import process_distance_report
+    from .process_tomography import run_process_tomography
 
     records = run_experiment(config)
     # Reconstruct first: records it cannot invert leave no file of the run.
-    estimate = _reconstruct(records, "simulated records")
+    with _derived_from("simulated records"):
+        estimate = run_process_tomography(records)
     os.makedirs(out_dir, exist_ok=True)
     qio.write_json_atomic(
         os.path.join(out_dir, "records.json"), qio.records_document(records)

@@ -10,10 +10,17 @@ constructors, so a library caller and the CLI reject the same values with
 the same field-named ``ValueError``.  ``_array`` is the rule for a matrix,
 vector or stack: every public function that takes one converts it there
 and nowhere else.
+
+``_input_error`` is the rule for an input error: a ``ValueError`` (numpy's
+``LinAlgError`` is one), ``TypeError`` or ``LookupError`` raised while
+:mod:`qpt.io` reads a document, or while :mod:`qpt.cli` computes from a
+named input, becomes a ``ConfigError`` prefixed by what was read.  Every
+such translation in those two modules goes through it.
 """
 
 import numbers
 import operator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -100,6 +107,17 @@ def _array(value, name: str, shape: tuple[int, ...] | None = None, real: bool = 
     if not np.isfinite(array).all():
         raise ValueError(f"{name}: non-finite entries")
     return array
+
+
+@contextmanager
+def _input_error(prefix: str | None = None):
+    """Re-raise a ``ValueError``, ``TypeError`` or ``LookupError`` from the
+    block as ``ConfigError(f"{prefix}: {exc}")``, or ``ConfigError(str(exc))``
+    with no ``prefix``; any other exception passes through unchanged."""
+    try:
+        yield
+    except (ValueError, TypeError, LookupError) as exc:
+        raise ConfigError(str(exc) if prefix is None else f"{prefix}: {exc}") from exc
 
 
 class QptError(Exception):

@@ -14,8 +14,8 @@ propagate as ``OSError``.  What a numeric field accepts is not decided
 here: the config and records readers hand the values to the constructors,
 which check their own fields with ``errors._integer`` and
 ``errors._number``, and turn the constructors' ``ValueError`` into
-``ConfigError``.  Header versions, matrices and affine maps go through
-``_number`` entry by entry.
+``ConfigError`` through ``errors._input_error``.  Header versions,
+matrices and affine maps go through ``_number`` entry by entry.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channels import AffineMap, affine_from_chi
-from .errors import ConfigError, _array, _number, _shown
+from .errors import ConfigError, _array, _input_error, _number, _shown
 from .simulator import INPUT_COUNT, ExperimentConfig, MeasurementRecord
 from .state_tomography import ExpectationRecord
 
@@ -55,17 +55,13 @@ def decode_complex_matrix(data, shape: tuple[int, int], field: str) -> np.ndarra
     """The matrix of ``[real, imag]`` pairs ``data``: each number by
     ``errors._number``, then the shape and finiteness by ``errors._array``;
     else ``ConfigError`` naming ``field``."""
-    try:
+    with _input_error(f"{field}: malformed complex matrix"):
         entries = [
             [complex(_number(re, "entry"), _number(im, "entry")) for re, im in row]
             for row in data
         ]
-    except (TypeError, ValueError, LookupError) as exc:
-        raise ConfigError(f"{field}: malformed complex matrix: {exc}") from exc
-    try:
+    with _input_error():
         return _array(entries, field, shape)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def encode_affine(a: AffineMap) -> dict:
@@ -76,13 +72,11 @@ def encode_affine(a: AffineMap) -> dict:
 
 
 def decode_affine(data, field: str) -> AffineMap:
-    try:
+    with _input_error(f"{field}: malformed affine map"):
         # Entry by entry: a list mixing true with integers is an int array.
         matrix = [[_number(v, "matrix entry") for v in row] for row in data["matrix"]]
         translation = [_number(v, "translation entry") for v in data["translation"]]
         return AffineMap(matrix=matrix, translation=translation)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: malformed affine map: {exc}") from exc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -108,10 +102,8 @@ def config_from_dict(data) -> ExperimentConfig:
     # null is "no amplitude damping" for t1; for shots it is None as given.
     if data.get("t1", 0.0) is None:
         data = dict(data, t1=math.inf)
-    try:
+    with _input_error("invalid config"):
         return ExperimentConfig(**data)
-    except ValueError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def _in_input_order(records: Sequence[MeasurementRecord]) -> list[MeasurementRecord]:
@@ -164,10 +156,8 @@ def _require(doc: dict, key: str, context: str):
 def _check_header(doc, kind: str, context: str) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected a JSON object")
-    try:
+    with _input_error(context):
         version = _number(_require(doc, "schema_version", context), "schema_version")
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"{context}: unsupported schema_version {_shown(version)} "
@@ -198,7 +188,7 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
         expectations = _require(entry, "expectations", context)
         if not isinstance(expectations, list):
             raise ConfigError(f"{context}: expectations must be a list")
-        try:
+        with _input_error(context):
             record = MeasurementRecord(
                 input_index=index,
                 records=tuple(
@@ -207,13 +197,9 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
                 ),
                 config=config,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
         parsed.append(record)
-    try:
+    with _input_error("records document"):
         return _in_input_order(parsed)
-    except ValueError as exc:
-        raise ConfigError(f"records document: {exc}") from None
 
 
 def result_document(

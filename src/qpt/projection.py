@@ -173,7 +173,8 @@ def project_to_physical(chi: np.ndarray) -> ProjectionResult:
     at call time) do not reach the stopping bound, ``NonConvergenceError``
     is raised with ``best_result`` the last iterate, made trace preserving
     and then moved toward the fully depolarizing channel just far enough to
-    be completely positive.
+    be completely positive; or the fully depolarizing channel itself when
+    the trace-preserving iterate leaves the float range.
     """
     target = _parts(_as_chi(chi))[0]
     tol = max(_FEASIBILITY_TOL, _ROUNDOFF_FACTOR * float(np.linalg.norm(target)))
@@ -207,10 +208,15 @@ def project_to_physical(chi: np.ndarray) -> ProjectionResult:
         # keeps it TP; weight t lifts the lowest eigenvalue to
         # (1 - t) lowest + t / 4 = 0.
         chi_tilde = _project_tp(chi_tilde)
-        lowest = _lowest_eigenvalue(chi_tilde)
-        if lowest < 0.0:
-            weight = -lowest / (0.25 - lowest)
-            chi_tilde = (1.0 - weight) * chi_tilde + weight * _DEPOLARIZING
+        if not np.isfinite(chi_tilde).all():
+            # An iterate past the float range has no repair; the fully
+            # depolarizing channel is the CPTP point left to report.
+            chi_tilde, converged = _DEPOLARIZING.copy(), False
+        else:
+            lowest = _lowest_eigenvalue(chi_tilde)
+            if lowest < 0.0:
+                weight = -lowest / (0.25 - lowest)
+                chi_tilde = (1.0 - weight) * chi_tilde + weight * _DEPOLARIZING
 
     result = ProjectionResult(
         chi_tilde=chi_tilde,

@@ -126,18 +126,21 @@ def _check_states(
     """
     hermitian, anti = _parts(stack)
     values, vectors = np.linalg.eigh(hermitian)
-    for i, context in enumerate(contexts):
-        defect = float(np.linalg.norm(anti[i]))
-        if defect > HERMITICITY_TOL:
-            raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
-        trace = stack[i].trace()
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
-        lowest = float(values[i, 0])
-        if not lowest >= -eigenvalue_tol:
-            raise InvalidStateError(
-                f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
-            )
+    # As in hermiticity_defect, a defect or trace past the float range
+    # reads inf, with no overflow warning.
+    with np.errstate(over="ignore"):
+        for i, context in enumerate(contexts):
+            defect = float(np.linalg.norm(anti[i]))
+            if defect > HERMITICITY_TOL:
+                raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
+            trace = stack[i].trace()
+            if abs(trace - 1.0) > TRACE_TOL:
+                raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
+            lowest = float(values[i, 0])
+            if not lowest >= -eigenvalue_tol:
+                raise InvalidStateError(
+                    f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
+                )
     return values, vectors
 
 

@@ -554,3 +554,43 @@ class TestComposition:
         for first, then in ((skewed, identity), (identity, skewed)):
             with pytest.raises(ValueError, match="not Hermitian"):
                 ch.compose_chi(first, then)
+
+
+# A 1e200 off-diagonal pair: each transfer matrix holds entries near 1e200,
+# so their product passes the float range.
+_WIDE_PAIR = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+_WIDE_PAIR[1, 2] = _WIDE_PAIR[2, 1] = 1e200
+_HUGE_CHI = np.full((4, 4), 1.7e308, dtype=complex)
+_HUGE_KRAUS = [np.full((2, 2), 1.7e308)]
+_HUGE_AFFINE = ch.AffineMap(np.full((3, 3), 1.7e308), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: ch.apply_chi(_HUGE_CHI, np.eye(2)), "image of rho"),
+        (lambda: ch.choi_from_chi(_HUGE_CHI), "Choi state"),
+        (lambda: ch.chi_from_choi(_HUGE_CHI), "chi matrix of the Choi state"),
+        (lambda: ch.apply_kraus(_HUGE_KRAUS, np.eye(2)), "image of rho"),
+        (lambda: ch.chi_from_kraus(_HUGE_KRAUS), "chi matrix of the Kraus set"),
+        (lambda: ch.operator_from_coefficients([1.7e308] * 4), "operator"),
+        (lambda: ch.apply_affine(_HUGE_AFFINE, [1, 1, 1]), "image of the Bloch vector"),
+        (lambda: ch.compose_chi(_WIDE_PAIR, _WIDE_PAIR), "composed chi matrix"),
+    ],
+    ids=[
+        "apply_chi",
+        "choi_from_chi",
+        "chi_from_choi",
+        "apply_kraus",
+        "chi_from_kraus",
+        "operator_from_coefficients",
+        "apply_affine",
+        "compose_chi",
+    ],
+)
+def test_result_past_the_float_range_is_refused(call, name):
+    # Finite input whose result overflows: the array rule names the result
+    # instead of returning inf or NaN entries.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"^{name}: non-finite entries$"):
+            call()

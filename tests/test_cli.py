@@ -602,6 +602,24 @@ class TestCompare:
             "skipped: unphysical Choi for broken.json:raw: not Hermitian (defect 7.071e-07)"
         )
 
+    def test_difference_past_the_float_range(self, tmp_path, result_path, capsys):
+        # Two finite documents whose chi difference overflows: an input
+        # error naming both operands, not a ValueError out of main.
+        doc = json.loads(result_path.read_text())
+        paths = []
+        for name, value in (("big", 1.7e308), ("neg", -1.7e308)):
+            doc["raw"]["chi"][0][0] = [value, 0.0]
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        out = tmp_path / "c.json"
+        capsys.readouterr()
+        assert run("compare", *paths, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[0]} vs {paths[1]}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestResultWithLambda:
     """Result documents that carry ``raw.lambda``,
@@ -900,6 +918,23 @@ class TestMalformedResult:
         assert not list(tmp_path.glob("out*"))
         assert run(*command_argv("render", broken, tmp_path)) == 0
 
+    def test_projection_iterate_past_the_float_range(self, tmp_path, result_path, capsys):
+        # diag(1e308): the projection reports the depolarizing channel
+        # without converging, and the document is refused before any write.
+        doc = json.loads(result_path.read_text())
+        for i in range(4):
+            doc["raw"]["chi"][i][i] = [1e308, 0.0]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(*command_argv("project", broken, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: {broken}: a number derived from it overflows the float range\n"
+        )
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize(
         "command, path, field",
         [
@@ -1091,6 +1126,8 @@ READERS = {
     "projected": ["project", "compare", "render"],
 }
 SWEEP_CASES = 1000
+# Pairs of documents in the float-limit sweep.
+FLOAT_LIMIT_PAIRS = 120
 
 
 class TestExitCodeContract:
@@ -1141,4 +1178,38 @@ class TestExitCodeContract:
             if code not in (0, 2, 3, 4):
                 outside.append((command, kind, path, repr(value)[:40], code))
         assert 900 < len(cases) <= SWEEP_CASES
+        assert outside == []
+
+    def test_seeded_float_limit_sweep(self, valid_documents, tmp_path):
+        # Pairs of raw results whose chi holds symmetric entries near the
+        # float limit: compare, project and render of each pair exit by the
+        # contract, as an input error where a derived number overflows.
+        rng = random.Random(30)
+        values = [1e308, -1e308, 1.7e308, -1.7e308, 1e200, -1e200]
+        positions = [(i, j) for i in range(4) for j in range(i, 4)]
+        outside = []
+        for case in range(FLOAT_LIMIT_PAIRS):
+            paths = []
+            for side in ("a", "b"):
+                doc = copy.deepcopy(valid_documents["raw"])
+                for i, j in rng.sample(positions, rng.randint(1, 3)):
+                    doc["raw"]["chi"][i][j] = doc["raw"]["chi"][j][i] = [rng.choice(values), 0.0]
+                paths.append(tmp_path / f"{side}.json")
+                paths[-1].write_text(json.dumps(doc))
+            projected = tmp_path / "projected.json"
+            projected.unlink(missing_ok=True)
+            commands = [
+                ["compare", *paths, "--out", tmp_path / "c.json"],
+                ["project", "--result", paths[0], "--out", projected],
+                ["render", "--result", projected, "--out", tmp_path / "m", "--subdivisions", "1"],
+            ]
+            for argv in commands:
+                if argv[0] == "render" and not projected.exists():
+                    argv[2] = paths[0]
+                try:
+                    code = main([str(a) for a in argv])
+                except Exception as exc:  # noqa: BLE001 - every escape is a finding
+                    code = f"{type(exc).__name__}: {exc}"
+                if code not in (0, 2, 4):
+                    outside.append((case, argv[0], code))
         assert outside == []

@@ -9,7 +9,7 @@ import pytest
 
 from qpt import channels as ch
 from qpt import io
-from qpt.errors import ConfigError
+from qpt.errors import ConfigError, NonConvergenceError, _input_error
 from qpt.metrics import process_distance_report
 from qpt.process_tomography import run_process_tomography
 from qpt.projection import project_to_physical, projection_report
@@ -394,3 +394,44 @@ class TestFileIo:
             io.write_json_atomic(str(tmp_path / "bad.json"), {"x": math.inf})
         assert not (tmp_path / "bad.json").exists()
         assert os.listdir(tmp_path) == []
+
+
+class TestInputErrorRule:
+    """``errors._input_error``, the one translation of an input error."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ValueError("bad value"),
+            np.linalg.LinAlgError("bad value"),
+            TypeError("bad value"),
+            KeyError("bad value"),
+            IndexError("bad value"),
+        ],
+        ids=["ValueError", "LinAlgError", "TypeError", "KeyError", "IndexError"],
+    )
+    def test_input_errors_become_config_errors(self, error):
+        with pytest.raises(ConfigError) as raised:
+            with _input_error("source.json"):
+                raise error
+        assert str(raised.value) == f"source.json: {error}"
+        assert raised.value.__cause__ is error
+        with pytest.raises(ConfigError) as raised:
+            with _input_error():
+                raise error
+        assert str(raised.value) == str(error)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ConfigError("already an input error"),
+            NonConvergenceError("out of budget", best_result=object()),
+            OSError(2, "No such file or directory", "absent.json"),
+        ],
+        ids=["ConfigError", "NonConvergenceError", "OSError"],
+    )
+    def test_other_errors_pass_through(self, error):
+        with pytest.raises(type(error)) as raised:
+            with _input_error("source.json"):
+                raise error
+        assert raised.value is error

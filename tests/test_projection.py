@@ -270,6 +270,24 @@ class TestFarTargets:
                 project_to_physical(chi)
         assert raised.value.best_result.converged is False
 
+    @pytest.mark.parametrize(
+        "chi",
+        [np.diag([1e308] * 4), np.full((4, 4), 1e308)],
+        ids=["diagonal", "every-entry"],
+    )
+    def test_iterate_past_the_float_range(self, chi):
+        # The trace-preserving fix of the last iterate overflowed, and the
+        # eigensolver then raised LinAlgError; the depolarizing channel is
+        # reported instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError) as raised:
+                project_to_physical(chi)
+        best = raised.value.best_result
+        assert best.converged is False
+        np.testing.assert_array_equal(best.chi_tilde, np.eye(4) / 4.0)
+        assert_cptp(best.chi_tilde)
+        assert best.chi_tilde is not projection._DEPOLARIZING
+
 
 class TestProjectionReport:
     def test_norms_of_removed_part(self):

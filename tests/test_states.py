@@ -1,6 +1,7 @@
 """States module: Pauli algebra, Bloch conversions, and validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import KET_0, KET_PLUS, KET_PLUS_I, projector, random_density_matr
 from qpt import states
 from qpt.channels import is_completely_positive
 from qpt.errors import InvalidStateError
+from qpt.metrics import fidelity, process_distance_report
 from qpt.projection import project_to_physical
 
 BALL = st.builds(
@@ -197,6 +199,26 @@ class TestHermiticityNearTheFloatLimit:
         assert states.hermiticity_defect(m) == math.inf
         with pytest.raises(ValueError, match=r"^m is not Hermitian \(defect inf\)$"):
             states.check_hermitian(m, "m")
+
+    def test_overflowing_defect_warns_nothing(self):
+        # The state checks read the defect as hermiticity_defect does, inf
+        # with no overflow warning, and keep its text in the skip reason.
+        m = np.array([[0.5, 1e308], [-1e308, 0.5]])
+        chi = np.eye(4, dtype=complex) / 4.0
+        chi[0, 1], chi[1, 0] = 1e308, -1e308
+        message = r"not Hermitian \(defect inf\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match=f"^density matrix: {message}"):
+                states.check_density_matrix(m, 1e-9)
+            with pytest.raises(InvalidStateError, match=f"^density matrix: {message}"):
+                states.von_neumann_entropy(m)
+            with pytest.raises(InvalidStateError, match=f"^first state: {message}"):
+                fidelity(m, np.eye(2) / 2.0)
+            comparison = process_distance_report(chi, chi)
+        assert comparison.skip_reason == (
+            "skipped: unphysical Choi for a: not Hermitian (defect inf)"
+        )
 
     @pytest.mark.parametrize("value", [1e308, 1.7e308])
     def test_hermitian_pair_passes(self, value):
