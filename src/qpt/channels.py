@@ -16,9 +16,9 @@ orthonormal and the Choi state is exactly the chi matrix rotated by a fixed
 unitary.  Complete positivity of the map is therefore equivalent to the chi
 matrix itself being positive semidefinite.
 
-A conversion or application of finite inputs whose result leaves the float
-range raises the ``ValueError`` of ``errors._array``, naming the result,
-instead of returning ``inf`` or NaN entries.
+Every array a function here takes goes through ``errors._array``, whose
+bound of 2**256 on each entry's modulus keeps every result finite, so no
+result is checked again.
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ class AffineMap:
 
 
 def apply_affine(a: AffineMap, r: Sequence[float]) -> np.ndarray:
-    image = a.matrix @ _array(r, "Bloch vector", (3,), real=True) + a.translation
-    return _array(image, "image of the Bloch vector", real=True)
+    return a.matrix @ _array(r, "Bloch vector", (3,), real=True) + a.translation
 
 
 def _as_chi(chi: np.ndarray) -> np.ndarray:
@@ -107,7 +106,7 @@ def _kraus_stack(ops: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def operator_from_coefficients(c: Sequence[complex]) -> np.ndarray:
-    return _array(np.einsum("m,mij->ij", _array(c, "coefficients", (4,)), _OPS), "operator")
+    return np.einsum("m,mij->ij", _array(c, "coefficients", (4,)), _OPS)
 
 
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -123,15 +122,14 @@ def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     rho = _array(rho, "rho")
     if rho.shape[-2:] != (2, 2) or rho.ndim not in (2, 3):
         raise ValueError(f"rho: expected a 2x2 operator or a stack of them, got {rho.shape}")
-    image = np.einsum("mn,mik,...kl,njl->...ij", chi, _OPS, rho, _OPS_CONJ)
-    return _array(image, "image of rho")
+    return np.einsum("mn,mik,...kl,njl->...ij", chi, _OPS, rho, _OPS_CONJ)
 
 
 def apply_kraus(ops: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     """Evaluate ``sum_k K_k rho K_k^dag``."""
     stack = _kraus_stack(ops)
     rho = _array(rho, "rho", (2, 2))
-    return _array(np.einsum("kil,lm,kjm->ij", stack, rho, stack.conj()), "image of rho")
+    return np.einsum("kil,lm,kjm->ij", stack, rho, stack.conj())
 
 
 def chi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -143,7 +141,7 @@ def chi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
     """
     stack = _kraus_stack(ops)
     coeff = np.einsum("mij,kij->km", _OPS.conj(), stack) / 2.0
-    return _array(np.einsum("km,kn->mn", coeff, coeff.conj()), "chi matrix of the Kraus set")
+    return np.einsum("km,kn->mn", coeff, coeff.conj())
 
 
 def kraus_from_chi(chi: np.ndarray) -> Kraus:
@@ -176,18 +174,8 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
 
 
 def _tp_deficit(chi: np.ndarray) -> float:
-    """``||S - I||_F`` with ``S = sum_mn chi[m, n] A_n^dag A_m``; no input checks.
-
-    The norm is numpy's unless its squares overflow; then ``math.hypot``,
-    which scales internally, gives it, so a finite gap has a finite
-    deficit unless the deficit itself passes the float range.
-    """
-    gap = _ROW0 @ chi.reshape(16) - _E0
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(gap))
-    if math.isinf(norm):
-        norm = math.hypot(*gap.real.tolist(), *gap.imag.tolist())
-    return math.sqrt(2.0) * norm
+    """``||S - I||_F`` with ``S = sum_mn chi[m, n] A_n^dag A_m``; no input checks."""
+    return math.sqrt(2.0) * float(np.linalg.norm(_ROW0 @ chi.reshape(16) - _E0))
 
 
 def _lowest_eigenvalue(chi: np.ndarray) -> float:
@@ -213,12 +201,11 @@ def is_completely_positive(chi: np.ndarray) -> tuple[bool, float]:
 
 def choi_from_chi(chi: np.ndarray) -> np.ndarray:
     """Trace-1 Choi state of the map, ancilla as the first tensor factor."""
-    return _array(_CHOI_BASIS @ _as_chi(chi) @ _CHOI_BASIS.conj().T, "Choi state")
+    return _CHOI_BASIS @ _as_chi(chi) @ _CHOI_BASIS.conj().T
 
 
 def chi_from_choi(choi: np.ndarray) -> np.ndarray:
-    choi = _array(choi, "Choi state", (4, 4))
-    return _array(_CHOI_BASIS.conj().T @ choi @ _CHOI_BASIS, "chi matrix of the Choi state")
+    return _CHOI_BASIS.conj().T @ _array(choi, "Choi state", (4, 4)) @ _CHOI_BASIS
 
 
 def affine_from_chi(chi: np.ndarray) -> AffineMap:
@@ -237,9 +224,15 @@ def _transfer(chi: np.ndarray) -> np.ndarray:
 
 
 def _affine(chi: np.ndarray) -> AffineMap:
-    """:func:`affine_from_chi` without the input checks."""
+    """:func:`affine_from_chi` without the input checks.
+
+    The map is not checked either: the transfer entries of a chi at the
+    bound reach four times it, and are finite.
+    """
     transfer = _transfer(chi)
-    return AffineMap(matrix=transfer[1:, 1:], translation=transfer[1:, 0])
+    affine = object.__new__(AffineMap)
+    affine.__dict__.update(matrix=transfer[1:, 1:], translation=transfer[1:, 0])
+    return affine
 
 
 def chi_from_affine(a: AffineMap) -> np.ndarray:
@@ -275,7 +268,7 @@ def compose_chi(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     inputs must be Hermitian, so that each ``R`` is real.
     """
     first, then = (check_hermitian(_as_chi(chi), "chi matrix") for chi in (first, then))
-    return _array(_chi_from_ptm(_transfer(then) @ _transfer(first)), "composed chi matrix")
+    return _chi_from_ptm(_transfer(then) @ _transfer(first))
 
 
 def rotation_unitary(axis, angle: float) -> np.ndarray:
@@ -287,8 +280,8 @@ def rotation_unitary(axis, angle: float) -> np.ndarray:
         n = np.array(named[axis])
     else:
         n = _array(axis, "axis", (3,), real=True)
-        # Scaled to a largest entry of 1 first, so the norm neither
-        # overflows nor underflows.
+        # Scaled to a largest entry of 1 first, so the norm of a subnormal
+        # axis does not underflow.
         largest = np.abs(n).max()
         if largest == 0.0:
             raise ValueError("rotation axis must be nonzero")

@@ -12,7 +12,6 @@ import argparse
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -138,9 +137,9 @@ def cmd_reconstruct(args) -> int:
     from .process_tomography import run_process_tomography
 
     records = qio.parse_records_document(qio.read_json(args.records))
-    with _derived_from(args.records):
+    with _input_error(args.records):
         doc = qio.result_document(run_process_tomography(records), records[0].config)
-    _write_finite(args.out, doc, args.records)
+    qio.write_json_atomic(args.out, doc)
     raw = doc["raw"]
     log.info(
         "reconstructed process: cp=%s tp=%s -> %s",
@@ -168,36 +167,11 @@ def _project_into_document(doc: dict) -> int:
     return code
 
 
-@contextmanager
-def _derived_from(source: str):
-    """Compute from the document(s) or records ``source`` names.
-
-    Overflow raises no numpy warning (:func:`_write_finite` rejects its
-    result), and what the computation refuses, such as records that do not
-    invert, a difference past the float range or an eigensolver failure,
-    is an input error naming ``source``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"), _input_error(source):
-        yield
-
-
-def _write_finite(path: str, doc: dict, source: str) -> None:
-    """Write ``doc``, or raise ``ConfigError`` naming ``source`` and write
-    nothing if a number in it left the float range (the strict encoder
-    rejects it before the temporary file is made)."""
-    try:
-        qio.write_json_atomic(path, doc)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{source}: a number derived from it overflows the float range"
-        ) from exc
-
-
 def cmd_project(args) -> int:
     doc = qio.read_json(args.result)
-    with _derived_from(args.result):
+    with _input_error(args.result):
         code = _project_into_document(doc)
-    _write_finite(args.out, doc, args.result)
+    qio.write_json_atomic(args.out, doc)
     log.info("projected result written to %s", args.out)
     return code
 
@@ -245,10 +219,9 @@ def cmd_compare(args) -> int:
 
     chi_a, label_a = _comparison_operand(args.a)
     chi_b, label_b = _comparison_operand(args.b)
-    source = f"{args.a} vs {args.b}"
-    with _derived_from(source):
+    with _input_error(f"{args.a} vs {args.b}"):
         comparison = process_distance_report(chi_a, chi_b, context=(label_a, label_b))
-    _write_finite(args.out, qio.comparison_document(comparison), source)
+    qio.write_json_atomic(args.out, qio.comparison_document(comparison))
     print(
         f"{label_a} vs {label_b}: frobenius={comparison.norms.frobenius_norm:.6f} "
         f"d_pro={comparison.norms.trace_distance_pro:.6f}"
@@ -266,17 +239,11 @@ def _render_document(doc: dict, prefix: str, subdivisions: int) -> None:
     from .mesh import ellipsoid_meshes, mesh_metadata, write_objs
 
     affines = qio.document_affines(doc)
-    # Finite entries near 1e308 can overflow the images; checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        meshes = ellipsoid_meshes(affines.values(), subdivisions)
-    sidecars = {}
-    for (block, affine), mesh in zip(affines.items(), meshes):
-        with _derived_from(f"{block}.affine"):
-            metadata = mesh_metadata(affine, mesh)
-            numbers = metadata["axis_lengths"] + [metadata["max_vertex_norm"]]
-            if not (np.isfinite(mesh.vertices).all() and np.isfinite(numbers).all()):
-                raise ValueError("the mesh of this map overflows the float range")
-        sidecars[block] = metadata
+    meshes = ellipsoid_meshes(affines.values(), subdivisions)
+    sidecars = {
+        block: mesh_metadata(affine, mesh)
+        for (block, affine), mesh in zip(affines.items(), meshes)
+    }
     write_objs({f"{prefix}_{block}.obj": mesh for block, mesh in zip(affines, meshes)})
     for block, metadata in sidecars.items():
         qio.write_json_atomic(f"{prefix}_{block}.json", metadata)
@@ -294,7 +261,7 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
 
     records = run_experiment(config)
     # Reconstruct first: records it cannot invert leave no file of the run.
-    with _derived_from("simulated records"):
+    with _input_error("simulated records"):
         estimate = run_process_tomography(records)
     os.makedirs(out_dir, exist_ok=True)
     qio.write_json_atomic(

@@ -11,6 +11,15 @@ the same field-named ``ValueError``.  ``_array`` is the rule for a matrix,
 vector or stack: every public function that takes one converts it there
 and nowhere else.
 
+``_BOUND`` (2**256, about 1.2e77) is the one magnitude rule: ``_array``
+refuses an array entry whose modulus exceeds it, and ``ExpectationRecord``
+such an expectation value; the same comparison refuses inf and NaN.  No
+experiment comes near it, since raw chi is linear in averages of +-1
+outcomes, and below it no public function's intermediates overflow: the
+largest, a Kraus image ``K rho K^dag``, is a sum of cubes of bounded
+entries, far inside the float range.  So no function past the boundary
+checks for overflow.
+
 ``_input_error`` is the rule for an input error: a ``ValueError`` (numpy's
 ``LinAlgError`` is one), ``TypeError`` or ``LookupError`` raised while
 :mod:`qpt.io` reads a document, or while :mod:`qpt.cli` computes from a
@@ -23,6 +32,12 @@ import operator
 from contextlib import contextmanager
 
 import numpy as np
+
+_BOUND = 2.0**256
+_BOUND_RULE = "must be finite and at most 2**256 in modulus"
+# The ufunc reduction itself: ndarray.max reaches it through a Python
+# wrapper that costs more than the whole reduction of a 4x4 matrix.
+_largest = np.maximum.reduce
 
 
 def _shown(value) -> str:
@@ -91,7 +106,8 @@ def _array(value, name: str, shape: tuple[int, ...] | None = None, real: bool = 
 
     Only integer, float and, unless ``real``, complex entries are
     converted: booleans, text, bytes and objects such as ``None`` never
-    are.  The shape must be ``shape`` when given, and every entry finite.
+    are.  The shape must be ``shape`` when given, and every entry's
+    modulus at most ``_BOUND``.
     """
     try:
         array = np.asarray(value)
@@ -104,8 +120,8 @@ def _array(value, name: str, shape: tuple[int, ...] | None = None, real: bool = 
         expected = "x".join(map(str, shape))
         raise ValueError(f"{name}: expected shape {expected}, got {array.shape}")
     array = array.astype(float if real else complex, copy=False)
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name}: non-finite entries")
+    if not _largest(abs(array), axis=None, initial=0.0) <= _BOUND:
+        raise ValueError(f"{name}: entries {_BOUND_RULE}")
     return array
 
 

@@ -24,7 +24,11 @@ linear in the records and unbiased, and the one projection onto physical
 processes is :mod:`qpt.projection`'s.  Its first row is ``(1, 0, 0, 0)``
 and every entry is real, so ``R`` is too, and chi is Hermitian by
 construction, bit for bit (see ``channels._chi_from_ptm``), and trace
-preserving up to round-off.
+preserving up to round-off.  Each expectation value is at most 2**256 in
+modulus (``errors._BOUND``) and each entry of ``P_B^-1`` below about
+1e10, so chi is finite.  Its entries can exceed the bound, by up to about
+1e10 times under a near-singular declared preparation; any function that
+takes such a chi back in refuses it.
 
 An estimate stores chi, nothing else.  It reads every other representation
 (the affine Bloch map) and its CP/TP verdicts from chi on access, so they
@@ -177,7 +181,7 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
     perfect preparation.  chi is solved over the declared prepared inputs
     ``prepare_input(config, 1..4)``.  Elements declaring different
     preparations, or a preparation whose inputs do not span, raise
-    ``ValueError``, as do records whose chi leaves the float range.
+    ``ValueError``.
     """
     if len(record_sets) != 4:
         raise ValueError(
@@ -201,14 +205,8 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
             outputs[1:, j] = bloch_target(records)[0]
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"{_INPUT_NAMES[j]}: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        chi = _chi_from_ptm(outputs @ _declared_inverse(preparations))
-    if not np.isfinite(chi).all():
-        raise ValueError(
-            "expectation values too large: the estimate exceeds the float range"
-        )
     # chi is built here, so it skips the public checkers' input validation.
-    return ProcessEstimate(chi)
+    return ProcessEstimate(_chi_from_ptm(outputs @ _declared_inverse(preparations)))
 
 
 def _declared_inverse(preparations: set) -> np.ndarray:

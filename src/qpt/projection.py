@@ -44,6 +44,8 @@ eigenvalues of ``M`` carry errors of order ``eps ||M||``, so at
 ``1e-12`` for ``||H||_F`` up to ~70, which covers every tomography
 estimate.  An iterate left above ``1e-12`` is made TP and then mixed with
 the depolarizing channel until CP, so every result is CPTP to ``1e-12``.
+The input's entries are at most 2**256 in modulus (``errors._BOUND``), so
+``||H||_F``, ``theta`` and every iterate are finite.
 """
 
 from __future__ import annotations
@@ -173,8 +175,7 @@ def project_to_physical(chi: np.ndarray) -> ProjectionResult:
     at call time) do not reach the stopping bound, ``NonConvergenceError``
     is raised with ``best_result`` the last iterate, made trace preserving
     and then moved toward the fully depolarizing channel just far enough to
-    be completely positive; or the fully depolarizing channel itself when
-    the trace-preserving iterate leaves the float range.
+    be completely positive.
     """
     target = _parts(_as_chi(chi))[0]
     tol = max(_FEASIBILITY_TOL, _ROUNDOFF_FACTOR * float(np.linalg.norm(target)))
@@ -199,8 +200,7 @@ def project_to_physical(chi: np.ndarray) -> ProjectionResult:
                 break
             length = min(0.5, 2.0 * last_length) if length == 1.0 else 0.5 * length
 
-    # An overflowed ||H||_F leaves no bound to certify against.
-    converged = bool(point.residual <= tol < math.inf)
+    converged = bool(point.residual <= tol)
     chi_tilde = point.primal()
     if not point.residual <= _FEASIBILITY_TOL:
         # Out of budget, or stopped at the roundoff floor of a large target:
@@ -208,15 +208,10 @@ def project_to_physical(chi: np.ndarray) -> ProjectionResult:
         # keeps it TP; weight t lifts the lowest eigenvalue to
         # (1 - t) lowest + t / 4 = 0.
         chi_tilde = _project_tp(chi_tilde)
-        if not np.isfinite(chi_tilde).all():
-            # An iterate past the float range has no repair; the fully
-            # depolarizing channel is the CPTP point left to report.
-            chi_tilde, converged = _DEPOLARIZING.copy(), False
-        else:
-            lowest = _lowest_eigenvalue(chi_tilde)
-            if lowest < 0.0:
-                weight = -lowest / (0.25 - lowest)
-                chi_tilde = (1.0 - weight) * chi_tilde + weight * _DEPOLARIZING
+        lowest = _lowest_eigenvalue(chi_tilde)
+        if lowest < 0.0:
+            weight = -lowest / (0.25 - lowest)
+            chi_tilde = (1.0 - weight) * chi_tilde + weight * _DEPOLARIZING
 
     result = ProjectionResult(
         chi_tilde=chi_tilde,

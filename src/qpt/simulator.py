@@ -195,6 +195,15 @@ def _inputs(polarization: float, pulse_error: float) -> tuple[np.ndarray, np.nda
     return stack, np.ascontiguousarray(_coords(stack).real)
 
 
+@lru_cache(maxsize=1)
+def _seed_sequence() -> np.random.SeedSequence:
+    """Seeds each call's bit generator, whose state every cell then
+    overwrites.  Built once, since a SeedSequence of fresh OS entropy costs
+    more than the generator itself, and on first use, since importing
+    ``numpy.random`` costs every process that never samples."""
+    return np.random.SeedSequence(0)
+
+
 @lru_cache(maxsize=64)
 def _preparation(polarization: float, pulse_error: float) -> tuple:
     """The per-preparation cache entry, all read-only: the stack and
@@ -279,9 +288,10 @@ def _sample(
     call, so concurrent calls share no generator.
     """
     shots = config.shots
+    # Cell c's key: an integer key is split into 64-bit words, low first,
+    # so this is the key of Philox(key=config.seed % 2**64 + (c << 64)).
     key = [config.seed % (1 << 64), 0]
-    # An integer key is split into 64-bit words, low first: this is ``key``.
-    bit_generator = np.random.Philox(key=key[0])
+    bit_generator = np.random.Philox(_seed_sequence())
     generator = np.random.Generator(bit_generator)
     # The setter copies these values in, so the one dict and its key list
     # serve every cell.

@@ -18,6 +18,10 @@ no tie-break weight and no iterative solver.
 Process reconstruction does not apply this rule to its output states: it
 inverts the measured expectations as they are (see
 :mod:`qpt.process_tomography`) and reads only :func:`bloch_target` here.
+
+An expectation value is at most 2**256 in modulus (``errors._BOUND``),
+which :class:`ExpectationRecord` checks; so every norm and residual here
+is finite, and none is checked again.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import _integer, _number, _shown
+from .errors import _BOUND, _BOUND_RULE, _integer, _number, _shown
 from .states import density_from_bloch, von_neumann_entropy
 
 AXES = ("x", "y", "z")
@@ -40,7 +44,8 @@ class ExpectationRecord:
 
     ``shots=None`` marks an exact (infinite-statistics) value.  The shot
     count is carried through as metadata only; records do not weight the
-    reconstruction residual.
+    reconstruction residual.  The value's modulus must be at most
+    ``errors._BOUND``.
     """
 
     axis: str
@@ -51,8 +56,8 @@ class ExpectationRecord:
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {_shown(self.axis)}")
         value = float(_number(self.value, "value"))
-        if not math.isfinite(value):
-            raise ValueError(f"expectation value must be finite, got {value!r}")
+        if not abs(value) <= _BOUND:
+            raise ValueError(f"value {_BOUND_RULE}, got {_shown(value)}")
         # Only a field whose conversion changed its type is written back: a
         # frozen write is slow, and a Python number keeps its object.
         if type(self.value) is not float:
@@ -85,20 +90,12 @@ def reconstruct_state(records: Iterable[ExpectationRecord]) -> StateEstimate:
     """Estimate a density matrix from up to three axis expectations.
 
     Records must cover each axis at most once; an empty record set is
-    rejected.  Values may lie anywhere (even far outside [-1, 1]); the
-    output is always a valid state, by the rule above.  Only when the
-    residual itself exceeds the float range (measured values of norm above
-    ~1.8e308) is a ``ValueError`` raised.
+    rejected.  Values may lie anywhere in the records' bound (even far
+    outside [-1, 1]); the output is always a valid state, by the rule above.
     """
     target, measured = bloch_target(records)
-    # math.hypot scales internally, so values near 1e308 do not overflow
-    # when squared.
     bloch = np.array(target) / max(math.hypot(*target), 1.0)
     residual = math.hypot(*(b - t for b, t, m in zip(bloch, target, measured) if m))
-    if math.isinf(residual):
-        raise ValueError(
-            "expectation values too large: the residual exceeds the float range"
-        )
     rho = density_from_bloch(bloch)
     return StateEstimate(
         rho=rho,

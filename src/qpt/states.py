@@ -12,10 +12,13 @@ Conventions used across the package:
   matrix of any channel with a real Bloch-map representation real as well.
 * The Hermitian and anti-Hermitian parts of a matrix are formed in one
   place, :func:`_parts`, from halves: ``m/2 + m^dag/2`` and
-  ``m/2 - m^dag/2``.  Neither can overflow on finite entries, and for
-  entries whose halves are normal floats both equal ``(m +- m^dag) / 2``
-  bit for bit.  Every Hermiticity check, CP verdict, projection target and
-  state check in the package starts from them.
+  ``m/2 - m^dag/2``, which for entries whose halves are normal floats
+  equal ``(m +- m^dag) / 2`` bit for bit.  Every Hermiticity check, CP
+  verdict, projection target and state check in the package starts from
+  them.
+* Every matrix or vector taken here goes through ``errors._array``, whose
+  bound of 2**256 on each entry's modulus keeps every defect, trace and
+  eigenvalue finite.
 """
 
 from __future__ import annotations
@@ -64,9 +67,8 @@ def _parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Frobenius norm of the anti-Hermitian part of ``m`` (converted by
-    ``errors._array``); ``inf`` when the norm passes the float range."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(_parts(_array(m, "matrix"))[1]))
+    ``errors._array``)."""
+    return float(np.linalg.norm(_parts(_array(m, "matrix"))[1]))
 
 
 def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
@@ -117,30 +119,23 @@ def _check_states(
     ``InvalidStateError`` of :func:`check_density_matrix` at the first
     failure.  Returns the stacked ``eigh`` of the Hermitian parts.
 
-    Every matrix is decomposed before any is checked, so that arithmetic
-    must not fail on a matrix the checks never reach: the parts come from
-    :func:`_parts`, which cannot overflow.  A defect and a trace are
-    computed only for a matrix that is reached.  A NaN lowest eigenvalue,
-    which LAPACK returns for a finite Hermitian matrix whose entries'
-    moduli pass the float range, fails the eigenvalue check.
+    Every matrix is decomposed before any is checked; a defect and a trace
+    are computed only for a matrix that is reached.
     """
     hermitian, anti = _parts(stack)
     values, vectors = np.linalg.eigh(hermitian)
-    # As in hermiticity_defect, a defect or trace past the float range
-    # reads inf, with no overflow warning.
-    with np.errstate(over="ignore"):
-        for i, context in enumerate(contexts):
-            defect = float(np.linalg.norm(anti[i]))
-            if defect > HERMITICITY_TOL:
-                raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
-            trace = stack[i].trace()
-            if abs(trace - 1.0) > TRACE_TOL:
-                raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
-            lowest = float(values[i, 0])
-            if not lowest >= -eigenvalue_tol:
-                raise InvalidStateError(
-                    f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
-                )
+    for i, context in enumerate(contexts):
+        defect = float(np.linalg.norm(anti[i]))
+        if defect > HERMITICITY_TOL:
+            raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
+        trace = stack[i].trace()
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
+        lowest = float(values[i, 0])
+        if not lowest >= -eigenvalue_tol:
+            raise InvalidStateError(
+                f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
+            )
     return values, vectors
 
 

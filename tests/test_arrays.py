@@ -1,17 +1,19 @@
 """The one rule for what an array argument accepts: ``errors._array``.
 
 Every matrix, vector and stack argument of the public functions goes
-through it, so each rejects booleans, text, objects, NaN and infinity, and
-complex entries where it needs real ones, with a ``ValueError`` that
-names the argument; ``check_density_matrix`` and ``von_neumann_entropy``
-report the same failures as ``InvalidStateError``.
+through it, so each rejects booleans, text, objects, NaN, infinity and
+entries above the bound of 2**256 in modulus, and complex entries where it
+needs real ones, with a ``ValueError`` that names the argument;
+``check_density_matrix`` and ``von_neumann_entropy`` report the same
+failures as ``InvalidStateError``.
 """
 
 import numpy as np
 import pytest
 
+from conftest import BOUND_MESSAGE, PAST_BOUND
 from qpt import channels as ch
-from qpt.errors import InvalidStateError, _array
+from qpt.errors import _BOUND, InvalidStateError, _array
 from qpt.metrics import fidelity, matrix_norms, process_distance_report, trace_distance
 from qpt.process_tomography import chi_from_lambda, lambda_from_outputs
 from qpt.projection import project_to_physical
@@ -89,8 +91,10 @@ PROBES = {
     "boolean": (lambda t: np.asarray(t) != 0, "must hold"),
     "text": (lambda t: np.asarray(t).astype(str), "must hold"),
     "none": (lambda t: _with_first(t, None, object), "must hold"),
-    "nan": (lambda t: _with_first(t, np.nan, float), "non-finite entries"),
-    "inf": (lambda t: _with_first(t, np.inf, float), "non-finite entries"),
+    "nan": (lambda t: _with_first(t, np.nan, float), BOUND_MESSAGE),
+    "inf": (lambda t: _with_first(t, np.inf, float), BOUND_MESSAGE),
+    "past-bound": (lambda t: _with_first(t, PAST_BOUND, float), BOUND_MESSAGE),
+    "minus-past-bound": (lambda t: _with_first(t, -PAST_BOUND, float), BOUND_MESSAGE),
 }
 COMPLEX_PROBE = (lambda t: _with_first(t, 1.0 + 0.5j, complex), "must hold integers or floats")
 
@@ -149,10 +153,23 @@ class TestRule:
             ),
             ([1j], None, True, "^x: must hold integers or floats, got dtype complex128$"),
             (b"12", None, False, "^x: must hold"),
-            ([1.0, -np.inf], None, True, "^x: non-finite entries$"),
+            ([1.0, -np.inf], None, True, f"^x: {BOUND_MESSAGE}$"),
+            ([0.0, 1j * PAST_BOUND], None, False, f"^x: {BOUND_MESSAGE}$"),
+            ([_BOUND * (0.8 + 0.8j)], None, False, f"^x: {BOUND_MESSAGE}$"),
         ],
-        ids=["shape", "vector-shape", "ragged", "huge-integer", "complex", "bytes", "minus-inf"],
+        ids=[
+            "shape", "vector-shape", "ragged", "huge-integer", "complex", "bytes",
+            "minus-inf", "imaginary-past-bound", "modulus-past-bound",
+        ],
     )
     def test_rejects(self, value, shape, real, message):
         with pytest.raises(ValueError, match=message):
             _array(value, "x", shape, real=real)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[_BOUND, -_BOUND], [1j * _BOUND, -_BOUND + 0j], [], np.zeros((0, 2, 2))],
+        ids=["real", "complex", "empty", "empty-stack"],
+    )
+    def test_accepts_entries_at_the_bound(self, value):
+        np.testing.assert_array_equal(_array(value, "x"), value)

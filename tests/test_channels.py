@@ -20,7 +20,7 @@ from conftest import (
 )
 from qpt import channels as ch
 from qpt import states
-from qpt.errors import NotCompletelyPositiveError
+from qpt.errors import _BOUND, NotCompletelyPositiveError
 
 IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
@@ -147,63 +147,51 @@ class TestPhysicalityChecks:
             assert abs(ch._tp_deficit(chi) - np.linalg.norm(s - np.eye(2))) <= 1e-14
 
     def test_tp_deficit_of_a_finite_gap_near_the_float_limit(self):
-        # Estimates of records at the edge of the float range: a finite gap
-        # has a finite deficit, and numpy's own bits wherever numpy's norm
-        # does not overflow.
+        # Records at the edge of the float range are refused by the bound;
+        # estimates of records at the bound have numpy's own deficit, with
+        # no overflow warning.
         from qpt.process_tomography import run_process_tomography
         from qpt.state_tomography import AXES, ExpectationRecord
 
+        for value in (1e308, -1e308, 1.7e308, -1.7e308):
+            with pytest.raises(ValueError, match="^value must be finite and at most 2"):
+                ExpectationRecord("x", value)
         pick = random.Random(0)
-        rescaled = 0
         for _ in range(300):
             sets = [
-                [
-                    ExpectationRecord(axis, pick.choice([1e308, -1e308, 1.7e308, -1.7e308, 0.0]))
-                    for axis in AXES
-                ]
+                [ExpectationRecord(axis, pick.choice([_BOUND, -_BOUND, 0.0])) for axis in AXES]
                 for _ in range(4)
             ]
-            try:
-                chi = run_process_tomography(sets).chi
-            except ValueError:
-                continue  # the estimate itself leaves the float range
+            chi = run_process_tomography(sets).chi
             gap = ch._ROW0 @ chi.reshape(16) - ch._E0
-            assert np.isfinite(gap).all()
-            with np.errstate(over="ignore"):
-                plain = float(np.linalg.norm(gap))
-            deficit = ch._tp_deficit(chi)
+            with np.errstate(all="raise"):
+                deficit = ch._tp_deficit(chi)
+            assert deficit == math.sqrt(2.0) * float(np.linalg.norm(gap))
             assert math.isfinite(deficit)
-            if math.isinf(plain):
-                rescaled += 1
-                scale = float(np.abs(gap).max())
-                expected = math.sqrt(2.0) * scale * float(np.linalg.norm(gap / scale))
-                assert abs(deficit - expected) <= 1e-15 * expected
-            else:
-                assert deficit == math.sqrt(2.0) * plain
-        assert rescaled > 0  # 16 of the 300 on a 64-bit Linux host
 
     @pytest.mark.parametrize("value", [1e200, 1e308, 1.7e308])
     def test_hermitian_pair_near_the_float_limit(self, value):
-        # (chi + chi^dag) / 2 overflows past ~9e307 and the eigensolver
-        # failed on the inf; the parts from halves keep chi as it is.
+        # Past the bound the pair is refused before any verdict; at the
+        # bound the verdict is the pair's own eigenvalue.
         chi = np.eye(4, dtype=complex) / 4.0
         chi[0, 1] = chi[1, 0] = value
+        for call in (ch.is_completely_positive, ch.kraus_from_chi):
+            with pytest.raises(ValueError, match="^chi matrix: entries must be finite"):
+                call(chi)
+        chi[0, 1] = chi[1, 0] = _BOUND
         cp, lowest = ch.is_completely_positive(chi)
         assert cp is False
-        assert lowest == pytest.approx(-value, rel=1e-12)
+        assert lowest == pytest.approx(-_BOUND, rel=1e-12)
         with pytest.raises(NotCompletelyPositiveError, match="below -1e-09"):
             ch.kraus_from_chi(chi)
 
     def test_hermitian_pair_whose_modulus_overflows(self):
-        # eigh returns NaN eigenvalues here: no verdict of complete
-        # positivity, and no Kraus set of NaN operators.
+        # eigh returned NaN eigenvalues here; the bound refuses the pair.
         chi = np.eye(4, dtype=complex) / 4.0
         chi[0, 1], chi[1, 0] = 1.7e308 + 1.7e308j, 1.7e308 - 1.7e308j
-        with np.errstate(over="ignore", invalid="ignore"):
-            cp, lowest = ch.is_completely_positive(chi)
-            assert cp is False and math.isnan(lowest)
-            with pytest.raises(NotCompletelyPositiveError, match="^chi eigenvalue nan below"):
-                ch.kraus_from_chi(chi)
+        for call in (ch.is_completely_positive, ch.kraus_from_chi):
+            with pytest.raises(ValueError, match="^chi matrix: entries must be finite"):
+                call(chi)
 
     def test_scaled_identity_not_tp(self):
         tp, deficit = ch.is_trace_preserving(0.9 * IDENTITY_CHI)
@@ -400,6 +388,39 @@ class TestStandardChannels:
     @pytest.mark.parametrize(
         "kind, params, message",
         [
+            ("dephasing", {"t": 1.0}, "^dephasing: provide either factor= or both t= and t2=$"),
+            (
+                "amplitude_damping",
+                {"t1": 10.0},
+                "^amplitude_damping: provide either gamma= or both t= and t1=$",
+            ),
+            (
+                "dephasing",
+                {"t": 1.0, "t2": 10.0, "gamma": 0.1},
+                r"^dephasing: unexpected parameters \['gamma'\]$",
+            ),
+            ("depolarizing", {"q": 0.1}, "^depolarizing takes exactly the parameter p=$"),
+            ("depolarizing", {"p": 0.1, "t": 1.0}, "^depolarizing takes exactly the parameter p=$"),
+            (
+                "unitary_rotation",
+                {"axis": "x"},
+                "^unitary_rotation takes exactly axis= and angle=$",
+            ),
+        ],
+        ids=[
+            "dephasing-no-t2", "damping-no-t", "dephasing-extra", "depolarizing-no-p",
+            "depolarizing-extra", "rotation-no-angle",
+        ],
+    )
+    def test_parameter_keywords(self, kind, params, message):
+        # A missing keyword would otherwise raise KeyError and an extra one
+        # be ignored.
+        with pytest.raises(ValueError, match=message):
+            ch.standard_channel(kind, **params)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
             ("dephasing", {"factor": "0.5"}, "dephasing: factor must be a number"),
             ("dephasing", {"factor": True}, "dephasing: factor must be a number"),
             ("dephasing", {"factor": None}, "dephasing: factor must be a number"),
@@ -414,8 +435,8 @@ class TestStandardChannels:
             ("unitary_rotation", {"axis": ["1", "0", "0"], "angle": 1.0}, "axis: must hold"),
             ("unitary_rotation", {"axis": [1j, 0, 0], "angle": 1.0}, "axis: must hold"),
             ("unitary_rotation", {"axis": [True, False, False], "angle": 1.0}, "axis: must hold"),
-            ("unitary_rotation", {"axis": [np.inf, 0, 0], "angle": 1.0}, "axis: non-finite"),
-            ("unitary_rotation", {"axis": [np.nan, 0, 0], "angle": 1.0}, "axis: non-finite"),
+            ("unitary_rotation", {"axis": [np.inf, 0, 0], "angle": 1.0}, "axis: entries must be"),
+            ("unitary_rotation", {"axis": [np.nan, 0, 0], "angle": 1.0}, "axis: entries must be"),
             ("unitary_rotation", {"axis": "x", "angle": math.nan}, "angle must be finite"),
             ("unitary_rotation", {"axis": "x", "angle": math.inf}, "angle must be finite"),
             ("unitary_rotation", {"axis": "x", "angle": -math.inf}, "angle must be finite"),
@@ -436,16 +457,21 @@ class TestStandardChannels:
     @pytest.mark.parametrize(
         "axis, unit",
         [
-            ([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
-            ([1e308, -1e308, 1e308], [1.0, -1.0, 1.0]),
+            ([1e200, 1e200, 0.0], None),
+            ([1e308, -1e308, 1e308], None),
             ([1e-320, 0.0, 0.0], "x"),
             ([0.0, -5e-324, 0.0], [0.0, -1.0, 0.0]),
+            ([_BOUND, -_BOUND, _BOUND], [1.0, -1.0, 1.0]),
         ],
-        ids=["1e200", "1e308", "subnormal", "smallest-subnormal"],
+        ids=["1e200", "1e308", "subnormal", "smallest-subnormal", "bound"],
     )
     def test_extreme_finite_axes_rotate_about_their_direction(self, axis, unit):
-        # The axis is scaled before it is normalized, so its norm neither
-        # overflows to inf nor underflows to 0.
+        # The axis is scaled before it is normalized, so its norm does not
+        # underflow to 0; past the bound it is refused.
+        if unit is None:
+            with pytest.raises(ValueError, match="^axis: entries must be finite"):
+                ch.rotation_unitary(axis, 1.0)
+            return
         u = ch.rotation_unitary(axis, 1.0)
         np.testing.assert_allclose(u, ch.rotation_unitary(unit, 1.0), rtol=0, atol=1e-15)
         chi = ch.standard_channel("unitary_rotation", axis=axis, angle=1.0)
@@ -557,25 +583,27 @@ class TestComposition:
 
 
 # A 1e200 off-diagonal pair: each transfer matrix holds entries near 1e200,
-# so their product passes the float range.
+# so their product would pass the float range.
 _WIDE_PAIR = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
 _WIDE_PAIR[1, 2] = _WIDE_PAIR[2, 1] = 1e200
 _HUGE_CHI = np.full((4, 4), 1.7e308, dtype=complex)
 _HUGE_KRAUS = [np.full((2, 2), 1.7e308)]
-_HUGE_AFFINE = ch.AffineMap(np.full((3, 3), 1.7e308), np.zeros(3))
 
 
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: ch.apply_chi(_HUGE_CHI, np.eye(2)), "image of rho"),
-        (lambda: ch.choi_from_chi(_HUGE_CHI), "Choi state"),
-        (lambda: ch.chi_from_choi(_HUGE_CHI), "chi matrix of the Choi state"),
-        (lambda: ch.apply_kraus(_HUGE_KRAUS, np.eye(2)), "image of rho"),
-        (lambda: ch.chi_from_kraus(_HUGE_KRAUS), "chi matrix of the Kraus set"),
-        (lambda: ch.operator_from_coefficients([1.7e308] * 4), "operator"),
-        (lambda: ch.apply_affine(_HUGE_AFFINE, [1, 1, 1]), "image of the Bloch vector"),
-        (lambda: ch.compose_chi(_WIDE_PAIR, _WIDE_PAIR), "composed chi matrix"),
+        (lambda: ch.apply_chi(_HUGE_CHI, np.eye(2)), "chi matrix"),
+        (lambda: ch.choi_from_chi(_HUGE_CHI), "chi matrix"),
+        (lambda: ch.chi_from_choi(_HUGE_CHI), "Choi state"),
+        (lambda: ch.apply_kraus(_HUGE_KRAUS, np.eye(2)), "Kraus operator 0"),
+        (lambda: ch.chi_from_kraus(_HUGE_KRAUS), "Kraus operator 0"),
+        (lambda: ch.operator_from_coefficients([1.7e308] * 4), "coefficients"),
+        (
+            lambda: ch.apply_affine(ch.AffineMap(np.full((3, 3), 1.7e308), np.zeros(3)), [1, 1, 1]),
+            "affine matrix",
+        ),
+        (lambda: ch.compose_chi(_WIDE_PAIR, _WIDE_PAIR), "chi matrix"),
     ],
     ids=[
         "apply_chi",
@@ -589,8 +617,7 @@ _HUGE_AFFINE = ch.AffineMap(np.full((3, 3), 1.7e308), np.zeros(3))
     ],
 )
 def test_result_past_the_float_range_is_refused(call, name):
-    # Finite input whose result overflows: the array rule names the result
-    # instead of returning inf or NaN entries.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=f"^{name}: non-finite entries$"):
-            call()
+    # Finite input whose result would overflow: the bound refuses the
+    # input, by name, before any arithmetic.
+    with pytest.raises(ValueError, match=f"^{name}: entries must be finite"):
+        call()

@@ -93,9 +93,12 @@ def test_each_command_loads_only_its_stages(tmp_path):
             "import json, sys\n"
             "from qpt.cli import main\n"
             f"assert main({argv!r}) == 0\n"
-            "print(json.dumps([m for m in sys.modules if m.startswith('qpt.')]))\n"
+            "prefixes = ('qpt.', 'numpy.random')\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith(prefixes)]))\n"
         )
         loaded = json.loads(fresh(code, tmp_path).splitlines()[-1])
+        # No command here samples shots, so none pays for numpy.random.
+        assert "numpy.random" not in loaded, command
         assert {m.removeprefix("qpt.") for m in loaded} == COMMON | stages[command], command
     assert (tmp_path / "mesh_raw.obj").exists()
     assert (tmp_path / "mesh_projected.obj").exists()

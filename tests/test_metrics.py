@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    BOUND_MESSAGE,
     KET_0,
     KET_1,
     loop_check_density_matrix,
@@ -18,7 +19,7 @@ from conftest import (
 )
 from qpt import metrics, states
 from qpt import channels as ch
-from qpt.errors import InvalidStateError
+from qpt.errors import _BOUND, InvalidStateError
 from qpt.projection import project_to_physical
 from qpt.simulator import PRESETS, true_channel
 
@@ -63,13 +64,18 @@ class TestTraceDistance:
             metrics.trace_distance(bad, np.eye(2) / 2.0)
 
     def test_difference_past_the_float_range(self):
-        # Two finite operands whose difference overflows: refused by the
-        # array rule, as in process_distance_report, not a NaN distance.
+        # Two finite operands whose difference would overflow: refused by
+        # the bound, by name, not a NaN distance.  Operands at the bound
+        # have a finite difference and distance.
         a = [[0.5, 1e308], [1e308, 0.5]]
         b = [[0.5, -1e308], [-1e308, 0.5]]
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="^difference: non-finite entries$"):
-                metrics.trace_distance(a, b)
+        with pytest.raises(ValueError, match=f"^first state: {BOUND_MESSAGE}$"):
+            metrics.trace_distance(a, b)
+        a = [[0.5, _BOUND], [_BOUND, 0.5]]
+        b = [[0.5, -_BOUND], [-_BOUND, 0.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metrics.trace_distance(a, b) == 2.0 * _BOUND
 
 
 class TestFidelity:
@@ -403,14 +409,15 @@ TRANSPOSE = np.diag([0.5, 0.5, -0.5, 0.5]).astype(complex)
 FAILING = {"not Hermitian": SKEWED, "trace": LEAKY, "negative eigenvalue": TRANSPOSE}
 
 
-def huge_pair() -> tuple[np.ndarray, np.ndarray]:
-    """A pair whose second operand holds entries near 1.7e308 and whose
-    first fails its trace check: their difference is small, so only the
-    state check could overflow, and only on the operand it never reaches."""
+def huge_pair(value: float = 1.7e308) -> tuple[np.ndarray, np.ndarray]:
+    """A pair whose second operand holds entries of modulus ``value`` and
+    whose first fails its trace check: their difference is small, so only
+    the state check could overflow, and only on the operand it never
+    reaches."""
     second = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-    second[0, 1] = second[1, 0] = 1.7e308
-    second[2, 3] = second[3, 2] = -1.7e308
-    second[1, 2], second[2, 1] = 1.7e308j, -1.7e308j
+    second[0, 1] = second[1, 0] = value
+    second[2, 3] = second[3, 2] = -value
+    second[1, 2], second[2, 1] = 1j * value, -1j * value
     first = second.copy()
     first[0, 0] += 0.1
     return first, second
@@ -471,7 +478,14 @@ class TestAgainstLoopOracle:
             assert reason.startswith(f"skipped: unphysical Choi for q: {kind}")
 
     def test_unreached_operand_near_the_float_limit(self):
+        # Past the bound both operands are refused by name; at the bound
+        # the unreached operand is decomposed with no warning.
         first, second = huge_pair()
+        with pytest.raises(ValueError, match=f"^a: {BOUND_MESSAGE}$"):
+            metrics.process_distance_report(first, second)
+        with pytest.raises(ValueError, match=f"^first state: {BOUND_MESSAGE}$"):
+            metrics.fidelity(first, second)
+        first, second = huge_pair(_BOUND)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             comparison = metrics.process_distance_report(first, second)

@@ -1,6 +1,7 @@
 """Linear-inversion process reconstruction."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -33,6 +34,7 @@ from qpt.simulator import (
     run_experiment,
     true_channel,
 )
+from qpt.errors import _BOUND
 from qpt.state_tomography import AXES, ExpectationRecord, bloch_target
 
 IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -484,9 +486,8 @@ def assert_estimates_match(new, old, sets):
     )
     assert (new.cp_flag, new.tp_flag) == (old.cp_flag, old.tp_flag)
     assert new.cp_min_eigenvalue == pytest.approx(old.cp_min_eigenvalue, rel=0, abs=atol)
-    # tp_deficit is the Frobenius norm of this gap.  Its entries are
-    # compared, since squaring the oracle's round-off on 1e300 entries
-    # overflows.
+    # tp_deficit is the Frobenius norm of this gap; its entries are
+    # compared.
     np.testing.assert_allclose(trace_gap(new.chi), trace_gap(old.chi), rtol=0, atol=atol)
 
 
@@ -527,16 +528,19 @@ class TestAgainstLoopOracle:
             )
 
     def test_edge_values(self):
+        # -1e300 is past the bound and refused; -2**256 is the edge.
+        with pytest.raises(ValueError, match="^value must be finite and at most 2"):
+            ExpectationRecord("x", -1e300)
         sets = [
             [ExpectationRecord("z", 0.0)],
             [ExpectationRecord("x", 1.0), ExpectationRecord("y", 0.0), ExpectationRecord("z", 0.0)],
-            [ExpectationRecord("x", -1e300), ExpectationRecord("y", 1e-300)],
+            [ExpectationRecord("x", -_BOUND), ExpectationRecord("y", 1e-300)],
             [ExpectationRecord("y", 1.0 + 1e-16), ExpectationRecord("z", -0.0)],
         ]
-        estimate = run_process_tomography(sets)
-        assert math.isfinite(estimate.tp_deficit)  # read with no overflow warning
-        # The oracle's norms square its round-off on entries near 1e300.
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = run_process_tomography(sets)
+            assert math.isfinite(estimate.tp_deficit)
             assert_estimates_match(estimate, loop_run_process_tomography(sets), sets)
 
     def test_lambda_and_expansion(self, rng):
@@ -551,19 +555,21 @@ class TestAgainstLoopOracle:
                 )
 
     def test_errors_match(self):
-        # The transfer matrix holds x2 - (x0 + x1) / 2 = 3.4e308, beyond the
-        # float range, and the same in y.
+        # The transfer matrix would hold x2 - (x0 + x1) / 2 = 3.4e308, beyond
+        # the float range, and the same in y: the records are refused.  At
+        # the bound the transfer entries are 2**257, and both paths agree.
+        for value in (-1.7e308, 1.7e308):
+            with pytest.raises(ValueError, match="^value must be finite and at most 2"):
+                ExpectationRecord("x", value)
         sets = [
             [ExpectationRecord("x", value), ExpectationRecord("y", value)]
-            for value in (-1.7e308, -1.7e308, 1.7e308, 1.7e308)
+            for value in (-_BOUND, -_BOUND, _BOUND, _BOUND)
         ]
-        too_large = "^expectation values too large: the estimate exceeds the float range"
-        with pytest.raises(ValueError, match=too_large):
-            run_process_tomography(sets)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match=too_large
-        ):
-            loop_run_process_tomography(sets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_estimates_match(
+                run_process_tomography(sets), loop_run_process_tomography(sets), sets
+            )
         sets = exact_records(IDENTITY_CHI)
         sets[1] = []
         for reconstruct in (run_process_tomography, loop_run_process_tomography):

@@ -2,14 +2,15 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import loop_project_to_physical, random_cptp_chi
+from conftest import BOUND_MESSAGE, loop_project_to_physical, random_cptp_chi
 from qpt import channels as ch
 from qpt import projection
-from qpt.errors import NonConvergenceError
+from qpt.errors import _BOUND, NonConvergenceError
 from qpt.metrics import DiscrepancyReport
 from qpt.projection import (
     ProjectionResult,
@@ -135,7 +136,7 @@ class TestValidation:
 
     def test_non_finite(self):
         bad = np.diag([np.nan, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^chi matrix: {BOUND_MESSAGE}$"):
             project_to_physical(bad)
 
 
@@ -241,10 +242,14 @@ class TestFarTargets:
         assert result.converged
         np.testing.assert_allclose(result.chi_tilde, np.eye(4) / 4.0, atol=1e-12)
 
-    @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
+    @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150, _BOUND])
     def test_huge_entry_gives_a_certified_process(self, scale):
         chi = np.eye(4, dtype=complex) / 4.0
         chi[0, 0] = scale
+        if scale > _BOUND:
+            with pytest.raises(ValueError, match=f"^chi matrix: {BOUND_MESSAGE}$"):
+                project_to_physical(chi)
+            return
         result = project_to_physical(chi)
         assert result.converged is True
         assert result.tp_residual <= 1e-12
@@ -252,23 +257,24 @@ class TestFarTargets:
         assert result.distance == pytest.approx(scale)
 
     def test_overflowing_norm_is_not_certified(self):
-        # Entries near 1e154 overflow ||H||_F, and with it the stopping bound.
+        # Entries near 1e154 overflowed ||H||_F, and with it the stopping
+        # bound; the bound refuses them.
         chi = np.diag([1e154, -1e154, 3e153, 0.1]).astype(complex)
         chi[0, 1] = chi[1, 0] = 2e153
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonConvergenceError):
-                project_to_physical(chi)
+        with pytest.raises(ValueError, match=f"^chi matrix: {BOUND_MESSAGE}$"):
+            project_to_physical(chi)
 
     @pytest.mark.parametrize("value", [1e200, 1e308, 1.7e308])
     def test_hermitian_pair_near_the_float_limit(self, value):
         # Past ~9e307 the target (chi + chi^dag) / 2 overflowed and the
-        # eigensolver raised LinAlgError; from halves the target is chi.
+        # eigensolver raised LinAlgError; the bound refuses the pair, and
+        # a pair at the bound is certified.
         chi = np.eye(4, dtype=complex) / 4.0
         chi[0, 1] = chi[1, 0] = value
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonConvergenceError) as raised:
-                project_to_physical(chi)
-        assert raised.value.best_result.converged is False
+        with pytest.raises(ValueError, match=f"^chi matrix: {BOUND_MESSAGE}$"):
+            project_to_physical(chi)
+        chi[0, 1] = chi[1, 0] = _BOUND
+        assert_cptp(project_to_physical(chi).chi_tilde)
 
     @pytest.mark.parametrize(
         "chi",
@@ -276,17 +282,17 @@ class TestFarTargets:
         ids=["diagonal", "every-entry"],
     )
     def test_iterate_past_the_float_range(self, chi):
-        # The trace-preserving fix of the last iterate overflowed, and the
-        # eigensolver then raised LinAlgError; the depolarizing channel is
-        # reported instead.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonConvergenceError) as raised:
-                project_to_physical(chi)
-        best = raised.value.best_result
-        assert best.converged is False
-        np.testing.assert_array_equal(best.chi_tilde, np.eye(4) / 4.0)
-        assert_cptp(best.chi_tilde)
-        assert best.chi_tilde is not projection._DEPOLARIZING
+        # The trace-preserving fix of the last iterate overflowed; the
+        # bound refuses the target, and the same shape at the bound is
+        # certified with no warning.
+        with pytest.raises(ValueError, match=f"^chi matrix: {BOUND_MESSAGE}$"):
+            project_to_physical(chi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = project_to_physical(chi / 1e308 * _BOUND)
+        assert result.converged is True
+        assert_cptp(result.chi_tilde)
+        assert math.isfinite(result.distance)
 
 
 class TestProjectionReport:

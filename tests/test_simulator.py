@@ -436,7 +436,7 @@ class TestAgainstLoopOracle:
     def test_non_finite_channel_rejected(self):
         chi = np.eye(4, dtype=complex)
         chi[1, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^chi matrix: entries must be finite"):
             run_experiment(ExperimentConfig(t2=100.0), channel=chi)
 
     @staticmethod

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    PAST_BOUND,
     KET_0,
     exhaustive_ball_minimum,
     is_valid_density_matrix,
@@ -18,7 +20,10 @@ from conftest import (
     projector,
 )
 from qpt import states
+from qpt.errors import _BOUND, _BOUND_RULE
 from qpt.state_tomography import AXES, ExpectationRecord, reconstruct_state
+
+VALUE_RULE = re.escape(_BOUND_RULE)
 
 IN_BALL = st.floats(-0.577, 0.577, allow_nan=False)
 
@@ -62,8 +67,17 @@ class TestExpectationRecord:
         assert dataclasses.asdict(record) == {"axis": "y", "value": 0.75, "shots": 100}
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.value = 0.0
-        with pytest.raises(ValueError, match="expectation value must be finite"):
+        with pytest.raises(ValueError, match=f"^value {VALUE_RULE}, got inf$"):
             dataclasses.replace(record, value=math.inf)
+
+    def test_value_bound(self):
+        # The one magnitude bound: a value up to 2**256 in modulus is kept
+        # as given; past it, and NaN or infinity, is refused by name.
+        for value in (_BOUND, -_BOUND, 2**256):
+            assert ExpectationRecord("z", value).value == value
+        for value in (PAST_BOUND, -PAST_BOUND, math.nan, -math.inf, 2**257):
+            with pytest.raises(ValueError, match=f"^value {VALUE_RULE}, got "):
+                ExpectationRecord("z", value)
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
@@ -164,8 +178,16 @@ class TestReconstructState:
         ids=["two-at-1e308", "huge-and-tiny", "three-at-1e200"],
     )
     def test_huge_values_do_not_overflow(self, case, residual):
+        # Past the bound the records are refused; rescaled so that the
+        # largest is at the bound, the estimate is the unit direction and
+        # the residual is finite.
+        with pytest.raises(ValueError, match=f"^value {VALUE_RULE}, got "):
+            records_for(**case)
+        largest = max(map(abs, case.values()))
+        case = {axis: value / largest * _BOUND for axis, value in case.items()}
+        residual = (residual + 1.0) / largest * _BOUND - 1.0
         estimate = reconstruct_state(records_for(**case))
-        direction = np.array([case.get(axis, 0.0) for axis in AXES]) / 1e200
+        direction = np.array([case.get(axis, 0.0) for axis in AXES]) / _BOUND
         np.testing.assert_allclose(
             estimate.bloch, direction / np.linalg.norm(direction), atol=1e-15
         )
@@ -175,8 +197,11 @@ class TestReconstructState:
         assert is_valid_density_matrix(estimate.rho)
 
     def test_residual_beyond_float_range_rejected(self):
-        with pytest.raises(ValueError, match="float range"):
+        # Refused at the records, whose bound keeps every residual finite.
+        with pytest.raises(ValueError, match=f"^value {VALUE_RULE}, got 1.7e\\+308$"):
             reconstruct_state(records_for(x=1.7e308, y=1.7e308, z=1.7e308))
+        estimate = reconstruct_state(records_for(x=_BOUND, y=_BOUND, z=_BOUND))
+        assert estimate.residual == pytest.approx(math.sqrt(3.0) * _BOUND, rel=1e-15)
 
 
 class TestAgainstDirectMinimization:
@@ -204,6 +229,7 @@ class TestAgainstDirectMinimization:
 ANY_VALUE = st.one_of(
     st.none(),
     st.floats(-2.0, 2.0, allow_nan=False),
+    st.floats(-_BOUND, _BOUND, allow_nan=False),
     st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False),
 )
 
@@ -211,15 +237,14 @@ ANY_VALUE = st.one_of(
 class TestAgainstLoopOracle:
     @given(x=ANY_VALUE, y=ANY_VALUE, z=ANY_VALUE)
     def test_single_state(self, x, y, z):
+        if any(value is not None and abs(value) > _BOUND for value in (x, y, z)):
+            with pytest.raises(ValueError, match=f"^value {VALUE_RULE}, got "):
+                records_for(x=x, y=y, z=z)
+            return
         records = records_for(x=x, y=y, z=z)
         if not records:
             return
-        try:
-            old = loop_reconstruct_state(records)
-        except ValueError:
-            with pytest.raises(ValueError, match="float range"):
-                reconstruct_state(records)
-            return
+        old = loop_reconstruct_state(records)
         new = reconstruct_state(records)
         np.testing.assert_allclose(new.bloch, old.bloch, rtol=0, atol=1e-15)
         np.testing.assert_allclose(new.rho, old.rho, rtol=0, atol=1e-15)

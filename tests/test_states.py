@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import KET_0, KET_PLUS, KET_PLUS_I, projector, random_density_matrix
+from conftest import (
+    BOUND_MESSAGE,
+    KET_0,
+    KET_PLUS,
+    KET_PLUS_I,
+    projector,
+    random_density_matrix,
+)
 from qpt import states
 from qpt.channels import is_completely_positive
-from qpt.errors import InvalidStateError
+from qpt.errors import _BOUND, InvalidStateError
 from qpt.metrics import fidelity, process_distance_report
 from qpt.projection import project_to_physical
 
@@ -113,7 +120,7 @@ class TestValidation:
 
     def test_rejects_non_finite(self):
         m = np.array([[np.nan, 0.0], [0.0, 0.5]])
-        with pytest.raises(InvalidStateError, match="^density matrix: non-finite"):
+        with pytest.raises(InvalidStateError, match="^density matrix: entries must be finite"):
             states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
 
     def test_rejects_negative_eigenvalue(self):
@@ -193,54 +200,69 @@ class TestHermitianParts:
 
 
 class TestHermiticityNearTheFloatLimit:
+    """Entries past 2**256 in modulus are refused by the array rule, by
+    name; at the bound every defect and spectrum is finite."""
+
     def test_anti_hermitian_pair_is_refused(self):
-        # (m - m^dag) / 2 overflows to a NaN defect here, which passed.
+        # (m - m^dag) / 2 overflowed to a NaN defect here, which passed.
         m = [[0.5, 1e308], [-1e308, 0.5]]
-        assert states.hermiticity_defect(m) == math.inf
-        with pytest.raises(ValueError, match=r"^m is not Hermitian \(defect inf\)$"):
+        with pytest.raises(ValueError, match=f"^matrix: {BOUND_MESSAGE}$"):
+            states.hermiticity_defect(m)
+        with pytest.raises(ValueError, match=f"^m: {BOUND_MESSAGE}$"):
+            states.check_hermitian(m, "m")
+        m = [[0.5, _BOUND], [-_BOUND, 0.5]]
+        assert states.hermiticity_defect(m) == pytest.approx(math.sqrt(2.0) * _BOUND)
+        with pytest.raises(ValueError, match=r"^m is not Hermitian \(defect 1\.638e\+77\)$"):
             states.check_hermitian(m, "m")
 
     def test_overflowing_defect_warns_nothing(self):
-        # The state checks read the defect as hermiticity_defect does, inf
-        # with no overflow warning, and keep its text in the skip reason.
+        # The state checks refuse the entries by name, with no overflow
+        # warning; at the bound the defect is finite and in the skip reason.
         m = np.array([[0.5, 1e308], [-1e308, 0.5]])
         chi = np.eye(4, dtype=complex) / 4.0
         chi[0, 1], chi[1, 0] = 1e308, -1e308
-        message = r"not Hermitian \(defect inf\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidStateError, match=f"^density matrix: {message}"):
+            with pytest.raises(InvalidStateError, match=f"^density matrix: {BOUND_MESSAGE}$"):
                 states.check_density_matrix(m, 1e-9)
-            with pytest.raises(InvalidStateError, match=f"^density matrix: {message}"):
+            with pytest.raises(InvalidStateError, match=f"^density matrix: {BOUND_MESSAGE}$"):
                 states.von_neumann_entropy(m)
-            with pytest.raises(InvalidStateError, match=f"^first state: {message}"):
+            with pytest.raises(ValueError, match=f"^first state: {BOUND_MESSAGE}$"):
                 fidelity(m, np.eye(2) / 2.0)
+            with pytest.raises(ValueError, match=f"^a: {BOUND_MESSAGE}$"):
+                process_distance_report(chi, chi)
+            chi[0, 1], chi[1, 0] = _BOUND, -_BOUND
             comparison = process_distance_report(chi, chi)
         assert comparison.skip_reason == (
-            "skipped: unphysical Choi for a: not Hermitian (defect inf)"
+            "skipped: unphysical Choi for a: not Hermitian (defect 1.638e+77)"
         )
 
     @pytest.mark.parametrize("value", [1e308, 1.7e308])
     def test_hermitian_pair_passes(self, value):
         m = np.array([[0.5, value], [value, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match=f"^m: {BOUND_MESSAGE}$"):
+            states.check_hermitian(m, "m")
+        m[0, 1] = m[1, 0] = _BOUND
         assert states.hermiticity_defect(m) == 0.0
         np.testing.assert_array_equal(states.check_hermitian(m, "m"), m)
 
     def test_nan_spectrum_is_refused(self):
         # Finite, Hermitian and unit trace, but the off-diagonal modulus
-        # passes the float range and eigh returns NaN eigenvalues, which the
-        # eigenvalue check passed.
+        # passed the float range and eigh returned NaN eigenvalues.
         m = np.array([[0.5, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0.5]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidStateError, match="^density matrix: negative eigenvalue"):
-                states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
-            with pytest.raises(InvalidStateError, match="^density matrix: negative eigenvalue"):
-                states.von_neumann_entropy(m)
+        with pytest.raises(InvalidStateError, match=f"^density matrix: {BOUND_MESSAGE}$"):
+            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+        with pytest.raises(InvalidStateError, match=f"^density matrix: {BOUND_MESSAGE}$"):
+            states.von_neumann_entropy(m)
+        m[0, 1], m[1, 0] = _BOUND * (0.6 + 0.8j), _BOUND * (0.6 - 0.8j)
+        message = r"^density matrix: negative eigenvalue -1\.158e\+77 beyond clamp$"
+        with pytest.raises(InvalidStateError, match=message):
+            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
 
     @pytest.mark.parametrize(
         "value, message",
         [
-            ([[0.5, np.nan], [np.nan, 0.5]], "^m: non-finite entries$"),
+            ([[0.5, np.nan], [np.nan, 0.5]], f"^m: {BOUND_MESSAGE}$"),
             ([[True, False], [False, True]], "^m: must hold"),
             ([["a", "b"], ["c", "d"]], "^m: must hold"),
         ],
