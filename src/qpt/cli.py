@@ -208,7 +208,11 @@ def _channel_by_name(name: str) -> np.ndarray:
 def _comparison_operand(spec: str) -> tuple[np.ndarray, str]:
     if os.path.exists(spec):
         doc = qio.read_json(spec)
-        chi = qio.document_chi(doc)
+        # Two documents are read: a refused field names its file.
+        try:
+            chi = qio.document_chi(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{spec}: {exc}") from exc
         section = "raw" if doc.get("projected") is None else "projected"
         return chi, f"{os.path.basename(spec)}:{section}"
     return _channel_by_name(spec), spec
@@ -260,14 +264,14 @@ def _run_single_pipeline(config: ExperimentConfig, out_dir: str, args) -> int:
     from .process_tomography import run_process_tomography
 
     records = run_experiment(config)
-    # Reconstruct first: records it cannot invert leave no file of the run.
+    # Reconstruct first: records it cannot invert, or whose estimate no
+    # reader would accept, leave no file of the run.
     with _input_error("simulated records"):
-        estimate = run_process_tomography(records)
+        doc = qio.result_document(run_process_tomography(records), config)
     os.makedirs(out_dir, exist_ok=True)
     qio.write_json_atomic(
         os.path.join(out_dir, "records.json"), qio.records_document(records)
     )
-    doc = qio.result_document(estimate, config)
     code = _project_into_document(doc)
     qio.write_json_atomic(os.path.join(out_dir, "result.json"), doc)
 

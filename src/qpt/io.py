@@ -205,13 +205,24 @@ def parse_records_document(doc) -> list[MeasurementRecord]:
 def result_document(
     estimate: ProcessEstimate, config: ExperimentConfig | None = None
 ) -> dict:
+    """The ``qpt-result`` document of an estimate, with no projection yet.
+
+    A chi or affine map with an entry past the bound of ``errors._array``
+    raises ``ValueError`` naming ``raw.chi`` or ``raw.affine``: the
+    readers would refuse that field.  Linear inversion can give one from
+    records inside the bound: each entry sums several records, weighted
+    by ``P_B^-1``.
+    """
+    affine = estimate.affine
+    _array(estimate.chi, "raw.chi")
+    _array(np.column_stack((affine.matrix, affine.translation)), "raw.affine")
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": RESULT_KIND,
         "config": None if config is None else config_to_dict(config),
         "raw": {
             "chi": encode_complex_matrix(estimate.chi),
-            "affine": encode_affine(estimate.affine),
+            "affine": encode_affine(affine),
             "cp": {
                 "flag": estimate.cp_flag,
                 "min_choi_eigenvalue": estimate.cp_min_eigenvalue,

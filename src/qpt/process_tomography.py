@@ -187,8 +187,7 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         raise ValueError(
             f"expected records for 4 input states, got {len(record_sets)}"
         )
-    outputs = np.empty((4, 4))  # P_O: the outputs' Pauli coordinates as columns
-    outputs[0] = 1.0
+    targets = []  # the Bloch components of each output, in input order
     preparations = set()
     for j, entry in enumerate(record_sets):
         index = getattr(entry, "input_index", j + 1)
@@ -202,9 +201,11 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         )
         records = getattr(entry, "records", entry)
         try:
-            outputs[1:, j] = bloch_target(records)[0]
+            targets.append(bloch_target(records)[0])
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"{_INPUT_NAMES[j]}: {exc}") from exc
+    # P_O: the outputs' Pauli coordinates as columns, trace row first.
+    outputs = np.array([(1.0, 1.0, 1.0, 1.0), *zip(*targets)])
     # chi is built here, so it skips the public checkers' input validation.
     return ProcessEstimate(_chi_from_ptm(outputs @ _declared_inverse(preparations)))
 

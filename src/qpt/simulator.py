@@ -15,6 +15,14 @@ the twelve exact expectations are rows 1..3 of that product.  The product
 is one small contraction, and no output density matrix is formed.  One
 Philox bit generator per call is rekeyed for each ``(seed, input, axis)``
 cell, which draws exactly what a generator built from that key would.
+Since every cell sets the whole state, the generator is built from a
+zero-state ``ISeedSequence`` that hashes no entropy.
+
+Sampled records are filled without their checks, which their values,
+``(2 ups - shots) / shots`` in [-1, 1], cannot fail; so are the
+measurement records of every run, whose indices come from enumerating the
+four inputs.  Exact records keep the checks: a substituted channel can
+push an exact value past the bound of ``errors._BOUND``.
 
 One uncached function, ``_inputs``, decides which four inputs a
 preparation ``(polarization, pulse_error)`` gives: the prepared stack and
@@ -57,7 +65,7 @@ from .channels import (
 )
 from .errors import _integer, _number, _shown
 from .states import _coords, _coords_inverse, check_hermitian
-from .state_tomography import AXES, ExpectationRecord
+from .state_tomography import AXES, ExpectationRecord, _filled_record
 
 INPUT_COUNT = 4
 
@@ -168,6 +176,24 @@ class MeasurementRecord:
             object.__setattr__(self, "records", tuple(self.records))
 
 
+_set_index = MeasurementRecord.input_index.__set__
+_set_records = MeasurementRecord.records.__set__
+_set_config = MeasurementRecord.config.__set__
+
+
+def _filled_measurement(
+    input_index: int, records: tuple[ExpectationRecord, ...], config: ExperimentConfig
+) -> MeasurementRecord:
+    """A :class:`MeasurementRecord` of fields its checks cannot refuse,
+    built without them: an ``int`` index in ``1..INPUT_COUNT`` and a
+    tuple of records."""
+    record = object.__new__(MeasurementRecord)
+    _set_index(record, input_index)
+    _set_records(record, records)
+    _set_config(record, config)
+    return record
+
+
 def prepare_input(config: ExperimentConfig, index: int) -> np.ndarray:
     """Initial mixture rotated by the preparation pulse for one input index,
     as a writable copy."""
@@ -196,12 +222,19 @@ def _inputs(polarization: float, pulse_error: float) -> tuple[np.ndarray, np.nda
 
 
 @lru_cache(maxsize=1)
-def _seed_sequence() -> np.random.SeedSequence:
+def _zero_seed():
     """Seeds each call's bit generator, whose state every cell then
-    overwrites.  Built once, since a SeedSequence of fresh OS entropy costs
-    more than the generator itself, and on first use, since importing
-    ``numpy.random`` costs every process that never samples."""
-    return np.random.SeedSequence(0)
+    overwrites: an ``ISeedSequence`` whose state words are all zero, so
+    building the generator hashes no entropy.  Defined and built on first
+    use, since importing ``numpy.random`` costs every process that never
+    samples."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ZeroSeed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return ZeroSeed()
 
 
 @lru_cache(maxsize=64)
@@ -239,7 +272,8 @@ def true_channel(config: ExperimentConfig) -> np.ndarray:
 
 
 def _records(values, shots: int | None) -> tuple[tuple[ExpectationRecord, ...], ...]:
-    """Records of four rows of expectations, one tuple per input."""
+    """Checked records of four rows of exact expectations, one tuple per
+    input."""
     return tuple(tuple(map(ExpectationRecord, AXES, row, repeat(shots))) for row in values)
 
 
@@ -291,7 +325,7 @@ def _sample(
     # Cell c's key: an integer key is split into 64-bit words, low first,
     # so this is the key of Philox(key=config.seed % 2**64 + (c << 64)).
     key = [config.seed % (1 << 64), 0]
-    bit_generator = np.random.Philox(_seed_sequence())
+    bit_generator = np.random.Philox(_zero_seed())
     generator = np.random.Generator(bit_generator)
     # The setter copies these values in, so the one dict and its key list
     # serve every cell.
@@ -303,15 +337,18 @@ def _sample(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    values = []
+    # Each value is a float in [-1, 1] and shots a checked positive int.
+    records = []
     for index, row in enumerate(probabilities, start=1):
-        values.append([])
+        cells = []
         for axis_index, p_up in enumerate(row):
             key[1] = index * 8 + axis_index
             bit_generator.state = fresh
             ups = int(generator.binomial(shots, p_up))
-            values[-1].append((2.0 * ups - shots) / shots)
-    return _records(values, shots)
+            value = (2.0 * ups - shots) / shots
+            cells.append(_filled_record(AXES[axis_index], value, shots))
+        records.append(tuple(cells))
+    return tuple(records)
 
 
 def run_experiment(
@@ -343,6 +380,6 @@ def run_experiment(
         )
     records = exact if config.shots is None else _sample(config, probabilities)
     return [
-        MeasurementRecord(input_index=index, records=entry, config=config)
+        _filled_measurement(index, entry, config)
         for index, entry in enumerate(records, start=1)
     ]

@@ -36,6 +36,7 @@ from .errors import _BOUND, _BOUND_RULE, _integer, _number, _shown
 from .states import density_from_bloch, von_neumann_entropy
 
 AXES = ("x", "y", "z")
+_AXIS_INDEX = {axis: index for index, axis in enumerate(AXES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +69,23 @@ class ExpectationRecord:
                 raise ValueError(f"shots must be positive, got {_shown(shots)}")
             if type(self.shots) is not int:
                 object.__setattr__(self, "shots", shots)
+
+
+_set_axis = ExpectationRecord.axis.__set__
+_set_value = ExpectationRecord.value.__set__
+_set_shots = ExpectationRecord.shots.__set__
+
+
+def _filled_record(axis: str, value: float, shots: int | None) -> ExpectationRecord:
+    """An :class:`ExpectationRecord` of fields its checks cannot refuse,
+    built without them: an axis of ``AXES``, a ``float`` value of modulus
+    at most 1 and a positive ``int`` or ``None`` for shots.  Equal to the
+    checked record in every field, type, hash and ``repr``."""
+    record = object.__new__(ExpectationRecord)
+    _set_axis(record, axis)
+    _set_value(record, value)
+    _set_shots(record, shots)
+    return record
 
 
 @dataclass(frozen=True)
@@ -112,14 +130,17 @@ def bloch_target(records: Iterable[ExpectationRecord]) -> tuple[list, list]:
     Empty record sets and repeated axes raise ``ValueError``; anything but
     an :class:`ExpectationRecord` raises ``TypeError``.
     """
-    measured = {}
+    target = [0.0, 0.0, 0.0]
+    measured = [False, False, False]
     for record in records:
         if not isinstance(record, ExpectationRecord):
             raise TypeError(f"expected ExpectationRecord, got {type(record).__name__}")
-        if record.axis in measured:
+        index = _AXIS_INDEX[record.axis]
+        if measured[index]:
             raise ValueError(f"duplicate record for axis {record.axis!r}")
-        measured[record.axis] = record.value
-    if not measured:
+        target[index] = record.value
+        measured[index] = True
+    if True not in measured:
         raise ValueError("at least one expectation record is required")
-    return [measured.get(axis, 0.0) for axis in AXES], [axis in measured for axis in AXES]
+    return target, measured
 

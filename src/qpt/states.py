@@ -119,16 +119,16 @@ def _check_states(
     ``InvalidStateError`` of :func:`check_density_matrix` at the first
     failure.  Returns the stacked ``eigh`` of the Hermitian parts.
 
-    Every matrix is decomposed before any is checked; a defect and a trace
-    are computed only for a matrix that is reached.
+    Every matrix is decomposed, and its defect and trace computed, before
+    any is checked: one call each for the whole stack.
     """
     hermitian, anti = _parts(stack)
     values, vectors = np.linalg.eigh(hermitian)
-    for i, context in enumerate(contexts):
-        defect = float(np.linalg.norm(anti[i]))
+    defects = np.linalg.norm(anti, axis=(-2, -1)).tolist()
+    traces = stack.trace(axis1=-2, axis2=-1).tolist()
+    for i, (context, defect, trace) in enumerate(zip(contexts, defects, traces)):
         if defect > HERMITICITY_TOL:
             raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
-        trace = stack[i].trace()
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
         lowest = float(values[i, 0])

@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import random
@@ -18,12 +20,21 @@ from qpt import io as qio
 from qpt import mesh, projection
 from qpt.channels import apply_chi, standard_channel
 from qpt.cli import main
-from qpt.errors import _BOUND_RULE
+from qpt.errors import _BOUND, _BOUND_RULE
 from qpt.process_tomography import input_basis
 
 
 # A JSON integer of 401 digits: valid JSON, but beyond the float range.
 HUGE_INTEGER = 10**400
+B = _BOUND
+# Expectation values at and inside the bound, and declared preparations up
+# to a near-singular one, for the reconstruct round trip.
+ROUND_TRIP_VALUES = [B, -B, B / 2, -B / 2, 1e70, 1.0, -0.5, 0.0]
+ROUND_TRIP_PREPARATIONS = [
+    {},
+    {"polarization": 0.95, "pulse_error": 0.05},
+    {"polarization": 0.5 + 1e-9},
+]
 
 
 def run(*argv):
@@ -418,6 +429,75 @@ class TestReconstruct:
             codes.add(code)
         assert codes == {2}
 
+    def test_estimate_past_the_bound_is_refused(self, tmp_path, records_path, capsys):
+        # Records at the bound whose affine map is not: x and y at -B, -B,
+        # +B, +B over the four inputs give affine matrix entries of 2B.
+        # Exit 2 naming the field, and no file that render would refuse.
+        doc = json.loads(records_path.read_text())
+        for entry, value in zip(doc["records"], (-B, -B, B, B)):
+            for expectation in entry["expectations"][:2]:
+                expectation["value"] = value
+        source = tmp_path / "big.json"
+        source.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("reconstruct", "--records", source, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {source}: raw.affine: entries {_BOUND_RULE}\n"
+        )
+        assert not out.exists()
+
+    def test_chi_past_the_bound_is_refused(self, tmp_path, records_path, capsys):
+        # A near-singular declared preparation multiplies a record at the
+        # bound by about 1e8: chi itself is past it.
+        doc = json.loads(records_path.read_text())
+        doc["config"]["polarization"] = 0.5 + 1e-9
+        doc["records"][0]["expectations"][0]["value"] = B
+        source = tmp_path / "big.json"
+        source.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("reconstruct", "--records", source, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {source}: raw.chi: entries {_BOUND_RULE}\n"
+        assert not out.exists()
+
+    @settings(max_examples=80)
+    @given(
+        values=st.lists(st.sampled_from(ROUND_TRIP_VALUES), min_size=12, max_size=12),
+        preparation=st.sampled_from(ROUND_TRIP_PREPARATIONS),
+    )
+    def test_every_written_result_is_read_back(self, valid_documents, values, preparation):
+        # Whatever reconstruct writes, render, project and compare read;
+        # whatever they would refuse, reconstruct refuses by the field.
+        doc = copy.deepcopy(valid_documents["records"])
+        doc["config"].update(preparation)
+        cells = iter(values)
+        for entry in doc["records"]:
+            for expectation in entry["expectations"]:
+                expectation["value"] = next(cells)
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            source = scratch / "records.json"
+            source.write_text(json.dumps(doc))
+            result = scratch / "result.json"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("reconstruct", "--records", source, "--out", result)
+            if code == 2:
+                assert re.fullmatch(
+                    rf"error: {re.escape(str(source))}: raw\.(chi|affine): "
+                    rf"entries {re.escape(_BOUND_RULE)}\n",
+                    err.getvalue(),
+                )
+                assert not result.exists()
+                return
+            assert code == 0
+            assert run(
+                "render", "--result", result, "--out", scratch / "mesh", "--subdivisions", "1"
+            ) == 0
+            assert run("project", "--result", result, "--out", scratch / "p.json") in (0, 4)
+            assert run("compare", result, "identity", "--out", scratch / "c.json") == 0
+
     @pytest.mark.parametrize(
         "indices, message",
         [
@@ -608,8 +688,8 @@ class TestCompare:
 
     def test_difference_past_the_float_range(self, tmp_path, result_path, capsys):
         # Two finite documents whose chi difference would overflow: the
-        # bound refuses the first operand's field, not a ValueError out of
-        # main.
+        # bound refuses the first operand's field, named with its file, not
+        # a ValueError out of main.
         doc = json.loads(result_path.read_text())
         paths = []
         for name, value in (("big", 1.7e308), ("neg", -1.7e308)):
@@ -620,7 +700,26 @@ class TestCompare:
         capsys.readouterr()
         assert run("compare", *paths, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err == f"error: raw.chi: entries {_BOUND_RULE}\n"
+        assert err == f"error: {paths[0]}: raw.chi: entries {_BOUND_RULE}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("other", ["result", "identity"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_refused_field_names_its_operand(
+        self, tmp_path, result_path, capsys, position, other
+    ):
+        # Either operand, against a readable result or a named channel:
+        # the message starts with the file that holds the refused field.
+        doc = json.loads(result_path.read_text())
+        doc["raw"]["chi"][2][1] = [0.0, 1e300]
+        bad = tmp_path / "bigchi.json"
+        bad.write_text(json.dumps(doc))
+        operands = [result_path if other == "result" else "identity"] * 2
+        operands[position] = bad
+        out = tmp_path / "c.json"
+        capsys.readouterr()
+        assert run("compare", *operands, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {bad}: raw.chi: entries {_BOUND_RULE}\n"
         assert not out.exists()
 
 
@@ -907,7 +1006,9 @@ class TestMalformedResult:
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
         assert run(*command_argv(command, broken, tmp_path)) == 2
-        assert capsys.readouterr().err == f"error: raw.chi: entries {_BOUND_RULE}\n"
+        # compare reads two documents, so it names the file as well.
+        prefix = f"{broken}: " if command == "compare" else ""
+        assert capsys.readouterr().err == f"error: {prefix}raw.chi: entries {_BOUND_RULE}\n"
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("value", [1e308, 1.7e308], ids=["1e308", "1.7e308"])
@@ -970,7 +1071,8 @@ class TestMalformedResult:
         broken.write_text(json.dumps(doc).replace('"INF"', "1e999"))
         assert run(*command_argv(command, broken, tmp_path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field}: ")
+        prefix = f"{broken}: " if command == "compare" else ""
+        assert err.startswith(f"error: {prefix}{field}: ")
         assert f"entries {_BOUND_RULE}" in err
         assert not list(tmp_path.glob("out*"))
 

@@ -550,7 +550,85 @@ def test_each_call_owns_its_bit_generator(monkeypatch):
     assert len(made) == 2 and made[0] is not made[1]
 
 
+def test_bit_generator_seeded_without_entropy(monkeypatch):
+    # The seed each call's generator is built from hashes nothing: every
+    # state word is zero, and every cell then sets its own state.
+    made = []
+    philox = np.random.Philox
+
+    def tracked(*args, **kwargs):
+        made.append(philox(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "Philox", tracked)
+    config = ExperimentConfig(t2=100.0, shots=100, seed=4)
+    first = run_experiment(config)
+    second = run_experiment(config)
+    assert len(made) == 2 and made[0] is not made[1]
+    seed = made[0].seed_seq
+    assert isinstance(seed, np.random.bit_generator.ISeedSequence)
+    assert made[1].seed_seq is seed
+    assert seed.generate_state(4, np.uint64).tolist() == [0, 0, 0, 0]
+    assert record_bits(first) == record_bits(second) == record_bits(loop_run_experiment(config))
+
+
 PREPARATIONS = [(1.0, 0.0, math.inf), (0.95, 0.0, math.inf), (1.0, 0.05, math.inf), (0.9, 0.02, 300.0)]
+
+
+def assert_is_checked_record(record, checked):
+    """``record`` is ``checked`` in every way a caller can see: equality,
+    field types, hash, ``repr``, slots and frozenness."""
+    assert type(record) is type(checked)
+    assert record == checked
+    names = [field.name for field in dataclasses.fields(record)]
+    assert [type(getattr(record, name)) for name in names] == [
+        type(getattr(checked, name)) for name in names
+    ]
+    assert hash(record) == hash(checked)
+    assert repr(record) == repr(checked)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], getattr(record, names[0]))
+
+
+class TestFilledRecords:
+    """Sampled expectation records and every run's measurement records are
+    filled without their checks: each is the record the checks build from
+    its fields, and the records stay those of the loop oracle."""
+
+    @pytest.mark.parametrize("shots", [None, 1, 1000, 10**5])
+    @pytest.mark.parametrize("preparation", PREPARATIONS)
+    def test_each_record_is_the_checked_one(self, shots, preparation):
+        config = physics_config("paper-40ns", shots, seed=9, preparation=preparation)
+        results = run_experiment(config)
+        for result in results:
+            assert_is_checked_record(
+                result, MeasurementRecord(result.input_index, result.records, result.config)
+            )
+            assert type(result.input_index) is int and type(result.records) is tuple
+            for record in result.records:
+                checked = ExpectationRecord(record.axis, record.value, record.shots)
+                assert_is_checked_record(record, checked)
+                assert type(record.value) is float
+                assert type(record.shots) is (type(None) if shots is None else int)
+                assert -1.0 <= record.value <= 1.0
+        assert record_bits(results) == record_bits(loop_run_experiment(config))
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    @pytest.mark.parametrize("preparation", PREPARATIONS)
+    def test_substituted_channel(self, rng, shots, preparation):
+        config = physics_config("paper-20ns", shots, seed=11, preparation=preparation)
+        chi = random_cptp_chi(rng)
+        results = run_experiment(config, channel=chi)
+        for result in results:
+            assert_is_checked_record(
+                result, MeasurementRecord(result.input_index, result.records, result.config)
+            )
+            for record in result.records:
+                assert_is_checked_record(
+                    record, ExpectationRecord(record.axis, record.value, record.shots)
+                )
+        assert record_bits(results) == record_bits(loop_run_experiment(config, channel=chi))
 
 
 def physics_config(preset, shots=None, seed=0, preparation=PREPARATIONS[0]):
