@@ -2,10 +2,11 @@
 """Write the reference reproduction under ``tests/reference/``.
 
 ``qpt pipeline --preset paper-repro`` runs twice, exact and with
-``--shots 1000 --seed 7``.  For each preset the records, the result and
-the comparison with the identity are kept; the meshes are not, since the
-test checks them against the result's affine maps.  Rerun the script after
-a change that alters outputs on purpose, from the repository root::
+``--shots 1000 --seed 7``.  For each preset it runs, every entry of
+``qpt.simulator.PRESETS``, the records, the result and the comparison
+with the identity are kept; the meshes are not, since the test checks
+them against the result's affine maps.  Rerun the script after a change
+that alters outputs on purpose, from the repository root::
 
     PYTHONPATH=src python scripts/make_reference.py
 """
@@ -18,11 +19,11 @@ import tempfile
 from pathlib import Path
 
 from qpt.cli import main as qpt_main
+from qpt.simulator import PRESETS
 
 REFERENCE = Path(__file__).resolve().parent.parent / "tests" / "reference"
 # Each run's pipeline flags beside --preset paper-repro.
 RUNS = {"exact": [], "shots1000-seed7": ["--shots", "1000", "--seed", "7"]}
-PRESETS = ("paper-20ns", "paper-40ns", "paper-80ns")
 DOCUMENTS = ("records.json", "result.json", "compare_identity.json")
 
 

@@ -294,31 +294,34 @@ def rotation_unitary(axis, angle: float) -> np.ndarray:
     return math.cos(angle / 2.0) * SIGMA_0 - 1.0j * math.sin(angle / 2.0) * generator
 
 
-def _decay_fraction(params: dict, rate_key: str, fraction_key: str, kind: str) -> float:
-    """Resolve either an explicit fraction or a (t, T) pair to exp(-t/T)."""
-    if fraction_key in params:
-        extra = set(params) - {fraction_key}
-        if extra:
-            raise ValueError(f"{kind}: unexpected parameters {sorted(extra)}")
-        value = _number(params[fraction_key], f"{kind}: {fraction_key}")
+# The parameter sets each named family takes, in full: a call gives exactly
+# one of them.  `qpt compare` names a family by its one-parameter set.
+_PARAMETER_SETS = {
+    "identity": ((),),
+    "dephasing": (("factor",), ("t", "t2")),
+    "depolarizing": (("p",),),
+    "amplitude_damping": (("gamma",), ("t", "t1")),
+    "unitary_rotation": (("axis", "angle"),),
+}
+
+
+def _fraction(kind: str, params: dict) -> float:
+    """The fraction a parameter set of ``kind`` gives: its one parameter, or
+    ``exp(-t/T)`` of a ``t``, ``T`` pair; checked to lie in [0, 1]."""
+    if len(params) == 1:
+        ((name, value),) = params.items()
+        value = _number(value, f"{kind}: {name}")
     else:
-        missing = {"t", rate_key} - set(params)
-        if missing:
-            raise ValueError(
-                f"{kind}: provide either {fraction_key}= or both t= and {rate_key}="
-            )
-        extra = set(params) - {"t", rate_key}
-        if extra:
-            raise ValueError(f"{kind}: unexpected parameters {sorted(extra)}")
+        name = next(key for key in params if key != "t")
         t = _number(params["t"], f"{kind}: t")
-        scale = _number(params[rate_key], f"{kind}: {rate_key}")
+        scale = _number(params[name], f"{kind}: {name}")
         if scale <= 0.0:
-            raise ValueError(f"{kind}: {rate_key} must be positive, got {scale}")
+            raise ValueError(f"{kind}: {name} must be positive, got {scale}")
         if t < 0.0:
             raise ValueError(f"{kind}: t must be nonnegative, got {t}")
         value = math.exp(-t / scale)
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{kind}: {fraction_key} {value} outside [0, 1]")
+        raise ValueError(f"{kind}: {name} {value} outside [0, 1]")
     return value
 
 
@@ -334,23 +337,33 @@ def standard_channel(kind: str, **params) -> np.ndarray:
       ``1 - exp(-t/t1)``) or ``t=`` with ``t1=``.
     * ``depolarizing``: ``p=`` in [0, 1].
     * ``unitary_rotation``: ``axis=`` (name or 3-vector) and ``angle=``.
+
+    The names given must equal one of these sets, else a ``ValueError``
+    names the kind, every set it takes and the names given.
     """
+    if not isinstance(kind, str) or kind not in _PARAMETER_SETS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    accepted = _PARAMETER_SETS[kind]
+    if set(params) not in map(set, accepted):
+        sets = " or ".join(
+            " and ".join(f"{name}=" for name in names) or "no parameters"
+            for names in accepted
+        )
+        raise ValueError(f"{kind} takes {sets}, got {sorted(params)}")
     if kind == "identity":
-        if params:
-            raise ValueError(f"identity takes no parameters, got {sorted(params)}")
         chi = np.zeros((4, 4), dtype=complex)
         chi[0, 0] = 1.0
         return chi
     if kind == "dephasing":
-        factor = _decay_fraction(params, "t2", "factor", "dephasing")
+        factor = _fraction(kind, params)
         return np.diag(
             np.array([(1.0 + factor) / 2.0, 0.0, 0.0, (1.0 - factor) / 2.0])
         ).astype(complex)
     if kind == "amplitude_damping":
-        # _decay_fraction yields gamma directly when gamma= is given, and the
+        # _fraction yields gamma directly when gamma= is given, and the
         # survival probability exp(-t/t1) otherwise.  The survival is used
         # as is: 1 - (1 - survival) cancels to 0 once it drops below ~1e-16.
-        fraction = _decay_fraction(params, "t1", "gamma", "amplitude_damping")
+        fraction = _fraction(kind, params)
         if "gamma" in params:
             gamma, survival = fraction, 1.0 - fraction
         else:
@@ -360,16 +373,8 @@ def standard_channel(kind: str, **params) -> np.ndarray:
         jump = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
         return chi_from_kraus([decay, jump])
     if kind == "depolarizing":
-        if set(params) != {"p"}:
-            raise ValueError("depolarizing takes exactly the parameter p=")
-        p = _number(params["p"], "depolarizing: p")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"depolarizing: p {p} outside [0, 1]")
+        p = _fraction(kind, params)
         return np.diag(
             np.array([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
         ).astype(complex)
-    if kind == "unitary_rotation":
-        if set(params) != {"axis", "angle"}:
-            raise ValueError("unitary_rotation takes exactly axis= and angle=")
-        return chi_from_kraus([rotation_unitary(params["axis"], params["angle"])])
-    raise ValueError(f"unknown channel kind {kind!r}")
+    return chi_from_kraus([rotation_unitary(params["axis"], params["angle"])])

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import io as qio
-from .channels import standard_channel
+from .channels import _PARAMETER_SETS, standard_channel
 from .errors import ConfigError, NonConvergenceError, QptError, _input_error, _shown
 from .simulator import PRESETS, ExperimentConfig, run_experiment
 
@@ -176,24 +176,26 @@ def cmd_project(args) -> int:
     return code
 
 
-# The named channel families of ``qpt compare`` and the parameter each takes.
-_CHANNEL_PARAMETERS = {
-    "dephasing": "factor",
-    "depolarizing": "p",
-    "amplitude_damping": "gamma",
-}
-
-
 def _channel_by_name(name: str) -> np.ndarray:
+    """The channel a ``qpt compare`` operand names: a family with no
+    parameter by its name alone, one with a one-parameter set as
+    ``KIND:VALUE``."""
     base, colon, argument = name.partition(":")
     kind = base.replace("-", "_")
-    if kind == "identity" and not colon:
-        return standard_channel("identity")
-    if kind not in _CHANNEL_PARAMETERS:
+    accepted = _PARAMETER_SETS.get(kind, ())
+    if () in accepted and not colon:
+        return standard_channel(kind)
+    singles = [names for names in accepted if len(names) == 1]
+    if not singles:
+        known = (
+            ":".join([family.replace("_", "-"), *map(str.upper, names)])
+            for family, sets in _PARAMETER_SETS.items()
+            for names in sets
+            if len(names) <= 1
+        )
         raise ConfigError(
             f"{_shown(name)} is neither an existing result file nor a known "
-            "channel (identity, dephasing:FACTOR, depolarizing:P, "
-            "amplitude-damping:GAMMA)"
+            f"channel ({', '.join(known)})"
         )
     try:
         value = float(argument)
@@ -202,7 +204,7 @@ def _channel_by_name(name: str) -> np.ndarray:
             f"channel {_shown(name)}: {_shown(argument)} is not a number"
         ) from None
     with _input_error(f"channel {_shown(name)}"):
-        return standard_channel(kind, **{_CHANNEL_PARAMETERS[kind]: value})
+        return standard_channel(kind, **{singles[0][0]: value})
 
 
 def _comparison_operand(spec: str) -> tuple[np.ndarray, str]:

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .channels import AffineMap
+from .errors import _integer
 from .io import atomic_text_file, encode_affine
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -60,13 +61,15 @@ def icosphere(subdivisions: int = 3) -> tuple[np.ndarray, np.ndarray]:
 
     Each subdivision splits every triangle in four through edge midpoints,
     shared between neighbors, and re-normalizes the new vertices onto the
-    sphere.  ``subdivisions`` must be at least 1.
+    sphere.  ``subdivisions`` must be an integer of at least 1; a numpy
+    integer is taken as the equal ``int``.
 
     Midpoints are numbered in the order their edges are first met, walking
     the faces in order and each face's edges as ``ab, bc, ca``; every face
     ``(a, b, c)`` becomes ``(a, ab, ca), (b, bc, ab), (c, ca, bc),
     (ab, bc, ca)``.
     """
+    subdivisions = _integer(subdivisions, "subdivisions")
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be at least 1, got {subdivisions}")
     # Each level appends its midpoints behind the vertices it splits, so the
@@ -128,6 +131,7 @@ def ellipsoid_meshes(
 ) -> list[EllipsoidMesh]:
     """The mesh of each map, all over one icosphere: every mesh holds the
     same ``reference_vertices`` and ``faces`` arrays."""
+    subdivisions = _integer(subdivisions, "subdivisions")
     reference, faces = icosphere(subdivisions)
     meshes = []
     for affine in affines:

@@ -168,12 +168,8 @@ class MeasurementRecord:
         index = _integer(self.input_index, "input_index")
         if not 1 <= index <= INPUT_COUNT:
             raise ValueError(f"input_index must be 1..{INPUT_COUNT}, got {_shown(index)}")
-        # Only a field whose conversion changed its type is written back: a
-        # frozen write is slow, and a Python number keeps its object.
-        if type(self.input_index) is not int:
-            object.__setattr__(self, "input_index", index)
-        if type(self.records) is not tuple:
-            object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "input_index", index)
+        object.__setattr__(self, "records", tuple(self.records))
 
 
 _set_index = MeasurementRecord.input_index.__set__

@@ -59,16 +59,12 @@ class ExpectationRecord:
         value = float(_number(self.value, "value"))
         if not abs(value) <= _BOUND:
             raise ValueError(f"value {_BOUND_RULE}, got {_shown(value)}")
-        # Only a field whose conversion changed its type is written back: a
-        # frozen write is slow, and a Python number keeps its object.
-        if type(self.value) is not float:
-            object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", value)
         if self.shots is not None:
             shots = _integer(self.shots, "shots")
             if shots < 1:
                 raise ValueError(f"shots must be positive, got {_shown(shots)}")
-            if type(self.shots) is not int:
-                object.__setattr__(self, "shots", shots)
+            object.__setattr__(self, "shots", shots)
 
 
 _set_axis = ExpectationRecord.axis.__set__

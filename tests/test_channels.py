@@ -1,5 +1,6 @@
 """Channel representations: conversions, physicality checks, standard families."""
 
+import itertools
 import math
 import random
 
@@ -374,7 +375,7 @@ class TestStandardChannels:
             ch.standard_channel("depolarizing", p=1.5)
         with pytest.raises(ValueError, match="outside"):
             ch.standard_channel("amplitude_damping", gamma=-0.1)
-        with pytest.raises(ValueError, match="unexpected"):
+        with pytest.raises(ValueError, match=r"got \['factor', 't'\]$"):
             ch.standard_channel("dephasing", factor=0.5, t=1.0)
         with pytest.raises(ValueError, match="identity takes no"):
             ch.standard_channel("identity", p=0.1)
@@ -388,23 +389,23 @@ class TestStandardChannels:
     @pytest.mark.parametrize(
         "kind, params, message",
         [
-            ("dephasing", {"t": 1.0}, "^dephasing: provide either factor= or both t= and t2=$"),
+            ("dephasing", {"t": 1.0}, r"^dephasing takes factor= or t= and t2=, got \['t'\]$"),
             (
                 "amplitude_damping",
                 {"t1": 10.0},
-                "^amplitude_damping: provide either gamma= or both t= and t1=$",
+                r"^amplitude_damping takes gamma= or t= and t1=, got \['t1'\]$",
             ),
             (
                 "dephasing",
                 {"t": 1.0, "t2": 10.0, "gamma": 0.1},
-                r"^dephasing: unexpected parameters \['gamma'\]$",
+                r"^dephasing takes factor= or t= and t2=, got \['gamma', 't', 't2'\]$",
             ),
-            ("depolarizing", {"q": 0.1}, "^depolarizing takes exactly the parameter p=$"),
-            ("depolarizing", {"p": 0.1, "t": 1.0}, "^depolarizing takes exactly the parameter p=$"),
+            ("depolarizing", {"q": 0.1}, r"^depolarizing takes p=, got \['q'\]$"),
+            ("depolarizing", {"p": 0.1, "t": 1.0}, r"^depolarizing takes p=, got \['p', 't'\]$"),
             (
                 "unitary_rotation",
                 {"axis": "x"},
-                "^unitary_rotation takes exactly axis= and angle=$",
+                r"^unitary_rotation takes axis= and angle=, got \['axis'\]$",
             ),
         ],
         ids=[
@@ -497,6 +498,53 @@ class TestStandardChannels:
         np.testing.assert_array_equal(
             ch.rotation_unitary(np.array([0, 0, 2]), 1), ch.rotation_unitary("z", 1.0)
         )
+
+
+# Each family's parameter sets as the one message names them, and a valid
+# value for every parameter name the table uses.
+ACCEPTED = {
+    "identity": "no parameters",
+    "dephasing": "factor= or t= and t2=",
+    "depolarizing": "p=",
+    "amplitude_damping": "gamma= or t= and t1=",
+    "unitary_rotation": "axis= and angle=",
+}
+VALUES = {
+    "factor": 0.5, "t": 3.0, "t2": 10.0, "p": 0.3, "gamma": 0.2, "t1": 10.0,
+    "axis": "y", "angle": 1.0,
+}
+
+
+class TestParameterSets:
+    def test_table_names_every_family_and_parameter(self):
+        assert list(ch._PARAMETER_SETS) == list(ACCEPTED)
+        names = {name for sets in ch._PARAMETER_SETS.values() for s in sets for name in s}
+        assert names == set(VALUES)
+
+    @pytest.mark.parametrize("kind", list(ACCEPTED))
+    def test_exactly_the_listed_sets_build(self, kind):
+        # Every subset of the table's parameter names, as a call's keywords:
+        # one equal to a set of the family builds a CPTP chi; any other,
+        # mixed (factor= with t=), partial (t= alone) or foreign, raises the
+        # one message naming the sets and the names given.
+        accepted = [set(names) for names in ch._PARAMETER_SETS[kind]]
+        for size in range(len(VALUES) + 1):
+            for given in itertools.combinations(sorted(VALUES), size):
+                params = {name: VALUES[name] for name in given}
+                if set(given) in accepted:
+                    chi = ch.standard_channel(kind, **params)
+                    assert ch.is_completely_positive(chi)[0]
+                    assert ch.is_trace_preserving(chi)[0]
+                    continue
+                message = f"{kind} takes {ACCEPTED[kind]}, got {sorted(given)}"
+                with pytest.raises(ValueError) as info:
+                    ch.standard_channel(kind, **params)
+                assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", ["phase_flip", None, ["dephasing"]])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="^unknown channel kind "):
+            ch.standard_channel(kind, factor=0.5)
 
 
 class TestTransferInverse:

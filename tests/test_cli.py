@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from conftest import loop_lambda_from_outputs
 from qpt import io as qio
 from qpt import mesh, projection
-from qpt.channels import apply_chi, standard_channel
-from qpt.cli import main
-from qpt.errors import _BOUND, _BOUND_RULE
+from qpt.channels import _PARAMETER_SETS, apply_chi, standard_channel
+from qpt.cli import _channel_by_name, main
+from qpt.errors import _BOUND, _BOUND_RULE, ConfigError
 from qpt.process_tomography import input_basis
 
 
@@ -35,6 +35,12 @@ ROUND_TRIP_PREPARATIONS = [
     {"polarization": 0.95, "pulse_error": 0.05},
     {"polarization": 0.5 + 1e-9},
 ]
+# The KIND:VALUE operands of `qpt compare`, each with its library call.
+NAMED_CHANNELS = {
+    "dephasing:0.5": ("dephasing", {"factor": 0.5}),
+    "depolarizing:0.3": ("depolarizing", {"p": 0.3}),
+    "amplitude-damping:0.2": ("amplitude_damping", {"gamma": 0.2}),
+}
 
 
 def run(*argv):
@@ -634,11 +640,13 @@ class TestCompare:
         expected = math.sqrt(2.0) * (1.0 - f) / 2.0
         assert doc["norms"]["frobenius_norm"] == pytest.approx(expected, abs=1e-9)
 
-    def test_two_named_channels(self, tmp_path):
+    @pytest.mark.parametrize("name", list(NAMED_CHANNELS))
+    def test_two_named_channels(self, tmp_path, name):
         out = tmp_path / "cmp.json"
-        assert run("compare", "dephasing:0.5", "identity", "--out", out) == 0
+        assert run("compare", name, "identity", "--out", out) == 0
         doc = qio.read_json(str(out))
-        chi_a = standard_channel("dephasing", factor=0.5)
+        kind, params = NAMED_CHANNELS[name]
+        chi_a = standard_channel(kind, **params)
         chi_b = standard_channel("identity")
         expected = float(np.linalg.norm(chi_a - chi_b))
         assert doc["norms"]["frobenius_norm"] == pytest.approx(expected, abs=1e-12)
@@ -659,6 +667,41 @@ class TestCompare:
             message = f"{name!r} is neither an existing result file nor a known channel"
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("depolarizing:1.5", "depolarizing: p 1.5 outside [0, 1]"),
+            ("amplitude-damping:-0.1", "amplitude_damping: gamma -0.1 outside [0, 1]"),
+        ],
+    )
+    def test_parameter_out_of_range(self, tmp_path, capsys, name, message):
+        out = tmp_path / "c.json"
+        capsys.readouterr()
+        assert run("compare", "identity", name, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: channel {name!r}: {message}\n"
+        assert not out.exists()
+
+    def test_names_follow_the_parameter_table(self):
+        # KIND:VALUE, with - or _, names exactly the families that take a
+        # one-parameter set, and the refusal lists them from the table.
+        known = "identity, dephasing:FACTOR, depolarizing:P, amplitude-damping:GAMMA"
+        for kind, sets in _PARAMETER_SETS.items():
+            singles = [names for names in sets if len(names) == 1]
+            for spelling in {kind, kind.replace("_", "-")}:
+                name = f"{spelling}:0.25"
+                if singles:
+                    np.testing.assert_array_equal(
+                        _channel_by_name(name),
+                        standard_channel(kind, **{singles[0][0]: 0.25}),
+                    )
+                    continue
+                with pytest.raises(ConfigError) as info:
+                    _channel_by_name(name)
+                assert str(info.value) == (
+                    f"{name!r} is neither an existing result file nor a known "
+                    f"channel ({known})"
+                )
 
     def test_malformed_factor(self, tmp_path):
         assert run("compare", "dephasing:x", "identity", "--out", tmp_path / "c.json") == 2

@@ -1,5 +1,6 @@
 """Sphere and ellipsoid mesh generation and export."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,30 @@ class TestEllipsoidMesh:
         np.testing.assert_allclose(
             np.linalg.norm(mesh.reference_vertices, axis=1), 1.0, atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "subdivisions",
+        [True, False, 2.0, "2", None],
+        ids=["true", "false", "float", "text", "none"],
+    )
+    @pytest.mark.parametrize("build", ["icosphere", "ellipsoid_mesh", "ellipsoid_meshes"])
+    def test_rejects_non_integer_subdivisions(self, build, subdivisions):
+        # True is not built as level 1, nor a float or text handed to numpy.
+        builders = {
+            "icosphere": icosphere,
+            "ellipsoid_mesh": lambda level: ellipsoid_mesh(self.AFFINE, level),
+            "ellipsoid_meshes": lambda level: ellipsoid_meshes([self.AFFINE], level),
+        }
+        with pytest.raises(ValueError, match="^subdivisions must be an integer, got "):
+            builders[build](subdivisions)
+
+    def test_numpy_integer_subdivisions_become_int(self):
+        # The sidecar's json.dumps cannot write a numpy integer.
+        mesh = ellipsoid_mesh(self.AFFINE, np.int64(2))
+        assert type(mesh.subdivisions) is int and mesh.subdivisions == 2
+        metadata = mesh_metadata(self.AFFINE, mesh)
+        assert json.loads(json.dumps(metadata))["subdivisions"] == 2
+        np.testing.assert_array_equal(mesh.faces, icosphere(2)[1])
 
     def test_shared_faces(self):
         mesh = ellipsoid_mesh(self.AFFINE, subdivisions=1)
