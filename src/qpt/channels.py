@@ -147,10 +147,10 @@ def chi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
 def kraus_from_chi(chi: np.ndarray) -> Kraus:
     """Diagonalize a PSD chi matrix into a Kraus set.
 
-    Eigenvalues in ``[-CP_TOL, 0)`` are clamped to zero; anything below
-    ``-CP_TOL``, or a NaN lowest eigenvalue, means the map is not shown to
-    be completely positive and raises ``NotCompletelyPositiveError``.
-    Components with weight below ``1e-12`` are dropped.
+    A lowest eigenvalue below ``-CP_TOL``, or a NaN one, means the map is
+    not shown to be completely positive and raises
+    ``NotCompletelyPositiveError``.  Components with weight below ``1e-12``,
+    so every eigenvalue in ``[-CP_TOL, 0)``, are dropped.
     """
     chi = check_hermitian(_as_chi(chi), "chi matrix")
     values, vectors = np.linalg.eigh(_parts(chi)[0])
@@ -159,7 +159,6 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
             f"chi eigenvalue {values[0]:.3e} below -{CP_TOL:g}; "
             "project the process onto the physical set first"
         )
-    values = np.clip(values, 0.0, None)
     ops: Kraus = []
     for idx in np.argsort(values)[::-1]:
         w = values[idx]
@@ -307,7 +306,8 @@ _PARAMETER_SETS = {
 
 def _fraction(kind: str, params: dict) -> float:
     """The fraction a parameter set of ``kind`` gives: its one parameter, or
-    ``exp(-t/T)`` of a ``t``, ``T`` pair; checked to lie in [0, 1]."""
+    ``exp(-t/T)`` of a ``t``, ``T`` pair; checked to lie in [0, 1].  An
+    infinite ``T`` is the no-decay limit, fraction 1."""
     if len(params) == 1:
         ((name, value),) = params.items()
         value = _number(value, f"{kind}: {name}")
@@ -315,10 +315,10 @@ def _fraction(kind: str, params: dict) -> float:
         name = next(key for key in params if key != "t")
         t = _number(params["t"], f"{kind}: t")
         scale = _number(params[name], f"{kind}: {name}")
-        if scale <= 0.0:
+        if not scale > 0.0:
             raise ValueError(f"{kind}: {name} must be positive, got {scale}")
-        if t < 0.0:
-            raise ValueError(f"{kind}: t must be nonnegative, got {t}")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"{kind}: t must be nonnegative and finite, got {t}")
         value = math.exp(-t / scale)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{kind}: {name} {value} outside [0, 1]")

@@ -119,8 +119,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if args.shots is not None:
         updates["shots"] = None if args.shots == "exact" else args.shots
-    if not updates:
-        return config
     with _input_error("invalid override"):
         return replace(config, **updates)
 

@@ -63,8 +63,6 @@ def _integer(value, field: str) -> int:
 
     A float, string or boolean is never truncated or parsed into a count.
     """
-    if type(value) is int:
-        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -82,8 +80,6 @@ def _number(value, field: str) -> int | float:
     such as ``"0.5"``, ``None``, complex values and containers are never
     coerced, and an integer too large for a float is rejected.
     """
-    if type(value) is float:
-        return value
     if not isinstance(value, bool):
         if isinstance(value, numbers.Integral):
             value = operator.index(value)

@@ -47,7 +47,6 @@ COMPARISON_KIND = "qpt-comparison"
 
 
 def encode_complex_matrix(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 

@@ -61,7 +61,6 @@ from .channels import (
     _transfer,
     chi_from_affine,
     rotation_unitary,
-    standard_channel,
 )
 from .errors import _integer, _number, _shown
 from .states import _coords, _coords_inverse, check_hermitian
@@ -293,13 +292,10 @@ def _outcomes(
     """What every seed and shot count of one physical setting share: the
     read-only chi of its decoherence interval (see :func:`true_channel`),
     then the exact records and up-probabilities of :func:`_outcomes_of`."""
-    if math.isinf(t1):
-        chi = standard_channel("dephasing", t=decoherence_time, t2=t2)
-    else:
-        keep = math.exp(-decoherence_time / t1)
-        shrink = math.exp(-decoherence_time / t2) * math.sqrt(keep)
-        affine = AffineMap(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
-        chi = chi_from_affine(affine)
+    keep = math.exp(-decoherence_time / t1)
+    shrink = math.exp(-decoherence_time / t2) * math.sqrt(keep)
+    affine = AffineMap(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
+    chi = chi_from_affine(affine)
     chi.setflags(write=False)
     return (chi, *_outcomes_of(chi, _inputs(polarization, pulse_error)[1]))
 

@@ -127,6 +127,35 @@ def test_templates_are_accepted(call, template):
     call(np.asarray(template).astype(int))
 
 
+# Arrays that hold numbers but have a shape or count the function refuses,
+# each with its error and full message.
+SHAPE_CASES = [
+    (lambda: ch.apply_kraus([], GROUND), ValueError,
+     r"^Kraus set must contain at least one operator$"),
+    (lambda: ch.apply_chi(IDENTITY_CHI, np.eye(3)), ValueError,
+     r"^rho: expected a 2x2 operator or a stack of them, got \(3, 3\)$"),
+    (lambda: fidelity(GROUND, np.eye(3) / 3), ValueError,
+     r"^shape mismatch: \(2, 2\) vs \(3, 3\)$"),
+    (lambda: fidelity(np.ones((2, 3)), np.ones((2, 3))), InvalidStateError,
+     r"^first state: expected a square matrix, got \(2, 3\)$"),
+    (lambda: bloch_from_density(np.eye(3) / 3), ValueError,
+     r"^matrix: expected shape 2x2, got \(3, 3\)$"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    SHAPE_CASES,
+    ids=[
+        "apply_kraus-empty", "apply_chi-rho-3x3", "fidelity-mismatch",
+        "fidelity-not-square", "bloch_from_density-3x3",
+    ],
+)
+def test_entry_points_refuse_wrong_shapes(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestRule:
     def test_converts_integers_and_floats(self):
         for value in ([1, 2], np.array([1, 2], dtype=np.uint8), np.float32([1, 2])):

@@ -29,6 +29,9 @@ IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 # counterexample for the CP check.
 TRANSPOSE_CHI = np.diag([0.5, 0.5, -0.5, 0.5]).astype(complex)
 
+# The refusal of a decay time t that is negative, infinite or NaN.
+FINITE_T = "t must be nonnegative and finite, got"
+
 
 class TestApply:
     def test_identity(self, rng):
@@ -90,6 +93,13 @@ class TestKrausConversions:
     def test_not_cp_rejected(self):
         with pytest.raises(NotCompletelyPositiveError, match="eigenvalue"):
             ch.kraus_from_chi(TRANSPOSE_CHI)
+
+    def test_zero_map_keeps_one_zero_operator(self):
+        # Every component falls under the weight cut; apply_kraus still
+        # needs one operator.
+        ops = ch.kraus_from_chi(np.zeros((4, 4)))
+        assert len(ops) == 1
+        np.testing.assert_array_equal(ops[0], np.zeros((2, 2)))
 
     def test_tiny_negative_clamped(self):
         chi = IDENTITY_CHI.copy()
@@ -418,6 +428,29 @@ class TestStandardChannels:
         # be ignored.
         with pytest.raises(ValueError, match=message):
             ch.standard_channel(kind, **params)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("dephasing", {"t": math.inf, "t2": math.inf}, f"{FINITE_T} inf"),
+            ("dephasing", {"t": math.nan, "t2": 10.0}, f"{FINITE_T} nan"),
+            ("amplitude_damping", {"t": math.inf, "t1": 10.0}, f"{FINITE_T} inf"),
+            ("dephasing", {"t": 1.0, "t2": math.nan}, "t2 must be positive, got nan"),
+            ("amplitude_damping", {"t": 1.0, "t1": math.nan}, "t1 must be positive, got nan"),
+        ],
+        ids=["t-inf", "t-nan", "damping-t-inf", "t2-nan", "t1-nan"],
+    )
+    def test_non_finite_times_are_named(self, kind, params, message):
+        # Each message names the parameter at fault, never the fraction
+        # exp(-t/T) it would have given.
+        with pytest.raises(ValueError, match=f"^{kind}: {message}$"):
+            ch.standard_channel(kind, **params)
+
+    @pytest.mark.parametrize("kind, scale", [("dephasing", "t2"), ("amplitude_damping", "t1")])
+    def test_infinite_time_constant_is_no_decay(self, kind, scale):
+        # As t1 = inf is in ExperimentConfig: the fraction exp(-t/inf) is 1.
+        chi = ch.standard_channel(kind, t=5.0, **{scale: math.inf})
+        np.testing.assert_array_equal(chi, ch.standard_channel("identity"))
 
     @pytest.mark.parametrize(
         "kind, params, message",

@@ -2,11 +2,15 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +28,8 @@ from qpt.errors import _BOUND, _BOUND_RULE, ConfigError
 from qpt.process_tomography import input_basis
 
 
+# The source tree, for a command run in a process of its own.
+SRC = Path(__file__).resolve().parent.parent / "src"
 # A JSON integer of 401 digits: valid JSON, but beyond the float range.
 HUGE_INTEGER = 10**400
 B = _BOUND
@@ -332,6 +338,18 @@ class TestFileErrors:
         ) == 3
         assert repr(f"{prefix}_raw.obj") in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
+
+    def test_error_without_a_file_name(self, tmp_path, capsys, monkeypatch):
+        # A full disk raises ENOSPC from the write, with no file name: the
+        # message is the error's own text.
+        def full_disk(path, doc):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(qio, "write_json_atomic", full_disk)
+        assert run("simulate", "--preset", "paper-20ns", "--out", tmp_path / "r.json") == 3
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        )
 
     def test_missing_input_named_in_full(self, tmp_path, capsys):
         missing = tmp_path / ("r" * 95 + ".json")
@@ -929,32 +947,76 @@ class TestPipeline:
 
 
 class TestLogging:
+    # QPT_LOG alone sets the level of the "qpt" logger: pytest's capture
+    # handler on the root logger keeps every record that level lets through.
     @pytest.mark.parametrize(
         "command, message",
         [
             ("simulate", "wrote 4 record sets to {out}"),
+            ("reconstruct", "reconstructed process: cp=True tp=True -> {out}"),
+            ("project", "projected result written to {out}"),
             ("render", "meshes written with prefix {out}"),
         ],
-        ids=["simulate", "render"],
+        ids=["simulate", "reconstruct", "project", "render"],
     )
     def test_log_level_from_environment(
-        self, tmp_path, monkeypatch, caplog, result_path, command, message
+        self, tmp_path, monkeypatch, caplog, records_path, result_path, command, message
     ):
         out = tmp_path / "logged"
         argv = {
             "simulate": ["simulate", "--preset", "paper-20ns", "--out", out],
+            "reconstruct": ["reconstruct", "--records", records_path, "--out", out],
+            "project": ["project", "--result", result_path, "--out", out],
             "render": ["render", "--result", result_path, "--out", out, "--subdivisions", "1"],
         }[command]
         monkeypatch.setenv("QPT_LOG", "INFO")
-        with caplog.at_level("INFO", logger="qpt"):
-            assert run(*argv) == 0
-        assert message.format(out=out) in caplog.messages
+        assert run(*argv) == 0
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("INFO", message.format(out=out))
+        ]
+        # The default level, WARNING, lets no INFO line through.
+        caplog.clear()
+        monkeypatch.delenv("QPT_LOG")
+        assert run(*argv) == 0
+        assert caplog.records == []
 
-    def test_bad_level_falls_back(self, tmp_path, monkeypatch):
+    def test_non_convergence_is_an_error_line(self, tmp_path, monkeypatch, caplog):
+        records = tmp_path / "noisy.json"
+        raw = tmp_path / "raw.json"
+        assert run(
+            "simulate", "--preset", "paper-20ns", "--shots", "500", "--seed", "5",
+            "--out", records,
+        ) == 0
+        assert run("reconstruct", "--records", records, "--out", raw) == 0
+        monkeypatch.delenv("QPT_LOG", raising=False)
+        monkeypatch.setattr(projection, "MAX_ITERATIONS", 1)
+        caplog.clear()
+        assert run("project", "--result", raw, "--out", tmp_path / "projected.json") == 4
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", "projection did not converge: "
+             "projection did not converge within 1 iterations"),
+        ]
+
+    def test_bad_level_falls_back(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setenv("QPT_LOG", "NOISY")
         assert run(
             "simulate", "--preset", "paper-20ns", "--out", tmp_path / "r.json"
         ) == 0
+        assert caplog.records == []
+
+    def test_log_lines_reach_stderr_in_a_fresh_process(self, tmp_path):
+        # In a process of its own, with no handler on the root logger yet,
+        # the CLI installs one that writes "LEVEL logger: message" to stderr.
+        out = tmp_path / "logged.json"
+        env = dict(os.environ, QPT_LOG="INFO")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qpt.cli", "simulate", "--preset", "paper-20ns",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert done.stderr == f"INFO qpt: wrote 4 record sets to {out}\n"
 
 
 def command_argv(command, path, out_dir):

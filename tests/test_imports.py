@@ -53,6 +53,9 @@ def test_each_export_is_its_defining_modules_object():
         module = importlib.import_module(f"qpt.{qpt._EXPORTS[name]}")
         value = getattr(qpt, name)
         assert value is getattr(module, name), name
+        # The first access binds the name on the package, so later ones
+        # skip the module __getattr__.
+        assert vars(qpt)[name] is value, name
         # Classes and functions are exported from where they are defined.
         assert getattr(value, "__module__", module.__name__) == module.__name__, name
 

@@ -89,8 +89,10 @@ class TestConfigCodec:
         assert "Infinity" not in text
 
     def test_missing_t2(self):
-        with pytest.raises(ConfigError, match="t2"):
-            io.config_from_dict({"decoherence_time": 20.0})
+        # The reader's own message, not the constructor's TypeError.
+        for data in ({}, {"decoherence_time": 20.0}):
+            with pytest.raises(ConfigError, match="^config is missing the required key t2$"):
+                io.config_from_dict(data)
 
     def test_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys: 'tt2'"):
@@ -176,11 +178,16 @@ class TestRecordsDocument:
             io.parse_records_document(wrong_version)
         with pytest.raises(ConfigError, match="missing key"):
             io.parse_records_document({"schema_version": 1, "kind": io.RECORDS_KIND})
+        with pytest.raises(ConfigError, match="^records document: expected a JSON object$"):
+            io.parse_records_document([])
 
     def test_entry_errors_carry_position(self):
         doc = io.records_document(run_experiment(noisy_config()))
         doc["records"][2]["expectations"][0]["axis"] = "q"
         with pytest.raises(ConfigError, match=r"records\[2\]"):
+            io.parse_records_document(doc)
+        doc["records"][0]["expectations"] = {"axis": "x", "value": 1.0}
+        with pytest.raises(ConfigError, match=r"^records\[0\]: expectations must be a list$"):
             io.parse_records_document(doc)
 
 

@@ -1,5 +1,6 @@
 """State metrics and process-discrepancy norms."""
 
+import dataclasses
 import math
 import warnings
 
@@ -257,6 +258,22 @@ class TestDiscrepancyReport:
         }
         # Documents write the keys in field order.
         assert list(report.as_dict().values()) == [*norms, ["a", "b"]]
+
+    def test_norm_fields_are_python_floats(self):
+        # Not numpy scalars, which pass isinstance(value, float): every
+        # path that builds a report gives plain floats.
+        identity = ch.standard_channel("identity")
+        reports = [
+            metrics.DiscrepancyReport.from_difference(identity - TRANSPOSE, ("a", "b")),
+            metrics.process_distance_report(identity, TRANSPOSE).norms,
+            metrics.process_distance_report(identity, true_channel(PRESETS["paper-40ns"])).norms,
+        ]
+        # Each report's fields are its five norms, then its context.
+        for norms in [metrics.matrix_norms(identity - TRANSPOSE)] + [
+            dataclasses.astuple(report)[:-1] for report in reports
+        ]:
+            assert len(norms) == 5
+            assert all(type(value) is float for value in norms), norms
 
 
 class TestProcessComparison:

@@ -209,6 +209,17 @@ class TestAgainstDykstra:
             assert gap <= 1e-10 * scale
 
 
+def test_hessian_of_a_repeated_zero_eigenvalue():
+    # [[1/2, 1/4], [1/4, 1/2]] (+) 0 keeps eigenvalue 0 twice at the
+    # start, where the divided difference of max(., 0) is 0 / 0.
+    target = np.zeros((4, 4))
+    target[:2, :2] = [[0.5, 0.25], [0.25, 0.5]]
+    result = project_to_physical(target)
+    assert result.converged
+    assert result.iterations == 4
+    assert result.distance == pytest.approx(math.sqrt(3.0 / 32.0), abs=1e-13)
+
+
 def test_noisy_estimates_take_few_evaluations(noisy_estimates):
     # Newton converges in four to six; a linearly convergent method needs a
     # few dozen.
@@ -241,6 +252,9 @@ class TestFarTargets:
         result = project_to_physical(scale * np.eye(4))
         assert result.converged
         np.testing.assert_allclose(result.chi_tilde, np.eye(4) / 4.0, atol=1e-12)
+        # The first move along y_0 reaches I / 4 in the second evaluation;
+        # Newton steps alone take over 40 from the zero Hessian at c <= 0.
+        assert result.iterations == 2
 
     @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150, _BOUND])
     def test_huge_entry_gives_a_certified_process(self, scale):

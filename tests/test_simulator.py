@@ -662,6 +662,11 @@ class TestPhysicsCache:
         chi = true_channel(config)
         expected = chi.copy()
         assert chi.flags.writeable
+        # The cached matrix it copies is read-only.
+        assert not simulator._outcomes(
+            config.t2, config.t1, config.decoherence_time,
+            config.polarization, config.pulse_error,
+        )[0].flags.writeable
         chi[...] = np.nan
         np.testing.assert_array_equal(true_channel(config), expected)
         assert true_channel(config) is not true_channel(config)
