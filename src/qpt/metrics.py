@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import CP_TOL
-from .errors import InvalidStateError, _array
-from .states import HERMITICITY_TOL, _check_square, _check_states, _parts
+from .errors import _array
+from .states import HERMITICITY_TOL, _check_square, _check_states, _parts, _state_checks
 
 
 class MatrixNorms(NamedTuple):
@@ -69,15 +69,17 @@ def _norms(x: np.ndarray, singular: np.ndarray) -> MatrixNorms:
     """The norms of a converted square ``x`` with singular values ``singular``.
 
     The sums run left to right in Python, which for fewer than eight terms
-    per sum, as in every 4x4 comparison, gives numpy's bits.
+    per sum, as in every 4x4 comparison, gives numpy's bits.  The Frobenius
+    norm is ``np.linalg.norm``'s own formula for a complex array.
     """
     rows = np.abs(x).tolist()
     singular = singular.tolist()
+    flat = x.ravel(order="K")
     return MatrixNorms(
         p1=max(map(sum, zip(*rows))),
         p2=singular[0],
         p_inf=max(map(sum, rows)),
-        frobenius=float(np.linalg.norm(x)),
+        frobenius=math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)),
         half_trace=sum(singular) / 2.0,
     )
 
@@ -106,18 +108,18 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     _check_square(a, "first state")
-    root_a, root_b = _roots(np.array((a, b)), ("first state", "second state"))
+    checked = _check_states(np.array((a, b)), CP_TOL, ("first state", "second state"))
+    root_a, root_b = _roots(*checked)
     return _fidelity(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False))
 
 
-def _roots(stack: np.ndarray, contexts: tuple[str, str]) -> np.ndarray:
-    """Check a converted stack of states and return their root factors
-    ``R = V diag(sqrt(w))``, stacked.
+def _roots(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The root factors ``R = V diag(sqrt(w))`` of checked states, stacked,
+    from their stacked ``eigh``.
 
     ``w`` is each spectrum clipped at zero and renormalized to unit sum, so
     ``R R^dag`` is the clamped, trace-1 state.
     """
-    values, vectors = _check_states(stack, CP_TOL, contexts)
     values = np.maximum(values, 0.0)
     return vectors * np.sqrt(values / values.sum(axis=1, keepdims=True))[:, np.newaxis]
 
@@ -218,15 +220,15 @@ def process_distance_report(
     chi_b = _array(chi_b, context[1], (4, 4))
     labels = (str(context[0]), str(context[1]))
     x = chi_a - chi_b
-    try:
-        root_a, root_b = _roots(np.array((chi_a, chi_b)), labels)
-    except InvalidStateError as error:
+    values, vectors, failure = _state_checks(np.array((chi_a, chi_b)), CP_TOL, labels)
+    if failure is not None:
         singular = np.linalg.svd(x, compute_uv=False)
         return ProcessComparison(
             norms=DiscrepancyReport(*_norms(x, singular), labels),
             state_metrics=None,
-            skip_reason="skipped: unphysical Choi for " + str(error),
+            skip_reason="skipped: unphysical Choi for " + failure,
         )
+    root_a, root_b = _roots(values, vectors)
     singular = np.linalg.svd(np.array((x, root_a.conj().T @ root_b)), compute_uv=False)
     report = DiscrepancyReport(*_norms(x, singular[0]), labels)
     f = _fidelity(singular[1])

@@ -9,26 +9,29 @@ In the Pauli coordinates ``coords(m)[i] = tr(sigma_i m)`` of
 :mod:`qpt.states`, let ``P_B`` hold the inputs' coordinates as columns and
 ``P_O`` the outputs'.  The Pauli transfer matrix
 ``R[i, j] = (1/2) tr(sigma_i E(sigma_j))`` of the channel satisfies
-``P_O = R P_B``, so ``R = P_O P_B^-1``, and chi is the image of ``R`` under
-the fixed inverse transfer tensor of :mod:`qpt.channels`.  The inputs are
-the ones the records' config declares by its ``(polarization,
-pulse_error)``; records without a config declare a perfect preparation
-``(1, 0)``.  ``P_B^-1`` is read from the simulator's per-preparation
-cache, whose inputs come from the one function that also builds the
-simulated ones, so a reconstruction inverts exactly the inputs the
-simulator prepared, the perfect preparation included.
+``P_O = R P_B``, and chi is the image of ``R`` under the fixed inverse
+transfer tensor of :mod:`qpt.channels`.  ``P_O`` is affine in the twelve
+measured expectations ``v`` (input-major, x, y, z), so chi is too: the
+reconstruction is one product ``vec(chi) = M @ (1, v)`` with a 16x13
+complex map ``M`` fixed by the preparation.  The inputs are the ones the
+records' config declares by its ``(polarization, pulse_error)``; records
+without a config declare a perfect preparation ``(1, 0)``.  ``M`` is read
+from the simulator's per-preparation cache, built from the inputs of the
+one function that also builds the simulated ones, so a reconstruction
+inverts exactly the inputs the simulator prepared, the perfect
+preparation included.
 
-``P_O`` holds the measured expectations as they are, zero on unmeasured
+``v`` holds the measured expectations as they are, zero on unmeasured
 axes: no output is fitted to the Bloch ball first, so the estimate is
 linear in the records and unbiased, and the one projection onto physical
-processes is :mod:`qpt.projection`'s.  Its first row is ``(1, 0, 0, 0)``
-and every entry is real, so ``R`` is too, and chi is Hermitian by
-construction, bit for bit (see ``channels._chi_from_ptm``), and trace
-preserving up to round-off.  Each expectation value is at most 2**256 in
-modulus (``errors._BOUND``) and each entry of ``P_B^-1`` below about
-1e10, so chi is finite.  Its entries can exceed the bound, by up to about
-1e10 times under a near-singular declared preparation; any function that
-takes such a chi back in refuses it.
+processes is :mod:`qpt.projection`'s.  ``v`` is real and the row of ``M``
+for ``chi[n, m]`` is the conjugate of the row for ``chi[m, n]``, so chi is
+Hermitian by construction, bit for bit, and trace preserving up to
+round-off.  Each expectation value is at most 2**256 in modulus
+(``errors._BOUND``) and each entry of ``M`` below about 1e10, so chi is
+finite.  Its entries can exceed the bound, by up to about 1e10 times
+under a near-singular declared preparation; any function that takes such
+a chi back in refuses it.
 
 An estimate stores chi, nothing else.  It reads every other representation
 (the affine Bloch map) and its CP/TP verdicts from chi on access, so they
@@ -81,7 +84,7 @@ def input_basis() -> tuple[np.ndarray, ...]:
 def _basis_coords(rho_basis: Sequence[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
     """``P_B`` and ``P_B^-1`` of a basis, the perfect preparation by default."""
     if rho_basis is None:
-        return _preparation(*_IDEAL)[1:]
+        rho_basis = input_basis()
     coords = _coords(_array(rho_basis, "state basis", (4, 2, 2)))
     return coords, _coords_inverse(coords)
 
@@ -187,7 +190,7 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         raise ValueError(
             f"expected records for 4 input states, got {len(record_sets)}"
         )
-    targets = []  # the Bloch components of each output, in input order
+    data = [1.0]  # (1, v): the expectations input-major, in x, y, z order
     preparations = set()
     for j, entry in enumerate(record_sets):
         index = getattr(entry, "input_index", j + 1)
@@ -201,29 +204,27 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         )
         records = getattr(entry, "records", entry)
         try:
-            targets.append(bloch_target(records)[0])
+            data += bloch_target(records)[0]
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"{_INPUT_NAMES[j]}: {exc}") from exc
-    # P_O: the outputs' Pauli coordinates as columns, trace row first.
-    outputs = np.array([(1.0, 1.0, 1.0, 1.0), *zip(*targets)])
     # chi is built here, so it skips the public checkers' input validation.
-    return ProcessEstimate(_chi_from_ptm(outputs @ _declared_inverse(preparations)))
+    return ProcessEstimate((_declared_map(preparations) @ data).reshape(4, 4))
 
 
-def _declared_inverse(preparations: set) -> np.ndarray:
-    """``P_B^-1`` of the one ``(polarization, pulse_error)`` the record sets
-    declare."""
+def _declared_map(preparations: set) -> np.ndarray:
+    """The reconstruction map ``M`` of the one ``(polarization,
+    pulse_error)`` the record sets declare."""
     if len(preparations) != 1:
         raise ValueError(
             "record sets declare different preparations (polarization, "
             f"pulse_error): {sorted(preparations)}"
         )
     ((polarization, pulse_error),) = preparations
-    inverse = _preparation(polarization, pulse_error)[2]
-    if inverse is None:
+    reconstruction = _preparation(polarization, pulse_error)[2]
+    if reconstruction is None:
         raise ValueError(
             f"declared preparation polarization={polarization}, "
             f"pulse_error={pulse_error}: state basis is rank deficient and "
             "does not span"
         )
-    return inverse
+    return reconstruction

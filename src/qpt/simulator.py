@@ -34,11 +34,12 @@ inputs with it.  Two read-only caches hold what their readers use:
   interval, the exact records of a run and the clipped probabilities that
   the shots sample.  A sweep over seeds pays per call only for its draws.
 * ``_preparation``, keyed by ``(polarization, pulse_error)``, holds the
-  stack, the coordinates and their inverse ``P_B^-1``.
-  :mod:`qpt.process_tomography` reads the inverse, so a reconstruction
-  inverts the very inputs that were simulated.  A run of the configured
-  interval never fills it: only reconstruction, :func:`prepare_input` and
-  a run with a substituted channel do.
+  stack, the coordinates and the reconstruction map ``M`` built from
+  their inverse ``P_B^-1``: ``vec(chi) = M @ (1, v)`` for the twelve
+  expectations ``v``.  :mod:`qpt.process_tomography` applies ``M``, so a
+  reconstruction inverts the very inputs that were simulated.  A run of
+  the configured interval never fills it: only reconstruction,
+  :func:`prepare_input` and a run with a substituted channel do.
 
 The decoherence interval is the channel under test.  ``run_experiment`` can
 swap it for an arbitrary coefficient matrix, which turns the simulator into
@@ -51,11 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
 from .channels import (
+    _CHI_FROM_PTM,
     AffineMap,
     _as_chi,
     _transfer,
@@ -232,19 +233,38 @@ def _zero_seed():
     return ZeroSeed()
 
 
+# The outputs' coordinates P_O, one column per input, as _SELECT @ (1, v):
+# row 0 is all ones and row i of column j is v[3 j + i - 1], the
+# expectation along axis i of input j.
+_SELECT = np.zeros((4, 4, 13))
+_SELECT[0, :, 0] = 1.0
+_SELECT[1:, :, 1:] = np.eye(12).reshape(4, 3, 12).transpose(1, 0, 2)
+
+
 @lru_cache(maxsize=64)
 def _preparation(polarization: float, pulse_error: float) -> tuple:
     """The per-preparation cache entry, all read-only: the stack and
-    coordinates of :func:`_inputs` and ``P_B^-1``, the inverse of those
-    coordinates, or ``None`` when the inputs do not span."""
+    coordinates of :func:`_inputs` and the 16x13 reconstruction map ``M``,
+    or ``None`` when the inputs do not span.
+
+    The transfer matrix of the records is ``R = P_O P_B^-1``, and chi is
+    ``_CHI_FROM_PTM @ vec(R)``, so ``vec(chi) = M @ (1, v)`` with the twelve
+    expectations ``v`` input-major, in x, y, z order.  The complex inverse
+    of real coordinates has zero imaginary parts, so, as in
+    ``channels._chi_from_ptm``, the row of ``M`` for ``chi[n, m]`` is the
+    conjugate of the row for ``chi[m, n]``, bit for bit.
+    """
     stack, coords = _inputs(polarization, pulse_error)
     try:
         # Inverted as complex: a real-dtype inverse would page in the real
         # LAPACK routines as well and raise a process's peak resident memory.
         inverse = _coords_inverse(coords.astype(complex))
     except ValueError:
-        inverse = None
-    entry = (stack, coords, inverse)
+        reconstruction = None
+    else:
+        # Entry [i, k] of inverse.T @ _SELECT is the row of R[i, k] over (1, v).
+        reconstruction = _CHI_FROM_PTM @ (inverse.T @ _SELECT).reshape(16, 13)
+    entry = (stack, coords, reconstruction)
     for array in entry:
         if array is not None:
             array.setflags(write=False)
@@ -266,10 +286,10 @@ def true_channel(config: ExperimentConfig) -> np.ndarray:
     )[0].copy()
 
 
-def _records(values, shots: int | None) -> tuple[tuple[ExpectationRecord, ...], ...]:
+def _records(values) -> tuple[tuple[ExpectationRecord, ...], ...]:
     """Checked records of four rows of exact expectations, one tuple per
     input."""
-    return tuple(tuple(map(ExpectationRecord, AXES, row, repeat(shots))) for row in values)
+    return tuple(tuple(map(ExpectationRecord, AXES, row)) for row in values)
 
 
 def _outcomes_of(chi: np.ndarray, coords: np.ndarray) -> tuple:
@@ -282,7 +302,7 @@ def _outcomes_of(chi: np.ndarray, coords: np.ndarray) -> tuple:
     # the stack does not guarantee that.
     values = np.einsum("ij,jk->ki", _transfer(chi)[1:], coords)
     up = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-    return _records(values.tolist(), None), tuple(map(tuple, up.tolist()))
+    return _records(values.tolist()), tuple(map(tuple, up.tolist()))
 
 
 @lru_cache(maxsize=64)

@@ -112,31 +112,44 @@ def _check_square(rho: np.ndarray, context: str) -> None:
 def _check_states(
     stack: np.ndarray, eigenvalue_tol: float, contexts: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_state_checks` that raises the ``InvalidStateError`` of
+    :func:`check_density_matrix` at the first failure."""
+    values, vectors, failure = _state_checks(stack, eigenvalue_tol, contexts)
+    if failure is not None:
+        raise InvalidStateError(failure)
+    return values, vectors
+
+
+def _state_checks(
+    stack: np.ndarray, eigenvalue_tol: float, contexts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, str | None]:
     """The density-matrix check on a converted ``(k, n, n)`` complex stack.
 
     Matrix ``i`` is checked under ``contexts[i]``, in stack order:
-    Hermiticity, unit trace, then the lowest eigenvalue, with the
-    ``InvalidStateError`` of :func:`check_density_matrix` at the first
-    failure.  Returns the stacked ``eigh`` of the Hermitian parts.
+    Hermiticity, unit trace, then the lowest eigenvalue.  Returns the
+    stacked ``eigh`` of the Hermitian parts and the message of the first
+    failed check, or ``None`` when every matrix passes.
 
     Every matrix is decomposed, and its defect and trace computed, before
-    any is checked: one call each for the whole stack.
+    any is checked: one call each for the whole stack.  Every estimate and
+    named channel is Hermitian bit for bit, so the defects' norms are taken
+    only when the anti-Hermitian part has a nonzero entry.
     """
     hermitian, anti = _parts(stack)
     values, vectors = np.linalg.eigh(hermitian)
-    defects = np.linalg.norm(anti, axis=(-2, -1)).tolist()
+    defects = [0.0] * len(stack)
+    if anti.any():
+        defects = np.linalg.norm(anti, axis=(-2, -1)).tolist()
     traces = stack.trace(axis1=-2, axis2=-1).tolist()
     for i, (context, defect, trace) in enumerate(zip(contexts, defects, traces)):
         if defect > HERMITICITY_TOL:
-            raise InvalidStateError(f"{context}: not Hermitian (defect {defect:.3e})")
+            return values, vectors, f"{context}: not Hermitian (defect {defect:.3e})"
         if abs(trace - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"{context}: trace {trace:.8f} is not 1")
+            return values, vectors, f"{context}: trace {trace:.8f} is not 1"
         lowest = float(values[i, 0])
         if not lowest >= -eigenvalue_tol:
-            raise InvalidStateError(
-                f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
-            )
-    return values, vectors
+            return values, vectors, f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
+    return values, vectors, None
 
 
 def _coords(stack: np.ndarray) -> np.ndarray:

@@ -179,18 +179,27 @@ class TestPrepareInput:
     )
     def test_preparation_entry(self, polarization, pulse_error, spans):
         # The one per-preparation cache entry: stack, real coordinates and
-        # their inverse (None when the inputs do not span), all read-only.
-        stack, coords, inverse = simulator._preparation(polarization, pulse_error)
+        # the reconstruction map (None when the inputs do not span), all
+        # read-only.
+        stack, coords, reconstruction = simulator._preparation(polarization, pulse_error)
         assert stack is simulator._preparation(polarization, pulse_error)[0]
         np.testing.assert_array_equal(coords, states._coords(stack).real)
         # The simulator builds its inputs anew with the same function.
         fresh_stack, fresh_coords = simulator._inputs(polarization, pulse_error)
         assert fresh_stack.tobytes() == stack.tobytes()
         assert fresh_coords.tobytes() == coords.tobytes()
-        assert (inverse is not None) == spans
+        assert (reconstruction is not None) == spans
         if spans:
-            np.testing.assert_allclose(inverse @ coords, np.eye(4), atol=1e-12)
-        for array in (stack, coords, inverse):
+            config = ExperimentConfig(
+                t2=100.0, polarization=polarization, pulse_error=pulse_error
+            )
+            records = run_experiment(config, channel=ch.standard_channel("identity"))
+            data = [1.0] + [r.value for run in records for r in run.records]
+            np.testing.assert_allclose(
+                (reconstruction @ data).reshape(4, 4), ch.standard_channel("identity"),
+                rtol=0, atol=1e-12,
+            )
+        for array in (stack, coords, reconstruction):
             assert array is None or not array.flags.writeable
 
     def test_bad_index(self):
