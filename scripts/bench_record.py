@@ -14,13 +14,22 @@ the seeds of each workload, the commit and source digest of each side and
 the machine fields of the provenance.  All runs must come from one machine,
 and all runs of one side from one source tree; a mix is refused rather than
 folded into one median.
+
+A side's commit is kept only when ``git`` in this repository reads that
+commit's ``src/qpt/*.py`` and their digest, taken as ``perfbench/bench.py``
+takes it, equals the side's ``source_sha256``.  Otherwise the commit is
+written as null and the digest kept: a run of an uncommitted tree names
+the commit it was made on, not the code it measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import re
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +39,9 @@ PROVENANCE_PREFIX = "# provenance "
 MACHINE_FIELDS = ("cpu_count", "cpus_usable", "cpu_model", "python", "numpy", "blas")
 # Provenance fields that identify the measured code; one value per side.
 SOURCE_FIELDS = ("git_commit", "source_sha256")
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class RecordError(ValueError):
@@ -82,6 +94,28 @@ def only(values: set, what: str):
     return next(iter(values))
 
 
+def committed_digest(commit) -> str | None:
+    """``bench.source_digest`` of ``commit``'s ``src/qpt/*.py``, read with
+    ``git`` in ``ROOT``; None when ``git`` cannot read the commit."""
+    if not isinstance(commit, str) or not re.fullmatch(r"[0-9a-f]{4,64}", commit):
+        return None
+
+    def git(*args: str) -> bytes:
+        return subprocess.run(
+            ["git", "-C", str(ROOT), *args], capture_output=True, check=True
+        ).stdout
+
+    try:
+        names = git("ls-tree", "-z", "--name-only", commit, "src/qpt/").split(b"\0")
+        digest = hashlib.sha256()
+        for path in sorted(name.decode() for name in names if name.endswith(b".py")):
+            digest.update(Path(path).name.encode())
+            digest.update(git("show", f"{commit}:{path}"))
+    except (OSError, subprocess.CalledProcessError, UnicodeDecodeError):
+        return None
+    return digest.hexdigest()
+
+
 def fold(runs: list[tuple[str, dict, dict]], pr: int) -> dict:
     """The BENCH document of ``(side, provenance, result)`` triples."""
     if not runs:
@@ -97,6 +131,8 @@ def fold(runs: list[tuple[str, dict, dict]], pr: int) -> dict:
                 name: only({meta.get(name) for meta in metas}, f"{side} {name}")
                 for name in SOURCE_FIELDS
             }
+            if committed_digest(sources[side]["git_commit"]) != sources[side]["source_sha256"]:
+                sources[side]["git_commit"] = None
     workloads: dict[str, dict] = {}
     for side, meta, result in runs:
         entry = workloads.setdefault(meta["workload"], {"seeds": set(), "metrics": {}})

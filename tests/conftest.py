@@ -127,6 +127,27 @@ def random_cptp_chi(rng: np.random.Generator, count: int = 3) -> np.ndarray:
     return chi_from_kraus(random_kraus_set(rng, count))
 
 
+def random_frame(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The chi matrices ``(U, V)`` of two random rotations, a frame for
+    :func:`in_frame`."""
+    from qpt.channels import standard_channel
+
+    return tuple(
+        standard_channel(
+            "unitary_rotation", axis=rng.standard_normal(3), angle=rng.uniform(-math.pi, math.pi)
+        )
+        for _ in range(2)
+    )
+
+
+def in_frame(chi: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The chi of ``V o E o U`` for the map ``E`` of ``chi`` and ``frame = (U, V)``."""
+    from qpt.channels import compose_chi
+
+    u, v = frame
+    return compose_chi(compose_chi(u, chi), v)
+
+
 def is_valid_density_matrix(rho: np.ndarray) -> bool:
     """A 2x2 Hermitian, unit-trace, PSD matrix within the ``qpt.states`` tolerances."""
     from qpt.errors import InvalidStateError

@@ -11,18 +11,21 @@ from conftest import (
     BOUND_MESSAGE,
     KET_0,
     KET_1,
+    in_frame,
     loop_check_density_matrix,
     loop_fidelity,
     loop_process_distance_report,
     projector,
     random_cptp_chi,
     random_density_matrix,
+    random_frame,
 )
 from qpt import metrics, states
 from qpt import channels as ch
 from qpt.errors import _BOUND, InvalidStateError
+from qpt.process_tomography import run_process_tomography
 from qpt.projection import project_to_physical
-from qpt.simulator import PRESETS, true_channel
+from qpt.simulator import PRESETS, run_experiment, true_channel
 
 
 def pure(theta: float, phi: float) -> np.ndarray:
@@ -393,6 +396,78 @@ class TestProcessComparison:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             metrics.process_distance_report(np.eye(2), np.eye(4))
+
+
+class TestFrameCovariance:
+    """Both operands rotated before and after, ``E -> V o E o U``: their chi
+    are conjugated by one unitary, so every unitarily invariant norm of the
+    difference and every state metric stays; the induced norms ``p1`` and
+    ``p_inf`` of chi in the Pauli basis do not."""
+
+    def assert_invariant(self, a, b, frame):
+        plain = metrics.process_distance_report(a, b)
+        rotated = metrics.process_distance_report(in_frame(a, frame), in_frame(b, frame))
+        for name in ("frobenius_norm", "p2_norm", "trace_distance_pro"):
+            expected = getattr(plain.norms, name)
+            assert getattr(rotated.norms, name) == pytest.approx(expected, rel=0, abs=1e-12)
+        assert (rotated.state_metrics is None) == (plain.state_metrics is None)
+        if plain.state_metrics is None:
+            return
+        f = plain.state_metrics.fidelity
+        # F takes square roots of the clamped spectra.  A zero eigenvalue
+        # comes out as +-1e-17 or so, whose root, about 3e-9, can open a
+        # new singular value of R_a^dag R_b: so F is held to 1e-12 only
+        # when both operands are positive definite, else to 1e-7.
+        definite = all(np.linalg.eigvalsh(chi)[0] > 1e-6 for chi in (a, b))
+        tol = 1e-12 if definite else 1e-7
+        assert rotated.state_metrics.fidelity == pytest.approx(f, rel=0, abs=tol)
+        # At F = 1 Bures and C vary like the square root of round-off (one
+        # ulp of F moves them by about 1.5e-8), so they are held only away
+        # from it.
+        if definite and f < 1.0 - 1e-6:
+            for name in ("bures", "c_metric"):
+                expected = getattr(plain.state_metrics, name)
+                assert getattr(rotated.state_metrics, name) == pytest.approx(
+                    expected, rel=0, abs=1e-12
+                )
+
+    def test_random_channels(self):
+        # Four Kraus operators: positive definite chi, so every field is
+        # held to 1e-12.
+        rng = np.random.default_rng(18)
+        for _ in range(100):
+            a, b = random_cptp_chi(rng, 4), random_cptp_chi(rng, 4)
+            assert min(np.linalg.eigvalsh(chi)[0] for chi in (a, b)) > 1e-6
+            self.assert_invariant(a, b, random_frame(rng))
+
+    @pytest.mark.parametrize("shots", [None, 100, 1000])
+    def test_estimates_against_the_truth(self, shots):
+        # Exact estimates sit at F = 1; raw noisy ones fail the state check
+        # in both frames or in neither; their projections pass it.
+        rng = np.random.default_rng(19)
+        for config in PRESETS.values():
+            for seed in range(4):
+                run = dataclasses.replace(config, shots=shots, seed=seed)
+                estimate = run_process_tomography(run_experiment(run)).chi
+                for chi in (estimate, project_to_physical(estimate).chi_tilde):
+                    self.assert_invariant(chi, true_channel(config), random_frame(rng))
+
+    def test_p1_norm_depends_on_the_frame(self):
+        # Full dephasing against the identity, both after a z rotation by
+        # pi/4: the difference keeps its Frobenius norm 1/sqrt(2), but its
+        # largest absolute column (and row) sum grows from 1/2 to 1/sqrt(2).
+        identity = ch.standard_channel("identity")
+        dephasing = ch.standard_channel("dephasing", factor=0.0)
+        frame = (ch.standard_channel("unitary_rotation", axis="z", angle=math.pi / 4), identity)
+        plain = metrics.process_distance_report(dephasing, identity).norms
+        rotated = metrics.process_distance_report(
+            in_frame(dephasing, frame), in_frame(identity, frame)
+        ).norms
+        assert plain.p1_norm == plain.p_inf_norm == 0.5
+        assert rotated.p1_norm == pytest.approx(math.sqrt(0.5), rel=0, abs=1e-15)
+        assert rotated.p_inf_norm == pytest.approx(math.sqrt(0.5), rel=0, abs=1e-15)
+        assert rotated.frobenius_norm == pytest.approx(math.sqrt(0.5), rel=0, abs=1e-15)
+        assert plain.frobenius_norm == pytest.approx(math.sqrt(0.5), rel=0, abs=1e-15)
 
 
 def bits(values) -> list[str]:

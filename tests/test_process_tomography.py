@@ -425,6 +425,26 @@ class TestDeclaredPreparation:
         )
         with pytest.raises(ValueError, match="declared preparation.*does not span"):
             run_process_tomography(run_experiment(config))
+        assert simulator._preparation(polarization, pulse_error)[2] is None
+
+    @pytest.mark.parametrize(
+        "polarization, pulse_error",
+        [(1.0, 0.0), (0.95, 0.0), (1.0, 0.05), (0.6, 0.0), (1.0, -0.1), (0.8, 0.1),
+         (0.51, -0.2), (0.7, 0.9)],
+    )
+    def test_map_rows_of_transposed_entries_are_conjugate(self, polarization, pulse_error):
+        # vec(chi) = M @ (1, v) with v real, so chi is Hermitian bit for bit
+        # exactly when the row of chi[n, m] is the conjugate of chi[m, n]'s.
+        rows = simulator._preparation(polarization, pulse_error)[2].reshape(4, 4, 13)
+        assert np.array_equal(rows, rows.transpose(1, 0, 2).conj())
+
+    def test_ideal_map_moves_chi_equally_for_every_expectation(self):
+        # Column 0 of M is the constant term; each of the other twelve is
+        # the change of chi per unit of one expectation.
+        reconstruction = simulator._preparation(1.0, 0.0)[2]
+        np.testing.assert_allclose(
+            np.linalg.norm(reconstruction[:, 1:], axis=0), 0.5, rtol=0, atol=1e-15
+        )
 
 
 class TestLinearInversion:

@@ -7,7 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import BOUND_MESSAGE, loop_project_to_physical, random_cptp_chi
+from conftest import (
+    BOUND_MESSAGE,
+    in_frame,
+    loop_project_to_physical,
+    random_cptp_chi,
+    random_frame,
+)
 from qpt import channels as ch
 from qpt import projection
 from qpt.errors import _BOUND, NonConvergenceError
@@ -207,6 +213,34 @@ class TestAgainstDykstra:
             dykstra = loop_project_to_physical(target)
             gap = np.linalg.norm(newton.chi_tilde - dykstra.chi_tilde)
             assert gap <= 1e-10 * scale
+
+
+class TestFrameCovariance:
+    """Rotating a channel before and after, ``E -> V o E o U``, conjugates
+    its Choi matrix by the unitary ``U^T (x) V``, which keeps the PSD cone
+    and the TP set: the nearest CPTP map rotates with the target, at the
+    same distance and along the same Newton steps."""
+
+    def assert_covariant(self, target, frame):
+        scale = max(1.0, float(np.linalg.norm(target)))
+        plain = project_to_physical(target)
+        rotated = project_to_physical(in_frame(target, frame))
+        gap = np.abs(in_frame(plain.chi_tilde, frame) - rotated.chi_tilde).max()
+        assert gap <= 1e-12 * scale
+        assert rotated.distance == pytest.approx(plain.distance, rel=0, abs=1e-12 * scale)
+        assert (rotated.iterations, rotated.converged) == (plain.iterations, plain.converged)
+
+    def test_noisy_estimates(self, noisy_estimates):
+        rng = np.random.default_rng(18)
+        for chi in noisy_estimates:
+            for _ in range(3):
+                self.assert_covariant(chi, random_frame(rng))
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1000.0])
+    def test_random_targets(self, scale):
+        rng = np.random.default_rng(19)
+        for target in random_targets(18, scale):
+            self.assert_covariant(target, random_frame(rng))
 
 
 def test_hessian_of_a_repeated_zero_eigenvalue():

@@ -18,7 +18,7 @@ from qpt import io as qio
 SCRIPT = load_script("make_reference")
 # The pipeline's default icosphere level.
 SUBDIVISIONS = 3
-FLOAT_TOL = 1e-12
+FLOAT_TOL = SCRIPT.FLOAT_TOL
 
 
 def assert_matches(actual, expected, where="document"):

@@ -3,6 +3,9 @@
 import json
 import math
 import re
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -110,12 +113,13 @@ MACHINE = {
 }
 
 
-def write_run(path, workload, seed, commit, values, machine=MACHINE, failed=0):
+def write_run(path, workload, seed, commit, values, machine=MACHINE, failed=0, digest=None):
     """A saved ``perfbench/run.py`` stdout: header, provenance, metric lines
-    and the final JSON result line."""
+    and the final JSON result line.  The source digest is ``commit * 2``
+    unless ``digest`` is given."""
     provenance = {
         "workload": workload, "seed": seed, "seconds": 30, "trace": 0,
-        "git_commit": commit, "source_sha256": commit * 2, **machine,
+        "git_commit": commit, "source_sha256": digest or commit * 2, **machine,
     }
     metrics = {
         "ops_per_s": {"value": values[0], "unit": "1/s"},
@@ -147,9 +151,11 @@ def test_bench_record_folds_runs_by_workload_side_and_metric(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["pr"] == 7
     assert doc["machine"] == MACHINE
+    # "aa" and "bb" name no commit git can read: the digests stay, the
+    # commits are null.
     assert doc["sources"] == {
-        "parent": {"git_commit": "aa", "source_sha256": "aaaa"},
-        "change": {"git_commit": "bb", "source_sha256": "bbbb"},
+        "parent": {"git_commit": None, "source_sha256": "aaaa"},
+        "change": {"git_commit": None, "source_sha256": "bbbb"},
     }
     assert list(doc["workloads"]) == ["noisy-sweep", "reconstruct-sweep"]
     sweep = doc["workloads"]["reconstruct-sweep"]
@@ -218,3 +224,69 @@ def test_bench_record_rejects_an_untagged_run(tmp_path, capsys):
         main(["--pr", "1", str(run)])
     assert exit_info.value.code == 2
     assert "SIDE=PATH" in capsys.readouterr().err
+
+
+def git(repo, *args):
+    return subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        capture_output=True, check=True, text=True,
+    ).stdout.strip()
+
+
+def test_bench_record_keeps_a_commit_only_when_it_holds_the_measured_source(
+    tmp_path, monkeypatch
+):
+    # A repository whose one commit holds two modules and a file that is
+    # not one; its digest is taken the way perfbench takes it.
+    repo = tmp_path / "repo"
+    (repo / "src" / "qpt").mkdir(parents=True)
+    for name, text in (("b.py", "B = 2\n"), ("a.py", "A = 1\n"), ("notes.txt", "n\n")):
+        (repo / "src" / "qpt" / name).write_text(text)
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "one")
+    commit = git(repo, "rev-parse", "HEAD")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from bench import source_digest
+
+    committed = source_digest(repo)
+    (repo / "src" / "qpt" / "a.py").write_text("A = 3\n")  # measured, never committed
+    edited = source_digest(repo)
+    module = load_script("bench_record")
+    monkeypatch.setattr(module, "ROOT", repo)
+    assert module.committed_digest(commit) == committed
+    assert module.committed_digest("0" * 40) is None
+    runs = [
+        "parent=" + str(write_run(tmp_path / "p.txt", "noisy-sweep", 1, commit, (1.0, 1.0),
+                                  digest=committed)),
+        "change=" + str(write_run(tmp_path / "c.txt", "noisy-sweep", 1, commit, (1.0, 1.0),
+                                  digest=edited)),
+    ]
+    out = tmp_path / "BENCH_1.json"
+    assert module.main(["--pr", "1", "--out", str(out), *runs]) == 0
+    assert json.loads(out.read_text())["sources"] == {
+        "parent": {"git_commit": commit, "source_sha256": committed},
+        "change": {"git_commit": None, "source_sha256": edited},
+    }
+
+
+def test_make_reference_prints_each_float_it_moves(tmp_path, capsys, monkeypatch):
+    module = load_script("make_reference")
+    reference = tmp_path / "reference"
+    shutil.copytree(module.REFERENCE, reference)
+    monkeypatch.setattr(module, "REFERENCE", reference)
+    path = reference / "exact" / "paper-20ns" / "result.json"
+    doc = json.loads(path.read_text())
+    stored = doc["discrepancy"]["frobenius_norm"]
+    doc["discrepancy"]["frobenius_norm"] = moved = stored + 1e-9
+    # A move within the tolerance is not printed.
+    doc["discrepancy"]["p2_norm"] += module.FLOAT_TOL / 2
+    path.write_text(json.dumps(doc))
+    assert module.main() == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if " -> " in line]
+    assert len(printed) == 1
+    where, _, written = printed[0].partition(f": {moved!r} -> ")
+    assert where == "exact/paper-20ns/result.json.discrepancy.frobenius_norm"
+    rewritten = json.loads(path.read_text())["discrepancy"]["frobenius_norm"]
+    assert float(written) == rewritten
+    assert abs(rewritten - stored) <= module.FLOAT_TOL
