@@ -16,6 +16,13 @@ orthonormal and the Choi state is exactly the chi matrix rotated by a fixed
 unitary.  Complete positivity of the map is therefore equivalent to the chi
 matrix itself being positive semidefinite.
 
+Every named decay family (identity, dephasing, depolarizing, amplitude
+damping), like the simulator's decoherence interval, is a trace-preserving
+Bloch map ``r -> diag(shrink) r + (0, 0, lift)``, and one builder,
+``_chi_from_bloch``, turns each into chi through its transfer matrix, as
+:func:`chi_from_affine` does; the chi is Hermitian bit for bit.  Only the
+unitary rotation is built from its Kraus operator.
+
 Every array a function here takes goes through ``errors._array``, whose
 bound of 2**256 on each entry's modulus keeps every result finite, so no
 result is checked again.
@@ -241,10 +248,16 @@ def chi_from_affine(a: AffineMap) -> np.ndarray:
     is always Hermitian and exactly trace preserving, but completely
     positive only when the affine pair is physical.
     """
+    return _chi_from_bloch(a.matrix, a.translation)
+
+
+def _chi_from_bloch(matrix, translation) -> np.ndarray:
+    """The chi matrix of the trace-preserving Bloch map ``r -> matrix @ r +
+    translation``; no input checks.  The one path from a Bloch map to chi."""
     transfer = np.zeros((4, 4))
     transfer[0, 0] = 1.0
-    transfer[1:, 0] = a.translation
-    transfer[1:, 1:] = a.matrix
+    transfer[1:, 0] = translation
+    transfer[1:, 1:] = matrix
     return _chi_from_ptm(transfer)
 
 
@@ -350,31 +363,20 @@ def standard_channel(kind: str, **params) -> np.ndarray:
             for names in accepted
         )
         raise ValueError(f"{kind} takes {sets}, got {sorted(params)}")
-    if kind == "identity":
-        chi = np.zeros((4, 4), dtype=complex)
-        chi[0, 0] = 1.0
-        return chi
-    if kind == "dephasing":
-        factor = _fraction(kind, params)
-        return np.diag(
-            np.array([(1.0 + factor) / 2.0, 0.0, 0.0, (1.0 - factor) / 2.0])
-        ).astype(complex)
-    if kind == "amplitude_damping":
+    if kind == "unitary_rotation":
+        return chi_from_kraus([rotation_unitary(params["axis"], params["angle"])])
+    # Each decay family is a Bloch map r -> diag(shrink) @ r + (0, 0, lift);
+    # the default is dephasing by f, which at f = 1 is the identity.
+    f = _fraction(kind, params) if params else 1.0
+    shrink, lift = (f, f, 1.0), 0.0
+    if kind == "depolarizing":
+        shrink = (1.0 - f,) * 3
+    elif kind == "amplitude_damping":
         # _fraction yields gamma directly when gamma= is given, and the
         # survival probability exp(-t/t1) otherwise.  The survival is used
         # as is: 1 - (1 - survival) cancels to 0 once it drops below ~1e-16.
-        fraction = _fraction(kind, params)
+        lift, survival = 1.0 - f, f
         if "gamma" in params:
-            gamma, survival = fraction, 1.0 - fraction
-        else:
-            gamma, survival = 1.0 - fraction, fraction
-        keep = math.sqrt(survival)
-        decay = np.array([[1.0, 0.0], [0.0, keep]], dtype=complex)
-        jump = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-        return chi_from_kraus([decay, jump])
-    if kind == "depolarizing":
-        p = _fraction(kind, params)
-        return np.diag(
-            np.array([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
-        ).astype(complex)
-    return chi_from_kraus([rotation_unitary(params["axis"], params["angle"])])
+            lift, survival = survival, lift
+        shrink = (math.sqrt(survival), math.sqrt(survival), survival)
+    return _chi_from_bloch(np.diag(shrink), (0.0, 0.0, lift))

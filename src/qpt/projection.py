@@ -58,7 +58,7 @@ import numpy as np
 
 from .channels import _E0, _ROW0, _as_chi, _lowest_eigenvalue, _tp_deficit
 from .errors import NonConvergenceError
-from .metrics import DiscrepancyReport, _norms
+from .metrics import DiscrepancyReport
 from .states import _parts
 
 # The fully depolarizing channel: CPTP with every eigenvalue at 1/4.
@@ -233,8 +233,4 @@ def projection_report(
     context: tuple[str, str] = ("estimated", "projected"),
 ) -> DiscrepancyReport:
     """Norms of ``chi - chi_tilde``, the discrepancy removed by projection."""
-    x = _as_chi(chi) - result.chi_tilde
-    return DiscrepancyReport(
-        *_norms(x, np.linalg.svd(x, compute_uv=False)),
-        context=(str(context[0]), str(context[1])),
-    )
+    return DiscrepancyReport.from_difference(_as_chi(chi) - result.chi_tilde, context)

@@ -55,14 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import (
-    _CHI_FROM_PTM,
-    AffineMap,
-    _as_chi,
-    _transfer,
-    chi_from_affine,
-    rotation_unitary,
-)
+from .channels import _CHI_FROM_PTM, _as_chi, _chi_from_bloch, _transfer, rotation_unitary
 from .errors import _integer, _number, _shown
 from .states import _coords, _coords_inverse, check_hermitian
 from .state_tomography import AXES, ExpectationRecord, _filled_record
@@ -153,7 +146,7 @@ def preset_config(
         updates["shots"] = shots
     if seed is not None:
         updates["seed"] = seed
-    return replace(config, **updates) if updates else config
+    return replace(config, **updates)
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,10 +268,11 @@ def true_channel(config: ExperimentConfig) -> np.ndarray:
     """Coefficient matrix of the configured decoherence interval, as a fresh
     writable copy.
 
-    Dephasing by ``f = exp(-t/t2)`` and damping by ``gamma = 1 - exp(-t/t1)``
-    commute as Bloch maps; their composition is the affine map
-    ``diag(f sqrt(1 - gamma), f sqrt(1 - gamma), 1 - gamma)`` with
-    translation ``(0, 0, gamma)``.
+    Dephasing by ``f = exp(-t/t2)`` and damping with survival
+    ``s = exp(-t/t1)`` commute as Bloch maps; their composition is the
+    affine map ``diag(f sqrt(s), f sqrt(s), s)`` with translation
+    ``(0, 0, 1 - s)``, built into chi by ``channels._chi_from_bloch``, the
+    path of the named decay channels and of ``chi_from_affine``.
     """
     return _outcomes(
         config.t2, config.t1, config.decoherence_time,
@@ -314,8 +308,7 @@ def _outcomes(
     then the exact records and up-probabilities of :func:`_outcomes_of`."""
     keep = math.exp(-decoherence_time / t1)
     shrink = math.exp(-decoherence_time / t2) * math.sqrt(keep)
-    affine = AffineMap(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
-    chi = chi_from_affine(affine)
+    chi = _chi_from_bloch(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
     chi.setflags(write=False)
     return (chi, *_outcomes_of(chi, _inputs(polarization, pulse_error)[1]))
 

@@ -532,6 +532,52 @@ class TestStandardChannels:
             ch.rotation_unitary(np.array([0, 0, 2]), 1), ch.rotation_unitary("z", 1.0)
         )
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("identity", {})]
+        + [("dephasing", {"factor": f}) for f in (0.0, 0.5, 1.0)]
+        + [("dephasing", {"t": 10.0 * r, "t2": 10.0}) for r in (0.0, 0.5, 40.0)]
+        + [("depolarizing", {"p": p}) for p in (0.0, 0.5, 1.0)]
+        + [("amplitude_damping", {"gamma": g}) for g in (0.0, 0.3, 1.0)]
+        + [("amplitude_damping", {"t": 10.0 * r, "t1": 10.0}) for r in (0.0, 0.5, 40.0)],
+        ids=lambda value: "-".join(f"{k}={v}" for k, v in value.items()) or "none"
+        if isinstance(value, dict) else value,
+    )
+    def test_decay_families_match_their_textbook_forms(self, kind, params):
+        # The oracles are each family's textbook Kraus set and Bloch map
+        # r -> matrix @ r + translation.
+        scale = params.get("t2", params.get("t1"))
+        decay = math.exp(-params["t"] / scale) if "t" in params else None
+        i, x, y, z = states.SIGMA_0, states.SIGMA_X, states.SIGMA_Y, states.SIGMA_Z
+        translation = np.zeros(3)
+        if kind == "identity":
+            kraus, matrix = [i], np.eye(3)
+        elif kind == "dephasing":
+            f = params.get("factor", decay)
+            kraus = [math.sqrt((1.0 + f) / 2.0) * i, math.sqrt((1.0 - f) / 2.0) * z]
+            matrix = np.diag([f, f, 1.0])
+        elif kind == "depolarizing":
+            p = params["p"]
+            kraus = [math.sqrt(1.0 - 3.0 * p / 4.0) * i]
+            kraus += [math.sqrt(p / 4.0) * pauli for pauli in (x, y, z)]
+            matrix = (1.0 - p) * np.eye(3)
+        else:
+            # The decay and jump pair, with the survival exp(-t/t1) kept as is.
+            survival = 1.0 - params["gamma"] if "gamma" in params else decay
+            gamma = params.get("gamma", 1.0 - survival)
+            kraus = [
+                np.array([[1.0, 0.0], [0.0, math.sqrt(survival)]]),
+                np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),
+            ]
+            matrix = np.diag([math.sqrt(survival), math.sqrt(survival), survival])
+            translation[2] = gamma
+        chi = ch.standard_channel(kind, **params)
+        np.testing.assert_allclose(chi, ch.chi_from_kraus(kraus), rtol=0, atol=1e-15)
+        assert np.array_equal(chi, chi.conj().T)
+        affine = ch.affine_from_chi(chi)
+        np.testing.assert_allclose(affine.matrix, matrix, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(affine.translation, translation, rtol=0, atol=1e-15)
+
 
 # Each family's parameter sets as the one message names them, and a valid
 # value for every parameter name the table uses.

@@ -290,3 +290,44 @@ def test_make_reference_prints_each_float_it_moves(tmp_path, capsys, monkeypatch
     rewritten = json.loads(path.read_text())["discrepancy"]["frobenius_norm"]
     assert float(written) == rewritten
     assert abs(rewritten - stored) <= module.FLOAT_TOL
+
+
+def test_mutation_study_replaces_each_site_with_pass():
+    module = load_script("mutation_study")
+    source = (
+        "def f(x):\n"
+        '    """Doc."""\n'
+        "    if x: raise ValueError(x)\n"
+        "    @staticmethod\n"
+        "    def g():\n"
+        "        pass\n"
+        "    return x\n"
+    )
+    lines = source.splitlines(keepends=True)
+    found = module.sites(source)
+    # The docstring, the pass and the return are no sites.
+    assert [(node.lineno, type(node).__name__) for node in found] == [
+        (3, "If"), (3, "Raise"), (5, "FunctionDef"),
+    ]
+    assert module.mutant(lines, found[1]).splitlines()[2] == "    if x: pass"
+    without_g = module.mutant(lines, found[2]).splitlines()
+    assert without_g[3:] == ["    pass", "    return x"]
+
+
+def test_mutation_study_smoke(capsys):
+    module = load_script("mutation_study")
+    src = module.ROOT / "src" / "qpt"
+    before = {path: path.read_bytes() for path in src.glob("*.py")}
+    entries = sorted(path.name for path in module.ROOT.iterdir())
+    assert module.main(["errors", "--seed", "0", "--budget", "2"]) == 0
+    *survivors, counts = capsys.readouterr().out.splitlines()
+    match = re.fullmatch(
+        r"2 mutants: (\d+) killed by the first stage, (\d+) by the full suite, (\d+) survived",
+        counts,
+    )
+    assert match and sum(map(int, match.groups())) == 2
+    assert len(survivors) == int(match[3])
+    assert all(re.fullmatch(r"errors:\d+ \S.*", line) for line in survivors)
+    # Only the temporary copy was mutated.
+    assert {path: path.read_bytes() for path in src.glob("*.py")} == before
+    assert sorted(path.name for path in module.ROOT.iterdir()) == entries
