@@ -51,11 +51,10 @@ def sites(source: str) -> list[ast.stmt]:
 
 
 def mutant(lines: list[str], node: ast.stmt) -> str:
-    """The source with ``node``, decorators included, replaced by ``pass``."""
-    first = min([d.lineno for d in getattr(node, "decorator_list", ())] + [node.lineno])
-    head = lines[first - 1][:node.col_offset] if first == node.lineno else " " * node.col_offset
+    """The source with ``node`` replaced by ``pass``."""
+    head = lines[node.lineno - 1][:node.col_offset]
     tail = lines[node.end_lineno - 1][node.end_col_offset:]
-    return "".join(lines[:first - 1] + [head + "pass" + tail] + lines[node.end_lineno:])
+    return "".join(lines[:node.lineno - 1] + [head + "pass" + tail] + lines[node.end_lineno:])
 
 
 def killed(copy: Path, tests: list[str], timeout: float) -> bool:
@@ -91,8 +90,8 @@ def main(argv=None) -> int:
     first = [own] * (ROOT / own).is_file() + ["tests/test_acceptance.py", "tests/test_cli.py"]
     lines = source.splitlines(keepends=True)
     counts = {"first stage": 0, "full suite": 0, "survived": 0}
-    with tempfile.TemporaryDirectory(prefix="mutation-") as scratch:
-        copy = Path(scratch)
+    with tempfile.TemporaryDirectory(prefix="mutation-") as temporary:
+        copy = Path(temporary)
         for name in COPIED:
             if (ROOT / name).is_dir():
                 shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns(

@@ -298,7 +298,6 @@ def test_mutation_study_replaces_each_site_with_pass():
         "def f(x):\n"
         '    """Doc."""\n'
         "    if x: raise ValueError(x)\n"
-        "    @staticmethod\n"
         "    def g():\n"
         "        pass\n"
         "    return x\n"
@@ -307,7 +306,7 @@ def test_mutation_study_replaces_each_site_with_pass():
     found = module.sites(source)
     # The docstring, the pass and the return are no sites.
     assert [(node.lineno, type(node).__name__) for node in found] == [
-        (3, "If"), (3, "Raise"), (5, "FunctionDef"),
+        (3, "If"), (3, "Raise"), (4, "FunctionDef"),
     ]
     assert module.mutant(lines, found[1]).splitlines()[2] == "    if x: pass"
     without_g = module.mutant(lines, found[2]).splitlines()
