@@ -6,15 +6,20 @@ the tests not tell from ``pass``?
 
 The script copies what the tests read, ``src/``, ``tests/``, ``scripts/``,
 ``perfbench/`` and ``pyproject.toml``, into a temporary directory and
-mutates only that copy; the checkout is never written.  Its sites are the statements in the
-module's function bodies, found by an ``ast`` walk, leaving out
-docstrings, ``pass`` and ``return``.  The seed shuffles them and the
+mutates only that copy; the checkout is never written.  Its sites are the
+statements in the module's function bodies, found by an ``ast`` walk,
+leaving out docstrings, ``pass`` and ``return``.  The seed shuffles them and the
 budget, when given, keeps the first ones.  Each mutant replaces one
 statement with ``pass`` at the same indent and runs ``pytest -x -q`` in two
 stages: the module's own test file with ``test_acceptance.py`` and
 ``test_cli.py``, then all of ``tests/`` but the smoke test of this script
-for the mutants the first stage left alive.  A run that fails or times out kills the mutant.  Each survivor
-is printed as ``module:line statement``, then the kill counts.
+for the mutants the first stage left alive.  A run that fails or times out
+kills the mutant.  Each survivor is printed as ``module:line statement``,
+then the kill counts.
+
+Before the first mutant the harness is checked on the unmutated copy: both
+stages must pass, and the first must fail when the module cannot be
+imported.  If not, the script exits with status 1 and runs no mutant.
 """
 
 from __future__ import annotations
@@ -31,9 +36,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts", "perfbench", "pyproject.toml")
+# The first stage runs the module's own test file, if there is one, and these.
+FIRST = ["tests/test_acceptance.py", "tests/test_cli.py"]
 # The full stage leaves out this script's own smoke test, which would start
 # a study of its own inside each run.
 FULL = ["tests", "--deselect", "tests/test_scripts.py::test_mutation_study_smoke"]
+TIMEOUT = 600.0  # seconds per pytest run
 
 
 def sites(source: str) -> list[ast.stmt]:
@@ -57,7 +65,7 @@ def mutant(lines: list[str], node: ast.stmt) -> str:
     return "".join(lines[:node.lineno - 1] + [head + "pass" + tail] + lines[node.end_lineno:])
 
 
-def killed(copy: Path, tests: list[str], timeout: float) -> bool:
+def killed(copy: Path, tests: list[str]) -> bool:
     """Whether ``pytest -x`` of ``tests`` fails or times out in ``copy``.
 
     No bytecode is written: a mutant of the same size written within the
@@ -67,9 +75,26 @@ def killed(copy: Path, tests: list[str], timeout: float) -> bool:
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout).returncode != 0
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode != 0
     except subprocess.TimeoutExpired:
         return True
+
+
+def harness_fault(copy: Path, module: Path, first: list[str]) -> str | None:
+    """Why the stages cannot judge mutants of ``module`` in ``copy``, or None.
+
+    A missing file or a timeout would otherwise count every mutant as
+    killed, and tests that import ``qpt`` from outside the copy would let
+    every mutant survive."""
+    if killed(copy, first):
+        return "the first stage fails on the unmutated copy"
+    if killed(copy, FULL):
+        return "the full suite fails on the unmutated copy"
+    source = module.read_text(encoding="utf-8")
+    module.write_text("raise ImportError('mutation study check')\n", encoding="utf-8")
+    unread = not killed(copy, first)
+    module.write_text(source, encoding="utf-8")
+    return "the first stage does not import the copied module" if unread else None
 
 
 def main(argv=None) -> int:
@@ -77,7 +102,6 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="a module of src/qpt, such as channels")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--budget", type=int, help="mutants to run (default: every site)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per pytest run")
     args = parser.parse_args(argv)
     target = ROOT / "src" / "qpt" / f"{args.module}.py"
     if not target.is_file():
@@ -87,7 +111,7 @@ def main(argv=None) -> int:
     random.Random(args.seed).shuffle(chosen)
     chosen = sorted(chosen[:args.budget], key=lambda n: n.lineno)
     own = f"tests/test_{args.module}.py"
-    first = [own] * (ROOT / own).is_file() + ["tests/test_acceptance.py", "tests/test_cli.py"]
+    first = [own] * (ROOT / own).is_file() + FIRST
     lines = source.splitlines(keepends=True)
     counts = {"first stage": 0, "full suite": 0, "survived": 0}
     with tempfile.TemporaryDirectory(prefix="mutation-") as temporary:
@@ -99,11 +123,15 @@ def main(argv=None) -> int:
             else:
                 shutil.copy2(ROOT / name, copy / name)
         mutated = copy / "src" / "qpt" / target.name
+        fault = harness_fault(copy, mutated, first)
+        if fault:
+            print(f"mutation study not run: {fault}", file=sys.stderr)
+            return 1
         for node in chosen:
             mutated.write_text(mutant(lines, node), encoding="utf-8")
-            if killed(copy, first, args.timeout):
+            if killed(copy, first):
                 counts["first stage"] += 1
-            elif killed(copy, FULL, args.timeout):
+            elif killed(copy, FULL):
                 counts["full suite"] += 1
             else:
                 counts["survived"] += 1

@@ -365,9 +365,8 @@ def standard_channel(kind: str, **params) -> np.ndarray:
         raise ValueError(f"{kind} takes {sets}, got {sorted(params)}")
     if kind == "unitary_rotation":
         return chi_from_kraus([rotation_unitary(params["axis"], params["angle"])])
-    # Each decay family is a Bloch map r -> diag(shrink) @ r + (0, 0, lift);
-    # the default is dephasing by f, which at f = 1 is the identity.
-    f = _fraction(kind, params) if params else 1.0
+    # Each decay family is a Bloch map r -> diag(shrink) @ r + (0, 0, lift).
+    f = 1.0 if kind == "identity" else _fraction(kind, params)
     shrink, lift = (f, f, 1.0), 0.0
     if kind == "depolarizing":
         shrink = (1.0 - f,) * 3

@@ -313,8 +313,12 @@ def test_mutation_study_replaces_each_site_with_pass():
     assert without_g[3:] == ["    pass", "    return x"]
 
 
-def test_mutation_study_smoke(capsys):
+def test_mutation_study_smoke(capsys, monkeypatch):
     module = load_script("mutation_study")
+    # A small file stands in for each stage, whose real runs take too long
+    # here; the harness check before the mutants still makes all its runs.
+    monkeypatch.setattr(module, "FIRST", ["tests/test_arrays.py"])
+    monkeypatch.setattr(module, "FULL", ["tests/test_arrays.py"])
     src = module.ROOT / "src" / "qpt"
     before = {path: path.read_bytes() for path in src.glob("*.py")}
     entries = sorted(path.name for path in module.ROOT.iterdir())
@@ -330,3 +334,29 @@ def test_mutation_study_smoke(capsys):
     # Only the temporary copy was mutated.
     assert {path: path.read_bytes() for path in src.glob("*.py")} == before
     assert sorted(path.name for path in module.ROOT.iterdir()) == entries
+
+
+def test_mutation_study_refuses_a_copy_whose_suite_fails(capsys, monkeypatch):
+    module = load_script("mutation_study")
+    # Without perfbench/ the library-surface test fails on unmutated code, so
+    # every mutant would read as killed by the full suite.
+    monkeypatch.setattr(module, "COPIED", ("src", "tests", "scripts", "pyproject.toml"))
+    monkeypatch.setattr(module, "FIRST", ["tests/test_arrays.py"])
+    monkeypatch.setattr(module, "FULL", ["tests/test_library_surface.py"])
+    assert module.main(["errors", "--seed", "0", "--budget", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mutation study not run: the full suite fails on the unmutated copy\n"
+
+
+def test_mutation_study_refuses_tests_that_pass_an_unimportable_module(tmp_path, monkeypatch):
+    module = load_script("mutation_study")
+    # Runs that pass whatever the module holds, as when the tests import qpt
+    # from outside the copy: every mutant would survive.
+    monkeypatch.setattr(module, "killed", lambda copy, tests: False)
+    target = tmp_path / "errors.py"
+    target.write_text("x = 1\n", encoding="utf-8")
+    assert module.harness_fault(tmp_path, target, []) == (
+        "the first stage does not import the copied module"
+    )
+    assert target.read_text(encoding="utf-8") == "x = 1\n"
