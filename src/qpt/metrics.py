@@ -20,11 +20,16 @@ is the chi matrix conjugated by a fixed unitary, so it has the spectrum,
 trace and pairwise fidelity of chi: the state block is computed on chi
 itself, with no rotation, and its trace distance is the process trace
 distance ``d_pro`` of the norm block.  A comparison converts each operand
-once and takes the singular values of the difference and of
-``R_a^dag R_b`` from one stacked SVD.
+once.  When both operands are Hermitian bit for bit, as every estimate,
+named channel and true channel is, so is their difference, and its
+singular values are the moduli of its eigenvalues (the trace-norm
+distance of Gilchrist, Langford & Nielsen, PRA 71, 062310, 2005): the
+difference joins the state check's stacked ``eigh``, and only
+``R_a^dag R_b`` takes an SVD.  Otherwise the singular values of the
+difference and of ``R_a^dag R_b`` come from one stacked SVD.
 
 Every operand goes through ``errors._array``, whose bound of 2**256 on
-each entry's modulus keeps a difference, its norms and its SVD finite, so
+each entry's modulus keeps a difference, its norms and its decompositions finite, so
 no difference is checked again.
 """
 
@@ -66,7 +71,8 @@ def matrix_norms(x: np.ndarray) -> MatrixNorms:
 
 
 def _norms(x: np.ndarray, singular: np.ndarray) -> MatrixNorms:
-    """The norms of a converted square ``x`` with singular values ``singular``.
+    """The norms of a converted square ``x`` with singular values
+    ``singular``, in any order.
 
     The sums run left to right in Python, which for fewer than eight terms
     per sum, as in every 4x4 comparison, gives numpy's bits.  The Frobenius
@@ -77,7 +83,7 @@ def _norms(x: np.ndarray, singular: np.ndarray) -> MatrixNorms:
     flat = x.ravel(order="K")
     return MatrixNorms(
         p1=max(map(sum, zip(*rows))),
-        p2=singular[0],
+        p2=max(singular),
         p_inf=max(map(sum, rows)),
         frobenius=math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)),
         half_trace=sum(singular) / 2.0,
@@ -220,18 +226,25 @@ def process_distance_report(
     chi_b = _array(chi_b, context[1], (4, 4))
     labels = (str(context[0]), str(context[1]))
     x = chi_a - chi_b
-    values, vectors, failure = _state_checks(np.array((chi_a, chi_b)), CP_TOL, labels)
+    values, vectors, failure = _state_checks(np.array((chi_a, chi_b)), CP_TOL, labels, x)
+    # A third row is the eigh of the difference, which is then Hermitian.
+    singular = np.abs(values[2]) if len(values) > 2 else None
     if failure is not None:
-        singular = np.linalg.svd(x, compute_uv=False)
+        if singular is None:
+            singular = np.linalg.svd(x, compute_uv=False)
         return ProcessComparison(
             norms=DiscrepancyReport(*_norms(x, singular), labels),
             state_metrics=None,
             skip_reason="skipped: unphysical Choi for " + failure,
         )
-    root_a, root_b = _roots(values, vectors)
-    singular = np.linalg.svd(np.array((x, root_a.conj().T @ root_b)), compute_uv=False)
-    report = DiscrepancyReport(*_norms(x, singular[0]), labels)
-    f = _fidelity(singular[1])
+    root_a, root_b = _roots(values[:2], vectors[:2])
+    product = root_a.conj().T @ root_b
+    if singular is None:
+        singular, product_singular = np.linalg.svd(np.array((x, product)), compute_uv=False)
+    else:
+        product_singular = np.linalg.svd(product, compute_uv=False)
+    report = DiscrepancyReport(*_norms(x, singular), labels)
+    f = _fidelity(product_singular)
     block = StateMetricBlock(
         trace_distance=report.trace_distance_pro,
         fidelity=f,

@@ -121,7 +121,10 @@ def _check_states(
 
 
 def _state_checks(
-    stack: np.ndarray, eigenvalue_tol: float, contexts: Sequence[str]
+    stack: np.ndarray,
+    eigenvalue_tol: float,
+    contexts: Sequence[str],
+    difference: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, str | None]:
     """The density-matrix check on a converted ``(k, n, n)`` complex stack.
 
@@ -133,12 +136,19 @@ def _state_checks(
     Every matrix is decomposed, and its defect and trace computed, before
     any is checked: one call each for the whole stack.  Every estimate and
     named channel is Hermitian bit for bit, so the defects' norms are taken
-    only when the anti-Hermitian part has a nonzero entry.
+    only when the anti-Hermitian part has a nonzero entry.  When it has
+    none, a given ``difference`` of two stacked matrices is Hermitian bit
+    for bit too, since IEEE subtraction is sign-symmetric: it is then
+    decomposed in the same call, and its ``eigh`` is the returned stack's
+    row ``k``.
     """
     hermitian, anti = _parts(stack)
+    exact = not anti.any()
+    if exact and difference is not None:
+        hermitian = np.concatenate((hermitian, difference[np.newaxis]))
     values, vectors = np.linalg.eigh(hermitian)
     defects = [0.0] * len(stack)
-    if anti.any():
+    if not exact:
         defects = np.linalg.norm(anti, axis=(-2, -1)).tolist()
     traces = stack.trace(axis1=-2, axis2=-1).tolist()
     for i, (context, defect, trace) in enumerate(zip(contexts, defects, traces)):

@@ -579,15 +579,20 @@ def loop_fidelity(a, b) -> float:
 def loop_process_distance_report(chi_a, chi_b, context=("a", "b")) -> tuple:
     """``(norms, state block, skip reason)`` of two converted 4x4 operands;
     the norms in ``DiscrepancyReport`` field order, the block as
-    ``(trace distance, fidelity, bures, c)`` or ``None``."""
+    ``(trace distance, fidelity, bures, c)`` or ``None``.  The singular
+    values of a difference equal to its adjoint bit for bit are the moduli
+    of its eigenvalues."""
     from qpt.errors import InvalidStateError
 
     x = chi_a - chi_b
     absolute = np.abs(x)
-    singular = np.linalg.svd(x, compute_uv=False)
+    if np.array_equal(x, x.conj().T):
+        singular = np.abs(np.linalg.eigh(x)[0])
+    else:
+        singular = np.linalg.svd(x, compute_uv=False)
     norms = (
         float(absolute.sum(axis=0).max()),
-        float(singular[0]),
+        float(singular.max()),
         float(absolute.sum(axis=1).max()),
         float(np.linalg.norm(x)),
         float(singular.sum() / 2.0),

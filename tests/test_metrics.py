@@ -1,6 +1,7 @@
 """State metrics and process-discrepancy norms."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -592,3 +593,111 @@ class TestAgainstLoopOracle:
         )
         assert str(raised.value) == str(oracle.value)
         assert str(raised.value).startswith("first state: trace 1.1")
+
+
+def bit_hermitian(m: np.ndarray) -> bool:
+    return np.array_equal(m, m.conj().T)
+
+
+# The preparations of the reconstruction sweep, as ExperimentConfig overrides.
+PREPARATIONS = {
+    "ideal": {},
+    "polarization=0.95": {"polarization": 0.95},
+    "pulse_error=0.05": {"pulse_error": 0.05},
+}
+# Values for each parameter of ch._PARAMETER_SETS, several per name.
+CHANNEL_VALUES = {
+    "factor": (0.0, 0.37, 1.0), "t": (0.0, 3.0, 250.0), "t2": (10.0, math.inf),
+    "t1": (7.0, math.inf), "gamma": (0.0, 0.21, 1.0), "p": (0.0, 0.3, 1.0),
+    "axis": ("x", "y", "z", (1.0, -2.0, 0.5)), "angle": (0.0, 0.7, math.pi, -2.9),
+}
+
+
+def sweep_config(name: str, preparation: str, shots, seed: int):
+    return dataclasses.replace(PRESETS[name], shots=shots, seed=seed, **PREPARATIONS[preparation])
+
+
+# Each operand compared with its truth: the shapes passed to np.linalg.svd
+# and np.linalg.eigh, and whether the state block is computed.
+LAPACK_CALLS = {
+    "exact-estimate": ([(4, 4)], [(3, 4, 4)], True),
+    "sampled-estimate": ([], [(3, 4, 4)], False),
+    "leaky": ([], [(3, 4, 4)], False),
+    "projection": ([(2, 4, 4)], [(2, 4, 4)], True),
+    "skewed": ([(4, 4)], [(2, 4, 4)], False),
+}
+
+
+def counted(monkeypatch, name: str) -> list:
+    """The shapes of the arrays passed to ``np.linalg.<name>`` from now on."""
+    shapes = []
+    original = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
+
+
+class TestEigenvaluePath:
+    """A difference of two operands that are Hermitian bit for bit takes
+    its singular values from the state check's ``eigh``; any other keeps
+    the SVD."""
+
+    @pytest.mark.parametrize("shots", [None, 100, 1000])
+    @pytest.mark.parametrize("preparation", list(PREPARATIONS))
+    def test_estimates_and_truths_are_bit_hermitian(self, preparation, shots):
+        for name in PRESETS:
+            for seed in range(3):
+                config = sweep_config(name, preparation, shots, seed)
+                assert bit_hermitian(run_process_tomography(run_experiment(config)).chi)
+                assert bit_hermitian(true_channel(config))
+
+    def test_named_channels_are_bit_hermitian(self):
+        for kind, parameter_sets in ch._PARAMETER_SETS.items():
+            for names in parameter_sets:
+                for values in itertools.product(*(CHANNEL_VALUES[n] for n in names)):
+                    chi = ch.standard_channel(kind, **dict(zip(names, values)))
+                    assert bit_hermitian(chi), (kind, names, values)
+
+    @pytest.mark.parametrize("pair", list(LAPACK_CALLS))
+    def test_lapack_calls(self, monkeypatch, pair):
+        config = sweep_config("paper-40ns", "ideal", 100, 2)
+        truth = true_channel(config)
+        estimate = run_process_tomography(run_experiment(config)).chi
+        operand = {
+            "exact-estimate": run_process_tomography(
+                run_experiment(dataclasses.replace(config, shots=None))
+            ).chi,
+            "sampled-estimate": estimate,
+            "leaky": LEAKY,
+            "projection": project_to_physical(estimate).chi_tilde,
+            "skewed": SKEWED,
+        }[pair]
+        svd_shapes, eigh_shapes, block = LAPACK_CALLS[pair]
+        assert bit_hermitian(operand) == (pair not in ("projection", "skewed"))
+        calls = {name: counted(monkeypatch, name) for name in ("svd", "eigh")}
+        comparison = metrics.process_distance_report(operand, truth)
+        assert (comparison.state_metrics is not None) == block
+        assert calls == {"svd": svd_shapes, "eigh": eigh_shapes}
+
+    def test_eigenvalues_match_the_svd(self, noisy_estimates):
+        # The moduli of the eigenvalues are the singular values to within
+        # a few ulps of the difference's scale.
+        truths = [true_channel(PRESETS[name]) for name in sorted(PRESETS)]
+        pairs = [(chi, truth) for chi in noisy_estimates for truth in truths]
+        rng = np.random.default_rng(41)
+        for scale in (1.0, 100.0, 1000.0):
+            for _ in range(50):
+                m, n = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+                pairs.append((scale * (m + m.conj().T), scale * (n + n.conj().T)))
+        eps = np.finfo(float).eps
+        for a, b in pairs:
+            assert bit_hermitian(a) and bit_hermitian(b)
+            norms = metrics.process_distance_report(a, b).norms
+            expected = metrics.matrix_norms(a - b)
+            tol = 8.0 * eps * max(1.0, expected.frobenius)
+            assert abs(norms.p2_norm - expected.p2) <= tol
+            assert abs(norms.trace_distance_pro - expected.half_trace) <= tol
