@@ -29,8 +29,8 @@ difference joins the state check's stacked ``eigh``, and only
 difference and of ``R_a^dag R_b`` come from one stacked SVD.
 
 Every operand goes through ``errors._array``, whose bound of 2**256 on
-each entry's modulus keeps a difference, its norms and its decompositions finite, so
-no difference is checked again.
+each entry's modulus keeps a difference, its norms and its decompositions
+finite, so no difference is checked again.
 """
 
 from __future__ import annotations
