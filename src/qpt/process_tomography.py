@@ -15,11 +15,10 @@ measured expectations ``v`` (input-major, x, y, z), so chi is too: the
 reconstruction is one product ``vec(chi) = M @ (1, v)`` with a 16x13
 complex map ``M`` fixed by the preparation.  The inputs are the ones the
 records' config declares by its ``(polarization, pulse_error)``; records
-without a config declare a perfect preparation ``(1, 0)``.  ``M`` is read
-from the simulator's per-preparation cache, built from the inputs of the
-one function that also builds the simulated ones, so a reconstruction
-inverts exactly the inputs the simulator prepared, the perfect
-preparation included.
+without a config declare a perfect preparation ``(1, 0)``.  ``M`` is cached
+here per preparation and built from the coordinates of the simulator's
+input cache, the inputs it simulates, so a reconstruction inverts exactly
+the inputs the simulator prepared, the perfect preparation included.
 
 ``v`` holds the measured expectations as they are, zero on unmeasured
 axes: no output is fitted to the Bloch ball first, so the estimate is
@@ -41,6 +40,7 @@ cannot disagree with the chi they describe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .channels import (
     CP_TOL,
     TP_TOL,
     AffineMap,
+    _CHI_FROM_PTM,
     _affine,
     _chi_from_ptm,
     _lowest_eigenvalue,
@@ -62,23 +63,57 @@ from .states import (
     _parts,
     check_hermitian,
 )
-from .simulator import _preparation
+from .simulator import _inputs
 from .state_tomography import bloch_target
 
 INPUT_STATE_LABELS = ("|0><0|", "|1><1|", "|+><+|", "|+i><+i|")
 _INPUT_NAMES = tuple(
     f"input state {j} ({label})" for j, label in enumerate(INPUT_STATE_LABELS)
 )
-# The (polarization, pulse_error) of a perfect preparation.  Its cache
-# entry is filled on first use, not at import: filling it is a process's
-# first LAPACK call, which grows resident memory by about 1.5 MB that
-# commands never reconstructing need not pay.
+# The (polarization, pulse_error) of a perfect preparation.  Its
+# reconstruction map is built on first use, not at import: building it is
+# a process's first LAPACK call, which grows resident memory by about
+# 1.5 MB that commands never reconstructing need not pay.
 _IDEAL = (1.0, 0.0)
+# The outputs' coordinates P_O, one column per input, as _SELECT @ (1, v):
+# row 0 is all ones and row i of column j is v[3 j + i - 1], the
+# expectation along axis i of input j.
+_SELECT = np.zeros((4, 4, 13))
+_SELECT[0, :, 0] = 1.0
+_SELECT[1:, :, 1:] = np.eye(12).reshape(4, 3, 12).transpose(1, 0, 2)
 
 
 def input_basis() -> tuple[np.ndarray, ...]:
     """The four spanning input states of a perfect preparation, in fixed order."""
-    return tuple(_preparation(*_IDEAL)[0])
+    return tuple(_inputs(*_IDEAL)[0])
+
+
+@lru_cache(maxsize=64)
+def _reconstruction_map(polarization: float, pulse_error: float) -> np.ndarray:
+    """The read-only 16x13 map ``M`` of a preparation: ``vec(chi) = M @ (1, v)``
+    for the twelve expectations ``v``, input-major in x, y, z order.
+
+    The transfer matrix of the records is ``R = P_O P_B^-1``, and chi is
+    ``_CHI_FROM_PTM @ vec(R)``.  The complex inverse of real coordinates has
+    zero imaginary parts, so, as in ``channels._chi_from_ptm``, the row of
+    ``M`` for ``chi[n, m]`` is the conjugate of the row for ``chi[m, n]``,
+    bit for bit.  Inputs that do not span raise ``ValueError``, and nothing
+    is cached.
+    """
+    try:
+        # Inverted as complex: a real-dtype inverse would page in the real
+        # LAPACK routines as well and raise a process's peak resident memory.
+        inverse = _coords_inverse(_inputs(polarization, pulse_error)[1].astype(complex))
+    except ValueError:
+        raise ValueError(
+            f"declared preparation polarization={polarization}, "
+            f"pulse_error={pulse_error}: state basis is rank deficient and "
+            "does not span"
+        ) from None
+    # Entry [i, k] of inverse.T @ _SELECT is the row of R[i, k] over (1, v).
+    reconstruction = _CHI_FROM_PTM @ (inverse.T @ _SELECT).reshape(16, 13)
+    reconstruction.setflags(write=False)
+    return reconstruction
 
 
 def _basis_coords(rho_basis: Sequence[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
@@ -207,24 +242,10 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
             data += bloch_target(records)[0]
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"{_INPUT_NAMES[j]}: {exc}") from exc
-    # chi is built here, so it skips the public checkers' input validation.
-    return ProcessEstimate((_declared_map(preparations) @ data).reshape(4, 4))
-
-
-def _declared_map(preparations: set) -> np.ndarray:
-    """The reconstruction map ``M`` of the one ``(polarization,
-    pulse_error)`` the record sets declare."""
     if len(preparations) != 1:
         raise ValueError(
             "record sets declare different preparations (polarization, "
             f"pulse_error): {sorted(preparations)}"
         )
-    ((polarization, pulse_error),) = preparations
-    reconstruction = _preparation(polarization, pulse_error)[2]
-    if reconstruction is None:
-        raise ValueError(
-            f"declared preparation polarization={polarization}, "
-            f"pulse_error={pulse_error}: state basis is rank deficient and "
-            "does not span"
-        )
-    return reconstruction
+    # chi is built here, so it skips the public checkers' input validation.
+    return ProcessEstimate((_reconstruction_map(*preparations.pop()) @ data).reshape(4, 4))

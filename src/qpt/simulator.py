@@ -24,22 +24,18 @@ measurement records of every run, whose indices come from enumerating the
 four inputs.  Exact records keep the checks: a substituted channel can
 push an exact value past the bound of ``errors._BOUND``.
 
-One uncached function, ``_inputs``, decides which four inputs a
-preparation ``(polarization, pulse_error)`` gives: the prepared stack and
-its real Pauli coordinates.  Simulation and reconstruction both build their
-inputs with it.  Two read-only caches hold what their readers use:
+Two read-only caches hold what their readers use:
 
+* ``_inputs``, keyed by ``(polarization, pulse_error)``, is the one place
+  that decides which four inputs a preparation gives: the prepared stack
+  and its real Pauli coordinates.  Simulation and reconstruction both read
+  their inputs from it, so a reconstruction inverts exactly the inputs
+  that were simulated; :mod:`qpt.process_tomography` builds its
+  reconstruction map from these coordinates.
 * ``_outcomes``, keyed by all five physical parameters, holds what depends
   on neither the seed nor the shot count: the chi matrix of the decoherence
   interval, the exact records of a run and the clipped probabilities that
   the shots sample.  A sweep over seeds pays per call only for its draws.
-* ``_preparation``, keyed by ``(polarization, pulse_error)``, holds the
-  stack, the coordinates and the reconstruction map ``M`` built from
-  their inverse ``P_B^-1``: ``vec(chi) = M @ (1, v)`` for the twelve
-  expectations ``v``.  :mod:`qpt.process_tomography` applies ``M``, so a
-  reconstruction inverts the very inputs that were simulated.  A run of
-  the configured interval never fills it: only reconstruction,
-  :func:`prepare_input` and a run with a substituted channel do.
 
 The decoherence interval is the channel under test.  ``run_experiment`` can
 swap it for an arbitrary coefficient matrix, which turns the simulator into
@@ -55,9 +51,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import _CHI_FROM_PTM, _as_chi, _chi_from_bloch, _transfer, rotation_unitary
+from .channels import _as_chi, _chi_from_bloch, _transfer, rotation_unitary
 from .errors import _integer, _number, _shown
-from .states import _coords, _coords_inverse, check_hermitian
+from .states import _coords, check_hermitian
 from .state_tomography import AXES, ExpectationRecord, _filled_record
 
 INPUT_COUNT = 4
@@ -189,13 +185,15 @@ def prepare_input(config: ExperimentConfig, index: int) -> np.ndarray:
     index = _integer(index, "input index")
     if index not in _PULSES:
         raise ValueError(f"input index must be 1..{INPUT_COUNT}, got {_shown(index)}")
-    return _preparation(config.polarization, config.pulse_error)[0][index - 1].copy()
+    return _inputs(config.polarization, config.pulse_error)[0][index - 1].copy()
 
 
+@lru_cache(maxsize=64)
 def _inputs(polarization: float, pulse_error: float) -> tuple[np.ndarray, np.ndarray]:
-    """The prepared (4, 2, 2) stack, in index order, and its real Pauli
-    coordinates, one column per input.  The only place that decides which
-    inputs a preparation gives, for simulation and reconstruction alike."""
+    """The read-only prepared (4, 2, 2) stack, in index order, and its real
+    Pauli coordinates, one column per input.  The only place that decides
+    which inputs a preparation gives, for simulation and reconstruction
+    alike."""
     rho = np.diag([polarization, 1.0 - polarization]).astype(complex)
     inputs = []
     for pulse in _PULSES.values():  # in index order
@@ -207,7 +205,10 @@ def _inputs(polarization: float, pulse_error: float) -> tuple[np.ndarray, np.nda
     stack = np.stack(inputs)
     # The imaginary parts of the stack's coordinates are round-off; the
     # simulator multiplies the real parts, so those are what get inverted.
-    return stack, np.ascontiguousarray(_coords(stack).real)
+    coords = np.ascontiguousarray(_coords(stack).real)
+    stack.setflags(write=False)
+    coords.setflags(write=False)
+    return stack, coords
 
 
 @lru_cache(maxsize=1)
@@ -224,44 +225,6 @@ def _zero_seed():
             return np.zeros(n_words, dtype=dtype)
 
     return ZeroSeed()
-
-
-# The outputs' coordinates P_O, one column per input, as _SELECT @ (1, v):
-# row 0 is all ones and row i of column j is v[3 j + i - 1], the
-# expectation along axis i of input j.
-_SELECT = np.zeros((4, 4, 13))
-_SELECT[0, :, 0] = 1.0
-_SELECT[1:, :, 1:] = np.eye(12).reshape(4, 3, 12).transpose(1, 0, 2)
-
-
-@lru_cache(maxsize=64)
-def _preparation(polarization: float, pulse_error: float) -> tuple:
-    """The per-preparation cache entry, all read-only: the stack and
-    coordinates of :func:`_inputs` and the 16x13 reconstruction map ``M``,
-    or ``None`` when the inputs do not span.
-
-    The transfer matrix of the records is ``R = P_O P_B^-1``, and chi is
-    ``_CHI_FROM_PTM @ vec(R)``, so ``vec(chi) = M @ (1, v)`` with the twelve
-    expectations ``v`` input-major, in x, y, z order.  The complex inverse
-    of real coordinates has zero imaginary parts, so, as in
-    ``channels._chi_from_ptm``, the row of ``M`` for ``chi[n, m]`` is the
-    conjugate of the row for ``chi[m, n]``, bit for bit.
-    """
-    stack, coords = _inputs(polarization, pulse_error)
-    try:
-        # Inverted as complex: a real-dtype inverse would page in the real
-        # LAPACK routines as well and raise a process's peak resident memory.
-        inverse = _coords_inverse(coords.astype(complex))
-    except ValueError:
-        reconstruction = None
-    else:
-        # Entry [i, k] of inverse.T @ _SELECT is the row of R[i, k] over (1, v).
-        reconstruction = _CHI_FROM_PTM @ (inverse.T @ _SELECT).reshape(16, 13)
-    entry = (stack, coords, reconstruction)
-    for array in entry:
-        if array is not None:
-            array.setflags(write=False)
-    return entry
 
 
 def true_channel(config: ExperimentConfig) -> np.ndarray:
@@ -381,7 +344,7 @@ def run_experiment(
     else:
         exact, probabilities = _outcomes_of(
             check_hermitian(_as_chi(channel), "channel"),
-            _preparation(config.polarization, config.pulse_error)[1],
+            _inputs(config.polarization, config.pulse_error)[1],
         )
     records = exact if config.shots is None else _sample(config, probabilities)
     return [

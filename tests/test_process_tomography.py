@@ -22,6 +22,7 @@ from qpt import simulator, states
 from qpt.process_tomography import (
     INPUT_STATE_LABELS,
     ProcessEstimate,
+    _reconstruction_map,
     chi_from_lambda,
     input_basis,
     lambda_from_outputs,
@@ -156,7 +157,7 @@ class TestChiFromLambda:
     def test_matches_beta_oracle(self):
         seeds = np.random.default_rng(7)
         bases = [None] + [
-            simulator._preparation(
+            simulator._inputs(
                 float(seeds.uniform(0.6, 1.0)), float(seeds.uniform(-0.3, 0.3))
             )[0]
             for _ in range(3)
@@ -383,8 +384,8 @@ class TestDeclaredPreparation:
     def test_configs_sharing_a_preparation_share_one_cache_entry(self):
         # Only (polarization, pulse_error) selects the inputs: reconstructing
         # under every other setting, and mixing record sets of such configs,
-        # fills one entry of the preparation cache, which only reconstruction
-        # reads.  A run that repeats a physical setting (the last two, which
+        # fills one entry of the reconstruction map cache, which only
+        # reconstruction reads.  A run that repeats a physical setting (the last two, which
         # differ only in shots and seed) reads its outcomes cache.
         base = ExperimentConfig(t2=100.0, polarization=0.8125, pulse_error=0.0375)
         configs = [
@@ -394,13 +395,13 @@ class TestDeclaredPreparation:
             replace(base, shots=400),
             replace(base, shots=400, seed=9),
         ]
-        before = simulator._preparation.cache_info()
+        before = _reconstruction_map.cache_info()
         outcomes_before = simulator._outcomes.cache_info()
         runs = [run_experiment(config) for config in configs]
         for records in runs:
             run_process_tomography(records)
         mixed = run_process_tomography([run[j] for j, run in enumerate(runs[1:])])
-        after = simulator._preparation.cache_info()
+        after = _reconstruction_map.cache_info()
         outcomes_after = simulator._outcomes.cache_info()
         assert after.misses - before.misses == 1
         assert after.hits - before.hits == 5
@@ -423,9 +424,13 @@ class TestDeclaredPreparation:
         config = ExperimentConfig(
             t2=100.0, polarization=polarization, pulse_error=pulse_error
         )
+        before = _reconstruction_map.cache_info()
         with pytest.raises(ValueError, match="declared preparation.*does not span"):
             run_process_tomography(run_experiment(config))
-        assert simulator._preparation(polarization, pulse_error)[2] is None
+        with pytest.raises(ValueError, match="declared preparation.*does not span"):
+            _reconstruction_map(polarization, pulse_error)
+        after = _reconstruction_map.cache_info()
+        assert (after.currsize, after.misses - before.misses) == (before.currsize, 2)
 
     @pytest.mark.parametrize(
         "polarization, pulse_error",
@@ -435,13 +440,13 @@ class TestDeclaredPreparation:
     def test_map_rows_of_transposed_entries_are_conjugate(self, polarization, pulse_error):
         # vec(chi) = M @ (1, v) with v real, so chi is Hermitian bit for bit
         # exactly when the row of chi[n, m] is the conjugate of chi[m, n]'s.
-        rows = simulator._preparation(polarization, pulse_error)[2].reshape(4, 4, 13)
+        rows = _reconstruction_map(polarization, pulse_error).reshape(4, 4, 13)
         assert np.array_equal(rows, rows.transpose(1, 0, 2).conj())
 
     def test_ideal_map_moves_chi_equally_for_every_expectation(self):
         # Column 0 of M is the constant term; each of the other twelve is
         # the change of chi per unit of one expectation.
-        reconstruction = simulator._preparation(1.0, 0.0)[2]
+        reconstruction = _reconstruction_map(1.0, 0.0)
         np.testing.assert_allclose(
             np.linalg.norm(reconstruction[:, 1:], axis=0), 0.5, rtol=0, atol=1e-15
         )

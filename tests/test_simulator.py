@@ -27,7 +27,7 @@ from conftest import (
 from qpt import channels as ch
 from qpt import io as qio
 from qpt import simulator, states
-from qpt.process_tomography import run_process_tomography
+from qpt.process_tomography import _reconstruction_map, input_basis, run_process_tomography
 from qpt.state_tomography import ExpectationRecord
 from qpt.simulator import (
     INPUT_COUNT,
@@ -164,7 +164,7 @@ class TestPrepareInput:
     )
     def test_prepared_stack_matches_and_is_read_only(self, polarization, pulse_error):
         config = ExperimentConfig(t2=100.0, polarization=polarization, pulse_error=pulse_error)
-        stack = simulator._preparation(polarization, pulse_error)[0]
+        stack = simulator._inputs(polarization, pulse_error)[0]
         assert stack.shape == (INPUT_COUNT, 2, 2)
         for index in range(1, INPUT_COUNT + 1):
             np.testing.assert_array_equal(stack[index - 1], prepare_input(config, index))
@@ -178,18 +178,22 @@ class TestPrepareInput:
         [(1.0, 0.0, True), (0.7, 0.1, True), (0.5, 0.0, False), (1.0, -1.0, False)],
     )
     def test_preparation_entry(self, polarization, pulse_error, spans):
-        # The one per-preparation cache entry: stack, real coordinates and
-        # the reconstruction map (None when the inputs do not span), all
-        # read-only.
-        stack, coords, reconstruction = simulator._preparation(polarization, pulse_error)
-        assert stack is simulator._preparation(polarization, pulse_error)[0]
+        # The one per-preparation input entry, stack and real coordinates,
+        # and the reconstruction map built from it, which raises when the
+        # inputs do not span; all read-only.
+        stack, coords = simulator._inputs(polarization, pulse_error)
+        assert stack is simulator._inputs(polarization, pulse_error)[0]
         np.testing.assert_array_equal(coords, states._coords(stack).real)
-        # The simulator builds its inputs anew with the same function.
-        fresh_stack, fresh_coords = simulator._inputs(polarization, pulse_error)
+        # The entry is what the uncached function builds anew.
+        fresh_stack, fresh_coords = simulator._inputs.__wrapped__(polarization, pulse_error)
         assert fresh_stack.tobytes() == stack.tobytes()
         assert fresh_coords.tobytes() == coords.tobytes()
-        assert (reconstruction is not None) == spans
-        if spans:
+        reconstruction = None
+        if not spans:
+            with pytest.raises(ValueError, match="does not span"):
+                _reconstruction_map(polarization, pulse_error)
+        else:
+            reconstruction = _reconstruction_map(polarization, pulse_error)
             config = ExperimentConfig(
                 t2=100.0, polarization=polarization, pulse_error=pulse_error
             )
@@ -684,12 +688,12 @@ class TestPhysicsCache:
     def test_seeds_and_shots_add_no_entry(self):
         config = ExperimentConfig(t2=123.25, t1=321.5, decoherence_time=17.0)
         run_experiment(config)
-        before = [cache.cache_info() for cache in (simulator._outcomes, simulator._preparation)]
+        before = [cache.cache_info() for cache in (simulator._outcomes, simulator._inputs)]
         for shots in (None, 1, 100, 1000):
             for seed in (0, 5, 2**64 - 1):
                 run_experiment(replace(config, shots=shots, seed=seed))
                 true_channel(replace(config, shots=shots, seed=seed))
-        after = [cache.cache_info() for cache in (simulator._outcomes, simulator._preparation)]
+        after = [cache.cache_info() for cache in (simulator._outcomes, simulator._inputs)]
         assert [info.misses for info in after] == [info.misses for info in before]
 
     def test_a_new_physical_setting_adds_one_entry(self):
@@ -705,19 +709,33 @@ class TestPhysicsCache:
             assert after.misses - before.misses == 1
 
     def test_configured_runs_leave_the_preparation_cache_empty(self):
-        # A run of the configured interval builds its inputs uncached; only
-        # reconstruction fills the entry that holds P_B^-1.
-        for cache in (simulator._outcomes, simulator._preparation):
+        # Only reconstruction fills the cache of the map built from P_B^-1:
+        # simulating, preparing and naming the inputs read the input cache.
+        for cache in (simulator._outcomes, simulator._inputs, _reconstruction_map):
             cache.cache_clear()
         runs = [
             run_experiment(physics_config("paper-40ns", shots, seed=5, preparation=preparation))
             for preparation in (PREPARATIONS[0], PREPARATIONS[3])
             for shots in (None, 1000)
         ]
-        assert simulator._preparation.cache_info().currsize == 0
+        run_experiment(
+            ExperimentConfig(t2=100.0, pulse_error=0.03), channel=ch.standard_channel("identity")
+        )
+        prepare_input(ExperimentConfig(t2=100.0, polarization=0.9), 1)
+        input_basis()
+        true_channel(runs[-1][0].config)
+        assert _reconstruction_map.cache_info().currsize == 0
         run_process_tomography(runs[-1])
-        info = simulator._preparation.cache_info()
+        info = _reconstruction_map.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+        # A preparation whose inputs do not span raises on every call and
+        # caches nothing.
+        flat = run_experiment(ExperimentConfig(t2=100.0, polarization=0.5))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not span"):
+                run_process_tomography(flat)
+        info = _reconstruction_map.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 3, 0)
 
     @pytest.mark.parametrize("shots", [None, 1000])
     @pytest.mark.parametrize("negative_first", [True, False])
