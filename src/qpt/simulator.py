@@ -28,10 +28,10 @@ Two read-only caches hold what their readers use:
 
 * ``_inputs``, keyed by ``(polarization, pulse_error)``, is the one place
   that decides which four inputs a preparation gives: the prepared stack
-  and its real Pauli coordinates.  Simulation and reconstruction both read
-  their inputs from it, so a reconstruction inverts exactly the inputs
-  that were simulated; :mod:`qpt.process_tomography` builds its
-  reconstruction map from these coordinates.
+  and its real Pauli coordinates.  Simulation reads it, and
+  :mod:`qpt.process_tomography` builds its reconstruction map from its
+  coordinates, so a reconstruction inverts exactly the inputs that were
+  simulated.
 * ``_outcomes``, keyed by all five physical parameters, holds what depends
   on neither the seed nor the shot count: the chi matrix of the decoherence
   interval, the exact records of a run and the clipped probabilities that
