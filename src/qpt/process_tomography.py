@@ -100,10 +100,11 @@ def _reconstruction_map(polarization: float, pulse_error: float) -> np.ndarray:
     bit for bit.  Inputs that do not span raise ``ValueError``, and nothing
     is cached.
     """
+    coords = _inputs(polarization, pulse_error)[1]
     try:
         # Inverted as complex: a real-dtype inverse would page in the real
         # LAPACK routines as well and raise a process's peak resident memory.
-        inverse = _coords_inverse(_inputs(polarization, pulse_error)[1].astype(complex))
+        inverse = _coords_inverse(coords.astype(complex))
     except ValueError:
         raise ValueError(
             f"declared preparation polarization={polarization}, "

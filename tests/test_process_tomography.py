@@ -385,8 +385,9 @@ class TestDeclaredPreparation:
         # Only (polarization, pulse_error) selects the inputs: reconstructing
         # under every other setting, and mixing record sets of such configs,
         # fills one entry of the reconstruction map cache, which only
-        # reconstruction reads.  A run that repeats a physical setting (the last two, which
-        # differ only in shots and seed) reads its outcomes cache.
+        # reconstruction reads.  A run that repeats a physical setting (the
+        # last two, which differ only in shots and seed) reads its outcomes
+        # cache.
         base = ExperimentConfig(t2=100.0, polarization=0.8125, pulse_error=0.0375)
         configs = [
             base,
