@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import NotCompletelyPositiveError, _array, _number
 from .states import (
+    CP_TOL,
     OPERATION_ELEMENTS,
     PAULIS,
     SIGMA_0,
@@ -51,7 +52,9 @@ from .states import (
 # Kraus sets are plain lists of 2x2 complex arrays.
 Kraus = list[np.ndarray]
 
-CP_TOL = 1e-9
+# The CP verdict reads CP_TOL, the one bound on a lowest eigenvalue in
+# states: a map is CP exactly when its Choi state, chi in a fixed basis,
+# is a state.
 TP_TOL = 1e-8
 
 _OPS = np.stack(OPERATION_ELEMENTS)

@@ -41,9 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CP_TOL
 from .errors import _array
-from .states import HERMITICITY_TOL, _check_square, _check_states, _parts, _state_checks
+from .states import HERMITICITY_TOL, _check_square, _check_states, _parts, _square, _state_checks
 
 
 class MatrixNorms(NamedTuple):
@@ -64,9 +63,7 @@ class MatrixNorms(NamedTuple):
 
 
 def matrix_norms(x: np.ndarray) -> MatrixNorms:
-    x = _array(x, "matrix")
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"matrix: expected a square matrix, got shape {x.shape}")
+    x = _square(x, "matrix")
     return _norms(x, np.linalg.svd(x, compute_uv=False))
 
 
@@ -92,7 +89,7 @@ def _norms(x: np.ndarray, singular: np.ndarray) -> MatrixNorms:
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """``(1/2) tr |a - b|`` for Hermitian matrices of equal dimension."""
-    a, b = _array(a, "first state"), _array(b, "second state")
+    a, b = _square(a, "first state"), _square(b, "second state")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     hermitian, anti = _parts(a - b)
@@ -106,15 +103,15 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Squared-trace fidelity ``(tr sqrt(sqrt(a) b sqrt(a)))^2`` in [0, 1].
 
     Both arguments must be valid density matrices (any equal dimension);
-    eigenvalues down to ``-1e-9`` are tolerated and clamped, anything lower
-    raises ``InvalidStateError``: unphysical estimates must be projected
-    before fidelity is meaningful.
+    eigenvalues down to ``-CP_TOL`` (1e-9) are tolerated and clamped,
+    anything lower raises ``InvalidStateError``: unphysical estimates must
+    be projected before fidelity is meaningful.
     """
     a, b = _array(a, "first state"), _array(b, "second state")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     _check_square(a, "first state")
-    checked = _check_states(np.array((a, b)), CP_TOL, ("first state", "second state"))
+    checked = _check_states(np.array((a, b)), ("first state", "second state"))
     root_a, root_b = _roots(*checked)
     return _fidelity(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False))
 
@@ -226,7 +223,7 @@ def process_distance_report(
     chi_b = _array(chi_b, context[1], (4, 4))
     labels = (str(context[0]), str(context[1]))
     x = chi_a - chi_b
-    values, vectors, failure = _state_checks(np.array((chi_a, chi_b)), CP_TOL, labels, x)
+    values, vectors, failure = _state_checks(np.array((chi_a, chi_b)), labels, x)
     # A third row is the eigh of the difference, which is then Hermitian.
     singular = np.abs(values[2]) if len(values) > 2 else None
     if failure is not None:

@@ -46,7 +46,6 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
-    CP_TOL,
     TP_TOL,
     AffineMap,
     _CHI_FROM_PTM,
@@ -57,6 +56,7 @@ from .channels import (
 )
 from .errors import _array
 from .states import (
+    CP_TOL,
     TRACE_TOL,
     _coords,
     _coords_inverse,

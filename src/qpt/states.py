@@ -31,11 +31,12 @@ import numpy as np
 from .errors import InvalidStateError, _array
 
 # Tolerances shared by the validation helpers.  Hermiticity and trace checks
-# allow more slack than the eigenvalue clamp because they absorb accumulated
-# round-off from long pipelines, while the clamp guards a hard constraint.
+# absorb accumulated round-off from long pipelines.  CP_TOL is the one bound
+# on a lowest eigenvalue: a state passes, and a chi matrix is a CP map (its
+# Choi state is a state), down to -CP_TOL, and nothing lower.
 HERMITICITY_TOL = 1e-8
 TRACE_TOL = 1e-6
-EIGENVALUE_CLAMP = 1e-10
+CP_TOL = 1e-9
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -65,17 +66,26 @@ def _parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half + adjoint, half - adjoint
 
 
+def _square(m: np.ndarray, name: str) -> np.ndarray:
+    """``m`` converted by ``errors._array``; ``ValueError`` naming ``name``
+    unless it is a square matrix."""
+    m = _array(m, name)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part of ``m`` (converted by
-    ``errors._array``)."""
-    return float(np.linalg.norm(_parts(_array(m, "matrix"))[1]))
+    """Frobenius norm of the anti-Hermitian part of the square matrix ``m``
+    (converted by :func:`_square`)."""
+    return float(np.linalg.norm(_parts(_square(m, "matrix"))[1]))
 
 
 def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` as a complex array (by ``errors._array``); ``ValueError``
-    naming ``what`` if its anti-Hermitian part exceeds ``HERMITICITY_TOL``
-    in Frobenius norm."""
-    m = _array(m, what)
+    """``m`` as a complex square matrix (by :func:`_square`);
+    ``ValueError`` naming ``what`` if its anti-Hermitian part exceeds
+    ``HERMITICITY_TOL`` in Frobenius norm."""
+    m = _square(m, what)
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
@@ -83,13 +93,13 @@ def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def check_density_matrix(
-    rho: np.ndarray, eigenvalue_tol: float, context: str = "density matrix"
+    rho: np.ndarray, context: str = "density matrix"
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one density-matrix check, for any square dimension.
 
     The entries (by ``errors._array``), squareness, then
     :func:`_check_states` on ``rho`` alone: Hermiticity, unit trace and
-    the lowest eigenvalue against ``-eigenvalue_tol``, in that order;
+    the lowest eigenvalue against ``-CP_TOL``, in that order;
     raises ``InvalidStateError`` prefixed by ``context`` at the first that
     fails.  Returns the ``eigh`` of the Hermitian part, ascending.
     """
@@ -98,7 +108,7 @@ def check_density_matrix(
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from None
     _check_square(rho, context)
-    values, vectors = _check_states(rho[np.newaxis], eigenvalue_tol, (context,))
+    values, vectors = _check_states(rho[np.newaxis], (context,))
     return values[0], vectors[0]
 
 
@@ -109,29 +119,25 @@ def _check_square(rho: np.ndarray, context: str) -> None:
         raise InvalidStateError(f"{context}: expected a square matrix, got {rho.shape}")
 
 
-def _check_states(
-    stack: np.ndarray, eigenvalue_tol: float, contexts: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
+def _check_states(stack: np.ndarray, contexts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_state_checks` that raises the ``InvalidStateError`` of
     :func:`check_density_matrix` at the first failure."""
-    values, vectors, failure = _state_checks(stack, eigenvalue_tol, contexts)
+    values, vectors, failure = _state_checks(stack, contexts)
     if failure is not None:
         raise InvalidStateError(failure)
     return values, vectors
 
 
 def _state_checks(
-    stack: np.ndarray,
-    eigenvalue_tol: float,
-    contexts: Sequence[str],
-    difference: np.ndarray | None = None,
+    stack: np.ndarray, contexts: Sequence[str], difference: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, str | None]:
     """The density-matrix check on a converted ``(k, n, n)`` complex stack.
 
     Matrix ``i`` is checked under ``contexts[i]``, in stack order:
-    Hermiticity, unit trace, then the lowest eigenvalue.  Returns the
-    stacked ``eigh`` of the Hermitian parts and the message of the first
-    failed check, or ``None`` when every matrix passes.
+    Hermiticity, unit trace, then the lowest eigenvalue against
+    ``-CP_TOL``.  Returns the stacked ``eigh`` of the Hermitian parts and
+    the message of the first failed check, or ``None`` when every matrix
+    passes.
 
     Every matrix is decomposed, and its defect and trace computed, before
     any is checked: one call each for the whole stack.  Every estimate and
@@ -157,7 +163,7 @@ def _state_checks(
         if abs(trace - 1.0) > TRACE_TOL:
             return values, vectors, f"{context}: trace {trace:.8f} is not 1"
         lowest = float(values[i, 0])
-        if not lowest >= -eigenvalue_tol:
+        if not lowest >= -CP_TOL:
             return values, vectors, f"{context}: negative eigenvalue {lowest:.3e} beyond clamp"
     return values, vectors, None
 
@@ -198,6 +204,6 @@ def density_from_bloch(r: Sequence[float]) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy ``-sum p ln p`` in nats over the clamped spectrum of ``rho``."""
-    values = np.clip(check_density_matrix(rho, EIGENVALUE_CLAMP)[0], 0.0, 1.0)
+    values = np.clip(check_density_matrix(rho)[0], 0.0, 1.0)
     positive = values[values > 0.0]
     return max(float(-np.sum(positive * np.log(positive))), 0.0)

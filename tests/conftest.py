@@ -151,12 +151,12 @@ def in_frame(chi: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> np.ndarra
 def is_valid_density_matrix(rho: np.ndarray) -> bool:
     """A 2x2 Hermitian, unit-trace, PSD matrix within the ``qpt.states`` tolerances."""
     from qpt.errors import InvalidStateError
-    from qpt.states import EIGENVALUE_CLAMP, check_density_matrix
+    from qpt.states import check_density_matrix
 
     if np.shape(rho) != (2, 2):
         return False
     try:
-        check_density_matrix(rho, EIGENVALUE_CLAMP)
+        check_density_matrix(rho)
     except InvalidStateError:
         return False
     return True

@@ -21,7 +21,9 @@ from qpt.simulator import ExperimentConfig, run_experiment
 from qpt.states import (
     bloch_from_density,
     check_density_matrix,
+    check_hermitian,
     density_from_bloch,
+    hermiticity_defect,
     von_neumann_entropy,
 )
 
@@ -71,7 +73,7 @@ ENTRY_POINTS = [
     ),
     ("lambda_from_outputs", lambda x: lambda_from_outputs([x] * 4), GROUND, "output 0", False),
     ("chi_from_lambda", chi_from_lambda, np.eye(4), "lambda matrix", False),
-    ("check_density_matrix", lambda x: check_density_matrix(x, 0), GROUND, "density matrix", False),
+    ("check_density_matrix", check_density_matrix, GROUND, "density matrix", False),
     ("von_neumann_entropy", von_neumann_entropy, GROUND, "density matrix", False),
 ]
 # These two report every failure of their state as InvalidStateError.
@@ -140,6 +142,18 @@ SHAPE_CASES = [
      r"^first state: expected a square matrix, got \(2, 3\)$"),
     (lambda: bloch_from_density(np.eye(3) / 3), ValueError,
      r"^matrix: expected shape 2x2, got \(3, 3\)$"),
+    (lambda: trace_distance(np.ones((2, 3)), np.ones((2, 3))), ValueError,
+     r"^first state: expected a square matrix, got shape \(2, 3\)$"),
+    (lambda: trace_distance(GROUND, np.ones(2)), ValueError,
+     r"^second state: expected a square matrix, got shape \(2,\)$"),
+    (lambda: hermiticity_defect(np.ones((2, 3))), ValueError,
+     r"^matrix: expected a square matrix, got shape \(2, 3\)$"),
+    (lambda: hermiticity_defect(np.ones(4)), ValueError,
+     r"^matrix: expected a square matrix, got shape \(4,\)$"),
+    (lambda: check_hermitian(np.ones((2, 3)), "m"), ValueError,
+     r"^m: expected a square matrix, got shape \(2, 3\)$"),
+    (lambda: check_hermitian(np.ones(4), "m"), ValueError,
+     r"^m: expected a square matrix, got shape \(4,\)$"),
 ]
 
 
@@ -148,7 +162,9 @@ SHAPE_CASES = [
     SHAPE_CASES,
     ids=[
         "apply_kraus-empty", "apply_chi-rho-3x3", "fidelity-mismatch",
-        "fidelity-not-square", "bloch_from_density-3x3",
+        "fidelity-not-square", "bloch_from_density-3x3", "trace_distance-not-square",
+        "trace_distance-vector", "hermiticity_defect-not-square", "hermiticity_defect-vector",
+        "check_hermitian-not-square", "check_hermitian-vector",
     ],
 )
 def test_entry_points_refuse_wrong_shapes(call, error, message):

@@ -546,7 +546,7 @@ class TestAgainstLoopOracle:
             a, b = random_density_matrix(rng), random_density_matrix(rng)
             assert bits([metrics.fidelity(a, b)]) == bits([loop_fidelity(a, b)])
             for rho in (a, b):
-                values, vectors = states.check_density_matrix(rho, 1e-9)
+                values, vectors = states.check_density_matrix(rho)
                 expected = loop_check_density_matrix(rho.astype(complex), 1e-9, "density matrix")
                 assert np.array_equal(values, expected[0])
                 assert np.array_equal(vectors, expected[1])

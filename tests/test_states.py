@@ -1,6 +1,7 @@
 """States module: Pauli algebra, Bloch conversions, and validation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,9 +18,10 @@ from conftest import (
     random_density_matrix,
 )
 from qpt import states
-from qpt.channels import is_completely_positive
-from qpt.errors import _BOUND, InvalidStateError
-from qpt.metrics import fidelity, process_distance_report
+from qpt.channels import choi_from_chi, is_completely_positive, kraus_from_chi
+from qpt.errors import _BOUND, InvalidStateError, NotCompletelyPositiveError
+from qpt.metrics import bures_metric, c_metric, fidelity, process_distance_report
+from qpt.process_tomography import ProcessEstimate
 from qpt.projection import project_to_physical
 
 BALL = st.builds(
@@ -97,31 +99,31 @@ class TestValidation:
     def test_accepts_valid(self, rng):
         for _ in range(10):
             rho = random_density_matrix(rng)
-            values, vectors = states.check_density_matrix(rho, states.EIGENVALUE_CLAMP)
+            values, vectors = states.check_density_matrix(rho)
             np.testing.assert_allclose((vectors * values) @ vectors.conj().T, rho, atol=1e-14)
             states.von_neumann_entropy(rho)
 
     def test_returns_eigh_of_hermitian_part(self, rng):
         rho = random_density_matrix(rng)
         rho = rho + 1e-9j * np.array([[0.0, 1.0], [1.0, 0.0]])
-        values, vectors = states.check_density_matrix(rho, states.EIGENVALUE_CLAMP)
+        values, vectors = states.check_density_matrix(rho)
         expected_values, expected_vectors = np.linalg.eigh((rho + rho.conj().T) / 2.0)
         assert values.tobytes() == expected_values.tobytes()
         assert vectors.tobytes() == expected_vectors.tobytes()
 
     def test_rejects_trace(self):
         with pytest.raises(InvalidStateError, match="trace"):
-            states.check_density_matrix(2.0 * np.eye(2), states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(2.0 * np.eye(2))
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidStateError, match="Hermitian"):
-            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(m)
 
     def test_rejects_non_finite(self):
         m = np.array([[np.nan, 0.0], [0.0, 0.5]])
         with pytest.raises(InvalidStateError, match="^density matrix: entries must be finite"):
-            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(m)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5]).astype(complex)
@@ -130,16 +132,16 @@ class TestValidation:
 
     def test_dim_check(self):
         # Any square dimension passes; non-square does not.
-        values, vectors = states.check_density_matrix(np.eye(4) / 4.0, states.EIGENVALUE_CLAMP)
+        values, vectors = states.check_density_matrix(np.eye(4) / 4.0)
         assert values.shape == (4,) and vectors.shape == (4, 4)
         with pytest.raises(InvalidStateError, match="square"):
-            states.check_density_matrix(np.ones((2, 3)) / 2.0, states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(np.ones((2, 3)) / 2.0)
 
     def test_rejects_hermitian_unit_trace_non_psd(self):
         # Hermitian with unit trace, so only the spectral check rejects it.
         m = np.diag([1.5, -0.5])
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
-            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(m)
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
             states.von_neumann_entropy(m)
 
@@ -148,17 +150,17 @@ class TestValidation:
         # then trace.
         m = np.array([[2.5, 1.0], [0.0, -0.5]])
         with pytest.raises(InvalidStateError, match="not Hermitian"):
-            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(m)
         with pytest.raises(InvalidStateError, match="trace"):
-            states.check_density_matrix(np.diag([2.5, -0.5]), states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(np.diag([2.5, -0.5]))
 
     def test_lowest_eigenvalue_tolerance(self):
-        nearly = np.diag([1.0 + 0.5 * states.EIGENVALUE_CLAMP, -0.5 * states.EIGENVALUE_CLAMP])
-        states.check_density_matrix(nearly, states.EIGENVALUE_CLAMP)
-        over = np.diag([1.0 + 2e-10, -2e-10])
-        with pytest.raises(InvalidStateError, match=r"^probe: negative eigenvalue -2\.000e-10"):
-            states.check_density_matrix(over, states.EIGENVALUE_CLAMP, context="probe")
-        states.check_density_matrix(over, 1e-9)
+        # The one bound on a lowest eigenvalue, CP_TOL.
+        nearly = np.diag([1.0 + 0.5 * states.CP_TOL, -0.5 * states.CP_TOL])
+        states.check_density_matrix(nearly)
+        over = np.diag([1.0 + 2.0 * states.CP_TOL, -2.0 * states.CP_TOL])
+        with pytest.raises(InvalidStateError, match=r"^probe: negative eigenvalue -2\.000e-09"):
+            states.check_density_matrix(over, context="probe")
 
 
 def bits(m: np.ndarray) -> bytes:
@@ -224,7 +226,7 @@ class TestHermiticityNearTheFloatLimit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidStateError, match=f"^density matrix: {BOUND_MESSAGE}$"):
-                states.check_density_matrix(m, 1e-9)
+                states.check_density_matrix(m)
             with pytest.raises(InvalidStateError, match=f"^density matrix: {BOUND_MESSAGE}$"):
                 states.von_neumann_entropy(m)
             with pytest.raises(ValueError, match=f"^first state: {BOUND_MESSAGE}$"):
@@ -251,13 +253,13 @@ class TestHermiticityNearTheFloatLimit:
         # passed the float range and eigh returned NaN eigenvalues.
         m = np.array([[0.5, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0.5]])
         with pytest.raises(InvalidStateError, match=f"^density matrix: {BOUND_MESSAGE}$"):
-            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(m)
         with pytest.raises(InvalidStateError, match=f"^density matrix: {BOUND_MESSAGE}$"):
             states.von_neumann_entropy(m)
         m[0, 1], m[1, 0] = _BOUND * (0.6 + 0.8j), _BOUND * (0.6 - 0.8j)
         message = r"^density matrix: negative eigenvalue -1\.158e\+77 beyond clamp$"
         with pytest.raises(InvalidStateError, match=message):
-            states.check_density_matrix(m, states.EIGENVALUE_CLAMP)
+            states.check_density_matrix(m)
 
     @pytest.mark.parametrize(
         "value, message",
@@ -299,8 +301,72 @@ class TestEntropy:
             states.von_neumann_entropy(np.diag([2.0, -1.0]))
 
     def test_clamp_range(self):
-        # Round-off negatives inside the clamp count as zero weight; one just
-        # beyond it is rejected.
-        assert states.von_neumann_entropy(np.diag([1.0 + 5e-11, -5e-11])) == 0.0
+        # Round-off negatives within CP_TOL count as zero weight; one beyond
+        # it is rejected.
+        assert states.von_neumann_entropy(np.diag([1.0 + 5e-10, -5e-10])) == 0.0
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
-            states.von_neumann_entropy(np.diag([1.0 + 2e-10, -2e-10]))
+            states.von_neumann_entropy(np.diag([1.0 + 2e-9, -2e-9]))
+
+
+def _spectrum(dim: int, lowest: float) -> np.ndarray:
+    """The unit-trace ``diag(1 - lowest, 0, ..., 0, lowest)``."""
+    return np.diag([1.0 - lowest, *[0.0] * (dim - 2), lowest]).astype(complex)
+
+
+def _pure(m: np.ndarray) -> np.ndarray:
+    return _spectrum(len(m), 0.0)
+
+
+BEYOND = "negative eigenvalue -2.000e-09 beyond clamp"
+
+# (id, call, whether it takes only a 4x4 chi, what it returns at -0.5 CP_TOL,
+# what it returns or raises at -2 CP_TOL)
+CONSUMERS = [
+    ("check_density_matrix", lambda m: states.check_density_matrix(m)[0][0], False,
+     -5e-10, (InvalidStateError, f"density matrix: {BEYOND}")),
+    ("von_neumann_entropy", states.von_neumann_entropy, False,
+     0.0, (InvalidStateError, f"density matrix: {BEYOND}")),
+    ("entropy-of-choi", lambda m: states.von_neumann_entropy(choi_from_chi(m)), True,
+     0.0, (InvalidStateError, f"density matrix: {BEYOND}")),
+    ("fidelity", lambda m: fidelity(m, _pure(m)), False,
+     1.0, (InvalidStateError, f"first state: {BEYOND}")),
+    ("bures_metric", lambda m: bures_metric(m, _pure(m)), False,
+     0.0, (InvalidStateError, f"first state: {BEYOND}")),
+    ("c_metric", lambda m: c_metric(m, _pure(m)), False,
+     0.0, (InvalidStateError, f"first state: {BEYOND}")),
+    ("process_distance_report", lambda m: process_distance_report(m, _pure(m)).skip_reason, True,
+     None, f"skipped: unphysical Choi for a: {BEYOND}"),
+    ("is_completely_positive", lambda m: is_completely_positive(m)[0], True, True, False),
+    ("cp_flag", lambda m: ProcessEstimate(m).cp_flag, True, True, False),
+    ("kraus_from_chi", lambda m: len(kraus_from_chi(m)), True, 1, (
+        NotCompletelyPositiveError,
+        "chi eigenvalue -2.000e-09 below -1e-09; project the process onto the physical set first",
+    )),
+]
+
+
+class TestOneEigenvalueBound:
+    """A state check, the entropy, fidelity, the comparison's state block,
+    the CP verdict and the Kraus decomposition accept a lowest eigenvalue
+    down to -CP_TOL, and refuse or flag one below it."""
+
+    @pytest.mark.parametrize(
+        "call, m, expected",
+        [
+            pytest.param(
+                call,
+                _spectrum(dim, scale * states.CP_TOL),
+                accepted if scale > -1.0 else refused,
+                id=f"{name}-{dim}x{dim}-{scale:g}",
+            )
+            for name, call, chi_only, accepted, refused in CONSUMERS
+            for dim in ((4,) if chi_only else (2, 4))
+            for scale in (-0.5, -2.0)
+        ],
+    )
+    def test_every_consumer_reads_one_bound(self, call, m, expected):
+        if isinstance(expected, tuple):
+            with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
+                call(m)
+        else:
+            assert call(m) == expected
