@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import _array
-from .states import HERMITICITY_TOL, _check_square, _check_states, _parts, _square, _state_checks
+from .states import HERMITICITY_TOL, _check_states, _parts, _square, _state_checks
 
 
 class MatrixNorms(NamedTuple):
@@ -105,26 +105,26 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     Both arguments must be valid density matrices (any equal dimension);
     eigenvalues down to ``-CP_TOL`` (1e-9) are tolerated and clamped,
     anything lower raises ``InvalidStateError``: unphysical estimates must
-    be projected before fidelity is meaningful.
+    be projected before fidelity is meaningful.  A malformed array, as for
+    every square operand, raises ``ValueError``.
     """
-    a, b = _array(a, "first state"), _array(b, "second state")
+    a, b = _square(a, "first state"), _square(b, "second state")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _check_square(a, "first state")
     checked = _check_states(np.array((a, b)), ("first state", "second state"))
-    root_a, root_b = _roots(*checked)
-    return _fidelity(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False))
+    return _fidelity(np.linalg.svd(_root_product(*checked), compute_uv=False))
 
 
-def _roots(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """The root factors ``R = V diag(sqrt(w))`` of checked states, stacked,
-    from their stacked ``eigh``.
+def _root_product(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``R_a^dag R_b`` of two checked states from their stacked ``eigh``.
 
-    ``w`` is each spectrum clipped at zero and renormalized to unit sum, so
-    ``R R^dag`` is the clamped, trace-1 state.
+    The root factors are ``R = V diag(sqrt(w))``, with ``w`` each spectrum
+    clipped at zero and renormalized to unit sum, so ``R R^dag`` is the
+    clamped, trace-1 state.
     """
     values = np.maximum(values, 0.0)
-    return vectors * np.sqrt(values / values.sum(axis=1, keepdims=True))[:, np.newaxis]
+    root_a, root_b = vectors * np.sqrt(values / values.sum(axis=1, keepdims=True))[:, np.newaxis]
+    return root_a.conj().T @ root_b
 
 
 def _fidelity(singular: np.ndarray) -> float:
@@ -234,8 +234,7 @@ def process_distance_report(
             state_metrics=None,
             skip_reason="skipped: unphysical Choi for " + failure,
         )
-    root_a, root_b = _roots(values[:2], vectors[:2])
-    product = root_a.conj().T @ root_b
+    product = _root_product(values[:2], vectors[:2])
     if singular is None:
         singular, product_singular = np.linalg.svd(np.array((x, product)), compute_uv=False)
     else:

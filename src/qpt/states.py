@@ -68,10 +68,11 @@ def _parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _square(m: np.ndarray, name: str) -> np.ndarray:
     """``m`` converted by ``errors._array``; ``ValueError`` naming ``name``
-    unless it is a square matrix."""
+    unless it is a nonempty square matrix.  The one square check of every
+    square or state operand."""
     m = _array(m, name)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"{name}: expected a nonempty square matrix, got shape {m.shape}")
     return m
 
 
@@ -97,26 +98,19 @@ def check_density_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one density-matrix check, for any square dimension.
 
-    The entries (by ``errors._array``), squareness, then
+    The entries and squareness (by :func:`_square`), then
     :func:`_check_states` on ``rho`` alone: Hermiticity, unit trace and
     the lowest eigenvalue against ``-CP_TOL``, in that order;
     raises ``InvalidStateError`` prefixed by ``context`` at the first that
-    fails.  Returns the ``eigh`` of the Hermitian part, ascending.
+    fails, the refusals of :func:`_square` included.  Returns the ``eigh``
+    of the Hermitian part, ascending.
     """
     try:
-        rho = _array(rho, context)
+        rho = _square(rho, context)
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from None
-    _check_square(rho, context)
     values, vectors = _check_states(rho[np.newaxis], (context,))
     return values[0], vectors[0]
-
-
-def _check_square(rho: np.ndarray, context: str) -> None:
-    """``InvalidStateError`` prefixed by ``context`` unless ``rho`` is a
-    square matrix."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"{context}: expected a square matrix, got {rho.shape}")
 
 
 def _check_states(stack: np.ndarray, contexts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +188,13 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
 
 
 def density_from_bloch(r: Sequence[float]) -> np.ndarray:
-    """``(I + r . sigma) / 2`` for a Bloch vector inside the unit ball."""
+    """``(I + r . sigma) / 2`` for a Bloch vector inside the unit ball.
+
+    The state's lowest eigenvalue is ``(1 - |r|) / 2``, so the norm may
+    reach ``1 + 2 CP_TOL``, the one eigenvalue bound, and no further."""
     r = _array(r, "Bloch vector", (3,), real=True)
     norm = float(np.linalg.norm(r))
-    if norm > 1.0 + 1e-9:
+    if norm > 1.0 + 2.0 * CP_TOL:
         raise InvalidStateError(f"Bloch vector norm {norm:.12f} exceeds 1")
     return (SIGMA_0 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0
 

@@ -3,10 +3,15 @@
 Every matrix, vector and stack argument of the public functions goes
 through it, so each rejects booleans, text, objects, NaN, infinity and
 entries above the bound of 2**256 in modulus, and complex entries where it
-needs real ones, with a ``ValueError`` that names the argument;
-``check_density_matrix`` and ``von_neumann_entropy`` report the same
-failures as ``InvalidStateError``.
+needs real ones, with a ``ValueError`` that names the argument.  Every
+square or state operand then goes through the one square check,
+``states._square``, which refuses a non-square, 1-D or empty operand with
+one message, as a ``ValueError`` too.  The one exception to the error
+type: ``check_density_matrix`` and ``von_neumann_entropy`` report every
+failure of their state, these included, as ``InvalidStateError``.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +19,14 @@ import pytest
 from conftest import BOUND_MESSAGE, PAST_BOUND
 from qpt import channels as ch
 from qpt.errors import _BOUND, InvalidStateError, _array
-from qpt.metrics import fidelity, matrix_norms, process_distance_report, trace_distance
+from qpt.metrics import (
+    bures_metric,
+    c_metric,
+    fidelity,
+    matrix_norms,
+    process_distance_report,
+    trace_distance,
+)
 from qpt.process_tomography import chi_from_lambda, lambda_from_outputs
 from qpt.projection import project_to_physical
 from qpt.simulator import ExperimentConfig, run_experiment
@@ -129,44 +141,54 @@ def test_templates_are_accepted(call, template):
     call(np.asarray(template).astype(int))
 
 
+def _not_square(name, shape):
+    """The one refusal of a square or state operand, anchored."""
+    return rf"^{name}: expected a nonempty square matrix, got shape {re.escape(str(shape))}$"
+
+
 # Arrays that hold numbers but have a shape or count the function refuses,
-# each with its error and full message.
+# each with its error and full message.  Every square or state operand is
+# refused as non-square, 1-D or empty by the one square check: a two-state
+# function names the first operand when both are malformed, the second
+# when only it is.
 SHAPE_CASES = [
-    (lambda: ch.apply_kraus([], GROUND), ValueError,
-     r"^Kraus set must contain at least one operator$"),
-    (lambda: ch.apply_chi(IDENTITY_CHI, np.eye(3)), ValueError,
-     r"^rho: expected a 2x2 operator or a stack of them, got \(3, 3\)$"),
-    (lambda: fidelity(GROUND, np.eye(3) / 3), ValueError,
-     r"^shape mismatch: \(2, 2\) vs \(3, 3\)$"),
-    (lambda: fidelity(np.ones((2, 3)), np.ones((2, 3))), InvalidStateError,
-     r"^first state: expected a square matrix, got \(2, 3\)$"),
-    (lambda: bloch_from_density(np.eye(3) / 3), ValueError,
-     r"^matrix: expected shape 2x2, got \(3, 3\)$"),
-    (lambda: trace_distance(np.ones((2, 3)), np.ones((2, 3))), ValueError,
-     r"^first state: expected a square matrix, got shape \(2, 3\)$"),
-    (lambda: trace_distance(GROUND, np.ones(2)), ValueError,
-     r"^second state: expected a square matrix, got shape \(2,\)$"),
-    (lambda: hermiticity_defect(np.ones((2, 3))), ValueError,
-     r"^matrix: expected a square matrix, got shape \(2, 3\)$"),
-    (lambda: hermiticity_defect(np.ones(4)), ValueError,
-     r"^matrix: expected a square matrix, got shape \(4,\)$"),
-    (lambda: check_hermitian(np.ones((2, 3)), "m"), ValueError,
-     r"^m: expected a square matrix, got shape \(2, 3\)$"),
-    (lambda: check_hermitian(np.ones(4), "m"), ValueError,
-     r"^m: expected a square matrix, got shape \(4,\)$"),
+    pytest.param(lambda: ch.apply_kraus([], GROUND), ValueError,
+                 r"^Kraus set must contain at least one operator$", id="apply_kraus-empty"),
+    pytest.param(lambda: ch.apply_chi(IDENTITY_CHI, np.eye(3)), ValueError,
+                 r"^rho: expected a 2x2 operator or a stack of them, got \(3, 3\)$",
+                 id="apply_chi-rho-3x3"),
+    pytest.param(lambda: fidelity(GROUND, np.eye(3) / 3), ValueError,
+                 r"^shape mismatch: \(2, 2\) vs \(3, 3\)$", id="fidelity-mismatch"),
+    pytest.param(lambda: bloch_from_density(np.eye(3) / 3), ValueError,
+                 r"^matrix: expected shape 2x2, got \(3, 3\)$", id="bloch_from_density-3x3"),
+    *[
+        pytest.param(lambda f=f, a=a, b=b: f(a, b), ValueError, _not_square(name, shape),
+                     id=f"{f.__name__}-{probe}")
+        for f in (fidelity, bures_metric, c_metric, trace_distance)
+        for probe, a, b, name, shape in (
+            ("not-square", np.ones((2, 3)), np.ones((2, 3)), "first state", (2, 3)),
+            ("vector", GROUND, np.ones(2), "second state", (2,)),
+            ("empty", np.zeros((0, 0)), np.zeros((0, 0)), "first state", (0, 0)),
+        )
+    ],
+    *[
+        pytest.param(lambda call=call, m=m: call(m), error, _not_square(name, m.shape),
+                     id=f"{entry}-{probe}")
+        for entry, call, name, error in (
+            ("matrix_norms", matrix_norms, "matrix", ValueError),
+            ("hermiticity_defect", hermiticity_defect, "matrix", ValueError),
+            ("check_hermitian", lambda m: check_hermitian(m, "m"), "m", ValueError),
+            ("check_density_matrix", check_density_matrix, "density matrix", InvalidStateError),
+            ("von_neumann_entropy", von_neumann_entropy, "density matrix", InvalidStateError),
+        )
+        for probe, m in (
+            ("not-square", np.ones((2, 3))), ("vector", np.ones(4)), ("empty", np.zeros((0, 0))),
+        )
+    ],
 ]
 
 
-@pytest.mark.parametrize(
-    "call, error, message",
-    SHAPE_CASES,
-    ids=[
-        "apply_kraus-empty", "apply_chi-rho-3x3", "fidelity-mismatch",
-        "fidelity-not-square", "bloch_from_density-3x3", "trace_distance-not-square",
-        "trace_distance-vector", "hermiticity_defect-not-square", "hermiticity_defect-vector",
-        "check_hermitian-not-square", "check_hermitian-vector",
-    ],
-)
+@pytest.mark.parametrize("call, error, message", SHAPE_CASES)
 def test_entry_points_refuse_wrong_shapes(call, error, message):
     with pytest.raises(error, match=message):
         call()

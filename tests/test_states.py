@@ -88,6 +88,25 @@ class TestBlochConversions:
         # A hair over the surface from round-off must still pass.
         states.density_from_bloch([1.0 + 5e-10, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "excess, message",
+        [(1.5e-9, None), (3e-9, "Bloch vector norm 1.000000003000 exceeds 1")],
+        ids=["accepted", "refused"],
+    )
+    def test_norm_bound_is_the_eigenvalue_bound(self, excess, message):
+        # The lowest eigenvalue of (I + r . sigma) / 2 is (1 - |r|) / 2, so
+        # the norm bound 1 + 2 CP_TOL is check_density_matrix's bound.
+        bloch = [1.0 + excess, 0.0, 0.0]
+        same = np.diag([1.0 + excess / 2.0, -excess / 2.0])
+        if message is None:
+            states.density_from_bloch(bloch)
+            states.check_density_matrix(same)
+        else:
+            with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+                states.density_from_bloch(bloch)
+            with pytest.raises(InvalidStateError, match="^density matrix: negative eigenvalue"):
+                states.check_density_matrix(same)
+
     def test_bloch_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             states.bloch_from_density(np.eye(3))
