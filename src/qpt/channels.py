@@ -45,8 +45,8 @@ from .states import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _hermitian,
     _parts,
-    check_hermitian,
 )
 
 # Kraus sets are plain lists of 2x2 complex arrays.
@@ -162,8 +162,7 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
     ``NotCompletelyPositiveError``.  Components with weight below ``1e-12``,
     so every eigenvalue in ``[-CP_TOL, 0)``, are dropped.
     """
-    chi = check_hermitian(_as_chi(chi), "chi matrix")
-    values, vectors = np.linalg.eigh(_parts(chi)[0])
+    values, vectors = np.linalg.eigh(_hermitian(_as_chi(chi), "chi matrix"))
     if not values[0] >= -CP_TOL:
         raise NotCompletelyPositiveError(
             f"chi eigenvalue {values[0]:.3e} below -{CP_TOL:g}; "
@@ -282,7 +281,8 @@ def compose_chi(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     Transfer matrices compose by product: ``R = R_then @ R_first``.  Both
     inputs must be Hermitian, so that each ``R`` is real.
     """
-    first, then = (check_hermitian(_as_chi(chi), "chi matrix") for chi in (first, then))
+    _hermitian(first := _as_chi(first), "chi matrix")
+    _hermitian(then := _as_chi(then), "chi matrix")
     return _chi_from_ptm(_transfer(then) @ _transfer(first))
 
 

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import _array
-from .states import HERMITICITY_TOL, _check_states, _parts, _square, _state_checks
+from .states import _check_states, _hermitian, _square, _state_checks
 
 
 class MatrixNorms(NamedTuple):
@@ -92,11 +92,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _square(a, "first state"), _square(b, "second state")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    hermitian, anti = _parts(a - b)
-    defect = float(np.linalg.norm(anti))
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"difference is not Hermitian (defect {defect:.3e})")
-    return float(np.abs(np.linalg.eigvalsh(hermitian)).sum() / 2.0)
+    return float(np.abs(np.linalg.eigvalsh(_hermitian(a - b, "difference"))).sum() / 2.0)
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -60,8 +60,8 @@ from .states import (
     TRACE_TOL,
     _coords,
     _coords_inverse,
+    _hermitian,
     _parts,
-    check_hermitian,
 )
 from .simulator import _inputs
 from .state_tomography import bloch_target
@@ -139,7 +139,8 @@ def lambda_from_outputs(
         raise ValueError(f"expected 4 output states, got {len(outputs)}")
     stack = []
     for j, out in enumerate(outputs):
-        out = check_hermitian(_array(out, f"output {j}", (2, 2)), f"output {j}")
+        out = _array(out, f"output {j}", (2, 2))
+        _hermitian(out, f"output {j}")
         if abs(out.trace() - 1.0) > TRACE_TOL:
             raise ValueError(f"output {j}: trace {out.trace():.8f} is not 1")
         stack.append(out)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .channels import _as_chi, _chi_from_bloch, _transfer, rotation_unitary
 from .errors import _integer, _number, _shown
-from .states import _coords, check_hermitian
+from .states import _coords, _hermitian
 from .state_tomography import AXES, ExpectationRecord, _filled_record
 
 INPUT_COUNT = 4
@@ -342,9 +342,10 @@ def run_experiment(
             config.polarization, config.pulse_error,
         )
     else:
+        channel = _as_chi(channel)
+        _hermitian(channel, "channel")
         exact, probabilities = _outcomes_of(
-            check_hermitian(_as_chi(channel), "channel"),
-            _inputs(config.polarization, config.pulse_error)[1],
+            channel, _inputs(config.polarization, config.pulse_error)[1]
         )
     records = exact if config.shots is None else _sample(config, probabilities)
     return [

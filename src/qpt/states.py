@@ -16,9 +16,11 @@ Conventions used across the package:
   equal ``(m +- m^dag) / 2`` bit for bit.  Every Hermiticity check, CP
   verdict, projection target and state check in the package starts from
   them.
-* Every matrix or vector taken here goes through ``errors._array``, whose
-  bound of 2**256 on each entry's modulus keeps every defect, trace and
-  eigenvalue finite.
+* A public function converts each matrix or vector operand once, through
+  ``errors._array``, whose bound of 2**256 on each entry's modulus keeps
+  every defect, trace and eigenvalue finite.  A single operand's
+  Hermiticity is then checked by :func:`_hermitian`, which converts
+  nothing, and every refusal reads ``{name}: not Hermitian (defect ...)``.
 """
 
 from __future__ import annotations
@@ -76,21 +78,16 @@ def _square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part of the square matrix ``m``
-    (converted by :func:`_square`)."""
-    return float(np.linalg.norm(_parts(_square(m, "matrix"))[1]))
-
-
-def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` as a complex square matrix (by :func:`_square`);
-    ``ValueError`` naming ``what`` if its anti-Hermitian part exceeds
-    ``HERMITICITY_TOL`` in Frobenius norm."""
-    m = _square(m, what)
-    defect = hermiticity_defect(m)
+def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian part of the converted square matrix ``m``, which is
+    not converted again; ``ValueError`` naming ``what`` if its
+    anti-Hermitian part exceeds ``HERMITICITY_TOL`` in Frobenius norm.
+    The one Hermiticity check of a single operand."""
+    hermitian, anti = _parts(m)
+    defect = float(np.linalg.norm(anti))
     if defect > HERMITICITY_TOL:
-        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
-    return m
+        raise ValueError(f"{what}: not Hermitian (defect {defect:.3e})")
+    return hermitian
 
 
 def check_density_matrix(
@@ -184,7 +181,8 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     function stays usable on noisy intermediate estimates.
     """
     rho = _array(rho, "matrix", (2, 2))
-    return _coords(check_hermitian(rho, "matrix"))[1:, 0].real
+    _hermitian(rho, "matrix")
+    return _coords(rho)[1:, 0].real
 
 
 def density_from_bloch(r: Sequence[float]) -> np.ndarray:

@@ -148,6 +148,13 @@ def in_frame(chi: np.ndarray, frame: tuple[np.ndarray, np.ndarray]) -> np.ndarra
     return compose_chi(compose_chi(u, chi), v)
 
 
+def hermiticity_defect(m) -> float:
+    """Frobenius norm of the anti-Hermitian part ``(m - m^dag) / 2``, in
+    plain numpy: the test-side measure of a defect."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.linalg.norm((m - m.conj().T) / 2.0))
+
+
 def is_valid_density_matrix(rho: np.ndarray) -> bool:
     """A 2x2 Hermitian, unit-trace, PSD matrix within the ``qpt.states`` tolerances."""
     from qpt.errors import InvalidStateError
@@ -403,7 +410,7 @@ def loop_expand_in_state_basis(m: np.ndarray, rho_basis=None) -> np.ndarray:
 
 def loop_lambda_from_outputs(outputs, rho_basis=None) -> np.ndarray:
     """Expand the four output states over the input basis, row by row."""
-    from qpt.states import HERMITICITY_TOL, TRACE_TOL, hermiticity_defect
+    from qpt.states import HERMITICITY_TOL, TRACE_TOL
 
     if len(outputs) != 4:
         raise ValueError(f"expected 4 output states, got {len(outputs)}")

@@ -33,9 +33,7 @@ from qpt.simulator import ExperimentConfig, run_experiment
 from qpt.states import (
     bloch_from_density,
     check_density_matrix,
-    check_hermitian,
     density_from_bloch,
-    hermiticity_defect,
     von_neumann_entropy,
 )
 
@@ -176,8 +174,6 @@ SHAPE_CASES = [
                      id=f"{entry}-{probe}")
         for entry, call, name, error in (
             ("matrix_norms", matrix_norms, "matrix", ValueError),
-            ("hermiticity_defect", hermiticity_defect, "matrix", ValueError),
-            ("check_hermitian", lambda m: check_hermitian(m, "m"), "m", ValueError),
             ("check_density_matrix", check_density_matrix, "density matrix", InvalidStateError),
             ("von_neumann_entropy", von_neumann_entropy, "density matrix", InvalidStateError),
         )
@@ -192,6 +188,80 @@ SHAPE_CASES = [
 def test_entry_points_refuse_wrong_shapes(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def _skewed(template):
+    """``template`` plus 0.1 at entry (0, 1): an anti-Hermitian part of
+    Frobenius norm ``0.1 / sqrt(2)``, refused with defect 7.071e-02."""
+    skewed = np.array(template, dtype=complex)
+    skewed[0, 1] += 0.1
+    return skewed
+
+
+SKEWED_DEFECT = r"not Hermitian \(defect 7\.071e-02\)$"
+NAN_CHI = np.where(IDENTITY_CHI == 0.0, np.nan, IDENTITY_CHI)
+OUTPUTS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.full((2, 2), 0.5), np.eye(2) / 2.0]
+
+# The single-operand Hermiticity checks: (call, valid operands, the names
+# they are converted under, the names of derived arrays the call converts,
+# operands with a skewed one, its full refusal).  The compose_chi row
+# skewing `first` passes a NaN `then`: `first` is checked before `then` is
+# converted.
+HERMITIAN_ENTRY_POINTS = [
+    pytest.param(bloch_from_density, (GROUND,), ("matrix",), (), (_skewed(GROUND),),
+                 "^matrix: " + SKEWED_DEFECT, id="bloch_from_density"),
+    pytest.param(ch.kraus_from_chi, (IDENTITY_CHI,), ("chi matrix",), ("coefficients",),
+                 (_skewed(IDENTITY_CHI),), "^chi matrix: " + SKEWED_DEFECT, id="kraus_from_chi"),
+    pytest.param(ch.compose_chi, (IDENTITY_CHI, IDENTITY_CHI), ("chi matrix", "chi matrix"), (),
+                 (_skewed(IDENTITY_CHI), NAN_CHI), "^chi matrix: " + SKEWED_DEFECT,
+                 id="compose_chi-first"),
+    pytest.param(ch.compose_chi, (IDENTITY_CHI, IDENTITY_CHI), ("chi matrix", "chi matrix"), (),
+                 (IDENTITY_CHI, _skewed(IDENTITY_CHI)), "^chi matrix: " + SKEWED_DEFECT,
+                 id="compose_chi-then"),
+    pytest.param(lambda chi: run_experiment(ExperimentConfig(t2=100.0), channel=chi),
+                 (IDENTITY_CHI,), ("chi matrix",), (), (_skewed(IDENTITY_CHI),),
+                 "^channel: " + SKEWED_DEFECT, id="run_experiment"),
+    pytest.param(lambda *outputs: lambda_from_outputs(outputs), tuple(OUTPUTS),
+                 tuple(f"output {j}" for j in range(4)), ("state basis",),
+                 (*OUTPUTS[:2], _skewed(OUTPUTS[2]), OUTPUTS[3]),
+                 "^output 2: " + SKEWED_DEFECT, id="lambda_from_outputs"),
+    # The difference a - b is checked and never converted.
+    pytest.param(trace_distance, (GROUND, np.eye(2) / 2.0), ("first state", "second state"), (),
+                 (_skewed(GROUND), GROUND), "^difference: " + SKEWED_DEFECT,
+                 id="trace_distance"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, operands, names, derived, skewed, message", HERMITIAN_ENTRY_POINTS
+)
+def test_hermiticity_checks_convert_each_operand_once(
+    monkeypatch, call, operands, names, derived, skewed, message
+):
+    # Each operand is a fresh copy, labelled by position; so is everything
+    # converted from it.  A conversion of anything else is unlabelled.
+    # `kept` holds every labelled array, so no id is reused.
+    operands = [np.array(operand) for operand in operands]
+    labels = {id(operand): i for i, operand in enumerate(operands)}
+    kept, calls = list(operands), []
+
+    def counting(value, name, *args, **kwargs):
+        converted = _array(value, name, *args, **kwargs)
+        label = labels.get(id(value))
+        if label is not None:
+            labels[id(converted)] = label
+            kept.append(converted)
+        calls.append((name, label))
+        return converted
+
+    for module in ("states", "metrics", "channels", "process_tomography"):
+        monkeypatch.setattr(f"qpt.{module}._array", counting)
+    call(*operands)
+    labelled = [entry for entry in calls if entry[1] is not None]
+    assert labelled == [(name, i) for i, name in enumerate(names)]
+    assert {name for name, label in calls if label is None} <= set(derived)
+    with pytest.raises(ValueError, match=message):
+        call(*skewed)
 
 
 class TestRule:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    hermiticity_defect,
     is_valid_density_matrix,
     loop_chi_from_lambda,
     loop_expand_in_state_basis,
@@ -125,8 +126,8 @@ class TestLambda:
         outputs = [np.array(m, copy=True) for m in input_basis()]
         # A Hermiticity defect of 1e-7: ten times HERMITICITY_TOL.
         outputs[2][0, 1] += math.sqrt(2.0) * 1e-7
-        assert states.hermiticity_defect(outputs[2]) == pytest.approx(1e-7)
-        with pytest.raises(ValueError, match="output 2 is not Hermitian"):
+        assert hermiticity_defect(outputs[2]) == pytest.approx(1e-7)
+        with pytest.raises(ValueError, match=r"^output 2: not Hermitian \(defect 1\.000e-07\)$"):
             lambda_from_outputs(outputs)
 
 
@@ -147,7 +148,7 @@ class TestChiFromLambda:
     def test_output_is_hermitian(self, rng):
         lam = rng.standard_normal((4, 4))
         chi, anti = chi_from_lambda(lam)
-        assert states.hermiticity_defect(chi) < 1e-14
+        assert hermiticity_defect(chi) < 1e-14
         assert anti >= 0.0
 
     def test_shape_check(self):

@@ -14,6 +14,7 @@ from conftest import (
     KET_0,
     KET_PLUS,
     KET_PLUS_I,
+    hermiticity_defect,
     projector,
     random_density_matrix,
 )
@@ -37,7 +38,7 @@ class TestPauliBasis:
 
     def test_paulis_are_hermitian(self):
         for sigma in states.PAULIS:
-            assert states.hermiticity_defect(sigma) == 0
+            assert hermiticity_defect(sigma) == 0
 
     def test_operation_elements_are_real(self):
         for op in states.OPERATION_ELEMENTS:
@@ -211,30 +212,36 @@ class TestHermitianParts:
             assert bits(anti[i]) == bits(states._parts(m)[1])
 
     def test_results_read_from_the_parts_keep_their_bits(self, matrices):
-        # Public results that start from a part, against the sum formula.
+        # Results that start from a part, against the sum formula: the
+        # Hermiticity check returns the part, or refuses with the defect.
         for m in matrices:
             hermitian = (m + m.conj().T) / 2.0
             defect = float(np.linalg.norm((m - m.conj().T) / 2.0))
-            assert bits(np.float64(states.hermiticity_defect(m))) == bits(np.float64(defect))
+            if defect > states.HERMITICITY_TOL:
+                with pytest.raises(ValueError) as refused:
+                    states._hermitian(m, "m")
+                assert str(refused.value) == f"m: not Hermitian (defect {defect:.3e})"
+            else:
+                assert bits(states._hermitian(m, "m")) == bits(hermitian)
             lowest = np.linalg.eigvalsh(hermitian)[0]
             assert bits(np.float64(is_completely_positive(m)[1])) == bits(lowest)
 
 
 class TestHermiticityNearTheFloatLimit:
     """Entries past 2**256 in modulus are refused by the array rule, by
-    name; at the bound every defect and spectrum is finite."""
+    name; at the bound every defect and spectrum is finite.  The single
+    operand is ``bloch_from_density``'s 2x2 ``matrix``, converted once and
+    checked by ``states._hermitian``."""
 
     def test_anti_hermitian_pair_is_refused(self):
         # (m - m^dag) / 2 overflowed to a NaN defect here, which passed.
         m = [[0.5, 1e308], [-1e308, 0.5]]
         with pytest.raises(ValueError, match=f"^matrix: {BOUND_MESSAGE}$"):
-            states.hermiticity_defect(m)
-        with pytest.raises(ValueError, match=f"^m: {BOUND_MESSAGE}$"):
-            states.check_hermitian(m, "m")
+            states.bloch_from_density(m)
         m = [[0.5, _BOUND], [-_BOUND, 0.5]]
-        assert states.hermiticity_defect(m) == pytest.approx(math.sqrt(2.0) * _BOUND)
-        with pytest.raises(ValueError, match=r"^m is not Hermitian \(defect 1\.638e\+77\)$"):
-            states.check_hermitian(m, "m")
+        assert hermiticity_defect(m) == pytest.approx(math.sqrt(2.0) * _BOUND)
+        with pytest.raises(ValueError, match=r"^matrix: not Hermitian \(defect 1\.638e\+77\)$"):
+            states.bloch_from_density(m)
 
     def test_overflowing_defect_warns_nothing(self):
         # The state checks refuse the entries by name, with no overflow
@@ -261,11 +268,11 @@ class TestHermiticityNearTheFloatLimit:
     @pytest.mark.parametrize("value", [1e308, 1.7e308])
     def test_hermitian_pair_passes(self, value):
         m = np.array([[0.5, value], [value, 0.5]], dtype=complex)
-        with pytest.raises(ValueError, match=f"^m: {BOUND_MESSAGE}$"):
-            states.check_hermitian(m, "m")
+        with pytest.raises(ValueError, match=f"^matrix: {BOUND_MESSAGE}$"):
+            states.bloch_from_density(m)
         m[0, 1] = m[1, 0] = _BOUND
-        assert states.hermiticity_defect(m) == 0.0
-        np.testing.assert_array_equal(states.check_hermitian(m, "m"), m)
+        assert bits(states._hermitian(m, "matrix")) == bits(m)
+        np.testing.assert_array_equal(states.bloch_from_density(m), [2.0 * _BOUND, 0.0, 0.0])
 
     def test_nan_spectrum_is_refused(self):
         # Finite, Hermitian and unit trace, but the off-diagonal modulus
@@ -283,15 +290,15 @@ class TestHermiticityNearTheFloatLimit:
     @pytest.mark.parametrize(
         "value, message",
         [
-            ([[0.5, np.nan], [np.nan, 0.5]], f"^m: {BOUND_MESSAGE}$"),
-            ([[True, False], [False, True]], "^m: must hold"),
-            ([["a", "b"], ["c", "d"]], "^m: must hold"),
+            ([[0.5, np.nan], [np.nan, 0.5]], f"^matrix: {BOUND_MESSAGE}$"),
+            ([[True, False], [False, True]], "^matrix: must hold"),
+            ([["a", "b"], ["c", "d"]], "^matrix: must hold"),
         ],
         ids=["nan", "boolean", "text"],
     )
     def test_entries_go_through_the_array_rule(self, value, message):
         with pytest.raises(ValueError, match=message):
-            states.check_hermitian(value, "m")
+            states.bloch_from_density(value)
 
 
 class TestEntropy:
