@@ -115,10 +115,6 @@ def _kraus_stack(ops: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([_array(k, f"Kraus operator {i}", (2, 2)) for i, k in enumerate(ops)])
 
 
-def operator_from_coefficients(c: Sequence[complex]) -> np.ndarray:
-    return np.einsum("m,mij->ij", _array(c, "coefficients", (4,)), _OPS)
-
-
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Evaluate ``sum_mn chi[m, n] A_m rho A_n^dag``.
 
@@ -168,17 +164,15 @@ def kraus_from_chi(chi: np.ndarray) -> Kraus:
             f"chi eigenvalue {values[0]:.3e} below -{CP_TOL:g}; "
             "project the process onto the physical set first"
         )
-    ops: Kraus = []
-    for idx in np.argsort(values)[::-1]:
-        w = values[idx]
-        if w < 1e-12:
-            continue
-        ops.append(math.sqrt(w) * operator_from_coefficients(vectors[:, idx]))
-    if not ops:
+    # eigh sorts ascending: the kept components, strongest first.
+    kept = np.flatnonzero(values >= 1e-12)[::-1]
+    if not kept.size:
         # Everything fell under the cutoff: the zero map.  Keep one explicit
         # zero operator so apply_kraus stays well defined.
-        ops.append(np.zeros((2, 2), dtype=complex))
-    return ops
+        return [np.zeros((2, 2), dtype=complex)]
+    # The eigenvectors come from eigh, so they are built without a check.
+    ops = np.einsum("mk,mij->kij", vectors[:, kept], _OPS)
+    return list(np.sqrt(values[kept])[:, np.newaxis, np.newaxis] * ops)
 
 
 def _tp_deficit(chi: np.ndarray) -> float:

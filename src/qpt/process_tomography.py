@@ -20,6 +20,14 @@ here per preparation and built from the coordinates of the simulator's
 input cache, the inputs it simulates, so a reconstruction inverts exactly
 the inputs the simulator prepared, the perfect preparation included.
 
+The inversion has one array path: ``_chi_rows(values, preparation)`` maps
+(N, 12) expectations, such as the rows of ``simulator._expectations``, to
+the (N, 4, 4) chi of each row.  It is one stacked product that makes the
+same matrix-vector product for each row whatever N is, so a row's bits do
+not depend on N or on the other rows.  ``run_process_tomography`` is its
+N = 1 wrapper: it keeps every check of the records and returns the one
+row's chi.
+
 ``v`` holds the measured expectations as they are, zero on unmeasured
 axes: no output is fitted to the Bloch ball first, so the estimate is
 linear in the records and unbiased, and the one projection onto physical
@@ -115,6 +123,23 @@ def _reconstruction_map(polarization: float, pulse_error: float) -> np.ndarray:
     reconstruction = _CHI_FROM_PTM @ (inverse.T @ _SELECT).reshape(16, 13)
     reconstruction.setflags(write=False)
     return reconstruction
+
+
+def _chi_rows(values, preparation: tuple[float, float]) -> np.ndarray:
+    """The (N, 4, 4) chi of each row of (N, 12) expectations ``v`` under the
+    declared ``(polarization, pulse_error)``: row ``n`` is
+    ``vec(chi) = M @ (1, v[n])``, with no check of its input.
+
+    The stacked product makes one matrix-vector product per row, the same
+    call on the same layout whatever N is, so a row's bits do not depend on
+    the other rows; a single product of the ``(N, 13)`` data with ``M.T``
+    does not guarantee that.  The conjugate rows of ``M`` give the same sums
+    with the imaginary parts negated, so each chi is Hermitian bit for bit.
+    """
+    data = np.empty((len(values), 13))
+    data[:, 0] = 1.0
+    data[:, 1:] = values
+    return (_reconstruction_map(*preparation) @ data[:, :, np.newaxis]).reshape(-1, 4, 4)
 
 
 def _basis_coords(rho_basis: Sequence[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +252,7 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         raise ValueError(
             f"expected records for 4 input states, got {len(record_sets)}"
         )
-    data = [1.0]  # (1, v): the expectations input-major, in x, y, z order
+    values = []  # v: the expectations input-major, in x, y, z order
     preparations = set()
     for j, entry in enumerate(record_sets):
         index = getattr(entry, "input_index", j + 1)
@@ -241,7 +266,7 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
         )
         records = getattr(entry, "records", entry)
         try:
-            data += bloch_target(records)[0]
+            values += bloch_target(records)[0]
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"{_INPUT_NAMES[j]}: {exc}") from exc
     if len(preparations) != 1:
@@ -250,4 +275,4 @@ def run_process_tomography(record_sets: Sequence) -> ProcessEstimate:
             f"pulse_error): {sorted(preparations)}"
         )
     # chi is built here, so it skips the public checkers' input validation.
-    return ProcessEstimate((_reconstruction_map(*preparations.pop()) @ data).reshape(4, 4))
+    return ProcessEstimate(_chi_rows([values], preparations.pop())[0])

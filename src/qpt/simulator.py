@@ -12,11 +12,17 @@ A run is computed as whole arrays over the four inputs.  The channel acts
 on Pauli coordinates (:mod:`qpt.states`) through its transfer matrix
 ``R``, so the output coordinates are ``R`` times the input coordinates and
 the twelve exact expectations are rows 1..3 of that product.  The product
-is one small contraction, and no output density matrix is formed.  One
-Philox bit generator per call is rekeyed for each ``(seed, input, axis)``
-cell, which draws exactly what a generator built from that key would.
-Since every cell sets the whole state, the generator is built from a
-zero-state ``ISeedSequence`` that hashes no entropy.
+is one small contraction, and no output density matrix is formed.
+
+The draws have one array path: ``_expectations(config, seeds)`` returns
+the (N, 12) expectations of N seeded runs, one row per seed, input-major
+in x, y, z order.  One Philox bit generator per call is rekeyed for each
+``(seed, input, axis)`` cell, which draws exactly what a generator built
+from that key would, so a row's bits do not depend on N or on the other
+seeds.  Since every cell sets the whole state, the generator is built from
+a zero-state ``ISeedSequence`` that hashes no entropy.  ``run_experiment``
+is its N = 1 wrapper: its sampled records hold the values of the one row
+of its seed.
 
 Sampled records are filled without their checks, which their values,
 ``(2 ups - shots) / shots`` in [-1, 1], cannot fail; so are the
@@ -34,8 +40,9 @@ Two read-only caches hold what their readers use:
   simulated.
 * ``_outcomes``, keyed by all five physical parameters, holds what depends
   on neither the seed nor the shot count: the chi matrix of the decoherence
-  interval, the exact records of a run and the clipped probabilities that
-  the shots sample.  A sweep over seeds pays per call only for its draws.
+  interval, the exact records of a run, their values and the clipped
+  probabilities that the shots sample.  A sweep over seeds pays per call
+  only for its draws.
 
 The decoherence interval is the channel under test.  ``run_experiment`` can
 swap it for an arbitrary coefficient matrix, which turns the simulator into
@@ -66,6 +73,12 @@ _PULSES = {
     3: ("y", math.pi / 2.0),
     4: ("x", -math.pi / 2.0),
 }
+# The second key word of each of the twelve cells, input-major in x, y, z
+# order: input * 8 + axis.
+_CELL_KEYS = tuple(index * 8 + axis for index in _PULSES for axis in range(3))
+# A Philox state as a new generator has it, but for the counter and key: an
+# empty buffer.
+_FRESH = dict(bit_generator="Philox", buffer=[0, 0, 0, 0], buffer_pos=4, has_uint32=0, uinteger=0)
 
 
 @dataclass(frozen=True)
@@ -237,29 +250,24 @@ def true_channel(config: ExperimentConfig) -> np.ndarray:
     ``(0, 0, 1 - s)``, built into chi by ``channels._chi_from_bloch``, the
     path of the named decay channels and of ``chi_from_affine``.
     """
-    return _outcomes(
-        config.t2, config.t1, config.decoherence_time,
-        config.polarization, config.pulse_error,
-    )[0].copy()
-
-
-def _records(values) -> tuple[tuple[ExpectationRecord, ...], ...]:
-    """Checked records of four rows of exact expectations, one tuple per
-    input."""
-    return tuple(tuple(map(ExpectationRecord, AXES, row)) for row in values)
+    return _interval(config)[0].copy()
 
 
 def _outcomes_of(chi: np.ndarray, coords: np.ndarray) -> tuple:
-    """The exact records of the inputs with Pauli coordinates ``coords``
-    under ``chi``, and the probability of outcome +1 for each expectation,
-    clipped into [0, 1].  Input ``k`` expects ``R[1:] @ coords[:, k]``, with
-    ``R`` the real Pauli transfer matrix of ``chi``."""
+    """The checked exact records of the inputs with Pauli coordinates
+    ``coords`` under ``chi``, one tuple per input, then their twelve values,
+    input-major in x, y, z order, and the cells that sample them: each
+    value's key word paired with its probability of outcome +1, clipped
+    into [0, 1].  Input ``k`` expects ``R[1:] @ coords[:, k]``, with ``R``
+    the real Pauli transfer matrix of ``chi``."""
     # A two-operand einsum sums each output in index order, so every input
     # gets the bits of its own ``einsum("ij,j->i", ...)``; a matmul over
     # the stack does not guarantee that.
     values = np.einsum("ij,jk->ki", _transfer(chi)[1:], coords)
     up = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-    return _records(values.tolist()), tuple(map(tuple, up.tolist()))
+    records = tuple(tuple(map(ExpectationRecord, AXES, row)) for row in values.tolist())
+    cells = tuple(zip(_CELL_KEYS, up.reshape(12).tolist()))
+    return records, tuple(values.reshape(12).tolist()), cells
 
 
 @lru_cache(maxsize=64)
@@ -268,7 +276,8 @@ def _outcomes(
 ) -> tuple:
     """What every seed and shot count of one physical setting share: the
     read-only chi of its decoherence interval (see :func:`true_channel`),
-    then the exact records and up-probabilities of :func:`_outcomes_of`."""
+    then the exact records, values and sampled cells of
+    :func:`_outcomes_of`."""
     keep = math.exp(-decoherence_time / t1)
     shrink = math.exp(-decoherence_time / t2) * math.sqrt(keep)
     chi = _chi_from_bloch(np.diag([shrink, shrink, keep]), [0.0, 0.0, 1.0 - keep])
@@ -276,47 +285,48 @@ def _outcomes(
     return (chi, *_outcomes_of(chi, _inputs(polarization, pulse_error)[1]))
 
 
-def _sample(
-    config: ExperimentConfig, probabilities: tuple[tuple[float, ...], ...]
-) -> tuple[tuple[ExpectationRecord, ...], ...]:
-    """Sampled records of the up-probabilities of the four inputs, one tuple
-    per input.
+def _interval(config: ExperimentConfig) -> tuple:
+    """The :func:`_outcomes` entry of the configured decoherence interval."""
+    return _outcomes(
+        config.t2, config.t1, config.decoherence_time, config.polarization, config.pulse_error
+    )
 
-    Each ``(input, axis)`` cell draws a binomial from the Philox stream
-    keyed by ``(seed, input * 8 + axis)``.  One bit generator serves the
-    whole call: before each cell its state is set from a plain dict of
-    Python ints, a zero counter, an empty buffer and the cell's key, which
-    makes it exactly a new ``Philox(key=...)``.  It is built anew on every
-    call, so concurrent calls share no generator.
+
+def _expectations(config: ExperimentConfig, seeds, outcome: tuple | None = None) -> np.ndarray:
+    """The (N, 12) expectations of the runs of ``config`` with each of a
+    sequence of N ``seeds``, one row per seed, input-major in x, y, z order.
+
+    ``outcome`` is the triple of :func:`_outcomes_of`, by default that of
+    the configured interval.  An exact config repeats its values in every
+    row.  Otherwise each ``(seed, input, axis)`` cell draws a binomial from
+    the Philox stream keyed by ``(seed, input * 8 + axis)``.  One bit
+    generator serves the whole call: before each cell its state is set from
+    a plain dict of Python ints, a zero counter, an empty buffer and the
+    cell's key, which makes it exactly a new ``Philox(key=...)``.  It is
+    built anew on every call, so concurrent calls share no generator, and
+    a row's bits do not depend on the other seeds.
     """
+    _, values, cells = outcome or _interval(config)[1:]
     shots = config.shots
-    # Cell c's key: an integer key is split into 64-bit words, low first,
-    # so this is the key of Philox(key=config.seed % 2**64 + (c << 64)).
-    key = [config.seed % (1 << 64), 0]
+    if shots is None:
+        return np.tile(values, (len(seeds), 1))
     bit_generator = np.random.Philox(_zero_seed())
-    generator = np.random.Generator(bit_generator)
-    # The setter copies these values in, so the one dict and its key list
-    # serve every cell.
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    # Each value is a float in [-1, 1] and shots a checked positive int.
-    records = []
-    for index, row in enumerate(probabilities, start=1):
-        cells = []
-        for axis_index, p_up in enumerate(row):
-            key[1] = index * 8 + axis_index
+    binomial = np.random.Generator(bit_generator).binomial
+    # An integer key is split into 64-bit words, low first, so a cell with
+    # key word w draws from Philox(key=seed % 2**64 + (w << 64)).  The
+    # setter copies the values in, so the one dict and its key list serve
+    # every cell.
+    key = [0, 0]
+    fresh = {**_FRESH, "state": {"counter": [0, 0, 0, 0], "key": key}}
+    draws = []
+    for seed in seeds:
+        key[0] = seed % (1 << 64)
+        for cell_key, p_up in cells:
+            key[1] = cell_key
             bit_generator.state = fresh
-            ups = int(generator.binomial(shots, p_up))
-            value = (2.0 * ups - shots) / shots
-            cells.append(_filled_record(AXES[axis_index], value, shots))
-        records.append(tuple(cells))
-    return tuple(records)
+            draws.append((2.0 * binomial(shots, p_up) - shots) / shots)
+    # Each value is in [-1, 1]: shots is a checked positive int.
+    return np.array(draws).reshape(-1, 12)
 
 
 def run_experiment(
@@ -337,17 +347,19 @@ def run_experiment(
     raises ``ValueError``: the records could only show its Hermitian part.
     """
     if channel is None:
-        _, exact, probabilities = _outcomes(
-            config.t2, config.t1, config.decoherence_time,
-            config.polarization, config.pulse_error,
-        )
+        outcome = _interval(config)[1:]
     else:
         channel = _as_chi(channel)
         _hermitian(channel, "channel")
-        exact, probabilities = _outcomes_of(
-            channel, _inputs(config.polarization, config.pulse_error)[1]
-        )
-    records = exact if config.shots is None else _sample(config, probabilities)
+        outcome = _outcomes_of(channel, _inputs(config.polarization, config.pulse_error)[1])
+    records = outcome[0]
+    if config.shots is not None:
+        # The sampled records are the N = 1 row of the array path.
+        row = _expectations(config, (config.seed,), outcome)[0].tolist()
+        records = [
+            tuple(map(_filled_record, AXES, row[start:start + 3], (config.shots,) * 3))
+            for start in range(0, 12, 3)
+        ]
     return [
         _filled_measurement(index, entry, config)
         for index, entry in enumerate(records, start=1)

@@ -176,6 +176,14 @@ def expand_in_operation_basis(m: np.ndarray) -> np.ndarray:
     return np.einsum("mij,ij->m", np.conj(OPERATION_ELEMENTS), m) / 2.0
 
 
+def operator_from_coefficients(c) -> np.ndarray:
+    """The operator ``sum_m c[m] A_m`` of coefficients over the operation
+    elements."""
+    from qpt.states import OPERATION_ELEMENTS
+
+    return np.einsum("m,mij->ij", np.asarray(c, dtype=complex), np.stack(OPERATION_ELEMENTS))
+
+
 def kraus_completeness_deficit(ops) -> float:
     """Frobenius distance of ``sum_k K_k^dag K_k`` from the identity."""
     total = sum(k.conj().T @ k for k in ops)
@@ -256,6 +264,20 @@ def loop_icosphere(subdivisions: int = 3) -> tuple[np.ndarray, np.ndarray]:
         faces = np.array(next_faces)
     return np.array(vertices), faces
 
+
+def loop_kraus_from_chi(chi: np.ndarray) -> list:
+    """One Kraus operator per kept eigenvector, strongest first: its
+    coefficients over the operation elements, one column at a time, scaled
+    by the root of its weight.  ``qpt.channels.kraus_from_chi`` must return
+    exactly these arrays."""
+    half = np.asarray(chi, dtype=complex) / 2.0
+    values, vectors = np.linalg.eigh(half + half.conj().T)
+    ops = [
+        math.sqrt(values[k]) * operator_from_coefficients(vectors[:, k])
+        for k in np.argsort(values)[::-1]
+        if values[k] >= 1e-12
+    ]
+    return ops or [np.zeros((2, 2), dtype=complex)]
 
 # Loop oracles: the per-record simulate and reconstruct path that the
 # whole-array kernels in ``qpt.simulator``, ``qpt.state_tomography`` and

@@ -42,7 +42,6 @@ GROUND = np.diag([1.0, 0.0])
 UP = np.array([0.0, 0.0, 1.0])
 AFFINE = ch.AffineMap(np.eye(3), np.zeros(3))
 KRAUS = np.eye(2)[None]
-UNIT_4 = np.eye(4)[0]
 
 # (id, call with the probe, a valid template the probes are made from,
 # the argument's name in the message, whether it must be real)
@@ -57,7 +56,6 @@ ENTRY_POINTS = [
     ("apply_kraus-ops", lambda x: ch.apply_kraus(x, GROUND), KRAUS, "Kraus operator 0", False),
     ("apply_kraus-rho", lambda x: ch.apply_kraus(KRAUS, x), GROUND, "rho", False),
     ("chi_from_kraus", ch.chi_from_kraus, KRAUS, "Kraus operator 0", False),
-    ("operator_from_coefficients", ch.operator_from_coefficients, UNIT_4, "coefficients", False),
     ("apply_affine", lambda x: ch.apply_affine(AFFINE, x), UP, "Bloch vector", True),
     ("AffineMap-matrix", lambda x: ch.AffineMap(x, np.zeros(3)), np.eye(3), "affine matrix", True),
     ("AffineMap-translation", lambda x: ch.AffineMap(np.eye(3), x), UP, "affine translation", True),
@@ -210,7 +208,7 @@ OUTPUTS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.full((2, 2), 0.5), np.ey
 HERMITIAN_ENTRY_POINTS = [
     pytest.param(bloch_from_density, (GROUND,), ("matrix",), (), (_skewed(GROUND),),
                  "^matrix: " + SKEWED_DEFECT, id="bloch_from_density"),
-    pytest.param(ch.kraus_from_chi, (IDENTITY_CHI,), ("chi matrix",), ("coefficients",),
+    pytest.param(ch.kraus_from_chi, (IDENTITY_CHI,), ("chi matrix",), (),
                  (_skewed(IDENTITY_CHI),), "^chi matrix: " + SKEWED_DEFECT, id="kraus_from_chi"),
     pytest.param(ch.compose_chi, (IDENTITY_CHI, IDENTITY_CHI), ("chi matrix", "chi matrix"), (),
                  (_skewed(IDENTITY_CHI), NAN_CHI), "^chi matrix: " + SKEWED_DEFECT,

@@ -23,6 +23,7 @@ from qpt import simulator, states
 from qpt.process_tomography import (
     INPUT_STATE_LABELS,
     ProcessEstimate,
+    _chi_rows,
     _reconstruction_map,
     chi_from_lambda,
     input_basis,
@@ -30,6 +31,7 @@ from qpt.process_tomography import (
     run_process_tomography,
 )
 from qpt.simulator import (
+    PRESETS,
     ExperimentConfig,
     prepare_input,
     preset_config,
@@ -523,6 +525,45 @@ def trace_gap(chi):
     ops = np.stack(states.OPERATION_ELEMENTS)
     return np.einsum("mn,nba,mbc->ac", chi, ops.conj(), ops) - np.eye(2)
 
+
+class TestChiRows:
+    """Each chi row of the array inversion is bit-Hermitian, has bits that
+    do not depend on the other rows, is the estimate
+    ``run_process_tomography`` makes for its seed, and lies within
+    round-off of the map's matrix product."""
+
+    @pytest.mark.parametrize("shots", [100, 1000])
+    @pytest.mark.parametrize("preparation", [(1.0, 0.0), (0.95, 0.0), (1.0, 0.05)])
+    def test_rows_are_the_estimates(self, shots, preparation):
+        polarization, pulse_error = preparation
+        config = ExperimentConfig(
+            t2=100.0, t1=150.0, decoherence_time=40.0, shots=shots,
+            polarization=polarization, pulse_error=pulse_error,
+        )
+        values = simulator._expectations(config, range(1000))
+        rows = _chi_rows(values, preparation)
+        assert rows.shape == (1000, 4, 4) and rows.dtype == complex
+        assert np.array_equal(rows, rows.conj().swapaxes(1, 2))
+        reconstruction = _reconstruction_map(*preparation)
+        for seed, (v, chi) in enumerate(zip(values, rows)):
+            assert _chi_rows(v[np.newaxis], preparation).tobytes() == chi.tobytes()
+            estimate = run_process_tomography(run_experiment(replace(config, seed=seed)))
+            assert estimate.chi.tobytes() == chi.tobytes()
+            product = (reconstruction @ np.concatenate(([1.0], v))).reshape(4, 4)
+            atol = 1e-14 * max(1.0, np.abs(v).max())
+            np.testing.assert_allclose(chi, product, rtol=0, atol=atol)
+        # A subset in another order: the same rows.
+        again = _chi_rows(values[::-3], preparation)
+        assert again.tobytes() == rows[::-3].tobytes()
+
+    def test_exact_rows(self):
+        for name in sorted(PRESETS):
+            config = PRESETS[name]
+            rows = _chi_rows(simulator._expectations(config, range(3)), (1.0, 0.0))
+            estimate = run_process_tomography(run_experiment(config))
+            for chi in rows:
+                assert chi.tobytes() == estimate.chi.tobytes()
+            np.testing.assert_allclose(rows[0], true_channel(config), rtol=0, atol=1e-14)
 
 class TestAgainstLoopOracle:
     """The batched fit and cached maps agree with the per-record loops."""

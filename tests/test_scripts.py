@@ -107,6 +107,32 @@ def test_shot_noise_study_checks_out_directory_before_the_sweep(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("levels", [["100"], ["100", "100"]])
+def test_shot_noise_study_needs_two_distinct_levels(tmp_path, capsys, monkeypatch, levels):
+    # A slope through one level would be made up: refused before the sweep.
+    module = load_script("shot_noise_study")
+
+    def sweep_started(*args):
+        raise AssertionError("the sweep ran with fewer than two levels")
+
+    monkeypatch.setattr(module, "median_error", sweep_started)
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--levels", *levels, "--seeds", "2", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "at least two distinct shot levels" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_shot_noise_study_drops_repeated_levels(tmp_path, capsys):
+    main = load_script("shot_noise_study").main
+    out = tmp_path / "shot_noise.json"
+    assert main(["--levels", "100", "1000", "100", "--seeds", "2", "--out", str(out)]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:4]]
+    assert rows == ["100", "1000"]
+    assert json.loads(out.read_text())["levels"] == [100, 1000]
+
+
 MACHINE = {
     "cpu_count": 2, "cpus_usable": 2, "cpu_model": "Test CPU", "python": "3.11.7",
     "numpy": "2.4.6", "blas": "scipy-openblas 0.3.30",

@@ -480,6 +480,87 @@ class TestAgainstLoopOracle:
         np.testing.assert_allclose(estimate.chi, (chi + chi.conj().T) / 2, atol=1e-12)
 
 
+
+def run_values(config, channel=None) -> bytes:
+    """The bits of a run's twelve values, input-major in x, y, z order."""
+    results = run_experiment(config, channel=channel)
+    return np.array([r.value for result in results for r in result.records]).tobytes()
+
+
+ROW_PREPARATIONS = [(1.0, 0.0), (0.95, 0.0), (1.0, 0.05)]
+
+
+class TestExpectationRows:
+    """Each row of the array draw is the values of ``run_experiment`` for
+    its seed, bit for bit, whatever the other seeds are."""
+
+    @pytest.mark.parametrize("shots", [100, 1000])
+    @pytest.mark.parametrize("preparation", ROW_PREPARATIONS)
+    def test_rows_are_the_runs_values(self, shots, preparation):
+        polarization, pulse_error = preparation
+        config = ExperimentConfig(
+            t2=100.0, t1=150.0, decoherence_time=40.0, shots=shots,
+            polarization=polarization, pulse_error=pulse_error,
+        )
+        rows = simulator._expectations(config, range(1000))
+        assert rows.shape == (1000, 12) and rows.dtype == np.float64
+        for seed, row in enumerate(rows):
+            assert row.tobytes() == run_values(replace(config, seed=seed))
+        # Fewer seeds, in another order: the same rows.
+        again = simulator._expectations(config, range(999, -1, -7))
+        assert again.tobytes() == rows[999::-7].tobytes()
+
+    def test_one_shot(self):
+        config = ExperimentConfig(t2=100.0, decoherence_time=20.0, shots=1, polarization=0.95)
+        rows = simulator._expectations(config, range(50))
+        assert set(rows.ravel().tolist()) == {-1.0, 1.0}
+        for seed, row in enumerate(rows):
+            assert row.tobytes() == run_values(replace(config, seed=seed))
+
+    def test_seeds_are_keyed_modulo_2_64(self):
+        config = ExperimentConfig(t2=100.0, decoherence_time=40.0, shots=1000, pulse_error=0.05)
+        seeds = [-1, -(2**63), 2**64, 2**64 + 5, 10**30]
+        rows = simulator._expectations(config, seeds)
+        wrapped = simulator._expectations(config, [seed % 2**64 for seed in seeds])
+        assert rows.tobytes() == wrapped.tobytes()
+        for seed, row in zip(seeds, rows):
+            assert row.tobytes() == run_values(replace(config, seed=seed))
+
+    def test_certain_outcomes(self):
+        # With t1 = inf, |0> and |1> keep z = +1 and -1 exactly: up with
+        # probability 1 and 0, so every shot agrees.
+        config = replace(PRESETS["paper-40ns"], shots=1000)
+        cells = simulator._outcomes(
+            config.t2, config.t1, config.decoherence_time,
+            config.polarization, config.pulse_error,
+        )[3]
+        # (key word input * 8 + axis, up-probability) of the z cells.
+        assert (cells[2], cells[5]) == ((10, 1.0), (18, 0.0))
+        rows = simulator._expectations(config, range(20))
+        assert (rows[:, 2] == 1.0).all() and (rows[:, 5] == -1.0).all()
+        for seed, row in enumerate(rows):
+            assert row.tobytes() == run_values(replace(config, seed=seed))
+
+    @pytest.mark.parametrize("preparation", ROW_PREPARATIONS)
+    def test_exact_rows_are_the_cached_values(self, preparation):
+        polarization, pulse_error = preparation
+        config = ExperimentConfig(
+            t2=100.0, decoherence_time=80.0, polarization=polarization, pulse_error=pulse_error
+        )
+        rows = simulator._expectations(config, [0, 3, -2])
+        assert rows.shape == (3, 12) and rows.flags.writeable
+        for seed, row in zip([0, 3, -2], rows):
+            assert row.tobytes() == run_values(replace(config, seed=seed))
+
+    @pytest.mark.parametrize("shots", [None, 1, 1000])
+    def test_channel_substitution(self, rng, shots):
+        for config, chi in override_cases(rng, shots):
+            inputs = simulator._inputs(config.polarization, config.pulse_error)[1]
+            outcome = simulator._outcomes_of(chi, inputs)
+            rows = simulator._expectations(config, range(5), outcome)
+            for seed, row in enumerate(rows):
+                assert row.tobytes() == run_values(replace(config, seed=seed), channel=chi)
+
 def assert_matches_evolution(results, evolved):
     """Exact expectations within 1e-15 of the density-matrix route; sampled
     records bit for bit."""
