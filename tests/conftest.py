@@ -279,6 +279,7 @@ def loop_kraus_from_chi(chi: np.ndarray) -> list:
     ]
     return ops or [np.zeros((2, 2), dtype=complex)]
 
+
 # Loop oracles: the per-record simulate and reconstruct path that the
 # whole-array kernels in ``qpt.simulator``, ``qpt.state_tomography`` and
 # ``qpt.process_tomography`` replace.  The kernels must give the same
