@@ -8,10 +8,12 @@ trace norm ``F = ||sqrt(a) sqrt(b)||_1^2`` (Jozsa, J. Mod. Opt. 41, 2315,
 decomposition of both operands: with ``R = V diag(sqrt(w))`` built from
 the clamped, renormalized spectrum, ``sqrt(a) sqrt(b) = V_a (R_a^dag R_b)
 V_b^dag``, so F is the squared sum of singular values of ``R_a^dag R_b``.
-No square root of a product is taken, which keeps F exact on
-rank-deficient states.  The derived quantities are the Bures metric
-``B = sqrt(2 - 2 sqrt(F))`` and ``C = sqrt(1 - F)``, which obey
-``1 - sqrt(F) <= D <= C`` against the trace distance D.
+No square root of a product is taken, and the clamp counts every
+eigenvalue at or below 64 eps of the trace as zero, which keeps F exact to
+round-off on rank-deficient states.  The derived quantities are the Bures
+metric ``B = sqrt(2 - 2 sqrt(F))`` and ``C = sqrt(1 - F)``, which obey
+``1 - sqrt(F) <= D <= C`` against the trace distance D; one ulp of F below
+1 gives them about 1.5e-8, so near ``F = 1`` they resolve to about 1e-8.
 
 Process discrepancies are plain matrix norms of the difference of two
 coefficient matrices, which stay meaningful even when one of the processes
@@ -43,6 +45,12 @@ import numpy as np
 
 from .errors import _array
 from .states import _check_states, _hermitian, _square, _state_checks
+
+# A zero eigenvalue of a state comes out of eigh as +-1e-17 or so, whose
+# root, about 3e-9, would open a new singular value of R_a^dag R_b and move
+# F by about that much; eigenvalues up to this share of the trace count as
+# zero.
+_ZERO_EIGENVALUE = 64.0 * np.finfo(float).eps
 
 
 class MatrixNorms(NamedTuple):
@@ -115,10 +123,12 @@ def _root_product(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``R_a^dag R_b`` of two checked states from their stacked ``eigh``.
 
     The root factors are ``R = V diag(sqrt(w))``, with ``w`` each spectrum
-    clipped at zero and renormalized to unit sum, so ``R R^dag`` is the
-    clamped, trace-1 state.
+    with every eigenvalue at or below ``_ZERO_EIGENVALUE`` times its trace
+    set to zero, renormalized to unit sum, so ``R R^dag`` is the clamped,
+    trace-1 state.
     """
-    values = np.maximum(values, 0.0)
+    trace = values.sum(axis=1, keepdims=True)
+    values = np.where(values > _ZERO_EIGENVALUE * trace, values, 0.0)
     root_a, root_b = vectors * np.sqrt(values / values.sum(axis=1, keepdims=True))[:, np.newaxis]
     return root_a.conj().T @ root_b
 

@@ -25,20 +25,27 @@ of ``T_0`` are orthogonal with squared norm 4, so ``T_0^dag / 4`` is its
 pseudoinverse and the nearest TP matrix to any ``X`` is
 ``X - T_0^dag (T_0 vec(X) - e_0) / 4``.
 
-**Iteration.**  The first move is along ``y_0`` alone: ``B_0 = sqrt(2) I``
+**Iteration.**  ``_evaluate`` gives ``||g||``, ``theta``, ``g`` and the
+eigensystem with its blocks ``W_k`` at a point ``y``, one ``eigh`` each;
+every other step is written once, in :func:`project_to_physical`, where it
+is used.  The first move is along ``y_0`` alone: ``B_0 = sqrt(2) I``
 shifts every eigenvalue of ``M`` and keeps ``Q``, so the first ``eigh``
 also gives ``theta``'s exact minimizer along it, the shift that makes
-``tr X = 1``.  That settles targets with ``P_PSD(H) = 0``, such as ``-I``,
-where the Hessian is zero.  Newton steps then solve
-``(V + 1e-12 I) d = -g``, the ridge keeping the system solvable where ``X``
-has low rank.  The full step is taken whenever it lowers ``||g||``;
+``tr X = 1``, and the shifted point is evaluated from the first point's
+``Q`` and blocks with no ``eigh`` of its own.  That settles targets with
+``P_PSD(H) = 0``, such as ``-I``, where the Hessian is zero.  Newton steps
+then solve ``(V + 1e-12 I) d = -g``, with ``V`` built from the divided
+differences in the loop body, the ridge keeping the system solvable where
+``X`` has low rank.  The full step is taken whenever it lowers ``||g||``;
 otherwise the step length halves, from twice the last accepted length,
 until ``theta`` passes the Armijo test.  Armijo alone stalls near
 ``||g|| ~ 1e-9``, where differences of ``theta`` fall below roundoff.
 
 **Stopping.**  ``X`` is PSD by construction, and ``H - X + sum_k y_k B_k``
 is the negative part of ``M``, orthogonal to ``X``; so ``||g||`` is the
-whole KKT residual.  It stops at ``||g|| <= max(1e-12, 64 eps ||H||_F)``: the
+whole KKT residual.  The loop stops at
+``||g|| <= max(1e-12, 64 eps ||H||_F)`` or at ``MAX_ITERATIONS``
+evaluations, and only then forms ``X = Q diag(lam_+) Q^dag``.  The
 eigenvalues of ``M`` carry errors of order ``eps ||M||``, so at
 ``||H|| ~ 3000`` the residual floors near ``2e-12``.  The bound is
 ``1e-12`` for ``||H||_F`` up to ~70, which covers every tomography
@@ -86,57 +93,23 @@ def _project_tp(chi: np.ndarray) -> np.ndarray:
     return chi - (_ROW0.conj().T @ excess).reshape(4, 4) / 4.0
 
 
-class _DualPoint:
-    """``theta`` and its gradient at ``y``, from the eigensystem of ``M``."""
+def _evaluate(target: np.ndarray, y: np.ndarray, eigensystem: tuple | None = None) -> tuple:
+    """``(||g||, theta, g, lam_+, (lam, Q, blocks))`` at ``y``.
 
-    __slots__ = ("y", "values", "vectors", "positive", "blocks", "gradient", "residual", "theta")
-
-    def __init__(
-        self,
-        y: np.ndarray,
-        values: np.ndarray,
-        vectors: np.ndarray,
-        blocks: np.ndarray | None = None,
-    ):
-        self.y, self.values, self.vectors = y, values, vectors
-        self.positive = np.maximum(values, 0.0)
-        # Row k is vec(W_k), W_k = Q^dag B_k Q, through conj(Q_ai) Q_bj; it
-        # depends on the eigenvectors alone, so a caller that keeps them
-        # passes their blocks along.
-        if blocks is None:
-            blocks = _B_FLAT @ (
-                vectors.conj()[:, None, :, None] * vectors[None, :, None, :]
-            ).reshape(16, 16)
-        self.blocks = blocks
-        self.gradient = self.blocks[:, ::5].real @ self.positive - _B_AT_TP
-        self.residual = math.sqrt(self.gradient @ self.gradient)
-        self.theta = 0.5 * (self.positive @ self.positive) - _B_AT_TP @ y
-
-    @classmethod
-    def of(cls, target: np.ndarray, y: np.ndarray) -> _DualPoint:
-        return cls(y, *np.linalg.eigh(target + (y @ _B_FLAT).reshape(4, 4)))
-
-    def hessian(self) -> np.ndarray:
-        # Divided differences of max(., 0): 1 between two positive eigenvalues,
-        # 0 between two non-positive ones, lam_i / (lam_i - lam_j) across.
-        size = np.abs(self.values)
-        denominator = size[:, None] + size[None, :]
-        denominator[denominator == 0.0] = 1.0
-        omega = (self.positive[:, None] + self.positive[None, :]) / denominator
-        return ((self.blocks.conj() * omega.reshape(16)) @ self.blocks.T).real
-
-    def trace_shifted(self) -> _DualPoint:
-        """The exact minimizer of ``theta`` along ``y_0``: ``tr X = 1``."""
-        descending = self.values[::-1]
-        shifts = (1.0 - np.cumsum(descending)) / _COUNTS
-        fits = descending + shifts > 0.0
-        fits[0] = True  # exactly 1 for the top eigenvalue; roundoff can lose it
-        shift = shifts[np.flatnonzero(fits)[-1]]
-        y = self.y + np.array([shift / np.sqrt(2.0), 0.0, 0.0, 0.0])
-        return _DualPoint(y, self.values + shift, self.vectors, self.blocks)
-
-    def primal(self) -> np.ndarray:
-        return (self.vectors * self.positive) @ self.vectors.conj().T
+    Row k of ``blocks`` is ``vec(W_k)``, ``W_k = Q^dag B_k Q``, through
+    ``conj(Q_ai) Q_bj``.  ``lam``, ``Q`` and the blocks come from a new
+    ``eigh`` of ``M``, or from ``eigensystem`` when given: the blocks depend
+    on the eigenvectors alone, so the trace shift passes them along.
+    """
+    if eigensystem is None:
+        values, vectors = np.linalg.eigh(target + (y @ _B_FLAT).reshape(4, 4))
+        eigensystem = values, vectors, _B_FLAT @ (
+            vectors.conj()[:, None, :, None] * vectors[None, :, None, :]
+        ).reshape(16, 16)
+    positive = np.maximum(eigensystem[0], 0.0)
+    gradient = eigensystem[2][:, ::5].real @ positive - _B_AT_TP
+    theta = 0.5 * (positive @ positive) - _B_AT_TP @ y
+    return math.sqrt(gradient @ gradient), theta, gradient, positive, eigensystem
 
 
 @dataclass(frozen=True)
@@ -180,29 +153,50 @@ def project_to_physical(chi: np.ndarray) -> ProjectionResult:
     target = _parts(_as_chi(chi))[0]
     tol = max(_FEASIBILITY_TOL, _ROUNDOFF_FACTOR * float(np.linalg.norm(target)))
 
-    point = _DualPoint.of(target, np.zeros(4))
+    y = np.zeros(4)
+    residual, theta, gradient, positive, (values, vectors, blocks) = _evaluate(target, y)
     evaluations = 1
-    if point.residual > tol and MAX_ITERATIONS > 1:
-        point = point.trace_shifted()
+    if residual > tol and MAX_ITERATIONS > 1:
+        # The exact minimizer of theta along y_0, the shift that makes
+        # tr X = 1; it moves every eigenvalue and keeps Q and its blocks.
+        descending = values[::-1]
+        shifts = (1.0 - np.cumsum(descending)) / _COUNTS
+        fits = descending + shifts > 0.0
+        fits[0] = True  # exactly 1 for the top eigenvalue; roundoff can lose it
+        shift = shifts[np.flatnonzero(fits)[-1]]
+        y = y + np.array([shift / np.sqrt(2.0), 0.0, 0.0, 0.0])
+        residual, theta, gradient, positive, (values, vectors, blocks) = _evaluate(
+            target, y, (values + shift, vectors, blocks)
+        )
         evaluations += 1
     last_length = 1.0
-    while point.residual > tol and evaluations < MAX_ITERATIONS:
-        step = np.linalg.solve(point.hessian() + _RIDGE, -point.gradient)
-        slope = float(point.gradient @ step)
+    while residual > tol and evaluations < MAX_ITERATIONS:
+        # The Hessian from the divided differences of max(., 0): 1 between two
+        # positive eigenvalues, 0 between two non-positive ones,
+        # lam_i / (lam_i - lam_j) across.
+        size = np.abs(values)
+        denominator = size[:, None] + size[None, :]
+        denominator[denominator == 0.0] = 1.0
+        omega = (positive[:, None] + positive[None, :]) / denominator
+        hessian = ((blocks.conj() * omega.reshape(16)) @ blocks.T).real
+        step = np.linalg.solve(hessian + _RIDGE, -gradient)
+        slope = float(gradient @ step)
         length = 1.0
         while evaluations < MAX_ITERATIONS:
-            trial = _DualPoint.of(target, point.y + length * step)
+            moved = y + length * step
+            trial = _evaluate(target, moved)
             evaluations += 1
-            if (length == 1.0 and trial.residual < point.residual) or (
-                trial.theta <= point.theta + _ARMIJO * length * slope
+            if (length == 1.0 and trial[0] < residual) or (
+                trial[1] <= theta + _ARMIJO * length * slope
             ):
-                point, last_length = trial, length
+                y, last_length = moved, length
+                residual, theta, gradient, positive, (values, vectors, blocks) = trial
                 break
             length = min(0.5, 2.0 * last_length) if length == 1.0 else 0.5 * length
 
-    converged = bool(point.residual <= tol)
-    chi_tilde = point.primal()
-    if not point.residual <= _FEASIBILITY_TOL:
+    converged = bool(residual <= tol)
+    chi_tilde = (vectors * positive) @ vectors.conj().T
+    if not residual <= _FEASIBILITY_TOL:
         # Out of budget, or stopped at the roundoff floor of a large target:
         # make the iterate TP, then mix in the depolarizing channel, which
         # keeps it TP; weight t lifts the lowest eigenvalue to

@@ -595,7 +595,8 @@ def loop_root(rho, context: str) -> np.ndarray:
     from qpt.channels import CP_TOL
 
     values, vectors = loop_check_density_matrix(rho, CP_TOL, context)
-    values = np.clip(values, 0.0, None)
+    # Eigenvalues at or below 64 eps of the trace are round-off of a zero.
+    values = np.where(values > 64.0 * np.finfo(float).eps * values.sum(), values, 0.0)
     return vectors * np.sqrt(values / values.sum())
 
 
@@ -609,14 +610,15 @@ def loop_fidelity(a, b) -> float:
 def loop_process_distance_report(chi_a, chi_b, context=("a", "b")) -> tuple:
     """``(norms, state block, skip reason)`` of two converted 4x4 operands;
     the norms in ``DiscrepancyReport`` field order, the block as
-    ``(trace distance, fidelity, bures, c)`` or ``None``.  The singular
-    values of a difference equal to its adjoint bit for bit are the moduli
-    of its eigenvalues."""
+    ``(trace distance, fidelity, bures, c)`` or ``None``.  When both
+    operands equal their adjoints bit for bit, so does the difference, and
+    its singular values are the moduli of its eigenvalues; otherwise they
+    come from its SVD, even when the difference alone is Hermitian."""
     from qpt.errors import InvalidStateError
 
     x = chi_a - chi_b
     absolute = np.abs(x)
-    if np.array_equal(x, x.conj().T):
+    if all(np.array_equal(chi, chi.conj().T) for chi in (chi_a, chi_b)):
         singular = np.abs(np.linalg.eigh(x)[0])
     else:
         singular = np.linalg.svd(x, compute_uv=False)

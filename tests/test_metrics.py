@@ -415,17 +415,14 @@ class TestFrameCovariance:
         if plain.state_metrics is None:
             return
         f = plain.state_metrics.fidelity
-        # F takes square roots of the clamped spectra.  A zero eigenvalue
-        # comes out as +-1e-17 or so, whose root, about 3e-9, can open a
-        # new singular value of R_a^dag R_b: so F is held to 1e-12 only
-        # when both operands are positive definite, else to 1e-7.
-        definite = all(np.linalg.eigvalsh(chi)[0] > 1e-6 for chi in (a, b))
-        tol = 1e-12 if definite else 1e-7
-        assert rotated.state_metrics.fidelity == pytest.approx(f, rel=0, abs=tol)
+        # F takes square roots of the clamped spectra, in which a zero
+        # eigenvalue computed as +-1e-17 or so is zero: so F is held to
+        # 1e-12 on rank-deficient operands too.
+        assert rotated.state_metrics.fidelity == pytest.approx(f, rel=0, abs=1e-12)
         # At F = 1 Bures and C vary like the square root of round-off (one
         # ulp of F moves them by about 1.5e-8), so they are held only away
         # from it.
-        if definite and f < 1.0 - 1e-6:
+        if f < 1.0 - 1e-6:
             for name in ("bures", "c_metric"):
                 expected = getattr(plain.state_metrics, name)
                 assert getattr(rotated.state_metrics, name) == pytest.approx(
@@ -444,7 +441,8 @@ class TestFrameCovariance:
     @pytest.mark.parametrize("shots", [None, 100, 1000])
     def test_estimates_against_the_truth(self, shots):
         # Exact estimates sit at F = 1; raw noisy ones fail the state check
-        # in both frames or in neither; their projections pass it.
+        # in both frames or in neither; their projections pass it.  The
+        # truths and projections are rank deficient.
         rng = np.random.default_rng(19)
         for config in PRESETS.values():
             for seed in range(4):
@@ -452,6 +450,32 @@ class TestFrameCovariance:
                 estimate = run_process_tomography(run_experiment(run)).chi
                 for chi in (estimate, project_to_physical(estimate).chi_tilde):
                     self.assert_invariant(chi, true_channel(config), random_frame(rng))
+
+    def test_fidelity_of_projections_to_round_off(self):
+        # Projected estimates against their truth and the identity, every
+        # pair rank deficient: one rotation moved F by up to 1.3e-8 when
+        # only negative eigenvalues were clamped.
+        rng = np.random.default_rng(21)
+        identity = ch.standard_channel("identity")
+        moved = []
+        for config in PRESETS.values():
+            for shots in (100, 1000, 10000):
+                for seed in range(10):
+                    run = dataclasses.replace(config, shots=shots, seed=seed)
+                    estimate = run_process_tomography(run_experiment(run)).chi
+                    chi = project_to_physical(estimate).chi_tilde
+                    for other in (true_channel(config), identity):
+                        assert max(np.linalg.eigvalsh((chi, other))[:, 0]) < 1e-12
+                        frame = random_frame(rng)
+                        plain = metrics.process_distance_report(chi, other)
+                        rotated = metrics.process_distance_report(
+                            in_frame(chi, frame), in_frame(other, frame)
+                        )
+                        moved.append(
+                            abs(rotated.state_metrics.fidelity - plain.state_metrics.fidelity)
+                        )
+        assert len(moved) == 180
+        assert max(moved) <= 1e-14
 
     def test_p1_norm_depends_on_the_frame(self):
         # Full dephasing against the identity, both after a z rotation by
@@ -569,6 +593,22 @@ class TestAgainstLoopOracle:
             assert reason.startswith(f"skipped: unphysical Choi for p: {kind}")
             reason = metrics.process_distance_report(good, bad, ("p", "q")).skip_reason
             assert reason.startswith(f"skipped: unphysical Choi for q: {kind}")
+
+    def test_hermitian_difference_of_a_non_hermitian_operand(self):
+        # Entries far below the other operand's ulp leave the first operand
+        # non-Hermitian and the difference Hermitian bit for bit.  Both
+        # operands decide the path: the SVD, whose p2 and half trace here
+        # differ from the eigenvalues' in the last bit.
+        b = ch.standard_channel("unitary_rotation", axis="x", angle=2.0)
+        a = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+        a[0, 1], a[1, 0] = 1e-20j, 2e-20j
+        assert bit_hermitian(a - b) and bit_hermitian(b) and not bit_hermitian(a)
+        comparison = metrics.process_distance_report(a, b)
+        assert comparison_bits(comparison) == oracle_bits(a, b)
+        assert comparison.state_metrics is not None
+        singular = np.linalg.svd(a - b, compute_uv=False)
+        moduli = np.abs(np.linalg.eigh(a - b)[0])
+        assert comparison.norms.p2_norm == singular.max() != moduli.max()
 
     def test_unreached_operand_near_the_float_limit(self):
         # Past the bound both operands are refused by name; at the bound

@@ -3,6 +3,8 @@
 import math
 import sys
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +20,13 @@ from qpt import channels as ch
 from qpt import projection
 from qpt.errors import _BOUND, NonConvergenceError
 from qpt.metrics import DiscrepancyReport
+from qpt.process_tomography import run_process_tomography
 from qpt.projection import (
     ProjectionResult,
     project_to_physical,
     projection_report,
 )
+from qpt.simulator import PRESETS, run_experiment
 
 
 def assert_cptp(chi, cp_tol=1e-9, tp_tol=1e-8):
@@ -173,16 +177,49 @@ class TestOptimality:
     def test_physical_input_takes_one_iteration(self, chi):
         assert project_to_physical(chi).iterations == 1
 
-    def test_trace_shift_shares_the_eigenvector_blocks(self, rng):
-        # The shift moves only the eigenvalues, so the blocks built from the
-        # eigenvectors carry over unchanged and unrebuilt.
+    def test_trace_shift_reuses_the_first_eigh(self, monkeypatch, noisy_estimates):
+        # Every evaluation takes one eigh but the second, the trace shift,
+        # which moves only the eigenvalues.
+        shapes = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for target in [*noisy_estimates, *random_targets(5, 1.0, 10), -np.eye(4)]:
+            shapes.clear()
+            result = project_to_physical(target)
+            assert result.iterations >= 2
+            assert shapes == [(4, 4)] * (result.iterations - 1)
+        shapes.clear()
+        assert project_to_physical(ch.standard_channel("identity")).iterations == 1
+        assert shapes == [(4, 4)]
+
+    def test_trace_shift_passes_the_eigenvector_blocks_along(self, monkeypatch, rng):
+        # The shifted point takes Q and its blocks from the first: blocks
+        # built again from the same Q give the same gradient, residual and
+        # theta bit for bit.
+        calls = []
+        original = projection._evaluate
+
+        def recording(target, y, eigensystem=None):
+            calls.append((y, eigensystem, original(target, y, eigensystem)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(projection, "_evaluate", recording)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        point = projection._DualPoint.of((g + g.conj().T) / 4.0, np.zeros(4))
-        shifted = point.trace_shifted()
-        assert shifted.blocks is point.blocks
-        rebuilt = projection._DualPoint(shifted.y, shifted.values, shifted.vectors)
-        assert np.array_equal(rebuilt.blocks, shifted.blocks)
-        assert np.array_equal(rebuilt.gradient, shifted.gradient)
+        target = (g + g.conj().T) / 4.0
+        assert project_to_physical(target).iterations > 2
+        (_, none, first), (y, (values, vectors, blocks), shifted) = calls[:2]
+        assert none is None and calls[2][1] is None
+        assert vectors is first[4][1] and blocks is first[4][2]
+        rebuilt = original(target, np.zeros(4))[4][2]
+        assert rebuilt is not blocks and np.array_equal(rebuilt, blocks)
+        again = original(target, y, (values, vectors, rebuilt))
+        assert np.array_equal(again[2], shifted[2])
+        assert (again[0], again[1]) == (shifted[0], shifted[1])
 
 
 def roundoff_bound(target):
@@ -259,6 +296,20 @@ def test_noisy_estimates_take_few_evaluations(noisy_estimates):
     # few dozen.
     for chi in noisy_estimates:
         assert project_to_physical(chi).iterations <= 8
+
+
+def test_evaluations_on_the_preset_estimates():
+    # Twelve seeds of each preset at three shot counts: the shift and then
+    # Newton's full steps, with the fallback rarely taken.
+    counts = Counter(
+        project_to_physical(
+            run_process_tomography(run_experiment(replace(config, shots=shots, seed=seed))).chi
+        ).iterations
+        for config in PRESETS.values()
+        for shots in (100, 1000, 10000)
+        for seed in range(12)
+    )
+    assert counts == {4: 57, 5: 48, 6: 3}
 
 
 class TestFarTargets:

@@ -318,6 +318,49 @@ def test_make_reference_prints_each_float_it_moves(tmp_path, capsys, monkeypatch
     assert abs(rewritten - stored) <= module.FLOAT_TOL
 
 
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+# A comment.
+import math  # and a trailing one
+
+
+class Disc:
+    """A class docstring."""
+
+    def area(self, radius):
+        """A method docstring,
+        over two lines."""
+        return (
+            math.pi
+            * radius ** 2
+        )
+
+
+TEXT = """a string
+that is no docstring"""
+'''
+
+
+def test_code_lines_counts_lines_that_hold_code(tmp_path, capsys):
+    module = load_script("code_lines")
+    # import, class, def, the four lines of the return and the two of TEXT.
+    assert module.code_lines(CODE_LINES_FIXTURE) == 9
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "disc.py").write_text(CODE_LINES_FIXTURE)
+    (package / "empty.py").write_text("# Nothing but a comment.\n")
+    alone = tmp_path / "alone.py"
+    alone.write_text("x = 1\n")
+    assert module.main([str(package), str(alone)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"     9 {package / 'disc.py'}",
+        f"     0 {package / 'empty.py'}",
+        f"     1 {alone}",
+        "    10 total",
+    ]
+
+
 def test_mutation_study_replaces_each_site_with_pass():
     module = load_script("mutation_study")
     source = (
