@@ -95,6 +95,19 @@ def noisy_estimates() -> list[np.ndarray]:
     ]
 
 
+def counted(monkeypatch, name: str) -> list:
+    """The shapes of the arrays passed to ``np.linalg.<name>`` from now on."""
+    shapes = []
+    original = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
+
+
 def random_bloch_vector(rng: np.random.Generator, radius: float = 1.0) -> np.ndarray:
     """Uniform direction, radius scaled toward the surface (cube-root law)."""
     direction = rng.standard_normal(3)

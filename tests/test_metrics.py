@@ -12,6 +12,7 @@ from conftest import (
     BOUND_MESSAGE,
     KET_0,
     KET_1,
+    counted,
     in_frame,
     loop_check_density_matrix,
     loop_fidelity,
@@ -666,19 +667,6 @@ LAPACK_CALLS = {
     "projection": ([(2, 4, 4)], [(2, 4, 4)], True),
     "skewed": ([(4, 4)], [(2, 4, 4)], False),
 }
-
-
-def counted(monkeypatch, name: str) -> list:
-    """The shapes of the arrays passed to ``np.linalg.<name>`` from now on."""
-    shapes = []
-    original = getattr(np.linalg, name)
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counting)
-    return shapes
 
 
 class TestEigenvaluePath:

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     BOUND_MESSAGE,
+    counted,
     in_frame,
     loop_project_to_physical,
     random_cptp_chi,
@@ -180,14 +181,7 @@ class TestOptimality:
     def test_trace_shift_reuses_the_first_eigh(self, monkeypatch, noisy_estimates):
         # Every evaluation takes one eigh but the second, the trace shift,
         # which moves only the eigenvalues.
-        shapes = []
-        original = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        shapes = counted(monkeypatch, "eigh")
         for target in [*noisy_estimates, *random_targets(5, 1.0, 10), -np.eye(4)]:
             shapes.clear()
             result = project_to_physical(target)
